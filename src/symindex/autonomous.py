@@ -101,21 +101,25 @@ def split_blocks(m):
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
 
-def time_one_blocks(system: HamiltonianSystem):
-    """(A, B, C, D) blocks of psi(1) in the (x, y) splitting."""
-    return split_blocks(system.psi(1.0))
-
-
-def transversality_H(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether psi(1) L0 is transversal to the vertical L0, i.e. B invertible."""
-    _, b, _, _ = time_one_blocks(system)
+def _corner_invertible(b, tol: Tolerances) -> bool:
+    """Whether the upper-right block B is numerically invertible."""
     s = singular_values(b)
     return bool(s.size > 0 and s[-1] > tol.eps_rank * max(s[0], 1.0))
 
 
-def correction_matrix_from(psi1, tol: Tolerances = DEFAULT_TOL):
-    """The symmetric matrix X = C + (D - I) B^(-1) (I - A) of a
-    symplectic time-one map.
+def transversality_H(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether psi(1) L0 is transversal to the vertical L0, i.e. B invertible."""
+    return _corner_invertible(split_blocks(system.psi(1.0))[1], tol)
+
+
+def _correction_formula(a, b, c, d):
+    """X = C + (D - I) B^(-1) (I - A) from the blocks, not symmetrized."""
+    eye = np.eye(b.shape[0])
+    return c + (d - eye) @ np.linalg.solve(b, eye - a)
+
+
+def _correction_matrix(psi1, tol: Tolerances):
+    """The symmetric correction matrix X of a symplectic time-one map.
 
     Raises TransversalityViolated when B is numerically singular and
     SymmetryDefect when the computed matrix fails to be symmetric,
@@ -125,13 +129,10 @@ def correction_matrix_from(psi1, tol: Tolerances = DEFAULT_TOL):
     if not is_symplectic(psi1, tol):
         raise NotSymplectic("time-one map does not preserve the form")
     a, b, c, d = split_blocks(psi1)
-    s = singular_values(b)
-    if s.size == 0 or s[-1] <= tol.eps_rank * max(s[0], 1.0):
+    if not _corner_invertible(b, tol):
         raise TransversalityViolated("upper-right block of the time-one map "
                                      "is singular")
-    n = psi1.shape[0] // 2
-    eye = np.eye(n)
-    x = c + (d - eye) @ np.linalg.solve(b, eye - a)
+    x = _correction_formula(a, b, c, d)
     defect = np.linalg.norm(x - x.T)
     if defect > tol.eps_sym * (1.0 + spectral_norm(x)):
         raise SymmetryDefect("correction matrix defect %.3e" % defect)
@@ -140,18 +141,17 @@ def correction_matrix_from(psi1, tol: Tolerances = DEFAULT_TOL):
 
 def correction_matrix(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL):
     """Correction matrix of the system's time-one map."""
-    return correction_matrix_from(system.psi(1.0), tol)
+    return _correction_matrix(system.psi(1.0), tol)
 
 
-def correction_sign_from(psi1, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Signature of the correction matrix (null directions count zero)."""
-    x = correction_matrix_from(psi1, tol)
-    return sym_signature(x, tol, scale=1.0 + spectral_norm(x)).signature
+def _sign(m, tol: Tolerances) -> int:
+    """Signature of a symmetric matrix; null directions count zero."""
+    return sym_signature(m, tol, scale=1.0 + spectral_norm(m)).signature
 
 
 def correction_sign(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> int:
     """Signature of the system's correction matrix."""
-    return correction_sign_from(system.psi(1.0), tol)
+    return _sign(correction_matrix(system, tol), tol)
 
 
 # -- triple-index cross-check -------------------------------------------------
@@ -184,11 +184,8 @@ def reduced_form_matrix(x):
     ])
 
 
-def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
-    """All four routes to tau(diagonal, L0 x L0, graph) of a time-one map."""
-    psi1 = as_square(psi1, "time-one map")
-    if not is_symplectic(psi1, tol):
-        raise NotSymplectic("time-one map does not preserve the form")
+def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
+    """The four routes for a time-one map whose correction matrix is x."""
     n = psi1.shape[0] // 2
     space = SymplecticSpace.graph_product(n)
     vert = vertical_lagrangian(n, tol)
@@ -202,11 +199,15 @@ def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
     tau_reduced = kashiwara_reduced(space, k, diag, pair, graph, tol)
 
     # minus one half of the correction matrix carries the same signature
-    x = -0.5 * correction_matrix_from(psi1, tol)
-    sign_x = sym_signature(x, tol, scale=1.0 + spectral_norm(x)).signature
-    y = reduced_form_matrix(x)
-    sign_y = sym_signature(y, tol, scale=1.0 + spectral_norm(y)).signature
-    return TripleCheck(tau_direct, tau_reduced, sign_x, sign_y)
+    half = -0.5 * x
+    return TripleCheck(tau_direct, tau_reduced, _sign(half, tol),
+                       _sign(reduced_form_matrix(half), tol))
+
+
+def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
+    """All four routes to tau(diagonal, L0 x L0, graph) of a time-one map."""
+    psi1 = as_square(psi1, "time-one map")
+    return _triple_routes(psi1, _correction_matrix(psi1, tol), tol)
 
 
 def triple_index_cross_check(system: HamiltonianSystem,
@@ -255,18 +256,6 @@ def calibrate_sign(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> int:
 
 # -- the closed formula and the validation report -----------------------------
 
-def orbit_route_index(system: HamiltonianSystem, grid: int = 256,
-                      tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Direct crossing scan of t -> psi(t) L0 against the vertical L0."""
-    return maslov_index_symplectic(system.h, grid=grid, tol=tol)
-
-
-def graph_route_index(system: HamiltonianSystem, grid: int = 256,
-                      tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Direct crossing scan of the graph path against the diagonal."""
-    return conley_zehnder(system.h, grid=grid, tol=tol)
-
-
 def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
                        grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Orbit index predicted by the closed formula.
@@ -278,7 +267,7 @@ def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
         sigma = calibrate_sign(grid, tol)
     if sigma not in (-1, 1):
         raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
-    graph = graph_route_index(system, grid, tol)
+    graph = conley_zehnder(system.h, grid=grid, tol=tol)
     return graph + HalfInt(sigma * correction_sign(system, tol))
 
 
@@ -307,13 +296,15 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     """
     if sigma is None:
         sigma = calibrate_sign(grid, tol)
-    orbit = orbit_route_index(system, grid, tol)
-    graph = graph_route_index(system, grid, tol)
+    orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
+    graph = conley_zehnder(system.h, grid=grid, tol=tol)
+    psi1 = system.psi(1.0)
     try:
-        check = triple_routes_from(system.psi(1.0), tol)
-        correction = correction_sign(system, tol)
+        x = _correction_matrix(psi1, tol)
     except TransversalityViolated:
         return IndexReport(orbit, graph, sigma, None, None, None, None, True)
+    check = _triple_routes(psi1, x, tol)
+    correction = _sign(x, tol)
     formula = graph + HalfInt(sigma * correction)
     agree = bool(orbit == formula and check.consistent)
     return IndexReport(orbit, graph, sigma, correction, formula,

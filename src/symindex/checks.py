@@ -17,11 +17,12 @@ import numpy as np
 
 from .autonomous import (
     PUBLISHED_SIGN,
+    _correction_formula,
     calibrate_sign,
     correction_matrix,
     make_system,
     reduced_form_matrix,
-    time_one_blocks,
+    split_blocks,
     transversality_H,
     validate,
 )
@@ -55,6 +56,7 @@ from .numerics import (
     orthonormal_columns,
     singular_values,
     spectral_norm,
+    stable_signature,
     sym_signature,
 )
 from .symplectic import (
@@ -114,17 +116,9 @@ def _collect(sampler, want, max_attempts=None):
     return got, rejected
 
 
-def _stable_signature(m, tol: Tolerances, margin: float = 1e-5):
-    """(signature, stable): stable means no eigenvalue falls between the
-    zero band and ``margin`` times the scale, so the signature cannot
-    flip under perturbations of that size."""
-    s = 0.5 * (m + m.T)
-    vals = np.linalg.eigvalsh(s)
-    scale = 1.0 + spectral_norm(s)
-    band = tol.eps_sign * scale
-    gray = bool(np.any((np.abs(vals) > band) & (np.abs(vals) < margin * scale)))
-    sig = int(np.sum(vals > band) - np.sum(vals < -band))
-    return sig, not gray
+#: relative gray band of a sampled form: a draw whose form has an
+#: eigenvalue between the zero band and this margin is resampled
+STABLE_MARGIN = 1e-5
 
 
 def _well_invertible(m, margin: float) -> bool:
@@ -189,7 +183,8 @@ def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> Che
         taus = {}
         for c in combos:
             f = kashiwara_form(space, ls[c[0]], ls[c[1]], ls[c[2]])
-            sig, stable = _stable_signature(f, tol)
+            _, stable = stable_signature(f, STABLE_MARGIN, tol,
+                                         scale=1.0 + spectral_norm(f))
             if not stable:
                 return None
         # recompute through the public entry point for the verdict
@@ -253,10 +248,10 @@ def check_correction_symmetry(samples: int = 50, tol: Tolerances = DEFAULT_TOL) 
         n = 1 + attempt % 4
         profile = ("generic", "mixed", "semisimple-elliptic")[attempt % 3]
         system = make_system(random_hamiltonian(n, 9200 + attempt, profile), tol)
-        a, b, c, d = time_one_blocks(system)
+        a, b, c, d = split_blocks(system.psi(1.0))
         if singular_values(b)[-1] <= 1e-3:
             return None
-        x = c + (d - np.eye(n)) @ np.linalg.solve(b, np.eye(n) - a)
+        x = _correction_formula(a, b, c, d)
         return float(np.linalg.norm(x - x.T))
 
     defects, rejected = _collect(sampler, samples)
@@ -280,7 +275,7 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
             system = make_system(random_hamiltonian(n, 9900 + attempt, profile), tol)
             if not transversality_H(system, tol):
                 return None
-            _, b, _, _ = time_one_blocks(system)
+            _, b, _, _ = split_blocks(system.psi(1.0))
             if singular_values(b)[-1] <= 1e-3:
                 return None
             space = SymplecticSpace.graph_product(n)
@@ -288,7 +283,9 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
             diag = diagonal_lagrangian(n, tol)
             pair = product_lagrangian(vert, vert, tol)
             graph = graph_lagrangian(system.psi(1.0), tol)
-            _, stable = _stable_signature(kashiwara_form(space, diag, pair, graph), tol)
+            f = kashiwara_form(space, diag, pair, graph)
+            _, stable = stable_signature(f, STABLE_MARGIN, tol,
+                                         scale=1.0 + spectral_norm(f))
             if not stable:
                 return None
             k = subspace_intersection(diag.frame, pair.frame, tol)
@@ -302,11 +299,12 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
         red = SymplecticReduction(ambient, k_frame, tol)
         l_red = [random_lagrangian_of(red.space, seed + 1 + i, tol) for i in range(3)]
         lifted = [red.lift(l) for l in l_red]
-        _, stable = _stable_signature(kashiwara_form(ambient, *lifted), tol)
+        f = kashiwara_form(ambient, *lifted)
+        _, stable = stable_signature(f, STABLE_MARGIN, tol, scale=1.0 + spectral_norm(f))
         if not stable:
             return None
-        _, stable = _stable_signature(
-            kashiwara_form(red.space, l_red[0], l_red[1], l_red[2]), tol)
+        f = kashiwara_form(red.space, l_red[0], l_red[1], l_red[2])
+        _, stable = stable_signature(f, STABLE_MARGIN, tol, scale=1.0 + spectral_norm(f))
         if not stable:
             return None
         direct = kashiwara_index(ambient, lifted[0], lifted[1], lifted[2], tol)
@@ -362,10 +360,11 @@ def check_quadruple_path_independence(quadruples: int = 20, grid: int = 256,
         taus = []
         for third in (l1p, l0p):
             f = kashiwara_form(space, l0, l1, third)
-            sig, stable = _stable_signature(f, tol)
+            inertia, stable = stable_signature(f, STABLE_MARGIN, tol,
+                                               scale=1.0 + spectral_norm(f))
             if not stable:
                 return None
-            taus.append(sig)
+            taus.append(inertia.signature)
         predicted = HalfInt(taus[0] - taus[1])
         diffs = []
         for k in range(-2, 3):
@@ -407,7 +406,7 @@ def check_main_identity(samples: int = 50, grid: int = 256,
         system = make_system(random_hamiltonian(n, 15000 + attempt, profile), tol)
         if not transversality_H(system, tol):
             return None
-        _, b, _, _ = time_one_blocks(system)
+        _, b, _, _ = split_blocks(system.psi(1.0))
         if singular_values(b)[-1] <= 1e-3:
             return None
         if not _well_invertible(correction_matrix(system, tol), 1e-4):

@@ -13,6 +13,7 @@ Exit codes: 0 success and all computed routes agree, 1 bad input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -109,8 +110,7 @@ def _tolerances(args) -> Tolerances:
         return DEFAULT_TOL
     if not (0.0 < args.tol < 1.0):
         raise InputError("--tol must be in (0, 1)")
-    return Tolerances(eps_rank=args.tol, eps_sym=DEFAULT_TOL.eps_sym,
-                      eps_sign=DEFAULT_TOL.eps_sign, eps_exp=DEFAULT_TOL.eps_exp)
+    return dataclasses.replace(DEFAULT_TOL, eps_rank=args.tol)
 
 
 def _emit_json(obj: dict):

@@ -52,10 +52,6 @@ class NotSymplectic(SymindexError):
 
 # -- spectral / Krein -------------------------------------------------------
 
-class NotOnUnitCircle(SymindexError):
-    """Eigenvalue handed to a Krein computation has modulus away from 1."""
-
-
 class NotAnEigenvalue(SymindexError):
     """Requested value is not in the spectrum within tolerance."""
 
@@ -82,22 +78,10 @@ class GridTooCoarse(SymindexError):
     """Two crossings landed in one grid cell; increase grid_n."""
 
 
-class EmptyKernel(SymindexError):
-    """No intersection at the requested instant."""
-
-
-class ComplementFailure(SymindexError):
-    """The constructed complement is not transversal to the subspace."""
-
-
 # -- triple index and reduction --------------------------------------------
 
 class KNotAdmissible(SymindexError):
     """Reduction subspace is not contained in the pairwise intersections."""
-
-
-class SingularA(SymindexError):
-    """Transversal-chart matrix is singular."""
 
 
 # -- autonomous pipeline ----------------------------------------------------

@@ -18,7 +18,7 @@ quadruples which carry no Krein data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -138,8 +138,7 @@ def is_semisimple(h, tol: Tolerances = DEFAULT_TOL, rank_gap: float = 1e-7) -> b
     h = as_square(h, "generator")
     gap = _gap(h)
     scale = max(1.0, spectral_norm(h))
-    loose = Tolerances(eps_rank=rank_gap, eps_sym=tol.eps_sym,
-                       eps_sign=tol.eps_sign, eps_exp=tol.eps_exp)
+    loose = replace(tol, eps_rank=rank_gap)
     for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap):
         shifted = h.astype(complex) - lam * np.eye(h.shape[0])
         # relative rank threshold keyed to the size of h, not of shifted

@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     NonRegularCrossing,
     NotLagrangian,
+    OddDimension,
 )
 from .halfint import ZERO, HalfInt
 from .numerics import (
@@ -43,7 +44,7 @@ from .numerics import (
     orthonormal_columns,
     singular_values,
     spectral_norm,
-    sym_signature,
+    stable_signature,
 )
 from .symplectic import (
     LagrangianFrame,
@@ -141,15 +142,20 @@ def _flow(m, real_output: bool = True):
     return phi_expm
 
 
+def _generator(h):
+    h = as_square(h, "generator")
+    if h.shape[0] % 2 != 0:
+        raise OddDimension("generator must have even size")
+    return h
+
+
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
                interval=(0.0, 1.0)) -> LagrangianPath:
     """t -> exp(t h) . start, a Lagrangian path when h is Hamiltonian.
 
     ``start`` defaults to the vertical of the standard space."""
-    h = as_square(h, "generator")
+    h = _generator(h)
     if start is None:
-        if h.shape[0] % 2 != 0:
-            raise DimensionMismatch("generator must have even size")
         start = vertical_lagrangian(h.shape[0] // 2)
     if h.shape[0] != start.space.dim:
         raise DimensionMismatch("generator does not match the frame")
@@ -167,10 +173,8 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
 def graph_path(h, interval=(0.0, 1.0)) -> LagrangianPath:
     """t -> graph of exp(t h) in the product space carrying (-w) x w."""
-    h = as_square(h, "generator")
+    h = _generator(h)
     d = h.shape[0]
-    if d % 2 != 0:
-        raise InputError("generator must have even size")
     space = SymplecticSpace.graph_product(d // 2)
     eye = np.eye(d)
     zero = np.zeros((d, d))
@@ -320,18 +324,17 @@ def _crossing_inertia(path, ref, t0, tol) -> Tuple[int, Inertia]:
     v, gamma = crossing_form(path, ref, t0, tol)
     if v.shape[1] == 0:
         return 0, Inertia(0, 0, 0)
-    scale = 1.0 + spectral_norm(gamma)
     # A tangential crossing localizes only to ~sqrt(machine eps), so the
     # form evaluated at the refined time picks up an eigenvalue of that
     # size.  Anything between the zero band and a clear-signal floor
     # cannot be classified either way.
-    w = np.abs(np.linalg.eigvalsh(0.5 * (gamma + gamma.T)))
-    band = tol.eps_sign * scale
-    if np.any((w > band) & (w < GRAY_FACTOR * scale)):
+    inertia, stable = stable_signature(gamma, GRAY_FACTOR, tol,
+                                       scale=1.0 + spectral_norm(gamma))
+    if not stable:
         raise NonRegularCrossing(
             "crossing form at t=%g has an eigenvalue too small to classify"
             % t0)
-    return v.shape[1], sym_signature(gamma, tol, scale=scale)
+    return v.shape[1], inertia
 
 
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
@@ -340,11 +343,17 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
     The interval is sampled at ``grid``+1 points; sampled local minima
     of the detection signal are narrowed by golden section and accepted
-    when the rank test confirms an intersection.  Crossings closer than
-    one grid cell cannot be separated: when two accepted times land in
-    the same cell GridTooCoarse is raised, and pairs closer than one
-    cell may go undetected, so ``grid`` should oversample the expected
-    crossing spacing.
+    when the rank test confirms an intersection.  When two accepted
+    times land in the same grid cell GridTooCoarse is raised.
+
+    Known limit: the scan does not certify that it found every crossing.
+    A sampled minimum above ``SIGNAL_GATE`` is skipped without an error,
+    so crossings closer together than the sampling resolves can be
+    missed and a wrong index returned.  With the default grid,
+    ``maslov_index_symplectic(300 * standard_J(1))`` gives 117/2 where
+    the closed form is 191/2.  ``grid`` must oversample the expected
+    crossing spacing; ROADMAP item 2 (a certified adaptive scan) removes
+    this limit.
     """
     if grid < MIN_GRID:
         raise InputError("grid must be at least %d" % MIN_GRID)
@@ -449,23 +458,18 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
                             interval=(0.0, 1.0), grid: int = 256,
                             tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of t -> exp(t h) . start against ref (both default vertical)."""
-    h = as_square(h, "generator")
-    n = h.shape[0] // 2
-    if start is None:
-        start = vertical_lagrangian(n, tol)
+    path = orbit_path(h, start, interval)
     if ref is None:
-        ref = vertical_lagrangian(n, tol)
-    return maslov_index(orbit_path(h, start, interval), ref, grid, tol)
+        ref = vertical_lagrangian(path.space.half_dim, tol)
+    return maslov_index(path, ref, grid, tol)
 
 
 def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of the graph path of exp(t h) against the diagonal."""
-    h = as_square(h, "generator")
-    if h.shape[0] % 2 != 0:
-        raise InputError("generator must have even size")
-    ref = diagonal_lagrangian(h.shape[0] // 2, tol)
-    return maslov_index(graph_path(h, interval), ref, grid, tol)
+    path = graph_path(h, interval)
+    ref = diagonal_lagrangian(path.space.dim // 4, tol)
+    return maslov_index(path, ref, grid, tol)
 
 
 # -- closed forms for rotation blocks and spectral routes ---------------------

@@ -9,9 +9,9 @@ constructors validate shape and finiteness at the operation boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AsymmetricInput, InputError, NonHermitianInput
 
@@ -23,16 +23,14 @@ class Tolerances:
     eps_rank : singular values below ``eps_rank * sigma_max`` count as zero
     eps_sym  : admissible relative symmetry defect
     eps_sign : relative degeneracy band when counting eigenvalue signs
-    eps_exp  : accuracy requested from the matrix exponential
     """
 
     eps_rank: float = 1e-9
     eps_sym: float = 1e-8
     eps_sign: float = 1e-8
-    eps_exp: float = 1e-12
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_sym", "eps_sign", "eps_exp"):
+        for name in ("eps_rank", "eps_sym", "eps_sign"):
             value = getattr(self, name)
             if not (isinstance(value, float) and value > 0.0):
                 raise ValueError("%s must be a positive float" % name)
@@ -89,11 +87,29 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _count_bands(eigs, band):
+def _signature(s, tol: Tolerances, scale, margin: float, hermitian: bool):
+    """(inertia, stable) of the symmetric or Hermitian part of ``s``; see
+    ``sym_signature`` and ``stable_signature``.  Real input stays real."""
+    if hermitian:
+        s = as_square(s, "hermitian matrix", dtype=complex)
+        adj = s.conj().T
+    else:
+        s = as_square(s, "symmetric matrix")
+        adj = s.T
+    defect = np.linalg.norm(s - adj)
+    if defect > tol.eps_sym * (1.0 + np.linalg.norm(s)):
+        if hermitian:
+            raise NonHermitianInput("hermitian defect %.3e too large" % defect)
+        raise AsymmetricInput("symmetry defect %.3e too large" % defect)
+    eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(0)
+    w = np.abs(eigs)
+    if scale is None:
+        scale = float(np.max(w)) if w.size else 0.0
+    band = tol.eps_sign * scale
     n_pos = int(np.sum(eigs > band))
     n_neg = int(np.sum(eigs < -band))
-    n_zero = int(eigs.size - n_pos - n_neg)
-    return Inertia(n_pos, n_neg, n_zero)
+    stable = not np.any((w > band) & (w < margin * scale))
+    return Inertia(n_pos, n_neg, int(eigs.size - n_pos - n_neg)), stable
 
 
 def sym_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:
@@ -106,34 +122,23 @@ def sym_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:
     be overridden when an absolute floor is appropriate (for example
     when classifying crossing forms that are identically zero).
     """
-    s = as_square(s, "symmetric matrix")
-    defect = np.linalg.norm(s - s.T)
-    if defect > tol.eps_sym * (1.0 + np.linalg.norm(s)):
-        raise AsymmetricInput("symmetry defect %.3e too large" % defect)
-    sym = 0.5 * (s + s.T)
-    eigs = np.linalg.eigvalsh(sym) if sym.size else np.empty(0)
-    if scale is None:
-        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return _count_bands(eigs, tol.eps_sign * scale)
+    return _signature(s, tol, scale, 0.0, hermitian=False)[0]
 
 
 def herm_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:
     """Inertia of a complex Hermitian matrix; see ``sym_signature``."""
-    s = as_square(s, "hermitian matrix", dtype=complex)
-    defect = np.linalg.norm(s - s.conj().T)
-    if defect > tol.eps_sym * (1.0 + np.linalg.norm(s)):
-        raise NonHermitianInput("hermitian defect %.3e too large" % defect)
-    herm = 0.5 * (s + s.conj().T)
-    eigs = np.linalg.eigvalsh(herm) if herm.size else np.empty(0)
-    if scale is None:
-        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return _count_bands(eigs, tol.eps_sign * scale)
+    return _signature(s, tol, scale, 0.0, hermitian=True)[0]
 
 
-def matrix_exp(m, tol: Tolerances = DEFAULT_TOL):
-    """Matrix exponential (Pade with scaling and squaring)."""
-    m = as_square(m, "exponent")
-    return scipy.linalg.expm(m)
+def stable_signature(s, margin: float, tol: Tolerances = DEFAULT_TOL,
+                     scale=None) -> Tuple[Inertia, bool]:
+    """Inertia of a real symmetric matrix and whether it is stable.
+
+    Stable means no eigenvalue falls in the gray band between the zero
+    band of ``sym_signature`` and ``margin * scale``, so the signature
+    cannot flip under perturbations of that size.
+    """
+    return _signature(s, tol, scale, margin, hermitian=False)
 
 
 def singular_values(m):
@@ -141,11 +146,6 @@ def singular_values(m):
     if m.size == 0:
         return np.empty(0)
     return np.linalg.svd(m, compute_uv=False)
-
-
-def smallest_singular_value(m) -> float:
-    s = singular_values(m)
-    return float(s[-1]) if s.size else 0.0
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -89,10 +89,6 @@ class SymplecticSpace:
         """Matrix [omega(a_i, b_j)] for two column-frames."""
         return (self.form @ np.asarray(fa, dtype=float)).T @ np.asarray(fb, dtype=float)
 
-    def direct_sum(self, other: "SymplecticSpace") -> "SymplecticSpace":
-        za = np.zeros((self.dim, other.dim))
-        return SymplecticSpace(np.block([[self.form, za], [za.T, other.form]]))
-
     def is_standard(self) -> bool:
         return bool(np.allclose(self.form, standard_J(self.half_dim), atol=1e-12))
 
@@ -314,13 +310,6 @@ class SymplecticReduction:
             raise DimensionMismatch("frame does not match the reduced space")
         f = np.hstack([self.k, self.basis @ l_red.frame])
         return lagrangian_frame(self.ambient, f, self.tol)
-
-
-def symplectic_reduction(space: SymplecticSpace, k_frame, L: LagrangianFrame,
-                         tol: Tolerances = DEFAULT_TOL):
-    """One-shot reduction: returns (reduced space, reduced Lagrangian)."""
-    red = SymplecticReduction(space, k_frame, tol)
-    return red.space, red.project(L)
 
 
 # -- normal-form generators and random ensembles -----------------------------

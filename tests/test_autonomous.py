@@ -5,6 +5,7 @@ import pytest
 
 from symindex import (
     HalfInt,
+    HamiltonianSystem,
     PUBLISHED_SIGN,
     calibrate_sign,
     correction_matrix,
@@ -131,6 +132,20 @@ def test_validate_full_report():
     assert report.formula_index == HalfInt(3)
     assert report.tau_direct == report.tau_reduced
     assert report.agree
+
+
+def test_validate_evaluates_time_one_map_once(monkeypatch):
+    calls = []
+    psi = HamiltonianSystem.psi
+
+    def counting_psi(self, t):
+        calls.append(t)
+        return psi(self, t)
+
+    monkeypatch.setattr(HamiltonianSystem, "psi", counting_psi)
+    report = validate(make_system(plane_block_generator([("elliptic", 5.0)])), sigma=-1)
+    assert report.formula_index == HalfInt(3)
+    assert calls == [1.0]
 
 
 def test_validate_skips_formula_off_transversality():

@@ -26,6 +26,7 @@ from symindex.errors import (
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
+    OddDimension,
 )
 from symindex.halfint import ZERO
 from symindex.maslov import (
@@ -169,6 +170,13 @@ def test_crossing_chart_requires_orthogonal_form():
     ref = lagrangian_frame(space, np.array([[0.0], [1.0]]))
     with pytest.raises(InputError):
         maslov_index(path, ref)
+
+
+@pytest.mark.parametrize(
+    "entry", [maslov_index_symplectic, orbit_path, conley_zehnder, graph_path])
+def test_odd_generator_rejected(entry):
+    with pytest.raises(OddDimension):
+        entry(np.zeros((3, 3)))
 
 
 def test_grid_floor():

@@ -12,6 +12,7 @@ from symindex.numerics import (
     kernel_basis,
     numerical_rank,
     orthonormal_columns,
+    stable_signature,
     sym_signature,
 )
 
@@ -48,6 +49,25 @@ def test_hermitian_signature_of_minus_i_J():
         herm_signature(np.array([[0.0, 1.0j], [1.0j, 0.0]]), DEFAULT_TOL)
 
 
+def test_gray_band_flags_only_ambiguous_eigenvalues():
+    # band 1e-8, margin 1e-5 at scale 1: 1e-7 is neither zero nor clear
+    inertia, stable = stable_signature(np.diag([1.0, 1e-7]), 1e-5, DEFAULT_TOL, scale=1.0)
+    assert inertia == Inertia(2, 0, 0)
+    assert not stable
+    inertia, stable = stable_signature(np.diag([1.0, -1e-3]), 1e-5, DEFAULT_TOL, scale=1.0)
+    assert inertia == Inertia(1, 1, 0)
+    assert stable
+
+
+def test_gray_band_keeps_zero_band_and_symmetry_check():
+    m = np.diag([1.0, 1e-12, 0.0])
+    inertia, stable = stable_signature(m, 1e-5, DEFAULT_TOL, scale=1.0)
+    assert inertia == sym_signature(m, DEFAULT_TOL, scale=1.0) == Inertia(1, 0, 2)
+    assert stable
+    with pytest.raises(AsymmetricInput):
+        stable_signature(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-5, DEFAULT_TOL)
+
+
 def test_kernel_basis():
     k = kernel_basis(np.array([[1.0, 0.0], [0.0, 0.0]]), DEFAULT_TOL)
     assert k.shape == (2, 1)
@@ -69,7 +89,7 @@ def test_tolerances_are_frozen_defaults():
     with pytest.raises(Exception):
         DEFAULT_TOL.eps_rank = 1.0
     loose = Tolerances(eps_rank=1e-6, eps_sym=DEFAULT_TOL.eps_sym,
-                       eps_sign=DEFAULT_TOL.eps_sign, eps_exp=DEFAULT_TOL.eps_exp)
+                       eps_sign=DEFAULT_TOL.eps_sign)
     assert loose.eps_rank == 1e-6
 
 
