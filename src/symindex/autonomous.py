@@ -19,6 +19,7 @@ intersection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -254,6 +255,14 @@ def calibrate_sign(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> int:
     return sigmas[0]
 
 
+@functools.lru_cache(maxsize=32)
+def _calibrated_sign(grid: int, tol: Tolerances) -> int:
+    """``calibrate_sign(grid, tol)``, run once per process for each
+    (grid, tol).  The probes depend on nothing else; a failure is not
+    cached and is raised again on the next call."""
+    return calibrate_sign(grid, tol)
+
+
 # -- the closed formula and the validation report -----------------------------
 
 def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
@@ -264,7 +273,7 @@ def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
     to force a convention.
     """
     if sigma is None:
-        sigma = calibrate_sign(grid, tol)
+        sigma = _calibrated_sign(grid, tol)
     if sigma not in (-1, 1):
         raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
     graph = conley_zehnder(system.h, grid=grid, tol=tol)
@@ -295,7 +304,7 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     routes disagreed.
     """
     if sigma is None:
-        sigma = calibrate_sign(grid, tol)
+        sigma = _calibrated_sign(grid, tol)
     orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
     graph = conley_zehnder(system.h, grid=grid, tol=tol)
     psi1 = system.psi(1.0)

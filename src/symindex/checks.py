@@ -17,13 +17,14 @@ import numpy as np
 
 from .autonomous import (
     PUBLISHED_SIGN,
+    _calibrated_sign,
+    _corner_invertible,
     _correction_formula,
+    _correction_matrix,
     calibrate_sign,
-    correction_matrix,
     make_system,
     reduced_form_matrix,
     split_blocks,
-    transversality_H,
     validate,
 )
 from .errors import (
@@ -273,16 +274,15 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
             n = 1 + (attempt // 2) % 3
             profile = ("mixed", "generic")[(attempt // 2) % 2]
             system = make_system(random_hamiltonian(n, 9900 + attempt, profile), tol)
-            if not transversality_H(system, tol):
-                return None
-            _, b, _, _ = split_blocks(system.psi(1.0))
-            if singular_values(b)[-1] <= 1e-3:
+            psi1 = system.psi(1.0)
+            _, b, _, _ = split_blocks(psi1)
+            if not _corner_invertible(b, tol) or singular_values(b)[-1] <= 1e-3:
                 return None
             space = SymplecticSpace.graph_product(n)
             vert = vertical_lagrangian(n, tol)
             diag = diagonal_lagrangian(n, tol)
             pair = product_lagrangian(vert, vert, tol)
-            graph = graph_lagrangian(system.psi(1.0), tol)
+            graph = graph_lagrangian(psi1, tol)
             f = kashiwara_form(space, diag, pair, graph)
             _, stable = stable_signature(f, STABLE_MARGIN, tol,
                                          scale=1.0 + spectral_norm(f))
@@ -398,18 +398,17 @@ def check_main_identity(samples: int = 50, grid: int = 256,
     """Direct orbit scan equals graph scan plus the correction term on
     random semisimple transversal systems, with the triple-index routes
     agreeing as well."""
-    sigma = calibrate_sign(grid, tol)
+    sigma = _calibrated_sign(grid, tol)
 
     def sampler(attempt):
         n = 1 + attempt % 4
         profile = ("semisimple-elliptic", "mixed", "hyperbolic")[attempt % 3]
         system = make_system(random_hamiltonian(n, 15000 + attempt, profile), tol)
-        if not transversality_H(system, tol):
+        psi1 = system.psi(1.0)
+        _, b, _, _ = split_blocks(psi1)
+        if not _corner_invertible(b, tol) or singular_values(b)[-1] <= 1e-3:
             return None
-        _, b, _, _ = split_blocks(system.psi(1.0))
-        if singular_values(b)[-1] <= 1e-3:
-            return None
-        if not _well_invertible(correction_matrix(system, tol), 1e-4):
+        if not _well_invertible(_correction_matrix(psi1, tol), 1e-4):
             return None
         report = validate(system, sigma=sigma, grid=grid, tol=tol)
         if report.formula_index is None:

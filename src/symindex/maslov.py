@@ -33,6 +33,7 @@ from .errors import (
     NonRegularCrossing,
     NotLagrangian,
     OddDimension,
+    SymindexError,
 )
 from .halfint import ZERO, HalfInt
 from .numerics import (
@@ -41,16 +42,13 @@ from .numerics import (
     Tolerances,
     as_matrix,
     as_square,
-    orthonormal_columns,
-    singular_values,
-    spectral_norm,
-    stable_signature,
+    band_counts,
 )
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
     diagonal_lagrangian,
-    subspace_intersection,
+    subspace_intersections,
     vertical_lagrangian,
 )
 
@@ -248,24 +246,79 @@ class CrossingScan:
     baseline_dim: int
 
 
-def _orth_path_frame(path: LagrangianPath, t: float, tol: Tolerances):
-    q = orthonormal_columns(path.frame(t), tol)
-    if q.shape[1] != path.space.half_dim:
-        raise NotLagrangian("path frame lost rank at t=%g" % t)
-    return q
+#: byte budget of one stacked array of per-sample matrices; a scan
+#: handles its samples in batches that keep every stack within it, so
+#: its memory does not grow with the grid
+_BATCH_BYTES = 1 << 18
+
+_GRAY_MESSAGE = "crossing form at t=%g has an eigenvalue too small to classify"
 
 
-def _stack_data(path, ref_q, t, tol):
-    """(intersection dim, singular values) of the stacked frames at t.
+def _tr(a):
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _batches(count: int, dim: int):
+    """Slices of ``count`` samples whose stacks of dim x dim matrices
+    fit in ``_BATCH_BYTES``."""
+    step = max(1, _BATCH_BYTES // (8 * dim * dim))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _evaluate(fn, ts, shape):
+    """Stack of fn(t) over the times ts, evaluated in order.
+
+    Returns (values, error).  When fn raises a SymindexError the stack
+    holds the values before it, so the caller can check those samples
+    first and then raise the error, in the order a loop over the
+    samples would.
+    """
+    out = np.empty((len(ts),) + shape)
+    for i, t in enumerate(ts):
+        try:
+            out[i] = fn(t)
+        except SymindexError as exc:
+            return out[:i], exc
+    return out, None
+
+
+def _orth_frames(path: LagrangianPath, ts, tol: Tolerances):
+    """(orthonormal frames, raw frames) of the path at the times ts.
+
+    One stacked SVD orthonormalizes every frame with the relative rank
+    rule of ``orthonormal_columns``; NotLagrangian names the first time
+    whose frame lost rank.
+    """
+    frames, error = _evaluate(path.frame, ts, (path.space.dim, path.space.half_dim))
+    u, s, _ = np.linalg.svd(frames, full_matrices=False)
+    full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
+    if not full.all():
+        raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
+    if error is not None:
+        raise error
+    return u, frames
+
+
+def _spectra(q, ref_q, tol: Tolerances):
+    """(intersection dims, singular values) of the stacked [Q | Q_ref].
 
     The spectrum of [Q(t) | Q_ref] encodes the principal angles; the
     k smallest singular values vanish exactly when the intersection has
     dimension k.
     """
-    q = _orth_path_frame(path, t, tol)
-    s = singular_values(np.hstack([q, ref_q]))
-    dim = int(np.sum(s <= tol.eps_rank * s[0]))
-    return dim, s
+    n = q.shape[2]
+    stacked = np.empty(q.shape[:2] + (2 * n,))
+    stacked[:, :, :n] = q
+    stacked[:, :, n:] = ref_q
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return (s <= tol.eps_rank * s[:, :1]).sum(axis=1), s
+
+
+def _stack_data(path, ref_q, t, tol):
+    """(intersection dim, singular values) of the stacked frames at t."""
+    dims, s = _spectra(_orth_frames(path, [t], tol)[0], ref_q, tol)
+    return int(dims[0]), s[0]
 
 
 def _golden_min(f, lo, hi, xtol=REFINE_XTOL, max_iter=200):
@@ -288,6 +341,36 @@ def _golden_min(f, lo, hi, xtol=REFINE_XTOL, max_iter=200):
     return 0.5 * (a + b)
 
 
+def _chart_forms(omega, q, frames, dframes, v):
+    """Crossing forms of stacked samples in the graph chart over Q.
+
+    Per sample gamma = xi^T (dy x0^(-1)) xi with x0 = Q^T P, dy =
+    (omega Q)^T dP and xi = Q^T V, symmetrized; P and dP are the raw
+    frame and its derivative, V the intersection basis.
+    """
+    x0 = _tr(q) @ frames
+    dy = _tr(omega @ q) @ dframes
+    m = _tr(np.linalg.solve(_tr(x0), _tr(dy)))  # dy @ inv(x0)
+    xi = _tr(q) @ v
+    gamma = _tr(xi) @ m @ xi
+    return 0.5 * (gamma + _tr(gamma))
+
+
+def _form_inertias(gammas, tol: Tolerances):
+    """(n_pos, n_neg, stable) of stacked crossing forms.
+
+    A tangential crossing localizes only to ~sqrt(machine eps), so the
+    form evaluated at the refined time picks up an eigenvalue of that
+    size.  Anything between the zero band and a clear-signal floor of
+    ``GRAY_FACTOR`` relative to 1 + |gamma| cannot be classified
+    either way; such a form is not stable.
+    """
+    if not np.all(np.isfinite(gammas)):
+        raise InputError("symmetric matrix contains non-finite entries")
+    scale = 1.0 + np.linalg.norm(gammas, 2, axis=(1, 2))
+    return band_counts(np.linalg.eigvalsh(gammas), scale, tol, GRAY_FACTOR)
+
+
 def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
                   tol: Tolerances = DEFAULT_TOL):
     """Intersection basis and crossing form matrix at time t0.
@@ -305,36 +388,56 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
         raise InputError("crossing forms need an orthogonal complex-structure form")
     if ref.space.dim != d:
         raise DimensionMismatch("reference frame does not match the path")
-    f0 = _orth_path_frame(path, t0, tol)
-    v = subspace_intersection(f0, ref.frame, tol)
-    if v.shape[1] == 0:
-        return v, np.zeros((0, 0))
-    w0 = omega @ f0
-    p_raw = path.frame(t0)
-    dp = path.dframe(t0)
-    x0 = f0.T @ p_raw
-    dy = w0.T @ dp
-    m = np.linalg.solve(x0.T, dy.T).T  # dy @ inv(x0)
-    xi = f0.T @ v
-    gamma = xi.T @ m @ xi
-    return v, 0.5 * (gamma + gamma.T)
+    q = _orth_frames(path, [t0], tol)[0]
+    ((_, v),) = subspace_intersections(q, ref.frame, tol)
+    if v.shape[2] == 0:
+        return v[0], np.zeros((0, 0))
+    gamma = _chart_forms(omega, q, path.frame(t0)[None], path.dframe(t0)[None], v)
+    return v[0], gamma[0]
 
 
 def _crossing_inertia(path, ref, t0, tol) -> Tuple[int, Inertia]:
     v, gamma = crossing_form(path, ref, t0, tol)
-    if v.shape[1] == 0:
+    k = v.shape[1]
+    if k == 0:
         return 0, Inertia(0, 0, 0)
-    # A tangential crossing localizes only to ~sqrt(machine eps), so the
-    # form evaluated at the refined time picks up an eigenvalue of that
-    # size.  Anything between the zero band and a clear-signal floor
-    # cannot be classified either way.
-    inertia, stable = stable_signature(gamma, GRAY_FACTOR, tol,
-                                       scale=1.0 + spectral_norm(gamma))
-    if not stable:
-        raise NonRegularCrossing(
-            "crossing form at t=%g has an eigenvalue too small to classify"
-            % t0)
-    return v.shape[1], inertia
+    n_pos, n_neg, stable = _form_inertias(gamma[None], tol)
+    if not stable[0]:
+        raise NonRegularCrossing(_GRAY_MESSAGE % t0)
+    n_pos, n_neg = int(n_pos[0]), int(n_neg[0])
+    return k, Inertia(n_pos, n_neg, k - n_pos - n_neg)
+
+
+def _check_core(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
+    """Insist that the constant core carries no form at the times ts.
+
+    Raises NonRegularCrossing at the first time whose form has an
+    eigenvalue in the gray band or a nonvanishing one.  The frames are
+    evaluated again, batch by batch; the chart itself was checked by
+    the crossing forms at the interval ends.
+    """
+    shape = (path.space.dim, path.space.half_dim)
+    for sl in _batches(len(ts), path.space.dim):
+        t = ts[sl]
+        q, frames = _orth_frames(path, t, tol)
+        dframes, error = _evaluate(path.dframe, t, shape)
+        gray = np.zeros(len(dframes), dtype=bool)
+        carries = np.zeros(len(dframes), dtype=bool)
+        for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
+            if v.shape[2]:
+                gamma = _chart_forms(path.space.form, q[idx], frames[idx], dframes[idx], v)
+                n_pos, n_neg, stable = _form_inertias(gamma, tol)
+                gray[idx] = ~stable
+                carries[idx] = n_pos + n_neg > 0
+        hits = np.flatnonzero(gray | carries)
+        if hits.size:
+            i = hits[0]
+            if gray[i]:
+                raise NonRegularCrossing(_GRAY_MESSAGE % t[i])
+            raise NonRegularCrossing("constant-dimensional intersection carries a "
+                                     "nonvanishing form at t=%g" % t[i])
+        if error is not None:
+            raise error
 
 
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
@@ -345,6 +448,16 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     of the detection signal are narrowed by golden section and accepted
     when the rank test confirms an intersection.  When two accepted
     times land in the same grid cell GridTooCoarse is raised.
+
+    The samples are handled in batches: the frames are evaluated one
+    time at a time, then each batch is orthonormalized by one stacked
+    SVD and its detection spectra come from one more.  A batch holds
+    as many samples as keep each stacked array within ``_BATCH_BYTES``
+    (256 KB), so the memory of a scan stays bounded at any grid and
+    dimension; only the spectra, 2n numbers per sample, are kept for
+    the whole grid.  In interval mode the constant core is spot-checked
+    in a second pass over the same batches.  Refinement, the
+    confirmation of candidates and their crossing forms run per point.
 
     Known limit: the scan does not certify that it found every crossing.
     A sampled minimum above ``SIGNAL_GATE`` is skipped without an error,
@@ -364,10 +477,9 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     ref_q = ref.frame
 
     dims = np.empty(grid + 1, dtype=int)
-    spectra = []
-    for i, t in enumerate(ts):
-        dims[i], s = _stack_data(path, ref_q, t, tol)
-        spectra.append(s)
+    spectra = np.empty((grid + 1, path.space.dim))
+    for sl in _batches(grid + 1, path.space.dim):
+        dims[sl], spectra[sl] = _spectra(_orth_frames(path, ts[sl], tol)[0], ref_q, tol)
 
     interval_mode = bool(np.mean(dims > 0) > 0.25)
     baseline = int(dims.min()) if interval_mode else 0
@@ -375,7 +487,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
         raise GridTooCoarse("widespread degeneracy without a constant core; "
                             "increase grid or reparametrize")
 
-    signal = np.array([s[-(baseline + 1)] for s in spectra])
+    signal = spectra[:, -(baseline + 1)]
 
     def sig_at(t):
         _, s = _stack_data(path, ref_q, t, tol)
@@ -433,13 +545,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     if interval_mode:
         # the constant core must carry no form anywhere, else the index
         # formula does not apply; spot-check all plain baseline samples
-        for i, t in enumerate(ts):
-            if dims[i] == baseline and baseline > 0:
-                k, inertia = _crossing_inertia(path, ref, t, tol)
-                if inertia.n_pos or inertia.n_neg:
-                    raise NonRegularCrossing(
-                        "constant-dimensional intersection carries a "
-                        "nonvanishing form at t=%g" % t)
+        _check_core(path, ref, ts[dims == baseline], tol)
 
     total = ZERO
     for c in crossings:

@@ -102,14 +102,27 @@ def _signature(s, tol: Tolerances, scale, margin: float, hermitian: bool):
             raise NonHermitianInput("hermitian defect %.3e too large" % defect)
         raise AsymmetricInput("symmetry defect %.3e too large" % defect)
     eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(0)
-    w = np.abs(eigs)
     if scale is None:
-        scale = float(np.max(w)) if w.size else 0.0
-    band = tol.eps_sign * scale
-    n_pos = int(np.sum(eigs > band))
-    n_neg = int(np.sum(eigs < -band))
-    stable = not np.any((w > band) & (w < margin * scale))
-    return Inertia(n_pos, n_neg, int(eigs.size - n_pos - n_neg)), stable
+        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    n_pos, n_neg, stable = band_counts(eigs, np.asarray(scale), tol, margin)
+    n_pos, n_neg = int(n_pos), int(n_neg)
+    return Inertia(n_pos, n_neg, int(eigs.size - n_pos - n_neg)), bool(stable)
+
+
+def band_counts(eigs, scale, tol: Tolerances, margin: float):
+    """(n_pos, n_neg, stable) of the eigenvalue rows ``eigs[..., k]``
+    against ``scale[...]``, the one gray-band decision of the package.
+
+    Eigenvalues within ``eps_sign * scale`` of zero count as zero; a
+    row is stable when none of its eigenvalues lies between that zero
+    band and ``margin * scale``.
+    """
+    w = np.abs(eigs)
+    band = tol.eps_sign * scale[..., None]
+    n_pos = np.sum(eigs > band, axis=-1)
+    n_neg = np.sum(eigs < -band, axis=-1)
+    stable = ~np.any((w > band) & (w < margin * scale[..., None]), axis=-1)
+    return n_pos, n_neg, stable
 
 
 def sym_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:

@@ -20,8 +20,10 @@ from symindex import (
     triple_routes_from,
     validate,
 )
+from symindex import autonomous, checks, maslov
 from symindex.autonomous import split_blocks
 from symindex.errors import (
+    CalibrationFailure,
     NotHamiltonian,
     NotSymplectic,
     OddDimension,
@@ -181,3 +183,73 @@ def test_mixed_system_agreement():
     assert report.orbit_index == HalfInt(1)
     assert report.graph_index == HalfInt(2)
     assert report.agree
+
+
+@pytest.fixture
+def cold_calibration():
+    autonomous._calibrated_sign.cache_clear()
+    yield
+    autonomous._calibrated_sign.cache_clear()
+
+
+@pytest.fixture
+def scan_count(monkeypatch):
+    scans = []
+    find = maslov.find_crossings
+
+    def counting_find(*args, **kwargs):
+        scans.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(maslov, "find_crossings", counting_find)
+    return scans
+
+
+def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    assert validate(system).agree and validate(system).sigma == -1
+    # two scans per validate, the four probe scans once
+    assert len(scan_count) == 2 * 2 + 4
+    assert maslov_via_formula(system) == HalfInt(3)
+    assert len(scan_count) == 2 * 2 + 4 + 1
+
+
+def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):
+    assert calibrate_sign() == -1
+    assert len(scan_count) == 4
+    assert checks.check_calibration().passed
+    assert len(scan_count) == 8
+
+
+def test_calibration_failure_is_not_cached(cold_calibration, monkeypatch):
+    calls = []
+
+    def failing_sign(system, tol):
+        calls.append(system)
+        return 0
+
+    monkeypatch.setattr(autonomous, "correction_sign", failing_sign)
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    for _ in range(2):
+        with pytest.raises(CalibrationFailure):
+            validate(system)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("check,per_system", [
+    (checks.check_main_identity, 2),
+    (checks.check_reduction_equality, 1),
+])
+def test_checks_evaluate_time_one_map_once_per_draw(monkeypatch, check, per_system):
+    calls = {}
+    psi = HamiltonianSystem.psi
+
+    def counting_psi(self, t):
+        key = self.h.tobytes()
+        calls[key] = calls.get(key, 0) + 1
+        return psi(self, t)
+
+    monkeypatch.setattr(HamiltonianSystem, "psi", counting_psi)
+    assert check(samples=6).passed
+    # validate evaluates psi(1) once more for an accepted main-identity draw
+    assert calls and max(calls.values()) <= per_system

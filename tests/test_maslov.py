@@ -1,5 +1,7 @@
 """Crossing forms, crossing scans, and the two path indices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,12 @@ from symindex import (
     unitary_geodesic,
     vertical_lagrangian,
 )
-from symindex import horizontal_lagrangian
+from symindex import horizontal_lagrangian, maslov
 from symindex.errors import (
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
+    NotLagrangian,
     OddDimension,
 )
 from symindex.halfint import ZERO
@@ -36,6 +39,13 @@ from symindex.maslov import (
     snap_half_integer,
     snap_odd_integer,
 )
+from symindex.numerics import (
+    DEFAULT_TOL,
+    kernel_basis,
+    orthonormal_columns,
+    singular_values,
+)
+from symindex.symplectic import diagonal_lagrangian, subspace_intersections
 TWO_PI = 2.0 * np.pi
 
 # (speed, orbit index doubled, graph index doubled)
@@ -191,3 +201,114 @@ def test_nilpotent_shear_indices():
     shear = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert maslov_index_symplectic(shear) == HalfInt(-1)
     assert conley_zehnder(shear) == HalfInt(-1)
+
+
+def test_constant_core_carrying_a_form_is_rejected():
+    """The core stays on the vertical but the supplied derivative moves
+    it; the first grid sample where its form is clearly nonzero is
+    named."""
+    path = path_from_frames(
+        SymplecticSpace.standard(1), lambda t: np.array([[0.0], [1.0]]), (0.0, 1.0),
+        dframe_fn=lambda t: np.sin(np.pi * t) * np.array([[1.0], [0.0]]))
+    with pytest.raises(NonRegularCrossing) as err:
+        find_crossings(path, vertical_lagrangian(1))
+    assert str(err.value) == ("constant-dimensional intersection carries a "
+                              "nonvanishing form at t=0.00390625")
+
+
+def test_rank_loss_names_the_first_sample():
+    def frames(t):
+        f = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        if min(abs(t - 0.25), abs(t - 0.75)) < 1e-12:
+            f[:, 1] = f[:, 0]
+        return f
+
+    path = path_from_frames(SymplecticSpace.standard(2), frames)
+    with pytest.raises(NotLagrangian) as err:
+        find_crossings(path, vertical_lagrangian(2))
+    assert str(err.value) == "path frame lost rank at t=0.25"
+
+
+def _reference_form(path, ref, t, tol):
+    """Per-sample intersection and graph-chart form from the numerics
+    primitives, the way a loop over the samples computes them."""
+    f0 = orthonormal_columns(path.frame(t), tol)
+    kern = kernel_basis(np.hstack([f0, -ref.frame]), tol)
+    v = orthonormal_columns(f0 @ kern[:f0.shape[1]], tol)
+    if v.shape[1] == 0:
+        return v, np.zeros((0, 0))
+    x0 = f0.T @ path.frame(t)
+    dy = (path.space.form @ f0).T @ path.dframe(t)
+    xi = f0.T @ v
+    gamma = xi.T @ np.linalg.solve(x0.T, dy.T).T @ xi
+    return v, 0.5 * (gamma + gamma.T)
+
+
+def _detection_cases():
+    """(id, path, reference, interval mode expected) per case."""
+    elliptic = [2.0, -3.0, 5.0, 0.7]
+    cases = []
+    for n in (1, 2, 4):
+        h = plane_block_generator([("elliptic", a) for a in elliptic[:n]])
+        cases.append(("orbit n=%d" % n, orbit_path(h), vertical_lagrangian(n), False))
+        cases.append(("graph n=%d" % n, graph_path(h), diagonal_lagrangian(n), False))
+    mixed = plane_block_generator([("hyperbolic", 1.0), ("elliptic", 5.0)])
+    cases.append(("mixed orbit", orbit_path(mixed), vertical_lagrangian(2), True))
+    cases.append(("mixed graph", graph_path(mixed), diagonal_lagrangian(2), False))
+    space = SymplecticSpace.standard(1)
+    end = lagrangian_frame(space, np.array([[1.0], [1.0]]))
+    cases.append(("unitary geodesic k=2",
+                  unitary_geodesic(horizontal_lagrangian(1), end, 2),
+                  vertical_lagrangian(1), False))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("path,ref,interval_mode", _detection_cases())
+def test_batched_detection_equals_per_point(path, ref, interval_mode):
+    tol = DEFAULT_TOL
+    ts = np.linspace(*path.interval, 257)
+    q, frames = maslov._orth_frames(path, ts, tol)
+    dims, spectra = maslov._spectra(q, ref.frame, tol)
+    for i, t in enumerate(ts):
+        dim, s = maslov._stack_data(path, ref.frame, t, tol)
+        looped = singular_values(np.hstack([orthonormal_columns(path.frame(t), tol),
+                                            ref.frame]))
+        np.testing.assert_allclose(spectra[i], s, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spectra[i], looped, rtol=0, atol=1e-14)
+        assert dims[i] == dim
+
+    dframes = np.stack([path.dframe(t) for t in ts])
+    formed = 0
+    for idx, v in subspace_intersections(q, ref.frame, tol):
+        if v.shape[2]:
+            gamma = maslov._chart_forms(path.space.form, q[idx], frames[idx],
+                                        dframes[idx], v)
+        for j, i in enumerate(idx):
+            v_pt, gamma_pt = crossing_form(path, ref, ts[i], tol)
+            v_ref, gamma_ref = _reference_form(path, ref, ts[i], tol)
+            assert v[j].shape == v_pt.shape == v_ref.shape
+            np.testing.assert_allclose(v[j], v_pt, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(v[j], v_ref, rtol=0, atol=1e-14)
+            if v.shape[2]:
+                formed += 1
+                np.testing.assert_allclose(gamma[j], gamma_pt, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(gamma[j], gamma_ref, rtol=0, atol=1e-14)
+    assert formed == int(np.count_nonzero(dims))
+    scan = find_crossings(path, ref)
+    assert scan.interval_mode == interval_mode
+    assert scan.baseline_dim == (1 if interval_mode else 0)
+
+
+def test_scan_memory_is_bounded():
+    """Samples are stacked in bounded batches, so an n=16 scan stays
+    far below what stacking the whole grid would take (~11 MB)."""
+    kinds = [("hyperbolic", 0.7)] + [("elliptic", 0.5 + 0.3 * j) for j in range(15)]
+    h = plane_block_generator(kinds)
+    tracemalloc.start()
+    try:
+        maslov_index_symplectic(h)
+        conley_zehnder(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
