@@ -58,7 +58,7 @@ MIN_GRID = 64
 MERGE_TOL = 1e-9
 #: sampled-signal gate below which a local minimum is refined
 SIGNAL_GATE = 0.25
-#: absolute width to which a bracketed crossing time is narrowed
+#: width to which a bracketed crossing time is narrowed (or 4 float spacings)
 REFINE_XTOL = 1e-12
 #: relative floor below which a nonzero form eigenvalue is ambiguous
 GRAY_FACTOR = 1e-6
@@ -315,30 +315,55 @@ def _spectra(q, ref_q, tol: Tolerances):
     return (s <= tol.eps_rank * s[:, :1]).sum(axis=1), s
 
 
-def _stack_data(path, ref_q, t, tol):
-    """(intersection dim, singular values) of the stacked frames at t."""
-    dims, s = _spectra(_orth_frames(path, [t], tol)[0], ref_q, tol)
-    return int(dims[0]), s[0]
+def _detect(path: LagrangianPath, ref_q, ts, tol: Tolerances):
+    """(intersection dims, singular values) against ``ref_q`` at the times
+    ts, batch by batch: the sampler of every grid point, probe and candidate."""
+    parts = [_spectra(_orth_frames(path, ts[sl], tol)[0], ref_q, tol)
+             for sl in _batches(len(ts), path.space.dim)]
+    if len(parts) == 1:  # most calls; skips the copy
+        return parts[0]
+    dims, spectra = zip(*parts)
+    return np.concatenate(dims), np.concatenate(spectra)
 
 
-def _golden_min(f, lo, hi, xtol=REFINE_XTOL, max_iter=200):
+def _golden_min(lo, hi, max_iter=200):
+    """Golden-section search in [lo, hi]: yields probe times, is sent the signal."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     for _ in range(max_iter):
-        if b - a <= xtol:
+        if b - a <= max(REFINE_XTOL, 4.0 * math.ulp(abs(a) + abs(b))):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = yield d
     return 0.5 * (a + b)
+
+
+def _refine(path: LagrangianPath, ref_q, brackets, column: int, tol: Tolerances):
+    """Minima of the signal ``spectra[:, column]`` in the (lo, hi) brackets,
+    one golden-section search each, advanced in rounds of one ``_detect``."""
+    minima = [None] * len(brackets)
+    searches = [_golden_min(lo, hi) for lo, hi in brackets]
+    live = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while live:
+        _, spectra = _detect(path, ref_q, [t for _, _, t in live], tol)
+        running = []
+        for (i, search, _), value in zip(live, spectra[:, column]):
+            try:
+                running.append((i, search, search.send(float(value))))
+            except StopIteration as stop:
+                minima[i] = stop.value
+        live = running
+    return minima
 
 
 def _chart_forms(omega, q, frames, dframes, v):
@@ -356,19 +381,43 @@ def _chart_forms(omega, q, frames, dframes, v):
     return 0.5 * (gamma + _tr(gamma))
 
 
-def _form_inertias(gammas, tol: Tolerances):
-    """(n_pos, n_neg, stable) of stacked crossing forms.
+def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
+    """Yields (V, gamma, inertia, stable) of the crossing form at each
+    time ts in order, the one form evaluator of the scan; see
+    ``crossing_form`` for V, gamma and the chart, checked once here.
 
     A tangential crossing localizes only to ~sqrt(machine eps), so the
     form evaluated at the refined time picks up an eigenvalue of that
     size.  Anything between the zero band and a clear-signal floor of
-    ``GRAY_FACTOR`` relative to 1 + |gamma| cannot be classified
-    either way; such a form is not stable.
+    ``GRAY_FACTOR`` relative to 1 + |gamma| cannot be classified either
+    way; such a form is not stable.  A failing frame derivative is
+    raised after the forms of the times before it.
     """
-    if not np.all(np.isfinite(gammas)):
-        raise InputError("symmetric matrix contains non-finite entries")
-    scale = 1.0 + np.linalg.norm(gammas, 2, axis=(1, 2))
-    return band_counts(np.linalg.eigvalsh(gammas), scale, tol, GRAY_FACTOR)
+    omega = path.space.form
+    d = path.space.dim
+    if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
+            and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
+        raise InputError("crossing forms need an orthogonal complex-structure form")
+    if ref.space.dim != d:
+        raise DimensionMismatch("reference frame does not match the path")
+    for sl in _batches(len(ts), d):
+        q, frames = _orth_frames(path, ts[sl], tol)
+        dframes, error = _evaluate(path.dframe, ts[sl], (d, path.space.half_dim))
+        forms = [None] * len(dframes)
+        for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
+            gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], v)
+            if not np.all(np.isfinite(gammas)):
+                raise InputError("symmetric matrix contains non-finite entries")
+            scale = 1.0 + np.linalg.norm(gammas, 2, axis=(1, 2))
+            n_pos, n_neg, stable = band_counts(np.linalg.eigvalsh(gammas), scale,
+                                               tol, GRAY_FACTOR)
+            k = v.shape[2]
+            for j, i in enumerate(idx):
+                p, m = int(n_pos[j]), int(n_neg[j])
+                forms[i] = (v[j], gammas[j], Inertia(p, m, k - p - m), bool(stable[j]))
+        yield from forms
+        if error is not None:
+            raise error
 
 
 def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
@@ -381,63 +430,8 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
     square -1, which holds for the standard and the graph-product
     spaces.
     """
-    omega = path.space.form
-    d = path.space.dim
-    if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
-            and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
-        raise InputError("crossing forms need an orthogonal complex-structure form")
-    if ref.space.dim != d:
-        raise DimensionMismatch("reference frame does not match the path")
-    q = _orth_frames(path, [t0], tol)[0]
-    ((_, v),) = subspace_intersections(q, ref.frame, tol)
-    if v.shape[2] == 0:
-        return v[0], np.zeros((0, 0))
-    gamma = _chart_forms(omega, q, path.frame(t0)[None], path.dframe(t0)[None], v)
-    return v[0], gamma[0]
-
-
-def _crossing_inertia(path, ref, t0, tol) -> Tuple[int, Inertia]:
-    v, gamma = crossing_form(path, ref, t0, tol)
-    k = v.shape[1]
-    if k == 0:
-        return 0, Inertia(0, 0, 0)
-    n_pos, n_neg, stable = _form_inertias(gamma[None], tol)
-    if not stable[0]:
-        raise NonRegularCrossing(_GRAY_MESSAGE % t0)
-    n_pos, n_neg = int(n_pos[0]), int(n_neg[0])
-    return k, Inertia(n_pos, n_neg, k - n_pos - n_neg)
-
-
-def _check_core(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
-    """Insist that the constant core carries no form at the times ts.
-
-    Raises NonRegularCrossing at the first time whose form has an
-    eigenvalue in the gray band or a nonvanishing one.  The frames are
-    evaluated again, batch by batch; the chart itself was checked by
-    the crossing forms at the interval ends.
-    """
-    shape = (path.space.dim, path.space.half_dim)
-    for sl in _batches(len(ts), path.space.dim):
-        t = ts[sl]
-        q, frames = _orth_frames(path, t, tol)
-        dframes, error = _evaluate(path.dframe, t, shape)
-        gray = np.zeros(len(dframes), dtype=bool)
-        carries = np.zeros(len(dframes), dtype=bool)
-        for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
-            if v.shape[2]:
-                gamma = _chart_forms(path.space.form, q[idx], frames[idx], dframes[idx], v)
-                n_pos, n_neg, stable = _form_inertias(gamma, tol)
-                gray[idx] = ~stable
-                carries[idx] = n_pos + n_neg > 0
-        hits = np.flatnonzero(gray | carries)
-        if hits.size:
-            i = hits[0]
-            if gray[i]:
-                raise NonRegularCrossing(_GRAY_MESSAGE % t[i])
-            raise NonRegularCrossing("constant-dimensional intersection carries a "
-                                     "nonvanishing form at t=%g" % t[i])
-        if error is not None:
-            raise error
+    v, gamma, _, _ = next(_forms(path, ref, [t0], tol))
+    return v, gamma
 
 
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
@@ -449,15 +443,15 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     when the rank test confirms an intersection.  When two accepted
     times land in the same grid cell GridTooCoarse is raised.
 
-    The samples are handled in batches: the frames are evaluated one
-    time at a time, then each batch is orthonormalized by one stacked
-    SVD and its detection spectra come from one more.  A batch holds
-    as many samples as keep each stacked array within ``_BATCH_BYTES``
-    (256 KB), so the memory of a scan stays bounded at any grid and
-    dimension; only the spectra, 2n numbers per sample, are kept for
-    the whole grid.  In interval mode the constant core is spot-checked
-    in a second pass over the same batches.  Refinement, the
-    confirmation of candidates and their crossing forms run per point.
+    Every sample goes through one batched sampler, ``_detect``: a batch
+    of frames, evaluated one time at a time, is orthonormalized by one
+    stacked SVD and its detection spectra come from one more.  A batch
+    keeps each stacked array within ``_BATCH_BYTES`` (256 KB), so the
+    memory of a scan stays bounded at any grid and dimension.  The
+    golden-section searches of all sampled minima advance in rounds, one
+    ``_detect`` call each, and one more confirms the candidates.  Their
+    crossing forms, and in interval mode the spot-check of the constant
+    core, come from one batched form evaluator, ``_forms``.
 
     Known limit: the scan does not certify that it found every crossing.
     A sampled minimum above ``SIGNAL_GATE`` is skipped without an error,
@@ -476,11 +470,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     ts = np.linspace(a, b, grid + 1)
     ref_q = ref.frame
 
-    dims = np.empty(grid + 1, dtype=int)
-    spectra = np.empty((grid + 1, path.space.dim))
-    for sl in _batches(grid + 1, path.space.dim):
-        dims[sl], spectra[sl] = _spectra(_orth_frames(path, ts[sl], tol)[0], ref_q, tol)
-
+    dims, spectra = _detect(path, ref_q, ts, tol)
     interval_mode = bool(np.mean(dims > 0) > 0.25)
     baseline = int(dims.min()) if interval_mode else 0
     if interval_mode and baseline == 0:
@@ -489,26 +479,23 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
     signal = spectra[:, -(baseline + 1)]
 
-    def sig_at(t):
-        _, s = _stack_data(path, ref_q, t, tol)
-        return float(s[-(baseline + 1)])
-
     # candidate minima of the sampled signal; the first and last cell
     # are bracketed from the boundary so near-endpoint crossings are
     # not skipped
-    times = [float(a), float(b)]
+    brackets = []
     for i in range(1, grid):
         if signal[i] <= SIGNAL_GATE and signal[i] <= signal[i - 1] and signal[i] <= signal[i + 1]:
-            times.append(_golden_min(sig_at, ts[i - 1], ts[i + 1]))
+            brackets.append((ts[i - 1], ts[i + 1]))
     if signal[0] <= SIGNAL_GATE and signal[0] <= signal[1]:
-        times.append(_golden_min(sig_at, ts[0], ts[1]))
+        brackets.append((ts[0], ts[1]))
     if signal[grid] <= SIGNAL_GATE and signal[grid] <= signal[grid - 1]:
-        times.append(_golden_min(sig_at, ts[grid - 1], ts[grid]))
+        brackets.append((ts[grid - 1], ts[grid]))
+    times = [float(a), float(b)] + _refine(path, ref_q, brackets, -(baseline + 1), tol)
 
     times.sort()
     merged = []
     for t in times:
-        if merged and abs(t - merged[-1][-1]) <= max(MERGE_TOL, REFINE_XTOL * 10):
+        if merged and abs(t - merged[-1][-1]) <= MERGE_TOL:
             merged[-1].append(t)
         else:
             merged.append([t])
@@ -523,19 +510,21 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
     crossings = []
     cell = (b - a) / grid
-    for t in candidates:
-        at_end = t == a or t == b
-        dim, _ = _stack_data(path, ref_q, t, tol)
-        if dim <= baseline and not (interval_mode and at_end):
-            continue  # spurious minimum or plain baseline interior point
-        k, inertia = _crossing_inertia(path, ref, t, tol)
-        if k != dim:
+    # spurious minima and plain baseline interior points are dropped
+    dims_at = _detect(path, ref_q, candidates, tol)[0]
+    confirmed = [(t, int(k)) for t, k in zip(candidates, dims_at)
+                 if k > baseline or (interval_mode and t in (a, b))]
+    forms = _forms(path, ref, [t for t, _ in confirmed], tol)  # zip starts it only if any
+    for (t, dim), (v, _, inertia, stable) in zip(confirmed, forms):
+        if not stable:
+            raise NonRegularCrossing(_GRAY_MESSAGE % t)
+        if v.shape[1] != dim:
             raise NonRegularCrossing("intersection dimension unstable at t=%g" % t)
         if inertia.n_zero != baseline:
             raise NonRegularCrossing(
                 "crossing form at t=%g has %d null directions, expected %d"
                 % (t, inertia.n_zero, baseline))
-        crossings.append(Crossing(t, dim, inertia, at_end))
+        crossings.append(Crossing(t, dim, inertia, t in (a, b)))
 
     interior = [c.time for c in crossings if not c.at_endpoint]
     for t1, t2 in zip(interior, interior[1:]):
@@ -545,7 +534,13 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     if interval_mode:
         # the constant core must carry no form anywhere, else the index
         # formula does not apply; spot-check all plain baseline samples
-        _check_core(path, ref, ts[dims == baseline], tol)
+        core = ts[dims == baseline]
+        for t, (_, _, inertia, stable) in zip(core, _forms(path, ref, core, tol)):
+            if not stable:
+                raise NonRegularCrossing(_GRAY_MESSAGE % t)
+            if inertia.n_pos + inertia.n_neg:
+                raise NonRegularCrossing("constant-dimensional intersection carries a "
+                                         "nonvanishing form at t=%g" % t)
 
     total = ZERO
     for c in crossings:

@@ -1,5 +1,7 @@
 """Crossing forms, crossing scans, and the two path indices."""
 
+import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -45,7 +47,7 @@ from symindex.numerics import (
     orthonormal_columns,
     singular_values,
 )
-from symindex.symplectic import diagonal_lagrangian, subspace_intersections
+from symindex.symplectic import diagonal_lagrangian
 TWO_PI = 2.0 * np.pi
 
 # (speed, orbit index doubled, graph index doubled)
@@ -267,32 +269,27 @@ def _detection_cases():
 def test_batched_detection_equals_per_point(path, ref, interval_mode):
     tol = DEFAULT_TOL
     ts = np.linspace(*path.interval, 257)
-    q, frames = maslov._orth_frames(path, ts, tol)
-    dims, spectra = maslov._spectra(q, ref.frame, tol)
+    dims, spectra = maslov._detect(path, ref.frame, ts, tol)
     for i, t in enumerate(ts):
-        dim, s = maslov._stack_data(path, ref.frame, t, tol)
+        (dim,), (s,) = maslov._detect(path, ref.frame, [t], tol)
         looped = singular_values(np.hstack([orthonormal_columns(path.frame(t), tol),
                                             ref.frame]))
         np.testing.assert_allclose(spectra[i], s, rtol=0, atol=1e-14)
         np.testing.assert_allclose(spectra[i], looped, rtol=0, atol=1e-14)
         assert dims[i] == dim
 
-    dframes = np.stack([path.dframe(t) for t in ts])
     formed = 0
-    for idx, v in subspace_intersections(q, ref.frame, tol):
-        if v.shape[2]:
-            gamma = maslov._chart_forms(path.space.form, q[idx], frames[idx],
-                                        dframes[idx], v)
-        for j, i in enumerate(idx):
-            v_pt, gamma_pt = crossing_form(path, ref, ts[i], tol)
-            v_ref, gamma_ref = _reference_form(path, ref, ts[i], tol)
-            assert v[j].shape == v_pt.shape == v_ref.shape
-            np.testing.assert_allclose(v[j], v_pt, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(v[j], v_ref, rtol=0, atol=1e-14)
-            if v.shape[2]:
-                formed += 1
-                np.testing.assert_allclose(gamma[j], gamma_pt, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(gamma[j], gamma_ref, rtol=0, atol=1e-14)
+    for i, (v, gamma, inertia, _) in enumerate(maslov._forms(path, ref, ts, tol)):
+        v_pt, gamma_pt = crossing_form(path, ref, ts[i], tol)
+        v_ref, gamma_ref = _reference_form(path, ref, ts[i], tol)
+        assert v.shape == v_pt.shape == v_ref.shape
+        assert inertia.dim == v.shape[1]
+        np.testing.assert_allclose(v, v_pt, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-14)
+        if v.shape[1]:
+            formed += 1
+            np.testing.assert_allclose(gamma, gamma_pt, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-14)
     assert formed == int(np.count_nonzero(dims))
     scan = find_crossings(path, ref)
     assert scan.interval_mode == interval_mode
@@ -312,3 +309,98 @@ def test_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def _serial_golden_min(f, lo, hi, xtol=maslov.REFINE_XTOL, max_iter=200):
+    """Reference: one golden-section search at a time, one probe per
+    call of f, with the absolute stopping width."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a <= xtol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("path,ref,interval_mode,grid", [
+    pytest.param(*case.values, 256, id=case.id) for case in _detection_cases()] + [
+    pytest.param(orbit_path(300.0 * standard_J(1)), vertical_lagrangian(1), False, 1024,
+                 id="orbit 300J grid=1024")])
+def test_round_refinement_equals_serial(path, ref, interval_mode, grid):
+    """Searches advanced together in rounds land on exactly the minima
+    that one search at a time finds."""
+    tol = DEFAULT_TOL
+    column = -2 if interval_mode else -1
+    ts = np.linspace(*path.interval, grid + 1)
+    signal = maslov._detect(path, ref.frame, ts, tol)[1][:, column]
+    padded = np.concatenate([[np.inf], signal, [np.inf]])
+    lows = np.flatnonzero((padded[1:-1] <= padded[:-2]) & (padded[1:-1] <= padded[2:]))
+    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, grid)]) for i in lows]
+    assert brackets
+
+    def sig_at(t):
+        return float(maslov._detect(path, ref.frame, [t], tol)[1][0, column])
+
+    serial = [_serial_golden_min(sig_at, lo, hi) for lo, hi in brackets]
+    assert maslov._refine(path, ref.frame, brackets, column, tol) == serial
+
+
+def _counted(path):
+    """The path with frame_fn and dframe_fn wrapped to count their calls."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(t):
+            calls[name] += 1
+            return fn(t)
+        return wrapped
+
+    return dataclasses.replace(path, frame_fn=counting("frame", path.frame_fn),
+                               dframe_fn=counting("dframe", path.dframe_fn)), calls
+
+
+def test_crossing_form_evaluates_each_frame_once():
+    path, calls = _counted(orbit_path(2.0 * standard_J(1)))
+    crossing_form(path, vertical_lagrangian(1), 0.0)
+    assert calls == {"frame": 1, "dframe": 1}
+
+
+def test_refinement_far_from_zero_stops_at_float_spacing():
+    """Near t = 1e4 the float spacing exceeds REFINE_XTOL; the searches
+    stop at the spacing instead of running out their steps."""
+    ref = vertical_lagrangian(1)
+    counts = []
+    for interval, index in [((0.0, 1.0), HalfInt(3)), ((1e4, 1e4 + 1.0), HalfInt(4))]:
+        path, calls = _counted(orbit_path(5.0 * standard_J(1), interval=interval))
+        assert find_crossings(path, ref).index == index
+        counts.append(calls["frame"])
+    near, far = counts  # 360 and 351; 362 and 669 with an absolute width only
+    assert abs(far - near) <= 20
+
+
+def test_forms_raise_a_failing_derivative_after_earlier_samples():
+    def dframe(t):
+        if t > 0.5:
+            raise InputError("derivative fails at t=%g" % t)
+        return np.zeros((2, 1))
+
+    path = path_from_frames(SymplecticSpace.standard(1),
+                            lambda t: np.array([[0.0], [1.0]]), dframe_fn=dframe)
+    seen = []
+    with pytest.raises(InputError, match="t=0.625"):
+        for form in maslov._forms(path, vertical_lagrangian(1), np.linspace(0, 1, 9),
+                                  DEFAULT_TOL):
+            seen.append(form)
+    assert len(seen) == 5
+    assert all(inertia.n_zero == 1 and stable for _, _, inertia, stable in seen)
