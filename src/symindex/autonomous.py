@@ -20,6 +20,7 @@ intersection.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .kashiwara import kashiwara_index, kashiwara_reduced
-from .maslov import conley_zehnder, maslov_index_symplectic
+from .maslov import _grid_cells, conley_zehnder, maslov_index_symplectic
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -263,6 +264,16 @@ def _calibrated_sign(grid: int, tol: Tolerances) -> int:
     return calibrate_sign(grid, tol)
 
 
+def _coupling_sign(sigma, grid, tol: Tolerances) -> int:
+    """The calibrated sign when ``sigma`` is None, else ``sigma`` checked
+    to be the integer +1 or -1 (CalibrationFailure otherwise)."""
+    if sigma is None:
+        return _calibrated_sign(_grid_cells(grid), tol)
+    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Integral) or sigma not in (-1, 1):
+        raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
+    return int(sigma)
+
+
 # -- the closed formula and the validation report -----------------------------
 
 def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
@@ -272,10 +283,7 @@ def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
     ``sigma`` defaults to the calibrated coupling sign; pass +1 or -1
     to force a convention.
     """
-    if sigma is None:
-        sigma = _calibrated_sign(grid, tol)
-    if sigma not in (-1, 1):
-        raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
+    sigma = _coupling_sign(sigma, grid, tol)
     graph = conley_zehnder(system.h, grid=grid, tol=tol)
     return graph + HalfInt(sigma * correction_sign(system, tol))
 
@@ -303,8 +311,7 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     direct scans are reported; ``agree`` then records that no computed
     routes disagreed.
     """
-    if sigma is None:
-        sigma = _calibrated_sign(grid, tol)
+    sigma = _coupling_sign(sigma, grid, tol)
     orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
     graph = conley_zehnder(system.h, grid=grid, tol=tol)
     psi1 = system.psi(1.0)

@@ -67,7 +67,7 @@ def _read_payload(path: str) -> dict:
 
 def _payload_n(obj: dict) -> int:
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:  # JSON true is no count
         raise InputError('"n" must be a positive integer')
     return n
 

@@ -20,6 +20,7 @@ rejected as non-regular) and only the transient excess contributes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -106,11 +107,13 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
 
 
 def _flow(m, real_output: bool = True):
-    """Callable t -> exp(t m).
+    """Stacked flow: an array of times ts -> the stack of exp(t m).
 
-    Crossing scans evaluate the flow hundreds of times, so when the
-    eigenvector basis is well conditioned the exponential is taken by
-    diagonalization; otherwise every call falls back to expm.
+    Crossing scans evaluate the flow for whole batches of times, so when
+    the eigenvector basis is well conditioned the stack is taken from one
+    diagonalization, (vecs * exp(t vals)) @ vinv at each t; otherwise it
+    falls back to expm, matrix by matrix.  Each matrix of a stack equals
+    the flow evaluated at its time alone, bit for bit.
     """
     m = np.asarray(m)
     d = m.shape[0]
@@ -120,24 +123,38 @@ def _flow(m, real_output: bool = True):
         if np.linalg.cond(vecs) < 1e7:
             vinv = np.linalg.inv(vecs)
 
-            def phi(t):
-                out = (vecs * np.exp(t * vals)) @ vinv
+            def phi(ts):
+                out = (vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv
                 return out.real if real_output else out
 
-            if np.linalg.norm(phi(0.0) - np.eye(d)) > 1e-10:
+            if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) > 1e-10:
                 phi = None
     except np.linalg.LinAlgError:
         phi = None
     if phi is not None:
         return phi
 
-    def phi_expm(t):
-        out = scipy.linalg.expm(t * m)
+    def phi_expm(ts):
+        out = scipy.linalg.expm(ts[:, None, None] * m)
         if real_output and np.iscomplexobj(out):
             out = out.real
         return out
 
     return phi_expm
+
+
+class _Stacked:
+    """Frame function of a built-in path: ``stack(ts)`` evaluates a whole
+    array of times at once, a call at one time is the batch of one.
+    ``sample_bytes`` is the size of the complex flow matrix behind each
+    sample, which scan batches must also fit."""
+
+    def __init__(self, stack, flow_dim: int):
+        self.stack = stack
+        self.sample_bytes = 16 * flow_dim * flow_dim
+
+    def __call__(self, t):
+        return self.stack(np.array([t], dtype=float))[0]
 
 
 def _generator(h):
@@ -159,14 +176,16 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
         raise DimensionMismatch("generator does not match the frame")
     f0 = start.frame
     phi = _flow(h)
+    d = h.shape[0]
 
-    def fr(t):
-        return phi(t) @ f0
+    def frs(ts):
+        return phi(ts) @ f0
 
-    def dfr(t):
-        return h @ phi(t) @ f0
+    def dfrs(ts):
+        return h @ phi(ts) @ f0
 
-    return LagrangianPath(start.space, fr, dfr, tuple(map(float, interval)))
+    return LagrangianPath(start.space, _Stacked(frs, d), _Stacked(dfrs, d),
+                          tuple(map(float, interval)))
 
 
 def graph_path(h, interval=(0.0, 1.0)) -> LagrangianPath:
@@ -174,17 +193,22 @@ def graph_path(h, interval=(0.0, 1.0)) -> LagrangianPath:
     h = _generator(h)
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
     phi = _flow(h)
 
-    def fr(t):
-        return np.vstack([eye, phi(t)])
+    def graphs(top, bottom):
+        out = np.empty((len(bottom), 2 * d, d))
+        out[:, :d] = top
+        out[:, d:] = bottom
+        return out
 
-    def dfr(t):
-        return np.vstack([zero, h @ phi(t)])
+    def frs(ts):
+        return graphs(np.eye(d), phi(ts))
 
-    return LagrangianPath(space, fr, dfr, tuple(map(float, interval)))
+    def dfrs(ts):
+        return graphs(0.0, h @ phi(ts))
+
+    return LagrangianPath(space, _Stacked(frs, d), _Stacked(dfrs, d),
+                          tuple(map(float, interval)))
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -207,16 +231,18 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     a = 0.5 * (a - a.conj().T)
     gen = a + 1j * np.pi * int(k) * np.eye(n)
     phi = _flow(gen, real_output=False)
+    u0_gen = u0 @ gen
 
-    def fr(t):
-        u = u0 @ phi(t)
-        return np.vstack([u.real, u.imag])
+    def frames(u):
+        return np.concatenate([u.real, u.imag], axis=1)
 
-    def dfr(t):
-        u = u0 @ gen @ phi(t)
-        return np.vstack([u.real, u.imag])
+    def frs(ts):
+        return frames(u0 @ phi(ts))
 
-    return LagrangianPath(start.space, fr, dfr, (0.0, 1.0))
+    def dfrs(ts):
+        return frames(u0_gen @ phi(ts))
+
+    return LagrangianPath(start.space, _Stacked(frs, n), _Stacked(dfrs, n), (0.0, 1.0))
 
 
 # -- crossing detection -------------------------------------------------------
@@ -259,28 +285,47 @@ def _tr(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _batches(count: int, dim: int):
-    """Slices of ``count`` samples whose stacks of dim x dim matrices
-    fit in ``_BATCH_BYTES``."""
-    step = max(1, _BATCH_BYTES // (8 * dim * dim))
+def _batches(path: LagrangianPath, count: int):
+    """Slices of ``count`` samples whose stacks fit in ``_BATCH_BYTES``:
+    the 2n x 2n matrices of the scan and the flow of a built-in path."""
+    dim = path.space.dim
+    sizes = [8 * dim * dim] + [fn.sample_bytes for fn in (path.frame_fn, path.dframe_fn)
+                               if isinstance(fn, _Stacked)]
+    step = max(1, _BATCH_BYTES // max(sizes))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def _evaluate(fn, ts, shape):
-    """Stack of fn(t) over the times ts, evaluated in order.
+def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
+    """Stack of the path's frames (or frame derivatives) at the times ts.
 
-    Returns (values, error).  When fn raises a SymindexError the stack
-    holds the values before it, so the caller can check those samples
-    first and then raise the error, in the order a loop over the
-    samples would.
+    Returns (values, error).  When a sample fails with a SymindexError
+    the stack holds the values before it, so the caller can check those
+    samples first and then raise the error, in the order a loop over
+    the samples would.  A built-in path is evaluated by one stacked call
+    with the checks of ``LagrangianPath.frame``; any other frame
+    function is called one time at a time.
     """
-    out = np.empty((len(ts),) + shape)
-    for i, t in enumerate(ts):
-        try:
-            out[i] = fn(t)
-        except SymindexError as exc:
-            return out[:i], exc
-    return out, None
+    fn = path.dframe_fn if derivative else path.frame_fn
+    shape = (path.space.dim, path.space.half_dim)
+    if not isinstance(fn, _Stacked):
+        sample = path.dframe if derivative else path.frame
+        out = np.empty((len(ts),) + shape)
+        for i, t in enumerate(ts):
+            try:
+                out[i] = sample(t)
+            except SymindexError as exc:
+                return out[:i], exc
+        return out, None
+    values = fn.stack(np.asarray(ts, dtype=float))
+    if values.shape[1:] != shape:
+        return values[:0], DimensionMismatch("%s has shape %s" % (
+            "derivative" if derivative else "path frame", values.shape[1:]))
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        return values[:first], InputError("%s contains non-finite entries" % (
+            "path frame derivative" if derivative else "path frame"))
+    return values, None
 
 
 def _orth_frames(path: LagrangianPath, ts, tol: Tolerances):
@@ -290,7 +335,7 @@ def _orth_frames(path: LagrangianPath, ts, tol: Tolerances):
     rule of ``orthonormal_columns``; NotLagrangian names the first time
     whose frame lost rank.
     """
-    frames, error = _evaluate(path.frame, ts, (path.space.dim, path.space.half_dim))
+    frames, error = _evaluate(path, ts)
     u, s, _ = np.linalg.svd(frames, full_matrices=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
@@ -319,7 +364,7 @@ def _detect(path: LagrangianPath, ref_q, ts, tol: Tolerances):
     """(intersection dims, singular values) against ``ref_q`` at the times
     ts, batch by batch: the sampler of every grid point, probe and candidate."""
     parts = [_spectra(_orth_frames(path, ts[sl], tol)[0], ref_q, tol)
-             for sl in _batches(len(ts), path.space.dim)]
+             for sl in _batches(path, len(ts))]
     if len(parts) == 1:  # most calls; skips the copy
         return parts[0]
     dims, spectra = zip(*parts)
@@ -400,9 +445,9 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
         raise InputError("crossing forms need an orthogonal complex-structure form")
     if ref.space.dim != d:
         raise DimensionMismatch("reference frame does not match the path")
-    for sl in _batches(len(ts), d):
+    for sl in _batches(path, len(ts)):
         q, frames = _orth_frames(path, ts[sl], tol)
-        dframes, error = _evaluate(path.dframe, ts[sl], (d, path.space.half_dim))
+        dframes, error = _evaluate(path, ts[sl], derivative=True)
         forms = [None] * len(dframes)
         for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
             gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], v)
@@ -434,6 +479,16 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
     return v, gamma
 
 
+def _grid_cells(grid) -> int:
+    """``grid`` as an int, checked: an integer (numpy integers too) of at
+    least ``MIN_GRID``, else InputError."""
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
+        raise InputError("grid must be an integer, got %r" % (grid,))
+    if grid < MIN_GRID:
+        raise InputError("grid must be at least %d" % MIN_GRID)
+    return int(grid)
+
+
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> CrossingScan:
     """Locate all crossings of the path with ``ref`` and evaluate forms.
@@ -444,9 +499,12 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     times land in the same grid cell GridTooCoarse is raised.
 
     Every sample goes through one batched sampler, ``_detect``: a batch
-    of frames, evaluated one time at a time, is orthonormalized by one
-    stacked SVD and its detection spectra come from one more.  A batch
-    keeps each stacked array within ``_BATCH_BYTES`` (256 KB), so the
+    of frames is orthonormalized by one stacked SVD and its detection
+    spectra come from one more.  The frames of a built-in path
+    (``orbit_path``, ``graph_path``, ``unitary_geodesic``) come from one
+    stacked flow evaluation per batch; other frame functions are called
+    one time at a time.  A batch keeps each stacked array, the complex
+    flow matrices included, within ``_BATCH_BYTES`` (256 KB), so the
     memory of a scan stays bounded at any grid and dimension.  The
     golden-section searches of all sampled minima advance in rounds, one
     ``_detect`` call each, and one more confirms the candidates.  Their
@@ -462,8 +520,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     crossing spacing; ROADMAP item 2 (a certified adaptive scan) removes
     this limit.
     """
-    if grid < MIN_GRID:
-        raise InputError("grid must be at least %d" % MIN_GRID)
+    grid = _grid_cells(grid)
     if ref.space.dim != path.space.dim:
         raise DimensionMismatch("reference frame does not match the path")
     a, b = path.interval

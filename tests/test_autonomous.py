@@ -253,3 +253,15 @@ def test_checks_evaluate_time_one_map_once_per_draw(monkeypatch, check, per_syst
     assert check(samples=6).passed
     # validate evaluates psi(1) once more for an accepted main-identity draw
     assert calls and max(calls.values()) <= per_system
+
+
+def test_sigma_must_be_plus_or_minus_one():
+    """Both formula entry points share one check of an explicit sigma."""
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    for sigma in (3, 1.0, True, "+1"):
+        for route in (validate, maslov_via_formula):
+            with pytest.raises(CalibrationFailure, match="sigma must be"):
+                route(system, sigma=sigma)
+    report = validate(system, sigma=np.int64(-1))
+    assert report.sigma == -1 and type(report.sigma) is int and report.agree
+    assert maslov_via_formula(system, sigma=np.int64(-1)) == HalfInt(3)

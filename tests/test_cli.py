@@ -103,6 +103,16 @@ def test_bad_payloads(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_boolean_n_rejected(tmp_path, capsys):
+    """JSON true is an int to Python but not a dimension."""
+    h = plane_block_generator([("elliptic", 2.0)])
+    path = _write(tmp_path, _payload(True, hamiltonian=h.tolist()))
+    assert main(["index", "--input", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"n" must be a positive integer' in captured.err
+
+
 def test_kashiwara_frames_mode(tmp_path, capsys):
     frames = [[[1.0, 0.0]], [[1.0, 1.0]], [[0.0, 1.0]]]
     path = _write(tmp_path, _payload(1, frames=frames))

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symindex import (
     HalfInt,
@@ -15,6 +16,7 @@ from symindex import (
     find_crossings,
     graph_path,
     lagrangian_frame,
+    make_system,
     maslov_index,
     maslov_index_symplectic,
     orbit_path,
@@ -23,15 +25,18 @@ from symindex import (
     spectral_maslov,
     standard_J,
     unitary_geodesic,
+    validate,
     vertical_lagrangian,
 )
 from symindex import horizontal_lagrangian, maslov
 from symindex.errors import (
+    DimensionMismatch,
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
     NotLagrangian,
     OddDimension,
+    SymindexError,
 )
 from symindex.halfint import ZERO
 from symindex.maslov import (
@@ -47,7 +52,7 @@ from symindex.numerics import (
     orthonormal_columns,
     singular_values,
 )
-from symindex.symplectic import diagonal_lagrangian
+from symindex.symplectic import diagonal_lagrangian, random_lagrangian
 TWO_PI = 2.0 * np.pi
 
 # (speed, orbit index doubled, graph index doubled)
@@ -404,3 +409,93 @@ def test_forms_raise_a_failing_derivative_after_earlier_samples():
             seen.append(form)
     assert len(seen) == 5
     assert all(inertia.n_zero == 1 and stable for _, _, inertia, stable in seen)
+
+
+def _stacked_cases():
+    shear = np.array([[0.0, 1.0], [0.0, 0.0]])  # defective: the expm fallback
+    vertical = vertical_lagrangian(1).frame
+    start = random_lagrangian(2, seed=3)
+    mixed = plane_block_generator([("elliptic", 2.0), ("hyperbolic", 0.7)])
+    return [
+        pytest.param(orbit_path(mixed), None, id="orbit default start"),
+        pytest.param(orbit_path(mixed, start, interval=(-0.5, 2.0)), None,
+                     id="orbit custom start"),
+        pytest.param(graph_path(mixed), None, id="graph"),
+        pytest.param(unitary_geodesic(vertical_lagrangian(2), start, k=1), None, id="geodesic"),
+        pytest.param(orbit_path(shear), lambda t: scipy.linalg.expm(t * shear) @ vertical,
+                     id="orbit expm fallback"),
+        pytest.param(graph_path(shear),
+                     lambda t: np.vstack([np.eye(2), scipy.linalg.expm(t * shear)]),
+                     id="graph expm fallback"),
+    ]
+
+
+@pytest.mark.parametrize("path,expm_frame", _stacked_cases())
+def test_stacked_frames_equal_per_time_calls(path, expm_frame):
+    """A built-in path evaluated for a whole batch gives, bit for bit,
+    the frames and derivatives of one call per time."""
+    ts = np.concatenate([np.linspace(*path.interval, 257), [0.1, np.pi / 7, 0.0]])
+    for fn in (path.frame_fn, path.dframe_fn):
+        stack = fn.stack(ts)
+        assert stack.shape == (len(ts), path.space.dim, path.space.half_dim)
+        assert np.array_equal(stack, np.stack([fn(t) for t in ts]))
+        assert np.array_equal(stack[:5], fn.stack(ts[:5]))
+    if expm_frame is not None:  # the fallback is expm itself, one time at a time
+        assert np.array_equal(path.frame_fn.stack(ts), np.stack([expm_frame(t) for t in ts]))
+
+
+def _looped(path):
+    """The path with its frame functions wrapped, so every sample is one call."""
+    frame_fn, dframe_fn = path.frame_fn, path.dframe_fn
+    return dataclasses.replace(path, frame_fn=lambda t: frame_fn(t),
+                               dframe_fn=lambda t: dframe_fn(t))
+
+
+def _scan_or_error(path, ref, grid):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases
+            return find_crossings(path, ref, grid)
+    except SymindexError as exc:
+        return type(exc), str(exc)
+
+
+def _parity_cases():
+    mixed = plane_block_generator([("elliptic", 2.0), ("hyperbolic", 0.7), ("elliptic", 5.0)])
+    overflow = np.diag([800.0, -800.0])
+    cases = []
+    for h, grid in [(123.5 * standard_J(1), 256), (-400.0 * standard_J(1), 1024),
+                    (100 * TWO_PI * standard_J(1), 256), (mixed, 256), (overflow, 256)]:
+        n = h.shape[0] // 2
+        cases.append((orbit_path(h), vertical_lagrangian(n), grid))
+        cases.append((graph_path(h), diagonal_lagrangian(n), grid))
+    # a frame of the wrong shape for the space
+    misfit = dataclasses.replace(orbit_path(standard_J(1)), space=SymplecticSpace.standard(2))
+    cases.append((misfit, vertical_lagrangian(2), 256))
+    return cases
+
+
+def test_stacked_scan_equals_per_time_loop():
+    """find_crossings on a built-in path gives the crossings, or the
+    error, that one frame call per sample gives."""
+    outcomes = []
+    for path, ref, grid in _parity_cases():
+        stacked = _scan_or_error(path, ref, grid)
+        assert stacked == _scan_or_error(_looped(path), ref, grid)
+        outcomes.append(stacked)
+    assert outcomes[8] == (InputError, "path frame contains non-finite entries")
+    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0273438")
+    assert outcomes[10] == (DimensionMismatch, "path frame has shape (2, 1)")
+    assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[:8])
+
+
+@pytest.mark.parametrize("route", [
+    lambda grid: maslov_index_symplectic(5.0 * standard_J(1), grid=grid),
+    lambda grid: conley_zehnder(5.0 * standard_J(1), grid=grid),
+    lambda grid: validate(make_system(5.0 * standard_J(1)), grid=grid).orbit_index,
+    lambda grid: validate(make_system(5.0 * standard_J(1)), sigma=-1, grid=grid).graph_index,
+], ids=["orbit", "graph", "validate", "validate sigma=-1"])
+def test_grid_must_be_an_integer(route):
+    for grid in (256.0, "256", [256], True):
+        with pytest.raises(InputError, match="grid must be an integer"):
+            route(grid)
+    assert route(np.int64(256)) == route(256)
