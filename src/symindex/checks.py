@@ -92,14 +92,13 @@ class CheckResult:
 _REJECTABLE = (NonRegularCrossing, GridTooCoarse, TransversalityViolated)
 
 
-def _collect(sampler, want, max_attempts=None):
+def _collect(sampler, want):
     """Run ``sampler(attempt)`` until ``want`` draws are accepted.
 
     The sampler returns None (or raises a rejectable error) to discard
     a draw.  Returns (accepted draws, number rejected).
     """
-    if max_attempts is None:
-        max_attempts = 60 * want + 100
+    max_attempts = 60 * want + 100
     got, rejected, attempt = [], 0, 0
     while len(got) < want:
         if attempt >= max_attempts:

@@ -75,7 +75,7 @@ class NonRegularCrossing(SymindexError):
 
 
 class GridTooCoarse(SymindexError):
-    """Two crossings landed in one grid cell; increase grid_n."""
+    """Two crossings landed in one grid cell; increase grid."""
 
 
 # -- triple index and reduction --------------------------------------------

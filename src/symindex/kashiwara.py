@@ -40,7 +40,7 @@ from .symplectic import (
 
 def _check_same_space(space: SymplecticSpace, frames):
     for f in frames:
-        if f.space.dim != space.dim:
+        if not np.array_equal(f.space.form, space.form):
             raise DimensionMismatch("frames live in different spaces")
 
 

@@ -133,12 +133,12 @@ def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
     return out
 
 
-def is_semisimple(h, tol: Tolerances = DEFAULT_TOL, rank_gap: float = 1e-7) -> bool:
+def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether every eigenvalue of ``h`` has a full set of eigenvectors."""
     h = as_square(h, "generator")
     gap = _gap(h)
     scale = max(1.0, spectral_norm(h))
-    loose = replace(tol, eps_rank=rank_gap)
+    loose = replace(tol, eps_rank=1e-7)
     for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap):
         shifted = h.astype(complex) - lam * np.eye(h.shape[0])
         # relative rank threshold keyed to the size of h, not of shifted

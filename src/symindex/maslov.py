@@ -32,6 +32,7 @@ from .errors import (
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
+    NotHamiltonian,
     NotLagrangian,
     OddDimension,
     SymindexError,
@@ -48,7 +49,9 @@ from .numerics import (
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
+    _hamiltonian_for,
     diagonal_lagrangian,
+    standard_J,
     subspace_intersections,
     vertical_lagrangian,
 )
@@ -92,13 +95,13 @@ class LagrangianPath:
             raise DimensionMismatch("path frame has shape %s" % (f.shape,))
         return f
 
-    def dframe(self, t: float, step: float = 1e-6):
+    def dframe(self, t: float):
         if self.dframe_fn is not None:
             d = as_matrix(self.dframe_fn(t), "path frame derivative")
             if d.shape != (self.space.dim, self.space.half_dim):
                 raise DimensionMismatch("derivative has shape %s" % (d.shape,))
             return d
-        return (self.frame(t + step) - self.frame(t - step)) / (2.0 * step)
+        return (self.frame(t + 1e-6) - self.frame(t - 1e-6)) / 2e-6
 
 
 def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
@@ -157,23 +160,29 @@ class _Stacked:
         return self.stack(np.array([t], dtype=float))[0]
 
 
-def _generator(h):
+def _generator(h, space: Optional[SymplecticSpace] = None):
+    """``h`` checked as a Hamiltonian generator of ``space`` (default:
+    the standard space of its size)."""
     h = as_square(h, "generator")
     if h.shape[0] % 2 != 0:
         raise OddDimension("generator must have even size")
+    form = standard_J(h.shape[0] // 2) if space is None else space.form
+    if form.shape != h.shape:
+        raise DimensionMismatch("generator does not match the frame")
+    if not _hamiltonian_for(h, form, DEFAULT_TOL):
+        raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
     return h
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
                interval=(0.0, 1.0)) -> LagrangianPath:
-    """t -> exp(t h) . start, a Lagrangian path when h is Hamiltonian.
+    """t -> exp(t h) . start, a Lagrangian path; h must be Hamiltonian
+    for the form of start's space, else NotHamiltonian.
 
     ``start`` defaults to the vertical of the standard space."""
-    h = _generator(h)
+    h = _generator(h, None if start is None else start.space)
     if start is None:
         start = vertical_lagrangian(h.shape[0] // 2)
-    if h.shape[0] != start.space.dim:
-        raise DimensionMismatch("generator does not match the frame")
     f0 = start.frame
     phi = _flow(h)
     d = h.shape[0]
@@ -224,6 +233,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
         raise InputError("unitary parametrization needs the standard space")
     if start.space.dim != end.space.dim:
         raise DimensionMismatch("endpoint frames live in different spaces")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InputError("k must be an integer, got %r" % (k,))
     n = start.space.half_dim
     u0 = start.frame[:n] + 1j * start.frame[n:]
     u1 = end.frame[:n] + 1j * end.frame[n:]
@@ -371,7 +382,7 @@ def _detect(path: LagrangianPath, ref_q, ts, tol: Tolerances):
     return np.concatenate(dims), np.concatenate(spectra)
 
 
-def _golden_min(lo, hi, max_iter=200):
+def _golden_min(lo, hi):
     """Golden-section search in [lo, hi]: yields probe times, is sent the signal."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -379,7 +390,7 @@ def _golden_min(lo, hi, max_iter=200):
     d = a + invphi * (b - a)
     fc = yield c
     fd = yield d
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= max(REFINE_XTOL, 4.0 * math.ulp(abs(a) + abs(b))):
             break
         if fc < fd:
@@ -443,7 +454,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
     if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
             and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    if ref.space.dim != d:
+    if not np.array_equal(ref.space.form, path.space.form):
         raise DimensionMismatch("reference frame does not match the path")
     for sl in _batches(path, len(ts)):
         q, frames = _orth_frames(path, ts[sl], tol)
@@ -465,6 +476,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
             raise error
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
                   tol: Tolerances = DEFAULT_TOL):
     """Intersection basis and crossing form matrix at time t0.
@@ -489,13 +501,14 @@ def _grid_cells(grid) -> int:
     return int(grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> CrossingScan:
     """Locate all crossings of the path with ``ref`` and evaluate forms.
 
     The interval is sampled at ``grid``+1 points; sampled local minima
     of the detection signal are narrowed by golden section and accepted
-    when the rank test confirms an intersection.  When two accepted
+    when their crossing form finds an intersection.  When two accepted
     times land in the same grid cell GridTooCoarse is raised.
 
     Every sample goes through one batched sampler, ``_detect``: a batch
@@ -507,9 +520,9 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     flow matrices included, within ``_BATCH_BYTES`` (256 KB), so the
     memory of a scan stays bounded at any grid and dimension.  The
     golden-section searches of all sampled minima advance in rounds, one
-    ``_detect`` call each, and one more confirms the candidates.  Their
-    crossing forms, and in interval mode the spot-check of the constant
-    core, come from one batched form evaluator, ``_forms``.
+    ``_detect`` call each, and the candidates are confirmed by their own
+    crossing forms.  Those forms, and in interval mode the spot-check of
+    the constant core, come from one batched form evaluator, ``_forms``.
 
     Known limit: the scan does not certify that it found every crossing.
     A sampled minimum above ``SIGNAL_GATE`` is skipped without an error,
@@ -521,7 +534,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     this limit.
     """
     grid = _grid_cells(grid)
-    if ref.space.dim != path.space.dim:
+    if not np.array_equal(ref.space.form, path.space.form):
         raise DimensionMismatch("reference frame does not match the path")
     a, b = path.interval
     ts = np.linspace(a, b, grid + 1)
@@ -536,47 +549,32 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
     signal = spectra[:, -(baseline + 1)]
 
-    # candidate minima of the sampled signal; the first and last cell
-    # are bracketed from the boundary so near-endpoint crossings are
-    # not skipped
-    brackets = []
-    for i in range(1, grid):
-        if signal[i] <= SIGNAL_GATE and signal[i] <= signal[i - 1] and signal[i] <= signal[i + 1]:
-            brackets.append((ts[i - 1], ts[i + 1]))
-    if signal[0] <= SIGNAL_GATE and signal[0] <= signal[1]:
-        brackets.append((ts[0], ts[1]))
-    if signal[grid] <= SIGNAL_GATE and signal[grid] <= signal[grid - 1]:
-        brackets.append((ts[grid - 1], ts[grid]))
-    times = [float(a), float(b)] + _refine(path, ref_q, brackets, -(baseline + 1), tol)
+    # candidate minima of the sampled signal; padded with inf, the first
+    # and last cell are bracketed from the boundary so near-endpoint
+    # crossings are not skipped
+    padded = np.concatenate([[np.inf], signal, [np.inf]])
+    lows = np.flatnonzero((signal <= SIGNAL_GATE) & (signal <= padded[:-2])
+                          & (signal <= padded[2:]))
+    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, grid)]) for i in lows]
+    times = np.sort([a, b] + _refine(path, ref_q, brackets, -(baseline + 1), tol))
 
-    times.sort()
-    merged = []
-    for t in times:
-        if merged and abs(t - merged[-1][-1]) <= MERGE_TOL:
-            merged[-1].append(t)
-        else:
-            merged.append([t])
-    candidates = []
-    for group in merged:
-        if abs(group[0] - a) <= MERGE_TOL:
-            candidates.append(float(a))
-        elif abs(group[-1] - b) <= MERGE_TOL:
-            candidates.append(float(b))
-        else:
-            candidates.append(float(np.mean(group)))
+    # times within MERGE_TOL of each other are one candidate, snapped to
+    # an end of the interval when it is one
+    candidates = [float(a) if abs(group[0] - a) <= MERGE_TOL
+                  else float(b) if abs(group[-1] - b) <= MERGE_TOL
+                  else float(np.mean(group))
+                  for group in np.split(times, np.flatnonzero(np.diff(times) > MERGE_TOL) + 1)]
 
     crossings = []
     cell = (b - a) / grid
-    # spurious minima and plain baseline interior points are dropped
-    dims_at = _detect(path, ref_q, candidates, tol)[0]
-    confirmed = [(t, int(k)) for t, k in zip(candidates, dims_at)
-                 if k > baseline or (interval_mode and t in (a, b))]
-    forms = _forms(path, ref, [t for t, _ in confirmed], tol)  # zip starts it only if any
-    for (t, dim), (v, _, inertia, stable) in zip(confirmed, forms):
+    # each candidate is decided by its own crossing form: spurious minima
+    # and plain baseline interior points are dropped
+    for t, (v, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
+        dim = v.shape[1]
+        if not (dim > baseline or (interval_mode and t in (a, b))):
+            continue
         if not stable:
             raise NonRegularCrossing(_GRAY_MESSAGE % t)
-        if v.shape[1] != dim:
-            raise NonRegularCrossing("intersection dimension unstable at t=%g" % t)
         if inertia.n_zero != baseline:
             raise NonRegularCrossing(
                 "crossing form at t=%g has %d null directions, expected %d"
@@ -636,27 +634,27 @@ def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
 SNAP_TOL = 1e-9
 
 
-def snap_half_integer(x: float, snap: float = SNAP_TOL) -> HalfInt:
-    """Nearest half integer if within ``snap``, else floor(x) + 1/2.
+def snap_half_integer(x: float) -> HalfInt:
+    """Nearest half integer if within ``SNAP_TOL``, else floor(x) + 1/2.
 
     This is the function whose values at alpha/pi give the index of the
     rotation orbit path with angular velocity alpha.
     """
     twice = round(2.0 * x)
-    if abs(x - 0.5 * twice) <= snap:
+    if abs(x - 0.5 * twice) <= SNAP_TOL:
         return HalfInt(int(twice))
     return HalfInt(2 * math.floor(x) + 1)
 
 
-def snap_odd_integer(x: float, snap: float = SNAP_TOL) -> HalfInt:
-    """Nearest integer if within ``snap``, else the odd member of
+def snap_odd_integer(x: float) -> HalfInt:
+    """Nearest integer if within ``SNAP_TOL``, else the odd member of
     {floor(x), floor(x)+1}.
 
     Values at alpha/pi give the graph-path index of the rotation with
     angular velocity alpha.
     """
     nearest = round(x)
-    if abs(x - nearest) <= snap:
+    if abs(x - nearest) <= SNAP_TOL:
         return HalfInt(2 * int(nearest))
     m = math.floor(x)
     odd = m if m % 2 != 0 else m + 1

@@ -189,7 +189,7 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL):
     return vh[rank:].conj().T
 
 
-def orthonormal_columns(f, tol: Tolerances = DEFAULT_TOL, rank=None):
+def orthonormal_columns(f, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the column span (SVD based, rank-revealing)."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -197,6 +197,5 @@ def orthonormal_columns(f, tol: Tolerances = DEFAULT_TOL, rank=None):
     if f.shape[1] == 0 or f.size == 0:
         return np.zeros((f.shape[0], 0))
     u, s, _ = np.linalg.svd(f, full_matrices=False)
-    if rank is None:
-        rank = int(np.sum(s > tol.eps_rank * s[0])) if s.size else 0
+    rank = int(np.sum(s > tol.eps_rank * s[0])) if s.size else 0
     return u[:, :rank]

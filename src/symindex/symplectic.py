@@ -29,7 +29,6 @@ from .numerics import (
     as_matrix,
     as_square,
     kernel_basis,
-    numerical_rank,
     orthonormal_columns,
     singular_values,
     spectral_norm,
@@ -151,8 +150,12 @@ def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     h = as_square(h, "matrix")
     if h.shape[0] % 2 != 0:
         raise OddDimension("hamiltonian matrices have even size")
-    J = standard_J(h.shape[0] // 2)
-    defect = np.linalg.norm(h.T @ J + J @ h)
+    return _hamiltonian_for(h, standard_J(h.shape[0] // 2), tol)
+
+
+def _hamiltonian_for(h, form, tol: Tolerances) -> bool:
+    """Whether h^T form + form h = 0 within tolerance."""
+    defect = np.linalg.norm(h.T @ form + form @ h)
     return bool(defect <= tol.eps_sym * (1.0 + spectral_norm(h)))
 
 
@@ -243,11 +246,10 @@ def _split(labels):
 
 def intersection_dim(la: LagrangianFrame, lb: LagrangianFrame,
                      tol: Tolerances = DEFAULT_TOL) -> int:
-    """dim(L_a & L_b) = 2n - rank [F_a | F_b]."""
+    """dim(L_a & L_b), the column count of ``subspace_intersection``."""
     if la.space.dim != lb.space.dim:
         raise DimensionMismatch("frames live in different spaces")
-    stacked = np.hstack([la.frame, lb.frame])
-    return la.space.dim - numerical_rank(stacked, tol)
+    return subspace_intersection(la.frame, lb.frame, tol).shape[1]
 
 
 def max_principal_angle(fa, fb) -> float:
@@ -269,8 +271,8 @@ def max_principal_angle(fa, fb) -> float:
     return float(np.arctan2(sin, cos))
 
 
-def same_span(fa, fb, angle_tol: float = 1e-8) -> bool:
-    return max_principal_angle(fa, fb) < angle_tol
+def same_span(fa, fb) -> bool:
+    return max_principal_angle(fa, fb) < 1e-8
 
 
 def symplectic_orthogonal(space: SymplecticSpace, w, tol: Tolerances = DEFAULT_TOL):
@@ -412,9 +414,9 @@ def random_hamiltonian(n: int, seed=0, spectrum_profile: str = "generic"):
     return s @ h0 @ np.linalg.inv(s)
 
 
-def _safe_angle(rng, max_tries=200):
+def _safe_angle(rng):
     """Angle bounded away from multiples of pi (keeps crossings regular)."""
-    for _ in range(max_tries):
+    for _ in range(200):
         a = rng.uniform(0.35, 5.9) * rng.choice([-1.0, 1.0])
         if abs(a - np.pi * np.round(a / np.pi)) > 0.2:
             return float(a)

@@ -20,7 +20,8 @@ from symindex import (
     unitary_geodesic,
     vertical_lagrangian,
 )
-from symindex.errors import DegenerateForm, KNotAdmissible
+from symindex.errors import DegenerateForm, DimensionMismatch, KNotAdmissible
+from symindex.symplectic import diagonal_lagrangian
 
 
 def _line(c, s):
@@ -143,3 +144,11 @@ def test_index_parity_matches_dimension_defects():
     _, l1, l2, l3 = transversal_triple(a)
     tau = kashiwara_index(space, l1, l2, l3)
     assert (tau - 3) % 2 == 0
+
+
+def test_frames_of_another_space_of_equal_dimension_rejected():
+    """The diagonal of the graph product over R^2 is a 4-dimensional
+    frame too, but of a different form than the standard R^4."""
+    with pytest.raises(DimensionMismatch):
+        kashiwara_index(SymplecticSpace.standard(2), diagonal_lagrangian(1),
+                        vertical_lagrangian(2), horizontal_lagrangian(2))

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from symindex.errors import (
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
+    NotHamiltonian,
     NotLagrangian,
     OddDimension,
     SymindexError,
@@ -52,7 +54,7 @@ from symindex.numerics import (
     orthonormal_columns,
     singular_values,
 )
-from symindex.symplectic import diagonal_lagrangian, random_lagrangian
+from symindex.symplectic import diagonal_lagrangian, is_hamiltonian, random_lagrangian
 TWO_PI = 2.0 * np.pi
 
 # (speed, orbit index doubled, graph index doubled)
@@ -499,3 +501,73 @@ def test_grid_must_be_an_integer(route):
         with pytest.raises(InputError, match="grid must be an integer"):
             route(grid)
     assert route(np.int64(256)) == route(256)
+
+
+def test_overflowing_flow_raises_only_the_typed_error():
+    """The stacked flow of diag(800, -800) overflows past t=0.887; the
+    scans raise their typed errors and no numpy warning escapes."""
+    h = np.diag([800.0, -800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^path frame contains non-finite entries$"):
+            find_crossings(orbit_path(h), vertical_lagrangian(1))
+        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.0273438$"):
+            find_crossings(graph_path(h), diagonal_lagrangian(1))
+
+
+@pytest.mark.parametrize(
+    "entry", [orbit_path, graph_path, maslov_index_symplectic, conley_zehnder])
+def test_non_hamiltonian_generator_rejected(entry):
+    h = np.random.default_rng(0).standard_normal((4, 4))
+    with pytest.raises(NotHamiltonian):
+        entry(h)
+
+
+def test_orbit_generator_is_checked_against_the_start_space():
+    """With a start in a space of another form, the generator must be
+    Hamiltonian for that form, not for J."""
+    form = np.zeros((4, 4))
+    form[[1, 3], [0, 2]] = 1.0
+    form[[0, 2], [1, 3]] = -1.0  # the symplectic pairs are (e1, e2) and (e3, e4)
+    space = SymplecticSpace(form)
+    start = lagrangian_frame(space, np.eye(4)[:, [1, 3]])
+    own = -form @ np.diag([1.0, 2.0, 3.0, 4.0])  # form @ own is symmetric
+    assert not is_hamiltonian(own)
+    assert orbit_path(own, start).space is space
+    elliptic = plane_block_generator([("elliptic", 2.0), ("elliptic", 3.0)])
+    assert is_hamiltonian(elliptic)
+    with pytest.raises(NotHamiltonian):
+        orbit_path(elliptic, start)
+
+
+def test_reference_from_another_space_of_equal_dimension_rejected():
+    """A graph path lives in the graph product over R^2, which has the
+    dimension of the standard R^4 but not its form."""
+    path = graph_path(2.0 * standard_J(1))
+    with pytest.raises(DimensionMismatch):
+        find_crossings(path, vertical_lagrangian(2))
+    with pytest.raises(DimensionMismatch):
+        crossing_form(path, vertical_lagrangian(2), 0.0)
+
+
+def test_geodesic_winding_must_be_an_integer():
+    space = SymplecticSpace.standard(1)
+    end = lagrangian_frame(space, np.array([[1.0], [1.0]]))
+    for k in (1.5, "1", True):
+        with pytest.raises(InputError, match="k must be an integer"):
+            unitary_geodesic(horizontal_lagrangian(1), end, k)
+    ref = vertical_lagrangian(1)
+    assert (maslov_index(unitary_geodesic(horizontal_lagrangian(1), end, np.int64(1)), ref)
+            == maslov_index(unitary_geodesic(horizontal_lagrangian(1), end, 1), ref))
+
+
+def test_crossing_chart_is_checked_on_scans_without_crossings():
+    """The ends of the interval are always candidates, so a space whose
+    form is not an orthogonal complex structure is rejected even when
+    the path never meets the reference."""
+    space = SymplecticSpace(2.0 * standard_J(1))
+    path = path_from_frames(
+        space, lambda t: np.array([[np.cos(t)], [np.sin(t)]]), (0.1, 1.0))
+    ref = lagrangian_frame(space, np.array([[0.0], [1.0]]))
+    with pytest.raises(InputError, match="orthogonal complex-structure form"):
+        find_crossings(path, ref)
