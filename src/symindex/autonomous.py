@@ -30,9 +30,7 @@ import scipy.linalg
 from .errors import (
     CalibrationFailure,
     InternalMismatch,
-    NotHamiltonian,
     NotSymplectic,
-    OddDimension,
     SymmetryDefect,
     TransversalityViolated,
 )
@@ -42,6 +40,7 @@ from .maslov import _grid_cells, conley_zehnder, maslov_index_symplectic
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    as_even_square,
     as_square,
     singular_values,
     spectral_norm,
@@ -49,9 +48,9 @@ from .numerics import (
 )
 from .symplectic import (
     SymplecticSpace,
+    _generator,
     diagonal_lagrangian,
     graph_lagrangian,
-    is_hamiltonian,
     is_symplectic,
     product_lagrangian,
     standard_J,
@@ -79,12 +78,7 @@ class HamiltonianSystem:
 
 
 def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
-    h = as_square(h, "generator")
-    if h.shape[0] % 2 != 0:
-        raise OddDimension("generator must have even size")
-    if not is_hamiltonian(h, tol):
-        raise NotHamiltonian("J h must be symmetric")
-    return HamiltonianSystem(h)
+    return HamiltonianSystem(_generator(h, None, tol))
 
 
 def fundamental_solution(system, t: float = 1.0):
@@ -96,9 +90,7 @@ def fundamental_solution(system, t: float = 1.0):
 
 def split_blocks(m):
     """(A, B, C, D) blocks of a 2n x 2n matrix in the (x, y) splitting."""
-    m = as_square(m, "matrix")
-    if m.shape[0] % 2 != 0:
-        raise OddDimension("matrix must have even size")
+    m = as_even_square(m, "matrix")
     n = m.shape[0] // 2
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 

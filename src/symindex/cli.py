@@ -17,8 +17,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .autonomous import (
     PUBLISHED_SIGN,
     calibrate_sign,
@@ -34,8 +32,8 @@ from .errors import (
     SymindexError,
 )
 from .kashiwara import kashiwara_index
-from .krein import classify_normal_form, krein_positive_angles, krein_spectrum
-from .numerics import DEFAULT_TOL, Tolerances
+from .krein import krein_positive_angles, krein_spectrum
+from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 from .symplectic import SymplecticSpace, lagrangian_frame
 
 SCHEMA_VERSION = "1"
@@ -72,36 +70,28 @@ def _payload_n(obj: dict) -> int:
     return n
 
 
-def _payload_matrix(obj: dict, key: str, shape) -> np.ndarray:
+def _payload_matrix(obj: dict, key: str, shape):
     data = obj.get(key)
     if data is None:
         raise InputError('missing "%s"' % key)
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError('"%s" must be a rectangular array of numbers' % key)
+    arr = as_matrix(data, '"%s"' % key)
     if arr.shape != shape:
         raise InputError('"%s" must have shape %s, got %s' % (key, shape, arr.shape))
-    if not np.all(np.isfinite(arr)):
-        raise InputError('"%s" contains non-finite entries' % key)
     return arr
 
 
-def _payload_frames(obj: dict, n: int):
+def _payload_frames(obj: dict, n: int, tol: Tolerances):
     data = obj.get("frames")
     if not isinstance(data, list) or len(data) != 3:
         raise InputError('"frames" must be a list of three frames')
     space = SymplecticSpace.standard(n)
     frames = []
     for i, cols in enumerate(data):
-        try:
-            arr = np.asarray(cols, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("frame %d is not a rectangular array" % (i + 1))
+        arr = as_matrix(cols, "frame %d" % (i + 1))
         if arr.shape != (n, 2 * n):
             raise InputError("frame %d must be %d columns of length %d"
                              % (i + 1, n, 2 * n))
-        frames.append(lagrangian_frame(space, arr.T))
+        frames.append(lagrangian_frame(space, arr.T, tol))
     return space, frames
 
 
@@ -163,7 +153,7 @@ def _cmd_kashiwara(args) -> int:
     obj = _read_payload(args.input)
     n = _payload_n(obj)
     if "frames" in obj:
-        space, frames = _payload_frames(obj, n)
+        space, frames = _payload_frames(obj, n, tol)
         tau = kashiwara_index(space, frames[0], frames[1], frames[2], tol)
         out = {"schema_version": SCHEMA_VERSION, "n": n, "tau": tau}
         if args.format == "json":
@@ -207,7 +197,6 @@ def _cmd_krein(args) -> int:
             "krein": None if entry.inertia is None else list(entry.inertia.pair),
         })
     try:
-        classify_normal_form(h, tol)
         angles = [float(a) for a in krein_positive_angles(h, tol)]
         semisimple = True
     except SymindexError:

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateForm,
-    DimensionMismatch,
-    InputError,
-    KNotAdmissible,
-)
+from .errors import DegenerateForm, InputError, KNotAdmissible
 from .halfint import HalfInt
 from .numerics import (
     DEFAULT_TOL,
@@ -32,22 +27,17 @@ from .symplectic import (
     LagrangianFrame,
     SymplecticReduction,
     SymplecticSpace,
+    _frame_of,
     horizontal_lagrangian,
     lagrangian_frame,
     vertical_lagrangian,
 )
 
 
-def _check_same_space(space: SymplecticSpace, frames):
-    for f in frames:
-        if not np.array_equal(f.space.form, space.form):
-            raise DimensionMismatch("frames live in different spaces")
-
-
 def kashiwara_form(space: SymplecticSpace, l1: LagrangianFrame,
                    l2: LagrangianFrame, l3: LagrangianFrame):
     """Symmetric matrix of Q on L1 + L2 + L3 in the frame coordinates."""
-    _check_same_space(space, (l1, l2, l3))
+    space.check_same(l1, l2, l3)
     n = space.half_dim
     t = np.zeros((3 * n, 3 * n))
     t[0:n, n:2 * n] = 0.5 * space.pairing(l1.frame, l2.frame)
@@ -107,10 +97,8 @@ def kashiwara_reduced(space: SymplecticSpace, k_frame, l1: LagrangianFrame,
     then tau is unchanged by passing to K-perp/K, which this function
     evaluates on the reduced frames.
     """
-    _check_same_space(space, (l1, l2, l3))
-    k = np.asarray(k_frame, dtype=float)
-    if k.ndim != 2 or k.shape[0] != space.dim:
-        raise DimensionMismatch("K frame does not match the space")
+    space.check_same(l1, l2, l3)
+    k = _frame_of(space, k_frame, "K frame")
     inside = sum(_contains(l, k, tol) for l in (l1, l2, l3))
     if inside < 2:
         raise KNotAdmissible("K must lie inside two of the three Lagrangians")
@@ -136,7 +124,7 @@ def hormander_index(space: SymplecticSpace, l0: LagrangianFrame,
 
         s = ( tau(L0, L1, L1') - tau(L0, L1, L0') ) / 2.
     """
-    _check_same_space(space, (l0, l1, l0p, l1p))
+    space.check_same(l0, l1, l0p, l1p)
     t1 = kashiwara_index(space, l0, l1, l1p, tol)
     t0 = kashiwara_index(space, l0, l1, l0p, tol)
     return HalfInt(t1 - t0)

@@ -27,7 +27,6 @@ import scipy.linalg
 from .errors import (
     InputError,
     NotAnEigenvalue,
-    NotHamiltonian,
     NotSemisimple,
     UnclassifiableSpectrum,
 )
@@ -35,22 +34,16 @@ from .numerics import (
     DEFAULT_TOL,
     Inertia,
     Tolerances,
+    as_even_square,
     as_square,
     herm_signature,
     kernel_basis,
     spectral_norm,
 )
-from .symplectic import is_hamiltonian, loxodromic_generator, plane_block_generator
+from .symplectic import _generator, loxodromic_generator, plane_block_generator
 
 #: relative gap below which two eigenvalues are treated as one cluster
 CLUSTER_GAP = 1e-6
-
-
-def _require_hamiltonian(h, tol: Tolerances):
-    h = as_square(h, "generator")
-    if not is_hamiltonian(h, tol):
-        raise NotHamiltonian("matrix is not in the symplectic Lie algebra")
-    return h
 
 
 def _gap(h) -> float:
@@ -100,7 +93,7 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     interest; it must match an actual eigenvalue of ``h`` up to the
     cluster gap, otherwise NotAnEigenvalue is raised.
     """
-    h = _require_hamiltonian(h, tol)
+    h = _generator(h, None, tol)
     gap = _gap(h)
     target = 1j * float(alpha)
     z = _invariant_subspace(h, target, gap)
@@ -121,7 +114,7 @@ class KreinEigenvalue:
 
 def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
     """All eigenvalue clusters of ``h`` with Krein data where defined."""
-    h = _require_hamiltonian(h, tol)
+    h = _generator(h, None, tol)
     gap = _gap(h)
     out = []
     for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap):
@@ -170,7 +163,7 @@ def classify_normal_form(h, tol: Tolerances = DEFAULT_TOL):
     the Krein signature, hyperbolic planes for real pairs, loxodromic
     quadruples for genuinely complex eigenvalues.
     """
-    h = _require_hamiltonian(h, tol)
+    h = _generator(h, None, tol)
     if not is_semisimple(h, tol):
         raise NotSemisimple("generator has a nontrivial Jordan block")
     gap = _gap(h)
@@ -259,16 +252,12 @@ def standard_direct_sum(generators):
     """
     if not generators:
         raise InputError("need at least one generator")
-    halves = []
-    for g in generators:
-        g = as_square(g, "generator")
-        if g.shape[0] % 2 != 0:
-            raise InputError("generators must have even size")
-        halves.append(g.shape[0] // 2)
-    n = sum(halves)
+    generators = [as_even_square(g, "generator") for g in generators]
+    n = sum(g.shape[0] // 2 for g in generators)
     out = np.zeros((2 * n, 2 * n))
     offset = 0
-    for g, k in zip(generators, halves):
+    for g in generators:
+        k = g.shape[0] // 2
         idx = list(range(offset, offset + k)) + list(range(n + offset, n + offset + k))
         out[np.ix_(idx, idx)] = g
         offset += k

@@ -32,26 +32,23 @@ from .errors import (
     GridTooCoarse,
     InputError,
     NonRegularCrossing,
-    NotHamiltonian,
     NotLagrangian,
-    OddDimension,
     SymindexError,
 )
 from .halfint import ZERO, HalfInt
+from .krein import krein_positive_angles
 from .numerics import (
     DEFAULT_TOL,
     Inertia,
     Tolerances,
     as_matrix,
-    as_square,
     band_counts,
 )
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
-    _hamiltonian_for,
+    _generator,
     diagonal_lagrangian,
-    standard_J,
     subspace_intersections,
     vertical_lagrangian,
 )
@@ -160,29 +157,16 @@ class _Stacked:
         return self.stack(np.array([t], dtype=float))[0]
 
 
-def _generator(h, space: Optional[SymplecticSpace] = None):
-    """``h`` checked as a Hamiltonian generator of ``space`` (default:
-    the standard space of its size)."""
-    h = as_square(h, "generator")
-    if h.shape[0] % 2 != 0:
-        raise OddDimension("generator must have even size")
-    form = standard_J(h.shape[0] // 2) if space is None else space.form
-    if form.shape != h.shape:
-        raise DimensionMismatch("generator does not match the frame")
-    if not _hamiltonian_for(h, form, DEFAULT_TOL):
-        raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
-    return h
-
-
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
-               interval=(0.0, 1.0)) -> LagrangianPath:
-    """t -> exp(t h) . start, a Lagrangian path; h must be Hamiltonian
-    for the form of start's space, else NotHamiltonian.
+               interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
+    """t -> exp(t h) . start, a Lagrangian path.
 
-    ``start`` defaults to the vertical of the standard space."""
-    h = _generator(h, None if start is None else start.space)
+    ``h`` must be Hamiltonian within ``tol`` for the form of start's
+    space, else NotHamiltonian; ``start`` defaults to the vertical of
+    the standard space."""
+    h = _generator(h, None if start is None else start.space, tol)
     if start is None:
-        start = vertical_lagrangian(h.shape[0] // 2)
+        start = vertical_lagrangian(h.shape[0] // 2, tol)
     f0 = start.frame
     phi = _flow(h)
     d = h.shape[0]
@@ -197,9 +181,12 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
                           tuple(map(float, interval)))
 
 
-def graph_path(h, interval=(0.0, 1.0)) -> LagrangianPath:
-    """t -> graph of exp(t h) in the product space carrying (-w) x w."""
-    h = _generator(h)
+def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
+    """t -> graph of exp(t h) in the product space carrying (-w) x w.
+
+    ``h`` must be Hamiltonian within ``tol`` for the standard form,
+    else NotHamiltonian."""
+    h = _generator(h, None, tol)
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
     phi = _flow(h)
@@ -231,8 +218,7 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     """
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
-    if start.space.dim != end.space.dim:
-        raise DimensionMismatch("endpoint frames live in different spaces")
+    start.space.check_same(end)
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise InputError("k must be an integer, got %r" % (k,))
     n = start.space.half_dim
@@ -454,8 +440,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
     if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
             and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    if not np.array_equal(ref.space.form, path.space.form):
-        raise DimensionMismatch("reference frame does not match the path")
+    path.space.check_same(ref)
     for sl in _batches(path, len(ts)):
         q, frames = _orth_frames(path, ts[sl], tol)
         dframes, error = _evaluate(path, ts[sl], derivative=True)
@@ -534,8 +519,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     this limit.
     """
     grid = _grid_cells(grid)
-    if not np.array_equal(ref.space.form, path.space.form):
-        raise DimensionMismatch("reference frame does not match the path")
+    path.space.check_same(ref)
     a, b = path.interval
     ts = np.linspace(a, b, grid + 1)
     ref_q = ref.frame
@@ -614,7 +598,7 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
                             interval=(0.0, 1.0), grid: int = 256,
                             tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of t -> exp(t h) . start against ref (both default vertical)."""
-    path = orbit_path(h, start, interval)
+    path = orbit_path(h, start, interval, tol)
     if ref is None:
         ref = vertical_lagrangian(path.space.half_dim, tol)
     return maslov_index(path, ref, grid, tol)
@@ -623,7 +607,7 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
 def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of the graph path of exp(t h) against the diagonal."""
-    path = graph_path(h, interval)
+    path = graph_path(h, interval, tol)
     ref = diagonal_lagrangian(path.space.dim // 4, tol)
     return maslov_index(path, ref, grid, tol)
 
@@ -671,6 +655,11 @@ def rotation_graph_index(alpha: float) -> HalfInt:
     return snap_odd_integer(alpha / math.pi)
 
 
+def _spectral_index(h, tol: Tolerances, closed_form) -> HalfInt:
+    """Sum of ``closed_form`` over the signed rotation angles of ``h``."""
+    return sum(map(closed_form, krein_positive_angles(h, tol)), ZERO)
+
+
 def spectral_maslov(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Vertical-route index from the signed rotation angles alone.
 
@@ -678,12 +667,7 @@ def spectral_maslov(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     aligned with the standard coordinate splitting (block generators);
     hyperbolic and loxodromic planes contribute nothing.
     """
-    from .krein import krein_positive_angles
-
-    total = ZERO
-    for alpha in krein_positive_angles(h, tol):
-        total = total + rotation_orbit_index(alpha)
-    return total
+    return _spectral_index(h, tol, rotation_orbit_index)
 
 
 def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
@@ -692,9 +676,4 @@ def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     Valid for any semisimple generator: the graph route is invariant
     under symplectic conjugation, so only the normal form matters.
     """
-    from .krein import krein_positive_angles
-
-    total = ZERO
-    for alpha in krein_positive_angles(h, tol):
-        total = total + rotation_graph_index(alpha)
-    return total
+    return _spectral_index(h, tol, rotation_graph_index)

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import AsymmetricInput, InputError, NonHermitianInput
+from .errors import AsymmetricInput, InputError, NonHermitianInput, OddDimension
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,22 @@ class Inertia:
 
 
 def as_matrix(a, name="matrix", dtype=float):
-    """Coerce to a 2-d finite ndarray, rejecting NaN/Inf."""
-    m = np.asarray(a, dtype=dtype)
+    """``a`` as a finite 2-d ndarray of ``dtype``: the one check of a
+    matrix operand.
+
+    Ragged or non-numeric input raises InputError.  For a real dtype a
+    complex input is accepted only when every imaginary part is zero,
+    so no imaginary part is ever dropped silently.
+    """
+    try:
+        m = np.asarray(a)
+        if np.iscomplexobj(m) and not np.issubdtype(dtype, np.complexfloating):
+            if np.any(m.imag != 0):
+                raise InputError("%s has a nonzero imaginary part" % name)
+            m = m.real
+        m = np.asarray(m, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InputError("%s must be a rectangular array of numbers" % name)
     if m.ndim != 2:
         raise InputError("%s must be 2-dimensional, got ndim=%d" % (name, m.ndim))
     if not np.all(np.isfinite(m)):
@@ -77,6 +91,15 @@ def as_square(a, name="matrix", dtype=float):
     m = as_matrix(a, name, dtype)
     if m.shape[0] != m.shape[1]:
         raise InputError("%s must be square, got shape %s" % (name, m.shape))
+    return m
+
+
+def as_even_square(a, name="matrix"):
+    """``as_square`` of even size, else OddDimension: the one size check
+    of symplectic forms, generators and symplectic matrices."""
+    m = as_square(a, name)
+    if m.shape[0] % 2 != 0:
+        raise OddDimension("%s must have even size, got %d" % (name, m.shape[0]))
     return m
 
 
@@ -159,13 +182,6 @@ def singular_values(m):
     if m.size == 0:
         return np.empty(0)
     return np.linalg.svd(m, compute_uv=False)
-
-
-def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    s = singular_values(m)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol.eps_rank * s[0]))
 
 
 def kernel_basis(m, tol: Tolerances = DEFAULT_TOL):

@@ -13,19 +13,21 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     InputError,
+    NotHamiltonian,
     NotIsotropic,
     NotLagrangian,
-    OddDimension,
 )
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    as_even_square,
     as_matrix,
     as_square,
     kernel_basis,
@@ -51,9 +53,7 @@ class SymplecticSpace:
     form: np.ndarray
 
     def __post_init__(self):
-        form = as_square(self.form, "symplectic form")
-        if form.shape[0] % 2 != 0:
-            raise OddDimension("symplectic form must have even size")
+        form = as_even_square(self.form, "symplectic form")
         if np.linalg.norm(form + form.T) > 1e-10 * (1.0 + np.linalg.norm(form)):
             raise InputError("symplectic form must be antisymmetric")
         s = singular_values(form)
@@ -90,6 +90,29 @@ class SymplecticSpace:
 
     def is_standard(self) -> bool:
         return bool(np.allclose(self.form, standard_J(self.half_dim), atol=1e-12))
+
+    def check_same(self, *operands):
+        """Raise DimensionMismatch unless every operand (a space, or a
+        frame or path with a ``space``) carries exactly this form.
+
+        The one same-space test of the package: forms are compared entry
+        for entry, so a space of equal dimension but another form, such
+        as the graph product over R^(2n) against the standard R^(4n), is
+        rejected.
+        """
+        for op in operands:
+            space = op if isinstance(op, SymplecticSpace) else op.space
+            if not np.array_equal(space.form, self.form):
+                raise DimensionMismatch("operands live in different symplectic spaces")
+
+
+def _frame_of(space: SymplecticSpace, f, name: str):
+    """``f`` checked as a frame of vectors of ``space``: ``as_matrix``
+    with one row per coordinate, else DimensionMismatch."""
+    f = as_matrix(f, name)
+    if f.shape[0] != space.dim:
+        raise DimensionMismatch("%s does not match the space" % name)
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +158,7 @@ def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFr
 
 def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = None) -> bool:
     """Whether m^T Omega m = Omega within tolerance."""
-    m = as_square(m, "matrix")
-    if m.shape[0] % 2 != 0:
-        raise OddDimension("symplectic matrices have even size")
+    m = as_even_square(m, "matrix")
     omega = space.form if space is not None else standard_J(m.shape[0] // 2)
     if omega.shape != m.shape:
         raise DimensionMismatch("matrix does not match the space")
@@ -147,9 +168,7 @@ def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = Non
 
 def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether h^T J + J h = 0 within tolerance (standard space)."""
-    h = as_square(h, "matrix")
-    if h.shape[0] % 2 != 0:
-        raise OddDimension("hamiltonian matrices have even size")
+    h = as_even_square(h, "matrix")
     return _hamiltonian_for(h, standard_J(h.shape[0] // 2), tol)
 
 
@@ -157,6 +176,20 @@ def _hamiltonian_for(h, form, tol: Tolerances) -> bool:
     """Whether h^T form + form h = 0 within tolerance."""
     defect = np.linalg.norm(h.T @ form + form @ h)
     return bool(defect <= tol.eps_sym * (1.0 + spectral_norm(h)))
+
+
+def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
+    """``h`` checked as a Hamiltonian generator of ``space`` (default:
+    the standard space of its size) within ``tol``, the one generator
+    check of every route: even size, else OddDimension; the size of
+    ``space``, else DimensionMismatch; Hamiltonian, else NotHamiltonian."""
+    h = as_even_square(h, "generator")
+    form = standard_J(h.shape[0] // 2) if space is None else space.form
+    if form.shape != h.shape:
+        raise DimensionMismatch("generator does not match the space")
+    if not _hamiltonian_for(h, form, tol):
+        raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
+    return h
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
@@ -169,10 +202,8 @@ def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> La
 
 def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """Graph {(v, m v)} as a Lagrangian of the product space."""
-    m = as_square(m, "matrix")
+    m = as_even_square(m, "matrix")
     d = m.shape[0]
-    if d % 2 != 0:
-        raise OddDimension("graph construction needs an even-size matrix")
     space = SymplecticSpace.graph_product(d // 2)
     return lagrangian_frame(space, np.vstack([np.eye(d), m]), tol)
 
@@ -187,21 +218,20 @@ def diagonal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFram
 def product_lagrangian(la: LagrangianFrame, lb: LagrangianFrame,
                        tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """L_a x L_b inside the product space."""
-    na, nb = la.space.half_dim, lb.space.half_dim
-    if na != nb:
-        raise DimensionMismatch("factors must have equal dimension")
-    space = SymplecticSpace.graph_product(na)
+    n = la.space.half_dim
+    SymplecticSpace.standard(n).check_same(la, lb)
+    space = SymplecticSpace.graph_product(n)
     f = np.block([
-        [la.frame, np.zeros((2 * na, nb))],
-        [np.zeros((2 * nb, na)), lb.frame],
+        [la.frame, np.zeros((2 * n, n))],
+        [np.zeros((2 * n, n)), lb.frame],
     ])
     return lagrangian_frame(space, f, tol)
 
 
 def subspace_intersection(fa, fb, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of span(fa) & span(fb); frames need orthonormal columns."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
+    fa = as_matrix(fa, "frame")
+    fb = as_matrix(fb, "frame")
     if fa.shape[0] != fb.shape[0]:
         raise DimensionMismatch("frames live in different ambient spaces")
     if fa.shape[0] == 0 or fa.shape[1] == 0 or fb.shape[1] == 0:
@@ -247,8 +277,7 @@ def _split(labels):
 def intersection_dim(la: LagrangianFrame, lb: LagrangianFrame,
                      tol: Tolerances = DEFAULT_TOL) -> int:
     """dim(L_a & L_b), the column count of ``subspace_intersection``."""
-    if la.space.dim != lb.space.dim:
-        raise DimensionMismatch("frames live in different spaces")
+    la.space.check_same(lb)
     return subspace_intersection(la.frame, lb.frame, tol).shape[1]
 
 
@@ -277,10 +306,7 @@ def same_span(fa, fb) -> bool:
 
 def symplectic_orthogonal(space: SymplecticSpace, w, tol: Tolerances = DEFAULT_TOL):
     """Frame of W-perp with respect to omega: all v with omega(W, v) = 0."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != space.dim:
-        raise DimensionMismatch("frame does not match the space")
-    return kernel_basis((space.form @ w).T, tol)
+    return kernel_basis((space.form @ _frame_of(space, w, "frame")).T, tol)
 
 
 class SymplecticReduction:
@@ -296,10 +322,7 @@ class SymplecticReduction:
     def __init__(self, space: SymplecticSpace, k_frame, tol: Tolerances = DEFAULT_TOL):
         self.ambient = space
         self.tol = tol
-        k = np.asarray(k_frame, dtype=float)
-        if k.ndim != 2 or k.shape[0] != space.dim:
-            raise DimensionMismatch("K frame does not match the space")
-        k = orthonormal_columns(k, tol)
+        k = orthonormal_columns(_frame_of(space, k_frame, "K frame"), tol)
         if k.shape[1] > 0:
             defect = np.linalg.norm(space.pairing(k, k))
             if defect > tol.eps_sym * (1.0 + spectral_norm(space.form)):
@@ -325,8 +348,7 @@ class SymplecticReduction:
 
     def project(self, L: LagrangianFrame) -> LagrangianFrame:
         """Image of L & K-sharp in the reduced space."""
-        if L.space.dim != self.ambient.dim:
-            raise DimensionMismatch("frame does not match the reduction")
+        self.ambient.check_same(L)
         meet = subspace_intersection(L.frame, self.k_sharp, self.tol)
         coords = self.basis.T @ meet
         reduced = orthonormal_columns(coords, self.tol)
@@ -339,8 +361,9 @@ class SymplecticReduction:
     def lift(self, l_red: LagrangianFrame) -> LagrangianFrame:
         """The Lagrangian of the ambient space containing K that
         projects onto ``l_red``."""
-        if self.space is None or l_red.space.dim != self.space.dim:
-            raise DimensionMismatch("frame does not match the reduced space")
+        if self.space is None:
+            raise DimensionMismatch("the reduced space is zero-dimensional")
+        self.space.check_same(l_red)
         f = np.hstack([self.k, self.basis @ l_red.frame])
         return lagrangian_frame(self.ambient, f, self.tol)
 

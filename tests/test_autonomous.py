@@ -30,6 +30,8 @@ from symindex.errors import (
     TransversalityViolated,
 )
 from symindex.halfint import ZERO
+from symindex.maslov import graph_path, orbit_path
+from symindex.numerics import Tolerances
 from symindex.symplectic import random_symplectic
 
 
@@ -38,6 +40,20 @@ def test_make_system_validation():
         make_system(np.zeros((3, 3)))
     with pytest.raises(NotHamiltonian):
         make_system(np.eye(2))
+
+
+def test_generator_is_checked_with_the_callers_tol():
+    """A generator 1e-6 off the Lie algebra passes a loose eps_sym; every
+    route of validate checks it with that tol, not the default."""
+    loose = Tolerances(eps_sym=1e-5)
+    h = standard_J(1) @ np.diag([2.0, 3.0])
+    h[0, 0] += 1e-6
+    report = validate(make_system(h, loose), tol=loose)
+    assert (report.orbit_index, report.graph_index) == (HalfInt(1), HalfInt(2))
+    assert orbit_path(h, tol=loose).space.dim == 2
+    assert graph_path(h, tol=loose).space.dim == 4
+    with pytest.raises(NotHamiltonian):
+        orbit_path(h)
 
 
 def test_fundamental_solution_is_symplectic_flow():

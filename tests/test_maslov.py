@@ -24,6 +24,7 @@ from symindex import (
     plane_block_generator,
     spectral_conley_zehnder,
     spectral_maslov,
+    standard_direct_sum,
     standard_J,
     unitary_geodesic,
     validate,
@@ -192,7 +193,8 @@ def test_crossing_chart_requires_orthogonal_form():
 
 
 @pytest.mark.parametrize(
-    "entry", [maslov_index_symplectic, orbit_path, conley_zehnder, graph_path])
+    "entry", [maslov_index_symplectic, orbit_path, conley_zehnder, graph_path,
+              pytest.param(lambda h: standard_direct_sum([h]), id="standard_direct_sum")])
 def test_odd_generator_rejected(entry):
     with pytest.raises(OddDimension):
         entry(np.zeros((3, 3)))
@@ -548,6 +550,8 @@ def test_reference_from_another_space_of_equal_dimension_rejected():
         find_crossings(path, vertical_lagrangian(2))
     with pytest.raises(DimensionMismatch):
         crossing_form(path, vertical_lagrangian(2), 0.0)
+    with pytest.raises(DimensionMismatch):
+        unitary_geodesic(vertical_lagrangian(2), diagonal_lagrangian(1))
 
 
 def test_geodesic_winding_must_be_an_integer():

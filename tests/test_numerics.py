@@ -10,7 +10,6 @@ from symindex.halfint import ZERO
 from symindex.numerics import (
     herm_signature,
     kernel_basis,
-    numerical_rank,
     orthonormal_columns,
     stable_signature,
     sym_signature,
@@ -76,7 +75,6 @@ def test_kernel_basis():
 
 def test_rank_and_orthonormalization():
     f = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
-    assert numerical_rank(f, DEFAULT_TOL) == 2
     q = orthonormal_columns(f, DEFAULT_TOL)
     assert q.shape == (3, 2)
     np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)

@@ -24,10 +24,11 @@ from symindex import (
     symplectic_orthogonal,
     vertical_lagrangian,
 )
-from symindex.errors import KNotAdmissible, NotIsotropic, OddDimension
+from symindex.errors import DimensionMismatch, KNotAdmissible, NotIsotropic, OddDimension
 from symindex.symplectic import (
     SymplecticReduction,
     loxodromic_generator,
+    product_lagrangian,
     random_lagrangian_of,
     same_span,
 )
@@ -136,6 +137,21 @@ def test_reduction_known_lifts():
     want_v = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert same_span(lift_h.frame, want_h)
     assert same_span(lift_v.frame, want_v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: product_lagrangian(diagonal_lagrangian(1), vertical_lagrangian(2)),
+    lambda: intersection_dim(vertical_lagrangian(2), diagonal_lagrangian(1)),
+    lambda: SymplecticReduction(SymplecticSpace.standard(2), vertical_lagrangian(2).frame[:, :1])
+    .project(diagonal_lagrangian(1)),
+    lambda: SymplecticReduction(SymplecticSpace.standard(3), vertical_lagrangian(3).frame[:, :1])
+    .lift(vertical_lagrangian(2)),
+], ids=["product", "intersection_dim", "project", "lift"])
+def test_operands_of_another_space_of_equal_dimension_rejected(call):
+    """The graph product over R^2 and the reduction of R^6 by a line have
+    the dimension of the standard R^4 but not its form."""
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_reduction_rejects_non_isotropic_k():
