@@ -267,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default="-",
                            help="JSON payload file, or - for stdin")
         p.add_argument("--grid", type=int, default=256,
-                       help="number of sample cells for crossing scans")
+                       help="smallest number of scan cells (built-in paths "
+                            "take more when their phase rate needs them)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the relative rank tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -75,7 +75,9 @@ class NonRegularCrossing(SymindexError):
 
 
 class GridTooCoarse(SymindexError):
-    """Two crossings landed in one grid cell; increase grid."""
+    """A scan cannot certify its phase lift: a built-in path needs more
+    than ``MAX_CELLS`` cells, or a frame function's sampled phase of
+    det Z turns by more than pi/2 in one cell (increase grid)."""
 
 
 # -- triple index and reduction --------------------------------------------

@@ -1,27 +1,24 @@
-"""Maslov-type indices of Lagrangian paths through crossing forms.
+"""Maslov-type indices of Lagrangian paths from the phase of det Z.
 
-A path of Lagrangians l(t) is held as a raw frame function; at a
-crossing time t0 with a fixed reference Lagrangian L the crossing form
-is the derivative quadratic form on l(t0) & L,
+A path l(t) is a frame function F(t).  In the chart of a reference L
+with orthonormal frame Q, Z(t) = Q^T (I - i Omega) F(t); dim(l(t) & L)
+counts the eigenphases at 0 of W = Z conj(Z)^(-1).  With Phi the lift
+of 2 arg det Z and theta_j in [0, 2 pi) the eigenphases at the ends
+(those near 0 set to 0 and counted as the dimension),
 
-    Gamma(v) = d/dt omega(v, w(t, v)) |_{t=t0},
+    index = [Phi(b) - Phi(a) - sum theta(b) + sum theta(a)] / 2 pi
+            + 1/2 dim(a) - 1/2 dim(b),
 
-computed in the graph chart over l(t0).  The index over [a, b] is
-
-    index = 1/2 sign Gamma(a) + sum over interior crossings of
-            sign Gamma(t) + 1/2 sign Gamma(b),
-
-an exact half integer.  Paths whose intersection with the reference has
-a constant positive dimension are handled separately: the constant part
-must carry an identically vanishing form (otherwise the path is
-rejected as non-regular) and only the transient excess contributes.
+the spectral flow form of the Robbin-Salamon index.  ``find_crossings``
+also classifies each crossing t0 by its form Gamma(v) = d/dt omega(v,
+w(t, v)) on l(t0) & L; their half sum must equal the phase index.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -31,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     GridTooCoarse,
     InputError,
+    InternalMismatch,
     NonRegularCrossing,
     NotLagrangian,
     SymindexError,
@@ -53,33 +51,36 @@ from .symplectic import (
     vertical_lagrangian,
 )
 
-#: smallest admissible number of grid cells for crossing detection
+#: smallest admissible number of grid cells
 MIN_GRID = 64
-#: refined crossing times closer than this are treated as one crossing
+#: located crossing times closer than this are treated as one crossing
 MERGE_TOL = 1e-9
-#: sampled-signal gate below which a local minimum is refined
-SIGNAL_GATE = 0.25
 #: width to which a bracketed crossing time is narrowed (or 4 float spacings)
 REFINE_XTOL = 1e-12
 #: relative floor below which a nonzero form eigenvalue is ambiguous
 GRAY_FACTOR = 1e-6
+#: most cells a certified scan may take; a path that needs more raises GridTooCoarse
+MAX_CELLS = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianPath:
     """A path of Lagrangian subspaces given by a raw frame function.
 
-    ``frame_fn(t)`` returns a 2n x n frame (orthonormality is not
-    required; columns must stay independent).  ``dframe_fn`` is the
-    entrywise time derivative; when absent a central finite difference
-    is used, so ``frame_fn`` should be smooth slightly beyond the
-    interval ends.
+    ``frame_fn(t)`` returns a 2n x n frame with independent (not
+    necessarily orthonormal) columns.  ``dframe_fn`` is its derivative;
+    when absent a central finite difference is used, so ``frame_fn``
+    should be smooth slightly beyond the interval ends.  The built-in
+    factories set ``_rate_bound``, a bound on |d arg det Z / dt| in any
+    reference chart; ``dataclasses.replace`` keeps it, so a new
+    ``frame_fn`` must trace the same path.
     """
 
     space: SymplecticSpace
     frame_fn: Callable[[float], np.ndarray]
     dframe_fn: Optional[Callable[[float], np.ndarray]]
     interval: Tuple[float, float]
+    _rate_bound: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
         a, b = self.interval
@@ -109,11 +110,10 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
 def _flow(m, real_output: bool = True):
     """Stacked flow: an array of times ts -> the stack of exp(t m).
 
-    Crossing scans evaluate the flow for whole batches of times, so when
-    the eigenvector basis is well conditioned the stack is taken from one
-    diagonalization, (vecs * exp(t vals)) @ vinv at each t; otherwise it
-    falls back to expm, matrix by matrix.  Each matrix of a stack equals
-    the flow evaluated at its time alone, bit for bit.
+    With a well conditioned eigenvector basis the stack comes from one
+    diagonalization, (vecs * exp(t vals)) @ vinv at each t, else from
+    expm matrix by matrix.  Each matrix of a stack equals the flow
+    evaluated at its time alone, bit for bit.
     """
     m = np.asarray(m)
     d = m.shape[0]
@@ -145,9 +145,8 @@ def _flow(m, real_output: bool = True):
 
 class _Stacked:
     """Frame function of a built-in path: ``stack(ts)`` evaluates a whole
-    array of times at once, a call at one time is the batch of one.
-    ``sample_bytes`` is the size of the complex flow matrix behind each
-    sample, which scan batches must also fit."""
+    array of times, a call the batch of one.  Scan batches must also fit
+    the complex flow matrix of ``sample_bytes`` behind each sample."""
 
     def __init__(self, stack, flow_dim: int):
         self.stack = stack
@@ -163,7 +162,9 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
     ``h`` must be Hamiltonian within ``tol`` for the form of start's
     space, else NotHamiltonian; ``start`` defaults to the vertical of
-    the standard space."""
+    the standard space.  Rate bound: moved by its horizontal lift
+    (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
+    tr A, at most the sum of the n largest singular values of h (Ky Fan)."""
     h = _generator(h, None if start is None else start.space, tol)
     if start is None:
         start = vertical_lagrangian(h.shape[0] // 2, tol)
@@ -178,14 +179,16 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
         return h @ phi(ts) @ f0
 
     return LagrangianPath(start.space, _Stacked(frs, d), _Stacked(dfrs, d),
-                          tuple(map(float, interval)))
+                          tuple(map(float, interval)),
+                          float(np.linalg.svd(h, compute_uv=False)[:d // 2].sum()))
 
 
 def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
     """t -> graph of exp(t h) in the product space carrying (-w) x w.
 
     ``h`` must be Hamiltonian within ``tol`` for the standard form,
-    else NotHamiltonian."""
+    else NotHamiltonian.  As the orbit of the diagonal under diag(0, h)
+    its rate bound is the sum of all singular values of h."""
     h = _generator(h, None, tol)
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
@@ -204,7 +207,8 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
         return graphs(0.0, h @ phi(ts))
 
     return LagrangianPath(space, _Stacked(frs, d), _Stacked(dfrs, d),
-                          tuple(map(float, interval)))
+                          tuple(map(float, interval)),
+                          float(np.linalg.svd(h, compute_uv=False).sum()))
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -214,7 +218,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     A Lagrangian frame [X; Y] of the standard space corresponds to the
     unitary U = X + iY; the path follows U0 exp(t(A + i pi k)) with
     A = log(U0* U1).  Different integers k give mutually non-homotopic
-    paths with the same endpoints.
+    paths with the same endpoints.  arg det Z turns at exactly
+    |Im tr(A + i pi k)|.
     """
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
@@ -239,10 +244,11 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     def dfrs(ts):
         return frames(u0_gen @ phi(ts))
 
-    return LagrangianPath(start.space, _Stacked(frs, n), _Stacked(dfrs, n), (0.0, 1.0))
+    return LagrangianPath(start.space, _Stacked(frs, n), _Stacked(dfrs, n), (0.0, 1.0),
+                          abs(float(np.trace(gen).imag)))
 
 
-# -- crossing detection -------------------------------------------------------
+# -- the phase scan ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Crossing:
@@ -265,8 +271,12 @@ class CrossingScan:
 
     crossings: Tuple[Crossing, ...]
     index: HalfInt
-    interval_mode: bool
     baseline_dim: int
+
+    @property
+    def interval_mode(self) -> bool:
+        """Whether the path keeps a constant intersection core."""
+        return self.baseline_dim > 0
 
 
 #: byte budget of one stacked array of per-sample matrices; a scan
@@ -274,7 +284,7 @@ class CrossingScan:
 #: its memory does not grow with the grid
 _BATCH_BYTES = 1 << 18
 
-_GRAY_MESSAGE = "crossing form at t=%g has an eigenvalue too small to classify"
+_TWO_PI = 2.0 * math.pi
 
 
 def _tr(a):
@@ -284,7 +294,8 @@ def _tr(a):
 
 def _batches(path: LagrangianPath, count: int):
     """Slices of ``count`` samples whose stacks fit in ``_BATCH_BYTES``:
-    the 2n x 2n matrices of the scan and the flow of a built-in path."""
+    the 2n x 2n matrices of the intersections and the flow of a
+    built-in path."""
     dim = path.space.dim
     sizes = [8 * dim * dim] + [fn.sample_bytes for fn in (path.frame_fn, path.dframe_fn)
                                if isinstance(fn, _Stacked)]
@@ -293,14 +304,13 @@ def _batches(path: LagrangianPath, count: int):
 
 
 def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
-    """Stack of the path's frames (or frame derivatives) at the times ts.
+    """(stack of the frames or derivatives at the times ts, error).
 
-    Returns (values, error).  When a sample fails with a SymindexError
-    the stack holds the values before it, so the caller can check those
-    samples first and then raise the error, in the order a loop over
-    the samples would.  A built-in path is evaluated by one stacked call
-    with the checks of ``LagrangianPath.frame``; any other frame
-    function is called one time at a time.
+    When a sample fails with a SymindexError the stack holds the values
+    before it, so the caller checks those first and then raises, in the
+    order of a loop over the samples.  A built-in path is evaluated by
+    one stacked call with the checks of ``LagrangianPath.frame``, any
+    other frame function one time at a time.
     """
     fn = path.dframe_fn if derivative else path.frame_fn
     shape = (path.space.dim, path.space.half_dim)
@@ -325,96 +335,147 @@ def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
     return values, None
 
 
-def _orth_frames(path: LagrangianPath, ts, tol: Tolerances):
-    """(orthonormal frames, raw frames) of the path at the times ts.
-
-    One stacked SVD orthonormalizes every frame with the relative rank
-    rule of ``orthonormal_columns``; NotLagrangian names the first time
-    whose frame lost rank.
-    """
+def _frames(path: LagrangianPath, ts, tol: Tolerances):
+    """(frames, singular values) of the path at the times ts: one stacked
+    SVD checks the relative rank rule of ``orthonormal_columns``, and
+    NotLagrangian names the first time whose frame lost rank."""
     frames, error = _evaluate(path, ts)
-    u, s, _ = np.linalg.svd(frames, full_matrices=False)
+    s = np.linalg.svd(frames, compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
         raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
     if error is not None:
         raise error
-    return u, frames
+    return frames, s
 
 
-def _spectra(q, ref_q, tol: Tolerances):
-    """(intersection dims, singular values) of the stacked [Q | Q_ref].
+def _chart(path: LagrangianPath, ref: LagrangianFrame):
+    """C = Q^T (I - i Omega) for the reference frame Q, so Z(t) = C F(t);
+    the first check of every scan and crossing form.  For a form that is
+    orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
+    and maps the horizontal onto ``ref``."""
+    path.space.check_same(ref)
+    omega, d = path.space.form, path.space.dim
+    if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
+            and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
+        raise InputError("crossing forms need an orthogonal complex-structure form")
+    return ref.frame.T @ (np.eye(d) - 1j * omega)
 
-    The spectrum of [Q(t) | Q_ref] encodes the principal angles; the
-    k smallest singular values vanish exactly when the intersection has
-    dimension k.
+
+def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
+                   phases: bool = True, rated: bool = False):
+    """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) when
+    ``phases``, |Im tr(Z^-1 Z')| when ``rated``) at the times ts."""
+    out = ([], [], [])
+    for sl in _batches(path, len(ts)):
+        frames, s = _frames(path, ts[sl], tol)
+        z = chart @ frames
+        sign, logdet = np.linalg.slogdet(z)
+        # log |det Z| = sum log s exactly when the frame is Lagrangian
+        flat = logdet - np.log(s).sum(axis=1) <= math.log(tol.eps_rank)
+        if flat.any():
+            raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[sl][np.argmax(flat)])
+        out[0].append(np.angle(sign))
+        if phases:  # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
+            w = np.linalg.solve(_tr(z.conj()), _tr(z))
+            out[1].append(np.angle(np.linalg.eigvals(w)) % _TWO_PI)
+        if rated:
+            dframes, error = _evaluate(path, ts[sl], derivative=True)
+            dz = np.linalg.solve(z[:len(dframes)], chart @ dframes)
+            out[2].append(np.abs(np.trace(dz, axis1=1, axis2=2).imag))
+            if error is not None:
+                raise error
+    return tuple(np.concatenate(x) if x else None for x in out)
+
+
+def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerances,
+                phases: bool):
+    """(chart, times, lifted arg det Z, eigenphases at every time if
+    ``phases``, else at the ends) on the scan grid.
+
+    With a rate bound B it has max(grid, ceil(2 B (b - a) / pi)) cells,
+    none moving arg det Z by more than pi/2, up to ``MAX_CELLS``.  Else it
+    has ``grid`` cells and a cell whose width times the larger sampled
+    rate at its ends exceeds pi/2 raises GridTooCoarse.
     """
-    n = q.shape[2]
-    stacked = np.empty(q.shape[:2] + (2 * n,))
-    stacked[:, :, :n] = q
-    stacked[:, :, n:] = ref_q
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return (s <= tol.eps_rank * s[:, :1]).sum(axis=1), s
+    grid = _grid_cells(grid)
+    chart = _chart(path, ref)
+    a, b = path.interval
+    bound = path._rate_bound
+    need = 0 if bound is None else math.ceil(2.0 * bound * (b - a) / math.pi)
+    if need > MAX_CELLS:
+        raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
+                            % (need, MAX_CELLS))
+    ts = np.linspace(a, b, max(grid, need) + 1)
+    args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
+    fast = [] if rates is None else np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
+    if np.any(fast):
+        raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
+                            "increase grid" % tuple(ts[np.argmax(fast):][:2]))
+    if not phases:
+        thetas = _phase_samples(path, chart, ts[[0, -1]], tol)[1]
+    return chart, ts, np.unwrap(args), thetas
 
 
-def _detect(path: LagrangianPath, ref_q, ts, tol: Tolerances):
-    """(intersection dims, singular values) against ``ref_q`` at the times
-    ts, batch by batch: the sampler of every grid point, probe and candidate."""
-    parts = [_spectra(_orth_frames(path, ts[sl], tol)[0], ref_q, tol)
-             for sl in _batches(path, len(ts))]
-    if len(parts) == 1:  # most calls; skips the copy
-        return parts[0]
-    dims, spectra = zip(*parts)
-    return np.concatenate(dims), np.concatenate(spectra)
+def _snapped(thetas, tol: Tolerances, core=None):
+    """(sums, dims) of rows of eigenphases: a dim counts the phases within
+    ``eps_rank`` of 0, and a sum sets the ``core`` phases nearest 0 (an
+    int or one per row; default the dims) to 0."""
+    near = np.minimum(thetas, _TWO_PI - thetas)
+    dims = (near <= tol.eps_rank).sum(axis=-1)
+    rank = np.argsort(np.argsort(near, axis=-1), axis=-1)
+    snap = np.asarray(dims if core is None else core)[..., None]
+    return np.where(rank < snap, 0.0, thetas).sum(axis=-1), dims
 
 
-def _golden_min(lo, hi):
-    """Golden-section search in [lo, hi]: yields probe times, is sent the signal."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = yield c
-    fd = yield d
-    for _ in range(200):
-        if b - a <= max(REFINE_XTOL, 4.0 * math.ulp(abs(a) + abs(b))):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = yield d
-    return 0.5 * (a + b)
+def _phase_index(lifted, thetas, tol: Tolerances) -> HalfInt:
+    """The index of the module docstring; more than 1e-6 off the
+    half-integer lattice raises InternalMismatch."""
+    sums, dims = _snapped(thetas[[0, -1]], tol)
+    twice = (2.0 * (lifted[-1] - lifted[0]) - sums[1] + sums[0]) / math.pi + dims[0] - dims[1]
+    if abs(twice - round(twice)) > 2e-6:
+        raise InternalMismatch("phase index %.9g is not a half integer" % (0.5 * twice))
+    return HalfInt(int(round(twice)))
 
 
-def _refine(path: LagrangianPath, ref_q, brackets, column: int, tol: Tolerances):
-    """Minima of the signal ``spectra[:, column]`` in the (lo, hi) brackets,
-    one golden-section search each, advanced in rounds of one ``_detect``."""
-    minima = [None] * len(brackets)
-    searches = [_golden_min(lo, hi) for lo, hi in brackets]
-    live = [(i, search, next(search)) for i, search in enumerate(searches)]
+def _locate(path: LagrangianPath, chart, ts, lifted, sums, counts, stop, baseline: int,
+            tol: Tolerances):
+    """(time, count) of the crossings in the cells whose counts are not
+    0, halved in rounds of one batched sample of all midpoints down to
+    max(``REFINE_XTOL``, 4 float spacings); a bracket whose halves both
+    count splits, one at an end flagged in ``stop`` stops there."""
+    a, b = ts[0], ts[-1]
+    live = [(ts[i], ts[i + 1], lifted[i], sums[i], int(counts[i]))
+            for i in np.flatnonzero(counts)]
+    located = []
     while live:
-        _, spectra = _detect(path, ref_q, [t for _, _, t in live], tol)
         running = []
-        for (i, search, _), value in zip(live, spectra[:, column]):
-            try:
-                running.append((i, search, search.send(float(value))))
-            except StopIteration as stop:
-                minima[i] = stop.value
-        live = running
-    return minima
+        for lo, hi, lift, total, count in live:
+            if (lo == a and stop[0]) or (hi == b and stop[1]):
+                located.append((a if lo == a and stop[0] else b, count))
+            elif hi - lo <= max(REFINE_XTOL, 4.0 * math.ulp(abs(lo) + abs(hi))):
+                located.append((0.5 * (lo + hi), count))
+            else:
+                running.append((lo, hi, lift, total, count))
+        if not running:
+            break
+        mids = np.array([0.5 * (lo + hi) for lo, hi, _, _, _ in running])
+        args, thetas, _ = _phase_samples(path, chart, mids, tol)
+        live = []
+        for (lo, hi, lift, total, count), mid, arg, mid_total in zip(
+                running, mids, args, _snapped(thetas, tol, baseline)[0]):
+            mid_lift = lift + (arg - lift + math.pi) % _TWO_PI - math.pi
+            left = int(round((2.0 * (mid_lift - lift) - mid_total + total) / _TWO_PI))
+            live += [(lo, mid, lift, total, left)] if left else []
+            live += [(mid, hi, mid_lift, mid_total, count - left)] if count != left else []
+    return located
 
 
 def _chart_forms(omega, q, frames, dframes, v):
-    """Crossing forms of stacked samples in the graph chart over Q.
-
-    Per sample gamma = xi^T (dy x0^(-1)) xi with x0 = Q^T P, dy =
-    (omega Q)^T dP and xi = Q^T V, symmetrized; P and dP are the raw
-    frame and its derivative, V the intersection basis.
-    """
+    """Crossing forms of stacked samples in the graph chart over Q: the
+    symmetrized xi^T (dy x0^(-1)) xi with x0 = Q^T P, dy = (omega Q)^T dP
+    and xi = Q^T V for the raw frame P, its derivative dP and the
+    intersection basis V."""
     x0 = _tr(q) @ frames
     dy = _tr(omega @ q) @ dframes
     m = _tr(np.linalg.solve(_tr(x0), _tr(dy)))  # dy @ inv(x0)
@@ -425,24 +486,18 @@ def _chart_forms(omega, q, frames, dframes, v):
 
 def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
     """Yields (V, gamma, inertia, stable) of the crossing form at each
-    time ts in order, the one form evaluator of the scan; see
-    ``crossing_form`` for V, gamma and the chart, checked once here.
+    time ts in order, the one form evaluator; see ``crossing_form``.
 
-    A tangential crossing localizes only to ~sqrt(machine eps), so the
-    form evaluated at the refined time picks up an eigenvalue of that
-    size.  Anything between the zero band and a clear-signal floor of
-    ``GRAY_FACTOR`` relative to 1 + |gamma| cannot be classified either
-    way; such a form is not stable.  A failing frame derivative is
-    raised after the forms of the times before it.
+    A form with an eigenvalue between the zero band and ``GRAY_FACTOR``
+    times 1 + |gamma| cannot be classified (a tangential crossing leaves
+    one of ~sqrt(machine eps)) and is not stable.  A failing derivative
+    is raised after the forms of the times before it.
     """
+    _chart(path, ref)
     omega = path.space.form
-    d = path.space.dim
-    if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
-            and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
-        raise InputError("crossing forms need an orthogonal complex-structure form")
-    path.space.check_same(ref)
     for sl in _batches(path, len(ts)):
-        q, frames = _orth_frames(path, ts[sl], tol)
+        frames = _frames(path, ts[sl], tol)[0]
+        q = np.linalg.svd(frames, full_matrices=False)[0]
         dframes, error = _evaluate(path, ts[sl], derivative=True)
         forms = [None] * len(dframes)
         for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
@@ -464,14 +519,10 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
                   tol: Tolerances = DEFAULT_TOL):
-    """Intersection basis and crossing form matrix at time t0.
-
-    Returns (V, gamma): V holds orthonormal ambient coordinates of
-    l(t0) & ref, gamma is the symmetric form matrix in those columns.
-    The chart construction needs the form matrix to be orthogonal with
-    square -1, which holds for the standard and the graph-product
-    spaces.
-    """
+    """(V, gamma) at time t0: V holds orthonormal ambient coordinates of
+    l(t0) & ref, gamma is the symmetric crossing form matrix in those
+    columns.  The form of the space must be orthogonal with square -1,
+    as in the standard and the graph-product spaces."""
     v, gamma, _, _ = next(_forms(path, ref, [t0], tol))
     return v, gamma
 
@@ -489,108 +540,66 @@ def _grid_cells(grid) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> CrossingScan:
-    """Locate all crossings of the path with ``ref`` and evaluate forms.
+    """The index of ``maslov_index`` with its crossings as evidence.
 
-    The interval is sampled at ``grid``+1 points; sampled local minima
-    of the detection signal are narrowed by golden section and accepted
-    when their crossing form finds an intersection.  When two accepted
-    times land in the same grid cell GridTooCoarse is raised.
-
-    Every sample goes through one batched sampler, ``_detect``: a batch
-    of frames is orthonormalized by one stacked SVD and its detection
-    spectra come from one more.  The frames of a built-in path
-    (``orbit_path``, ``graph_path``, ``unitary_geodesic``) come from one
-    stacked flow evaluation per batch; other frame functions are called
-    one time at a time.  A batch keeps each stacked array, the complex
-    flow matrices included, within ``_BATCH_BYTES`` (256 KB), so the
-    memory of a scan stays bounded at any grid and dimension.  The
-    golden-section searches of all sampled minima advance in rounds, one
-    ``_detect`` call each, and the candidates are confirmed by their own
-    crossing forms.  Those forms, and in interval mode the spot-check of
-    the constant core, come from one batched form evaluator, ``_forms``.
-
-    Known limit: the scan does not certify that it found every crossing.
-    A sampled minimum above ``SIGNAL_GATE`` is skipped without an error,
-    so crossings closer together than the sampling resolves can be
-    missed and a wrong index returned.  With the default grid,
-    ``maslov_index_symplectic(300 * standard_J(1))`` gives 117/2 where
-    the closed form is 191/2.  ``grid`` must oversample the expected
-    crossing spacing; ROADMAP item 2 (a certified adaptive scan) removes
-    this limit.
+    The core (``baseline_dim``) is the smallest dimension on the grid.
+    A cell counts (2 delta arg det Z - delta sum theta) / 2 pi phases
+    passing 0 upward, all phases near 0 snapped at the ends and only the
+    core's elsewhere.  ``_locate`` bisects the cells that count; located
+    times within ``MERGE_TOL`` are one and a zero total is dropped.
+    ``_forms`` classifies them and the ends, kept when their intersection
+    exceeds the core or the core is not empty; a form too small to
+    classify or with null space other than the core raises
+    NonRegularCrossing.  Counts that cancel in one cell (a tangency, a
+    +/- pair) are not listed.  A half sum of forms other than the phase
+    index raises InternalMismatch.
     """
-    grid = _grid_cells(grid)
-    path.space.check_same(ref)
+    chart, ts, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=True)
+    index = _phase_index(lifted, thetas, tol)
     a, b = path.interval
-    ts = np.linspace(a, b, grid + 1)
-    ref_q = ref.frame
-
-    dims, spectra = _detect(path, ref_q, ts, tol)
-    interval_mode = bool(np.mean(dims > 0) > 0.25)
-    baseline = int(dims.min()) if interval_mode else 0
-    if interval_mode and baseline == 0:
-        raise GridTooCoarse("widespread degeneracy without a constant core; "
-                            "increase grid or reparametrize")
-
-    signal = spectra[:, -(baseline + 1)]
-
-    # candidate minima of the sampled signal; padded with inf, the first
-    # and last cell are bracketed from the boundary so near-endpoint
-    # crossings are not skipped
-    padded = np.concatenate([[np.inf], signal, [np.inf]])
-    lows = np.flatnonzero((signal <= SIGNAL_GATE) & (signal <= padded[:-2])
-                          & (signal <= padded[2:]))
-    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, grid)]) for i in lows]
-    times = np.sort([a, b] + _refine(path, ref_q, brackets, -(baseline + 1), tol))
-
-    # times within MERGE_TOL of each other are one candidate, snapped to
-    # an end of the interval when it is one
-    candidates = [float(a) if abs(group[0] - a) <= MERGE_TOL
-                  else float(b) if abs(group[-1] - b) <= MERGE_TOL
-                  else float(np.mean(group))
-                  for group in np.split(times, np.flatnonzero(np.diff(times) > MERGE_TOL) + 1)]
+    dims = _snapped(thetas, tol)[1]
+    baseline = int(dims.min())
+    sums = _snapped(thetas, tol, np.r_[dims[0], np.full(len(ts) - 2, baseline), dims[-1]])[0]
+    counts = np.rint((2.0 * np.diff(lifted) - np.diff(sums)) / _TWO_PI).astype(int)
+    located = _locate(path, chart, ts, lifted, sums, counts, dims[[0, -1]] > baseline,
+                      baseline, tol)
+    times, counts = np.array(sorted([(a, 0), (b, 0)] + located)).T
+    cuts = np.flatnonzero(np.diff(times) > MERGE_TOL) + 1
+    candidates = [a if group[0] == a else b if group[-1] == b else float(np.mean(group))
+                  for group, count in zip(np.split(times, cuts), np.split(counts, cuts))
+                  if group[0] == a or group[-1] == b or count.sum()]
 
     crossings = []
-    cell = (b - a) / grid
-    # each candidate is decided by its own crossing form: spurious minima
-    # and plain baseline interior points are dropped
     for t, (v, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
-        dim = v.shape[1]
-        if not (dim > baseline or (interval_mode and t in (a, b))):
+        if t in (a, b) and not (v.shape[1] > baseline or baseline > 0):
             continue
         if not stable:
-            raise NonRegularCrossing(_GRAY_MESSAGE % t)
+            raise NonRegularCrossing("crossing form at t=%g has an eigenvalue too small "
+                                     "to classify" % t)
         if inertia.n_zero != baseline:
-            raise NonRegularCrossing(
-                "crossing form at t=%g has %d null directions, expected %d"
-                % (t, inertia.n_zero, baseline))
-        crossings.append(Crossing(t, dim, inertia, t in (a, b)))
-
-    interior = [c.time for c in crossings if not c.at_endpoint]
-    for t1, t2 in zip(interior, interior[1:]):
-        if t2 - t1 < cell:
-            raise GridTooCoarse("crossings at t=%g and t=%g share a grid cell" % (t1, t2))
-
-    if interval_mode:
-        # the constant core must carry no form anywhere, else the index
-        # formula does not apply; spot-check all plain baseline samples
-        core = ts[dims == baseline]
-        for t, (_, _, inertia, stable) in zip(core, _forms(path, ref, core, tol)):
-            if not stable:
-                raise NonRegularCrossing(_GRAY_MESSAGE % t)
-            if inertia.n_pos + inertia.n_neg:
-                raise NonRegularCrossing("constant-dimensional intersection carries a "
-                                         "nonvanishing form at t=%g" % t)
-
-    total = ZERO
-    for c in crossings:
-        total = total + c.contribution
-    return CrossingScan(tuple(crossings), total, interval_mode, baseline)
+            raise NonRegularCrossing("crossing form at t=%g has %d null directions, "
+                                     "expected %d" % (t, inertia.n_zero, baseline))
+        crossings.append(Crossing(t, v.shape[1], inertia, t in (a, b)))
+    total = sum((c.contribution for c in crossings), ZERO)
+    if total != index:
+        raise InternalMismatch("crossing forms sum to %s, the phase index is %s"
+                               % (total, index))
+    return CrossingScan(tuple(crossings), index, baseline)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                  tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of the path relative to ``ref`` by the half-sum rule."""
-    return find_crossings(path, ref, grid, tol).index
+    """Index of the path relative to ``ref`` from the winding of the
+    phase of det Z (module docstring); no crossing is located.
+
+    ``grid`` is the smallest cell count.  Built-in paths are certified
+    by their rate bound; ``path_from_frames`` paths are checked only at
+    their samples, so a full turn between two samples goes unseen.
+    Frames come in batches within ``_BATCH_BYTES``.
+    """
+    _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
+    return _phase_index(lifted, thetas, tol)
 
 
 def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
@@ -619,11 +628,8 @@ SNAP_TOL = 1e-9
 
 
 def snap_half_integer(x: float) -> HalfInt:
-    """Nearest half integer if within ``SNAP_TOL``, else floor(x) + 1/2.
-
-    This is the function whose values at alpha/pi give the index of the
-    rotation orbit path with angular velocity alpha.
-    """
+    """Nearest half integer if within ``SNAP_TOL``, else floor(x) + 1/2:
+    at alpha/pi, the orbit index of the rotation with speed alpha."""
     twice = round(2.0 * x)
     if abs(x - 0.5 * twice) <= SNAP_TOL:
         return HalfInt(int(twice))
@@ -632,11 +638,8 @@ def snap_half_integer(x: float) -> HalfInt:
 
 def snap_odd_integer(x: float) -> HalfInt:
     """Nearest integer if within ``SNAP_TOL``, else the odd member of
-    {floor(x), floor(x)+1}.
-
-    Values at alpha/pi give the graph-path index of the rotation with
-    angular velocity alpha.
-    """
+    {floor(x), floor(x)+1}: at alpha/pi, the graph index of the
+    rotation with speed alpha."""
     nearest = round(x)
     if abs(x - nearest) <= SNAP_TOL:
         return HalfInt(2 * int(nearest))
@@ -661,19 +664,14 @@ def _spectral_index(h, tol: Tolerances, closed_form) -> HalfInt:
 
 
 def spectral_maslov(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Vertical-route index from the signed rotation angles alone.
-
-    Valid for semisimple generators whose plane decomposition is
-    aligned with the standard coordinate splitting (block generators);
-    hyperbolic and loxodromic planes contribute nothing.
-    """
+    """Vertical-route index from the signed rotation angles alone, for
+    semisimple generators whose planes are aligned with the standard
+    splitting (block generators); other planes contribute nothing."""
     return _spectral_index(h, tol, rotation_orbit_index)
 
 
 def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Graph-route index from the signed rotation angles alone.
-
-    Valid for any semisimple generator: the graph route is invariant
-    under symplectic conjugation, so only the normal form matters.
-    """
+    """Graph-route index from the signed rotation angles alone, for any
+    semisimple generator: the graph route is invariant under symplectic
+    conjugation, so only the normal form matters."""
     return _spectral_index(h, tol, rotation_graph_index)

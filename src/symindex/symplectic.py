@@ -82,11 +82,13 @@ class SymplecticSpace:
         return self.dim // 2
 
     def omega(self, u, v) -> float:
-        return float((self.form @ np.asarray(u, dtype=float)) @ np.asarray(v, dtype=float))
+        """omega(u, v) of two 1-d vectors, as one-column frames."""
+        columns = [as_matrix([x], "vector").T for x in (u, v)]
+        return float(self.pairing(*columns)[0, 0])
 
     def pairing(self, fa, fb):
         """Matrix [omega(a_i, b_j)] for two column-frames."""
-        return (self.form @ np.asarray(fa, dtype=float)).T @ np.asarray(fb, dtype=float)
+        return (self.form @ _frame_of(self, fa, "frame")).T @ _frame_of(self, fb, "frame")
 
     def is_standard(self) -> bool:
         return bool(np.allclose(self.form, standard_J(self.half_dim), atol=1e-12))
@@ -283,8 +285,8 @@ def intersection_dim(la: LagrangianFrame, lb: LagrangianFrame,
 
 def max_principal_angle(fa, fb) -> float:
     """Largest principal angle between two equal-dimension spans."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
+    fa = as_matrix(fa, "frame")
+    fb = as_matrix(fb, "frame")
     if fa.shape != fb.shape:
         raise DimensionMismatch("spans must have equal dimensions")
     if fa.shape[1] == 0:

