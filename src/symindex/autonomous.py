@@ -249,18 +249,21 @@ def calibrate_sign(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _calibrated_sign(grid: int, tol: Tolerances) -> int:
-    """``calibrate_sign(grid, tol)``, run once per process for each
-    (grid, tol).  The probes depend on nothing else; a failure is not
-    cached and is raised again on the next call."""
-    return calibrate_sign(grid, tol)
+def _calibrated_sign(tol: Tolerances) -> int:
+    """``calibrate_sign(tol=tol)``, run once per process for each tol.
+    The probes scan certified paths, whose cells do not depend on
+    ``grid``, and depend on nothing else; a failure is not cached and is
+    raised again on the next call."""
+    return calibrate_sign(tol=tol)
 
 
 def _coupling_sign(sigma, grid, tol: Tolerances) -> int:
-    """The calibrated sign when ``sigma`` is None, else ``sigma`` checked
-    to be the integer +1 or -1 (CalibrationFailure otherwise)."""
+    """The calibrated sign when ``sigma`` is None (``grid`` checked
+    first), else ``sigma`` checked to be the integer +1 or -1
+    (CalibrationFailure otherwise)."""
     if sigma is None:
-        return _calibrated_sign(_grid_cells(grid), tol)
+        _grid_cells(grid)
+        return _calibrated_sign(tol)
     if isinstance(sigma, bool) or not isinstance(sigma, numbers.Integral) or sigma not in (-1, 1):
         raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
     return int(sigma)

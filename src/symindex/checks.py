@@ -17,10 +17,10 @@ import numpy as np
 
 from .autonomous import (
     PUBLISHED_SIGN,
-    _calibrated_sign,
     _corner_invertible,
     _correction_formula,
     _correction_matrix,
+    _coupling_sign,
     calibrate_sign,
     make_system,
     reduced_form_matrix,
@@ -397,7 +397,7 @@ def check_main_identity(samples: int = 50, grid: int = 256,
     """Direct orbit scan equals graph scan plus the correction term on
     random semisimple transversal systems, with the triple-index routes
     agreeing as well."""
-    sigma = _calibrated_sign(grid, tol)
+    sigma = _coupling_sign(None, grid, tol)
 
     def sampler(attempt):
         n = 1 + attempt % 4

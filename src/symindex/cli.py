@@ -267,8 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default="-",
                            help="JSON payload file, or - for stdin")
         p.add_argument("--grid", type=int, default=256,
-                       help="smallest number of scan cells (built-in paths "
-                            "take more when their phase rate needs them)")
+                       help="scan cells of a path without a rate bound (at "
+                            "least 64); the paths scanned here are certified "
+                            "and take exactly the cells their bound needs")
         p.add_argument("--tol", type=float, default=None,
                        help="override the relative rank tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")

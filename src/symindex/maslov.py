@@ -364,9 +364,11 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame):
 
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
                    phases: bool = True, rated: bool = False):
-    """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) when
-    ``phases``, |Im tr(Z^-1 Z')| when ``rated``) at the times ts."""
+    """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) at every
+    time if ``phases``, else at the first and last, |Im tr(Z^-1 Z')| when
+    ``rated``) at the times ts, in one pass over the samples."""
     out = ([], [], [])
+    ends = (0, len(ts) - 1)
     for sl in _batches(path, len(ts)):
         frames, s = _frames(path, ts[sl], tol)
         z = chart @ frames
@@ -376,9 +378,10 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
         if flat.any():
             raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[sl][np.argmax(flat)])
         out[0].append(np.angle(sign))
-        if phases:  # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
-            w = np.linalg.solve(_tr(z.conj()), _tr(z))
-            out[1].append(np.angle(np.linalg.eigvals(w)) % _TWO_PI)
+        zw = z if phases else z[[i - sl.start for i in ends if sl.start <= i < sl.stop]]
+        # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
+        w = np.linalg.solve(_tr(zw.conj()), _tr(zw))
+        out[1].append(np.angle(np.linalg.eigvals(w)) % _TWO_PI)
         if rated:
             dframes, error = _evaluate(path, ts[sl], derivative=True)
             dz = np.linalg.solve(z[:len(dframes)], chart @ dframes)
@@ -393,27 +396,33 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     """(chart, times, lifted arg det Z, eigenphases at every time if
     ``phases``, else at the ends) on the scan grid.
 
-    With a rate bound B it has max(grid, ceil(2 B (b - a) / pi)) cells,
-    none moving arg det Z by more than pi/2, up to ``MAX_CELLS``.  Else it
-    has ``grid`` cells and a cell whose width times the larger sampled
-    rate at its ends exceeds pi/2 raises GridTooCoarse.
+    A path with a rate bound B needs ceil(2 B (b - a) / pi) cells, none
+    moving arg det Z by more than pi/2, and may take at most ``MAX_CELLS``.
+    An index scan (not ``phases``) takes exactly those cells, at least
+    one; ``find_crossings`` takes at least ``grid``, since its core is the
+    smallest dimension sampled and its bisection starts from the cells.
+    A path without a bound takes ``grid`` cells, and a cell whose width
+    times the larger sampled rate at its ends exceeds pi/2 raises
+    GridTooCoarse.  Every sample is checked for rank and Lagrangian.
     """
     grid = _grid_cells(grid)
     chart = _chart(path, ref)
     a, b = path.interval
     bound = path._rate_bound
-    need = 0 if bound is None else math.ceil(2.0 * bound * (b - a) / math.pi)
-    if need > MAX_CELLS:
-        raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
-                            % (need, MAX_CELLS))
-    ts = np.linspace(a, b, max(grid, need) + 1)
+    if bound is None:
+        cells = grid
+    else:
+        need = math.ceil(2.0 * bound * (b - a) / math.pi)
+        if need > MAX_CELLS:
+            raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
+                                % (need, MAX_CELLS))
+        cells = max(grid if phases else 1, need)
+    ts = np.linspace(a, b, cells + 1)
     args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
     fast = [] if rates is None else np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
     if np.any(fast):
         raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
                             "increase grid" % tuple(ts[np.argmax(fast):][:2]))
-    if not phases:
-        thetas = _phase_samples(path, chart, ts[[0, -1]], tol)[1]
     return chart, ts, np.unwrap(args), thetas
 
 
@@ -593,10 +602,13 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     """Index of the path relative to ``ref`` from the winding of the
     phase of det Z (module docstring); no crossing is located.
 
-    ``grid`` is the smallest cell count.  Built-in paths are certified
-    by their rate bound; ``path_from_frames`` paths are checked only at
-    their samples, so a full turn between two samples goes unseen.
-    Frames come in batches within ``_BATCH_BYTES``.
+    Built-in paths are certified by their rate bound and take exactly
+    the max(1, ceil(2 B (b - a) / pi)) cells it needs, whatever ``grid``;
+    their frames are checked for rank and Lagrangian at those samples
+    only.  ``path_from_frames`` paths take ``grid`` cells and are checked
+    only at their samples, so a full turn between two samples goes
+    unseen.  Each frame is evaluated once, in batches within
+    ``_BATCH_BYTES``.
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)

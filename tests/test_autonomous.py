@@ -245,6 +245,9 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
     assert len(scan_count) == 2 * 2 + 4
     assert maslov_via_formula(system) == HalfInt(3)
     assert len(scan_count) == 2 * 2 + 4 + 1
+    # the probes scan certified paths, so another grid reuses the sign
+    assert validate(system, grid=4096).agree
+    assert len(scan_count) == 2 * 2 + 4 + 1 + 2
 
 
 def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):

@@ -22,6 +22,7 @@ from symindex import (
     maslov_index_symplectic,
     orbit_path,
     plane_block_generator,
+    random_hamiltonian,
     spectral_conley_zehnder,
     spectral_maslov,
     standard_direct_sum,
@@ -433,6 +434,85 @@ def test_crossing_form_evaluates_each_frame_once():
     path, calls = _counted(orbit_path(2.0 * standard_J(1)))
     crossing_form(path, vertical_lagrangian(1), 0.0)
     assert calls == {"frame": 1, "dframe": 1}
+
+
+@pytest.mark.parametrize("speed,cells", [(5.0, 4), (300.0, 191), (0.0, 1)])
+def test_certified_index_takes_the_cells_its_bound_needs(speed, cells):
+    """maslov_index evaluates each of the max(1, ceil(2 B (b - a) / pi)) + 1
+    samples of a certified path once, and no derivative, whatever grid."""
+    path, calls = _counted(orbit_path(speed * standard_J(1)))
+    assert cells == max(1, int(np.ceil(2.0 * path._rate_bound / np.pi)))
+    for grid in (64, 256, 4096):
+        calls.clear()
+        assert maslov_index(path, vertical_lagrangian(1), grid) == rotation_orbit_index(speed)
+        assert calls == {"frame": cells + 1}
+
+
+def test_find_crossings_keeps_grid_as_a_floor(monkeypatch):
+    """find_crossings samples its 257 grid times before bisecting; the
+    index scan of the same path samples its 5 certified times in one
+    pass."""
+    sampled = []
+    samples = maslov._phase_samples
+
+    def recording(path, chart, ts, *args):
+        sampled.append(len(ts))
+        return samples(path, chart, ts, *args)
+
+    monkeypatch.setattr(maslov, "_phase_samples", recording)
+    path, ref = orbit_path(5.0 * standard_J(1)), vertical_lagrangian(1)
+    assert find_crossings(path, ref).index == HalfInt(3)
+    assert sampled[0] == 257 and len(sampled) > 1
+    sampled.clear()
+    assert maslov_index(path, ref) == HalfInt(3)
+    assert sampled == [5]
+
+
+@pytest.mark.parametrize("h", [
+    5.0 * standard_J(1),
+    300.0 * standard_J(1),
+    200.0 * np.pi * standard_J(1),
+    2.0 * random_hamiltonian(2, 1081, "mixed"),
+    3.0 * random_hamiltonian(3, 7, "generic"),
+], ids=["5J", "300J", "100-turn loop", "mixed n=2", "generic n=3"])
+def test_certified_routes_do_not_depend_on_grid(h):
+    values = {(maslov_index_symplectic(h, grid=grid), conley_zehnder(h, grid=grid))
+              for grid in (64, 256, 4096)}
+    assert len(values) == 1
+
+
+def _sweep_generators(count=48):
+    """Seeded generators: plane blocks, conjugated blocks and random J S,
+    n = 1..4, scaled by 0.3..12."""
+    rng = np.random.default_rng(2024)
+    for k in range(count):
+        n = 1 + k % 4
+        kind = ("block", "mixed", "generic")[k % 3]
+        if kind == "block":
+            h = plane_block_generator([("elliptic", rng.uniform(0.4, 3.0)) if rng.uniform() < 0.6
+                                       else ("hyperbolic", rng.uniform(0.3, 1.5))
+                                       for _ in range(n)])
+        else:
+            h = random_hamiltonian(n, 5000 + k, kind)
+        yield rng.uniform(0.3, 12.0) * h
+
+
+def test_certified_index_equals_a_fine_crossing_scan():
+    """On seeded generators both index routes equal the grid-1024
+    crossing scan wherever both return."""
+    compared = 0
+    for h in _sweep_generators():
+        for route, path, ref in [
+                (maslov_index_symplectic, orbit_path(h), vertical_lagrangian(len(h) // 2)),
+                (conley_zehnder, graph_path(h), diagonal_lagrangian(len(h) // 2))]:
+            try:
+                expected = find_crossings(path, ref, grid=1024).index
+                value = route(h)
+            except SymindexError:
+                continue
+            assert value == expected
+            compared += 1
+    assert compared >= 80
 
 
 def test_refinement_far_from_zero_stops_at_float_spacing():
