@@ -35,7 +35,7 @@ from .errors import (
     TransversalityViolated,
 )
 from .halfint import HalfInt
-from .kashiwara import kashiwara_index, kashiwara_reduced
+from .kashiwara import _admissible_reduction, kashiwara_index
 from .maslov import _grid_cells, conley_zehnder, maslov_index_symplectic
 from .numerics import (
     DEFAULT_TOL,
@@ -47,6 +47,7 @@ from .numerics import (
     sym_signature,
 )
 from .symplectic import (
+    CACHED_DIMS,
     SymplecticSpace,
     _generator,
     diagonal_lagrangian,
@@ -178,19 +179,30 @@ def reduced_form_matrix(x):
     ])
 
 
-def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
-    """The four routes for a time-one map whose correction matrix is x."""
-    n = psi1.shape[0] // 2
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
+def _triple_constants(n: int, tol: Tolerances):
+    """(product space, diagonal, L0 x L0, reduction by K = their
+    intersection, projected diagonal, projected L0 x L0): all of the
+    triple routes but the graph of psi(1), built once per (n, tol) and
+    shared read-only.  K lies inside both Lagrangians, so the reduction
+    is admissible for every graph."""
     space = SymplecticSpace.graph_product(n)
     vert = vertical_lagrangian(n, tol)
     diag = diagonal_lagrangian(n, tol)
     pair = product_lagrangian(vert, vert, tol)
-    graph = graph_lagrangian(psi1, tol)
-
-    tau_direct = kashiwara_index(space, diag, pair, graph, tol)
-
     k = subspace_intersection(diag.frame, pair.frame, tol)
-    tau_reduced = kashiwara_reduced(space, k, diag, pair, graph, tol)
+    red = _admissible_reduction(space, k, (diag, pair), tol)
+    return space, diag, pair, red, red.project(diag), red.project(pair)
+
+
+def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
+    """The four routes for a time-one map whose correction matrix is x:
+    tau directly and in the reduction by K (``kashiwara_reduced`` with
+    K = diagonal & L0 x L0), sign(-X/2) and its block-matrix form."""
+    space, diag, pair, red, red_diag, red_pair = _triple_constants(psi1.shape[0] // 2, tol)
+    graph = graph_lagrangian(psi1, tol)
+    tau_direct = kashiwara_index(space, diag, pair, graph, tol)
+    tau_reduced = kashiwara_index(red.space, red_diag, red_pair, red.project(graph), tol)
 
     # minus one half of the correction matrix carries the same signature
     half = -0.5 * x

@@ -88,6 +88,18 @@ def _contains(l: LagrangianFrame, k, tol: Tolerances) -> bool:
     return bool(np.linalg.norm(resid) <= 1e3 * tol.eps_rank * max(1.0, np.linalg.norm(k)))
 
 
+def _admissible_reduction(space: SymplecticSpace, k_frame, lagrangians,
+                         tol: Tolerances = DEFAULT_TOL) -> SymplecticReduction:
+    """The reduction of ``space`` by an isotropic K that lies inside at
+    least two of ``lagrangians``, else KNotAdmissible.  Any triple
+    holding two such Lagrangians keeps its index in the reduced space:
+    the one admissibility decision of the reduction route."""
+    k = _frame_of(space, k_frame, "K frame")
+    if sum(_contains(l, k, tol) for l in lagrangians) < 2:
+        raise KNotAdmissible("K must lie inside two of the three Lagrangians")
+    return SymplecticReduction(space, k, tol)
+
+
 def kashiwara_reduced(space: SymplecticSpace, k_frame, l1: LagrangianFrame,
                       l2: LagrangianFrame, l3: LagrangianFrame,
                       tol: Tolerances = DEFAULT_TOL) -> int:
@@ -98,11 +110,7 @@ def kashiwara_reduced(space: SymplecticSpace, k_frame, l1: LagrangianFrame,
     evaluates on the reduced frames.
     """
     space.check_same(l1, l2, l3)
-    k = _frame_of(space, k_frame, "K frame")
-    inside = sum(_contains(l, k, tol) for l in (l1, l2, l3))
-    if inside < 2:
-        raise KNotAdmissible("K must lie inside two of the three Lagrangians")
-    red = SymplecticReduction(space, k, tol)
+    red = _admissible_reduction(space, k_frame, (l1, l2, l3), tol)
     if red.space is None:
         return 0
     return kashiwara_index(red.space, red.project(l1), red.project(l2),

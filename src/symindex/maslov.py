@@ -355,11 +355,9 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame):
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``."""
     path.space.check_same(ref)
-    omega, d = path.space.form, path.space.dim
-    if not (np.allclose(omega.T @ omega, np.eye(d), atol=1e-12)
-            and np.allclose(omega @ omega, -np.eye(d), atol=1e-12)):
+    if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    return ref.frame.T @ (np.eye(d) - 1j * omega)
+    return ref.frame.T @ (np.eye(path.space.dim) - 1j * path.space.form)
 
 
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,

@@ -12,6 +12,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,32 +47,61 @@ def standard_J(n: int):
     return np.block([[zero, -eye], [eye, zero]])
 
 
+#: entries kept by each cache of per-dimension constants: the standard
+#: and graph-product spaces and the reference Lagrangians
+CACHED_DIMS = 32
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticSpace:
-    """A real symplectic vector space with form omega(u, v) = <form @ u, v>."""
+    """A real symplectic vector space with form omega(u, v) = <form @ u, v>.
+
+    The space keeps a read-only copy of the form it is given, so the
+    facts it caches about the form (``form_norm``,
+    ``is_complex_structure``) cannot go stale.
+    """
 
     form: np.ndarray
 
     def __post_init__(self):
-        form = as_even_square(self.form, "symplectic form")
+        form = np.array(as_even_square(self.form, "symplectic form"))
         if np.linalg.norm(form + form.T) > 1e-10 * (1.0 + np.linalg.norm(form)):
             raise InputError("symplectic form must be antisymmetric")
         s = singular_values(form)
         if s.size == 0 or s[-1] <= 1e-12 * s[0]:
             raise InputError("symplectic form must be invertible")
+        form.setflags(write=False)
         object.__setattr__(self, "form", form)
 
     @classmethod
+    @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
     def standard(cls, n: int) -> "SymplecticSpace":
+        """R^(2n) with the form ``standard_J(n)``; built once per n and
+        shared."""
         return cls(standard_J(n))
 
     @classmethod
+    @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
     def graph_product(cls, n: int) -> "SymplecticSpace":
         """R^(4n) with the form (-omega) x omega; graphs of symplectic
-        maps of R^(2n) are Lagrangian here."""
+        maps of R^(2n) are Lagrangian here.  Built once per n and shared."""
         J = standard_J(n)
         zero = np.zeros((2 * n, 2 * n))
         return cls(np.block([[-J, zero], [zero, J]]))
+
+    @functools.cached_property
+    def form_norm(self) -> float:
+        """Spectral norm of the form, the scale of isotropy defects."""
+        return spectral_norm(self.form)
+
+    @functools.cached_property
+    def is_complex_structure(self) -> bool:
+        """Whether the form is orthogonal with square -1, as the standard
+        and the graph-product forms are; the phase chart and the
+        crossing forms need it."""
+        omega, eye = self.form, np.eye(self.dim)
+        return bool(np.allclose(omega.T @ omega, eye, atol=1e-12)
+                    and np.allclose(omega @ omega, -eye, atol=1e-12))
 
     @property
     def dim(self) -> int:
@@ -91,7 +121,8 @@ class SymplecticSpace:
         return (self.form @ _frame_of(self, fa, "frame")).T @ _frame_of(self, fb, "frame")
 
     def is_standard(self) -> bool:
-        return bool(np.allclose(self.form, standard_J(self.half_dim), atol=1e-12))
+        return bool(np.allclose(self.form, SymplecticSpace.standard(self.half_dim).form,
+                                atol=1e-12))
 
     def check_same(self, *operands):
         """Raise DimensionMismatch unless every operand (a space, or a
@@ -104,7 +135,7 @@ class SymplecticSpace:
         """
         for op in operands:
             space = op if isinstance(op, SymplecticSpace) else op.space
-            if not np.array_equal(space.form, self.form):
+            if space is not self and not np.array_equal(space.form, self.form):
                 raise DimensionMismatch("operands live in different symplectic spaces")
 
 
@@ -119,7 +150,8 @@ def _frame_of(space: SymplecticSpace, f, name: str):
 
 @dataclass(frozen=True, eq=False)
 class LagrangianFrame:
-    """A Lagrangian subspace given by an orthonormal 2n x n frame."""
+    """A Lagrangian subspace given by an orthonormal 2n x n frame;
+    ``lagrangian_frame`` returns the frame read-only."""
 
     space: SymplecticSpace
     frame: np.ndarray
@@ -140,17 +172,24 @@ def lagrangian_frame(space: SymplecticSpace, frame, tol: Tolerances = DEFAULT_TO
     if q.shape[1] != space.half_dim:
         raise NotLagrangian("frame is rank deficient")
     defect = np.linalg.norm(space.pairing(q, q))
-    if defect > tol.eps_sym * (1.0 + spectral_norm(space.form)):
+    if defect > tol.eps_sym * (1.0 + space.form_norm):
         raise NotLagrangian("isotropy defect %.3e too large" % defect)
+    q.setflags(write=False)
     return LagrangianFrame(space, q)
 
 
+# The reference Lagrangians are built once per (n, tol) and shared; typed
+# keys keep vertical_lagrangian(2.0) and (True) apart from (2) and (1).
+
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def vertical_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace {0} x R^n of the standard space."""
     space = SymplecticSpace.standard(n)
     f = np.vstack([np.zeros((n, n)), np.eye(n)])
     return lagrangian_frame(space, f, tol)
 
+
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace R^n x {0} of the standard space."""
     space = SymplecticSpace.standard(n)
@@ -161,7 +200,7 @@ def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFr
 def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = None) -> bool:
     """Whether m^T Omega m = Omega within tolerance."""
     m = as_even_square(m, "matrix")
-    omega = space.form if space is not None else standard_J(m.shape[0] // 2)
+    omega = (SymplecticSpace.standard(m.shape[0] // 2) if space is None else space).form
     if omega.shape != m.shape:
         raise DimensionMismatch("matrix does not match the space")
     defect = np.linalg.norm(m.T @ omega @ m - omega)
@@ -171,7 +210,7 @@ def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = Non
 def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether h^T J + J h = 0 within tolerance (standard space)."""
     h = as_even_square(h, "matrix")
-    return _hamiltonian_for(h, standard_J(h.shape[0] // 2), tol)
+    return _hamiltonian_for(h, SymplecticSpace.standard(h.shape[0] // 2).form, tol)
 
 
 def _hamiltonian_for(h, form, tol: Tolerances) -> bool:
@@ -186,7 +225,7 @@ def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
     check of every route: even size, else OddDimension; the size of
     ``space``, else DimensionMismatch; Hamiltonian, else NotHamiltonian."""
     h = as_even_square(h, "generator")
-    form = standard_J(h.shape[0] // 2) if space is None else space.form
+    form = (SymplecticSpace.standard(h.shape[0] // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
     if not _hamiltonian_for(h, form, tol):
@@ -210,6 +249,7 @@ def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     return lagrangian_frame(space, np.vstack([np.eye(d), m]), tol)
 
 
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def diagonal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The diagonal {(v, v)} in the product space over R^(2n)."""
     space = SymplecticSpace.graph_product(n)
@@ -327,7 +367,7 @@ class SymplecticReduction:
         k = orthonormal_columns(_frame_of(space, k_frame, "K frame"), tol)
         if k.shape[1] > 0:
             defect = np.linalg.norm(space.pairing(k, k))
-            if defect > tol.eps_sym * (1.0 + spectral_norm(space.form)):
+            if defect > tol.eps_sym * (1.0 + space.form_norm):
                 raise NotIsotropic("K is not isotropic, defect %.3e" % defect)
         self.k = k
         sharp = symplectic_orthogonal(space, k, tol) if k.shape[1] else np.eye(space.dim)
@@ -347,6 +387,8 @@ class SymplecticReduction:
             self.space = SymplecticSpace(red_form)
         else:
             self.space = None
+        for a in (self.k, self.k_sharp, self.basis):
+            a.setflags(write=False)
 
     def project(self, L: LagrangianFrame) -> LagrangianFrame:
         """Image of L & K-sharp in the reduced space."""
@@ -498,7 +540,7 @@ def darboux_frame(space: SymplecticSpace, tol: Tolerances = DEFAULT_TOL):
         fs.append(v / c)
     t = np.column_stack(es + fs)
     defect = np.linalg.norm(t.T @ omega @ t - standard_J(m))
-    if defect > tol.eps_sym * (1.0 + spectral_norm(omega)) * space.dim:
+    if defect > tol.eps_sym * (1.0 + space.form_norm) * space.dim:
         raise InputError("Darboux frame defect %.3e" % defect)
     return t
 

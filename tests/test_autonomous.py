@@ -22,7 +22,7 @@ from symindex import (
     triple_routes_from,
     validate,
 )
-from symindex import autonomous, checks, maslov
+from symindex import autonomous, checks, kashiwara_reduced, maslov, symplectic
 from symindex.autonomous import split_blocks
 from symindex.errors import (
     CalibrationFailure,
@@ -34,7 +34,15 @@ from symindex.errors import (
 from symindex.halfint import ZERO
 from symindex.maslov import graph_path, orbit_path
 from symindex.numerics import Tolerances
-from symindex.symplectic import random_symplectic
+from symindex.symplectic import (
+    SymplecticSpace,
+    diagonal_lagrangian,
+    graph_lagrangian,
+    product_lagrangian,
+    random_symplectic,
+    subspace_intersection,
+    vertical_lagrangian,
+)
 
 
 def test_make_system_validation():
@@ -301,3 +309,33 @@ def test_sigma_must_be_plus_or_minus_one():
     report = validate(system, sigma=np.int64(-1))
     assert report.sigma == -1 and type(report.sigma) is int and report.agree
     assert maslov_via_formula(system, sigma=np.int64(-1)) == HalfInt(3)
+
+
+def _clear_constant_caches():
+    for cache in (SymplecticSpace.standard, SymplecticSpace.graph_product,
+                  symplectic.vertical_lagrangian, symplectic.horizontal_lagrangian,
+                  symplectic.diagonal_lagrangian, autonomous._triple_constants):
+        cache.cache_clear()
+
+
+def test_validate_reduces_as_kashiwara_reduced_from_scratch():
+    """The reduction by K = diagonal & L0 x L0 that validate builds once
+    per (n, tol) gives the tau of a from-scratch kashiwara_reduced, and
+    the reports do not change when every constant is rebuilt."""
+    compared = 0
+    for seed in range(24):
+        n = 1 + seed % 4
+        system = make_system(random_hamiltonian(n, 3100 + seed, ("generic", "mixed")[seed % 2]))
+        report = validate(system, sigma=-1)
+        if report.tau_reduced is None:
+            continue
+        space = SymplecticSpace.graph_product(n)
+        diag = diagonal_lagrangian(n)
+        pair = product_lagrangian(vertical_lagrangian(n), vertical_lagrangian(n))
+        k = subspace_intersection(diag.frame, pair.frame)
+        graph = graph_lagrangian(system.psi(1.0))
+        assert report.tau_reduced == kashiwara_reduced(space, k, diag, pair, graph)
+        _clear_constant_caches()
+        assert validate(system, sigma=-1) == report
+        compared += 1
+    assert compared >= 20

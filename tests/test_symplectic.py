@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symindex import (
+    DEFAULT_TOL,
     NotLagrangian,
     SymplecticSpace,
     darboux_frame,
@@ -55,6 +56,62 @@ def test_product_space_form():
     np.testing.assert_array_equal(space.form[:2, :2], -j)
     np.testing.assert_array_equal(space.form[2:, 2:], j)
     assert space.dim == 4
+
+
+def test_space_copies_its_form():
+    j = standard_J(1)
+    space = SymplecticSpace(j)
+    j[0, 1] = 7.0
+    assert space.form[0, 1] == -1.0
+    with pytest.raises(ValueError):
+        space.form[0, 1] = 7.0
+
+
+def test_standard_spaces_and_reference_frames_are_shared_and_read_only():
+    for make in (SymplecticSpace.standard, SymplecticSpace.graph_product,
+                 vertical_lagrangian, horizontal_lagrangian, diagonal_lagrangian):
+        shared = make(2)
+        assert make(2) is shared
+        data = shared.form if isinstance(shared, SymplecticSpace) else shared.frame
+        with pytest.raises(ValueError):
+            data[0, 0] = 1.0
+    assert vertical_lagrangian(2).space is SymplecticSpace.standard(2)
+    assert diagonal_lagrangian(2).space is SymplecticSpace.graph_product(2)
+
+
+def test_reference_caches_keep_argument_types_apart():
+    """SymplecticSpace.standard and vertical_lagrangian at 2.0 and True
+    raise as they do uncached, whether or not 2 and 1 are in the cache:
+    2.0 == 2 and True == 1 would collide as keys of an untyped cache."""
+    makers = (SymplecticSpace.standard, vertical_lagrangian,
+              lambda n: vertical_lagrangian(n, DEFAULT_TOL))
+
+    def outcomes():
+        got = []
+        for make in makers:
+            for n in (2.0, True):
+                try:
+                    got.append(make(n).dim if make is makers[0] else make(n).n)
+                except TypeError:
+                    got.append(TypeError)
+        return got
+
+    SymplecticSpace.standard.cache_clear()
+    vertical_lagrangian.cache_clear()
+    cold = outcomes()
+    assert cold == [TypeError] * 6
+    for make in makers:
+        make(2)
+        make(1)
+    assert outcomes() == cold
+
+
+def test_is_standard():
+    assert SymplecticSpace(standard_J(2)).is_standard()
+    assert SymplecticSpace.standard(3).is_standard()
+    assert not SymplecticSpace(2.0 * standard_J(1)).is_standard()
+    assert not SymplecticSpace(-standard_J(1)).is_standard()
+    assert not SymplecticSpace.graph_product(1).is_standard()
 
 
 def test_pairing_of_horizontal_and_vertical():
