@@ -36,7 +36,7 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .kashiwara import _admissible_reduction, kashiwara_index
-from .maslov import _grid_cells, conley_zehnder, maslov_index_symplectic
+from .maslov import conley_zehnder, maslov_index_symplectic
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -235,19 +235,20 @@ def triple_index_cross_check(system: HamiltonianSystem,
 _CALIBRATION_SPEEDS = (2.0, 5.0)
 
 
-def calibrate_sign(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> int:
+def calibrate_sign(*, tol: Tolerances = DEFAULT_TOL) -> int:
     """Coupling sign sigma fixed by rotation probes.
 
-    For each probe speed the orbit and graph indices are computed by
-    direct crossing scans and the correction sign from the time-one
-    map; sigma is the unique sign making the closed formula hold.  The
-    probes must agree, otherwise CalibrationFailure is raised.
+    For each probe speed the orbit and graph indices are the certified
+    phase scans of ``maslov_index_symplectic`` and ``conley_zehnder``,
+    and the correction sign comes from the time-one map; sigma is the
+    unique sign making the closed formula hold.  The probes must agree,
+    otherwise CalibrationFailure is raised.
     """
     sigmas = []
     for alpha in _CALIBRATION_SPEEDS:
         system = make_system(alpha * standard_J(1), tol)
-        orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
-        graph = conley_zehnder(system.h, grid=grid, tol=tol)
+        orbit = maslov_index_symplectic(system.h, tol=tol)
+        graph = conley_zehnder(system.h, tol=tol)
         sx = correction_sign(system, tol)
         gap = orbit - graph
         if abs(gap.twice) != 1 or sx not in (-1, 1):
@@ -262,19 +263,16 @@ def calibrate_sign(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _calibrated_sign(tol: Tolerances) -> int:
-    """``calibrate_sign(tol=tol)``, run once per process for each tol.
-    The probes scan certified paths, whose cells do not depend on
-    ``grid``, and depend on nothing else; a failure is not cached and is
+    """``calibrate_sign(tol=tol)``, run once per process for each tol,
+    the only input the probes depend on; a failure is not cached and is
     raised again on the next call."""
     return calibrate_sign(tol=tol)
 
 
-def _coupling_sign(sigma, grid, tol: Tolerances) -> int:
-    """The calibrated sign when ``sigma`` is None (``grid`` checked
-    first), else ``sigma`` checked to be the integer +1 or -1
-    (CalibrationFailure otherwise)."""
+def _coupling_sign(sigma, tol: Tolerances) -> int:
+    """The calibrated sign when ``sigma`` is None, else ``sigma`` checked
+    to be the integer +1 or -1 (CalibrationFailure otherwise)."""
     if sigma is None:
-        _grid_cells(grid)
         return _calibrated_sign(tol)
     if isinstance(sigma, bool) or not isinstance(sigma, numbers.Integral) or sigma not in (-1, 1):
         raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
@@ -283,15 +281,15 @@ def _coupling_sign(sigma, grid, tol: Tolerances) -> int:
 
 # -- the closed formula and the validation report -----------------------------
 
-def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None,
-                       grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
+def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None, *,
+                       tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Orbit index predicted by the closed formula.
 
     ``sigma`` defaults to the calibrated coupling sign; pass +1 or -1
     to force a convention.
     """
-    sigma = _coupling_sign(sigma, grid, tol)
-    graph = conley_zehnder(system.h, grid=grid, tol=tol)
+    sigma = _coupling_sign(sigma, tol)
+    graph = conley_zehnder(system.h, tol=tol)
     return graph + HalfInt(sigma * correction_sign(system, tol))
 
 
@@ -316,9 +314,10 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     When the time-one map violates the transversality hypothesis (for
     instance for loops), the formula side is left out and only the
     direct scans are reported; ``agree`` then records that no computed
-    routes disagreed.
+    routes disagreed.  ``grid`` is validated as in ``maslov_index`` and
+    does not change the certified scans.
     """
-    sigma = _coupling_sign(sigma, grid, tol)
+    sigma = _coupling_sign(sigma, tol)
     orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
     graph = conley_zehnder(system.h, grid=grid, tol=tol)
     psi1 = system.psi(1.0)

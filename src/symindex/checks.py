@@ -1,11 +1,11 @@
 """Property checks behind the acceptance suite.
 
 Each check draws a deterministic ensemble, exercises one contract of
-the library, and reports a one-line verdict.  Draws that fail a
-numerical genericity guard (near-singular blocks, borderline
-signatures, non-regular crossings, a grid too coarse for that draw)
-are resampled and counted; a check fails only on an actual identity
-violation.
+the library, and reports a one-line verdict.  A sampler discards a draw
+that fails a numerical genericity guard (near-singular blocks,
+borderline signatures, speeds near a multiple of pi), and the discarded
+draws are counted.  A check fails on an identity violation; an error
+raised by a draw propagates and fails it too.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .autonomous import (
     reduced_form_matrix,
     split_blocks,
     validate,
-)
-from .errors import (
-    GridTooCoarse,
-    NonRegularCrossing,
-    TransversalityViolated,
 )
 from .halfint import ZERO, HalfInt
 from .kashiwara import (
@@ -88,15 +83,11 @@ class CheckResult:
     details: str
 
 
-#: exceptions that mark a draw as numerically non-generic, not a failure
-_REJECTABLE = (NonRegularCrossing, GridTooCoarse, TransversalityViolated)
-
-
 def _collect(sampler, want):
     """Run ``sampler(attempt)`` until ``want`` draws are accepted.
 
-    The sampler returns None (or raises a rejectable error) to discard
-    a draw.  Returns (accepted draws, number rejected).
+    The sampler returns None to discard a draw; an error it raises is
+    not caught.  Returns (accepted draws, number rejected).
     """
     max_attempts = 60 * want + 100
     got, rejected, attempt = [], 0, 0
@@ -104,10 +95,7 @@ def _collect(sampler, want):
         if attempt >= max_attempts:
             raise RuntimeError("rejection sampling exhausted after %d attempts"
                                % attempt)
-        try:
-            item = sampler(attempt)
-        except _REJECTABLE:
-            item = None
+        item = sampler(attempt)
         attempt += 1
         if item is None:
             rejected += 1
@@ -148,14 +136,14 @@ def _safe_speed(rng, lo=0.35, hi=5.9, clearance=0.25, avoid=()):
 ROTATION_SPEEDS = (-7.0, -2.0, 0.5, 2.0, 2.0 * math.pi, 5.0, 3.0 * math.pi, 8.0)
 
 
-def check_rotation_closed_forms(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_rotation_closed_forms(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Orbit and graph indices of one rotation plane match the closed
     forms at every probe speed, exactly."""
     bad = []
     for alpha in ROTATION_SPEEDS:
         h = alpha * standard_J(1)
-        orbit = maslov_index_symplectic(h, grid=grid, tol=tol)
-        graph = conley_zehnder(h, grid=grid, tol=tol)
+        orbit = maslov_index_symplectic(h, tol=tol)
+        graph = conley_zehnder(h, tol=tol)
         if orbit != rotation_orbit_index(alpha) or graph != rotation_graph_index(alpha):
             bad.append("alpha=%g: orbit %s vs %s, graph %s vs %s"
                        % (alpha, orbit, rotation_orbit_index(alpha),
@@ -345,7 +333,7 @@ def check_reduced_form_signature(samples: int = 30, tol: Tolerances = DEFAULT_TO
 
 # -- 7: path independence of the quadruple index ----------------------------------
 
-def check_quadruple_path_independence(quadruples: int = 20, grid: int = 256,
+def check_quadruple_path_independence(quadruples: int = 20, *,
                                       tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """The difference of path indices against two references depends
     only on the endpoints, across five non-homotopic paths, and equals
@@ -368,8 +356,8 @@ def check_quadruple_path_independence(quadruples: int = 20, grid: int = 256,
         diffs = []
         for k in range(-2, 3):
             path = unitary_geodesic(l0p, l1p, k)
-            diffs.append(maslov_index(path, l1, grid, tol)
-                         - maslov_index(path, l0, grid, tol))
+            diffs.append(maslov_index(path, l1, tol=tol)
+                         - maslov_index(path, l0, tol=tol))
         return predicted, diffs
 
     got, rejected = _collect(sampler, quadruples)
@@ -381,10 +369,10 @@ def check_quadruple_path_independence(quadruples: int = 20, grid: int = 256,
 
 # -- 8: calibration ---------------------------------------------------------------
 
-def check_calibration(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_calibration(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """The empirically calibrated coupling sign is -1 under this
     package's conventions; the commonly quoted value is +1."""
-    sigma = calibrate_sign(grid, tol)
+    sigma = calibrate_sign(tol=tol)
     return CheckResult("coupling-sign calibration", sigma == -1,
                        "calibrated sigma = %+d; commonly quoted sign = %+d "
                        "(convention dependent)" % (sigma, PUBLISHED_SIGN))
@@ -392,12 +380,11 @@ def check_calibration(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> CheckRe
 
 # -- 9: the index formula ----------------------------------------------------------
 
-def check_main_identity(samples: int = 50, grid: int = 256,
-                        tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Direct orbit scan equals graph scan plus the correction term on
     random semisimple transversal systems, with the triple-index routes
     agreeing as well."""
-    sigma = _coupling_sign(None, grid, tol)
+    sigma = _coupling_sign(None, tol)
 
     def sampler(attempt):
         n = 1 + attempt % 4
@@ -409,7 +396,7 @@ def check_main_identity(samples: int = 50, grid: int = 256,
             return None
         if not _well_invertible(_correction_matrix(psi1, tol), 1e-4):
             return None
-        report = validate(system, sigma=sigma, grid=grid, tol=tol)
+        report = validate(system, sigma=sigma, tol=tol)
         if report.formula_index is None:
             return None
         return report
@@ -423,15 +410,15 @@ def check_main_identity(samples: int = 50, grid: int = 256,
 
 # -- 10: loops ----------------------------------------------------------------------
 
-def check_loop_identity(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_loop_identity(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Full-turn rotations: both routes give 2 per turn, additively."""
     one = 2.0 * math.pi * standard_J(1)
     two = standard_direct_sum([one, 2.0 * one])
     vals = (
-        conley_zehnder(one, grid=grid, tol=tol),
-        maslov_index_symplectic(one, grid=grid, tol=tol),
-        conley_zehnder(two, grid=grid, tol=tol),
-        maslov_index_symplectic(two, grid=grid, tol=tol),
+        conley_zehnder(one, tol=tol),
+        maslov_index_symplectic(one, tol=tol),
+        conley_zehnder(two, tol=tol),
+        maslov_index_symplectic(two, tol=tol),
     )
     want = (HalfInt.from_int(2), HalfInt.from_int(2),
             HalfInt.from_int(6), HalfInt.from_int(6))
@@ -442,7 +429,7 @@ def check_loop_identity(grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> Check
 
 # -- 11: spectral identities ----------------------------------------------------------
 
-def check_spectral_identities(samples: int = 30, grid: int = 256,
+def check_spectral_identities(samples: int = 30, *,
                               tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """For plane-aligned block systems both scans match the sums of the
     closed forms over the signed elliptic speeds."""
@@ -461,9 +448,9 @@ def check_spectral_identities(samples: int = 30, grid: int = 256,
             else:
                 kinds.append(("hyperbolic", rng.uniform(0.3, 1.2) * _pm(rng)))
         h = plane_block_generator(kinds)
-        return (maslov_index_symplectic(h, grid=grid, tol=tol),
+        return (maslov_index_symplectic(h, tol=tol),
                 spectral_maslov(h, tol),
-                conley_zehnder(h, grid=grid, tol=tol),
+                conley_zehnder(h, tol=tol),
                 spectral_conley_zehnder(h, tol))
 
     got, rejected = _collect(sampler, samples)
@@ -475,8 +462,7 @@ def check_spectral_identities(samples: int = 30, grid: int = 256,
 
 # -- 12: vanishing off the unit circle -------------------------------------------------
 
-def check_zero_property(samples: int = 16, grid: int = 256,
-                        tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_zero_property(samples: int = 16, *, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Generators with no purely imaginary spectrum have graph index
     zero (and orbit index zero in block form)."""
 
@@ -492,15 +478,15 @@ def check_zero_property(samples: int = 16, grid: int = 256,
                 s = random_symplectic(n, rng)
                 h = s @ h @ np.linalg.inv(s)
             else:
-                orbit_zero = maslov_index_symplectic(h, grid=grid, tol=tol) == ZERO
+                orbit_zero = maslov_index_symplectic(h, tol=tol) == ZERO
         else:
             h = loxodromic_generator(rng.uniform(0.3, 0.9), rng.uniform(0.5, 2.5))
             if kind == 3:
                 s = random_symplectic(2, rng)
                 h = s @ h @ np.linalg.inv(s)
             else:
-                orbit_zero = maslov_index_symplectic(h, grid=grid, tol=tol) == ZERO
-        graph_zero = conley_zehnder(h, grid=grid, tol=tol) == ZERO
+                orbit_zero = maslov_index_symplectic(h, tol=tol) == ZERO
+        graph_zero = conley_zehnder(h, tol=tol) == ZERO
         spectral_zero = spectral_conley_zehnder(h, tol) == ZERO
         return bool(orbit_zero and graph_zero and spectral_zero)
 
@@ -546,20 +532,20 @@ def check_krein_pairing(samples: int = 50, tol: Tolerances = DEFAULT_TOL) -> Che
                        "rotation anchors fixed" % (samples, rejected))
 
 
-def run_property_suite(grid: int = 256, tol: Tolerances = DEFAULT_TOL):
+def run_property_suite(*, tol: Tolerances = DEFAULT_TOL):
     """All checks, in the order they are reported."""
     return [
-        check_rotation_closed_forms(grid, tol),
+        check_rotation_closed_forms(tol=tol),
         check_triple_axioms(tol=tol),
         check_transversal_triple(tol=tol),
         check_correction_symmetry(tol=tol),
         check_reduction_equality(tol=tol),
         check_reduced_form_signature(tol=tol),
-        check_quadruple_path_independence(grid=grid, tol=tol),
-        check_calibration(grid, tol),
-        check_main_identity(grid=grid, tol=tol),
-        check_loop_identity(grid, tol),
-        check_spectral_identities(grid=grid, tol=tol),
-        check_zero_property(grid=grid, tol=tol),
+        check_quadruple_path_independence(tol=tol),
+        check_calibration(tol=tol),
+        check_main_identity(tol=tol),
+        check_loop_identity(tol=tol),
+        check_spectral_identities(tol=tol),
+        check_zero_property(tol=tol),
         check_krein_pairing(tol=tol),
     ]

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kashiwara import kashiwara_index
 from .krein import krein_positive_angles, krein_spectrum
+from .maslov import _grid_cells
 from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 from .symplectic import SymplecticSpace, lagrangian_frame
 
@@ -223,12 +224,13 @@ def _cmd_krein(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     tol = _tolerances(args)
-    sigma = calibrate_sign(args.grid, tol)
+    grid = _grid_cells(args.grid)
+    sigma = calibrate_sign(tol=tol)
     out = {
         "schema_version": SCHEMA_VERSION,
         "sigma": sigma,
         "published_sign": PUBLISHED_SIGN,
-        "grid": args.grid,
+        "grid": grid,
     }
     if args.format == "json":
         _emit_json(out)
@@ -240,7 +242,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_check(args) -> int:
     tol = _tolerances(args)
-    results = run_property_suite(grid=args.grid, tol=tol)
+    _grid_cells(args.grid)
+    results = run_property_suite(tol=tol)
     ok = all(r.passed for r in results)
     if args.format == "json":
         _emit_json({
@@ -267,9 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default="-",
                            help="JSON payload file, or - for stdin")
         p.add_argument("--grid", type=int, default=256,
-                       help="scan cells of a path without a rate bound (at "
-                            "least 64); the paths scanned here are certified "
-                            "and take exactly the cells their bound needs")
+                       help="scan cells of a path without a rate bound, "
+                            "from 64 to 2^20; index, calibrate and check "
+                            "reject a value out of range, and their certified "
+                            "paths take exactly the cells their bound needs")
         p.add_argument("--tol", type=float, default=None,
                        help="override the relative rank tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")

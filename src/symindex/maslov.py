@@ -84,7 +84,7 @@ class LagrangianPath:
 
     def __post_init__(self):
         a, b = self.interval
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        if not (a < b and math.isfinite(float(b) - float(a))):  # nan, inf and overflow fail
             raise InputError("interval must be finite with a < b")
 
     def frame(self, t: float):
@@ -535,12 +535,14 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
 
 
 def _grid_cells(grid) -> int:
-    """``grid`` as an int, checked: an integer (numpy integers too) of at
-    least ``MIN_GRID``, else InputError."""
+    """``grid`` as an int, checked: an integer (numpy integers too) from
+    ``MIN_GRID`` to ``MAX_CELLS``, else InputError."""
     if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
         raise InputError("grid must be an integer, got %r" % (grid,))
     if grid < MIN_GRID:
         raise InputError("grid must be at least %d" % MIN_GRID)
+    if grid > MAX_CELLS:
+        raise InputError("grid must be at most %d" % MAX_CELLS)
     return int(grid)
 
 
@@ -616,7 +618,9 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
                             ref: Optional[LagrangianFrame] = None,
                             interval=(0.0, 1.0), grid: int = 256,
                             tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of t -> exp(t h) . start against ref (both default vertical)."""
+    """Index of t -> exp(t h) . start against ref (both default vertical).
+    The path is certified: ``grid`` is validated and does not change
+    the scan."""
     path = orbit_path(h, start, interval, tol)
     if ref is None:
         ref = vertical_lagrangian(path.space.half_dim, tol)
@@ -625,7 +629,9 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
 
 def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of the graph path of exp(t h) against the diagonal."""
+    """Index of the graph path of exp(t h) against the diagonal.  The
+    path is certified: ``grid`` is validated and does not change the
+    scan."""
     path = graph_path(h, interval, tol)
     ref = diagonal_lagrangian(path.space.dim // 4, tol)
     return maslov_index(path, ref, grid, tol)

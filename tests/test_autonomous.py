@@ -299,6 +299,38 @@ def test_checks_evaluate_time_one_map_once_per_draw(monkeypatch, check, per_syst
     assert calls and max(calls.values()) <= per_system
 
 
+def test_routes_without_grid_reject_an_old_grid_argument():
+    """Calibration, the formula route and the checks take no grid; an
+    old grid, positional or by name, is a TypeError, never a tol."""
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    routes = [(calibrate_sign, ()), (maslov_via_formula, (system, None)),
+              (checks.run_property_suite, ()), (checks.check_rotation_closed_forms, ()),
+              (checks.check_calibration, ()), (checks.check_loop_identity, ()),
+              (checks.check_quadruple_path_independence, (1,)),
+              (checks.check_main_identity, (1,)), (checks.check_spectral_identities, (1,)),
+              (checks.check_zero_property, (1,))]
+    for route, args in routes:
+        with pytest.raises(TypeError):
+            route(*args, 256)
+        with pytest.raises(TypeError):
+            route(*args, grid=256)
+
+
+def test_collect_rejects_only_none_draws():
+    """A draw that raises fails its check at once instead of being
+    resampled; a None draw is counted as rejected."""
+    attempts = []
+
+    def raising(attempt):
+        attempts.append(attempt)
+        raise TransversalityViolated("upper-right block of the time-one map is singular")
+
+    with pytest.raises(TransversalityViolated):
+        checks._collect(raising, 1)
+    assert attempts == [0]
+    assert checks._collect(lambda attempt: attempt if attempt >= 2 else None, 1) == ([2], 2)
+
+
 def test_sigma_must_be_plus_or_minus_one():
     """Both formula entry points share one check of an explicit sigma."""
     system = make_system(plane_block_generator([("elliptic", 5.0)]))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from symindex import plane_block_generator, standard_J
 from symindex.cli import main
@@ -172,3 +173,22 @@ def test_check_suite(capsys):
     assert len(lines) == 13
     assert all(l.startswith("PASS") for l in lines)
     assert "all passed" in out
+
+
+@pytest.mark.parametrize("command", ["index", "calibrate", "check"])
+@pytest.mark.parametrize("grid,message", [("16", "grid must be at least 64"),
+                                          (str(2 ** 20 + 1), "grid must be at most 1048576")])
+def test_grid_out_of_range_exits_1(tmp_path, capsys, command, grid, message):
+    argv = [command, "--grid", grid]
+    if command == "index":
+        h = plane_block_generator([("elliptic", 2.0)])
+        argv += ["--input", _write(tmp_path, _payload(1, hamiltonian=h.tolist()))]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_krein_ignores_grid(tmp_path, capsys):
+    h = plane_block_generator([("elliptic", 2.0)])
+    path = _write(tmp_path, _payload(1, hamiltonian=h.tolist()))
+    assert main(["krein", "--grid", "16", "--input", path]) == 0
+    assert "krein (1, 0)" in capsys.readouterr().out

@@ -240,6 +240,34 @@ def test_grid_floor():
         maslov_index_symplectic(h, grid=16)
 
 
+def test_grid_above_the_cell_cap_is_rejected_before_sampling():
+    """A grid above MAX_CELLS is an InputError, not an allocation of
+    that many samples; the cap itself is accepted."""
+    h = 5.0 * standard_J(1)
+    frames = path_from_frames(SymplecticSpace.standard(1),
+                              lambda t: np.array([[np.cos(t)], [np.sin(t)]]))
+    scans = [lambda grid: find_crossings(orbit_path(h), vertical_lagrangian(1), grid=grid),
+             lambda grid: maslov_index(frames, vertical_lagrangian(1), grid=grid),
+             lambda grid: maslov_index_symplectic(h, grid=grid)]
+    for scan in scans:
+        for grid in (maslov.MAX_CELLS + 1, 2 ** 40):
+            with pytest.raises(InputError, match="grid must be at most %d" % maslov.MAX_CELLS):
+                scan(grid)
+    assert maslov_index_symplectic(h, grid=maslov.MAX_CELLS) == rotation_orbit_index(5.0)
+
+
+@pytest.mark.parametrize("h", [5.0 * standard_J(1), np.zeros((2, 2))], ids=["rotation", "zero"])
+def test_interval_length_must_be_finite(h):
+    """b - a overflowing to inf is an InputError, not an untyped error
+    from the cell count."""
+    huge = (-1e308, 1e308)
+    for route in (maslov_index_symplectic, conley_zehnder):
+        with pytest.raises(InputError, match="interval must be finite"):
+            route(h, interval=huge)
+    with pytest.raises(InputError, match="interval must be finite"):
+        path_from_frames(SymplecticSpace.standard(1), lambda t: np.eye(2)[:, :1], huge)
+
+
 def test_nilpotent_shear_indices():
     """Persistent eigenvalue 1: the orbit scan keeps a constant core and
     both routes give -1/2, and +1/2 for the opposite shear."""
