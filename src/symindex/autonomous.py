@@ -36,12 +36,13 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .kashiwara import _admissible_reduction, kashiwara_index
-from .maslov import conley_zehnder, maslov_index_symplectic
+from .maslov import _flow_indices, conley_zehnder, maslov_index_symplectic
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_even_square,
     as_square,
+    as_tolerances,
     singular_values,
     spectral_norm,
     sym_signature,
@@ -271,7 +272,10 @@ def _calibrated_sign(tol: Tolerances) -> int:
 
 def _coupling_sign(sigma, tol: Tolerances) -> int:
     """The calibrated sign when ``sigma`` is None, else ``sigma`` checked
-    to be the integer +1 or -1 (CalibrationFailure otherwise)."""
+    to be the integer +1 or -1 (CalibrationFailure otherwise).  ``tol``
+    is checked first, so the cache never hashes a tol that is not a
+    Tolerances."""
+    as_tolerances(tol)
     if sigma is None:
         return _calibrated_sign(tol)
     if isinstance(sigma, bool) or not isinstance(sigma, numbers.Integral) or sigma not in (-1, 1):
@@ -315,11 +319,12 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     instance for loops), the formula side is left out and only the
     direct scans are reported; ``agree`` then records that no computed
     routes disagreed.  ``grid`` is validated as in ``maslov_index`` and
-    does not change the certified scans.
+    does not change the certified scans.  Both scans read one record of
+    the generator (``maslov._flow_indices``), so it is checked,
+    diagonalized and decomposed once.
     """
     sigma = _coupling_sign(sigma, tol)
-    orbit = maslov_index_symplectic(system.h, grid=grid, tol=tol)
-    graph = conley_zehnder(system.h, grid=grid, tol=tol)
+    orbit, graph = _flow_indices(system.h, grid, tol)
     psi1 = system.psi(1.0)
     try:
         x = _correction_matrix(psi1, tol)

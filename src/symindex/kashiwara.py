@@ -20,6 +20,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_square,
+    as_tolerances,
     spectral_norm,
     sym_signature,
 )
@@ -62,6 +63,7 @@ def kashiwara_transversal(a, tol: Tolerances = DEFAULT_TOL) -> int:
 
     where the graph sits over the horizontal factor, {(x, A x)}.
     """
+    tol = as_tolerances(tol)
     a = as_square(a, "matrix")
     defect = np.linalg.norm(a - a.T)
     if defect > tol.eps_sym * (1.0 + spectral_norm(a)):

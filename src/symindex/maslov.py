@@ -40,6 +40,7 @@ from .numerics import (
     Inertia,
     Tolerances,
     as_matrix,
+    as_tolerances,
     band_counts,
 )
 from .symplectic import (
@@ -73,7 +74,9 @@ class LagrangianPath:
     should be smooth slightly beyond the interval ends.  The built-in
     factories set ``_rate_bound``, a bound on |d arg det Z / dt| in any
     reference chart; ``dataclasses.replace`` keeps it, so a new
-    ``frame_fn`` must trace the same path.
+    ``frame_fn`` must trace the same path.  Their frame functions also
+    bound the condition number of the frames (``_Stacked``); a new
+    ``frame_fn`` may return other frames of the path and drops it.
     """
 
     space: SymplecticSpace
@@ -108,31 +111,33 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
 
 
 def _flow(m, real_output: bool = True):
-    """Stacked flow: an array of times ts -> the stack of exp(t m).
+    """(stacked flow, spectrum) of m: the flow maps an array of times ts
+    to the stack of exp(t m).
 
-    With a well conditioned eigenvector basis the stack comes from one
-    diagonalization, (vecs * exp(t vals)) @ vinv at each t, else from
-    expm matrix by matrix.  Each matrix of a stack equals the flow
-    evaluated at its time alone, bit for bit.
+    With a well conditioned eigenvector basis V the stack comes from one
+    diagonalization, (V * exp(t vals)) @ inv(V) at each t, and the
+    spectrum is (kappa, re): the condition number of V and the real
+    parts of the eigenvalues, from which the factories bound the
+    condition number of their frames.  Else the stack comes from expm
+    matrix by matrix and the spectrum is None.  Each matrix of a stack
+    equals the flow evaluated at its time alone, bit for bit.
     """
     m = np.asarray(m)
     d = m.shape[0]
-    phi = None
     try:
         vals, vecs = np.linalg.eig(m)
-        if np.linalg.cond(vecs) < 1e7:
+        kappa = np.linalg.cond(vecs)
+        if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
 
             def phi(ts):
                 out = (vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv
                 return out.real if real_output else out
 
-            if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) > 1e-10:
-                phi = None
+            if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) <= 1e-10:
+                return phi, (float(kappa), vals.real)
     except np.linalg.LinAlgError:
-        phi = None
-    if phi is not None:
-        return phi
+        pass
 
     def phi_expm(ts):
         out = scipy.linalg.expm(ts[:, None, None] * m)
@@ -140,20 +145,57 @@ def _flow(m, real_output: bool = True):
             out = out.real
         return out
 
-    return phi_expm
+    return phi_expm, None
+
+
+def _orbit_growth(spectrum):
+    """(c, r) with log cond F(t) <= c + r |t| for F(t) = exp(t m) F0, F0
+    orthonormal, from the spectrum of m (``_flow``): the singular values
+    of V exp(t Lambda) V^-1 F0 lie within kappa exp(t max Re lambda) and
+    exp(t min Re lambda) / kappa.  None without a spectrum."""
+    if spectrum is None:
+        return None
+    kappa, re = spectrum
+    return 2.0 * math.log(kappa), float(re.max() - re.min())
 
 
 class _Stacked:
     """Frame function of a built-in path: ``stack(ts)`` evaluates a whole
     array of times, a call the batch of one.  Scan batches must also fit
-    the complex flow matrix of ``sample_bytes`` behind each sample."""
+    the complex flow matrix of ``sample_bytes`` behind each sample.
 
-    def __init__(self, stack, flow_dim: int):
+    ``growth`` is None or (c, r) with log cond F(t) <= c + r |t| for
+    every frame F(t) the function returns; ``_frames`` skips the SVD
+    rank rule where it holds.  It belongs to the function, not to the
+    path, so a path given another frame function by
+    ``dataclasses.replace`` carries no bound."""
+
+    def __init__(self, stack, flow_dim: int, growth=None):
         self.stack = stack
         self.sample_bytes = 16 * flow_dim * flow_dim
+        self.growth = growth
 
     def __call__(self, t):
         return self.stack(np.array([t], dtype=float))[0]
+
+
+@dataclass(frozen=True, eq=False)
+class _FlowRecord:
+    """A generator checked once, with what the built-in paths of its
+    flow read: the stacked flow and spectrum of ``_flow`` and the
+    singular values of h, descending."""
+
+    h: np.ndarray
+    phi: Callable
+    spectrum: Optional[Tuple[float, np.ndarray]]
+    svals: np.ndarray
+
+
+def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
+    """The record of ``h`` checked by ``_generator`` against ``space``."""
+    h = _generator(h, space, tol)
+    phi, spectrum = _flow(h)
+    return _FlowRecord(h, phi, spectrum, np.linalg.svd(h, compute_uv=False))
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -165,12 +207,18 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     the standard space.  Rate bound: moved by its horizontal lift
     (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
     tr A, at most the sum of the n largest singular values of h (Ky Fan)."""
-    h = _generator(h, None if start is None else start.space, tol)
-    if start is None:
-        start = vertical_lagrangian(h.shape[0] // 2, tol)
-    f0 = start.frame
-    phi = _flow(h)
+    record = _flow_record(h, None if start is None else start.space, tol)
+    return _orbit_path(record, start, interval, tol)
+
+
+def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
+                tol: Tolerances) -> LagrangianPath:
+    """``orbit_path`` of a checked generator."""
+    h, phi = record.h, record.phi
     d = h.shape[0]
+    if start is None:
+        start = vertical_lagrangian(d // 2, tol)
+    f0 = start.frame
 
     def frs(ts):
         return phi(ts) @ f0
@@ -178,9 +226,9 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     def dfrs(ts):
         return h @ phi(ts) @ f0
 
-    return LagrangianPath(start.space, _Stacked(frs, d), _Stacked(dfrs, d),
-                          tuple(map(float, interval)),
-                          float(np.linalg.svd(h, compute_uv=False)[:d // 2].sum()))
+    return LagrangianPath(start.space, _Stacked(frs, d, _orbit_growth(record.spectrum)),
+                          _Stacked(dfrs, d), tuple(map(float, interval)),
+                          float(record.svals[:d // 2].sum()))
 
 
 def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
@@ -189,10 +237,21 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     ``h`` must be Hamiltonian within ``tol`` for the standard form,
     else NotHamiltonian.  As the orbit of the diagonal under diag(0, h)
     its rate bound is the sum of all singular values of h."""
-    h = _generator(h, None, tol)
+    return _graph_path(_flow_record(h, None, tol), interval)
+
+
+def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
+    """``graph_path`` of a checked generator.  The frame [I; Phi] has
+    F^T F = I + Phi^T Phi, so its singular values lie in [1, 1 + |Phi|]
+    and cond F(t) <= 1 + kappa exp(|t| max |Re lambda|) <= 2 kappa
+    exp(|t| max |Re lambda|)."""
+    h, phi = record.h, record.phi
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
-    phi = _flow(h)
+    growth = None
+    if record.spectrum is not None:
+        kappa, re = record.spectrum
+        growth = (math.log(2.0 * kappa), float(np.abs(re).max()))
 
     def graphs(top, bottom):
         out = np.empty((len(bottom), 2 * d, d))
@@ -206,9 +265,8 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     def dfrs(ts):
         return graphs(0.0, h @ phi(ts))
 
-    return LagrangianPath(space, _Stacked(frs, d), _Stacked(dfrs, d),
-                          tuple(map(float, interval)),
-                          float(np.linalg.svd(h, compute_uv=False).sum()))
+    return LagrangianPath(space, _Stacked(frs, d, growth), _Stacked(dfrs, d),
+                          tuple(map(float, interval)), float(record.svals.sum()))
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -219,7 +277,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     unitary U = X + iY; the path follows U0 exp(t(A + i pi k)) with
     A = log(U0* U1).  Different integers k give mutually non-homotopic
     paths with the same endpoints.  arg det Z turns at exactly
-    |Im tr(A + i pi k)|.
+    |Im tr(A + i pi k)|.  The frame [Re U; Im U] keeps its singular
+    values within those of U, so it takes the bound of an orbit frame.
     """
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
@@ -232,7 +291,7 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     a = scipy.linalg.logm(u0.conj().T @ u1)
     a = 0.5 * (a - a.conj().T)
     gen = a + 1j * np.pi * int(k) * np.eye(n)
-    phi = _flow(gen, real_output=False)
+    phi, spectrum = _flow(gen, real_output=False)
     u0_gen = u0 @ gen
 
     def frames(u):
@@ -244,8 +303,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     def dfrs(ts):
         return frames(u0_gen @ phi(ts))
 
-    return LagrangianPath(start.space, _Stacked(frs, n), _Stacked(dfrs, n), (0.0, 1.0),
-                          abs(float(np.trace(gen).imag)))
+    return LagrangianPath(start.space, _Stacked(frs, n, _orbit_growth(spectrum)),
+                          _Stacked(dfrs, n), (0.0, 1.0), abs(float(np.trace(gen).imag)))
 
 
 # -- the phase scan ------------------------------------------------------------
@@ -336,24 +395,46 @@ def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
 
 
 def _frames(path: LagrangianPath, ts, tol: Tolerances):
-    """(frames, singular values) of the path at the times ts: one stacked
-    SVD checks the relative rank rule of ``orthonormal_columns``, and
-    NotLagrangian names the first time whose frame lost rank."""
+    """(frames, sum log s over the singular values s of each frame) of
+    the path at the times ts; NotLagrangian names the first time whose
+    frame lost rank under the relative rank rule of
+    ``orthonormal_columns``.
+
+    A frame function whose ``growth`` bounds cond F(t) at every ts by B
+    with B^2 <= 1e-3 / eps_rank passes the rank rule at every sample,
+    six orders inside the cut at the default tol, and its sums come from
+    one batched Cholesky factor R of F^T F as sum log diag R.  Any other
+    frame function, or a Cholesky factor that fails, takes one stacked
+    SVD, which also applies the rank rule.
+    """
     frames, error = _evaluate(path, ts)
+    growth = path.frame_fn.growth if isinstance(path.frame_fn, _Stacked) else None
+    log_bound = math.inf if growth is None else growth[0] + growth[1] * float(np.abs(ts).max())
+    if 2.0 * log_bound <= math.log(1e-3 / tol.eps_rank):
+        try:
+            r = np.linalg.cholesky(_tr(frames) @ frames)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if error is not None:
+                raise error
+            return frames, np.log(np.diagonal(r, axis1=1, axis2=2)).sum(axis=1)
     s = np.linalg.svd(frames, compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
         raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
     if error is not None:
         raise error
-    return frames, s
+    return frames, np.log(s).sum(axis=1)
 
 
-def _chart(path: LagrangianPath, ref: LagrangianFrame):
+def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
     """C = Q^T (I - i Omega) for the reference frame Q, so Z(t) = C F(t);
     the first check of every scan and crossing form.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
-    and maps the horizontal onto ``ref``."""
+    and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
+    else InputError."""
+    as_tolerances(tol)
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
@@ -368,11 +449,11 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     out = ([], [], [])
     ends = (0, len(ts) - 1)
     for sl in _batches(path, len(ts)):
-        frames, s = _frames(path, ts[sl], tol)
+        frames, log_s = _frames(path, ts[sl], tol)
         z = chart @ frames
         sign, logdet = np.linalg.slogdet(z)
         # log |det Z| = sum log s exactly when the frame is Lagrangian
-        flat = logdet - np.log(s).sum(axis=1) <= math.log(tol.eps_rank)
+        flat = logdet - log_s <= math.log(tol.eps_rank)
         if flat.any():
             raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[sl][np.argmax(flat)])
         out[0].append(np.angle(sign))
@@ -404,7 +485,7 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     GridTooCoarse.  Every sample is checked for rank and Lagrangian.
     """
     grid = _grid_cells(grid)
-    chart = _chart(path, ref)
+    chart = _chart(path, ref, tol)
     a, b = path.interval
     bound = path._rate_bound
     if bound is None:
@@ -500,7 +581,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
     one of ~sqrt(machine eps)) and is not stable.  A failing derivative
     is raised after the forms of the times before it.
     """
-    _chart(path, ref)
+    _chart(path, ref, tol)
     omega = path.space.form
     for sl in _batches(path, len(ts)):
         frames = _frames(path, ts[sl], tol)[0]
@@ -635,6 +716,18 @@ def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
     path = graph_path(h, interval, tol)
     ref = diagonal_lagrangian(path.space.dim // 4, tol)
     return maslov_index(path, ref, grid, tol)
+
+
+def _flow_indices(h, grid: int, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
+    """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``) on [0, 1]
+    from one ``_flow_record`` of h, the two scans of ``validate``."""
+    record = _flow_record(h, None, tol)
+    n = record.h.shape[0] // 2
+    orbit = maslov_index(_orbit_path(record, None, (0.0, 1.0), tol),
+                         vertical_lagrangian(n, tol), grid, tol)
+    graph = maslov_index(_graph_path(record, (0.0, 1.0)), diagonal_lagrangian(n, tol),
+                         grid, tol)
+    return orbit, graph
 
 
 # -- closed forms for rotation blocks and spectral routes ---------------------

@@ -39,6 +39,14 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def as_tolerances(tol) -> Tolerances:
+    """``tol`` itself if it is a ``Tolerances``, else InputError: the one
+    check of every ``tol`` argument."""
+    if not isinstance(tol, Tolerances):
+        raise InputError("tol must be a Tolerances, got %r" % (tol,))
+    return tol
+
+
 @dataclass(frozen=True)
 class Inertia:
     """Counts of positive, negative and numerically-zero eigenvalues."""
@@ -113,6 +121,7 @@ def spectral_norm(m) -> float:
 def _signature(s, tol: Tolerances, scale, margin: float, hermitian: bool):
     """(inertia, stable) of the symmetric or Hermitian part of ``s``; see
     ``sym_signature`` and ``stable_signature``.  Real input stays real."""
+    tol = as_tolerances(tol)
     if hermitian:
         s = as_square(s, "hermitian matrix", dtype=complex)
         adj = s.conj().T

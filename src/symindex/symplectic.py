@@ -31,6 +31,7 @@ from .numerics import (
     as_even_square,
     as_matrix,
     as_square,
+    as_tolerances,
     kernel_basis,
     orthonormal_columns,
     singular_values,
@@ -163,6 +164,7 @@ class LagrangianFrame:
 
 def lagrangian_frame(space: SymplecticSpace, frame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """Validate and orthonormalize a Lagrangian frame."""
+    tol = as_tolerances(tol)
     f = as_matrix(frame, "lagrangian frame")
     if f.shape != (space.dim, space.half_dim):
         raise NotLagrangian(
@@ -199,6 +201,7 @@ def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFr
 
 def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = None) -> bool:
     """Whether m^T Omega m = Omega within tolerance."""
+    tol = as_tolerances(tol)
     m = as_even_square(m, "matrix")
     omega = (SymplecticSpace.standard(m.shape[0] // 2) if space is None else space).form
     if omega.shape != m.shape:
@@ -222,8 +225,10 @@ def _hamiltonian_for(h, form, tol: Tolerances) -> bool:
 def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
     """``h`` checked as a Hamiltonian generator of ``space`` (default:
     the standard space of its size) within ``tol``, the one generator
-    check of every route: even size, else OddDimension; the size of
-    ``space``, else DimensionMismatch; Hamiltonian, else NotHamiltonian."""
+    check of every route: ``tol`` a Tolerances, else InputError; even
+    size, else OddDimension; the size of ``space``, else
+    DimensionMismatch; Hamiltonian, else NotHamiltonian."""
+    tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
     form = (SymplecticSpace.standard(h.shape[0] // 2) if space is None else space).form
     if form.shape != h.shape:

@@ -11,18 +11,28 @@ import symindex
 from symindex import (
     SymplecticSpace,
     conley_zehnder,
+    correction_sign,
+    find_crossings,
+    graph_path,
+    horizontal_lagrangian,
     is_hamiltonian,
+    is_symplectic,
+    kashiwara_index,
+    kashiwara_transversal,
     krein_spectrum,
     lagrangian_frame,
     make_system,
     maslov_index_symplectic,
+    maslov_via_formula,
     standard_J,
     subspace_intersection,
     symplectic_orthogonal,
+    validate,
+    vertical_lagrangian,
 )
 from symindex import errors
 from symindex.errors import InputError
-from symindex.symplectic import max_principal_angle
+from symindex.symplectic import diagonal_lagrangian, max_principal_angle
 
 
 def test_exported_names_resolve_once():
@@ -126,3 +136,34 @@ MALFORMED_ROUTES = {
 def test_ragged_or_non_numeric_input_is_an_input_error(route, data):
     with pytest.raises(InputError, match="rectangular array of numbers"):
         route(data)
+
+
+# -- one contract for tol: a Tolerances ----------------------------------------
+
+TOL_ROUTES = {
+    "validate": lambda tol: validate(make_system(ROTATION), tol=tol),
+    "validate sigma=-1": lambda tol: validate(make_system(ROTATION), sigma=-1, tol=tol),
+    "conley_zehnder": lambda tol: conley_zehnder(ROTATION, tol=tol),
+    "maslov_index_symplectic": lambda tol: maslov_index_symplectic(ROTATION, tol=tol),
+    "make_system": lambda tol: make_system(ROTATION, tol),
+    "kashiwara_index": lambda tol: kashiwara_index(
+        SymplecticSpace.standard(1), vertical_lagrangian(1), horizontal_lagrangian(1),
+        vertical_lagrangian(1), tol),
+    "find_crossings": lambda tol: find_crossings(graph_path(ROTATION), diagonal_lagrangian(1),
+                                                 tol=tol),
+    "kashiwara_transversal": lambda tol: kashiwara_transversal(np.eye(2), tol),
+    "lagrangian_frame": lambda tol: lagrangian_frame(SymplecticSpace.standard(1),
+                                                     [[1.0], [0.0]], tol),
+    "is_symplectic": lambda tol: is_symplectic(np.eye(2), tol),
+    "correction_sign": lambda tol: correction_sign(make_system(ROTATION), tol),
+    "maslov_via_formula": lambda tol: maslov_via_formula(make_system(ROTATION), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-3, [1], None], ids=["float", "list", "None"])
+@pytest.mark.parametrize("route", TOL_ROUTES.values(), ids=TOL_ROUTES.keys())
+def test_tol_that_is_not_tolerances_is_an_input_error(route, tol):
+    """A float, or an unhashable list that the calibrated sign's cache
+    could not take, raises InputError, not AttributeError or TypeError."""
+    with pytest.raises(InputError, match="tol must be a Tolerances"):
+        route(tol)

@@ -1,5 +1,8 @@
 """Correction matrix, sign calibration, and the closed index formula."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,35 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
     # the probes scan certified paths, so another grid reuses the sign
     assert validate(system, grid=4096).agree
     assert len(scan_count) == 2 * 2 + 4 + 1 + 2
+
+
+def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
+    """At n=8 one validate runs one eig and one SVD of h and one
+    Hamiltonian check of it, and the frames of its two certified scans
+    take no SVD in _frames."""
+    system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
+    h = system.h
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a) == h.shape and np.array_equal(a, h):
+                calls[name + "(h)"] += 1
+            if sys._getframe(1).f_code.co_name == "_frames":
+                calls[name + " in _frames"] += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(np.linalg, "eig")
+    count(np.linalg, "svd")
+    count(symplectic, "_hamiltonian_for")
+    assert validate(system, sigma=-1).agree
+    assert calls == {"eig(h)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
+    with pytest.raises(NotHamiltonian):
+        validate(HamiltonianSystem(np.random.default_rng(0).standard_normal((4, 4))), sigma=1)
 
 
 def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):

@@ -628,6 +628,11 @@ def _scan_or_error(path, ref, grid):
         return type(exc), str(exc)
 
 
+CONJUGATED_ELLIPTIC = 3.0 * random_hamiltonian(3, 6, "semisimple-elliptic")
+CONJUGATED_MIXED = 4.0 * random_hamiltonian(2, 5, "mixed")
+HYPERBOLIC_PAIR = plane_block_generator([("hyperbolic", 20.0), ("hyperbolic", -20.0)])
+
+
 def _parity_cases():
     mixed = plane_block_generator([("elliptic", 2.0), ("hyperbolic", 0.7), ("elliptic", 5.0)])
     overflow = np.diag([800.0, -800.0])
@@ -640,21 +645,93 @@ def _parity_cases():
     # a frame of the wrong shape for the space
     misfit = dataclasses.replace(orbit_path(standard_J(1)), space=SymplecticSpace.standard(2))
     cases.append((misfit, vertical_lagrangian(2), 256))
+    # conjugated generators, whose frames carry a condition bound (both
+    # paths of the first, the graph path of the second), and a constant
+    # orbit whose raw frame loses rank
+    for h in (CONJUGATED_ELLIPTIC, CONJUGATED_MIXED, HYPERBOLIC_PAIR):
+        n = h.shape[0] // 2
+        cases.append((orbit_path(h), vertical_lagrangian(n), 256))
+        cases.append((graph_path(h), diagonal_lagrangian(n), 256))
     return cases
 
 
+def _index_or_error(path, ref, grid):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases
+            return maslov_index(path, ref, grid)
+    except SymindexError as exc:
+        return type(exc), str(exc)
+
+
 def test_stacked_scan_equals_per_time_loop():
-    """find_crossings on a built-in path gives the crossings, or the
-    error, that one frame call per sample gives."""
-    outcomes = []
+    """find_crossings and maslov_index on a built-in path give the
+    crossings, the index, or the error, that one frame call per sample
+    gives; the looped frame function carries no condition bound, so a
+    certified path also matches the SVD rank rule."""
+    outcomes, indices = [], []
     for path, ref, grid in _parity_cases():
         stacked = _scan_or_error(path, ref, grid)
         assert stacked == _scan_or_error(_looped(path), ref, grid)
         outcomes.append(stacked)
+        index = _index_or_error(path, ref, grid)
+        assert index == _index_or_error(_looped(path), ref, grid)
+        indices.append(index)
     assert outcomes[8] == (InputError, "path frame contains non-finite entries")
     assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0264966")
     assert outcomes[10] == (DimensionMismatch, "path frame has shape (2, 1)")
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[:8])
+    assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[11:15])
+    assert [scan.index for scan in outcomes[11:15]] == indices[11:15]
+    assert outcomes[15] == (NotLagrangian, "path frame lost rank at t=0.519531")
+    assert indices[15] == (NotLagrangian, "path frame lost rank at t=0.538462")
+    assert outcomes[16].index == indices[16] == ZERO
+
+
+def _svd_counter(monkeypatch):
+    """A list that records the shape of every numpy SVD from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("path", [
+    orbit_path(CONJUGATED_ELLIPTIC),
+    graph_path(CONJUGATED_ELLIPTIC),
+    graph_path(CONJUGATED_MIXED),
+    unitary_geodesic(horizontal_lagrangian(2), random_lagrangian(2, 3), 2),
+], ids=["orbit", "graph", "graph mixed", "geodesic"])
+def test_certified_frames_take_the_cholesky_volumes(path, monkeypatch):
+    """On a path whose frames carry a condition bound inside the rank
+    cut, sum log s comes from a Cholesky factor with no SVD, and equals
+    the SVD's of the same frames within 1e-9."""
+    ts = np.linspace(*path.interval, 129)
+    svds = _svd_counter(monkeypatch)
+    frames, log_s = maslov._frames(path, ts, DEFAULT_TOL)
+    assert svds == []
+    looped_frames, looped_log_s = maslov._frames(_looped(path), ts, DEFAULT_TOL)
+    assert svds == [frames.shape]
+    assert np.array_equal(frames, looped_frames)
+    assert np.max(np.abs(log_s - looped_log_s)) < 1e-9
+
+
+def test_replaced_frame_function_drops_the_condition_bound(monkeypatch):
+    """The bound belongs to the frame function: dataclasses.replace with
+    another frame_fn keeps the rate bound but not the condition bound,
+    so the new frames go through the SVD rank rule."""
+    path = orbit_path(CONJUGATED_ELLIPTIC)
+    assert path.frame_fn.growth is not None
+    replaced = dataclasses.replace(path, frame_fn=lambda t: path.frame_fn(t))
+    assert replaced._rate_bound == path._rate_bound
+    assert not hasattr(replaced.frame_fn, "growth")
+    svds = _svd_counter(monkeypatch)
+    maslov._frames(replaced, np.linspace(0.0, 1.0, 9), DEFAULT_TOL)
+    assert svds == [(9, 6, 3)]
 
 
 @pytest.mark.parametrize("route", [
