@@ -5,7 +5,7 @@ Krein signatures and spectral normal forms
 On the imaginary axis the eigenvalues of a Hamiltonian matrix carry a
 signature: the inertia of the indefinite Hermitian form -iJ restricted
 to the eigenspace.  It decides whether two colliding eigenvalues can
-leave the axis, and it feeds the spectral route to the path indices.
+leave the axis, and it feeds the spectral route to the graph index.
 """
 
 import numpy as np
@@ -16,10 +16,8 @@ from symindex import (
     krein_positive_angles,
     krein_signature,
     krein_spectrum,
-    maslov_index_symplectic,
     plane_block_generator,
     spectral_conley_zehnder,
-    spectral_maslov,
     standard_direct_sum,
 )
 from symindex.symplectic import loxodromic_generator, random_symplectic
@@ -49,9 +47,8 @@ print("classification of the conjugated mixed system:")
 for b in classify_normal_form(hidden):
     print("  %-11s parameters %s  multiplicity %d" % (b.kind, b.parameters, b.multiplicity))
 
-# the signed rotation speeds are exactly what the closed index formulas
-# consume; scans and spectral sums must agree
+# the signed rotation speeds are exactly what the closed graph-index
+# formula consumes; the scan and the spectral sum must agree
 print()
 print("signed rotation speeds:", krein_positive_angles(hidden))
-print("orbit index: scan", maslov_index_symplectic(base), " spectral", spectral_maslov(base))
 print("graph index: scan", conley_zehnder(base), " spectral", spectral_conley_zehnder(base))

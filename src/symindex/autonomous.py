@@ -105,6 +105,7 @@ def _corner_invertible(b, tol: Tolerances) -> bool:
 
 def transversality_H(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether psi(1) L0 is transversal to the vertical L0, i.e. B invertible."""
+    tol = as_tolerances(tol)
     return _corner_invertible(split_blocks(system.psi(1.0))[1], tol)
 
 

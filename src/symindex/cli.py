@@ -32,7 +32,7 @@ from .errors import (
     SymindexError,
 )
 from .kashiwara import kashiwara_index
-from .krein import krein_positive_angles, krein_spectrum
+from .krein import _krein_pass, _normal_form, _rotation_speeds
 from .maslov import _grid_cells
 from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 from .symplectic import SymplecticSpace, lagrangian_frame
@@ -189,8 +189,9 @@ def _cmd_krein(args) -> int:
     obj = _read_payload(args.input)
     n = _payload_n(obj)
     h = _payload_matrix(obj, "hamiltonian", (2 * n, 2 * n))
+    entries, semisimple, gap = _krein_pass(h, tol)
     spectrum = []
-    for entry in krein_spectrum(h, tol):
+    for entry in entries:
         spectrum.append({
             "real": entry.eigenvalue.real,
             "imag": entry.eigenvalue.imag,
@@ -198,11 +199,9 @@ def _cmd_krein(args) -> int:
             "krein": None if entry.inertia is None else list(entry.inertia.pair),
         })
     try:
-        angles = [float(a) for a in krein_positive_angles(h, tol)]
-        semisimple = True
+        angles = [float(a) for a in _rotation_speeds(_normal_form(entries, semisimple, gap))]
     except SymindexError:
         angles = None
-        semisimple = False
     out = {
         "schema_version": SCHEMA_VERSION,
         "n": n,

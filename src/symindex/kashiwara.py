@@ -111,6 +111,7 @@ def kashiwara_reduced(space: SymplecticSpace, k_frame, l1: LagrangianFrame,
     then tau is unchanged by passing to K-perp/K, which this function
     evaluates on the reduced frames.
     """
+    tol = as_tolerances(tol)
     space.check_same(l1, l2, l3)
     red = _admissible_reduction(space, k_frame, (l1, l2, l3), tol)
     if red.space is None:

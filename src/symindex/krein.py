@@ -6,9 +6,9 @@ indefinite Hermitian product
     g(xi, eta) = <G xi, eta>,   G = -i J,
 
 is invariant under exp(tH).  Its restriction to the generalized
-eigenspace of a purely imaginary eigenvalue i*alpha is nondegenerate
-exactly when that eigenvalue is semisimple, and its inertia (p, q) is
-the Krein signature.  The inertias at i*alpha and -i*alpha are swapped.
+eigenspace of a purely imaginary eigenvalue i*alpha (the eigenspace, if
+i*alpha is semisimple) is nondegenerate, semisimple or not; its inertia
+(p, q) is the Krein signature, and the one at -i*alpha is (q, p).
 
 A semisimple generator therefore decomposes, symplectically, into
 planes: p rotation blocks with angular velocity +alpha and q with
@@ -24,23 +24,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    InputError,
-    NotAnEigenvalue,
-    NotSemisimple,
-    UnclassifiableSpectrum,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    Inertia,
-    Tolerances,
-    as_even_square,
-    as_square,
-    herm_signature,
-    kernel_basis,
-    spectral_norm,
-)
-from .symplectic import _generator, loxodromic_generator, plane_block_generator
+from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
+from .numerics import (DEFAULT_TOL, Inertia, Tolerances, as_even_square, as_square,
+                       as_tolerances, herm_signature, kernel_basis, spectral_norm)
+from .symplectic import _generator, loxodromic_generator, plane_block_generator, standard_J
 
 #: relative gap below which two eigenvalues are treated as one cluster
 CLUSTER_GAP = 1e-6
@@ -52,28 +39,37 @@ def _gap(h) -> float:
 
 def _cluster_eigenvalues(vals, gap):
     """Greedy clustering of close eigenvalues; returns (mean, size) pairs."""
-    used = np.zeros(len(vals), dtype=bool)
-    clusters = []
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        members = [i]
-        used[i] = True
-        for j in range(i + 1, len(vals)):
-            if not used[j] and abs(vals[j] - vals[i]) <= gap:
-                used[j] = True
-                members.append(j)
+    free, clusters = list(range(len(vals))), []
+    while free:
+        members = [j for j in free if abs(vals[j] - vals[free[0]]) <= gap]
+        free = [j for j in free if j not in members]
         clusters.append((complex(np.mean(vals[members])), len(members)))
     return clusters
+
+
+def _eigenspaces(h, tol: Tolerances):
+    """(gap, [(eigenvalue, multiplicity, kernel)]) for the clusters of a
+    square ``h``, from one eigvals and one SVD per cluster.  A cluster is
+    semisimple when its kernel, an orthonormal basis of ker(h - eigenvalue I),
+    has the cluster's multiplicity.
+
+    Rank is relative to the largest singular value of h - eigenvalue I
+    itself (``kernel_basis`` at eps_rank = 1e-7).  A rule keyed to the size
+    of h would give 1e-8 J a full kernel at zero: a semisimple zero block,
+    whose spectral CZ index would silently be 0 where the scans give 1.
+    """
+    gap = _gap(h)
+    loose = replace(tol, eps_rank=1e-7)
+    eye = np.eye(h.shape[0])
+    return gap, [(lam, mult, kernel_basis(h - lam * eye, loose))
+                 for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap)]
 
 
 def _invariant_subspace(h, target: complex, gap: float):
     """Orthonormal basis of the generalized eigenspace for the cluster
     of eigenvalues within ``gap`` of ``target``."""
-    t, z, sdim = scipy.linalg.schur(
-        h.astype(complex), output="complex",
-        sort=lambda lam: abs(lam - target) <= gap,
-    )
+    _, z, sdim = scipy.linalg.schur(h.astype(complex), output="complex",
+                                    sort=lambda lam: abs(lam - target) <= gap)
     if sdim == 0:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
     return z[:, :sdim]
@@ -81,9 +77,13 @@ def _invariant_subspace(h, target: complex, gap: float):
 
 def krein_form_matrix(n: int):
     """The Hermitian matrix G = -i J on C^(2n)."""
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, 1j * eye], [-1j * eye, zero]])
+    return -1j * standard_J(n)
+
+
+def _krein_inertia(basis, tol: Tolerances) -> Inertia:
+    """Inertia of the Krein form on the span of orthonormal ``basis``."""
+    g = krein_form_matrix(basis.shape[0] // 2)
+    return herm_signature(basis.conj().T @ g @ basis, tol)
 
 
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
@@ -91,15 +91,11 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
 
     ``alpha`` is the real number such that i*alpha is the eigenvalue of
     interest; it must match an actual eigenvalue of ``h`` up to the
-    cluster gap, otherwise NotAnEigenvalue is raised.
+    cluster gap, otherwise NotAnEigenvalue is raised.  The basis comes
+    from a sorted Schur form, independently of ``krein_spectrum``.
     """
     h = _generator(h, None, tol)
-    gap = _gap(h)
-    target = 1j * float(alpha)
-    z = _invariant_subspace(h, target, gap)
-    g = krein_form_matrix(h.shape[0] // 2)
-    m = z.conj().T @ g @ z
-    return herm_signature(m, tol)
+    return _krein_inertia(_invariant_subspace(h, 1j * float(alpha), _gap(h)), tol)
 
 
 @dataclass(frozen=True)
@@ -112,33 +108,35 @@ class KreinEigenvalue:
     inertia: Optional[Inertia]
 
 
+def _krein_pass(h, tol: Tolerances):
+    """(spectrum, semisimple, gap) of ``h``: one generator check and one
+    ``_eigenspaces``.  A cluster on the imaginary axis takes the Krein form
+    on its kernel, or, if the kernel is short (a Jordan block), on its
+    generalized eigenspace from a sorted Schur form."""
+    h = _generator(h, None, tol)
+    gap, clusters = _eigenspaces(h, tol)
+    spectrum, semisimple = [], True
+    for lam, mult, kernel in clusters:
+        full = kernel.shape[1] == mult
+        semisimple &= full
+        inertia = None
+        if abs(lam.real) <= gap:
+            basis = kernel if full else _invariant_subspace(h, 1j * lam.imag, gap)
+            inertia = _krein_inertia(basis, tol)
+        spectrum.append(KreinEigenvalue(lam, mult, inertia))
+    return spectrum, semisimple, gap
+
+
 def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
     """All eigenvalue clusters of ``h`` with Krein data where defined."""
-    h = _generator(h, None, tol)
-    gap = _gap(h)
-    out = []
-    for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap):
-        if abs(lam.real) <= gap:
-            inertia = krein_signature(h, lam.imag, tol)
-        else:
-            inertia = None
-        out.append(KreinEigenvalue(lam, mult, inertia))
-    return out
+    return _krein_pass(h, tol)[0]
 
 
 def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether every eigenvalue of ``h`` has a full set of eigenvectors."""
-    h = as_square(h, "generator")
-    gap = _gap(h)
-    scale = max(1.0, spectral_norm(h))
-    loose = replace(tol, eps_rank=1e-7)
-    for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap):
-        shifted = h.astype(complex) - lam * np.eye(h.shape[0])
-        # relative rank threshold keyed to the size of h, not of shifted
-        geo = kernel_basis(shifted / scale, loose).shape[1]
-        if geo != mult:
-            return False
-    return True
+    tol = as_tolerances(tol)
+    _, clusters = _eigenspaces(as_square(h, "generator"), tol)
+    return all(kernel.shape[1] == mult for _, mult, kernel in clusters)
 
 
 @dataclass(frozen=True)
@@ -163,15 +161,16 @@ def classify_normal_form(h, tol: Tolerances = DEFAULT_TOL):
     the Krein signature, hyperbolic planes for real pairs, loxodromic
     quadruples for genuinely complex eigenvalues.
     """
-    h = _generator(h, None, tol)
-    if not is_semisimple(h, tol):
+    return _normal_form(*_krein_pass(h, tol))
+
+
+def _normal_form(spectrum, semisimple: bool, gap: float):
+    """``classify_normal_form`` from a ``_krein_pass``."""
+    if not semisimple:
         raise NotSemisimple("generator has a nontrivial Jordan block")
-    gap = _gap(h)
-    clusters = _cluster_eigenvalues(np.linalg.eigvals(h), gap)
-    blocks = []
-    seen_real = {}
-    seen_quad = {}
-    for lam, mult in clusters:
+    blocks, seen_real, seen_quad = [], {}, {}
+    for entry in spectrum:
+        lam, mult, inertia = entry.eigenvalue, entry.multiplicity, entry.inertia
         if abs(lam) <= gap:
             if mult % 2 != 0:
                 raise UnclassifiableSpectrum("odd multiplicity at zero")
@@ -180,7 +179,6 @@ def classify_normal_form(h, tol: Tolerances = DEFAULT_TOL):
             alpha = lam.imag
             if alpha <= 0:
                 continue  # handled together with the conjugate
-            inertia = krein_signature(h, alpha, tol)
             if inertia.n_zero:
                 raise NotSemisimple("degenerate Krein form at i*%g" % alpha)
             if inertia.n_pos:
@@ -213,11 +211,12 @@ def krein_positive_angles(h, tol: Tolerances = DEFAULT_TOL):
     inertia (p, q) as p copies of +alpha and q copies of -alpha; other
     spectrum contributes nothing.  Sorted ascending.
     """
-    angles = []
-    for block in classify_normal_form(h, tol):
-        if block.kind == "rotation":
-            angles.extend([block.parameters[0]] * block.multiplicity)
-    return sorted(angles)
+    return _rotation_speeds(classify_normal_form(h, tol))
+
+
+def _rotation_speeds(blocks):
+    return sorted(block.parameters[0] for block in blocks if block.kind == "rotation"
+                  for _ in range(block.multiplicity))
 
 
 def normal_form_matrix(blocks):

@@ -767,20 +767,11 @@ def rotation_graph_index(alpha: float) -> HalfInt:
     return snap_odd_integer(alpha / math.pi)
 
 
-def _spectral_index(h, tol: Tolerances, closed_form) -> HalfInt:
-    """Sum of ``closed_form`` over the signed rotation angles of ``h``."""
-    return sum(map(closed_form, krein_positive_angles(h, tol)), ZERO)
-
-
-def spectral_maslov(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Vertical-route index from the signed rotation angles alone, for
-    semisimple generators whose planes are aligned with the standard
-    splitting (block generators); other planes contribute nothing."""
-    return _spectral_index(h, tol, rotation_orbit_index)
-
-
 def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Graph-route index from the signed rotation angles alone, for any
-    semisimple generator: the graph route is invariant under symplectic
-    conjugation, so only the normal form matters."""
-    return _spectral_index(h, tol, rotation_graph_index)
+    """Graph-route index of a semisimple generator from its Krein normal
+    form: the sum of ``rotation_graph_index`` over its signed rotation
+    speeds.  The graph route is invariant under symplectic conjugation,
+    so the normal form decides it; the vertical route is not.  A Jordan
+    block raises NotSemisimple, a spectrum with no normal form
+    UnclassifiableSpectrum."""
+    return sum(map(rotation_graph_index, krein_positive_angles(h, tol)), ZERO)

@@ -212,6 +212,7 @@ def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = Non
 
 def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether h^T J + J h = 0 within tolerance (standard space)."""
+    tol = as_tolerances(tol)
     h = as_even_square(h, "matrix")
     return _hamiltonian_for(h, SymplecticSpace.standard(h.shape[0] // 2).form, tol)
 
@@ -277,6 +278,7 @@ def product_lagrangian(la: LagrangianFrame, lb: LagrangianFrame,
 
 def subspace_intersection(fa, fb, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of span(fa) & span(fb); frames need orthonormal columns."""
+    tol = as_tolerances(tol)
     fa = as_matrix(fa, "frame")
     fb = as_matrix(fb, "frame")
     if fa.shape[0] != fb.shape[0]:
@@ -353,7 +355,7 @@ def same_span(fa, fb) -> bool:
 
 def symplectic_orthogonal(space: SymplecticSpace, w, tol: Tolerances = DEFAULT_TOL):
     """Frame of W-perp with respect to omega: all v with omega(W, v) = 0."""
-    return kernel_basis((space.form @ _frame_of(space, w, "frame")).T, tol)
+    return kernel_basis((space.form @ _frame_of(space, w, "frame")).T, as_tolerances(tol))
 
 
 class SymplecticReduction:
@@ -367,6 +369,7 @@ class SymplecticReduction:
     """
 
     def __init__(self, space: SymplecticSpace, k_frame, tol: Tolerances = DEFAULT_TOL):
+        tol = as_tolerances(tol)
         self.ambient = space
         self.tol = tol
         k = orthonormal_columns(_frame_of(space, k_frame, "K frame"), tol)
@@ -516,6 +519,7 @@ def darboux_frame(space: SymplecticSpace, tol: Tolerances = DEFAULT_TOL):
     Built by symplectic Gram-Schmidt; maps standard-space Lagrangians
     to Lagrangians of ``space``.
     """
+    tol = as_tolerances(tol)
     omega = space.form
     m = space.half_dim
 

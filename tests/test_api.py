@@ -9,24 +9,47 @@ import pytest
 
 import symindex
 from symindex import (
+    SymplecticReduction,
     SymplecticSpace,
+    calibrate_sign,
+    classify_normal_form,
     conley_zehnder,
+    correction_matrix,
     correction_sign,
+    crossing_form,
+    darboux_frame,
     find_crossings,
+    graph_lagrangian,
     graph_path,
+    herm_signature,
+    hormander_index,
     horizontal_lagrangian,
+    intersection_dim,
     is_hamiltonian,
+    is_semisimple,
     is_symplectic,
     kashiwara_index,
+    kashiwara_reduced,
     kashiwara_transversal,
+    krein_positive_angles,
+    krein_signature,
     krein_spectrum,
     lagrangian_frame,
     make_system,
+    maslov_index,
     maslov_index_symplectic,
     maslov_via_formula,
+    orbit_path,
+    random_lagrangian,
+    spectral_conley_zehnder,
     standard_J,
     subspace_intersection,
+    sym_signature,
     symplectic_orthogonal,
+    transversal_triple,
+    transversality_H,
+    triple_index_cross_check,
+    triple_routes_from,
     validate,
     vertical_lagrangian,
 )
@@ -140,6 +163,8 @@ def test_ragged_or_non_numeric_input_is_an_input_error(route, data):
 
 # -- one contract for tol: a Tolerances ----------------------------------------
 
+STD1 = SymplecticSpace.standard(1)
+
 TOL_ROUTES = {
     "validate": lambda tol: validate(make_system(ROTATION), tol=tol),
     "validate sigma=-1": lambda tol: validate(make_system(ROTATION), sigma=-1, tol=tol),
@@ -157,6 +182,50 @@ TOL_ROUTES = {
     "is_symplectic": lambda tol: is_symplectic(np.eye(2), tol),
     "correction_sign": lambda tol: correction_sign(make_system(ROTATION), tol),
     "maslov_via_formula": lambda tol: maslov_via_formula(make_system(ROTATION), tol=tol),
+    "SymplecticReduction": lambda tol: SymplecticReduction(STD1, [[1.0], [0.0]], tol),
+    "calibrate_sign": lambda tol: calibrate_sign(tol=tol),
+    "classify_normal_form": lambda tol: classify_normal_form(ROTATION, tol),
+    "correction_matrix": lambda tol: correction_matrix(make_system(ROTATION), tol),
+    "crossing_form": lambda tol: crossing_form(orbit_path(ROTATION), vertical_lagrangian(1),
+                                               0.0, tol),
+    "darboux_frame": lambda tol: darboux_frame(STD1, tol),
+    "graph_lagrangian": lambda tol: graph_lagrangian(np.eye(2), tol),
+    "graph_path": lambda tol: graph_path(ROTATION, tol=tol),
+    "herm_signature": lambda tol: herm_signature(np.eye(2), tol),
+    "hormander_index": lambda tol: hormander_index(
+        STD1, vertical_lagrangian(1), horizontal_lagrangian(1), vertical_lagrangian(1),
+        horizontal_lagrangian(1), tol),
+    "intersection_dim": lambda tol: intersection_dim(vertical_lagrangian(1),
+                                                     horizontal_lagrangian(1), tol),
+    "is_hamiltonian": lambda tol: is_hamiltonian(ROTATION, tol),
+    "is_semisimple": lambda tol: is_semisimple(ROTATION, tol),
+    "kashiwara_reduced": lambda tol: kashiwara_reduced(
+        STD1, np.zeros((2, 0)), vertical_lagrangian(1), horizontal_lagrangian(1),
+        vertical_lagrangian(1), tol),
+    "krein_positive_angles": lambda tol: krein_positive_angles(ROTATION, tol),
+    "krein_signature": lambda tol: krein_signature(ROTATION, 5.0, tol),
+    "krein_spectrum": lambda tol: krein_spectrum(ROTATION, tol),
+    "maslov_index": lambda tol: maslov_index(orbit_path(ROTATION), vertical_lagrangian(1),
+                                             tol=tol),
+    "orbit_path": lambda tol: orbit_path(ROTATION, tol=tol),
+    "spectral_conley_zehnder": lambda tol: spectral_conley_zehnder(ROTATION, tol),
+    "subspace_intersection": lambda tol: subspace_intersection([[1.0], [0.0]],
+                                                               [[0.0], [1.0]], tol),
+    "symplectic_orthogonal": lambda tol: symplectic_orthogonal(STD1, [[1.0], [0.0]], tol),
+    "sym_signature": lambda tol: sym_signature(np.eye(2), tol),
+    "transversal_triple": lambda tol: transversal_triple(np.eye(1), tol),
+    "transversality_H": lambda tol: transversality_H(make_system(ROTATION), tol),
+    "triple_index_cross_check": lambda tol: triple_index_cross_check(make_system(ROTATION),
+                                                                     tol),
+    "triple_routes_from": lambda tol: triple_routes_from(make_system(ROTATION).psi(1.0), tol),
+}
+#: the reference frames cached per (n, tol), checked for a float tol only:
+#: an unhashable tol fails in their cache first, with TypeError
+CACHED_TOL_ROUTES = {
+    "vertical_lagrangian": lambda tol: vertical_lagrangian(1, tol),
+    "horizontal_lagrangian": lambda tol: horizontal_lagrangian(1, tol),
+    "diagonal_lagrangian": lambda tol: diagonal_lagrangian(1, tol),
+    "random_lagrangian": lambda tol: random_lagrangian(1, 0, tol),
 }
 
 
@@ -167,3 +236,19 @@ def test_tol_that_is_not_tolerances_is_an_input_error(route, tol):
     could not take, raises InputError, not AttributeError or TypeError."""
     with pytest.raises(InputError, match="tol must be a Tolerances"):
         route(tol)
+
+
+@pytest.mark.parametrize("route", CACHED_TOL_ROUTES.values(), ids=CACHED_TOL_ROUTES.keys())
+def test_float_tol_of_a_cached_reference_frame_is_an_input_error(route):
+    with pytest.raises(InputError, match="tol must be a Tolerances"):
+        route(1e-3)
+
+
+def test_every_route_with_tol_has_a_float_tol_case():
+    """Each exported name whose signature has ``tol`` is checked above."""
+    routes = {name: getattr(symindex, name) for name in symindex.__all__}
+    with_tol = {name for name, obj in routes.items()
+                if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception))
+                and "tol" in inspect.signature(obj).parameters}
+    covered = {key.split()[0] for key in list(TOL_ROUTES) + list(CACHED_TOL_ROUTES)}
+    assert with_tol - covered == set()

@@ -157,6 +157,20 @@ def test_krein_non_semisimple(tmp_path, capsys):
     assert body["rotation_angles"] is None
 
 
+def test_krein_flag_is_semisimplicity_not_classifiability(tmp_path, capsys):
+    """1e-6 J is semisimple, but its eigenvalues lie within the cluster
+    gap of zero and each forms a zero cluster of odd multiplicity, so the
+    normal form is unclassifiable: the flag says semisimple, the angles
+    are null."""
+    path = _write(tmp_path, _payload(1, hamiltonian=(1e-6 * standard_J(1)).tolist()))
+    code = main(["krein", "--input", path, "--format", "json"])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert body["semisimple"] is True
+    assert body["rotation_angles"] is None
+    assert [r["krein"] for r in body["spectrum"]] == [[1, 0], [0, 1]]
+
+
 def test_calibrate(capsys):
     code = main(["calibrate", "--format", "json"])
     body = json.loads(capsys.readouterr().out)

@@ -1,20 +1,26 @@
 """Krein signatures, spectra, and normal-form classification."""
 
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symindex import (
     Inertia,
     classify_normal_form,
+    conley_zehnder,
     is_semisimple,
     krein_positive_angles,
     krein_signature,
     krein_spectrum,
     normal_form_matrix,
     plane_block_generator,
+    random_hamiltonian,
+    spectral_conley_zehnder,
     standard_direct_sum,
 )
-from symindex.errors import NotAnEigenvalue, NotHamiltonian, NotSemisimple
+from symindex.errors import NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
 from symindex.krein import krein_form_matrix
 from symindex.symplectic import (
     is_hamiltonian,
@@ -125,3 +131,86 @@ def test_nilpotent_shear_is_not_semisimple():
 def test_non_hamiltonian_rejected():
     with pytest.raises(NotHamiltonian):
         krein_spectrum(np.eye(2))
+
+
+def _jordan_at_2i():
+    """[[A, 0], [I, A]] with A = 2 J_1: one Jordan block at +2i and one
+    at -2i, each of size 2."""
+    a = 2.0 * standard_J(1)
+    return np.block([[a, np.zeros((2, 2))], [np.eye(2), a]])
+
+
+def test_jordan_block_keeps_its_generalized_eigenspace_inertia():
+    """The Krein form on a generalized eigenspace is nondegenerate even
+    when the eigenvalue is not semisimple."""
+    h = _jordan_at_2i()
+    assert is_hamiltonian(h)
+    spec = krein_spectrum(h)
+    assert sorted(round(e.eigenvalue.imag, 6) for e in spec) == [-2.0, 2.0]
+    assert [(e.multiplicity, e.inertia) for e in spec] == [(2, Inertia(1, 1, 0))] * 2
+    assert not is_semisimple(h)
+    with pytest.raises(NotSemisimple):
+        classify_normal_form(h)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-7, 1e-6])
+def test_slow_rotation_is_exact_or_refused(eps):
+    """eps J has its eigenvalues inside the cluster gap of zero; the
+    spectral route refuses it or agrees with the scan, never returns
+    another value (a full kernel at zero would have made it 0)."""
+    h = eps * standard_J(1)
+    try:
+        got = spectral_conley_zehnder(h)
+    except SymindexError:
+        return
+    assert got == conley_zehnder(h)
+
+
+def _count_decompositions(monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(np.linalg, "eigvals")
+    count(np.linalg, "svd")
+    count(scipy.linalg, "schur")
+    return calls
+
+
+@pytest.mark.parametrize("route", [krein_spectrum, classify_normal_form, spectral_conley_zehnder])
+def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
+    """At n=8 a semisimple generator takes one eigvals and one kernel SVD
+    per eigenvalue cluster (16 of them), and no Schur form."""
+    h = random_hamiltonian(8, 0, "semisimple-elliptic")
+    route(h)  # builds the cached standard space of dimension 16
+    calls = _count_decompositions(monkeypatch)
+    route(h)
+    assert calls == {"eigvals": 1, "svd": 16}
+
+
+def test_jordan_clusters_take_the_schur_basis(monkeypatch):
+    krein_spectrum(_jordan_at_2i())
+    calls = _count_decompositions(monkeypatch)
+    krein_spectrum(_jordan_at_2i())
+    assert calls == {"eigvals": 1, "svd": 2, "schur": 2}
+
+
+def test_spectrum_matches_the_schur_signature():
+    """The kernel inertia of krein_spectrum equals krein_signature's, from
+    a sorted Schur basis, at every cluster on the imaginary axis."""
+    profiles = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
+    compared = 0
+    for seed in range(40):
+        h = random_hamiltonian(1 + seed % 6, 9000 + seed, profiles[seed % 4])
+        for entry in krein_spectrum(h):
+            if entry.inertia is not None:
+                assert entry.inertia == krein_signature(h, entry.eigenvalue.imag), seed
+                compared += 1
+    assert compared >= 40

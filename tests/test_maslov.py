@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import symindex
 from symindex import (
     HalfInt,
     SymplecticSpace,
@@ -24,7 +25,6 @@ from symindex import (
     plane_block_generator,
     random_hamiltonian,
     spectral_conley_zehnder,
-    spectral_maslov,
     standard_direct_sum,
     standard_J,
     unitary_geodesic,
@@ -162,8 +162,20 @@ def test_mixed_block_uses_interval_mode():
 
 def test_spectral_routes_agree_with_scans():
     h = plane_block_generator([("elliptic", 2.0), ("elliptic", -3.0)])
-    assert spectral_maslov(h) == maslov_index_symplectic(h)
     assert spectral_conley_zehnder(h) == conley_zehnder(h)
+
+
+def test_spectral_orbit_route_is_gone_and_the_graph_route_is_exact():
+    """Summing the orbit closed form over the Krein speeds is right only
+    for plane-aligned generators: on [[0, 1], [1, 0]] it gave 0 where the
+    orbit scan gives -1/2, and it was wrong on conjugated generators.
+    The graph route depends on the normal form alone."""
+    assert not hasattr(symindex, "spectral_maslov")
+    assert maslov_index_symplectic(np.array([[0.0, 1.0], [1.0, 0.0]])) == HalfInt(-1)
+    for s in range(30):
+        profile = ("semisimple-elliptic", "mixed", "generic")[s % 3]
+        h = random_hamiltonian(1 + s % 3, 8000 + s, profile)
+        assert spectral_conley_zehnder(h) == conley_zehnder(h), s
 
 
 def test_quadratic_tangency_adds_nothing():
