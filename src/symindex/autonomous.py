@@ -141,14 +141,9 @@ def correction_matrix(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL):
     return _correction_matrix(system.psi(1.0), tol)
 
 
-def _sign(m, tol: Tolerances) -> int:
-    """Signature of a symmetric matrix; null directions count zero."""
-    return sym_signature(m, tol, scale=1.0 + spectral_norm(m)).signature
-
-
 def correction_sign(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> int:
     """Signature of the system's correction matrix."""
-    return _sign(correction_matrix(system, tol), tol)
+    return sym_signature(correction_matrix(system, tol), tol).signature
 
 
 # -- triple-index cross-check -------------------------------------------------
@@ -208,8 +203,8 @@ def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
 
     # minus one half of the correction matrix carries the same signature
     half = -0.5 * x
-    return TripleCheck(tau_direct, tau_reduced, _sign(half, tol),
-                       _sign(reduced_form_matrix(half), tol))
+    return TripleCheck(tau_direct, tau_reduced, sym_signature(half, tol).signature,
+                       sym_signature(reduced_form_matrix(half), tol).signature)
 
 
 def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
@@ -332,7 +327,7 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     except TransversalityViolated:
         return IndexReport(orbit, graph, sigma, None, None, None, None, True)
     check = _triple_routes(psi1, x, tol)
-    correction = _sign(x, tol)
+    correction = sym_signature(x, tol).signature
     formula = graph + HalfInt(sigma * correction)
     agree = bool(orbit == formula and check.consistent)
     return IndexReport(orbit, graph, sigma, correction, formula,

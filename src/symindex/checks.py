@@ -50,7 +50,6 @@ from .numerics import (
     Tolerances,
     orthonormal_columns,
     singular_values,
-    spectral_norm,
     stable_signature,
     sym_signature,
 )
@@ -106,11 +105,6 @@ def _collect(sampler, want):
 #: relative gray band of a sampled form: a draw whose form has an
 #: eigenvalue between the zero band and this margin is resampled
 STABLE_MARGIN = 1e-5
-
-
-def _well_invertible(m, margin: float) -> bool:
-    s = singular_values(0.5 * (m + m.T))
-    return bool(s.size and s[-1] >= margin * (1.0 + s[0]))
 
 
 def _pm(rng) -> float:
@@ -170,8 +164,7 @@ def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> Che
         taus = {}
         for c in combos:
             f = kashiwara_form(space, ls[c[0]], ls[c[1]], ls[c[2]])
-            _, stable = stable_signature(f, STABLE_MARGIN, tol,
-                                         scale=1.0 + spectral_norm(f))
+            _, stable = stable_signature(f, STABLE_MARGIN, tol)
             if not stable:
                 return None
         # recompute through the public entry point for the verdict
@@ -212,7 +205,8 @@ def check_transversal_triple(samples: int = 20, tol: Tolerances = DEFAULT_TOL) -
         rng = np.random.default_rng(8100 + attempt)
         a = rng.standard_normal((n, n))
         a = 0.5 * (a + a.T)
-        if not _well_invertible(a, 5e-2):
+        inertia, stable = stable_signature(a, 5e-2, tol)
+        if inertia.n_zero or not stable:
             return None
         return a
 
@@ -270,8 +264,7 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
             pair = product_lagrangian(vert, vert, tol)
             graph = graph_lagrangian(psi1, tol)
             f = kashiwara_form(space, diag, pair, graph)
-            _, stable = stable_signature(f, STABLE_MARGIN, tol,
-                                         scale=1.0 + spectral_norm(f))
+            _, stable = stable_signature(f, STABLE_MARGIN, tol)
             if not stable:
                 return None
             k = subspace_intersection(diag.frame, pair.frame, tol)
@@ -286,11 +279,11 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
         l_red = [random_lagrangian_of(red.space, seed + 1 + i, tol) for i in range(3)]
         lifted = [red.lift(l) for l in l_red]
         f = kashiwara_form(ambient, *lifted)
-        _, stable = stable_signature(f, STABLE_MARGIN, tol, scale=1.0 + spectral_norm(f))
+        _, stable = stable_signature(f, STABLE_MARGIN, tol)
         if not stable:
             return None
         f = kashiwara_form(red.space, l_red[0], l_red[1], l_red[2])
-        _, stable = stable_signature(f, STABLE_MARGIN, tol, scale=1.0 + spectral_norm(f))
+        _, stable = stable_signature(f, STABLE_MARGIN, tol)
         if not stable:
             return None
         direct = kashiwara_index(ambient, lifted[0], lifted[1], lifted[2], tol)
@@ -322,9 +315,9 @@ def check_reduced_form_signature(samples: int = 30, tol: Tolerances = DEFAULT_TO
             d[j] = rng.uniform(0.3, 2.0) * _pm(rng)
         x = q @ np.diag(d) @ q.T
         want = int(np.sum(d > 0.0) - np.sum(d < 0.0))
-        sx = sym_signature(x, tol, scale=1.0 + spectral_norm(x)).signature
+        sx = sym_signature(x, tol).signature
         y = reduced_form_matrix(x)
-        sy = sym_signature(y, tol, scale=1.0 + spectral_norm(y)).signature
+        sy = sym_signature(y, tol).signature
         ok &= sx == want == sy
     return CheckResult("reduced form signature identity", bool(ok),
                        "%d matrices (n in 1..4) including singular ones" % samples)
@@ -346,8 +339,7 @@ def check_quadruple_path_independence(quadruples: int = 20, *,
         taus = []
         for third in (l1p, l0p):
             f = kashiwara_form(space, l0, l1, third)
-            inertia, stable = stable_signature(f, STABLE_MARGIN, tol,
-                                               scale=1.0 + spectral_norm(f))
+            inertia, stable = stable_signature(f, STABLE_MARGIN, tol)
             if not stable:
                 return None
             taus.append(inertia.signature)
@@ -393,7 +385,8 @@ def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> 
         _, b, _, _ = split_blocks(psi1)
         if not _corner_invertible(b, tol) or singular_values(b)[-1] <= 1e-3:
             return None
-        if not _well_invertible(_correction_matrix(psi1, tol), 1e-4):
+        inertia, stable = stable_signature(_correction_matrix(psi1, tol), 1e-4, tol)
+        if inertia.n_zero or not stable:
             return None
         report = validate(system, sigma=sigma, tol=tol)
         if report.formula_index is None:

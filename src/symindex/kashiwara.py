@@ -51,9 +51,7 @@ def kashiwara_index(space: SymplecticSpace, l1: LagrangianFrame,
                     l2: LagrangianFrame, l3: LagrangianFrame,
                     tol: Tolerances = DEFAULT_TOL) -> int:
     """Triple index tau(L1, L2, L3) as an integer."""
-    m = kashiwara_form(space, l1, l2, l3)
-    inertia = sym_signature(m, tol, scale=1.0 + spectral_norm(m))
-    return inertia.signature
+    return sym_signature(kashiwara_form(space, l1, l2, l3), tol).signature
 
 
 def kashiwara_transversal(a, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -68,7 +66,7 @@ def kashiwara_transversal(a, tol: Tolerances = DEFAULT_TOL) -> int:
     defect = np.linalg.norm(a - a.T)
     if defect > tol.eps_sym * (1.0 + spectral_norm(a)):
         raise InputError("transversal closed form needs a symmetric matrix")
-    inertia = sym_signature(a, tol, scale=1.0 + spectral_norm(a))
+    inertia = sym_signature(a, tol)
     if inertia.n_zero:
         raise DegenerateForm("matrix is singular; the triple is not transversal")
     return inertia.signature

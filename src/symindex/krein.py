@@ -171,11 +171,14 @@ def _normal_form(spectrum, semisimple: bool, gap: float):
     blocks, seen_real, seen_quad = [], {}, {}
     for entry in spectrum:
         lam, mult, inertia = entry.eigenvalue, entry.multiplicity, entry.inertia
-        if abs(lam) <= gap:
+        if abs(lam) <= gap / 2:
+            # such a cluster holds its conjugate: the clustering merges
+            # every eigenvalue within the gap of its first one
             if mult % 2 != 0:
                 raise UnclassifiableSpectrum("odd multiplicity at zero")
             blocks.append(NormalFormBlock("zero", (), mult // 2))
-        elif abs(lam.real) <= gap:
+        elif abs(lam.real) <= min(gap, abs(lam.imag)):
+            # on the imaginary axis, and near 0 nearer it than the real axis
             alpha = lam.imag
             if alpha <= 0:
                 continue  # handled together with the conjugate

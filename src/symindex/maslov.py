@@ -110,9 +110,10 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
     return LagrangianPath(space, frame_fn, dframe_fn, tuple(map(float, interval)))
 
 
-def _flow(m, real_output: bool = True):
+def _flow(m):
     """(stacked flow, spectrum) of m: the flow maps an array of times ts
-    to the stack of exp(t m).
+    to the stack of exp(t m), real for a real m and complex for a
+    complex one.
 
     With a well conditioned eigenvector basis V the stack comes from one
     diagonalization, (V * exp(t vals)) @ inv(V) at each t, and the
@@ -124,6 +125,7 @@ def _flow(m, real_output: bool = True):
     """
     m = np.asarray(m)
     d = m.shape[0]
+    real = not np.iscomplexobj(m)
     try:
         vals, vecs = np.linalg.eig(m)
         kappa = np.linalg.cond(vecs)
@@ -132,7 +134,7 @@ def _flow(m, real_output: bool = True):
 
             def phi(ts):
                 out = (vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv
-                return out.real if real_output else out
+                return out.real if real else out
 
             if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) <= 1e-10:
                 return phi, (float(kappa), vals.real)
@@ -140,10 +142,7 @@ def _flow(m, real_output: bool = True):
         pass
 
     def phi_expm(ts):
-        out = scipy.linalg.expm(ts[:, None, None] * m)
-        if real_output and np.iscomplexobj(out):
-            out = out.real
-        return out
+        return scipy.linalg.expm(ts[:, None, None] * m)
 
     return phi_expm, None
 
@@ -291,7 +290,7 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     a = scipy.linalg.logm(u0.conj().T @ u1)
     a = 0.5 * (a - a.conj().T)
     gen = a + 1j * np.pi * int(k) * np.eye(n)
-    phi, spectrum = _flow(gen, real_output=False)
+    phi, spectrum = _flow(gen)
     u0_gen = u0 @ gen
 
     def frames(u):
@@ -592,9 +591,8 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
             gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], v)
             if not np.all(np.isfinite(gammas)):
                 raise InputError("symmetric matrix contains non-finite entries")
-            scale = 1.0 + np.linalg.norm(gammas, 2, axis=(1, 2))
-            n_pos, n_neg, stable = band_counts(np.linalg.eigvalsh(gammas), scale,
-                                               tol, GRAY_FACTOR)
+            n_pos, n_neg, stable = band_counts(np.linalg.eigvalsh(gammas), tol,
+                                               GRAY_FACTOR)
             k = v.shape[2]
             for j, i in enumerate(idx):
                 p, m = int(n_pos[j]), int(n_neg[j])

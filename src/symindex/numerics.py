@@ -2,8 +2,11 @@
 
 All rank, signature and symmetry decisions route through a single
 ``Tolerances`` object so the numerical hair-trigger points of the
-package are controlled in one place.  Matrices are plain numpy arrays;
-constructors validate shape and finiteness at the operation boundary.
+package are controlled in one place.  Every signature is measured on
+one scale: 1 + the largest |eigenvalue| of its symmetric (or Hermitian)
+matrix, which ``band_counts`` takes from the eigenvalues it classifies.
+Matrices are plain numpy arrays; constructors validate shape and
+finiteness at the operation boundary.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _signature(s, tol: Tolerances, scale, margin: float, hermitian: bool):
+def _signature(s, tol: Tolerances, margin: float, hermitian: bool):
     """(inertia, stable) of the symmetric or Hermitian part of ``s``; see
     ``sym_signature`` and ``stable_signature``.  Real input stays real."""
     tol = as_tolerances(tol)
@@ -134,56 +137,57 @@ def _signature(s, tol: Tolerances, scale, margin: float, hermitian: bool):
             raise NonHermitianInput("hermitian defect %.3e too large" % defect)
         raise AsymmetricInput("symmetry defect %.3e too large" % defect)
     eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(0)
-    if scale is None:
-        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    n_pos, n_neg, stable = band_counts(eigs, np.asarray(scale), tol, margin)
+    n_pos, n_neg, stable = band_counts(eigs, tol, margin)
     n_pos, n_neg = int(n_pos), int(n_neg)
     return Inertia(n_pos, n_neg, int(eigs.size - n_pos - n_neg)), bool(stable)
 
 
-def band_counts(eigs, scale, tol: Tolerances, margin: float):
-    """(n_pos, n_neg, stable) of the eigenvalue rows ``eigs[..., k]``
-    against ``scale[...]``, the one gray-band decision of the package.
+def band_counts(eigs, tol: Tolerances, margin: float):
+    """(n_pos, n_neg, stable) of the eigenvalue rows ``eigs[..., k]``,
+    the one gray-band decision of the package.
 
+    Each row is measured against its scale, 1 + its largest |eigenvalue|
+    (for a symmetric or Hermitian matrix, 1 + its spectral norm).
     Eigenvalues within ``eps_sign * scale`` of zero count as zero; a
     row is stable when none of its eigenvalues lies between that zero
     band and ``margin * scale``.
     """
     w = np.abs(eigs)
-    band = tol.eps_sign * scale[..., None]
+    scale = 1.0 + np.max(w, axis=-1, initial=0.0, keepdims=True)
+    band = tol.eps_sign * scale
     n_pos = np.sum(eigs > band, axis=-1)
     n_neg = np.sum(eigs < -band, axis=-1)
-    stable = ~np.any((w > band) & (w < margin * scale[..., None]), axis=-1)
+    stable = ~np.any((w > band) & (w < margin * scale), axis=-1)
     return n_pos, n_neg, stable
 
 
-def sym_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:
+def sym_signature(s, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of a real symmetric matrix.
 
     The input is symmetrized after checking that the symmetry defect is
     below ``eps_sym`` relative to the matrix norm.  Eigenvalues within
-    ``eps_sign * scale`` of zero are counted as zero; ``scale``
-    defaults to the spectral radius of the symmetrized input, and may
-    be overridden when an absolute floor is appropriate (for example
-    when classifying crossing forms that are identically zero).
+    ``eps_sign * (1 + the largest |eigenvalue|)`` of zero count as zero
+    (``band_counts``), so the band is relative for large matrices and
+    has an absolute floor for small ones.
     """
-    return _signature(s, tol, scale, 0.0, hermitian=False)[0]
+    return _signature(s, tol, 0.0, hermitian=False)[0]
 
 
-def herm_signature(s, tol: Tolerances = DEFAULT_TOL, scale=None) -> Inertia:
+def herm_signature(s, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of a complex Hermitian matrix; see ``sym_signature``."""
-    return _signature(s, tol, scale, 0.0, hermitian=True)[0]
+    return _signature(s, tol, 0.0, hermitian=True)[0]
 
 
-def stable_signature(s, margin: float, tol: Tolerances = DEFAULT_TOL,
-                     scale=None) -> Tuple[Inertia, bool]:
+def stable_signature(s, margin: float,
+                     tol: Tolerances = DEFAULT_TOL) -> Tuple[Inertia, bool]:
     """Inertia of a real symmetric matrix and whether it is stable.
 
     Stable means no eigenvalue falls in the gray band between the zero
-    band of ``sym_signature`` and ``margin * scale``, so the signature
-    cannot flip under perturbations of that size.
+    band of ``sym_signature`` and ``margin * (1 + the largest
+    |eigenvalue|)``, so the signature cannot flip under perturbations
+    of that size.
     """
-    return _signature(s, tol, scale, margin, hermitian=False)
+    return _signature(s, tol, margin, hermitian=False)
 
 
 def singular_values(m):

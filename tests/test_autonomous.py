@@ -25,7 +25,7 @@ from symindex import (
     triple_routes_from,
     validate,
 )
-from symindex import autonomous, checks, kashiwara_reduced, maslov, symplectic
+from symindex import autonomous, checks, kashiwara_reduced, maslov, numerics, symplectic
 from symindex.autonomous import split_blocks
 from symindex.errors import (
     CalibrationFailure,
@@ -288,6 +288,27 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     assert calls == {"eig(h)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
     with pytest.raises(NotHamiltonian):
         validate(HamiltonianSystem(np.random.default_rng(0).standard_normal((4, 4))), sigma=1)
+
+
+def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
+    """At n=8 one validate takes three spectral norms, all in input
+    checks: of the generator, of the time-one map and of the correction
+    matrix's symmetry.  Every signature takes its scale from its own
+    eigenvalues.  The shared constants of n=8 are built beforehand."""
+    system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
+    assert validate(system, sigma=-1).agree
+    original, callers = numerics.spectral_norm, []
+
+    def counted(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(m)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("symindex")
+                and getattr(module, "spectral_norm", None) is original):
+            monkeypatch.setattr(module, "spectral_norm", counted)
+    assert validate(system, sigma=-1).agree
+    assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "is_symplectic"]
 
 
 def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):

@@ -158,16 +158,14 @@ def test_krein_non_semisimple(tmp_path, capsys):
 
 
 def test_krein_flag_is_semisimplicity_not_classifiability(tmp_path, capsys):
-    """1e-6 J is semisimple, but its eigenvalues lie within the cluster
-    gap of zero and each forms a zero cluster of odd multiplicity, so the
-    normal form is unclassifiable: the flag says semisimple, the angles
-    are null."""
+    """1e-6 J is semisimple, and its eigenvalues +-1e-6 i, within the
+    cluster gap of zero but not of each other, form one rotation plane."""
     path = _write(tmp_path, _payload(1, hamiltonian=(1e-6 * standard_J(1)).tolist()))
     code = main(["krein", "--input", path, "--format", "json"])
     body = json.loads(capsys.readouterr().out)
     assert code == 0
     assert body["semisimple"] is True
-    assert body["rotation_angles"] is None
+    assert body["rotation_angles"] == pytest.approx([1e-6], rel=1e-9)
     assert [r["krein"] for r in body["spectrum"]] == [[1, 0], [0, 1]]
 
 

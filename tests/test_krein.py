@@ -153,17 +153,32 @@ def test_jordan_block_keeps_its_generalized_eigenspace_inertia():
         classify_normal_form(h)
 
 
-@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-7, 6e-7, 9e-7, 1e-6])
 def test_slow_rotation_is_exact_or_refused(eps):
-    """eps J has its eigenvalues inside the cluster gap of zero; the
-    spectral route refuses it or agrees with the scan, never returns
-    another value (a full kernel at zero would have made it 0)."""
-    h = eps * standard_J(1)
-    try:
-        got = spectral_conley_zehnder(h)
-    except SymindexError:
-        return
-    assert got == conley_zehnder(h)
+    """eps J_1 and eps J_2 have their eigenvalues within the cluster gap
+    (1e-6) of zero; the spectral route refuses them or agrees with the
+    scan, never returns another value (a full kernel at zero, or a zero
+    block read from +-i eps apart, would have made it 0)."""
+    for n in (1, 2):
+        h = eps * standard_J(n)
+        try:
+            got = spectral_conley_zehnder(h)
+        except SymindexError:
+            continue
+        assert got == conley_zehnder(h)
+
+
+@pytest.mark.parametrize("eps", [6e-7, 9e-7, 1e-6])
+def test_rotation_slower_than_the_gap_is_classified(eps):
+    """+-i eps more than half the gap from zero fall in two clusters: a
+    rotation pair, not two zero blocks.  A real pair +-eps is likewise
+    a hyperbolic plane."""
+    for n in (1, 2):
+        h = eps * standard_J(n)
+        assert spectral_conley_zehnder(h) == conley_zehnder(h)
+        assert krein_positive_angles(h) == pytest.approx([eps] * n, rel=1e-9)
+    blocks = classify_normal_form(plane_block_generator([("hyperbolic", eps)]))
+    assert [(b.kind, b.dim) for b in blocks] == [("hyperbolic", 2)]
 
 
 def _count_decompositions(monkeypatch):

@@ -1,5 +1,7 @@
 """Inertia bookkeeping, signature bands, and exact half-integers."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from symindex import DEFAULT_TOL, HalfInt, Inertia, Tolerances
 from symindex.errors import AsymmetricInput, NonHermitianInput
 from symindex.halfint import ZERO
 from symindex.numerics import (
+    band_counts,
     herm_signature,
     kernel_basis,
     orthonormal_columns,
@@ -24,10 +27,17 @@ def test_inertia_of_known_diagonal():
     assert inertia.pair == (1, 1)
 
 
-def test_zero_form_needs_scale_override():
-    # a relative band alone would call the zero matrix empty of zeros
-    z = np.zeros((3, 3))
-    assert sym_signature(z, DEFAULT_TOL, scale=1.0) == Inertia(0, 0, 3)
+def test_zero_band_has_an_absolute_floor():
+    # the band is eps_sign * (1 + the largest |eigenvalue|), never below 1e-8
+    tiny = np.diag([1e-9, -2e-9])
+    assert sym_signature(tiny, DEFAULT_TOL) == Inertia(0, 0, 2)
+    assert herm_signature(tiny.astype(complex), DEFAULT_TOL) == Inertia(0, 0, 2)
+    assert sym_signature(np.zeros((3, 3)), DEFAULT_TOL) == Inertia(0, 0, 3)
+
+
+@pytest.mark.parametrize("fn", [sym_signature, herm_signature, stable_signature, band_counts])
+def test_signature_scale_is_not_a_parameter(fn):
+    assert "scale" not in inspect.signature(fn).parameters
 
 
 def test_signature_band_is_relative():
@@ -49,19 +59,19 @@ def test_hermitian_signature_of_minus_i_J():
 
 
 def test_gray_band_flags_only_ambiguous_eigenvalues():
-    # band 1e-8, margin 1e-5 at scale 1: 1e-7 is neither zero nor clear
-    inertia, stable = stable_signature(np.diag([1.0, 1e-7]), 1e-5, DEFAULT_TOL, scale=1.0)
+    # band 2e-8, margin 2e-5 at scale 1 + 1: 1e-7 is neither zero nor clear
+    inertia, stable = stable_signature(np.diag([1.0, 1e-7]), 1e-5, DEFAULT_TOL)
     assert inertia == Inertia(2, 0, 0)
     assert not stable
-    inertia, stable = stable_signature(np.diag([1.0, -1e-3]), 1e-5, DEFAULT_TOL, scale=1.0)
+    inertia, stable = stable_signature(np.diag([1.0, -1e-3]), 1e-5, DEFAULT_TOL)
     assert inertia == Inertia(1, 1, 0)
     assert stable
 
 
 def test_gray_band_keeps_zero_band_and_symmetry_check():
     m = np.diag([1.0, 1e-12, 0.0])
-    inertia, stable = stable_signature(m, 1e-5, DEFAULT_TOL, scale=1.0)
-    assert inertia == sym_signature(m, DEFAULT_TOL, scale=1.0) == Inertia(1, 0, 2)
+    inertia, stable = stable_signature(m, 1e-5, DEFAULT_TOL)
+    assert inertia == sym_signature(m, DEFAULT_TOL) == Inertia(1, 0, 2)
     assert stable
     with pytest.raises(AsymmetricInput):
         stable_signature(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-5, DEFAULT_TOL)
@@ -121,10 +131,11 @@ def test_halfint_addition_is_exact_and_associative(x, y, z):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from([-4.0, -1.0, 0.0, 2.0, 7.0]), min_size=1, max_size=6))
-def test_signature_matches_diagonal_count(diag):
-    d = np.array(diag)
-    inertia = sym_signature(np.diag(d), DEFAULT_TOL, scale=float(max(np.max(np.abs(d)), 1.0)))
+@given(st.lists(st.sampled_from([-4.0, -1.0, 0.0, 2.0, 7.0]), min_size=1, max_size=6),
+       st.integers(-6, 6))
+def test_signature_matches_diagonal_count(diag, k):
+    d = np.array(diag) * 10.0 ** k
+    inertia = sym_signature(np.diag(d), DEFAULT_TOL)
     assert inertia.n_pos == int(np.sum(d > 0))
     assert inertia.n_neg == int(np.sum(d < 0))
     assert inertia.n_zero == int(np.sum(d == 0))
