@@ -201,10 +201,14 @@ def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
     tau_direct = kashiwara_index(space, diag, pair, graph, tol)
     tau_reduced = kashiwara_index(red.space, red_diag, red_pair, red.project(graph), tol)
 
-    # minus one half of the correction matrix carries the same signature
+    # minus one half of the correction matrix carries the same signature.
+    # The congruence diag(I/sqrt(s), sqrt(s) I, I/sqrt(s)) maps the block
+    # matrix of X onto that of X/s, so its signature is taken at s = 1 +
+    # |X|_F, where the unit blocks do not drown the eigenvalues of X
     half = -0.5 * x
+    s = 1.0 + np.linalg.norm(half)
     return TripleCheck(tau_direct, tau_reduced, sym_signature(half, tol).signature,
-                       sym_signature(reduced_form_matrix(half), tol).signature)
+                       sym_signature(reduced_form_matrix(half / s), tol).signature)
 
 
 def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:

@@ -27,7 +27,7 @@ import scipy.linalg
 from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
 from .numerics import (DEFAULT_TOL, Inertia, Tolerances, as_even_square, as_square,
                        as_tolerances, herm_signature, kernel_basis, spectral_norm)
-from .symplectic import _generator, loxodromic_generator, plane_block_generator, standard_J
+from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
 
 #: relative gap below which two eigenvalues are treated as one cluster
 CLUSTER_GAP = 1e-6
@@ -77,7 +77,7 @@ def _invariant_subspace(h, target: complex, gap: float):
 
 def krein_form_matrix(n: int):
     """The Hermitian matrix G = -i J on C^(2n)."""
-    return -1j * standard_J(n)
+    return -1j * SymplecticSpace.standard(n).form
 
 
 def _krein_inertia(basis, tol: Tolerances) -> Inertia:

@@ -181,20 +181,34 @@ class _Stacked:
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
     """A generator checked once, with what the built-in paths of its
-    flow read: the stacked flow and spectrum of ``_flow`` and the
-    singular values of h, descending."""
+    flow read: the stacked flow and spectrum of ``_flow`` and the rate
+    bound B of both paths.
+
+    With S = sym(-Omega h), the Hamiltonian form of h on the space of
+    form Omega, B = max(sum of the n largest eigenvalues of S, -sum of
+    the n smallest).  In a space whose form is orthogonal with square -1
+    the phase of det Z of a Lagrangian moved by w' = h w turns at
+    tr(S P) (Robbin-Salamon's crossing form, traced), with P = Q Q^T for
+    the orbit's orthonormal frame Q and the lower block Q_b Q_b^T of the
+    graph's.  Both P have 0 <= P <= I and tr P = n (P + Omega P Omega^T
+    = I), so |tr(S P)| <= B, which rotations attain.  B never exceeds
+    the Ky Fan sum of the n largest singular values of h."""
 
     h: np.ndarray
     phi: Callable
     spectrum: Optional[Tuple[float, np.ndarray]]
-    svals: np.ndarray
+    bound: float
 
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
-    """The record of ``h`` checked by ``_generator`` against ``space``."""
+    """The record of ``h`` checked by ``_generator`` against ``space``
+    (default: the standard space of its size)."""
     h = _generator(h, space, tol)
+    n = h.shape[0] // 2
+    s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
+    eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
     phi, spectrum = _flow(h)
-    return _FlowRecord(h, phi, spectrum, np.linalg.svd(h, compute_uv=False))
+    return _FlowRecord(h, phi, spectrum, float(max(eigs[n:].sum(), -eigs[:n].sum())))
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -205,7 +219,8 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     space, else NotHamiltonian; ``start`` defaults to the vertical of
     the standard space.  Rate bound: moved by its horizontal lift
     (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
-    tr A, at most the sum of the n largest singular values of h (Ky Fan)."""
+    tr A = tr(Q^T S Q) for S = sym(-Omega h), at most the bound B of
+    ``_FlowRecord``."""
     record = _flow_record(h, None if start is None else start.space, tol)
     return _orbit_path(record, start, interval, tol)
 
@@ -226,8 +241,7 @@ def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
         return h @ phi(ts) @ f0
 
     return LagrangianPath(start.space, _Stacked(frs, d, _orbit_growth(record.spectrum)),
-                          _Stacked(dfrs, d), tuple(map(float, interval)),
-                          float(record.svals[:d // 2].sum()))
+                          _Stacked(dfrs, d), tuple(map(float, interval)), record.bound)
 
 
 def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
@@ -235,7 +249,9 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
 
     ``h`` must be Hamiltonian within ``tol`` for the standard form,
     else NotHamiltonian.  As the orbit of the diagonal under diag(0, h)
-    its rate bound is the sum of all singular values of h."""
+    its phase turns at tr(S P_b), with P_b the lower block of the
+    graph's orthogonal projector and S = sym(-J h); its rate bound is
+    the orbit's, B of ``_FlowRecord``."""
     return _graph_path(_flow_record(h, None, tol), interval)
 
 
@@ -265,7 +281,7 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
         return graphs(0.0, h @ phi(ts))
 
     return LagrangianPath(space, _Stacked(frs, d, growth), _Stacked(dfrs, d),
-                          tuple(map(float, interval)), float(record.svals.sum()))
+                          tuple(map(float, interval)), record.bound)
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -287,7 +303,10 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     n = start.space.half_dim
     u0 = start.frame[:n] + 1j * start.frame[n:]
     u1 = end.frame[:n] + 1j * end.frame[n:]
-    a = scipy.linalg.logm(u0.conj().T @ u1)
+    # U0* U1 is unitary, so normal: its complex Schur form Z T Z* has T
+    # diagonal up to rounding, and Z diag(log t_ii) Z* is the principal log
+    t, z = scipy.linalg.schur(u0.conj().T @ u1, output="complex")
+    a = (z * np.log(np.diagonal(t))) @ z.conj().T
     a = 0.5 * (a - a.conj().T)
     gen = a + 1j * np.pi * int(k) * np.eye(n)
     phi, spectrum = _flow(gen)
@@ -428,8 +447,9 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
 
 
 def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
-    """C = Q^T (I - i Omega) for the reference frame Q, so Z(t) = C F(t);
-    the first check of every scan and crossing form.  For a form that is
+    """(Re C, Im C) = (Q^T, -Q^T Omega), contiguous, of the chart C =
+    Q^T (I - i Omega) of the reference frame Q, so Z(t) = C F(t); the
+    first check of every scan and crossing form.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
     else InputError."""
@@ -437,19 +457,32 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    return ref.frame.T @ (np.eye(path.space.dim) - 1j * path.space.form)
+    q = ref.frame
+    return np.ascontiguousarray(q.T), -(q.T @ path.space.form)
+
+
+def _in_chart(chart, frames):
+    """The stack C F of real frames F as two real products, Re C F and
+    Im C F; a complex product would first upcast every F."""
+    re, im = chart
+    z = np.empty(frames.shape[:-2] + (re.shape[0], frames.shape[-1]), dtype=complex)
+    z.real = re @ frames
+    z.imag = im @ frames
+    return z
 
 
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
                    phases: bool = True, rated: bool = False):
     """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) at every
     time if ``phases``, else at the first and last, |Im tr(Z^-1 Z')| when
-    ``rated``) at the times ts, in one pass over the samples."""
+    ``rated``) at the times ts, in one pass over the samples.  Every Z =
+    C F, and C F' on the rated branch, is formed by ``_in_chart`` from
+    the real and imaginary parts of the ``chart``."""
     out = ([], [], [])
     ends = (0, len(ts) - 1)
     for sl in _batches(path, len(ts)):
         frames, log_s = _frames(path, ts[sl], tol)
-        z = chart @ frames
+        z = _in_chart(chart, frames)
         sign, logdet = np.linalg.slogdet(z)
         # log |det Z| = sum log s exactly when the frame is Lagrangian
         flat = logdet - log_s <= math.log(tol.eps_rank)
@@ -462,7 +495,7 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
         out[1].append(np.angle(np.linalg.eigvals(w)) % _TWO_PI)
         if rated:
             dframes, error = _evaluate(path, ts[sl], derivative=True)
-            dz = np.linalg.solve(z[:len(dframes)], chart @ dframes)
+            dz = np.linalg.solve(z[:len(dframes)], _in_chart(chart, dframes))
             out[2].append(np.abs(np.trace(dz, axis1=1, axis2=2).imag))
             if error is not None:
                 raise error

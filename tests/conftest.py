@@ -4,14 +4,36 @@ Hypothesis draws its examples from a fixed seed, so every run tests the
 same examples; with a fixed seed it keeps no example database.  Its one
 remaining cache, of the constants it reads from the source files, goes
 to the temporary directory, so a run writes nothing into the checkout.
+
+The ``workloads`` fixture is the benchmark's input generator,
+``perfbench/workloads.py``.  ``perfbench/`` is only read: it is put on
+``sys.path`` for the import and no bytecode is written next to it.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "symindex-hypothesis")
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return workloads

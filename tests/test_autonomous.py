@@ -136,6 +136,35 @@ def test_triple_routes_on_random_flows():
         assert check.consistent
 
 
+@pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (8, 0), (8, 1), (12, 0), (12, 2)])
+def test_block_form_signature_holds_for_widely_spread_correction(n, seed):
+    """psi(1) = [[I, I], [X, I + X]] is symplectic with correction
+    matrix X.  With |eigenvalues| of X from 0.33 to 1e5, the unit blocks
+    of [[0, -I, Y], [-I, 0, I], [Y, I, 0]] at Y = -X/2 push an eigenvalue
+    into the zero band; taken at Y/s, the block route equals sign X."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigs = np.geomspace(0.33, 1e5, n) * rng.choice([-1.0, 1.0], n)
+    x = (q * eigs) @ q.T
+    x = 0.5 * (x + x.T)
+    eye = np.eye(n)
+    check = triple_routes_from(np.block([[eye, eye], [x, eye + x]]))
+    assert check.sign_x == -int(np.sign(eigs).sum())
+    assert check.consistent
+
+
+def test_block_form_signature_on_a_benchmark_system(workloads):
+    """Pass 0 of index-large at seed 13 holds an n = 16 system whose
+    correction matrix spans |eigenvalues| 0.33 to 9.6e4; unscaled, its
+    block route counted one eigenvalue too few and validate reported
+    agree=False."""
+    system = make_system(workloads.make_pass("index-large", 13, 0)[5].h)
+    assert system.n == 16
+    check = triple_routes_from(system.psi(1.0))
+    assert (check.tau_direct, check.tau_reduced, check.sign_x, check.sign_y) == (-6,) * 4
+    assert validate(system, sigma=-1).agree
+
+
 def test_cross_check_runs_on_system():
     system = make_system(plane_block_generator([("elliptic", 2.0)]))
     check = triple_index_cross_check(system)
@@ -262,11 +291,14 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
 
 
 def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
-    """At n=8 one validate runs one eig and one SVD of h and one
-    Hamiltonian check of it, and the frames of its two certified scans
-    take no SVD in _frames."""
+    """At n=8 one validate runs one eig of h, one eigvalsh of its
+    Hamiltonian form S = sym(-J h), no SVD of h and one Hamiltonian
+    check of it, and the frames of its two certified scans take no SVD
+    in _frames."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     h = system.h
+    s = -standard_J(8) @ h
+    s = 0.5 * (s + s.T)
     calls = collections.Counter()
 
     def count(module, name):
@@ -275,6 +307,8 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
         def counted(a, *args, **kwargs):
             if np.shape(a) == h.shape and np.array_equal(a, h):
                 calls[name + "(h)"] += 1
+            if np.shape(a) == s.shape and np.allclose(a, s, rtol=0.0, atol=1e-12):
+                calls[name + "(S)"] += 1
             if sys._getframe(1).f_code.co_name == "_frames":
                 calls[name + " in _frames"] += 1
             return original(a, *args, **kwargs)
@@ -282,10 +316,11 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(np.linalg, "eig")
+    count(np.linalg, "eigvalsh")
     count(np.linalg, "svd")
     count(symplectic, "_hamiltonian_for")
     assert validate(system, sigma=-1).agree
-    assert calls == {"eig(h)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
+    assert calls == {"eig(h)": 1, "eigvalsh(S)": 1, "_hamiltonian_for(h)": 1}
     with pytest.raises(NotHamiltonian):
         validate(HamiltonianSystem(np.random.default_rng(0).standard_normal((4, 4))), sigma=1)
 

@@ -1,32 +1,14 @@
 """The calls the benchmark makes still run: a signature change that
 breaks ``perfbench/workloads.py`` fails here, not in a benchmark run.
 
-``perfbench/`` is only read: it is put on ``sys.path`` and imported
-without writing bytecode next to it.
+``perfbench/`` is only read, through the ``workloads`` fixture of
+``conftest.py``.
 """
-
-import pathlib
-import sys
 
 import pytest
 
 import symindex
 import symindex.checks  # noqa: F401  (``execute`` runs a check by name)
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        import workloads
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(PERFBENCH))
-    return workloads
 
 
 @pytest.mark.parametrize("workload,first_pass", [

@@ -56,7 +56,13 @@ from symindex.numerics import (
     kernel_basis,
     orthonormal_columns,
 )
-from symindex.symplectic import diagonal_lagrangian, is_hamiltonian, random_lagrangian
+from symindex.symplectic import (
+    diagonal_lagrangian,
+    is_hamiltonian,
+    product_lagrangian,
+    random_lagrangian,
+    same_span,
+)
 TWO_PI = 2.0 * np.pi
 
 # (speed, orbit index doubled, graph index doubled)
@@ -136,6 +142,24 @@ def test_geodesic_family_shifts_index_by_k():
         assert same_span(path.frame(0.0), start.frame)
         assert same_span(path.frame(1.0), end.frame)
         assert maslov_index(path, ref) == HalfInt.from_int(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_geodesic_log_equals_the_general_matrix_log(n):
+    """The geodesic's log of the unitary U0* U1, taken from its complex
+    Schur form, gives the frames of the principal scipy.linalg.logm
+    within 1e-12 on seeded pairs, and its frame at t=1 spans end."""
+    for seed in range(8):
+        start, end = random_lagrangian(n, seed), random_lagrangian(n, 100 + seed)
+        u0 = start.frame[:n] + 1j * start.frame[n:]
+        u1 = end.frame[:n] + 1j * end.frame[n:]
+        a = scipy.linalg.logm(u0.conj().T @ u1)
+        a = 0.5 * (a - a.conj().T)
+        path = unitary_geodesic(start, end)
+        for t in (0.3, 1.0):
+            u = u0 @ scipy.linalg.expm(t * a)
+            assert np.abs(path.frame_fn(t) - np.vstack([u.real, u.imag])).max() < 1e-12
+        assert same_span(path.frame_fn(1.0), end.frame)
 
 
 def test_graph_path_lives_in_product_space():
@@ -479,13 +503,54 @@ def test_crossing_form_evaluates_each_frame_once():
 @pytest.mark.parametrize("speed,cells", [(5.0, 4), (300.0, 191), (0.0, 1)])
 def test_certified_index_takes_the_cells_its_bound_needs(speed, cells):
     """maslov_index evaluates each of the max(1, ceil(2 B (b - a) / pi)) + 1
-    samples of a certified path once, and no derivative, whatever grid."""
-    path, calls = _counted(orbit_path(speed * standard_J(1)))
-    assert cells == max(1, int(np.ceil(2.0 * path._rate_bound / np.pi)))
-    for grid in (64, 256, 4096):
-        calls.clear()
-        assert maslov_index(path, vertical_lagrangian(1), grid) == rotation_orbit_index(speed)
-        assert calls == {"frame": cells + 1}
+    samples of a certified path once, and no derivative, whatever grid.
+    The rotation speed*J attains B = |speed| on the orbit and the graph
+    path, so both scans take the same cells."""
+    for factory, ref, closed_form in [(orbit_path, vertical_lagrangian, rotation_orbit_index),
+                                      (graph_path, diagonal_lagrangian, rotation_graph_index)]:
+        path, calls = _counted(factory(speed * standard_J(1)))
+        assert path._rate_bound == abs(speed)
+        assert cells == max(1, int(np.ceil(2.0 * path._rate_bound / np.pi)))
+        for grid in (64, 256, 4096):
+            calls.clear()
+            assert maslov_index(path, ref(1), grid) == closed_form(speed)
+            assert calls == {"frame": cells + 1}
+
+
+def _rate_cases():
+    """Seeded generators of the four profiles, n = 1..4, scales 1..3."""
+    for k, profile in enumerate(("generic", "semisimple-elliptic", "hyperbolic", "mixed")):
+        for n in range(1, 5):
+            for scale in (1.0, 2.0, 3.0):
+                yield scale * random_hamiltonian(n, 7000 + 10 * k + n, profile)
+
+
+def test_sampled_phase_rate_stays_within_the_rate_bound():
+    """|d arg det Z / dt| sampled on orbit and graph paths, against the
+    standard references and random ones, never exceeds B (1 + 1e-9)."""
+    ts = np.linspace(0.0, 1.0, 33)
+    for k, h in enumerate(_rate_cases()):
+        n = len(h) // 2
+        other = random_lagrangian(n, k)
+        for path, ref in [
+                (orbit_path(h), vertical_lagrangian(n)),
+                (orbit_path(h), other),
+                (graph_path(h), diagonal_lagrangian(n)),
+                (graph_path(h), product_lagrangian(other, random_lagrangian(n, k + 1)))]:
+            chart = maslov._chart(path, ref, DEFAULT_TOL)
+            rates = maslov._phase_samples(path, chart, ts, DEFAULT_TOL, False, True)[2]
+            assert rates.max() <= path._rate_bound * (1.0 + 1e-9)
+
+
+def test_rate_bound_never_exceeds_the_ky_fan_sums():
+    """B, shared by both paths, is at most the sum of the n largest
+    singular values of h (the former orbit bound), and so at most the
+    sum of all of them (the former graph bound)."""
+    for h in _rate_cases():
+        bound = orbit_path(h)._rate_bound
+        assert graph_path(h)._rate_bound == bound
+        svals = np.linalg.svd(h, compute_uv=False)
+        assert bound <= svals[:len(h) // 2].sum() * (1.0 + 1e-12)
 
 
 def test_find_crossings_keeps_grid_as_a_floor(monkeypatch):
@@ -689,7 +754,7 @@ def test_stacked_scan_equals_per_time_loop():
         assert index == _index_or_error(_looped(path), ref, grid)
         indices.append(index)
     assert outcomes[8] == (InputError, "path frame contains non-finite entries")
-    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0264966")
+    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.027451")
     assert outcomes[10] == (DimensionMismatch, "path frame has shape (2, 1)")
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[:8])
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[11:15])
@@ -762,13 +827,14 @@ def test_grid_must_be_an_integer(route):
 def test_overflowing_flow_raises_only_the_typed_error():
     """The stacked flow of diag(800, -800) overflows past t=0.887; the
     scans raise their typed errors and no numpy warning escapes.  The
-    graph scan takes the 1019 cells its rate bound 1600 needs."""
+    graph scan takes the 510 cells its rate bound 800 needs, and its
+    first rank loss is at the 14th sample, t = 14/510."""
     h = np.diag([800.0, -800.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="^path frame contains non-finite entries$"):
             find_crossings(orbit_path(h), vertical_lagrangian(1))
-        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.0264966$"):
+        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.027451$"):
             find_crossings(graph_path(h), diagonal_lagrangian(1))
 
 
