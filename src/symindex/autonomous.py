@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CalibrationFailure,
@@ -43,6 +42,7 @@ from .numerics import (
     as_even_square,
     as_square,
     as_tolerances,
+    expm,
     singular_values,
     spectral_norm,
     sym_signature,
@@ -76,7 +76,7 @@ class HamiltonianSystem:
 
     def psi(self, t: float):
         """Fundamental solution at time t."""
-        return scipy.linalg.expm(t * self.h)
+        return expm(t * self.h)
 
 
 def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:

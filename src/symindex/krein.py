@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
 from .numerics import (DEFAULT_TOL, Inertia, Tolerances, as_even_square, as_square,
@@ -47,32 +46,57 @@ def _cluster_eigenvalues(vals, gap):
     return clusters
 
 
+#: relative rank rule of eigenspaces (see ``_eigenspaces``)
+EIGENSPACE_RANK = 1e-7
+
+
 def _eigenspaces(h, tol: Tolerances):
-    """(gap, [(eigenvalue, multiplicity, kernel)]) for the clusters of a
-    square ``h``, from one eigvals and one SVD per cluster.  A cluster is
-    semisimple when its kernel, an orthonormal basis of ker(h - eigenvalue I),
-    has the cluster's multiplicity.
+    """(gap, eigenvalues, [(eigenvalue, multiplicity, kernel)]) for the
+    clusters of a square ``h``, from one eigvals and one SVD per cluster.
+    A cluster is semisimple when its kernel, an orthonormal basis of
+    ker(h - eigenvalue I), has the cluster's multiplicity.
 
     Rank is relative to the largest singular value of h - eigenvalue I
-    itself (``kernel_basis`` at eps_rank = 1e-7).  A rule keyed to the size
-    of h would give 1e-8 J a full kernel at zero: a semisimple zero block,
-    whose spectral CZ index would silently be 0 where the scans give 1.
+    itself (``kernel_basis`` at eps_rank = EIGENSPACE_RANK).  A rule keyed
+    to the size of h would give 1e-8 J a full kernel at zero: a semisimple
+    zero block, whose spectral CZ index would silently be 0 where the scans
+    give 1.
     """
     gap = _gap(h)
-    loose = replace(tol, eps_rank=1e-7)
+    loose = replace(tol, eps_rank=EIGENSPACE_RANK)
     eye = np.eye(h.shape[0])
-    return gap, [(lam, mult, kernel_basis(h - lam * eye, loose))
-                 for lam, mult in _cluster_eigenvalues(np.linalg.eigvals(h), gap)]
+    vals = np.linalg.eigvals(h)
+    return gap, vals, [(lam, mult, kernel_basis(h - lam * eye, loose))
+                       for lam, mult in _cluster_eigenvalues(vals, gap)]
 
 
-def _invariant_subspace(h, target: complex, gap: float):
-    """Orthonormal basis of the generalized eigenspace for the cluster
-    of eigenvalues within ``gap`` of ``target``."""
-    _, z, sdim = scipy.linalg.schur(h.astype(complex), output="complex",
-                                    sort=lambda lam: abs(lam - target) <= gap)
-    if sdim == 0:
+def _invariant_subspace(h, vals, target: complex, gap: float):
+    """(basis, k): an orthonormal basis of the generalized eigenspace of
+    the k eigenvalues ``vals`` of ``h`` within ``gap`` of ``target``, from
+    the kernel chain ker A, ker A^2, ... of A = h - lam I, lam their mean,
+    one SVD per step.
+
+    ker A^(m+1) is the set of x with A x in ker A^m, the kernel of
+    (I - V V*) A for V an orthonormal basis of ker A^m.  Every step keeps
+    the rank rule of the kernels, EIGENSPACE_RANK times the largest
+    singular value of A; the powers of A would squash it, since their
+    singular values on a Jordan cluster with nilpotent part nu fall like
+    nu^m.  The chain stops at dimension k or when a step adds nothing.
+    """
+    members = vals[np.abs(vals - target) <= gap]
+    if members.size == 0:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
-    return z[:, :sdim]
+    a = h - np.mean(members) * np.eye(h.shape[0])
+    _, s, vh = np.linalg.svd(a)
+    cutoff = EIGENSPACE_RANK * s[0]
+    basis = vh[np.sum(s > cutoff):].conj().T
+    while 0 < basis.shape[1] < members.size:
+        _, s, vh = np.linalg.svd(a - basis @ (basis.conj().T @ a))
+        grown = vh[np.sum(s > cutoff):].conj().T
+        if grown.shape[1] <= basis.shape[1]:
+            break
+        basis = grown
+    return basis, members.size
 
 
 def krein_form_matrix(n: int):
@@ -91,11 +115,23 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
 
     ``alpha`` is the real number such that i*alpha is the eigenvalue of
     interest; it must match an actual eigenvalue of ``h`` up to the
-    cluster gap, otherwise NotAnEigenvalue is raised.  The basis comes
-    from a sorted Schur form, independently of ``krein_spectrum``.
+    cluster gap, otherwise NotAnEigenvalue is raised.  The eigenvalues
+    within the gap form the cluster, independently of the clustering of
+    ``krein_spectrum``; its basis is the kernel chain of
+    ``_invariant_subspace`` at their mean.
+    The form is nondegenerate on a whole generalized eigenspace of an
+    imaginary eigenvalue, so a basis of another dimension or a degenerate
+    form means rounding split the cluster beyond the gap (a Jordan block
+    of size >= 3 can split by (eps cond)^(1/size)): NotAnEigenvalue.
     """
     h = _generator(h, None, tol)
-    return _krein_inertia(_invariant_subspace(h, 1j * float(alpha), _gap(h)), tol)
+    gap, target = _gap(h), 1j * float(alpha)
+    basis, k = _invariant_subspace(h, np.linalg.eigvals(h), target, gap)
+    inertia = _krein_inertia(basis, tol)
+    if basis.shape[1] != k or inertia.n_zero:
+        raise NotAnEigenvalue("the %d eigenvalues within %.2e of %s are part of a "
+                              "cluster split beyond the gap" % (k, gap, target))
+    return inertia
 
 
 @dataclass(frozen=True)
@@ -112,16 +148,16 @@ def _krein_pass(h, tol: Tolerances):
     """(spectrum, semisimple, gap) of ``h``: one generator check and one
     ``_eigenspaces``.  A cluster on the imaginary axis takes the Krein form
     on its kernel, or, if the kernel is short (a Jordan block), on its
-    generalized eigenspace from a sorted Schur form."""
+    generalized eigenspace (``_invariant_subspace``)."""
     h = _generator(h, None, tol)
-    gap, clusters = _eigenspaces(h, tol)
+    gap, vals, clusters = _eigenspaces(h, tol)
     spectrum, semisimple = [], True
     for lam, mult, kernel in clusters:
         full = kernel.shape[1] == mult
         semisimple &= full
         inertia = None
         if abs(lam.real) <= gap:
-            basis = kernel if full else _invariant_subspace(h, 1j * lam.imag, gap)
+            basis = kernel if full else _invariant_subspace(h, vals, 1j * lam.imag, gap)[0]
             inertia = _krein_inertia(basis, tol)
         spectrum.append(KreinEigenvalue(lam, mult, inertia))
     return spectrum, semisimple, gap
@@ -135,7 +171,7 @@ def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
 def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether every eigenvalue of ``h`` has a full set of eigenvectors."""
     tol = as_tolerances(tol)
-    _, clusters = _eigenspaces(as_square(h, "generator"), tol)
+    _, _, clusters = _eigenspaces(as_square(h, "generator"), tol)
     return all(kernel.shape[1] == mult for _, mult, kernel in clusters)
 
 

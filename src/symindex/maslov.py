@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +41,7 @@ from .numerics import (
     as_matrix,
     as_tolerances,
     band_counts,
+    expm,
 )
 from .symplectic import (
     LagrangianFrame,
@@ -119,9 +119,10 @@ def _flow(m):
     diagonalization, (V * exp(t vals)) @ inv(V) at each t, and the
     spectrum is (kappa, re): the condition number of V and the real
     parts of the eigenvalues, from which the factories bound the
-    condition number of their frames.  Else the stack comes from expm
-    matrix by matrix and the spectrum is None.  Each matrix of a stack
-    equals the flow evaluated at its time alone, bit for bit.
+    condition number of their frames.  Else (a defective or ill-conditioned
+    m) the stack is ``numerics.expm`` of the stack of t m, and the spectrum
+    is None.  Each matrix of a stack equals the flow evaluated at its time
+    alone, bit for bit.
     """
     m = np.asarray(m)
     d = m.shape[0]
@@ -142,7 +143,7 @@ def _flow(m):
         pass
 
     def phi_expm(ts):
-        return scipy.linalg.expm(ts[:, None, None] * m)
+        return expm(ts[:, None, None] * m)
 
     return phi_expm, None
 
@@ -290,7 +291,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
 
     A Lagrangian frame [X; Y] of the standard space corresponds to the
     unitary U = X + iY; the path follows U0 exp(t(A + i pi k)) with
-    A = log(U0* U1).  Different integers k give mutually non-homotopic
+    A = log(U0* U1), the principal log, taken from ``eig`` of the unitary
+    U0* U1.  Different integers k give mutually non-homotopic
     paths with the same endpoints.  arg det Z turns at exactly
     |Im tr(A + i pi k)|.  The frame [Re U; Im U] keeps its singular
     values within those of U, so it takes the bound of an orbit frame.
@@ -303,10 +305,12 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     n = start.space.half_dim
     u0 = start.frame[:n] + 1j * start.frame[n:]
     u1 = end.frame[:n] + 1j * end.frame[n:]
-    # U0* U1 is unitary, so normal: its complex Schur form Z T Z* has T
-    # diagonal up to rounding, and Z diag(log t_ii) Z* is the principal log
-    t, z = scipy.linalg.schur(u0.conj().T @ u1, output="complex")
-    a = (z * np.log(np.diagonal(t))) @ z.conj().T
+    # U0* U1 is unitary, so normal: its eigenspaces are orthogonal, and the
+    # QR factor Q of its eigenvectors holds an orthonormal basis of each,
+    # so Q diag(log lambda) Q* is the principal log
+    vals, vecs = np.linalg.eig(u0.conj().T @ u1)
+    q = np.linalg.qr(vecs)[0]
+    a = (q * np.log(vals)) @ q.conj().T
     a = 0.5 * (a - a.conj().T)
     gen = a + 1j * np.pi * int(k) * np.eye(n)
     phi, spectrum = _flow(gen)

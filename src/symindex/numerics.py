@@ -11,6 +11,7 @@ finiteness at the operation boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -188,6 +189,94 @@ def stable_signature(s, margin: float,
     of that size.
     """
     return _signature(s, tol, margin, hermitian=False)
+
+
+def _pade_weights(coeffs):
+    """Weights on the powers (I, a^2, a^4, ...) of the linear combinations
+    of a diagonal Padé approximant: rows (odd, even) below degree 13, and
+    at degree 13 (odd low, even low, odd high, even high), the high ones
+    multiplied by a^6 (Higham 2005, (2.3) and (2.4))."""
+    odd, even = coeffs[1::2], coeffs[::2]
+    if len(coeffs) < 14:
+        return np.array([odd, even])
+    return np.array([odd[:4], even[:4], (0.0,) + odd[4:], (0.0,) + even[4:]])
+
+
+#: (theta, weights) of the diagonal Padé approximants of degree 3, 5, 7,
+#: 9 and 13: below 1-norm theta an approximant is exact to unit roundoff
+#: in double precision (Higham 2005, Table 2.3)
+_PADE = tuple((theta, _pade_weights(coeffs)) for theta, coeffs in (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                            1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                           960960.0, 16380.0, 182.0, 1.0)),
+))
+
+
+def expm(a):
+    """exp of a square matrix, or of each matrix of a stack ``a[..., d, d]``,
+    real or complex, by scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 2005).
+
+    A matrix whose 1-norm is within one of the Padé thetas takes the
+    lowest such degree; else degree 13 after halving it s times to within
+    theta_13, and the result is squared s times.  Each matrix of a stack
+    takes the degree and squarings of its own norm, through the same
+    products as alone, so it equals ``expm`` of that matrix alone bit for
+    bit.
+    """
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    groups = {}
+    for k, norm in enumerate(np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0).tolist()):
+        groups.setdefault(_pade_plan(norm), []).append(k)
+    out = np.empty_like(stack)
+    for plan, rows in groups.items():
+        out[rows] = _pade_square(stack[rows], *plan)
+    return out.reshape(a.shape)
+
+
+def _pade_plan(norm: float):
+    """(degree index into ``_PADE``, squarings) for a matrix of 1-norm
+    ``norm``; a non-finite norm takes degree 13 unscaled."""
+    for index, (theta, _) in enumerate(_PADE):
+        if norm <= theta:
+            return index, 0
+    if not math.isfinite(norm):
+        return len(_PADE) - 1, 0
+    return len(_PADE) - 1, math.ceil(math.log2(norm / _PADE[-1][0]))
+
+
+def _pade_square(a, index: int, squarings: int):
+    """The stack exp(a) from the Padé approximant ``_PADE[index]`` at
+    a / 2^squarings, squared back."""
+    if squarings:
+        a = a * 2.0 ** -squarings
+    weights = _PADE[index][1]
+    powers = np.empty((weights.shape[1],) + a.shape, dtype=a.dtype)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    combos = np.add.reduce(weights[:, :, None, None, None] * powers, axis=1)
+    if len(combos) == 4:
+        u_lo, v_lo, u_hi, v_hi = combos
+        u = a @ (powers[3] @ u_hi + u_lo)
+        v = powers[3] @ v_hi + v_lo
+    else:
+        u, v = a @ combos[0], combos[1]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def singular_values(m):

@@ -32,6 +32,7 @@ from .numerics import (
     as_matrix,
     as_square,
     as_tolerances,
+    expm,
     kernel_basis,
     orthonormal_columns,
     singular_values,
@@ -500,11 +501,9 @@ def _safe_angle(rng):
 
 def random_symplectic(n: int, seed=0, scale: float = 1.0):
     """exp of a random Hamiltonian; always exactly in the group up to rounding."""
-    import scipy.linalg
-
     rng = _as_rng(seed)
     h = random_hamiltonian(n, rng, "generic")
-    return scipy.linalg.expm(scale * h)
+    return expm(scale * h)
 
 
 def random_lagrangian(n: int, seed=0, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

@@ -21,8 +21,11 @@ from symindex import (
     standard_direct_sum,
 )
 from symindex.errors import NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
-from symindex.krein import krein_form_matrix
+from symindex.krein import _gap, _invariant_subspace, krein_form_matrix
+from symindex.numerics import herm_signature
 from symindex.symplectic import (
+    SymplecticSpace,
+    darboux_frame,
     is_hamiltonian,
     loxodromic_generator,
     random_symplectic,
@@ -195,7 +198,6 @@ def _count_decompositions(monkeypatch):
 
     count(np.linalg, "eigvals")
     count(np.linalg, "svd")
-    count(scipy.linalg, "schur")
     return calls
 
 
@@ -210,16 +212,152 @@ def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
     assert calls == {"eigvals": 1, "svd": 16}
 
 
-def test_jordan_clusters_take_the_schur_basis(monkeypatch):
+def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
+    """Each size-2 Jordan cluster takes its kernel SVD and the two SVDs of
+    its kernel chain ker A, ker A^2 (``_invariant_subspace``)."""
     krein_spectrum(_jordan_at_2i())
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
-    assert calls == {"eigvals": 1, "svd": 2, "schur": 2}
+    assert calls == {"eigvals": 1, "svd": 6}
+
+
+def _jordan_generator(size, omega, sign, nilpotent=1e-3):
+    """A Hamiltonian generator with Jordan blocks of ``size`` at +-i omega
+    (at 0 when omega is 0), in the standard space.
+
+    On R^2 (x) R^size the generator is omega J_1 (x) I + I (x) N, N
+    nilpotent with one Jordan block, scaled by ``nilpotent``; at 1e-3
+    rounding splits no cluster beyond the cluster gap.  Even size: form
+    I (x) J and N in sp(size).  Odd size: form J_1 (x) G with G the
+    antidiagonal ``sign`` flip and N in o(G); the Krein signature at
+    +i omega is then ``sign``.  The Darboux frame of the form carries
+    it to the standard space."""
+    if size % 2 == 0:
+        n = np.zeros((size, size))
+        n[0, 1] = 1.0
+        if size == 4:
+            n[1, 3], n[3, 2] = 1.0, -1.0
+        if omega == 0.0:
+            return nilpotent * n
+        form = np.kron(np.eye(2), standard_J(size // 2))
+    else:
+        n = np.diag([(-1.0) ** j for j in range(size - 1)], 1)
+        form = np.kron(standard_J(1), sign * np.fliplr(np.eye(size)))
+    h = omega * np.kron(standard_J(1), np.eye(size)) + np.kron(np.eye(2), nilpotent * n)
+    t = darboux_frame(SymplecticSpace(form))
+    return np.linalg.solve(t, h @ t)
+
+
+def _schur_basis(h, target, gap):
+    """The reference basis: a sorted complex Schur basis of the
+    generalized eigenspace of the eigenvalues within ``gap`` of ``target``."""
+    _, z, sdim = scipy.linalg.schur(h.astype(complex), output="complex",
+                                    sort=lambda lam: abs(lam - target) <= gap)
+    return z[:, :sdim]
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_jordan_cluster_inertia_matches_the_schur_basis(size, omega):
+    """Jordan blocks of size 2, 3 and 4 at +-i omega and at 0, conjugated
+    by seeded random symplectic matrices: every cluster keeps the size of
+    its blocks; its basis from the kernel chain is orthonormal and
+    spans the sorted Schur subspace (projectors within
+    1e-12); and krein_spectrum and krein_signature give the inertia of the
+    Schur basis and of the normal form (p - q = sign at +i omega for one
+    odd block, p = q otherwise)."""
+    blocks = 2 if size == 3 and omega == 0.0 else 1  # odd blocks at 0 pair up
+    for sign in (1.0, -1.0):
+        base = _jordan_generator(size, omega, sign)
+        for seed in range(4):
+            s = random_symplectic(base.shape[0] // 2, seed, scale=0.5)
+            h = s @ base @ np.linalg.inv(s)
+            assert is_hamiltonian(h) and not is_semisimple(h)
+            spec = krein_spectrum(h)
+            assert [e.multiplicity for e in spec] == [blocks * size] * (1 if omega == 0 else 2)
+            gap, g = _gap(h), krein_form_matrix(h.shape[0] // 2)
+            for e in spec:
+                alpha = e.eigenvalue.imag
+                basis, k = _invariant_subspace(h, np.linalg.eigvals(h), 1j * alpha, gap)
+                assert k == e.multiplicity
+                reference = _schur_basis(h, 1j * alpha, gap)
+                assert basis.shape == reference.shape
+                np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                           atol=1e-12)
+                assert np.abs(basis @ basis.conj().T
+                              - reference @ reference.conj().T).max() < 1e-12
+                if omega == 0.0 or size % 2 == 0:
+                    expected = Inertia(blocks * size // 2, blocks * size // 2, 0)
+                else:
+                    p = (size + int(sign * np.sign(alpha))) // 2
+                    expected = Inertia(p, size - p, 0)
+                assert herm_signature(reference.conj().T @ g @ reference) == expected
+                assert e.inertia == expected, (sign, seed, alpha)
+                assert krein_signature(h, alpha) == expected
+
+
+def test_split_jordan_clusters_are_refused():
+    """A size-3 Jordan block with nilpotent part 1, conjugated by a
+    random symplectic matrix, splits by about (eps cond)^(1/3), beyond
+    the cluster gap.  krein_spectrum then reports smaller clusters with a
+    degenerate form; krein_signature refuses a query whose eigenvalues
+    within the gap are not the whole block (NotAnEigenvalue) and returns
+    the block's signature when they are (clusters more than the gap off
+    the imaginary axis carry no Krein data).  Seed 0 keeps both blocks whole;
+    seed 2 splits them into six singletons, every query refused."""
+    outcomes = {}
+    for sign in (1.0, -1.0):
+        base = _jordan_generator(3, 2.0, sign, nilpotent=1.0)
+        for seed in range(6):
+            s = random_symplectic(3, seed, scale=0.5)
+            h = s @ base @ np.linalg.inv(s)
+            spec = krein_spectrum(h)
+            assert sum(e.multiplicity for e in spec if e.eigenvalue.imag > 0) == 3
+            for e in (e for e in spec if e.inertia is not None):
+                alpha = e.eigenvalue.imag
+                p = (3 + int(sign * np.sign(alpha))) // 2
+                block = Inertia(p, 3 - p, 0)
+                if e.multiplicity == 3:
+                    assert e.inertia == block
+                else:
+                    assert e.inertia.n_zero > 0
+                try:
+                    got = krein_signature(h, alpha)
+                except NotAnEigenvalue:
+                    got = None
+                if e.multiplicity == 3:
+                    assert got == block
+                assert got in (None, block), (sign, seed, alpha)
+                outcomes.setdefault((sign, seed), []).append(got)
+    assert outcomes[(1.0, 0)] == [Inertia(2, 1, 0), Inertia(1, 2, 0)]
+    assert outcomes[(1.0, 2)] == [None] * 6
+
+
+def test_widely_spread_cluster_keeps_its_eigenspace():
+    """Four elliptic planes at +-1e-3 beside one at 100, conjugated by
+    random symplectic matrices: the cluster at -1e-3 i is 2e-5 of |h|
+    from its conjugate, and krein_signature there is the swap of
+    krein_spectrum's inertia at +1e-3 i, the normal form's count."""
+    for signs in ((1, 1, 1, 1), (1, 1, -1, 1), (1, -1, 1, -1)):
+        base = plane_block_generator([("elliptic", 1e-3 * k) for k in signs]
+                                     + [("elliptic", 100.0)])
+        p = signs.count(1)
+        for seed in range(3):
+            s = random_symplectic(5, seed, scale=0.5)
+            h = s @ base @ np.linalg.inv(s)
+            slow = [e for e in krein_spectrum(h) if abs(e.eigenvalue.imag) < 1.0]
+            assert [e.multiplicity for e in slow] == [4, 4]
+            for e in slow:
+                alpha = e.eigenvalue.imag
+                expected = (p, 4 - p) if alpha > 0 else (4 - p, p)
+                assert e.inertia == Inertia(*expected, 0)
+                assert krein_signature(h, -alpha) == Inertia(*expected[::-1], 0), (signs, seed)
 
 
 def test_spectrum_matches_the_schur_signature():
     """The kernel inertia of krein_spectrum equals krein_signature's, from
-    a sorted Schur basis, at every cluster on the imaginary axis."""
+    the whole generalized eigenspace of the eigenvalues within the gap,
+    at every cluster on the imaginary axis."""
     profiles = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
     compared = 0
     for seed in range(40):

@@ -53,10 +53,12 @@ from symindex.maslov import (
 )
 from symindex.numerics import (
     DEFAULT_TOL,
+    expm,
     kernel_basis,
     orthonormal_columns,
 )
 from symindex.symplectic import (
+    LagrangianFrame,
     diagonal_lagrangian,
     is_hamiltonian,
     product_lagrangian,
@@ -146,9 +148,10 @@ def test_geodesic_family_shifts_index_by_k():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_geodesic_log_equals_the_general_matrix_log(n):
-    """The geodesic's log of the unitary U0* U1, taken from its complex
-    Schur form, gives the frames of the principal scipy.linalg.logm
-    within 1e-12 on seeded pairs, and its frame at t=1 spans end."""
+    """The geodesic's log of the unitary U0* U1, taken from its
+    eigenvectors orthonormalized by QR, gives the frames of the principal
+    scipy.linalg.logm within 1e-12 on seeded pairs, and its frame at t=1
+    spans end."""
     for seed in range(8):
         start, end = random_lagrangian(n, seed), random_lagrangian(n, 100 + seed)
         u0 = start.frame[:n] + 1j * start.frame[n:]
@@ -160,6 +163,82 @@ def test_geodesic_log_equals_the_general_matrix_log(n):
             u = u0 @ scipy.linalg.expm(t * a)
             assert np.abs(path.frame_fn(t) - np.vstack([u.real, u.imag])).max() < 1e-12
         assert same_span(path.frame_fn(1.0), end.frame)
+
+
+def _unitary_frame(u):
+    """The frame [Re U; Im U] of a unitary U, taken as it is:
+    ``lagrangian_frame`` would orthonormalize it again and move U by a
+    real orthogonal factor."""
+    return LagrangianFrame(SymplecticSpace.standard(u.shape[0]), np.vstack([u.real, u.imag]))
+
+
+def _geodesic_edge_cases():
+    """(kind, U0, U1, indices against the vertical for k = -1, 0, 1).
+
+    "same": U0* U1 = I up to rounding, one eigenvalue cluster of
+    multiplicity n.  "repeated": two planes turned by the same angle.
+    "minus one": U0* U1 has the eigenvalue -1, where the sign of a
+    rounding-level imaginary part picks the branch of log and so the
+    turn count; the indices are those of the complex Schur route the
+    geodesic used before, on the same inputs."""
+    expected = {
+        ("same", 1): (-1, 0, 1), ("minus one", 1): (0, 1, 2),
+        ("same", 2): (-2, 0, 2), ("repeated", 2): (-2, 0, 2), ("minus one", 2): (-2, 0, 2),
+        ("same", 3): (-3, 0, 3), ("repeated", 3): (-3, 0, 3), ("minus one", 3): (-2, 1, 4),
+        ("same", 4): (-4, 0, 4), ("repeated", 4): (-6, -2, 2), ("minus one", 4): (-3, 1, 5),
+    }
+    cases = []
+    for n in (1, 2, 3, 4):
+        rng = np.random.default_rng(40 + n)
+        u0, q = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                 for _ in range(2))
+        angles = rng.uniform(-3.0, 3.0, size=n)
+        repeated, minus = angles.copy(), angles.copy()
+        repeated[:2] = angles[0]
+        minus[0] = np.pi
+        ends = {"same": u0, "repeated": u0 @ (q * np.exp(1j * repeated)) @ q.conj().T,
+                "minus one": u0 @ (q * np.exp(1j * minus)) @ q.conj().T}
+        for kind, u1 in ends.items():
+            if (kind, n) in expected:
+                cases.append(pytest.param(kind, u0, u1, expected[kind, n], id="%s n=%d" % (kind, n)))
+    return cases
+
+
+@pytest.mark.parametrize("kind,u0,u1,indices", _geodesic_edge_cases())
+def test_geodesic_edge_cases(kind, u0, u1, indices):
+    """Each geodesic runs from start to end, gives the indices of the
+    former route, and off the branch cut follows the logm geodesic
+    within 1e-12; from start back to start with k = 0 it stands still."""
+    n = u0.shape[0]
+    w = u0.conj().T @ u1
+    if kind == "minus one":
+        assert np.min(np.abs(np.linalg.eigvals(w) + 1.0)) < 1e-14
+    start, end = _unitary_frame(u0), _unitary_frame(u1)
+    for k, index in zip((-1, 0, 1), indices):
+        path = unitary_geodesic(start, end, k)
+        assert same_span(path.frame_fn(0.0), start.frame)
+        assert same_span(path.frame_fn(1.0), end.frame)
+        assert maslov_index(path, vertical_lagrangian(n)) == HalfInt.from_int(index)
+        if kind != "minus one":
+            a = scipy.linalg.logm(w) + 1j * np.pi * k * np.eye(n)
+            for t in (0.3, 1.0):
+                u = u0 @ scipy.linalg.expm(t * a)
+                assert np.abs(path.frame_fn(t) - np.vstack([u.real, u.imag])).max() < 1e-12
+    if kind == "same":
+        still = unitary_geodesic(start, end)
+        for t in (0.25, 0.5, 1.0):
+            assert np.abs(still.frame_fn(t) - start.frame).max() < 1e-14
+
+
+def test_geodesic_through_an_exact_minus_one_takes_the_principal_branch():
+    """U0* U1 = diag(-1, i) exactly: log(-1) = i pi, Im in (-pi, pi], so
+    with k = 0 the first plane turns by +pi."""
+    start = _unitary_frame(np.eye(2, dtype=complex))
+    end = _unitary_frame(np.diag([-1.0, 1j]))
+    path = unitary_geodesic(start, end)
+    np.testing.assert_allclose(path._rate_bound, 1.5 * np.pi, rtol=1e-15)
+    u = np.diag(np.exp(0.5j * np.array([np.pi, np.pi / 2])))
+    assert np.abs(path.frame_fn(0.5) - np.vstack([u.real, u.imag])).max() < 1e-15
 
 
 def test_graph_path_lives_in_product_space():
@@ -668,10 +747,10 @@ def _stacked_cases():
                      id="orbit custom start"),
         pytest.param(graph_path(mixed), None, id="graph"),
         pytest.param(unitary_geodesic(vertical_lagrangian(2), start, k=1), None, id="geodesic"),
-        pytest.param(orbit_path(shear), lambda t: scipy.linalg.expm(t * shear) @ vertical,
+        pytest.param(orbit_path(shear), lambda exp, t: exp(t * shear) @ vertical,
                      id="orbit expm fallback"),
         pytest.param(graph_path(shear),
-                     lambda t: np.vstack([np.eye(2), scipy.linalg.expm(t * shear)]),
+                     lambda exp, t: np.vstack([np.eye(2), exp(t * shear)]),
                      id="graph expm fallback"),
     ]
 
@@ -686,8 +765,12 @@ def test_stacked_frames_equal_per_time_calls(path, expm_frame):
         assert stack.shape == (len(ts), path.space.dim, path.space.half_dim)
         assert np.array_equal(stack, np.stack([fn(t) for t in ts]))
         assert np.array_equal(stack[:5], fn.stack(ts[:5]))
-    if expm_frame is not None:  # the fallback is expm itself, one time at a time
-        assert np.array_equal(path.frame_fn.stack(ts), np.stack([expm_frame(t) for t in ts]))
+    if expm_frame is not None:  # the fallback is the library's expm, one time at a time
+        stack = path.frame_fn.stack(ts)
+        assert np.array_equal(stack, np.stack([expm_frame(expm, t) for t in ts]))
+        for frame, t in zip(stack, ts):  # and scipy's within rounding
+            reference = expm_frame(scipy.linalg.expm, t)
+            assert np.linalg.norm(frame - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def _looped(path):
