@@ -195,19 +195,19 @@ def _triple_constants(n: int, tol: Tolerances):
 def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
     """The four routes for a time-one map whose correction matrix is x:
     tau directly and in the reduction by K (``kashiwara_reduced`` with
-    K = diagonal & L0 x L0), sign(-X/2) and its block-matrix form."""
+    K = diagonal & L0 x L0), -sign X (which ``validate`` reads back) and
+    the block-matrix form of -X/2."""
     space, diag, pair, red, red_diag, red_pair = _triple_constants(psi1.shape[0] // 2, tol)
     graph = graph_lagrangian(psi1, tol)
     tau_direct = kashiwara_index(space, diag, pair, graph, tol)
     tau_reduced = kashiwara_index(red.space, red_diag, red_pair, red.project(graph), tol)
 
-    # minus one half of the correction matrix carries the same signature.
-    # The congruence diag(I/sqrt(s), sqrt(s) I, I/sqrt(s)) maps the block
+    # the congruence diag(I/sqrt(s), sqrt(s) I, I/sqrt(s)) maps the block
     # matrix of X onto that of X/s, so its signature is taken at s = 1 +
     # |X|_F, where the unit blocks do not drown the eigenvalues of X
     half = -0.5 * x
     s = 1.0 + np.linalg.norm(half)
-    return TripleCheck(tau_direct, tau_reduced, sym_signature(half, tol).signature,
+    return TripleCheck(tau_direct, tau_reduced, -sym_signature(x, tol).signature,
                        sym_signature(reduced_form_matrix(half / s), tol).signature)
 
 
@@ -331,7 +331,7 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     except TransversalityViolated:
         return IndexReport(orbit, graph, sigma, None, None, None, None, True)
     check = _triple_routes(psi1, x, tol)
-    correction = sym_signature(x, tol).signature
+    correction = -check.sign_x
     formula = graph + HalfInt(sigma * correction)
     agree = bool(orbit == formula and check.consistent)
     return IndexReport(orbit, graph, sigma, correction, formula,

@@ -18,85 +18,71 @@ quadruples which carry no Krein data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
 from .numerics import (DEFAULT_TOL, Inertia, Tolerances, as_even_square, as_square,
-                       as_tolerances, herm_signature, kernel_basis, spectral_norm)
+                       as_tolerances, herm_signature, spectral_norm)
 from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
 
-#: relative gap below which two eigenvalues are treated as one cluster
+#: relative gap within which two eigenvalues are linked into one cluster
 CLUSTER_GAP = 1e-6
+
+#: relative rank rule of eigenspaces (see ``_eigenspace``)
+EIGENSPACE_RANK = 1e-7
 
 
 def _gap(h) -> float:
     return CLUSTER_GAP * max(1.0, spectral_norm(h))
 
 
-def _cluster_eigenvalues(vals, gap):
-    """Greedy clustering of close eigenvalues; returns (mean, size) pairs."""
-    free, clusters = list(range(len(vals))), []
-    while free:
-        members = [j for j in free if abs(vals[j] - vals[free[0]]) <= gap]
-        free = [j for j in free if j not in members]
-        clusters.append((complex(np.mean(vals[members])), len(members)))
-    return clusters
+def _components(vals, gap):
+    """The one partition of the Krein layer: the connected components of
+    ``vals`` linked within ``gap``, as boolean masks in the order of
+    their first member; unlike a greedy rule, independent of that order.
+    The link matrix is squared until it is closed under composition; then
+    row j is a component, and a new one iff its first member is j."""
+    reach = np.abs(vals[:, None] - vals) <= gap
+    closed = reach @ reach
+    while not np.array_equal(closed, reach):
+        reach, closed = closed, closed @ closed
+    return [reach[j] for j, row in enumerate(reach.tolist()) if row.index(True) == j]
 
 
-#: relative rank rule of eigenspaces (see ``_eigenspaces``)
-EIGENSPACE_RANK = 1e-7
-
-
-def _eigenspaces(h, tol: Tolerances):
-    """(gap, eigenvalues, [(eigenvalue, multiplicity, kernel)]) for the
-    clusters of a square ``h``, from one eigvals and one SVD per cluster.
-    A cluster is semisimple when its kernel, an orthonormal basis of
-    ker(h - eigenvalue I), has the cluster's multiplicity.
-
-    Rank is relative to the largest singular value of h - eigenvalue I
-    itself (``kernel_basis`` at eps_rank = EIGENSPACE_RANK).  A rule keyed
-    to the size of h would give 1e-8 J a full kernel at zero: a semisimple
-    zero block, whose spectral CZ index would silently be 0 where the scans
-    give 1.
-    """
-    gap = _gap(h)
-    loose = replace(tol, eps_rank=EIGENSPACE_RANK)
-    eye = np.eye(h.shape[0])
-    vals = np.linalg.eigvals(h)
-    return gap, vals, [(lam, mult, kernel_basis(h - lam * eye, loose))
-                       for lam, mult in _cluster_eigenvalues(vals, gap)]
-
-
-def _invariant_subspace(h, vals, target: complex, gap: float):
-    """(basis, k): an orthonormal basis of the generalized eigenspace of
-    the k eigenvalues ``vals`` of ``h`` within ``gap`` of ``target``, from
-    the kernel chain ker A, ker A^2, ... of A = h - lam I, lam their mean,
-    one SVD per step.
-
-    ker A^(m+1) is the set of x with A x in ker A^m, the kernel of
-    (I - V V*) A for V an orthonormal basis of ker A^m.  Every step keeps
-    the rank rule of the kernels, EIGENSPACE_RANK times the largest
-    singular value of A; the powers of A would squash it, since their
-    singular values on a Jordan cluster with nilpotent part nu fall like
-    nu^m.  The chain stops at dimension k or when a step adds nothing.
-    """
-    members = vals[np.abs(vals - target) <= gap]
-    if members.size == 0:
-        raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
-    a = h - np.mean(members) * np.eye(h.shape[0])
+def _eigenspace(h, lam, k: int):
+    """(kernel, basis): orthonormal bases of ker A, A = h - lam I, and of
+    its chain ker A^2, ... up to dimension ``k`` (0: the kernel alone) or
+    a step that adds nothing, one SVD per step: ker A^(m+1) is the kernel
+    of (I - V V*) A, V a basis of ker A^m.  Every step keeps the rank rule
+    EIGENSPACE_RANK times the largest singular value of A: powers of A
+    would squash it (like nu^m on a Jordan cluster with nilpotent part
+    nu), and a rule keyed to |h| would give 1e-8 J a full kernel at zero."""
+    a = h - lam * np.eye(h.shape[0])
     _, s, vh = np.linalg.svd(a)
     cutoff = EIGENSPACE_RANK * s[0]
-    basis = vh[np.sum(s > cutoff):].conj().T
-    while 0 < basis.shape[1] < members.size:
+    kernel = basis = vh[np.count_nonzero(s > cutoff):].conj().T
+    while 0 < basis.shape[1] < k:
         _, s, vh = np.linalg.svd(a - basis @ (basis.conj().T @ a))
-        grown = vh[np.sum(s > cutoff):].conj().T
+        grown = vh[np.count_nonzero(s > cutoff):].conj().T
         if grown.shape[1] <= basis.shape[1]:
             break
         basis = grown
-    return basis, members.size
+    return kernel, basis
+
+
+def _semisimple(kernels, multiplicities) -> bool:
+    """Each cluster's kernel has its multiplicity and the stacked kernels
+    pass the rank rule of ``_eigenspace``: split clusters of a nilpotent
+    matrix can each measure the same kernel."""
+    if any(k.shape[1] != m for k, m in zip(kernels, multiplicities)):
+        return False
+    if not kernels:
+        return True
+    s = np.linalg.svd(np.concatenate(kernels, axis=1), compute_uv=False)
+    return bool(s[-1] > EIGENSPACE_RANK * s[0])
 
 
 def krein_form_matrix(n: int):
@@ -113,24 +99,25 @@ def _krein_inertia(basis, tol: Tolerances) -> Inertia:
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of the Krein form on the generalized eigenspace of i*alpha.
 
-    ``alpha`` is the real number such that i*alpha is the eigenvalue of
-    interest; it must match an actual eigenvalue of ``h`` up to the
-    cluster gap, otherwise NotAnEigenvalue is raised.  The eigenvalues
-    within the gap form the cluster, independently of the clustering of
-    ``krein_spectrum``; its basis is the kernel chain of
-    ``_invariant_subspace`` at their mean.
-    The form is nondegenerate on a whole generalized eigenspace of an
-    imaginary eigenvalue, so a basis of another dimension or a degenerate
-    form means rounding split the cluster beyond the gap (a Jordan block
-    of size >= 3 can split by (eps cond)^(1/size)): NotAnEigenvalue.
+    It is read on the kernel chain of the ``krein_spectrum`` cluster that
+    holds the eigenvalue nearest to i*alpha, which must lie within the
+    cluster gap.  The form is nondegenerate on a whole generalized
+    eigenspace, so a chain of another dimension or a degenerate form
+    means rounding split the cluster (a Jordan block of size >= 3 by
+    about (eps cond)^(1/size)).  Either case raises NotAnEigenvalue.
     """
     h = _generator(h, None, tol)
-    gap, target = _gap(h), 1j * float(alpha)
-    basis, k = _invariant_subspace(h, np.linalg.eigvals(h), target, gap)
+    gap, target, vals = _gap(h), 1j * float(alpha), np.linalg.eigvals(h)
+    nearest = np.argmin(np.abs(vals - target))
+    if abs(vals[nearest] - target) > gap:
+        raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
+    members = next(part for part in _components(vals, gap) if part[nearest])
+    k = int(np.count_nonzero(members))
+    basis = _eigenspace(h, np.mean(vals[members]), k)[1]
     inertia = _krein_inertia(basis, tol)
     if basis.shape[1] != k or inertia.n_zero:
-        raise NotAnEigenvalue("the %d eigenvalues within %.2e of %s are part of a "
-                              "cluster split beyond the gap" % (k, gap, target))
+        raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
+                              "cluster split beyond the gap" % (k, target))
     return inertia
 
 
@@ -145,22 +132,21 @@ class KreinEigenvalue:
 
 
 def _krein_pass(h, tol: Tolerances):
-    """(spectrum, semisimple, gap) of ``h``: one generator check and one
-    ``_eigenspaces``.  A cluster on the imaginary axis takes the Krein form
-    on its kernel, or, if the kernel is short (a Jordan block), on its
-    generalized eigenspace (``_invariant_subspace``)."""
+    """(spectrum, semisimple, gap) of ``h``: one generator check, one
+    ``eigvals``, its ``_components`` and one ``_eigenspace`` per cluster.
+    A cluster on the imaginary axis takes the Krein form on its kernel
+    chain; one that rounding split keeps a degenerate form."""
     h = _generator(h, None, tol)
-    gap, vals, clusters = _eigenspaces(h, tol)
-    spectrum, semisimple = [], True
-    for lam, mult, kernel in clusters:
-        full = kernel.shape[1] == mult
-        semisimple &= full
-        inertia = None
-        if abs(lam.real) <= gap:
-            basis = kernel if full else _invariant_subspace(h, vals, 1j * lam.imag, gap)[0]
-            inertia = _krein_inertia(basis, tol)
+    gap, vals = _gap(h), np.linalg.eigvals(h)
+    spectrum, kernels = [], []
+    for members in _components(vals, gap):
+        lam, mult = complex(np.mean(vals[members])), int(np.count_nonzero(members))
+        on_axis = abs(lam.real) <= gap
+        kernel, basis = _eigenspace(h, lam, mult if on_axis else 0)
+        kernels.append(kernel)
+        inertia = _krein_inertia(basis, tol) if on_axis else None
         spectrum.append(KreinEigenvalue(lam, mult, inertia))
-    return spectrum, semisimple, gap
+    return spectrum, _semisimple(kernels, [e.multiplicity for e in spectrum]), gap
 
 
 def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
@@ -169,10 +155,15 @@ def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
 
 
 def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether every eigenvalue of ``h`` has a full set of eigenvectors."""
-    tol = as_tolerances(tol)
-    _, _, clusters = _eigenspaces(as_square(h, "generator"), tol)
-    return all(kernel.shape[1] == mult for _, mult, kernel in clusters)
+    """Whether the eigenvectors of the square matrix ``h`` span the whole
+    space: every cluster's kernel has the cluster's multiplicity and the
+    kernels are independent (``_semisimple``)."""
+    as_tolerances(tol)
+    h = as_square(h, "generator")
+    gap, vals = _gap(h), np.linalg.eigvals(h)
+    parts = _components(vals, gap)
+    return _semisimple([_eigenspace(h, np.mean(vals[p]), 0)[0] for p in parts],
+                       [int(np.count_nonzero(p)) for p in parts])
 
 
 @dataclass(frozen=True)
@@ -201,15 +192,21 @@ def classify_normal_form(h, tol: Tolerances = DEFAULT_TOL):
 
 
 def _normal_form(spectrum, semisimple: bool, gap: float):
-    """``classify_normal_form`` from a ``_krein_pass``."""
+    """``classify_normal_form`` from a ``_krein_pass``.
+
+    A cluster within half the gap of zero is a zero block; one on the
+    imaginary axis gives rotations by its Krein inertia at +i*alpha.  The
+    rest are matched by ``_components`` of their folded means |Re| + i|Im|
+    into hyperbolic pairs (on the real axis), then loxodromic quadruples.
+    """
     if not semisimple:
         raise NotSemisimple("generator has a nontrivial Jordan block")
-    blocks, seen_real, seen_quad = [], {}, {}
+    blocks, paired = [], []
     for entry in spectrum:
         lam, mult, inertia = entry.eigenvalue, entry.multiplicity, entry.inertia
         if abs(lam) <= gap / 2:
-            # such a cluster holds its conjugate: the clustering merges
-            # every eigenvalue within the gap of its first one
+            # the partition is closed under conjugation, so such a
+            # cluster holds its conjugate unless rounding stretched it
             if mult % 2 != 0:
                 raise UnclassifiableSpectrum("odd multiplicity at zero")
             blocks.append(NormalFormBlock("zero", (), mult // 2))
@@ -224,23 +221,23 @@ def _normal_form(spectrum, semisimple: bool, gap: float):
                 blocks.append(NormalFormBlock("rotation", (alpha,), inertia.n_pos))
             if inertia.n_neg:
                 blocks.append(NormalFormBlock("rotation", (-alpha,), inertia.n_neg))
-        elif abs(lam.imag) <= gap:
-            beta = abs(lam.real)
-            seen_real.setdefault(round(beta / gap), []).append((beta, mult))
         else:
-            key = (round(abs(lam.real) / gap), round(abs(lam.imag) / gap))
-            seen_quad.setdefault(key, []).append((lam, mult))
-    for entries in seen_real.values():
-        if len(entries) != 2 or entries[0][1] != entries[1][1]:
-            raise UnclassifiableSpectrum("unpaired real eigenvalue")
-        beta = entries[0][0]
-        blocks.append(NormalFormBlock("hyperbolic", (beta,), entries[0][1]))
-    for entries in seen_quad.values():
-        if len(entries) != 4 or len({m for _, m in entries}) != 1:
-            raise UnclassifiableSpectrum("incomplete loxodromic quadruple")
-        lam = max((e[0] for e in entries), key=lambda z: (z.real, z.imag))
-        blocks.append(NormalFormBlock("loxodromic", (lam.real, lam.imag), entries[0][1]))
-    return blocks
+            paired.append((lam, mult))
+    folded = np.array([complex(abs(lam.real), abs(lam.imag)) for lam, _ in paired])
+    matched = []
+    for part in _components(folded, gap):
+        entries = [paired[j] for j in np.flatnonzero(part)]
+        real = all(abs(lam.imag) <= gap for lam, _ in entries)
+        if len(entries) != (2 if real else 4) or len({m for _, m in entries}) != 1:
+            raise UnclassifiableSpectrum("unpaired real eigenvalue" if real
+                                         else "incomplete loxodromic quadruple")
+        mult = entries[0][1]
+        if real:
+            matched.append(NormalFormBlock("hyperbolic", (abs(entries[0][0].real),), mult))
+        else:
+            lam = max((e[0] for e in entries), key=lambda z: (z.real, z.imag))
+            matched.append(NormalFormBlock("loxodromic", (lam.real, lam.imag), mult))
+    return blocks + sorted(matched, key=lambda block: block.kind == "loxodromic")
 
 
 def krein_positive_angles(h, tol: Tolerances = DEFAULT_TOL):

@@ -36,7 +36,7 @@ from symindex.errors import (
 )
 from symindex.halfint import ZERO
 from symindex.maslov import graph_path, orbit_path
-from symindex.numerics import Tolerances
+from symindex.numerics import Tolerances, sym_signature
 from symindex.symplectic import (
     SymplecticSpace,
     diagonal_lagrangian,
@@ -151,6 +151,16 @@ def test_block_form_signature_holds_for_widely_spread_correction(n, seed):
     check = triple_routes_from(np.block([[eye, eye], [x, eye + x]]))
     assert check.sign_x == -int(np.sign(eigs).sum())
     assert check.consistent
+
+
+def test_sign_x_is_minus_the_signature_of_x():
+    """sign_x is -sign X from the one signature of X that validate takes
+    too: X = diag(2.5e-8, 1) has signature 2, while -X/2 would put its
+    small eigenvalue inside its own zero band and give -1."""
+    x, eye = np.diag([2.5e-8, 1.0]), np.eye(2)
+    assert sym_signature(x).signature == 2
+    check = triple_routes_from(np.block([[eye, eye], [x, eye + x]]))
+    assert check.sign_x == -2
 
 
 def test_block_form_signature_on_a_benchmark_system(workloads):

@@ -9,6 +9,8 @@ import pytest
 
 from symindex import plane_block_generator, standard_J
 from symindex.cli import main
+from symindex.symplectic import random_symplectic
+from test_krein import _jordan_generator
 
 
 def _payload(n, **fields):
@@ -148,13 +150,17 @@ def test_krein_output(tmp_path, capsys):
 
 
 def test_krein_non_semisimple(tmp_path, capsys):
-    shear = [[0.0, 1.0], [0.0, 0.0]]
-    path = _write(tmp_path, _payload(1, hamiltonian=shear))
-    code = main(["krein", "--input", path, "--format", "json"])
-    body = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert body["semisimple"] is False
-    assert body["rotation_angles"] is None
+    """A shear, and a conjugated nilpotent matrix of rank 4 whose three
+    split clusters all measure one kernel (``tests/test_krein.py``)."""
+    s = random_symplectic(3, 5, scale=0.5)
+    split = s @ _jordan_generator(3, 0.0, 1.0, nilpotent=1.0) @ np.linalg.inv(s)
+    for h in (np.array([[0.0, 1.0], [0.0, 0.0]]), split):
+        path = _write(tmp_path, _payload(h.shape[0] // 2, hamiltonian=h.tolist()))
+        code = main(["krein", "--input", path, "--format", "json"])
+        body = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert body["semisimple"] is False
+        assert body["rotation_angles"] is None
 
 
 def test_krein_flag_is_semisimplicity_not_classifiability(tmp_path, capsys):
