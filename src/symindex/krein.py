@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
-from .numerics import (DEFAULT_TOL, Inertia, Tolerances, as_even_square, as_square,
-                       as_tolerances, herm_signature, spectral_norm)
+from .numerics import (DEFAULT_TOL, Inertia, Tolerances, _signatures, as_even_square,
+                       as_square, as_tolerances, spectral_norm)
 from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
 
 #: relative gap within which two eigenvalues are linked into one cluster
@@ -52,25 +52,41 @@ def _components(vals, gap):
     return [reach[j] for j, row in enumerate(reach.tolist()) if row.index(True) == j]
 
 
-def _eigenspace(h, lam, k: int):
-    """(kernel, basis): orthonormal bases of ker A, A = h - lam I, and of
-    its chain ker A^2, ... up to dimension ``k`` (0: the kernel alone) or
-    a step that adds nothing, one SVD per step: ker A^(m+1) is the kernel
-    of (I - V V*) A, V a basis of ker A^m.  Every step keeps the rank rule
-    EIGENSPACE_RANK times the largest singular value of A: powers of A
-    would squash it (like nu^m on a Jordan cluster with nilpotent part
-    nu), and a rule keyed to |h| would give 1e-8 J a full kernel at zero."""
-    a = h - lam * np.eye(h.shape[0])
+def _kernels(h, lams):
+    """(A, kernels, cutoffs) for A_j = h - lams[j] I, from one stacked
+    SVD: an orthonormal basis of each ker A_j under the rank rule
+    EIGENSPACE_RANK times the largest singular value of A_j.  The shifts
+    keep the dtype of ``lams``."""
+    a = h - lams[:, None, None] * np.eye(h.shape[0])
     _, s, vh = np.linalg.svd(a)
-    cutoff = EIGENSPACE_RANK * s[0]
-    kernel = basis = vh[np.count_nonzero(s > cutoff):].conj().T
+    cutoffs = EIGENSPACE_RANK * s.max(axis=-1, initial=0.0)
+    kernels = [v[np.count_nonzero(sv > c):].conj().T for v, sv, c in zip(vh, s, cutoffs)]
+    return a, kernels, cutoffs
+
+
+def _chain(a, kernel, cutoff: float, k: int):
+    """The chain ker A^2, ... of ``kernel`` = ker A, up to dimension ``k``
+    or a step that adds nothing, one SVD per step: ker A^(m+1) is the
+    kernel of (I - V V*) A, V a basis of ker A^m.  Every step keeps the
+    kernel's ``cutoff``: powers of A would squash it (like nu^m on a
+    Jordan cluster with nilpotent part nu), and a rule keyed to |h| would
+    give 1e-8 J a full kernel at zero."""
+    basis = kernel
     while 0 < basis.shape[1] < k:
         _, s, vh = np.linalg.svd(a - basis @ (basis.conj().T @ a))
         grown = vh[np.count_nonzero(s > cutoff):].conj().T
         if grown.shape[1] <= basis.shape[1]:
             break
         basis = grown
-    return kernel, basis
+    return basis
+
+
+def _eigenspace(h, lam, k: int):
+    """(kernel, basis): orthonormal bases of ker A, A = h - lam I
+    (``_kernels``), and of its chain up to dimension ``k`` (``_chain``;
+    0: the kernel alone)."""
+    (a,), (kernel,), (cutoff,) = _kernels(h, np.array([lam]))
+    return kernel, _chain(a, kernel, cutoff, k)
 
 
 def _semisimple(kernels, multiplicities) -> bool:
@@ -90,10 +106,22 @@ def krein_form_matrix(n: int):
     return -1j * SymplecticSpace.standard(n).form
 
 
-def _krein_inertia(basis, tol: Tolerances) -> Inertia:
-    """Inertia of the Krein form on the span of orthonormal ``basis``."""
-    g = krein_form_matrix(basis.shape[0] // 2)
-    return herm_signature(basis.conj().T @ g @ basis, tol)
+def _krein_inertias(bases, tol: Tolerances):
+    """Inertias of the Krein form on the spans of orthonormal ``bases``
+    of C^(2n): the Gram matrices of the bases of one size are one stacked
+    product, checked and classified by one ``_signatures``."""
+    inertias = [None] * len(bases)
+    sizes = {}
+    for j, basis in enumerate(bases):
+        sizes.setdefault(basis.shape[1], []).append(j)
+    for m, idx in sizes.items():
+        stack = np.stack([bases[j] for j in idx])
+        g = krein_form_matrix(stack.shape[1] // 2)
+        grams = np.swapaxes(stack.conj(), -1, -2) @ g @ stack
+        n_pos, n_neg, _ = _signatures(grams, tol, 0.0, hermitian=True)
+        for j, p, q in zip(idx, n_pos.tolist(), n_neg.tolist()):
+            inertias[j] = Inertia(p, q, m - p - q)
+    return inertias
 
 
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
@@ -114,7 +142,7 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     members = next(part for part in _components(vals, gap) if part[nearest])
     k = int(np.count_nonzero(members))
     basis = _eigenspace(h, np.mean(vals[members]), k)[1]
-    inertia = _krein_inertia(basis, tol)
+    (inertia,) = _krein_inertias([basis], tol)
     if basis.shape[1] != k or inertia.n_zero:
         raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
                               "cluster split beyond the gap" % (k, target))
@@ -133,20 +161,23 @@ class KreinEigenvalue:
 
 def _krein_pass(h, tol: Tolerances):
     """(spectrum, semisimple, gap) of ``h``: one generator check, one
-    ``eigvals``, its ``_components`` and one ``_eigenspace`` per cluster.
-    A cluster on the imaginary axis takes the Krein form on its kernel
-    chain; one that rounding split keeps a degenerate form."""
+    ``eigvals``, its ``_components``, the ``_kernels`` of all clusters
+    and the ``_chain`` of each short kernel on the imaginary axis.  A
+    cluster on the axis takes the Krein form on its chain
+    (``_krein_inertias``); one that rounding split keeps a degenerate
+    form."""
     h = _generator(h, None, tol)
     gap, vals = _gap(h), np.linalg.eigvals(h)
-    spectrum, kernels = [], []
-    for members in _components(vals, gap):
-        lam, mult = complex(np.mean(vals[members])), int(np.count_nonzero(members))
-        on_axis = abs(lam.real) <= gap
-        kernel, basis = _eigenspace(h, lam, mult if on_axis else 0)
-        kernels.append(kernel)
-        inertia = _krein_inertia(basis, tol) if on_axis else None
-        spectrum.append(KreinEigenvalue(lam, mult, inertia))
-    return spectrum, _semisimple(kernels, [e.multiplicity for e in spectrum]), gap
+    parts = _components(vals, gap)
+    lams = np.array([np.mean(vals[p]) for p in parts], dtype=complex)
+    mults = [int(np.count_nonzero(p)) for p in parts]
+    a, kernels, cutoffs = _kernels(h, lams)
+    axis = [j for j, lam in enumerate(lams.tolist()) if abs(lam.real) <= gap]
+    inertias = dict(zip(axis, _krein_inertias(
+        [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis], tol)))
+    spectrum = [KreinEigenvalue(lam, mult, inertias.get(j))
+                for j, (lam, mult) in enumerate(zip(lams.tolist(), mults))]
+    return spectrum, _semisimple(kernels, mults), gap
 
 
 def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
@@ -162,7 +193,7 @@ def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     h = as_square(h, "generator")
     gap, vals = _gap(h), np.linalg.eigvals(h)
     parts = _components(vals, gap)
-    return _semisimple([_eigenspace(h, np.mean(vals[p]), 0)[0] for p in parts],
+    return _semisimple(_kernels(h, np.array([np.mean(vals[p]) for p in parts]))[1],
                        [int(np.count_nonzero(p)) for p in parts])
 
 

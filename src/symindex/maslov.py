@@ -62,6 +62,9 @@ REFINE_XTOL = 1e-12
 GRAY_FACTOR = 1e-6
 #: most cells a certified scan may take; a path that needs more raises GridTooCoarse
 MAX_CELLS = 2 ** 20
+#: largest move of arg det Z a certified cell may bound: ``np.unwrap`` lifts
+#: every step below pi exactly, and pi/8 covers the rounding of the samples
+CELL_PHASE = 7.0 * math.pi / 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,8 +514,10 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     """(chart, times, lifted arg det Z, eigenphases at every time if
     ``phases``, else at the ends) on the scan grid.
 
-    A path with a rate bound B needs ceil(2 B (b - a) / pi) cells, none
-    moving arg det Z by more than pi/2, and may take at most ``MAX_CELLS``.
+    A path with a rate bound B needs ceil(B (b - a) / ``CELL_PHASE``)
+    cells, none moving arg det Z by more than ``CELL_PHASE``, so by less
+    than the pi up to which ``np.unwrap`` lifts exactly, and may take at
+    most ``MAX_CELLS``.
     An index scan (not ``phases``) takes exactly those cells, at least
     one; ``find_crossings`` takes at least ``grid``, since its core is the
     smallest dimension sampled and its bisection starts from the cells.
@@ -527,7 +532,7 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     if bound is None:
         cells = grid
     else:
-        need = math.ceil(2.0 * bound * (b - a) / math.pi)
+        need = math.ceil(bound * (b - a) / CELL_PHASE)
         if need > MAX_CELLS:
             raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
                                 % (need, MAX_CELLS))
@@ -667,8 +672,10 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> CrossingScan:
     """The index of ``maslov_index`` with its crossings as evidence.
 
-    The core (``baseline_dim``) is the smallest dimension on the grid.
-    A cell counts (2 delta arg det Z - delta sum theta) / 2 pi phases
+    A built-in path takes ``grid`` cells or, if more, the
+    ceil(B (b - a) / ``CELL_PHASE``) its rate bound B needs.  The core
+    (``baseline_dim``) is the smallest dimension on the grid.  A cell
+    counts (2 delta arg det Z - delta sum theta) / 2 pi phases
     passing 0 upward, all phases near 0 snapped at the ends and only the
     core's elsewhere.  ``_locate`` bisects the cells that count; located
     times within ``MERGE_TOL`` are one and a zero total is dropped.
@@ -718,9 +725,10 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     """Index of the path relative to ``ref`` from the winding of the
     phase of det Z (module docstring); no crossing is located.
 
-    Built-in paths are certified by their rate bound and take exactly
-    the max(1, ceil(2 B (b - a) / pi)) cells it needs, whatever ``grid``;
-    their frames are checked for rank and Lagrangian at those samples
+    Built-in paths are certified by their rate bound B and take exactly
+    the max(1, ceil(B (b - a) / ``CELL_PHASE``)) cells it needs, whatever
+    ``grid``: no cell moves arg det Z by pi or more, so the lift is exact.
+    Their frames are checked for rank and Lagrangian at those samples
     only.  ``path_from_frames`` paths take ``grid`` cells and are checked
     only at their samples, so a full turn between two samples goes
     unseen.  Each frame is evaluated once, in batches within

@@ -116,10 +116,13 @@ def as_even_square(a, name="matrix"):
 
 
 def spectral_norm(m) -> float:
+    """The largest singular value of ``m``, 0 for an empty matrix; the
+    same float as ``np.linalg.norm(m, 2)``, which also computes the
+    smallest."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _signature(s, tol: Tolerances, margin: float, hermitian: bool):
@@ -128,19 +131,28 @@ def _signature(s, tol: Tolerances, margin: float, hermitian: bool):
     tol = as_tolerances(tol)
     if hermitian:
         s = as_square(s, "hermitian matrix", dtype=complex)
-        adj = s.conj().T
     else:
         s = as_square(s, "symmetric matrix")
-        adj = s.T
-    defect = np.linalg.norm(s - adj)
-    if defect > tol.eps_sym * (1.0 + np.linalg.norm(s)):
+    n_pos, n_neg, stable = _signatures(s[None], tol, margin, hermitian)
+    n_pos, n_neg = int(n_pos[0]), int(n_neg[0])
+    return Inertia(n_pos, n_neg, s.shape[0] - n_pos - n_neg), bool(stable[0])
+
+
+def _signatures(s, tol: Tolerances, margin: float, hermitian: bool):
+    """``band_counts`` of the symmetric or Hermitian part of each finite
+    square matrix of the stack ``s[k, m, m]``, from one ``eigvalsh``.  A
+    matrix whose defect |s - s*|_F exceeds ``eps_sym`` (1 + |s|_F) raises
+    NonHermitianInput or AsymmetricInput."""
+    adj = np.swapaxes(s.conj() if hermitian else s, -1, -2)
+    defect = np.linalg.norm(s - adj, axis=(-2, -1))
+    bad = defect > tol.eps_sym * (1.0 + np.linalg.norm(s, axis=(-2, -1)))
+    if bad.any():
+        first = float(defect[bad][0])
         if hermitian:
-            raise NonHermitianInput("hermitian defect %.3e too large" % defect)
-        raise AsymmetricInput("symmetry defect %.3e too large" % defect)
-    eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(0)
-    n_pos, n_neg, stable = band_counts(eigs, tol, margin)
-    n_pos, n_neg = int(n_pos), int(n_neg)
-    return Inertia(n_pos, n_neg, int(eigs.size - n_pos - n_neg)), bool(stable)
+            raise NonHermitianInput("hermitian defect %.3e too large" % first)
+        raise AsymmetricInput("symmetry defect %.3e too large" % first)
+    eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(s.shape[:-1])
+    return band_counts(eigs, tol, margin)
 
 
 def band_counts(eigs, tol: Tolerances, margin: float):

@@ -302,9 +302,9 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
 
 def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     """At n=8 one validate runs one eig of h, one eigvalsh of its
-    Hamiltonian form S = sym(-J h), no SVD of h and one Hamiltonian
-    check of it, and the frames of its two certified scans take no SVD
-    in _frames."""
+    Hamiltonian form S = sym(-J h), one Hamiltonian check of it, whose
+    spectral norm is the one SVD of h, and the frames of its two
+    certified scans take no SVD in _frames."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     h = system.h
     s = -standard_J(8) @ h
@@ -330,7 +330,7 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     count(np.linalg, "svd")
     count(symplectic, "_hamiltonian_for")
     assert validate(system, sigma=-1).agree
-    assert calls == {"eig(h)": 1, "eigvalsh(S)": 1, "_hamiltonian_for(h)": 1}
+    assert calls == {"eig(h)": 1, "eigvalsh(S)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
     with pytest.raises(NotHamiltonian):
         validate(HamiltonianSystem(np.random.default_rng(0).standard_normal((4, 4))), sigma=1)
 

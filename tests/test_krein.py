@@ -21,7 +21,7 @@ from symindex import (
     standard_direct_sum,
 )
 from symindex.errors import NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
-from symindex.krein import _eigenspace, _gap, krein_form_matrix
+from symindex.krein import _components, _eigenspace, _gap, krein_form_matrix
 from symindex.numerics import herm_signature
 from symindex.symplectic import (
     SymplecticSpace,
@@ -131,6 +131,14 @@ def test_nilpotent_shear_is_not_semisimple():
         classify_normal_form(shear)
 
 
+def test_empty_and_scalar_matrices_are_semisimple():
+    """is_semisimple takes any square matrix; the empty one has no
+    cluster, so no shifted matrix to take a kernel of."""
+    assert is_semisimple(np.zeros((0, 0)))
+    assert is_semisimple(np.zeros((1, 1)))
+    assert is_semisimple(np.eye(3))
+
+
 def test_non_hamiltonian_rejected():
     with pytest.raises(NotHamiltonian):
         krein_spectrum(np.eye(2))
@@ -205,24 +213,55 @@ def _count_decompositions(monkeypatch):
 
 @pytest.mark.parametrize("route", [krein_spectrum, classify_normal_form, spectral_conley_zehnder])
 def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
-    """At n=8 a semisimple generator takes one eigvals, one kernel SVD
-    per eigenvalue cluster (16 of them) and one SVD of the stacked
-    kernels, no eig and no Schur form."""
+    """At n=8 a semisimple generator takes one eigvals, one stacked SVD
+    for the kernels of its 16 eigenvalue clusters, one SVD of the stacked
+    kernels and the two spectral-norm SVDs of the generator check and
+    the cluster gap, no eig and no Schur form."""
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
     route(h)  # builds the cached standard space of dimension 16
     calls = _count_decompositions(monkeypatch)
     route(h)
-    assert calls == {"eigvals": 1, "svd": 17}
+    assert calls == {"eigvals": 1, "svd": 4}
 
 
 def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
-    """Each size-2 Jordan cluster takes the two SVDs of its kernel chain
-    ker A, ker A^2 (``_eigenspace``); a short kernel already decides that
-    the generator is not semisimple, so the kernels are not stacked."""
+    """The kernels ker A of both size-2 Jordan clusters come from one
+    stacked SVD, and each short kernel takes one more SVD for ker A^2
+    (``_chain``); a short kernel already decides that the generator is
+    not semisimple, so the kernels are not stacked.  Two more SVDs are
+    the spectral norms of the generator check and the cluster gap."""
     krein_spectrum(_jordan_at_2i())
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
-    assert calls == {"eigvals": 1, "svd": 4}
+    assert calls == {"eigvals": 1, "svd": 5}
+
+
+def test_batched_krein_pass_equals_one_cluster_at_a_time():
+    """krein_spectrum, which takes the kernels of all clusters from one
+    stacked SVD and the Krein inertias of each basis size from one
+    stacked product, equals the loop of one ``_eigenspace`` and one
+    herm_signature per cluster on seeded generators of every profile,
+    n = 1..4, and on conjugated Jordan blocks."""
+    generators = [(1 + s % 3) * random_hamiltonian(1 + s % 4, 9000 + s, profile)
+                  for s in range(24)
+                  for profile in ("generic", "semisimple-elliptic", "hyperbolic", "mixed")]
+    for size in (2, 3, 4):
+        for seed in range(3):
+            base = _jordan_generator(size, 0.7, 1.0, nilpotent=1e-2)
+            s = random_symplectic(base.shape[0] // 2, seed, scale=0.5)
+            generators.append(s @ base @ np.linalg.inv(s))
+    generators.append(_jordan_at_2i())
+    for h in generators:
+        gap, vals = _gap(h), np.linalg.eigvals(h)
+        g = krein_form_matrix(h.shape[0] // 2)
+        expected = []
+        for members in _components(vals, gap):
+            lam, mult = complex(np.mean(vals[members])), int(np.count_nonzero(members))
+            on_axis = abs(lam.real) <= gap
+            basis = _eigenspace(h, lam, mult if on_axis else 0)[1]
+            inertia = herm_signature(basis.conj().T @ g @ basis) if on_axis else None
+            expected.append((lam, mult, inertia))
+        assert [(e.eigenvalue, e.multiplicity, e.inertia) for e in krein_spectrum(h)] == expected
 
 
 def _jordan_generator(size, omega, sign, nilpotent=1e-3):

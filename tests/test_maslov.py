@@ -579,17 +579,17 @@ def test_crossing_form_evaluates_each_frame_once():
     assert calls == {"frame": 1, "dframe": 1}
 
 
-@pytest.mark.parametrize("speed,cells", [(5.0, 4), (300.0, 191), (0.0, 1)])
+@pytest.mark.parametrize("speed,cells", [(5.0, 2), (300.0, 110), (0.0, 1)])
 def test_certified_index_takes_the_cells_its_bound_needs(speed, cells):
-    """maslov_index evaluates each of the max(1, ceil(2 B (b - a) / pi)) + 1
-    samples of a certified path once, and no derivative, whatever grid.
+    """maslov_index evaluates each of the max(1, ceil(B (b - a) / CELL_PHASE))
+    + 1 samples of a certified path once, and no derivative, whatever grid.
     The rotation speed*J attains B = |speed| on the orbit and the graph
     path, so both scans take the same cells."""
     for factory, ref, closed_form in [(orbit_path, vertical_lagrangian, rotation_orbit_index),
                                       (graph_path, diagonal_lagrangian, rotation_graph_index)]:
         path, calls = _counted(factory(speed * standard_J(1)))
         assert path._rate_bound == abs(speed)
-        assert cells == max(1, int(np.ceil(2.0 * path._rate_bound / np.pi)))
+        assert cells == max(1, int(np.ceil(path._rate_bound / maslov.CELL_PHASE)))
         for grid in (64, 256, 4096):
             calls.clear()
             assert maslov_index(path, ref(1), grid) == closed_form(speed)
@@ -621,6 +621,73 @@ def test_sampled_phase_rate_stays_within_the_rate_bound():
             assert rates.max() <= path._rate_bound * (1.0 + 1e-9)
 
 
+def test_rotations_at_whole_cell_budgets_equal_their_closed_forms():
+    """A rotation whose bound B = |speed| is a whole number of cell
+    budgets CELL_PHASE, or 1e-9 off it either way, fills its last cell
+    to within rounding; both routes still give the closed forms (at a
+    multiple of 8 cells the end t=1 is a crossing of the orbit)."""
+    for cells in list(range(1, 25)) + [110, 291, 292]:
+        for rel in (-1e-9, 0.0, 1e-9):
+            speed = cells * maslov.CELL_PHASE * (1.0 + rel)
+            for alpha in (speed, -speed):
+                h = plane_block_generator([("elliptic", alpha)])
+                assert maslov_index_symplectic(h) == rotation_orbit_index(alpha), (cells, rel)
+                assert conley_zehnder(h) == rotation_graph_index(alpha), (cells, rel)
+
+
+def test_k_turn_loops_give_2k_on_both_routes():
+    """The k-turn loop exp(2 pi k t J), k = 1..200, has index 2k on the
+    orbit and on the graph route."""
+    for k in range(1, 201):
+        h = TWO_PI * k * standard_J(1)
+        assert maslov_index_symplectic(h) == HalfInt(4 * k)
+        assert conley_zehnder(h) == HalfInt(4 * k)
+
+
+def _certified_scans():
+    """(path, reference) of the orbit and graph paths of ``_rate_cases``
+    and of rotations, which turn the phase at their bound, against the
+    vertical, the diagonal and seeded random references, on [0, 1] and
+    on [-0.5, 1.75]."""
+    rotations = [plane_block_generator([("elliptic", speed)]) for speed in (5.0, -37.0, 300.0)]
+    rotations.append(plane_block_generator([("elliptic", 3.0), ("elliptic", 40.0)]))
+    for k, h in enumerate(list(_rate_cases()) + rotations):
+        n = len(h) // 2
+        other = random_lagrangian(n, k)
+        for interval in ((0.0, 1.0), (-0.5, 1.75)):
+            yield orbit_path(h, interval=interval), vertical_lagrangian(n)
+            yield orbit_path(h, interval=interval), other
+            yield graph_path(h, interval), diagonal_lagrangian(n)
+            yield graph_path(h, interval), product_lagrangian(other, random_lagrangian(n, k + 1))
+
+
+def test_certified_cells_move_the_phase_by_at_most_the_cell_budget():
+    """On every certified scan of ``_certified_scans`` each cell moves the
+    lifted arg det Z by at most CELL_PHASE (1 + 1e-9), and the lift is
+    the one of a scan with 8 times the samples at the shared times, so
+    no cell hides a turn."""
+    for path, ref in _certified_scans():
+        chart, ts, lifted, _ = maslov._phase_grid(path, ref, 256, DEFAULT_TOL, phases=False)
+        assert np.abs(np.diff(lifted)).max() <= maslov.CELL_PHASE * (1.0 + 1e-9)
+        fine = np.linspace(ts[0], ts[-1], 8 * (len(ts) - 1) + 1)
+        args = maslov._phase_samples(path, chart, fine, DEFAULT_TOL, False)[0]
+        fine_lift = np.unwrap(args)[::8]
+        np.testing.assert_allclose(fine_lift - fine_lift[0], lifted - lifted[0], rtol=0.0,
+                                   atol=1e-9)
+
+
+def test_certified_scans_take_no_more_cells_than_the_quarter_turn_rule():
+    """A certified index scan takes max(1, ceil(B (b - a) / CELL_PHASE))
+    cells, never more than the max(1, ceil(2 B (b - a) / pi)) of cells
+    of at most pi/2."""
+    for path, ref in _certified_scans():
+        a, b = path.interval
+        ts = maslov._phase_grid(path, ref, 256, DEFAULT_TOL, phases=False)[1]
+        budget = max(1, int(np.ceil(path._rate_bound * (b - a) / maslov.CELL_PHASE)))
+        assert len(ts) - 1 == budget
+        assert budget <= max(1, int(np.ceil(2.0 * path._rate_bound * (b - a) / np.pi)))
+
+
 def test_rate_bound_never_exceeds_the_ky_fan_sums():
     """B, shared by both paths, is at most the sum of the n largest
     singular values of h (the former orbit bound), and so at most the
@@ -634,7 +701,7 @@ def test_rate_bound_never_exceeds_the_ky_fan_sums():
 
 def test_find_crossings_keeps_grid_as_a_floor(monkeypatch):
     """find_crossings samples its 257 grid times before bisecting; the
-    index scan of the same path samples its 5 certified times in one
+    index scan of the same path samples its 3 certified times in one
     pass."""
     sampled = []
     samples = maslov._phase_samples
@@ -649,7 +716,7 @@ def test_find_crossings_keeps_grid_as_a_floor(monkeypatch):
     assert sampled[0] == 257 and len(sampled) > 1
     sampled.clear()
     assert maslov_index(path, ref) == HalfInt(3)
-    assert sampled == [5]
+    assert sampled == [3]
 
 
 @pytest.mark.parametrize("h", [
@@ -837,13 +904,13 @@ def test_stacked_scan_equals_per_time_loop():
         assert index == _index_or_error(_looped(path), ref, grid)
         indices.append(index)
     assert outcomes[8] == (InputError, "path frame contains non-finite entries")
-    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.027451")
+    assert outcomes[9] == (NotLagrangian, "path frame lost rank at t=0.0273973")
     assert outcomes[10] == (DimensionMismatch, "path frame has shape (2, 1)")
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[:8])
     assert all(isinstance(scan, maslov.CrossingScan) for scan in outcomes[11:15])
     assert [scan.index for scan in outcomes[11:15]] == indices[11:15]
     assert outcomes[15] == (NotLagrangian, "path frame lost rank at t=0.519531")
-    assert indices[15] == (NotLagrangian, "path frame lost rank at t=0.538462")
+    assert indices[15] == (NotLagrangian, "path frame lost rank at t=0.533333")
     assert outcomes[16].index == indices[16] == ZERO
 
 
@@ -910,14 +977,14 @@ def test_grid_must_be_an_integer(route):
 def test_overflowing_flow_raises_only_the_typed_error():
     """The stacked flow of diag(800, -800) overflows past t=0.887; the
     scans raise their typed errors and no numpy warning escapes.  The
-    graph scan takes the 510 cells its rate bound 800 needs, and its
-    first rank loss is at the 14th sample, t = 14/510."""
+    graph scan takes the 292 cells its rate bound 800 needs, and its
+    first rank loss is at the 8th sample, t = 8/292."""
     h = np.diag([800.0, -800.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="^path frame contains non-finite entries$"):
             find_crossings(orbit_path(h), vertical_lagrangian(1))
-        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.027451$"):
+        with pytest.raises(NotLagrangian, match=r"^path frame lost rank at t=0\.0273973$"):
             find_crossings(graph_path(h), diagonal_lagrangian(1))
 
 

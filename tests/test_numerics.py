@@ -26,6 +26,7 @@ from symindex.numerics import (
     herm_signature,
     kernel_basis,
     orthonormal_columns,
+    spectral_norm,
     stable_signature,
     sym_signature,
 )
@@ -87,6 +88,22 @@ def test_gray_band_keeps_zero_band_and_symmetry_check():
     assert stable
     with pytest.raises(AsymmetricInput):
         stable_signature(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-5, DEFAULT_TOL)
+
+
+def test_spectral_norm_is_the_2_norm_bit_for_bit():
+    """The largest singular value alone is the float np.linalg.norm(m, 2)
+    gives, on seeded real and complex matrices of every shape up to 6 x 6;
+    an empty matrix has norm 0."""
+    rng = np.random.default_rng(17)
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for scale in (1e-8, 1.0, 1e6):
+                m = scale * rng.standard_normal((rows, cols))
+                c = m + 1j * scale * rng.standard_normal((rows, cols))
+                assert spectral_norm(m) == np.linalg.norm(m, 2)
+                assert spectral_norm(c) == np.linalg.norm(c, 2)
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert spectral_norm(np.zeros(shape)) == 0.0 == np.linalg.norm(np.zeros(shape), 2)
 
 
 def test_kernel_basis():

@@ -1,0 +1,155 @@
+"""Parity sweep: the answer of every index route on seeded generators.
+
+    PYTHONPATH=src python tools/parity_sweep.py > change.jsonl
+    PYTHONPATH=/path/to/parent/src python tools/parity_sweep.py > parent.jsonl
+    diff parent.jsonl change.jsonl
+
+Writes one JSON line per input generator: its name and, for each route
+(``maslov_index_symplectic``, ``conley_zehnder``, ``validate`` with
+sigma = -1, ``krein_spectrum``, ``spectral_conley_zehnder``), the answer
+or the class and message of the typed error.  Floats are written as
+``float.hex``, so two trees agree on a line only when they agree bit for
+bit.  Run the same script against the ``src`` of two trees and diff the
+outputs to see every answer a change moved.  ``--limit N`` stops after
+N inputs.
+
+The ensembles:
+
+- ``random``: k * random_hamiltonian(1 + s % 4, 9000 + s, profile),
+  k = 1 + s % 3, the four profiles in turn, s < 400; 15 more at each of
+  n = 8 and n = 16;
+- ``growth``: 20 * random_hamiltonian(1 + s % 3, 5000 + s, profile),
+  mixed and hyperbolic in turn, s < 30, where frames lose rank;
+- ``rotation``: alpha J_1 for 97 speeds in [-400, 400], and loops of
+  1, 3, 10 and 100 turns;
+- ``shear``: the nilpotent shears [[0, +-1], [0, 0]];
+- ``jordan``: one Jordan block of size 2, 3 or 4 at +-i omega
+  (omega 0, 0.7, 2), Krein sign +-1, nilpotent part 1e-3, 1e-2 or 1,
+  conjugated by random_symplectic(n, seed, 0.5), seeds 0-5.
+"""
+
+import argparse
+import json
+import sys
+
+import numpy as np
+
+from symindex import (
+    SymindexError,
+    SymplecticSpace,
+    conley_zehnder,
+    darboux_frame,
+    krein_spectrum,
+    make_system,
+    maslov_index_symplectic,
+    random_hamiltonian,
+    random_symplectic,
+    spectral_conley_zehnder,
+    standard_J,
+    validate,
+)
+
+PROFILES = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
+
+
+def jordan_generator(size, omega, sign, nilpotent):
+    """A Hamiltonian generator with one Jordan block of ``size`` at
+    +-i omega (at 0 when omega is 0) in the standard space: omega J_1 (x)
+    I + I (x) N on R^2 (x) R^size, N nilpotent.  Even size: form I (x) J,
+    N in sp(size).  Odd size: form J_1 (x) G, G the antidiagonal ``sign``
+    flip, N in o(G), so the Krein sign at +i omega is ``sign``.  The
+    construction of ``_jordan_generator`` in tests/test_krein.py, kept
+    here so the sweep imports nothing from the tests of either tree."""
+    if size % 2 == 0:
+        n = np.zeros((size, size))
+        n[0, 1] = 1.0
+        if size == 4:
+            n[1, 3], n[3, 2] = 1.0, -1.0
+        if omega == 0.0:
+            return nilpotent * n
+        form = np.kron(np.eye(2), standard_J(size // 2))
+    else:
+        n = np.diag([(-1.0) ** j for j in range(size - 1)], 1)
+        form = np.kron(standard_J(1), sign * np.fliplr(np.eye(size)))
+    h = omega * np.kron(standard_J(1), np.eye(size)) + np.kron(np.eye(2), nilpotent * n)
+    t = darboux_frame(SymplecticSpace(form))
+    return np.linalg.solve(t, h @ t)
+
+
+def ensemble():
+    """Yields (name, generator) of every input, in a fixed order."""
+    for s in range(400):
+        profile = PROFILES[s % 4]
+        yield ("random %d %s" % (s, profile),
+               (1 + s % 3) * random_hamiltonian(1 + s % 4, 9000 + s, profile))
+    for n in (8, 16):
+        for s in range(15):
+            profile = PROFILES[s % 4]
+            yield "random n=%d %d %s" % (n, s, profile), random_hamiltonian(n, 9500 + s, profile)
+    for s in range(30):
+        profile = ("mixed", "hyperbolic")[s % 2]
+        yield ("growth %d %s" % (s, profile),
+               20.0 * random_hamiltonian(1 + s % 3, 5000 + s, profile))
+    for alpha in np.linspace(-400.0, 400.0, 97).tolist():
+        yield "rotation %s" % float.hex(alpha), alpha * standard_J(1)
+    for turns in (1, 3, 10, 100):
+        yield "loop %d" % turns, 2.0 * np.pi * turns * standard_J(1)
+    for sign in (1.0, -1.0):
+        yield "shear %+g" % sign, np.array([[0.0, sign], [0.0, 0.0]])
+    for size in (2, 3, 4):
+        for omega in (0.0, 0.7, 2.0):
+            for sign in (1.0, -1.0):
+                for nilpotent in (1e-3, 1e-2, 1.0):
+                    base = jordan_generator(size, omega, sign, nilpotent)
+                    for seed in range(6):
+                        s = random_symplectic(base.shape[0] // 2, seed, scale=0.5)
+                        yield ("jordan size=%d omega=%g sign=%+g nilpotent=%g seed=%d"
+                               % (size, omega, sign, nilpotent, seed),
+                               s @ base @ np.linalg.inv(s))
+
+
+def _report(report):
+    return {field: value if value is None or isinstance(value, int) else str(value)
+            for field, value in vars(report).items()}
+
+
+def _spectrum(spectrum):
+    return [[float.hex(e.eigenvalue.real), float.hex(e.eigenvalue.imag), e.multiplicity,
+             None if e.inertia is None else [e.inertia.n_pos, e.inertia.n_neg, e.inertia.n_zero]]
+            for e in spectrum]
+
+
+ROUTES = {
+    "maslov_index_symplectic": lambda h: str(maslov_index_symplectic(h)),
+    "conley_zehnder": lambda h: str(conley_zehnder(h)),
+    "validate": lambda h: _report(validate(make_system(h), sigma=-1)),
+    "krein_spectrum": lambda h: _spectrum(krein_spectrum(h)),
+    "spectral_conley_zehnder": lambda h: str(spectral_conley_zehnder(h)),
+}
+
+
+def record(name, h):
+    """The JSON object of one input: its name and each route's answer, or
+    {"error": class name, "message": text} for a typed error."""
+    out = {"input": name}
+    for route, run in ROUTES.items():
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[route] = run(h)
+        except SymindexError as exc:
+            out[route] = {"error": type(exc).__name__, "message": str(exc)}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--limit", type=int, default=None, help="stop after this many inputs")
+    args = parser.parse_args(argv)
+    for k, (name, h) in enumerate(ensemble()):
+        if args.limit is not None and k >= args.limit:
+            break
+        sys.stdout.write(json.dumps(record(name, h), sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
