@@ -80,7 +80,7 @@ class HamiltonianSystem:
 
 
 def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
-    return HamiltonianSystem(_generator(h, None, tol))
+    return HamiltonianSystem(_generator(h, None, tol)[0])
 
 
 def fundamental_solution(system, t: float = 1.0):

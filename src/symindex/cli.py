@@ -6,8 +6,12 @@ lists; Lagrangian frames are given column-major, i.e. as lists of basis
 vectors of length 2n.  Index values are reported as exact strings like
 "2" or "-3/2", never as decimals.
 
-Exit codes: 0 success and all computed routes agree, 1 bad input,
-2 routes disagree, 3 calibration failure.
+Exit codes: 0 success and all computed routes agree, 1 bad input or a
+usage error, 2 routes disagree, 3 calibration failure.
+
+Each ``_cmd_*`` maps (args, tol) to (payload, text lines, exit code);
+``main`` parses, builds the Tolerances, writes the payload or the lines
+and maps a typed error to its exit code.
 """
 
 from __future__ import annotations
@@ -81,6 +85,13 @@ def _payload_matrix(obj: dict, key: str, shape):
     return arr
 
 
+def _read_generator(path: str):
+    """(n, h) of a payload that carries "n" and a 2n x 2n "hamiltonian"."""
+    obj = _read_payload(path)
+    n = _payload_n(obj)
+    return n, _payload_matrix(obj, "hamiltonian", (2 * n, 2 * n))
+
+
 def _payload_frames(obj: dict, n: int, tol: Tolerances):
     data = obj.get("frames")
     if not isinstance(data, list) or len(data) != 3:
@@ -104,24 +115,15 @@ def _tolerances(args) -> Tolerances:
     return dataclasses.replace(DEFAULT_TOL, eps_rank=args.tol)
 
 
-def _emit_json(obj: dict):
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def _half_str(value):
     return None if value is None else str(value)
 
 
-def _cmd_index(args) -> int:
-    tol = _tolerances(args)
-    obj = _read_payload(args.input)
-    n = _payload_n(obj)
-    h = _payload_matrix(obj, "hamiltonian", (2 * n, 2 * n))
-    system = make_system(h, tol)
+def _cmd_index(args, tol: Tolerances):
+    n, h = _read_generator(args.input)
     sigma = {"auto": None, "+1": 1, "-1": -1}[args.sigma]
-    report = validate(system, sigma=sigma, grid=args.grid, tol=tol)
+    report = validate(make_system(h, tol), sigma=sigma, grid=args.grid, tol=tol)
     out = {
-        "schema_version": SCHEMA_VERSION,
         "n": n,
         "orbit_index": _half_str(report.orbit_index),
         "graph_index": _half_str(report.graph_index),
@@ -132,41 +134,30 @@ def _cmd_index(args) -> int:
         "tau_reduced": report.tau_reduced,
         "agree": report.agree,
     }
-    if args.format == "json":
-        _emit_json(out)
+    lines = ["orbit index   : %s" % out["orbit_index"],
+             "graph index   : %s" % out["graph_index"]]
+    if report.formula_index is None:
+        lines.append("formula       : unavailable (time-one map not transversal)")
     else:
-        print("orbit index   : %s" % out["orbit_index"])
-        print("graph index   : %s" % out["graph_index"])
-        if report.formula_index is None:
-            print("formula       : unavailable (time-one map not transversal)")
-        else:
-            print("formula       : %s + (%+d) * (%+d)/2 = %s"
-                  % (out["graph_index"], report.sigma, report.correction,
-                     out["formula_index"]))
-            print("triple index  : direct %d, reduced %d"
-                  % (report.tau_direct, report.tau_reduced))
-        print("agree         : %s" % ("yes" if report.agree else "NO"))
-    return 0 if report.agree else 2
+        lines.append("formula       : %s + (%+d) * (%+d)/2 = %s"
+                     % (out["graph_index"], report.sigma, report.correction,
+                        out["formula_index"]))
+        lines.append("triple index  : direct %d, reduced %d"
+                     % (report.tau_direct, report.tau_reduced))
+    lines.append("agree         : %s" % ("yes" if report.agree else "NO"))
+    return out, lines, 0 if report.agree else 2
 
 
-def _cmd_kashiwara(args) -> int:
-    tol = _tolerances(args)
+def _cmd_kashiwara(args, tol: Tolerances):
     obj = _read_payload(args.input)
     n = _payload_n(obj)
     if "frames" in obj:
         space, frames = _payload_frames(obj, n, tol)
         tau = kashiwara_index(space, frames[0], frames[1], frames[2], tol)
-        out = {"schema_version": SCHEMA_VERSION, "n": n, "tau": tau}
-        if args.format == "json":
-            _emit_json(out)
-        else:
-            print("tau = %d" % tau)
-        return 0
+        return {"n": n, "tau": tau}, ["tau = %d" % tau], 0
     if "psi1" in obj:
-        psi1 = _payload_matrix(obj, "psi1", (2 * n, 2 * n))
-        check = triple_routes_from(psi1, tol)
+        check = triple_routes_from(_payload_matrix(obj, "psi1", (2 * n, 2 * n)), tol)
         out = {
-            "schema_version": SCHEMA_VERSION,
             "n": n,
             "tau_direct": check.tau_direct,
             "tau_reduced": check.tau_reduced,
@@ -174,88 +165,55 @@ def _cmd_kashiwara(args) -> int:
             "sign_y": check.sign_y,
             "consistent": check.consistent,
         }
-        if args.format == "json":
-            _emit_json(out)
-        else:
-            print("tau direct %d, reduced %d, sign X %d, sign Y %d -> %s"
-                  % (check.tau_direct, check.tau_reduced, check.sign_x,
-                     check.sign_y, "consistent" if check.consistent else "MISMATCH"))
-        return 0 if check.consistent else 2
+        line = ("tau direct %d, reduced %d, sign X %d, sign Y %d -> %s"
+                % (check.tau_direct, check.tau_reduced, check.sign_x, check.sign_y,
+                   "consistent" if check.consistent else "MISMATCH"))
+        return out, [line], 0 if check.consistent else 2
     raise InputError('payload needs either "frames" or "psi1"')
 
 
-def _cmd_krein(args) -> int:
-    tol = _tolerances(args)
-    obj = _read_payload(args.input)
-    n = _payload_n(obj)
-    h = _payload_matrix(obj, "hamiltonian", (2 * n, 2 * n))
+def _cmd_krein(args, tol: Tolerances):
+    n, h = _read_generator(args.input)
     entries, semisimple, gap = _krein_pass(h, tol)
-    spectrum = []
-    for entry in entries:
-        spectrum.append({
-            "real": entry.eigenvalue.real,
-            "imag": entry.eigenvalue.imag,
-            "multiplicity": entry.multiplicity,
-            "krein": None if entry.inertia is None else list(entry.inertia.pair),
-        })
+    spectrum = [{
+        "real": entry.eigenvalue.real,
+        "imag": entry.eigenvalue.imag,
+        "multiplicity": entry.multiplicity,
+        "krein": None if entry.inertia is None else list(entry.inertia.pair),
+    } for entry in entries]
     try:
         angles = [float(a) for a in _rotation_speeds(_normal_form(entries, semisimple, gap))]
     except SymindexError:
         angles = None
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "spectrum": spectrum,
-        "semisimple": semisimple,
-        "rotation_angles": angles,
-    }
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        for row in spectrum:
-            krein = "" if row["krein"] is None else "  krein (%d, %d)" % tuple(row["krein"])
-            print("eigenvalue %+.6g%+.6gi  x%d%s"
-                  % (row["real"], row["imag"], row["multiplicity"], krein))
-        if angles is not None:
-            print("rotation angles: %s" % (angles,))
-    return 0
+    lines = ["eigenvalue %+.6g%+.6gi  x%d%s"
+             % (row["real"], row["imag"], row["multiplicity"],
+                "" if row["krein"] is None else "  krein (%d, %d)" % tuple(row["krein"]))
+             for row in spectrum]
+    if angles is not None:
+        lines.append("rotation angles: %s" % (angles,))
+    out = {"n": n, "spectrum": spectrum, "semisimple": semisimple, "rotation_angles": angles}
+    return out, lines, 0
 
 
-def _cmd_calibrate(args) -> int:
-    tol = _tolerances(args)
+def _cmd_calibrate(args, tol: Tolerances):
     grid = _grid_cells(args.grid)
     sigma = calibrate_sign(tol=tol)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "sigma": sigma,
-        "published_sign": PUBLISHED_SIGN,
-        "grid": grid,
-    }
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        print("calibrated sigma = %+d (commonly quoted sign: %+d)"
-              % (sigma, PUBLISHED_SIGN))
-    return 0
+    out = {"sigma": sigma, "published_sign": PUBLISHED_SIGN, "grid": grid}
+    return out, ["calibrated sigma = %+d (commonly quoted sign: %+d)"
+                 % (sigma, PUBLISHED_SIGN)], 0
 
 
-def _cmd_check(args) -> int:
-    tol = _tolerances(args)
+def _cmd_check(args, tol: Tolerances):
     _grid_cells(args.grid)
     results = run_property_suite(tol=tol)
     ok = all(r.passed for r in results)
-    if args.format == "json":
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "results": [{"name": r.name, "passed": r.passed, "details": r.details}
-                        for r in results],
-            "all_passed": ok,
-        })
-    else:
-        for r in results:
-            print("%s %s: %s" % ("PASS" if r.passed else "FAIL", r.name, r.details))
-        print("all passed" if ok else "FAILURES present")
-    return 0 if ok else 2
+    out = {"results": [{"name": r.name, "passed": r.passed, "details": r.details}
+                       for r in results],
+           "all_passed": ok}
+    lines = ["%s %s: %s" % ("PASS" if r.passed else "FAIL", r.name, r.details)
+             for r in results]
+    lines.append("all passed" if ok else "FAILURES present")
+    return out, lines, 0 if ok else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,9 +221,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="symindex",
         description="Maslov-type indices of linear Hamiltonian systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
+    commands = (
+        ("index", "all index routes of a system w' = H w", _cmd_index),
+        ("kashiwara", "triple index of frames, or of a time-one map", _cmd_kashiwara),
+        ("krein", "Krein spectrum of a generator", _cmd_krein),
+        ("calibrate", "calibrate the coupling sign", _cmd_calibrate),
+        ("check", "run the property-check suite", _cmd_check),
+    )
+    for name, text, fn in commands:
+        p = sub.add_parser(name, help=text)
+        if name not in ("calibrate", "check"):
             p.add_argument("--input", default="-",
                            help="JSON payload file, or - for stdin")
         p.add_argument("--grid", type=int, default=256,
@@ -276,36 +241,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="override the relative rank tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("index", help="all index routes of a system w' = H w")
-    common(p)
-    p.add_argument("--sigma", choices=("auto", "+1", "-1"), default="auto",
-                   help="coupling sign; auto calibrates it")
-    p.set_defaults(fn=_cmd_index)
-
-    p = sub.add_parser("kashiwara",
-                       help="triple index of frames, or of a time-one map")
-    common(p)
-    p.set_defaults(fn=_cmd_kashiwara)
-
-    p = sub.add_parser("krein", help="Krein spectrum of a generator")
-    common(p)
-    p.set_defaults(fn=_cmd_krein)
-
-    p = sub.add_parser("calibrate", help="calibrate the coupling sign")
-    common(p, with_input=False)
-    p.set_defaults(fn=_cmd_calibrate)
-
-    p = sub.add_parser("check", help="run the property-check suite")
-    common(p, with_input=False)
-    p.set_defaults(fn=_cmd_check)
+        if name == "index":
+            p.add_argument("--sigma", choices=("auto", "+1", "-1"), default="auto",
+                           help="coupling sign; auto calibrates it")
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
+    try:
+        tol = _tolerances(args)
+        out, lines, code = args.fn(args, tol)
     except CalibrationFailure as exc:
         print("calibration failure: %s" % exc, file=sys.stderr)
         return 3
@@ -315,6 +265,12 @@ def main(argv=None) -> int:
     except SymindexError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **out}, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ CLUSTER_GAP = 1e-6
 EIGENSPACE_RANK = 1e-7
 
 
-def _gap(h) -> float:
-    return CLUSTER_GAP * max(1.0, spectral_norm(h))
+def _gap(h, norm=None) -> float:
+    """The cluster gap of ``h``, from its spectral ``norm`` when given."""
+    return CLUSTER_GAP * max(1.0, spectral_norm(h) if norm is None else norm)
 
 
 def _components(vals, gap):
@@ -134,8 +135,8 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     means rounding split the cluster (a Jordan block of size >= 3 by
     about (eps cond)^(1/size)).  Either case raises NotAnEigenvalue.
     """
-    h = _generator(h, None, tol)
-    gap, target, vals = _gap(h), 1j * float(alpha), np.linalg.eigvals(h)
+    h, norm = _generator(h, None, tol)
+    gap, target, vals = _gap(h, norm), 1j * float(alpha), np.linalg.eigvals(h)
     nearest = np.argmin(np.abs(vals - target))
     if abs(vals[nearest] - target) > gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
@@ -166,8 +167,8 @@ def _krein_pass(h, tol: Tolerances):
     cluster on the axis takes the Krein form on its chain
     (``_krein_inertias``); one that rounding split keeps a degenerate
     form."""
-    h = _generator(h, None, tol)
-    gap, vals = _gap(h), np.linalg.eigvals(h)
+    h, norm = _generator(h, None, tol)
+    gap, vals = _gap(h, norm), np.linalg.eigvals(h)
     parts = _components(vals, gap)
     lams = np.array([np.mean(vals[p]) for p in parts], dtype=complex)
     mults = [int(np.count_nonzero(p)) for p in parts]

@@ -114,12 +114,11 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
 
 
 def _flow(m):
-    """(stacked flow, spectrum) of m: the flow maps an array of times ts
-    to the stack of exp(t m), real for a real m and complex for a
-    complex one.
+    """(stacked flow, spectrum) of a real m: the flow maps an array of
+    times ts to the stack of exp(t m).
 
     With a well conditioned eigenvector basis V the stack comes from one
-    diagonalization, (V * exp(t vals)) @ inv(V) at each t, and the
+    diagonalization, Re (V * exp(t vals)) @ inv(V) at each t, and the
     spectrum is (kappa, re): the condition number of V and the real
     parts of the eigenvalues, from which the factories bound the
     condition number of their frames.  Else (a defective or ill-conditioned
@@ -129,7 +128,6 @@ def _flow(m):
     """
     m = np.asarray(m)
     d = m.shape[0]
-    real = not np.iscomplexobj(m)
     try:
         vals, vecs = np.linalg.eig(m)
         kappa = np.linalg.cond(vecs)
@@ -137,8 +135,7 @@ def _flow(m):
             vinv = np.linalg.inv(vecs)
 
             def phi(ts):
-                out = (vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv
-                return out.real if real else out
+                return ((vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv).real
 
             if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) <= 1e-10:
                 return phi, (float(kappa), vals.real)
@@ -207,7 +204,7 @@ class _FlowRecord:
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
     """The record of ``h`` checked by ``_generator`` against ``space``
     (default: the standard space of its size)."""
-    h = _generator(h, space, tol)
+    h = _generator(h, space, tol)[0]
     n = h.shape[0] // 2
     s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
@@ -293,12 +290,11 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     """Path from start to end through the unitary parametrization.
 
     A Lagrangian frame [X; Y] of the standard space corresponds to the
-    unitary U = X + iY; the path follows U0 exp(t(A + i pi k)) with
-    A = log(U0* U1), the principal log, taken from ``eig`` of the unitary
-    U0* U1.  Different integers k give mutually non-homotopic
-    paths with the same endpoints.  arg det Z turns at exactly
-    |Im tr(A + i pi k)|.  The frame [Re U; Im U] keeps its singular
-    values within those of U, so it takes the bound of an orbit frame.
+    unitary U = X + iY; the path follows U0 Q diag(exp(i t theta)) Q*,
+    with U0* U1 = Q diag(lambda) Q* from ``eig`` and theta = arg lambda
+    + pi k.  Different integers k give mutually non-homotopic paths with
+    the same endpoints.  arg det Z turns at exactly |sum theta|.  The
+    frame [Re U; Im U] of a unitary U is orthonormal, so cond F(t) = 1.
     """
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
@@ -309,27 +305,24 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     u0 = start.frame[:n] + 1j * start.frame[n:]
     u1 = end.frame[:n] + 1j * end.frame[n:]
     # U0* U1 is unitary, so normal: its eigenspaces are orthogonal, and the
-    # QR factor Q of its eigenvectors holds an orthonormal basis of each,
-    # so Q diag(log lambda) Q* is the principal log
+    # QR factor Q of its eigenvectors holds an orthonormal basis of each
     vals, vecs = np.linalg.eig(u0.conj().T @ u1)
     q = np.linalg.qr(vecs)[0]
-    a = (q * np.log(vals)) @ q.conj().T
-    a = 0.5 * (a - a.conj().T)
-    gen = a + 1j * np.pi * int(k) * np.eye(n)
-    phi, spectrum = _flow(gen)
-    u0_gen = u0 @ gen
+    theta = np.angle(vals) + np.pi * int(k)
+    u0q, qh = u0 @ q, q.conj().T
 
-    def frames(u):
+    def frames(rates, ts):
+        u = (u0q * (rates * np.exp(1j * ts[:, None] * theta))[:, None, :]) @ qh
         return np.concatenate([u.real, u.imag], axis=1)
 
     def frs(ts):
-        return frames(u0 @ phi(ts))
+        return frames(1.0, ts)
 
     def dfrs(ts):
-        return frames(u0_gen @ phi(ts))
+        return frames(1j * theta, ts)
 
-    return LagrangianPath(start.space, _Stacked(frs, n, _orbit_growth(spectrum)),
-                          _Stacked(dfrs, n), (0.0, 1.0), abs(float(np.trace(gen).imag)))
+    return LagrangianPath(start.space, _Stacked(frs, n, (0.0, 0.0)), _Stacked(dfrs, n),
+                          (0.0, 1.0), abs(float(theta.sum())))
 
 
 # -- the phase scan ------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Dense linear-algebra kernels shared by every index computation.
 
-All rank, signature and symmetry decisions route through a single
-``Tolerances`` object so the numerical hair-trigger points of the
-package are controlled in one place.  Every signature is measured on
+The rank, signature and symmetry decisions on the inputs and results of
+a route read one ``Tolerances`` object.  A few fixed thresholds do not:
+``krein.CLUSTER_GAP`` and ``krein.EIGENSPACE_RANK`` (the eigenvalue
+partition and the rank rule of its eigenspaces), ``maslov.GRAY_FACTOR``
+(the gray band of crossing forms), the 1e-10 and 1e-12 checks of a
+``SymplecticSpace`` form, and the condition bound 1e7 under which
+``maslov._flow`` diagonalizes a generator.  Every signature is measured on
 one scale: 1 + the largest |eigenvalue| of its symmetric (or Hermitian)
 matrix, which ``band_counts`` takes from the eigenvalues it classifies.
 Matrices are plain numpy arrays; constructors validate shape and

@@ -215,13 +215,15 @@ def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether h^T J + J h = 0 within tolerance (standard space)."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "matrix")
-    return _hamiltonian_for(h, SymplecticSpace.standard(h.shape[0] // 2).form, tol)
+    return _hamiltonian_for(h, SymplecticSpace.standard(h.shape[0] // 2).form, tol)[0]
 
 
-def _hamiltonian_for(h, form, tol: Tolerances) -> bool:
-    """Whether h^T form + form h = 0 within tolerance."""
+def _hamiltonian_for(h, form, tol: Tolerances):
+    """(whether h^T form + form h = 0 within tolerance, the spectral norm
+    of h that scales the tolerance)."""
     defect = np.linalg.norm(h.T @ form + form @ h)
-    return bool(defect <= tol.eps_sym * (1.0 + spectral_norm(h)))
+    norm = spectral_norm(h)
+    return bool(defect <= tol.eps_sym * (1.0 + norm)), norm
 
 
 def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
@@ -229,15 +231,17 @@ def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
     the standard space of its size) within ``tol``, the one generator
     check of every route: ``tol`` a Tolerances, else InputError; even
     size, else OddDimension; the size of ``space``, else
-    DimensionMismatch; Hamiltonian, else NotHamiltonian."""
+    DimensionMismatch; Hamiltonian, else NotHamiltonian.  Returns (h,
+    its spectral norm), the norm the check measured."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
     form = (SymplecticSpace.standard(h.shape[0] // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
-    if not _hamiltonian_for(h, form, tol):
+    hamiltonian, norm = _hamiltonian_for(h, form, tol)
+    if not hamiltonian:
         raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
-    return h
+    return h, norm
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

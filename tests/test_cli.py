@@ -210,3 +210,27 @@ def test_krein_ignores_grid(tmp_path, capsys):
     path = _write(tmp_path, _payload(1, hamiltonian=h.tolist()))
     assert main(["krein", "--grid", "16", "--input", path]) == 0
     assert "krein (1, 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--grid", "abc"], ["index", "--tol", "x"],
+                                  ["check", "--grid", "1.5"], ["index", "--format", "xml"], []],
+                         ids=["grid-abc", "tol-x", "grid-float", "format-xml", "no-command"])
+def test_usage_error_exits_1(capsys, argv):
+    """argparse's own exit code 2 would read as "routes disagree"."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: symindex")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: symindex")
+
+
+def test_usage_error_exit_code_of_the_process():
+    r = subprocess.run([sys.executable, "-m", "symindex.cli", "calibrate", "--grid", "abc"],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert "invalid int value: 'abc'" in r.stderr

@@ -215,25 +215,26 @@ def _count_decompositions(monkeypatch):
 def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
     """At n=8 a semisimple generator takes one eigvals, one stacked SVD
     for the kernels of its 16 eigenvalue clusters, one SVD of the stacked
-    kernels and the two spectral-norm SVDs of the generator check and
-    the cluster gap, no eig and no Schur form."""
+    kernels and the one spectral-norm SVD of the generator check, which
+    also sets the cluster gap, no eig and no Schur form."""
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
     route(h)  # builds the cached standard space of dimension 16
     calls = _count_decompositions(monkeypatch)
     route(h)
-    assert calls == {"eigvals": 1, "svd": 4}
+    assert calls == {"eigvals": 1, "svd": 3}
 
 
 def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     """The kernels ker A of both size-2 Jordan clusters come from one
     stacked SVD, and each short kernel takes one more SVD for ker A^2
     (``_chain``); a short kernel already decides that the generator is
-    not semisimple, so the kernels are not stacked.  Two more SVDs are
-    the spectral norms of the generator check and the cluster gap."""
+    not semisimple, so the kernels are not stacked.  One more SVD is the
+    spectral norm of the generator check, which also sets the cluster
+    gap."""
     krein_spectrum(_jordan_at_2i())
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
-    assert calls == {"eigvals": 1, "svd": 5}
+    assert calls == {"eigvals": 1, "svd": 4}
 
 
 def test_batched_krein_pass_equals_one_cluster_at_a_time():

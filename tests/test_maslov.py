@@ -53,6 +53,7 @@ from symindex.maslov import (
 )
 from symindex.numerics import (
     DEFAULT_TOL,
+    Inertia,
     expm,
     kernel_basis,
     orthonormal_columns,
@@ -299,6 +300,27 @@ def test_cubic_crossing_has_an_index_but_no_regular_form():
     assert maslov_index(path, vertical_lagrangian(1)) == HalfInt(-2)
     with pytest.raises(NonRegularCrossing, match="1 null directions, expected 0"):
         find_crossings(path, vertical_lagrangian(1))
+
+
+@pytest.mark.parametrize("small,inertia", [(1e-7, None), (1e-5, Inertia(2, 0, 0))])
+def test_crossing_form_in_the_gray_band_is_not_classified(small, inertia):
+    """[I; t diag(1, small)] crosses the horizontal at t = 0 with form
+    diag(1, small).  Within GRAY_FACTOR of 1 + |form| (1e-7) the sign of
+    the small eigenvalue is not trusted and find_crossings refuses the
+    crossing, though the phase route gives 2; outside it (1e-5) the scan
+    lists the one crossing."""
+    d = np.diag([1.0, small])
+    path = path_from_frames(SymplecticSpace.standard(2), lambda t: np.vstack([np.eye(2), t * d]),
+                            (-1.0, 1.0), lambda t: np.vstack([np.zeros((2, 2)), d]))
+    ref = horizontal_lagrangian(2)
+    assert maslov_index(path, ref) == HalfInt.from_int(2)
+    if inertia is None:
+        with pytest.raises(NonRegularCrossing, match="too small to classify"):
+            find_crossings(path, ref)
+        return
+    (crossing,) = find_crossings(path, ref).crossings
+    assert crossing.time == pytest.approx(0.0, abs=1e-9)
+    assert (crossing.dim, crossing.inertia) == (2, inertia)
 
 
 def test_degenerate_plateau_without_core_is_rejected():

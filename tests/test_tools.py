@@ -1,5 +1,6 @@
 """The parity sweep writes one JSON record per input."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "krein_spectrum",
-          "spectral_conley_zehnder"}
+          "spectral_conley_zehnder", "is_semisimple", "krein_signature"}
 
 
 def test_parity_sweep_records_every_route_of_its_first_inputs():
@@ -29,3 +30,20 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
         assert rec["validate"]["agree"] is True
         assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"]
         assert sum(entry[2] for entry in rec["krein_spectrum"]) == 2 * n
+
+
+def test_parity_sweep_queries_the_krein_signature_of_a_slow_rotation():
+    """The last ``slow`` input, 2e-6 J_1, lies beyond the cluster gap:
+    its two eigenvalues are two clusters, each queried by
+    ``krein_signature`` at +-Im of its eigenvalue."""
+    spec = importlib.util.spec_from_file_location("parity_sweep", ROOT / "tools" / "parity_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    name, h = [(name, h) for name, h in sweep.ensemble() if name.startswith("slow 0x")][-1]
+    rec = sweep.record(name, h)
+    eps = float.fromhex(name.split()[1])
+    assert eps == 2e-6 and set(rec) == ROUTES | {"input"}
+    assert rec["is_semisimple"] is True
+    assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"] == "1"
+    assert rec["krein_signature"] == [[float.hex(eps), [1, 0, 0]], [float.hex(-eps), [0, 1, 0]],
+                                      [float.hex(-eps), [0, 1, 0]], [float.hex(eps), [1, 0, 0]]]

@@ -6,8 +6,10 @@
 
 Writes one JSON line per input generator: its name and, for each route
 (``maslov_index_symplectic``, ``conley_zehnder``, ``validate`` with
-sigma = -1, ``krein_spectrum``, ``spectral_conley_zehnder``), the answer
-or the class and message of the typed error.  Floats are written as
+sigma = -1, ``krein_spectrum``, ``spectral_conley_zehnder``,
+``is_semisimple``, and ``krein_signature`` at +-Im of every
+``krein_spectrum`` cluster that carries a Krein inertia), the answer or
+the class and message of the typed error.  Floats are written as
 ``float.hex``, so two trees agree on a line only when they agree bit for
 bit.  Run the same script against the ``src`` of two trees and diff the
 outputs to see every answer a change moved.  ``--limit N`` stops after
@@ -22,6 +24,8 @@ The ensembles:
   mixed and hyperbolic in turn, s < 30, where frames lose rank;
 - ``rotation``: alpha J_1 for 97 speeds in [-400, 400], and loops of
   1, 3, 10 and 100 turns;
+- ``slow``: eps J_1 and the plane pair of speeds eps and -2 eps for 19
+  log-spaced eps in [1e-12, 2e-6], around the cluster gap;
 - ``shear``: the nilpotent shears [[0, +-1], [0, 0]];
 - ``jordan``: one Jordan block of size 2, 3 or 4 at +-i omega
   (omega 0, 0.7, 2), Krein sign +-1, nilpotent part 1e-3, 1e-2 or 1,
@@ -39,9 +43,12 @@ from symindex import (
     SymplecticSpace,
     conley_zehnder,
     darboux_frame,
+    is_semisimple,
+    krein_signature,
     krein_spectrum,
     make_system,
     maslov_index_symplectic,
+    plane_block_generator,
     random_hamiltonian,
     random_symplectic,
     spectral_conley_zehnder,
@@ -94,6 +101,10 @@ def ensemble():
         yield "rotation %s" % float.hex(alpha), alpha * standard_J(1)
     for turns in (1, 3, 10, 100):
         yield "loop %d" % turns, 2.0 * np.pi * turns * standard_J(1)
+    for eps in np.geomspace(1e-12, 2e-6, 19).tolist():
+        yield "slow %s" % float.hex(eps), eps * standard_J(1)
+        yield ("slow pair %s" % float.hex(eps),
+               plane_block_generator([("elliptic", eps), ("elliptic", -2.0 * eps)]))
     for sign in (1.0, -1.0):
         yield "shear %+g" % sign, np.array([[0.0, sign], [0.0, 0.0]])
     for size in (2, 3, 4):
@@ -119,26 +130,44 @@ def _spectrum(spectrum):
             for e in spectrum]
 
 
+def _answer(run, *args):
+    """``run(*args)``, or {"error": class name, "message": text} for a
+    typed error."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+    except SymindexError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _inertia(h, alpha):
+    inertia = krein_signature(h, alpha)
+    return [inertia.n_pos, inertia.n_neg, inertia.n_zero]
+
+
+def _signatures(h):
+    """[alpha, answer of krein_signature(h, alpha)] for alpha = +-Im of
+    every cluster of ``krein_spectrum`` that carries a Krein inertia."""
+    return [[float.hex(alpha), _answer(_inertia, h, alpha)]
+            for e in krein_spectrum(h) if e.inertia is not None
+            for alpha in (e.eigenvalue.imag, -e.eigenvalue.imag)]
+
+
 ROUTES = {
     "maslov_index_symplectic": lambda h: str(maslov_index_symplectic(h)),
     "conley_zehnder": lambda h: str(conley_zehnder(h)),
     "validate": lambda h: _report(validate(make_system(h), sigma=-1)),
     "krein_spectrum": lambda h: _spectrum(krein_spectrum(h)),
     "spectral_conley_zehnder": lambda h: str(spectral_conley_zehnder(h)),
+    "is_semisimple": is_semisimple,
+    "krein_signature": _signatures,
 }
 
 
 def record(name, h):
-    """The JSON object of one input: its name and each route's answer, or
-    {"error": class name, "message": text} for a typed error."""
-    out = {"input": name}
-    for route, run in ROUTES.items():
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[route] = run(h)
-        except SymindexError as exc:
-            out[route] = {"error": type(exc).__name__, "message": str(exc)}
-    return out
+    """The JSON object of one input: its name and each route's answer
+    (``_answer``)."""
+    return dict({"input": name}, **{route: _answer(run, h) for route, run in ROUTES.items()})
 
 
 def main(argv=None):
