@@ -28,14 +28,13 @@ import numpy as np
 
 from .errors import (
     CalibrationFailure,
-    InternalMismatch,
     NotSymplectic,
     SymmetryDefect,
     TransversalityViolated,
 )
 from .halfint import HalfInt
 from .kashiwara import _admissible_reduction, kashiwara_index
-from .maslov import _flow_indices, conley_zehnder, maslov_index_symplectic
+from .maslov import _flow_indices, _grid_cells, conley_zehnder
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -83,13 +82,6 @@ def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
     return HamiltonianSystem(_generator(h, None, tol)[0])
 
 
-def fundamental_solution(system, t: float = 1.0):
-    """psi(t) of a system or of a raw generator matrix."""
-    if not isinstance(system, HamiltonianSystem):
-        system = make_system(system)
-    return system.psi(t)
-
-
 def split_blocks(m):
     """(A, B, C, D) blocks of a 2n x 2n matrix in the (x, y) splitting."""
     m = as_even_square(m, "matrix")
@@ -101,12 +93,6 @@ def _corner_invertible(b, tol: Tolerances) -> bool:
     """Whether the upper-right block B is numerically invertible."""
     s = singular_values(b)
     return bool(s.size > 0 and s[-1] > tol.eps_rank * max(s[0], 1.0))
-
-
-def transversality_H(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether psi(1) L0 is transversal to the vertical L0, i.e. B invertible."""
-    tol = as_tolerances(tol)
-    return _corner_invertible(split_blocks(system.psi(1.0))[1], tol)
 
 
 def _correction_formula(a, b, c, d):
@@ -217,18 +203,6 @@ def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
     return _triple_routes(psi1, _correction_matrix(psi1, tol), tol)
 
 
-def triple_index_cross_check(system: HamiltonianSystem,
-                             tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
-    """Evaluate all routes to the triple index and insist they agree."""
-    check = triple_routes_from(system.psi(1.0), tol)
-    if not check.consistent:
-        raise InternalMismatch(
-            "triple index routes disagree: direct %d, reduced %d, "
-            "sign X %d, sign Y %d"
-            % (check.tau_direct, check.tau_reduced, check.sign_x, check.sign_y))
-    return check
-
-
 # -- calibration of the coupling sign -----------------------------------------
 
 #: rotation speeds used to pin the coupling sign; they straddle the
@@ -240,16 +214,15 @@ def calibrate_sign(*, tol: Tolerances = DEFAULT_TOL) -> int:
     """Coupling sign sigma fixed by rotation probes.
 
     For each probe speed the orbit and graph indices are the certified
-    phase scans of ``maslov_index_symplectic`` and ``conley_zehnder``,
-    and the correction sign comes from the time-one map; sigma is the
-    unique sign making the closed formula hold.  The probes must agree,
-    otherwise CalibrationFailure is raised.
+    phase scans of ``validate`` (``maslov._flow_indices``, one record of
+    the generator for both), and the correction sign comes from the
+    time-one map; sigma is the unique sign making the closed formula
+    hold.  The probes must agree, otherwise CalibrationFailure is raised.
     """
     sigmas = []
     for alpha in _CALIBRATION_SPEEDS:
         system = make_system(alpha * standard_J(1), tol)
-        orbit = maslov_index_symplectic(system.h, tol=tol)
-        graph = conley_zehnder(system.h, tol=tol)
+        orbit, graph = _flow_indices(system.h, tol)
         sx = correction_sign(system, tol)
         gap = orbit - graph
         if abs(gap.twice) != 1 or sx not in (-1, 1):
@@ -318,13 +291,14 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     When the time-one map violates the transversality hypothesis (for
     instance for loops), the formula side is left out and only the
     direct scans are reported; ``agree`` then records that no computed
-    routes disagreed.  ``grid`` is validated as in ``maslov_index`` and
-    does not change the certified scans.  Both scans read one record of
-    the generator (``maslov._flow_indices``), so it is checked,
-    diagonalized and decomposed once.
+    routes disagreed.  ``grid`` is validated as in ``maslov_index``,
+    before any scan, and does not change the certified scans.  Both
+    scans read one record of the generator (``maslov._flow_indices``),
+    so it is checked, diagonalized and decomposed once.
     """
+    _grid_cells(grid)
     sigma = _coupling_sign(sigma, tol)
-    orbit, graph = _flow_indices(system.h, grid, tol)
+    orbit, graph = _flow_indices(system.h, tol)
     psi1 = system.psi(1.0)
     try:
         x = _correction_matrix(psi1, tol)

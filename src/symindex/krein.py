@@ -18,6 +18,7 @@ quadruples which carry no Krein data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,12 +134,16 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     cluster gap.  The form is nondegenerate on a whole generalized
     eigenspace, so a chain of another dimension or a degenerate form
     means rounding split the cluster (a Jordan block of size >= 3 by
-    about (eps cond)^(1/size)).  Either case raises NotAnEigenvalue.
+    about (eps cond)^(1/size)).  Either case raises NotAnEigenvalue, as
+    does an ``alpha`` that is not finite; one that is not a real number
+    raises InputError.
     """
+    if not isinstance(alpha, numbers.Real):
+        raise InputError("alpha must be a real number, got %r" % (alpha,))
     h, norm = _generator(h, None, tol)
     gap, target, vals = _gap(h, norm), 1j * float(alpha), np.linalg.eigvals(h)
     nearest = np.argmin(np.abs(vals - target))
-    if abs(vals[nearest] - target) > gap:
+    if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
     members = next(part for part in _components(vals, gap) if part[nearest])
     k = int(np.count_nonzero(members))

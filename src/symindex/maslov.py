@@ -754,53 +754,62 @@ def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
     return maslov_index(path, ref, grid, tol)
 
 
-def _flow_indices(h, grid: int, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
+def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
     """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``) on [0, 1]
-    from one ``_flow_record`` of h, the two scans of ``validate``."""
+    from one ``_flow_record`` of h, the two scans of ``validate`` and of
+    each calibration probe."""
     record = _flow_record(h, None, tol)
     n = record.h.shape[0] // 2
     orbit = maslov_index(_orbit_path(record, None, (0.0, 1.0), tol),
-                         vertical_lagrangian(n, tol), grid, tol)
+                         vertical_lagrangian(n, tol), tol=tol)
     graph = maslov_index(_graph_path(record, (0.0, 1.0)), diagonal_lagrangian(n, tol),
-                         grid, tol)
+                         tol=tol)
     return orbit, graph
 
 
 # -- closed forms for rotation blocks and spectral routes ---------------------
 
-#: absolute distance below which a float is snapped onto the lattice
+#: absolute distance below which alpha/pi is snapped onto the lattice; the
+#: spacing of doubles at alpha/pi must not exceed it
 SNAP_TOL = 1e-9
 
 
-def snap_half_integer(x: float) -> HalfInt:
-    """Nearest half integer if within ``SNAP_TOL``, else floor(x) + 1/2:
-    at alpha/pi, the orbit index of the rotation with speed alpha."""
+def _turns(alpha) -> float:
+    """alpha/pi in double precision (a float32 speed divided in float32
+    would snap onto a multiple of pi it is not), or InputError when alpha
+    is not a finite real number or the spacing of doubles at alpha/pi
+    exceeds ``SNAP_TOL`` (|alpha/pi| >= 2^23), where a multiple of pi
+    cannot be told from its neighbours."""
+    if not isinstance(alpha, numbers.Real):
+        raise InputError("rotation speed must be a real number, got %r" % (alpha,))
+    x = float(alpha) / math.pi
+    if not math.ulp(x) <= SNAP_TOL:
+        raise InputError("rotation speed %r is not finite or too large to place "
+                         "against the multiples of pi" % (alpha,))
+    return x
+
+
+def rotation_orbit_index(alpha: float) -> HalfInt:
+    """Closed form for the vertical-route index of one rotation plane:
+    the half integer nearest alpha/pi if within ``SNAP_TOL``, else
+    floor(alpha/pi) + 1/2."""
+    x = _turns(alpha)
     twice = round(2.0 * x)
     if abs(x - 0.5 * twice) <= SNAP_TOL:
         return HalfInt(int(twice))
     return HalfInt(2 * math.floor(x) + 1)
 
 
-def snap_odd_integer(x: float) -> HalfInt:
-    """Nearest integer if within ``SNAP_TOL``, else the odd member of
-    {floor(x), floor(x)+1}: at alpha/pi, the graph index of the
-    rotation with speed alpha."""
+def rotation_graph_index(alpha: float) -> HalfInt:
+    """Closed form for the graph-route index of one rotation plane: the
+    integer nearest alpha/pi if within ``SNAP_TOL``, else the odd member
+    of {floor(alpha/pi), floor(alpha/pi) + 1}."""
+    x = _turns(alpha)
     nearest = round(x)
     if abs(x - nearest) <= SNAP_TOL:
-        return HalfInt(2 * int(nearest))
+        return HalfInt.from_int(nearest)
     m = math.floor(x)
-    odd = m if m % 2 != 0 else m + 1
-    return HalfInt(2 * odd)
-
-
-def rotation_orbit_index(alpha: float) -> HalfInt:
-    """Closed form for the vertical-route index of one rotation plane."""
-    return snap_half_integer(alpha / math.pi)
-
-
-def rotation_graph_index(alpha: float) -> HalfInt:
-    """Closed form for the graph-route index of one rotation plane."""
-    return snap_odd_integer(alpha / math.pi)
+    return HalfInt.from_int(m if m % 2 else m + 1)
 
 
 def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:

@@ -405,6 +405,8 @@ class SymplecticReduction:
 
     def project(self, L: LagrangianFrame) -> LagrangianFrame:
         """Image of L & K-sharp in the reduced space."""
+        if self.space is None:
+            raise DimensionMismatch("the reduced space is zero-dimensional")
         self.ambient.check_same(L)
         meet = subspace_intersection(L.frame, self.k_sharp, self.tol)
         coords = self.basis.T @ meet

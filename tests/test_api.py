@@ -47,8 +47,6 @@ from symindex import (
     sym_signature,
     symplectic_orthogonal,
     transversal_triple,
-    transversality_H,
-    triple_index_cross_check,
     triple_routes_from,
     validate,
     vertical_lagrangian,
@@ -214,9 +212,6 @@ TOL_ROUTES = {
     "symplectic_orthogonal": lambda tol: symplectic_orthogonal(STD1, [[1.0], [0.0]], tol),
     "sym_signature": lambda tol: sym_signature(np.eye(2), tol),
     "transversal_triple": lambda tol: transversal_triple(np.eye(1), tol),
-    "transversality_H": lambda tol: transversality_H(make_system(ROTATION), tol),
-    "triple_index_cross_check": lambda tol: triple_index_cross_check(make_system(ROTATION),
-                                                                     tol),
     "triple_routes_from": lambda tol: triple_routes_from(make_system(ROTATION).psi(1.0), tol),
 }
 #: the reference frames cached per (n, tol), checked for a float tol only:

@@ -10,18 +10,16 @@ from symindex import (
     HalfInt,
     HamiltonianSystem,
     PUBLISHED_SIGN,
+    TripleCheck,
     calibrate_sign,
     correction_matrix,
     correction_sign,
-    fundamental_solution,
     make_system,
     maslov_via_formula,
     plane_block_generator,
     random_hamiltonian,
     spectral_conley_zehnder,
     standard_J,
-    transversality_H,
-    triple_index_cross_check,
     triple_routes_from,
     validate,
 )
@@ -29,6 +27,7 @@ from symindex import autonomous, checks, kashiwara_reduced, maslov, numerics, sy
 from symindex.autonomous import split_blocks
 from symindex.errors import (
     CalibrationFailure,
+    InputError,
     NotHamiltonian,
     NotSymplectic,
     OddDimension,
@@ -76,7 +75,9 @@ def test_fundamental_solution_is_symplectic_flow():
     for t in (0.0, 0.31, 1.0):
         psi = system.psi(t)
         np.testing.assert_allclose(psi.T @ j @ psi, j, atol=1e-10)
-    np.testing.assert_allclose(fundamental_solution(h, 1.0), system.psi(1.0), atol=0)
+    np.testing.assert_array_equal(system.psi(0.0), np.eye(4))
+    np.testing.assert_allclose(system.psi(0.31) @ system.psi(0.69), system.psi(1.0),
+                               atol=1e-12)
 
 
 def test_block_split():
@@ -100,11 +101,23 @@ def test_rotation_correction_matrix_closed_form():
 
 
 def test_transversality_detection():
-    assert transversality_H(make_system(plane_block_generator([("elliptic", 2.0)])))
-    # hyperbolic flows keep the vertical: off-diagonal block stays zero
-    assert not transversality_H(make_system(plane_block_generator([("hyperbolic", 0.8)])))
-    # a full turn returns to the identity
-    assert not transversality_H(make_system(plane_block_generator([("elliptic", 2.0 * np.pi)])))
+    """Transversality is read where it is decided: the correction matrix
+    raises TransversalityViolated and validate leaves the formula out."""
+    cases = [(("elliptic", 2.0), True),
+             # hyperbolic flows keep the vertical: off-diagonal block stays zero
+             (("hyperbolic", 0.8), False),
+             # a full turn returns to the identity
+             (("elliptic", 2.0 * np.pi), False)]
+    for plane, transversal in cases:
+        system = make_system(plane_block_generator([plane]))
+        report = validate(system)
+        assert (report.formula_index is not None) == transversal
+        assert report.agree
+        if transversal:
+            correction_matrix(system)
+        else:
+            with pytest.raises(TransversalityViolated):
+                correction_matrix(system)
 
 
 def test_correction_requires_symplectic_input():
@@ -177,8 +190,23 @@ def test_block_form_signature_on_a_benchmark_system(workloads):
 
 def test_cross_check_runs_on_system():
     system = make_system(plane_block_generator([("elliptic", 2.0)]))
-    check = triple_index_cross_check(system)
+    check = triple_routes_from(system.psi(1.0))
     assert check.consistent
+    report = validate(system)
+    assert (report.tau_direct, report.tau_reduced) == (check.tau_direct, check.tau_reduced)
+    assert report.correction == -check.sign_x
+
+
+def test_inconsistent_triple_routes_turn_agree_false(monkeypatch):
+    """Rotation 5: the formula matches the orbit index, so a triple-route
+    disagreement alone must turn agree to False."""
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    assert validate(system, sigma=-1).agree
+    monkeypatch.setattr(autonomous, "_triple_routes",
+                        lambda psi1, x, tol: TripleCheck(1, 1, 1, -1))
+    report = validate(system, sigma=-1)
+    assert report.formula_index == report.orbit_index == HalfInt(3)
+    assert not report.agree
 
 
 def test_calibration_is_minus_one():
@@ -354,6 +382,28 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
             monkeypatch.setattr(module, "spectral_norm", counted)
     assert validate(system, sigma=-1).agree
     assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "is_symplectic"]
+
+
+def test_validate_checks_grid_before_any_scan(cold_calibration, scan_count):
+    system = make_system(plane_block_generator([("elliptic", 5.0)]))
+    with pytest.raises(InputError, match="grid must be at least 64"):
+        validate(system, grid=10)
+    assert scan_count == []
+
+
+def test_calibration_builds_one_flow_record_per_probe(monkeypatch, scan_count):
+    """Each probe scans both routes from one record of its generator."""
+    records = []
+    record = maslov._flow_record
+
+    def counting_record(*args, **kwargs):
+        records.append(args)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(maslov, "_flow_record", counting_record)
+    assert calibrate_sign() == -1
+    assert len(records) == 2
+    assert len(scan_count) == 4
 
 
 def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from symindex import plane_block_generator, standard_J
+from symindex import TripleCheck, autonomous, cli, plane_block_generator, standard_J
 from symindex.cli import main
 from symindex.symplectic import random_symplectic
 from test_krein import _jordan_generator
@@ -134,6 +134,24 @@ def test_kashiwara_time_one_mode(tmp_path, capsys):
     assert body["tau_reduced"] == -1
     assert body["sign_x"] == -1
     assert body["consistent"] is True
+
+
+def test_inconsistent_triple_routes_exit_2(tmp_path, capsys, monkeypatch):
+    """A triple-route disagreement alone fails both commands that read it."""
+    mismatch = TripleCheck(1, 1, 1, -1)
+    monkeypatch.setattr(autonomous, "_triple_routes", lambda psi1, x, tol: mismatch)
+    h = plane_block_generator([("elliptic", 5.0)])
+    path = _write(tmp_path, _payload(1, hamiltonian=h.tolist()))
+    code = main(["index", "--input", path, "--sigma", "-1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "formula       : 1 + (-1) * (-1)/2 = 3/2" in out
+    assert "agree         : NO" in out
+    monkeypatch.setattr(cli, "triple_routes_from", lambda psi1, tol: mismatch)
+    path = _write(tmp_path, _payload(1, psi1=standard_J(1).tolist()))
+    code = main(["kashiwara", "--input", path])
+    assert code == 2
+    assert capsys.readouterr().out == "tau direct 1, reduced 1, sign X 1, sign Y -1 -> MISMATCH\n"
 
 
 def test_krein_output(tmp_path, capsys):

@@ -20,7 +20,7 @@ from symindex import (
     spectral_conley_zehnder,
     standard_direct_sum,
 )
-from symindex.errors import NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
+from symindex.errors import InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
 from symindex.krein import _components, _eigenspace, _gap, krein_form_matrix
 from symindex.numerics import herm_signature
 from symindex.symplectic import (
@@ -54,6 +54,22 @@ def test_krein_signature_needs_an_eigenvalue():
     h = plane_block_generator([("elliptic", 2.0)])
     with pytest.raises(NotAnEigenvalue):
         krein_signature(h, 1.0)
+
+
+@pytest.mark.parametrize("h", [2.0 * standard_J(1),
+                               plane_block_generator([("elliptic", 2.0), ("elliptic", -3.0)])],
+                         ids=["rotation", "two planes"])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_krein_signature_of_a_query_that_is_not_finite(h, alpha):
+    """Every distance to 1j * nan is NaN, so the gap test must fail on NaN."""
+    with pytest.raises(NotAnEigenvalue):
+        krein_signature(h, alpha)
+
+
+@pytest.mark.parametrize("alpha", [2j, np.complex128(2.0), "2.0", None])
+def test_krein_signature_query_must_be_real(alpha):
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        krein_signature(2.0 * standard_J(1), alpha)
 
 
 def test_spectrum_pairing_and_totals():

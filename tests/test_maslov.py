@@ -48,8 +48,6 @@ from symindex.maslov import (
     path_from_frames,
     rotation_graph_index,
     rotation_orbit_index,
-    snap_half_integer,
-    snap_odd_integer,
 )
 from symindex.numerics import (
     DEFAULT_TOL,
@@ -98,16 +96,46 @@ def test_rotation_indices_match_closed_forms(alpha, orbit2, graph2):
 
 
 def test_snap_rules():
-    assert snap_half_integer(0.5) == HalfInt(1)
-    assert snap_half_integer(0.63) == HalfInt(1)
-    assert snap_half_integer(1.0) == HalfInt(2)
-    assert snap_half_integer(1.0 + 1e-12) == HalfInt(2)
-    assert snap_half_integer(-0.2) == HalfInt(-1)
-    assert snap_odd_integer(0.63) == HalfInt.from_int(1)
-    assert snap_odd_integer(1.8) == HalfInt.from_int(1)
-    assert snap_odd_integer(2.0) == HalfInt.from_int(2)
-    assert snap_odd_integer(2.546) == HalfInt.from_int(3)
-    assert snap_odd_integer(-0.4) == HalfInt.from_int(-1)
+    """The closed forms snap alpha/pi onto the lattice within SNAP_TOL."""
+    pi = np.pi
+    assert rotation_orbit_index(0.5 * pi) == HalfInt(1)
+    assert rotation_orbit_index(0.63 * pi) == HalfInt(1)
+    assert rotation_orbit_index(1.0 * pi) == HalfInt(2)
+    assert rotation_orbit_index((1.0 + 1e-12) * pi) == HalfInt(2)
+    assert rotation_orbit_index(-0.2 * pi) == HalfInt(-1)
+    assert rotation_graph_index(0.63 * pi) == HalfInt.from_int(1)
+    assert rotation_graph_index(1.8 * pi) == HalfInt.from_int(1)
+    assert rotation_graph_index(2.0 * pi) == HalfInt.from_int(2)
+    assert rotation_graph_index(2.546 * pi) == HalfInt.from_int(3)
+    assert rotation_graph_index(-0.4 * pi) == HalfInt.from_int(-1)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), 3e15, 1e17])
+def test_closed_forms_refuse_speeds_a_double_cannot_place(alpha):
+    """Beyond |alpha/pi| = 2^23 the spacing of doubles exceeds SNAP_TOL.
+    Without this refusal rotation_graph_index(3e15) read 954929658551372,
+    an even graph index for a speed that is no multiple of pi."""
+    for route in (rotation_orbit_index, rotation_graph_index):
+        with pytest.raises(InputError, match="rotation speed"):
+            route(alpha)
+
+
+def test_closed_forms_divide_a_float32_speed_in_double_precision():
+    """float32(pi) exceeds pi by 8.7e-8; divided in float32 it read
+    exactly 1 and snapped onto the multiple of pi the scans do not see."""
+    for alpha, route, scan in [(np.float32(np.pi), rotation_orbit_index, maslov_index_symplectic),
+                               (np.float32(2 * np.pi), rotation_graph_index, conley_zehnder)]:
+        assert route(alpha) == route(float(alpha)) == scan(alpha * standard_J(1))
+    assert rotation_orbit_index(np.float32(np.pi)) == HalfInt(3)
+    with pytest.raises(InputError, match="real number"):
+        rotation_graph_index(2j)
+
+
+def test_closed_forms_keep_the_largest_certified_speeds():
+    h = 2e6 * standard_J(1)
+    assert rotation_graph_index(2e6) == conley_zehnder(h) == spectral_conley_zehnder(h)
+    with pytest.raises(InputError, match="rotation speed"):
+        spectral_conley_zehnder(1e17 * standard_J(1))
 
 
 def test_vertical_crossing_form_of_rotation():

@@ -211,6 +211,15 @@ def test_operands_of_another_space_of_equal_dimension_rejected(call):
         call()
 
 
+def test_zero_dimensional_reduction_neither_projects_nor_lifts():
+    red = SymplecticReduction(SymplecticSpace.standard(1), [[1.0], [0.0]])
+    assert red.space is None
+    with pytest.raises(DimensionMismatch, match="zero-dimensional"):
+        red.project(horizontal_lagrangian(1))
+    with pytest.raises(DimensionMismatch, match="zero-dimensional"):
+        red.lift(horizontal_lagrangian(1))
+
+
 def test_reduction_rejects_non_isotropic_k():
     space = SymplecticSpace.standard(2)
     k = np.eye(4)[:, [0, 2]]  # omega(e1, e3) = 1

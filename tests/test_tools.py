@@ -32,13 +32,18 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
         assert sum(entry[2] for entry in rec["krein_spectrum"]) == 2 * n
 
 
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("parity_sweep", ROOT / "tools" / "parity_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 def test_parity_sweep_queries_the_krein_signature_of_a_slow_rotation():
     """The last ``slow`` input, 2e-6 J_1, lies beyond the cluster gap:
     its two eigenvalues are two clusters, each queried by
     ``krein_signature`` at +-Im of its eigenvalue."""
-    spec = importlib.util.spec_from_file_location("parity_sweep", ROOT / "tools" / "parity_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _load_sweep()
     name, h = [(name, h) for name, h in sweep.ensemble() if name.startswith("slow 0x")][-1]
     rec = sweep.record(name, h)
     eps = float.fromhex(name.split()[1])
@@ -47,3 +52,15 @@ def test_parity_sweep_queries_the_krein_signature_of_a_slow_rotation():
     assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"] == "1"
     assert rec["krein_signature"] == [[float.hex(eps), [1, 0, 0]], [float.hex(-eps), [0, 1, 0]],
                                       [float.hex(-eps), [0, 1, 0]], [float.hex(eps), [1, 0, 0]]]
+
+
+def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
+    """The last ``fast`` input, 1e17 J_1, needs more cells than either
+    scan may take, and its speed is too large for the closed form."""
+    sweep = _load_sweep()
+    name, h = [(name, h) for name, h in sweep.ensemble() if name.startswith("fast ")][-1]
+    rec = sweep.record(name, h)
+    assert float.fromhex(name.split()[1]) == 1e17
+    for route in ("maslov_index_symplectic", "conley_zehnder"):
+        assert rec[route]["error"] == "GridTooCoarse"
+    assert rec["spectral_conley_zehnder"]["error"] == "InputError"

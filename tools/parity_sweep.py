@@ -24,6 +24,9 @@ The ensembles:
   mixed and hyperbolic in turn, s < 30, where frames lose rank;
 - ``rotation``: alpha J_1 for 97 speeds in [-400, 400], and loops of
   1, 3, 10 and 100 turns;
+- ``fast``: alpha J_1 for 12 log-spaced alpha in [1e6, 1e17], where the
+  scans need more than ``MAX_CELLS`` cells and the closed forms meet the
+  spacing of doubles at alpha/pi;
 - ``slow``: eps J_1 and the plane pair of speeds eps and -2 eps for 19
   log-spaced eps in [1e-12, 2e-6], around the cluster gap;
 - ``shear``: the nilpotent shears [[0, +-1], [0, 0]];
@@ -101,6 +104,8 @@ def ensemble():
         yield "rotation %s" % float.hex(alpha), alpha * standard_J(1)
     for turns in (1, 3, 10, 100):
         yield "loop %d" % turns, 2.0 * np.pi * turns * standard_J(1)
+    for alpha in np.geomspace(1e6, 1e17, 12).tolist():
+        yield "fast %s" % float.hex(alpha), alpha * standard_J(1)
     for eps in np.geomspace(1e-12, 2e-6, 19).tolist():
         yield "slow %s" % float.hex(eps), eps * standard_J(1)
         yield ("slow pair %s" % float.hex(eps),
