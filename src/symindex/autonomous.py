@@ -33,11 +33,12 @@ from .errors import (
     TransversalityViolated,
 )
 from .halfint import HalfInt
-from .kashiwara import _admissible_reduction, kashiwara_index
+from .kashiwara import _admissible_reduction, kashiwara_form
 from .maslov import _flow_indices, _grid_cells, conley_zehnder
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _signatures,
     as_even_square,
     as_square,
     as_tolerances,
@@ -153,13 +154,10 @@ def reduced_form_matrix(x):
     signature reproduces sign X; used as an algebraic cross-check of
     the reduction route."""
     n = x.shape[0]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([
-        [zero, -eye, x],
-        [-eye, zero, eye],
-        [x.T, eye, zero],
-    ])
+    unit = np.repeat([-1.0, 1.0], n)  # the -I and I blocks, on the n-th diagonals
+    y = np.diag(unit, n) + np.diag(unit, -n)
+    y[:n, 2 * n:], y[2 * n:, :n] = x, x.T
+    return y
 
 
 @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
@@ -182,24 +180,24 @@ def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
     """The four routes for a time-one map whose correction matrix is x:
     tau directly and in the reduction by K (``kashiwara_reduced`` with
     K = diagonal & L0 x L0), -sign X (which ``validate`` reads back) and
-    the block-matrix form of -X/2."""
-    space, diag, pair, red, red_diag, red_pair = _triple_constants(psi1.shape[0] // 2, tol)
+    the block-matrix form of -X/2, classified by one ``_signatures``."""
+    space, diag, pair, red, red_diag, red_pair = _triple_constants(x.shape[0], tol)
     graph = graph_lagrangian(psi1, tol)
-    tau_direct = kashiwara_index(space, diag, pair, graph, tol)
-    tau_reduced = kashiwara_index(red.space, red_diag, red_pair, red.project(graph), tol)
 
     # the congruence diag(I/sqrt(s), sqrt(s) I, I/sqrt(s)) maps the block
     # matrix of X onto that of X/s, so its signature is taken at s = 1 +
     # |X|_F, where the unit blocks do not drown the eigenvalues of X
     half = -0.5 * x
-    s = 1.0 + np.linalg.norm(half)
-    return TripleCheck(tau_direct, tau_reduced, -sym_signature(x, tol).signature,
-                       sym_signature(reduced_form_matrix(half / s), tol).signature)
+    n_pos, n_neg, _ = _signatures([
+        x, kashiwara_form(red.space, red_diag, red_pair, red.project(graph)),
+        reduced_form_matrix(half / (1.0 + np.linalg.norm(half))),
+        kashiwara_form(space, diag, pair, graph)], tol, 0.0, False)
+    sign_x, tau_reduced, sign_y, tau_direct = (n_pos - n_neg).tolist()
+    return TripleCheck(tau_direct, tau_reduced, -sign_x, sign_y)
 
 
 def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
     """All four routes to tau(diagonal, L0 x L0, graph) of a time-one map."""
-    psi1 = as_square(psi1, "time-one map")
     return _triple_routes(psi1, _correction_matrix(psi1, tol), tol)
 
 

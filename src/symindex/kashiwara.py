@@ -39,11 +39,11 @@ def kashiwara_form(space: SymplecticSpace, l1: LagrangianFrame,
                    l2: LagrangianFrame, l3: LagrangianFrame):
     """Symmetric matrix of Q on L1 + L2 + L3 in the frame coordinates."""
     space.check_same(l1, l2, l3)
-    n = space.half_dim
+    n, w = space.half_dim, space.form
     t = np.zeros((3 * n, 3 * n))
-    t[0:n, n:2 * n] = 0.5 * space.pairing(l1.frame, l2.frame)
-    t[n:2 * n, 2 * n:] = 0.5 * space.pairing(l2.frame, l3.frame)
-    t[2 * n:, 0:n] = 0.5 * space.pairing(l3.frame, l1.frame)
+    t[0:n, n:2 * n] = 0.5 * ((w @ l1.frame).T @ l2.frame)
+    t[n:2 * n, 2 * n:] = 0.5 * ((w @ l2.frame).T @ l3.frame)
+    t[2 * n:, 0:n] = 0.5 * ((w @ l3.frame).T @ l1.frame)
     return t + t.T
 
 
@@ -82,8 +82,6 @@ def transversal_triple(a, tol: Tolerances = DEFAULT_TOL):
 
 
 def _contains(l: LagrangianFrame, k, tol: Tolerances) -> bool:
-    if k.shape[1] == 0:
-        return True
     resid = k - l.frame @ (l.frame.T @ k)
     return bool(np.linalg.norm(resid) <= 1e3 * tol.eps_rank * max(1.0, np.linalg.norm(k)))
 

@@ -110,20 +110,12 @@ def krein_form_matrix(n: int):
 
 def _krein_inertias(bases, tol: Tolerances):
     """Inertias of the Krein form on the spans of orthonormal ``bases``
-    of C^(2n): the Gram matrices of the bases of one size are one stacked
-    product, checked and classified by one ``_signatures``."""
-    inertias = [None] * len(bases)
-    sizes = {}
-    for j, basis in enumerate(bases):
-        sizes.setdefault(basis.shape[1], []).append(j)
-    for m, idx in sizes.items():
-        stack = np.stack([bases[j] for j in idx])
-        g = krein_form_matrix(stack.shape[1] // 2)
-        grams = np.swapaxes(stack.conj(), -1, -2) @ g @ stack
-        n_pos, n_neg, _ = _signatures(grams, tol, 0.0, hermitian=True)
-        for j, p, q in zip(idx, n_pos.tolist(), n_neg.tolist()):
-            inertias[j] = Inertia(p, q, m - p - q)
-    return inertias
+    of C^(2n): their Gram matrices, checked and classified by one
+    ``_signatures``."""
+    g = krein_form_matrix(len(bases[0]) // 2) if bases else None
+    n_pos, n_neg, _ = _signatures([b.conj().T @ g @ b for b in bases], tol, 0.0, hermitian=True)
+    return [Inertia(p, q, b.shape[1] - p - q)
+            for b, p, q in zip(bases, n_pos.tolist(), n_neg.tolist())]
 
 
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
@@ -141,7 +133,11 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     if not isinstance(alpha, numbers.Real):
         raise InputError("alpha must be a real number, got %r" % (alpha,))
     h, norm = _generator(h, None, tol)
-    gap, target, vals = _gap(h, norm), 1j * float(alpha), np.linalg.eigvals(h)
+    try:
+        target = 1j * float(alpha)
+    except OverflowError:  # an int beyond the doubles is as far as inf
+        target = 1j * (np.inf if alpha > 0 else -np.inf)
+    gap, vals = _gap(h, norm), np.linalg.eigvals(h)
     nearest = np.argmin(np.abs(vals - target))
     if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))

@@ -782,7 +782,10 @@ def _turns(alpha) -> float:
     cannot be told from its neighbours."""
     if not isinstance(alpha, numbers.Real):
         raise InputError("rotation speed must be a real number, got %r" % (alpha,))
-    x = float(alpha) / math.pi
+    try:
+        x = float(alpha) / math.pi
+    except OverflowError:  # an int beyond the doubles, refused as inf is
+        x = math.inf
     if not math.ulp(x) <= SNAP_TOL:
         raise InputError("rotation speed %r is not finite or too large to place "
                          "against the multiples of pi" % (alpha,))

@@ -137,25 +137,35 @@ def _signature(s, tol: Tolerances, margin: float, hermitian: bool):
         s = as_square(s, "hermitian matrix", dtype=complex)
     else:
         s = as_square(s, "symmetric matrix")
-    n_pos, n_neg, stable = _signatures(s[None], tol, margin, hermitian)
+    n_pos, n_neg, stable = _signatures([s], tol, margin, hermitian)
     n_pos, n_neg = int(n_pos[0]), int(n_neg[0])
     return Inertia(n_pos, n_neg, s.shape[0] - n_pos - n_neg), bool(stable[0])
 
 
-def _signatures(s, tol: Tolerances, margin: float, hermitian: bool):
+def _signatures(mats, tol: Tolerances, margin: float, hermitian: bool):
     """``band_counts`` of the symmetric or Hermitian part of each finite
-    square matrix of the stack ``s[k, m, m]``, from one ``eigvalsh``.  A
-    matrix whose defect |s - s*|_F exceeds ``eps_sym`` (1 + |s|_F) raises
-    NonHermitianInput or AsymmetricInput."""
-    adj = np.swapaxes(s.conj() if hermitian else s, -1, -2)
-    defect = np.linalg.norm(s - adj, axis=(-2, -1))
-    bad = defect > tol.eps_sym * (1.0 + np.linalg.norm(s, axis=(-2, -1)))
-    if bad.any():
-        first = float(defect[bad][0])
-        if hermitian:
-            raise NonHermitianInput("hermitian defect %.3e too large" % first)
-        raise AsymmetricInput("symmetry defect %.3e too large" % first)
-    eigs = np.linalg.eigvalsh(0.5 * (s + adj)) if s.size else np.empty(s.shape[:-1])
+    square matrix of the list ``mats``, in order.  The matrices of one
+    size are checked and diagonalized as one stack, by one ``eigvalsh``;
+    all eigenvalue rows, padded with zeros (which change no count, scale
+    or band), take one ``band_counts``.  A matrix whose defect
+    |s - s*|_F exceeds ``eps_sym`` (1 + |s|_F) raises NonHermitianInput
+    or AsymmetricInput."""
+    sizes = {}
+    for j, m in enumerate(mats):
+        sizes.setdefault(m.shape[0], []).append(j)
+    eigs = np.zeros((len(mats), max(sizes, default=0)))
+    for size, idx in sizes.items():
+        s = np.array([mats[j] for j in idx])
+        adj = np.swapaxes(s.conj() if hermitian else s, -1, -2)
+        defect = np.linalg.norm(s - adj, axis=(-2, -1))
+        bad = defect > tol.eps_sym * (1.0 + np.linalg.norm(s, axis=(-2, -1)))
+        if bad.any():
+            first = float(defect[bad][0])
+            if hermitian:
+                raise NonHermitianInput("hermitian defect %.3e too large" % first)
+            raise AsymmetricInput("symmetry defect %.3e too large" % first)
+        if size:
+            eigs[idx, :size] = np.linalg.eigvalsh(0.5 * (s + adj))
     return band_counts(eigs, tol, margin)
 
 
@@ -170,11 +180,11 @@ def band_counts(eigs, tol: Tolerances, margin: float):
     band and ``margin * scale``.
     """
     w = np.abs(eigs)
-    scale = 1.0 + np.max(w, axis=-1, initial=0.0, keepdims=True)
+    scale = 1.0 + w.max(axis=-1, initial=0.0, keepdims=True)
     band = tol.eps_sign * scale
-    n_pos = np.sum(eigs > band, axis=-1)
-    n_neg = np.sum(eigs < -band, axis=-1)
-    stable = ~np.any((w > band) & (w < margin * scale), axis=-1)
+    n_pos = (eigs > band).sum(-1)
+    n_neg = (eigs < -band).sum(-1)
+    stable = ~((w > band) & (w < margin * scale)).any(-1)
     return n_pos, n_neg, stable
 
 

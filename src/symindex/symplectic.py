@@ -174,7 +174,12 @@ def lagrangian_frame(space: SymplecticSpace, frame, tol: Tolerances = DEFAULT_TO
     q = orthonormal_columns(f, tol)
     if q.shape[1] != space.half_dim:
         raise NotLagrangian("frame is rank deficient")
-    defect = np.linalg.norm(space.pairing(q, q))
+    return _isotropic_frame(space, q, tol)
+
+
+def _isotropic_frame(space: SymplecticSpace, q, tol: Tolerances) -> LagrangianFrame:
+    """The orthonormal frame ``q`` as a read-only Lagrangian of ``space``, else NotLagrangian."""
+    defect = np.linalg.norm((space.form @ q).T @ q)
     if defect > tol.eps_sym * (1.0 + space.form_norm):
         raise NotLagrangian("isotropy defect %.3e too large" % defect)
     q.setflags(write=False)
@@ -187,17 +192,13 @@ def lagrangian_frame(space: SymplecticSpace, frame, tol: Tolerances = DEFAULT_TO
 @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def vertical_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace {0} x R^n of the standard space."""
-    space = SymplecticSpace.standard(n)
-    f = np.vstack([np.zeros((n, n)), np.eye(n)])
-    return lagrangian_frame(space, f, tol)
+    return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, n:], tol)
 
 
 @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace R^n x {0} of the standard space."""
-    space = SymplecticSpace.standard(n)
-    f = np.vstack([np.eye(n), np.zeros((n, n))])
-    return lagrangian_frame(space, f, tol)
+    return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, :n], tol)
 
 
 def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = None) -> bool:
@@ -253,11 +254,12 @@ def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> La
 
 
 def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
-    """Graph {(v, m v)} as a Lagrangian of the product space."""
+    """Graph {(v, m v)} as a Lagrangian of the product space: [I; m] has
+    no singular value below 1, so one QR orthonormalizes it, no rank rule."""
     m = as_even_square(m, "matrix")
-    d = m.shape[0]
-    space = SymplecticSpace.graph_product(d // 2)
-    return lagrangian_frame(space, np.vstack([np.eye(d), m]), tol)
+    tol = as_tolerances(tol)
+    q = np.linalg.qr(np.concatenate((np.eye(len(m)), m)))[0]
+    return _isotropic_frame(SymplecticSpace.graph_product(len(m) // 2), q, tol)
 
 
 @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
@@ -378,29 +380,19 @@ class SymplecticReduction:
         self.ambient = space
         self.tol = tol
         k = orthonormal_columns(_frame_of(space, k_frame, "K frame"), tol)
-        if k.shape[1] > 0:
-            defect = np.linalg.norm(space.pairing(k, k))
-            if defect > tol.eps_sym * (1.0 + space.form_norm):
-                raise NotIsotropic("K is not isotropic, defect %.3e" % defect)
+        defect = np.linalg.norm(space.pairing(k, k))
+        if defect > tol.eps_sym * (1.0 + space.form_norm):
+            raise NotIsotropic("K is not isotropic, defect %.3e" % defect)
         self.k = k
-        sharp = symplectic_orthogonal(space, k, tol) if k.shape[1] else np.eye(space.dim)
-        self.k_sharp = sharp
+        sharp = symplectic_orthogonal(space, k, tol)
         # orthocomplement of K inside K-sharp
-        if k.shape[1]:
-            proj = sharp - k @ (k.T @ sharp)
-            self.basis = orthonormal_columns(proj, tol)
-        else:
-            self.basis = sharp
+        self.basis = orthonormal_columns(sharp - k @ (k.T @ sharp), tol)
         expected = space.dim - 2 * k.shape[1]
         if self.basis.shape[1] != expected:
             raise NotIsotropic("reduction produced dimension %d, expected %d"
                                % (self.basis.shape[1], expected))
-        if expected > 0:
-            red_form = self.basis.T @ space.form @ self.basis
-            self.space = SymplecticSpace(red_form)
-        else:
-            self.space = None
-        for a in (self.k, self.k_sharp, self.basis):
+        self.space = SymplecticSpace(self.basis.T @ space.form @ self.basis) if expected else None
+        for a in (self.k, self.basis):
             a.setflags(write=False)
 
     def project(self, L: LagrangianFrame) -> LagrangianFrame:
@@ -408,14 +400,16 @@ class SymplecticReduction:
         if self.space is None:
             raise DimensionMismatch("the reduced space is zero-dimensional")
         self.ambient.check_same(L)
-        meet = subspace_intersection(L.frame, self.k_sharp, self.tol)
-        coords = self.basis.T @ meet
-        reduced = orthonormal_columns(coords, self.tol)
+        # L & K-sharp = Q ker((omega K)^T Q), Q the frame of L; the rank is read
+        # against the form, as (omega K)^T Q is rounding when K lies in L
+        _, s, vh = np.linalg.svd((self.ambient.form @ self.k).T @ L.frame)
+        rank = int(np.count_nonzero(s > self.tol.eps_rank * self.ambient.form_norm))
+        reduced = orthonormal_columns(self.basis.T @ (L.frame @ vh[rank:].T), self.tol)
         want = self.space.half_dim
         if reduced.shape[1] != want:
             raise NotLagrangian("projection has rank %d, expected %d"
                                 % (reduced.shape[1], want))
-        return lagrangian_frame(self.space, reduced, self.tol)
+        return _isotropic_frame(self.space, reduced, self.tol)
 
     def lift(self, l_red: LagrangianFrame) -> LagrangianFrame:
         """The Lagrangian of the ambient space containing K that

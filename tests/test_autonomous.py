@@ -14,6 +14,7 @@ from symindex import (
     calibrate_sign,
     correction_matrix,
     correction_sign,
+    kashiwara_index,
     make_system,
     maslov_via_formula,
     plane_block_generator,
@@ -195,6 +196,54 @@ def test_cross_check_runs_on_system():
     report = validate(system)
     assert (report.tau_direct, report.tau_reduced) == (check.tau_direct, check.tau_reduced)
     assert report.correction == -check.sign_x
+
+
+def test_reduced_form_matrix_is_the_block_layout():
+    x = np.arange(9.0).reshape(3, 3)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    np.testing.assert_array_equal(autonomous.reduced_form_matrix(x),
+                                  np.block([[zero, -eye, x], [-eye, zero, eye], [x.T, eye, zero]]))
+
+
+def _elliptic_blocks(n, rng):
+    """An elliptic plane-block generator whose speeds keep 0.2 from the
+    multiples of pi, so the upper-right block of psi(1) is invertible."""
+    speeds = rng.uniform(0.35, 5.9, 4 * n) * rng.choice([-1.0, 1.0], 4 * n)
+    speeds = speeds[np.abs(speeds - np.pi * np.round(speeds / np.pi)) > 0.2][:n]
+    return plane_block_generator([("elliptic", a) for a in speeds])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("conjugated", [False, True], ids=["block", "conjugated"])
+def test_triple_routes_equal_the_generic_routes(n, conjugated):
+    """validate's routes read the frames of one graph_lagrangian and one
+    projection, and classify the two 3n x 3n forms in one eigvalsh; they
+    equal the generic public routes: kashiwara_index on graph_lagrangian,
+    kashiwara_reduced with K = diagonal & L0 x L0 built from scratch, and
+    the signatures of X and of reduced_form_matrix at -X/2 scaled by
+    1 + |X/2|_F."""
+    space = SymplecticSpace.graph_product(n)
+    diag = diagonal_lagrangian(n)
+    pair = product_lagrangian(vertical_lagrangian(n), vertical_lagrangian(n))
+    k = subspace_intersection(diag.frame, pair.frame)
+    rng = np.random.default_rng(4400 + n)
+    for seed in range(4):
+        h = _elliptic_blocks(n, rng)
+        if conjugated:
+            s = random_symplectic(n, 4500 + 10 * n + seed, scale=0.6)
+            h = s @ h @ np.linalg.inv(s)
+        psi1 = make_system(h).psi(1.0)
+        x = autonomous._correction_matrix(psi1, numerics.DEFAULT_TOL)
+        graph = graph_lagrangian(psi1)
+        half = -0.5 * x
+        generic = TripleCheck(
+            kashiwara_index(space, diag, pair, graph),
+            kashiwara_reduced(space, k, diag, pair, graph),
+            -sym_signature(x).signature,
+            sym_signature(autonomous.reduced_form_matrix(half / (1.0 + np.linalg.norm(half))))
+            .signature)
+        assert autonomous._triple_routes(psi1, x, numerics.DEFAULT_TOL) == generic
+        assert generic.consistent
 
 
 def test_inconsistent_triple_routes_turn_agree_false(monkeypatch):

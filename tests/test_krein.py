@@ -66,6 +66,14 @@ def test_krein_signature_of_a_query_that_is_not_finite(h, alpha):
         krein_signature(h, alpha)
 
 
+@pytest.mark.parametrize("alpha", [10 ** 400, -10 ** 400])
+def test_krein_signature_of_an_int_beyond_the_doubles(alpha):
+    """float(10**400) raises OverflowError; such a query is refused as
+    the infinite ones are."""
+    with pytest.raises(NotAnEigenvalue):
+        krein_signature(2.0 * standard_J(1), alpha)
+
+
 @pytest.mark.parametrize("alpha", [2j, np.complex128(2.0), "2.0", None])
 def test_krein_signature_query_must_be_real(alpha):
     with pytest.raises(InputError, match="alpha must be a real number"):

@@ -120,6 +120,16 @@ def test_closed_forms_refuse_speeds_a_double_cannot_place(alpha):
             route(alpha)
 
 
+@pytest.mark.parametrize("route", [rotation_orbit_index, rotation_graph_index],
+                         ids=["orbit", "graph"])
+def test_closed_forms_refuse_an_int_beyond_the_doubles(route):
+    """float(10**400) raises OverflowError; the closed forms refuse such a
+    speed with the InputError of an infinite one."""
+    for alpha in (10 ** 400, -10 ** 400):
+        with pytest.raises(InputError, match="rotation speed"):
+            route(alpha)
+
+
 def test_closed_forms_divide_a_float32_speed_in_double_precision():
     """float32(pi) exceeds pi by 8.7e-8; divided in float32 it read
     exactly 1 and snapped onto the multiple of pi the scans do not see."""

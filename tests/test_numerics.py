@@ -17,6 +17,7 @@ from symindex import (
     standard_J,
 )
 from symindex.errors import AsymmetricInput, NonHermitianInput
+from symindex import numerics
 from symindex.halfint import ZERO
 from symindex.numerics import (
     _PADE,
@@ -88,6 +89,27 @@ def test_gray_band_keeps_zero_band_and_symmetry_check():
     assert stable
     with pytest.raises(AsymmetricInput):
         stable_signature(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-5, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["symmetric", "hermitian"])
+def test_signatures_of_mixed_sizes_equal_the_signature_of_each(hermitian):
+    """Matrices of several sizes share one band_counts, their eigenvalue
+    rows padded with zeros; every count and gray-band flag equals that of
+    the matrix alone, zero-band, gray and empty matrices included."""
+    rng = np.random.default_rng(17)
+    mats = [np.diag([1.0, 1e-7]), np.zeros((0, 0)), np.diag([5.0, 1e-12, -2.0]),
+            np.diag([-1e-9]), np.zeros((3, 3))]
+    for m in (1, 3, 6, 3, 2):
+        a = rng.standard_normal((m, m)) + (1j * rng.standard_normal((m, m)) if hermitian else 0)
+        mats.append(a + a.conj().T)
+    if hermitian:
+        mats = [m.astype(complex) for m in mats]
+    n_pos, n_neg, stable = numerics._signatures(mats, DEFAULT_TOL, 1e-5, hermitian)
+    alone = [numerics._signatures([m], DEFAULT_TOL, 1e-5, hermitian) for m in mats]
+    assert [(p[0], q[0], ok[0]) for p, q, ok in alone] == list(zip(n_pos, n_neg, stable))
+    signature = herm_signature if hermitian else sym_signature
+    assert [signature(m).pair for m in mats] == list(zip(n_pos.tolist(), n_neg.tolist()))
+    assert not stable[0] and stable[2]
 
 
 def test_spectral_norm_is_the_2_norm_bit_for_bit():

@@ -26,6 +26,7 @@ from symindex import (
     vertical_lagrangian,
 )
 from symindex.errors import DimensionMismatch, KNotAdmissible, NotIsotropic, OddDimension
+from symindex.numerics import orthonormal_columns
 from symindex.symplectic import (
     SymplecticReduction,
     loxodromic_generator,
@@ -194,6 +195,43 @@ def test_reduction_known_lifts():
     want_v = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert same_span(lift_h.frame, want_h)
     assert same_span(lift_v.frame, want_v)
+
+
+def _quotient_image(red, l):
+    """The reduced frame of ``l`` as project built it before: the span of
+    l & K-sharp from ``subspace_intersection``, in the reduced basis."""
+    sharp = symplectic_orthogonal(red.ambient, red.k)
+    return orthonormal_columns(red.basis.T @ subspace_intersection(l.frame, sharp))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_projection_of_lagrangians_that_contain_k(n):
+    """K = diagonal & L0 x L0 lies in both, so (omega K)^T Q is rounding:
+    its rank is read against the form, and the whole of L is in K-sharp.
+    Both project to their former spans, and so does a graph that does
+    not contain K."""
+    space = SymplecticSpace.graph_product(n)
+    diag = diagonal_lagrangian(n)
+    pair = product_lagrangian(vertical_lagrangian(n), vertical_lagrangian(n))
+    red = SymplecticReduction(space, subspace_intersection(diag.frame, pair.frame))
+    for l in (diag, pair, graph_lagrangian(random_symplectic(n, 60 + n))):
+        p = red.project(l)
+        assert p.space is red.space and p.frame.shape == (2 * n, n)
+        np.testing.assert_allclose(p.frame.T @ p.frame, np.eye(n), atol=1e-12)
+        assert same_span(p.frame, _quotient_image(red, l))
+
+
+def test_graph_frame_is_orthonormal_and_needs_a_symplectic_map():
+    """[I; m] has every singular value at least 1, so one QR orthonormalizes
+    it, even for a map of norm 1e6; a map that is not symplectic fails the
+    isotropy check."""
+    for m in (random_symplectic(3, 2), np.diag([1e6, 2.0, 1e-6, 0.5])):
+        d = m.shape[0]
+        f = graph_lagrangian(m).frame
+        np.testing.assert_allclose(f.T @ f, np.eye(d), atol=1e-12)
+        assert same_span(f, np.vstack([np.eye(d), m]))
+    with pytest.raises(NotLagrangian, match="isotropy"):
+        graph_lagrangian(2.0 * random_symplectic(2, 3))
 
 
 @pytest.mark.parametrize("call", [

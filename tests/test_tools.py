@@ -8,8 +8,8 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "krein_spectrum",
-          "spectral_conley_zehnder", "is_semisimple", "krein_signature"}
+ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "triple_routes_from",
+          "krein_spectrum", "spectral_conley_zehnder", "is_semisimple", "krein_signature"}
 
 
 def test_parity_sweep_records_every_route_of_its_first_inputs():
@@ -28,6 +28,12 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
         assert rec["validate"]["orbit_index"] == rec["maslov_index_symplectic"]
         assert rec["validate"]["graph_index"] == rec["conley_zehnder"]
         assert rec["validate"]["agree"] is True
+        triple = rec["triple_routes_from"]
+        assert set(triple) == {"tau_direct", "tau_reduced", "sign_x", "sign_y"}
+        assert len(set(triple.values())) == 1
+        assert (triple["tau_direct"], triple["tau_reduced"], -triple["sign_x"]) == (
+            rec["validate"]["tau_direct"], rec["validate"]["tau_reduced"],
+            rec["validate"]["correction"])
         assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"]
         assert sum(entry[2] for entry in rec["krein_spectrum"]) == 2 * n
 
@@ -64,3 +70,29 @@ def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     for route in ("maslov_index_symplectic", "conley_zehnder"):
         assert rec[route]["error"] == "GridTooCoarse"
     assert rec["spectral_conley_zehnder"]["error"] == "InputError"
+
+
+def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
+    """One repeat at n = 1 writes, for the tree measured, every layer's
+    time per call and its median, and the host factor."""
+    out = tmp_path / "bench.json"
+    r = subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "layer_bench.py"),
+                        "--tree", "change=src", "--repeats", "1", "--sizes", "1",
+                        "--out", str(out)],
+                       cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(out.read_text())
+    assert set(report) == {"script", "unit", "settings", "environment", "host_factor", "trees",
+                           "ratios"}
+    assert report["host_factor"] > 0 and report["ratios"] == {}
+    assert set(report["trees"]) == {"change"}
+    tree = report["trees"]["change"]
+    per_size = {"validate", "_flow_indices", "_correction_matrix", "_triple_routes", "_krein_pass"}
+    for key in ("median_ms", "runs_ms"):
+        assert set(tree[key]) == per_size | {"calibrate_sign", "run_property_suite"}
+        for layer in per_size:
+            assert set(tree[key][layer]) == {"1"}
+    for layer in per_size:
+        assert len(tree["runs_ms"][layer]["1"]) == 1
+        assert tree["median_ms"][layer]["1"] == tree["runs_ms"][layer]["1"][0] > 0
+    assert tree["median_ms"]["run_property_suite"] > 0

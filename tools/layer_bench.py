@@ -1,0 +1,181 @@
+"""Per-layer timings of symindex, written to a BENCH_<pr>.json file.
+
+    python tools/layer_bench.py --tree parent=/path/to/parent/src \
+        --tree change=src --out BENCH_21.json
+
+Each layer is called directly, not through a tracer:
+``autonomous.validate`` with the calibrated sign,
+``maslov._flow_indices``, ``autonomous._correction_matrix``,
+``autonomous._triple_routes`` and ``krein._krein_pass``, each at
+n = 1, 2, 4, 8 and 16, plus ``autonomous.calibrate_sign`` and
+``checks.run_property_suite``.  The inputs are fixed: the generators
+random_hamiltonian(n, 1000 + s, "semisimple-elliptic"), s < SYSTEMS, of
+the first tree, and for ``_correction_matrix`` and ``_triple_routes``
+those whose time-one map is transversal.
+
+Every tree (a ``src`` directory under a label) is imported into this one
+interpreter as a package of its own, with BLAS pinned to one thread, so
+the trees take turns pass by pass.  A layer is first called once on
+each input of each tree to fill its caches (the property suite
+excepted); then each of REPEATS repeats times one pass over the inputs
+in every tree, and the tree that goes first alternates from repeat to
+repeat, so a change of host speed falls on all trees alike.  The report
+holds, for each tree, the milliseconds per call of every repeat and
+their median; with two or more trees, the ratio of each later tree's
+medians to the first tree's; and the host factor of perfbench/hostref.py
+(the median seconds of its reference kernel, sampled after each layer,
+over REF_S; above 1 the host ran slow).
+"""
+
+import os
+
+# pin BLAS before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import hostref  # noqa: E402
+
+#: generators per size
+SYSTEMS = 8
+SIZES = (1, 2, 4, 8, 16)
+PER_SIZE = ("validate", "_flow_indices", "_correction_matrix", "_triple_routes", "_krein_pass")
+#: the layers called once per repeat: (name, module, warmed first)
+SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
+
+
+def load(index, src):
+    """The modules of the symindex package under ``src``, imported as
+    the package ``symindex_tree<index>``."""
+    init = Path(src) / "symindex" / "__init__.py"
+    name = "symindex_tree%d" % index
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    modules = {m: importlib.import_module(name + "." + m)
+               for m in ("autonomous", "checks", "krein", "maslov", "numerics")}
+    return dict(modules, package=package)
+
+
+def _pass_ms(calls):
+    """Milliseconds per call of one pass over ``calls``, a list of
+    (function, args)."""
+    t0 = time.perf_counter()
+    for fn, args in calls:
+        fn(*args)
+    return 1e3 * (time.perf_counter() - t0) / len(calls)
+
+
+def _time_layer(calls_by_tree, repeats, warm=True):
+    """Per tree, the ms per call of each repeat, the trees taking turns;
+    None for a tree without inputs."""
+    if warm:
+        for calls in calls_by_tree:
+            for fn, args in calls:
+                fn(*args)
+    runs = [[] if calls else None for calls in calls_by_tree]
+    order = [k for k, calls in enumerate(calls_by_tree) if calls]
+    for r in range(repeats):
+        for k in order[::-1] if r % 2 else order:
+            runs[k].append(_pass_ms(calls_by_tree[k]))
+    return runs
+
+
+def _layer_calls(tree, hs):
+    """{layer: calls} of one tree for the generators ``hs``."""
+    au, tol = tree["autonomous"], tree["numerics"].DEFAULT_TOL
+    systems = [au.make_system(h) for h in hs]
+    transversal = []
+    for system in systems:
+        psi1 = system.psi(1.0)
+        try:
+            transversal.append((psi1, au._correction_matrix(psi1, tol)))
+        except tree["package"].SymindexError:
+            pass
+    return {
+        "validate": [(au.validate, (s,)) for s in systems],
+        "_flow_indices": [(tree["maslov"]._flow_indices, (s.h, tol)) for s in systems],
+        "_correction_matrix": [(au._correction_matrix, (p, tol)) for p, _ in transversal],
+        "_triple_routes": [(au._triple_routes, (p, x, tol)) for p, x in transversal],
+        "_krein_pass": [(tree["krein"]._krein_pass, (s.h, tol)) for s in systems],
+    }
+
+
+def _combine(fn, *tables):
+    """``fn`` applied leaf by leaf to layer tables of one shape; a leaf
+    is a number, a list of repeats or None (which stays None)."""
+    if isinstance(tables[0], dict):
+        return {key: _combine(fn, *(t[key] for t in tables)) for key in tables[0]}
+    return None if any(t is None for t in tables) else fn(*tables)
+
+
+def bench(trees, repeats, sizes):
+    """The report of ``trees``, a list of (label, src)."""
+    loaded = [load(k, src) for k, (_, src) in enumerate(trees)]
+    host = hostref.HostReference()
+    runs = [{name: {} for name in PER_SIZE} for _ in trees]
+    for n in sizes:
+        hs = [loaded[0]["package"].random_hamiltonian(n, 1000 + s, "semisimple-elliptic")
+              for s in range(SYSTEMS)]
+        calls = [_layer_calls(tree, hs) for tree in loaded]
+        for name in PER_SIZE:
+            for k, r in enumerate(_time_layer([c[name] for c in calls], repeats)):
+                runs[k][name][str(n)] = r
+            host.sample()
+    for name, module, warm in SINGLE:
+        per_tree = [[(getattr(tree[module], name), ())] for tree in loaded]
+        for k, r in enumerate(_time_layer(per_tree, repeats, warm)):
+            runs[k][name] = r
+        host.sample()
+    medians = [_combine(statistics.median, r) for r in runs]
+    return {
+        "script": "tools/layer_bench.py",
+        "unit": "ms per call",
+        "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
+                     "blas_threads": 1},
+        "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
+                        "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host_factor": statistics.median(host.samples) / hostref.REF_S,
+        "trees": {label: {"median_ms": m, "runs_ms": r}
+                  for (label, _), m, r in zip(trees, medians, runs)},
+        "ratios": {"%s/%s" % (label, trees[0][0]): _combine(lambda a, b: a / b, m, medians[0])
+                   for (label, _), m in zip(trees[1:], medians[1:])},
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
+                        help="a src directory to measure under a label; repeat to compare, "
+                             "the first is the base of the ratios (default: change=src)")
+    parser.add_argument("--out", help="write the report here (default: standard output)")
+    parser.add_argument("--repeats", type=int, default=11)
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    args = parser.parse_args(argv)
+    trees = [tuple(t.split("=", 1)) for t in args.tree] or [("change", "src")]
+    trees = [(label, (ROOT / src).resolve()) for label, src in trees]
+    sizes = tuple(int(n) for n in args.sizes.split(","))
+    text = json.dumps(bench(trees, args.repeats, sizes), indent=1, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,14 +6,16 @@
 
 Writes one JSON line per input generator: its name and, for each route
 (``maslov_index_symplectic``, ``conley_zehnder``, ``validate`` with
-sigma = -1, ``krein_spectrum``, ``spectral_conley_zehnder``,
+sigma = -1, ``triple_routes_from`` of psi(1) with all four of its
+routes, ``krein_spectrum``, ``spectral_conley_zehnder``,
 ``is_semisimple``, and ``krein_signature`` at +-Im of every
 ``krein_spectrum`` cluster that carries a Krein inertia), the answer or
-the class and message of the typed error.  Floats are written as
-``float.hex``, so two trees agree on a line only when they agree bit for
-bit.  Run the same script against the ``src`` of two trees and diff the
-outputs to see every answer a change moved.  ``--limit N`` stops after
-N inputs.
+the class and message of the typed error (for ``triple_routes_from``,
+TransversalityViolated where the upper-right block of psi(1) is
+singular).  Floats are written as ``float.hex``, so two trees agree on a
+line only when they agree bit for bit.  Run the same script against the
+``src`` of two trees and diff the outputs to see every answer a change
+moved.  ``--limit N`` stops after N inputs.
 
 The ensembles:
 
@@ -56,6 +58,7 @@ from symindex import (
     random_symplectic,
     spectral_conley_zehnder,
     standard_J,
+    triple_routes_from,
     validate,
 )
 
@@ -162,6 +165,7 @@ ROUTES = {
     "maslov_index_symplectic": lambda h: str(maslov_index_symplectic(h)),
     "conley_zehnder": lambda h: str(conley_zehnder(h)),
     "validate": lambda h: _report(validate(make_system(h), sigma=-1)),
+    "triple_routes_from": lambda h: vars(triple_routes_from(make_system(h).psi(1.0))),
     "krein_spectrum": lambda h: _spectrum(krein_spectrum(h)),
     "spectral_conley_zehnder": lambda h: str(spectral_conley_zehnder(h)),
     "is_semisimple": is_semisimple,
