@@ -18,47 +18,55 @@ quadruples which carry no Krein data.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
-from .numerics import (DEFAULT_TOL, Inertia, Tolerances, _signatures, as_even_square,
+from .numerics import (DEFAULT_TOL, Inertia, Tolerances, _signatures, as_even_square, as_real,
                        as_square, as_tolerances, spectral_norm)
 from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
 
 #: relative gap within which two eigenvalues are linked into one cluster
 CLUSTER_GAP = 1e-6
 
-#: relative rank rule of eigenspaces (see ``_eigenspace``)
+#: relative rank rule of the cluster kernels and their chains (see ``_kernels``)
 EIGENSPACE_RANK = 1e-7
 
 
-def _gap(h, norm=None) -> float:
-    """The cluster gap of ``h``, from its spectral ``norm`` when given."""
-    return CLUSTER_GAP * max(1.0, spectral_norm(h) if norm is None else norm)
-
-
 def _components(vals, gap):
-    """The one partition of the Krein layer: the connected components of
-    ``vals`` linked within ``gap``, as boolean masks in the order of
-    their first member; unlike a greedy rule, independent of that order.
-    The link matrix is squared until it is closed under composition; then
-    row j is a component, and a new one iff its first member is j."""
+    """The connected components of ``vals`` linked within ``gap``, as the
+    rows of a boolean mask array in the order of their first member;
+    unlike a greedy rule, independent of that order.  The link matrix is
+    squared until it is closed under composition; then row j is a
+    component, and a new one iff its first member (its argmax) is j."""
     reach = np.abs(vals[:, None] - vals) <= gap
     closed = reach @ reach
     while not np.array_equal(closed, reach):
         reach, closed = closed, closed @ closed
-    return [reach[j] for j, row in enumerate(reach.tolist()) if row.index(True) == j]
+    return reach[reach.argmax(axis=1) == np.arange(len(vals))] if len(vals) else reach
+
+
+def _clusters(h, norm: float):
+    """(gap, vals, parts, lams, mults): the one eigenvalue partition of
+    the Krein layer: the eigenvalues of h, their ``_components`` within
+    CLUSTER_GAP * max(1, ``norm``), norm = |h|, the complex cluster means
+    (np.mean's bit for bit: a singleton x sums to 0.0 + x, as
+    ``np.add.reduce`` starts from 0) and the cluster sizes."""
+    gap, vals = CLUSTER_GAP * max(1.0, norm), np.linalg.eigvals(h)
+    parts = _components(vals, gap)
+    mults = parts.sum(axis=1).tolist()
+    sums = 0.0 + vals[parts.argmax(axis=1)] if len(vals) else vals
+    for j in [j for j, mult in enumerate(mults) if mult > 1]:
+        sums[j] = vals[parts[j]].sum()
+    return gap, vals, parts, (sums / mults).astype(complex), mults
 
 
 def _kernels(h, lams):
     """(A, kernels, cutoffs) for A_j = h - lams[j] I, from one stacked
     SVD: an orthonormal basis of each ker A_j under the rank rule
-    EIGENSPACE_RANK times the largest singular value of A_j.  The shifts
-    keep the dtype of ``lams``."""
+    EIGENSPACE_RANK times the largest singular value of A_j."""
     a = h - lams[:, None, None] * np.eye(h.shape[0])
     _, s, vh = np.linalg.svd(a)
     cutoffs = EIGENSPACE_RANK * s.max(axis=-1, initial=0.0)
@@ -83,17 +91,9 @@ def _chain(a, kernel, cutoff: float, k: int):
     return basis
 
 
-def _eigenspace(h, lam, k: int):
-    """(kernel, basis): orthonormal bases of ker A, A = h - lam I
-    (``_kernels``), and of its chain up to dimension ``k`` (``_chain``;
-    0: the kernel alone)."""
-    (a,), (kernel,), (cutoff,) = _kernels(h, np.array([lam]))
-    return kernel, _chain(a, kernel, cutoff, k)
-
-
 def _semisimple(kernels, multiplicities) -> bool:
     """Each cluster's kernel has its multiplicity and the stacked kernels
-    pass the rank rule of ``_eigenspace``: split clusters of a nilpotent
+    pass the rank rule of ``_kernels``: split clusters of a nilpotent
     matrix can each measure the same kernel."""
     if any(k.shape[1] != m for k, m in zip(kernels, multiplicities)):
         return False
@@ -108,46 +108,40 @@ def krein_form_matrix(n: int):
     return -1j * SymplecticSpace.standard(n).form
 
 
-def _krein_inertias(bases, tol: Tolerances):
-    """Inertias of the Krein form on the spans of orthonormal ``bases``
-    of C^(2n): their Gram matrices, checked and classified by one
-    ``_signatures``."""
-    g = krein_form_matrix(len(bases[0]) // 2) if bases else None
+def _krein_inertias(h, lams, mults, axis, tol: Tolerances):
+    """(kernels, inertias): the ``_kernels`` of the clusters at ``lams``
+    and, for each cluster j in ``axis``, the Krein inertia on the ``_chain``
+    of its kernel up to mults[j], all classified by one ``_signatures``."""
+    a, kernels, cutoffs = _kernels(h, lams)
+    bases = [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis]
+    g = krein_form_matrix(h.shape[0] // 2)
     n_pos, n_neg, _ = _signatures([b.conj().T @ g @ b for b in bases], tol, 0.0, hermitian=True)
-    return [Inertia(p, q, b.shape[1] - p - q)
-            for b, p, q in zip(bases, n_pos.tolist(), n_neg.tolist())]
+    return kernels, [Inertia(p, q, b.shape[1] - p - q)
+                     for b, p, q in zip(bases, n_pos.tolist(), n_neg.tolist())]
 
 
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of the Krein form on the generalized eigenspace of i*alpha.
 
-    It is read on the kernel chain of the ``krein_spectrum`` cluster that
-    holds the eigenvalue nearest to i*alpha, which must lie within the
-    cluster gap.  The form is nondegenerate on a whole generalized
-    eigenspace, so a chain of another dimension or a degenerate form
-    means rounding split the cluster (a Jordan block of size >= 3 by
-    about (eps cond)^(1/size)).  Either case raises NotAnEigenvalue, as
-    does an ``alpha`` that is not finite; one that is not a real number
-    raises InputError.
+    It is read on the kernel chain of the one ``_clusters`` cluster that
+    holds the eigenvalue nearest to i*alpha, within the gap; no full
+    pass.  The form is nondegenerate on a whole generalized eigenspace,
+    so a chain of another dimension or a degenerate form means rounding
+    split the cluster (a Jordan block of size k >= 3, by about
+    (eps cond)^(1/k)) and raises NotAnEigenvalue, as a non-finite
+    ``alpha`` does; a bool or non-real one raises InputError.
     """
-    if not isinstance(alpha, numbers.Real):
-        raise InputError("alpha must be a real number, got %r" % (alpha,))
+    target = 1j * as_real(alpha, "alpha")
     h, norm = _generator(h, None, tol)
-    try:
-        target = 1j * float(alpha)
-    except OverflowError:  # an int beyond the doubles is as far as inf
-        target = 1j * (np.inf if alpha > 0 else -np.inf)
-    gap, vals = _gap(h, norm), np.linalg.eigvals(h)
+    gap, vals, parts, lams, mults = _clusters(h, norm)
     nearest = np.argmin(np.abs(vals - target))
     if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
-    members = next(part for part in _components(vals, gap) if part[nearest])
-    k = int(np.count_nonzero(members))
-    basis = _eigenspace(h, np.mean(vals[members]), k)[1]
-    (inertia,) = _krein_inertias([basis], tol)
-    if basis.shape[1] != k or inertia.n_zero:
+    j = int(parts[:, nearest].argmax())
+    (inertia,) = _krein_inertias(h, lams[j:j + 1], mults[j:j + 1], [0], tol)[1]
+    if inertia.dim != mults[j] or inertia.n_zero:
         raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
-                              "cluster split beyond the gap" % (k, target))
+                              "cluster split beyond the gap" % (mults[j], target))
     return inertia
 
 
@@ -162,21 +156,15 @@ class KreinEigenvalue:
 
 
 def _krein_pass(h, tol: Tolerances):
-    """(spectrum, semisimple, gap) of ``h``: one generator check, one
-    ``eigvals``, its ``_components``, the ``_kernels`` of all clusters
-    and the ``_chain`` of each short kernel on the imaginary axis.  A
-    cluster on the axis takes the Krein form on its chain
-    (``_krein_inertias``); one that rounding split keeps a degenerate
-    form."""
+    """(spectrum, semisimple, gap) of ``h``: one generator check, its
+    ``_clusters`` and, for all of them at once, ``_krein_inertias``.  A
+    cluster on the imaginary axis takes the Krein form on its chain; one
+    that rounding split keeps a degenerate form."""
     h, norm = _generator(h, None, tol)
-    gap, vals = _gap(h, norm), np.linalg.eigvals(h)
-    parts = _components(vals, gap)
-    lams = np.array([np.mean(vals[p]) for p in parts], dtype=complex)
-    mults = [int(np.count_nonzero(p)) for p in parts]
-    a, kernels, cutoffs = _kernels(h, lams)
+    gap, _, _, lams, mults = _clusters(h, norm)
     axis = [j for j, lam in enumerate(lams.tolist()) if abs(lam.real) <= gap]
-    inertias = dict(zip(axis, _krein_inertias(
-        [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis], tol)))
+    kernels, inertias = _krein_inertias(h, lams, mults, axis, tol)
+    inertias = dict(zip(axis, inertias))
     spectrum = [KreinEigenvalue(lam, mult, inertias.get(j))
                 for j, (lam, mult) in enumerate(zip(lams.tolist(), mults))]
     return spectrum, _semisimple(kernels, mults), gap
@@ -193,10 +181,8 @@ def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     kernels are independent (``_semisimple``)."""
     as_tolerances(tol)
     h = as_square(h, "generator")
-    gap, vals = _gap(h), np.linalg.eigvals(h)
-    parts = _components(vals, gap)
-    return _semisimple(_kernels(h, np.array([np.mean(vals[p]) for p in parts]))[1],
-                       [int(np.count_nonzero(p)) for p in parts])
+    _, _, _, lams, mults = _clusters(h, spectral_norm(h))
+    return _semisimple(_kernels(h, lams)[1], mults)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .numerics import (
     Inertia,
     Tolerances,
     as_matrix,
+    as_real,
     as_tolerances,
     band_counts,
     expm,
@@ -89,9 +90,13 @@ class LagrangianPath:
     _rate_bound: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        a, b = self.interval
-        if not (a < b and math.isfinite(float(b) - float(a))):  # nan, inf and overflow fail
+        try:
+            a, b = (as_real(t, "interval bound") for t in self.interval)
+        except (TypeError, ValueError):  # not iterable, or not two values
+            raise InputError("interval must be a pair (a, b), got %r" % (self.interval,))
+        if not (a < b and math.isfinite(b - a)):  # nan, inf and overflow fail
             raise InputError("interval must be finite with a < b")
+        object.__setattr__(self, "interval", (a, b))
 
     def frame(self, t: float):
         f = as_matrix(self.frame_fn(t), "path frame")
@@ -110,7 +115,7 @@ class LagrangianPath:
 
 def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
                      dframe_fn=None) -> LagrangianPath:
-    return LagrangianPath(space, frame_fn, dframe_fn, tuple(map(float, interval)))
+    return LagrangianPath(space, frame_fn, dframe_fn, interval)
 
 
 def _flow(m):
@@ -242,7 +247,7 @@ def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
         return h @ phi(ts) @ f0
 
     return LagrangianPath(start.space, _Stacked(frs, d, _orbit_growth(record.spectrum)),
-                          _Stacked(dfrs, d), tuple(map(float, interval)), record.bound)
+                          _Stacked(dfrs, d), interval, record.bound)
 
 
 def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:
@@ -281,8 +286,8 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
     def dfrs(ts):
         return graphs(0.0, h @ phi(ts))
 
-    return LagrangianPath(space, _Stacked(frs, d, growth), _Stacked(dfrs, d),
-                          tuple(map(float, interval)), record.bound)
+    return LagrangianPath(space, _Stacked(frs, d, growth), _Stacked(dfrs, d), interval,
+                          record.bound)
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -780,12 +785,7 @@ def _turns(alpha) -> float:
     is not a finite real number or the spacing of doubles at alpha/pi
     exceeds ``SNAP_TOL`` (|alpha/pi| >= 2^23), where a multiple of pi
     cannot be told from its neighbours."""
-    if not isinstance(alpha, numbers.Real):
-        raise InputError("rotation speed must be a real number, got %r" % (alpha,))
-    try:
-        x = float(alpha) / math.pi
-    except OverflowError:  # an int beyond the doubles, refused as inf is
-        x = math.inf
+    x = as_real(alpha, "rotation speed") / math.pi
     if not math.ulp(x) <= SNAP_TOL:
         raise InputError("rotation speed %r is not finite or too large to place "
                          "against the multiples of pi" % (alpha,))

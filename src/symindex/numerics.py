@@ -1,14 +1,15 @@
 """Dense linear-algebra kernels shared by every index computation.
 
 The rank, signature and symmetry decisions on the inputs and results of
-a route read one ``Tolerances`` object.  A few fixed thresholds do not:
-``krein.CLUSTER_GAP`` and ``krein.EIGENSPACE_RANK`` (the eigenvalue
-partition and the rank rule of its eigenspaces), ``maslov.GRAY_FACTOR``
-(the gray band of crossing forms), the 1e-10 and 1e-12 checks of a
-``SymplecticSpace`` form, and the condition bound 1e7 under which
-``maslov._flow`` diagonalizes a generator.  Every signature is measured on
-one scale: 1 + the largest |eigenvalue| of its symmetric (or Hermitian)
-matrix, which ``band_counts`` takes from the eigenvalues it classifies.
+a route read one ``Tolerances`` object, its fields in (0, 1).  A few
+fixed thresholds do not: ``krein.CLUSTER_GAP`` and ``krein.EIGENSPACE_RANK``
+(the partition of ``krein._clusters`` and the rank rule of its kernels),
+``maslov.GRAY_FACTOR`` (the gray band of crossing forms), the 1e-10 and
+1e-12 checks of a ``SymplecticSpace`` form, and the condition bound 1e7
+under which ``maslov._flow`` diagonalizes a generator.  Every signature
+is measured on one scale: 1 + the largest |eigenvalue| of its symmetric
+(or Hermitian) matrix, which ``band_counts`` takes from the eigenvalues
+it classifies.
 Matrices are plain numpy arrays; constructors validate shape and
 finiteness at the operation boundary.
 """
@@ -16,6 +17,7 @@ finiteness at the operation boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,7 +28,7 @@ from .errors import AsymmetricInput, InputError, NonHermitianInput, OddDimension
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds.
+    """Numerical thresholds, each a float in (0, 1), else ValueError.
 
     eps_rank : singular values below ``eps_rank * sigma_max`` count as zero
     eps_sym  : admissible relative symmetry defect
@@ -40,8 +42,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eps_rank", "eps_sym", "eps_sign"):
             value = getattr(self, name)
-            if not (isinstance(value, float) and value > 0.0):
-                raise ValueError("%s must be a positive float" % name)
+            if not (isinstance(value, float) and 0.0 < value < 1.0):  # nan and inf fail
+                raise ValueError("%s must be a float in (0, 1)" % name)
 
 
 DEFAULT_TOL = Tolerances()
@@ -53,6 +55,17 @@ def as_tolerances(tol) -> Tolerances:
     if not isinstance(tol, Tolerances):
         raise InputError("tol must be a Tolerances, got %r" % (tol,))
     return tol
+
+
+def as_real(x, name: str) -> float:
+    """``x`` as a float, else InputError for a bool or a non-``numbers.Real``:
+    the one check of a real scalar.  An int beyond the doubles is inf."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InputError("%s must be a real number, got %r" % (name, x))
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Krein signatures, spectra, and normal-form classification."""
 
 import collections
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from symindex import (
     spectral_conley_zehnder,
     standard_direct_sum,
 )
-from symindex.errors import InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple, SymindexError
-from symindex.krein import _components, _eigenspace, _gap, krein_form_matrix
-from symindex.numerics import herm_signature
+from symindex.errors import (InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple,
+                             SymindexError, UnclassifiableSpectrum)
+from symindex.krein import _chain, _clusters, _kernels, krein_form_matrix
+from symindex.numerics import herm_signature, spectral_norm
 from symindex.symplectic import (
     SymplecticSpace,
     darboux_frame,
@@ -31,6 +34,8 @@ from symindex.symplectic import (
     random_symplectic,
     standard_J,
 )
+
+SWEEP = pathlib.Path(__file__).resolve().parent.parent / "tools" / "parity_sweep.py"
 
 
 def test_krein_form_is_minus_iJ():
@@ -74,7 +79,7 @@ def test_krein_signature_of_an_int_beyond_the_doubles(alpha):
         krein_signature(2.0 * standard_J(1), alpha)
 
 
-@pytest.mark.parametrize("alpha", [2j, np.complex128(2.0), "2.0", None])
+@pytest.mark.parametrize("alpha", [2j, np.complex128(2.0), "2.0", None, True, np.bool_(True)])
 def test_krein_signature_query_must_be_real(alpha):
     with pytest.raises(InputError, match="alpha must be a real number"):
         krein_signature(2.0 * standard_J(1), alpha)
@@ -248,6 +253,23 @@ def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
     assert calls == {"eigvals": 1, "svd": 3}
 
 
+def test_one_eigvals_and_one_cluster_kernel_per_signature_query(monkeypatch):
+    """A krein_signature query at n=8 takes the generator check's
+    spectral-norm SVD, one eigvals and the kernel SVD of its one cluster:
+    not the stacked kernels of all 16 clusters, nor the SVD of the
+    stacked kernels, of a full pass."""
+    h = random_hamiltonian(8, 0, "semisimple-elliptic")
+    alpha = krein_spectrum(h)[0].eigenvalue.imag
+    krein_signature(h, alpha)
+    calls = _count_decompositions(monkeypatch)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        shapes.append(np.shape(a)), svd(a, *args, **kwargs))[1])
+    krein_signature(h, alpha)
+    assert calls == {"eigvals": 1, "svd": 2} and shapes == [(16, 16), (1, 16, 16)]
+
+
 def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     """The kernels ker A of both size-2 Jordan clusters come from one
     stacked SVD, and each short kernel takes one more SVD for ker A^2
@@ -261,10 +283,17 @@ def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     assert calls == {"eigvals": 1, "svd": 4}
 
 
+def _cluster_basis(h, lam, k):
+    """The kernel of h - lam I alone and its ``_chain`` up to dimension
+    ``k`` (0: the kernel alone)."""
+    (a,), (kernel,), (cutoff,) = _kernels(h, np.array([lam], dtype=complex))
+    return _chain(a, kernel, cutoff, k)
+
+
 def test_batched_krein_pass_equals_one_cluster_at_a_time():
     """krein_spectrum, which takes the kernels of all clusters from one
     stacked SVD and the Krein inertias of each basis size from one
-    stacked product, equals the loop of one ``_eigenspace`` and one
+    stacked product, equals the loop of one ``_cluster_basis`` and one
     herm_signature per cluster on seeded generators of every profile,
     n = 1..4, and on conjugated Jordan blocks."""
     generators = [(1 + s % 3) * random_hamiltonian(1 + s % 4, 9000 + s, profile)
@@ -277,13 +306,12 @@ def test_batched_krein_pass_equals_one_cluster_at_a_time():
             generators.append(s @ base @ np.linalg.inv(s))
     generators.append(_jordan_at_2i())
     for h in generators:
-        gap, vals = _gap(h), np.linalg.eigvals(h)
+        gap, _, _, lams, mults = _clusters(h, spectral_norm(h))
         g = krein_form_matrix(h.shape[0] // 2)
         expected = []
-        for members in _components(vals, gap):
-            lam, mult = complex(np.mean(vals[members])), int(np.count_nonzero(members))
+        for lam, mult in zip(lams.tolist(), mults):
             on_axis = abs(lam.real) <= gap
-            basis = _eigenspace(h, lam, mult if on_axis else 0)[1]
+            basis = _cluster_basis(h, lam, mult if on_axis else 0)
             inertia = herm_signature(basis.conj().T @ g @ basis) if on_axis else None
             expected.append((lam, mult, inertia))
         assert [(e.eigenvalue, e.multiplicity, e.inertia) for e in krein_spectrum(h)] == expected
@@ -329,7 +357,7 @@ def _schur_basis(h, target, gap):
 def test_jordan_cluster_inertia_matches_the_schur_basis(size, omega):
     """Jordan blocks of size 2, 3 and 4 at +-i omega and at 0, conjugated
     by seeded random symplectic matrices: every cluster keeps the size of
-    its blocks; its kernel chain (``_eigenspace``) is orthonormal and
+    its blocks; its kernel chain (``_cluster_basis``) is orthonormal and
     spans the sorted Schur subspace (projectors within
     1e-12); and krein_spectrum and krein_signature give the inertia of the
     Schur basis and of the normal form (p - q = sign at +i omega for one
@@ -343,10 +371,10 @@ def test_jordan_cluster_inertia_matches_the_schur_basis(size, omega):
             assert is_hamiltonian(h) and not is_semisimple(h)
             spec = krein_spectrum(h)
             assert [e.multiplicity for e in spec] == [blocks * size] * (1 if omega == 0 else 2)
-            gap, g = _gap(h), krein_form_matrix(h.shape[0] // 2)
+            gap, g = _clusters(h, spectral_norm(h))[0], krein_form_matrix(h.shape[0] // 2)
             for e in spec:
                 alpha = e.eigenvalue.imag
-                basis = _eigenspace(h, e.eigenvalue, e.multiplicity)[1]
+                basis = _cluster_basis(h, e.eigenvalue, e.multiplicity)
                 reference = _schur_basis(h, e.eigenvalue, gap)
                 assert basis.shape == reference.shape
                 np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
@@ -484,3 +512,83 @@ def test_split_nilpotent_blocks_are_not_semisimple(size, seed, sign):
         classify_normal_form(h)
     with pytest.raises(NotSemisimple):
         spectral_conley_zehnder(h)
+
+
+def _linked_components(vals, gap):
+    """The reference partition: components of the links within ``gap``,
+    grown one member at a time, in the order of their first member."""
+    parts, seen = [], set()
+    for i in range(len(vals)):
+        if i in seen:
+            continue
+        part, frontier = {i}, [i]
+        while frontier:
+            k = frontier.pop()
+            linked = {j for j in range(len(vals)) if abs(vals[j] - vals[k]) <= gap} - part
+            part |= linked
+            frontier.extend(linked)
+        seen |= part
+        parts.append([j in part for j in range(len(vals))])
+    return parts
+
+
+def _sweep_inputs(*ensembles):
+    """The generators of the ``ensembles`` of tools/parity_sweep.py."""
+    spec = importlib.util.spec_from_file_location("parity_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [h for name, h in sweep.ensemble() if name.split()[0] in ensembles]
+
+
+def test_signature_queries_and_semisimplicity_read_one_partition():
+    """On the ``jordan`` and ``slow`` inputs of the parity sweep and on
+    seeded random generators at n <= 4: krein_signature at +-Im of every
+    cluster that carries a Krein inertia gives that inertia (swapped at
+    -Im) when it is whole, nondegenerate with the cluster's dimension,
+    and raises NotAnEigenvalue otherwise; and is_semisimple is False
+    exactly when classify_normal_form raises NotSemisimple."""
+    profiles = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
+    randoms = [(1 + s % 3) * random_hamiltonian(1 + s % 4, 9000 + s, profiles[s % 4])
+               for s in range(80)]
+    counts = collections.Counter()
+    for h in _sweep_inputs("jordan", "slow") + randoms:
+        for e in krein_spectrum(h):
+            if e.inertia is None:
+                continue
+            whole = e.inertia.n_zero == 0 and e.inertia.dim == e.multiplicity
+            swapped = Inertia(e.inertia.n_neg, e.inertia.n_pos, 0)
+            for alpha, expected in ((e.eigenvalue.imag, e.inertia), (-e.eigenvalue.imag, swapped)):
+                try:
+                    got = krein_signature(h, alpha)
+                except NotAnEigenvalue:
+                    got = None
+                assert got == (expected if whole else None), (h, alpha)
+            counts["whole" if whole else "refused"] += 1
+        try:
+            classify_normal_form(h)
+            refused = False
+        except NotSemisimple:
+            refused = True
+        except UnclassifiableSpectrum:
+            refused = False
+        assert is_semisimple(h) is not refused
+        counts["not semisimple"] += refused
+    assert min(counts.values()) > 0, counts
+
+
+def test_cluster_means_and_masks_equal_the_member_loop():
+    """``_clusters`` takes its masks from the closed link matrix and its
+    means without an np.mean per cluster; both equal the loop over the
+    members bit for bit (signed zeros too: the rotations have eigenvalues
+    -0.0 +- i alpha), on the rotation, jordan and slow sweep inputs,
+    seeded generators and the empty matrix."""
+    profiles = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
+    randoms = [random_hamiltonian(1 + s % 8, 9000 + s, profiles[s % 4]) for s in range(40)]
+    for h in _sweep_inputs("rotation", "jordan", "slow") + randoms + [np.zeros((0, 0))]:
+        gap, vals, parts, lams, mults = _clusters(h, spectral_norm(h))
+        reference = _linked_components(vals, gap)
+        assert parts.tolist() == reference
+        assert mults == [part.count(True) for part in reference]
+        means = np.array([np.mean(vals[np.array(part, dtype=bool)]) for part in reference],
+                         dtype=complex)
+        assert lams.tobytes() == means.tobytes()

@@ -130,6 +130,15 @@ def test_closed_forms_refuse_an_int_beyond_the_doubles(route):
             route(alpha)
 
 
+@pytest.mark.parametrize("route", [rotation_orbit_index, rotation_graph_index],
+                         ids=["orbit", "graph"])
+@pytest.mark.parametrize("alpha", [True, False, np.bool_(True), "1.0", None])
+def test_closed_forms_refuse_a_speed_that_is_not_a_real_number(route, alpha):
+    """A bool is no speed: rotation_orbit_index(True) read 1/2."""
+    with pytest.raises(InputError, match="rotation speed must be a real number"):
+        route(alpha)
+
+
 def test_closed_forms_divide_a_float32_speed_in_double_precision():
     """float32(pi) exceeds pi by 8.7e-8; divided in float32 it read
     exactly 1 and snapped onto the multiple of pi the scans do not see."""
@@ -434,13 +443,22 @@ def test_grid_above_the_cell_cap_is_rejected_before_sampling():
 @pytest.mark.parametrize("h", [5.0 * standard_J(1), np.zeros((2, 2))], ids=["rotation", "zero"])
 def test_interval_length_must_be_finite(h):
     """b - a overflowing to inf is an InputError, not an untyped error
-    from the cell count."""
+    from the cell count; so is an interval that is not a pair of reals
+    a < b (one of three values, or "ab", raised a bare ValueError)."""
     huge = (-1e308, 1e308)
     for route in (maslov_index_symplectic, conley_zehnder):
         with pytest.raises(InputError, match="interval must be finite"):
             route(h, interval=huge)
     with pytest.raises(InputError, match="interval must be finite"):
         path_from_frames(SymplecticSpace.standard(1), lambda t: np.eye(2)[:, :1], huge)
+    frames = lambda t: np.eye(2)[:, :1]  # noqa: E731
+    for bad in [(0, 1, 2), (0.0,), 5.0, "ab", (0.0, "1"), (0.0, 1j), (True, 2.0), (1.0, 1.0),
+                (0.0, float("nan")), (-1e308, float("inf"))]:
+        with pytest.raises(InputError, match="interval"):
+            path_from_frames(SymplecticSpace.standard(1), frames, bad)
+        for route in (orbit_path, conley_zehnder):
+            with pytest.raises(InputError, match="interval"):
+                route(h, interval=bad)
 
 
 def test_nilpotent_shear_indices():

@@ -232,6 +232,16 @@ def test_tolerances_are_frozen_defaults():
     assert loose.eps_rank == 1e-6
 
 
+@pytest.mark.parametrize("field", ["eps_rank", "eps_sym", "eps_sign"])
+@pytest.mark.parametrize("value", [0.0, -1e-9, 1.0, 2.0, float("inf"), float("nan"), 1])
+def test_tolerances_lie_in_the_open_unit_interval(field, value):
+    """A band of 1 or more holds every defect and eigenvalue: with
+    eps_sym = inf a random 2 x 2 matrix passed as Hamiltonian, and with
+    eps_sign = 2 sym_signature(I_2) read (0, 0, 2)."""
+    with pytest.raises(ValueError, match="%s must be a float in \\(0, 1\\)" % field):
+        Tolerances(**{field: value})
+
+
 def test_halfint_rendering():
     assert str(HalfInt(3)) == "3/2"
     assert str(HalfInt(4)) == "2"

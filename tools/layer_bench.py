@@ -1,17 +1,21 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_21.json
+        --tree change=src --out BENCH_22.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
-``maslov._flow_indices``, ``autonomous._correction_matrix``,
-``autonomous._triple_routes`` and ``krein._krein_pass``, each at
-n = 1, 2, 4, 8 and 16, plus ``autonomous.calibrate_sign`` and
-``checks.run_property_suite``.  The inputs are fixed: the generators
-random_hamiltonian(n, 1000 + s, "semisimple-elliptic"), s < SYSTEMS, of
-the first tree, and for ``_correction_matrix`` and ``_triple_routes``
-those whose time-one map is transversal.
+``maslov._flow_indices``, ``maslov._flow_record``,
+``autonomous._correction_matrix``, ``autonomous._triple_routes``,
+``krein._krein_pass``, ``krein.krein_signature`` and
+``krein.is_semisimple``, each at n = 1, 2, 4, 8 and 16, plus
+``autonomous.calibrate_sign`` and ``checks.run_property_suite``.  The
+inputs are fixed: the generators random_hamiltonian(n, 1000 + s,
+"semisimple-elliptic"), s < SYSTEMS, of the first tree; for
+``_correction_matrix`` and ``_triple_routes`` those whose time-one map
+is transversal; and for ``krein_signature`` one query per cluster that
+carries a Krein inertia in the first tree's ``krein_spectrum``, at the
+imaginary part of its eigenvalue.
 
 Every tree (a ``src`` directory under a label) is imported into this one
 interpreter as a package of its own, with BLAS pinned to one thread, so
@@ -52,7 +56,8 @@ import hostref  # noqa: E402
 #: generators per size
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
-PER_SIZE = ("validate", "_flow_indices", "_correction_matrix", "_triple_routes", "_krein_pass")
+PER_SIZE = ("validate", "_flow_indices", "_flow_record", "_correction_matrix", "_triple_routes",
+            "_krein_pass", "krein_signature", "is_semisimple")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -96,9 +101,10 @@ def _time_layer(calls_by_tree, repeats, warm=True):
     return runs
 
 
-def _layer_calls(tree, hs):
-    """{layer: calls} of one tree for the generators ``hs``."""
-    au, tol = tree["autonomous"], tree["numerics"].DEFAULT_TOL
+def _layer_calls(tree, hs, queries):
+    """{layer: calls} of one tree for the generators ``hs`` and the
+    ``krein_signature`` queries, (h, alpha) pairs."""
+    au, kr, tol = tree["autonomous"], tree["krein"], tree["numerics"].DEFAULT_TOL
     systems = [au.make_system(h) for h in hs]
     transversal = []
     for system in systems:
@@ -110,9 +116,12 @@ def _layer_calls(tree, hs):
     return {
         "validate": [(au.validate, (s,)) for s in systems],
         "_flow_indices": [(tree["maslov"]._flow_indices, (s.h, tol)) for s in systems],
+        "_flow_record": [(tree["maslov"]._flow_record, (s.h, None, tol)) for s in systems],
         "_correction_matrix": [(au._correction_matrix, (p, tol)) for p, _ in transversal],
         "_triple_routes": [(au._triple_routes, (p, x, tol)) for p, x in transversal],
-        "_krein_pass": [(tree["krein"]._krein_pass, (s.h, tol)) for s in systems],
+        "_krein_pass": [(kr._krein_pass, (s.h, tol)) for s in systems],
+        "krein_signature": [(kr.krein_signature, (h, alpha, tol)) for h, alpha in queries],
+        "is_semisimple": [(kr.is_semisimple, (s.h, tol)) for s in systems],
     }
 
 
@@ -132,7 +141,9 @@ def bench(trees, repeats, sizes):
     for n in sizes:
         hs = [loaded[0]["package"].random_hamiltonian(n, 1000 + s, "semisimple-elliptic")
               for s in range(SYSTEMS)]
-        calls = [_layer_calls(tree, hs) for tree in loaded]
+        queries = [(h, e.eigenvalue.imag) for h in hs
+                   for e in loaded[0]["krein"].krein_spectrum(h) if e.inertia is not None]
+        calls = [_layer_calls(tree, hs, queries) for tree in loaded]
         for name in PER_SIZE:
             for k, r in enumerate(_time_layer([c[name] for c in calls], repeats)):
                 runs[k][name][str(n)] = r
