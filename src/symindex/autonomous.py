@@ -20,7 +20,6 @@ intersection.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .errors import (
     CalibrationFailure,
+    InputError,
     NotSymplectic,
     SymmetryDefect,
     TransversalityViolated,
@@ -40,6 +40,7 @@ from .numerics import (
     Tolerances,
     _signatures,
     as_even_square,
+    as_int,
     as_square,
     as_tolerances,
     expm,
@@ -249,9 +250,12 @@ def _coupling_sign(sigma, tol: Tolerances) -> int:
     as_tolerances(tol)
     if sigma is None:
         return _calibrated_sign(tol)
-    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Integral) or sigma not in (-1, 1):
-        raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
-    return int(sigma)
+    try:
+        if as_int(sigma, "sigma") in (-1, 1):
+            return int(sigma)
+    except InputError:
+        pass
+    raise CalibrationFailure("sigma must be +1 or -1, got %r" % (sigma,))
 
 
 # -- the closed formula and the validation report -----------------------------

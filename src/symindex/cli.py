@@ -38,7 +38,7 @@ from .errors import (
 from .kashiwara import kashiwara_index
 from .krein import _krein_pass, _normal_form, _rotation_speeds
 from .maslov import _grid_cells
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix
+from .numerics import DEFAULT_TOL, Tolerances, as_int, as_matrix
 from .symplectic import SymplecticSpace, lagrangian_frame
 
 SCHEMA_VERSION = "1"
@@ -70,9 +70,12 @@ def _read_payload(path: str) -> dict:
 
 def _payload_n(obj: dict) -> int:
     n = obj.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:  # JSON true is no count
-        raise InputError('"n" must be a positive integer')
-    return n
+    try:
+        if as_int(n, '"n"') >= 1:  # JSON true is no count
+            return n
+    except InputError:
+        pass
+    raise InputError('"n" must be a positive integer')
 
 
 def _payload_matrix(obj: dict, key: str, shape):

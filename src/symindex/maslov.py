@@ -17,7 +17,6 @@ w(t, v)) on l(t0) & L; their half sum must equal the phase index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -38,6 +37,7 @@ from .numerics import (
     DEFAULT_TOL,
     Inertia,
     Tolerances,
+    as_int,
     as_matrix,
     as_real,
     as_tolerances,
@@ -118,52 +118,6 @@ def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
     return LagrangianPath(space, frame_fn, dframe_fn, interval)
 
 
-def _flow(m):
-    """(stacked flow, spectrum) of a real m: the flow maps an array of
-    times ts to the stack of exp(t m).
-
-    With a well conditioned eigenvector basis V the stack comes from one
-    diagonalization, Re (V * exp(t vals)) @ inv(V) at each t, and the
-    spectrum is (kappa, re): the condition number of V and the real
-    parts of the eigenvalues, from which the factories bound the
-    condition number of their frames.  Else (a defective or ill-conditioned
-    m) the stack is ``numerics.expm`` of the stack of t m, and the spectrum
-    is None.  Each matrix of a stack equals the flow evaluated at its time
-    alone, bit for bit.
-    """
-    m = np.asarray(m)
-    d = m.shape[0]
-    try:
-        vals, vecs = np.linalg.eig(m)
-        kappa = np.linalg.cond(vecs)
-        if kappa < 1e7:
-            vinv = np.linalg.inv(vecs)
-
-            def phi(ts):
-                return ((vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv).real
-
-            if np.linalg.norm(phi(np.zeros(1))[0] - np.eye(d)) <= 1e-10:
-                return phi, (float(kappa), vals.real)
-    except np.linalg.LinAlgError:
-        pass
-
-    def phi_expm(ts):
-        return expm(ts[:, None, None] * m)
-
-    return phi_expm, None
-
-
-def _orbit_growth(spectrum):
-    """(c, r) with log cond F(t) <= c + r |t| for F(t) = exp(t m) F0, F0
-    orthonormal, from the spectrum of m (``_flow``): the singular values
-    of V exp(t Lambda) V^-1 F0 lie within kappa exp(t max Re lambda) and
-    exp(t min Re lambda) / kappa.  None without a spectrum."""
-    if spectrum is None:
-        return None
-    kappa, re = spectrum
-    return 2.0 * math.log(kappa), float(re.max() - re.min())
-
-
 class _Stacked:
     """Frame function of a built-in path: ``stack(ts)`` evaluates a whole
     array of times, a call the batch of one.  Scan batches must also fit
@@ -186,24 +140,44 @@ class _Stacked:
 
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
-    """A generator checked once, with what the built-in paths of its
-    flow read: the stacked flow and spectrum of ``_flow`` and the rate
-    bound B of both paths.
+    """The flow of a generator h checked once.  ``stack(ts)`` is the stack
+    of exp(t h) at the times ts, each matrix equal bit for bit to the flow
+    at its time alone.  When kappa = cond V of the eigenvectors V of h is
+    below 1e7 and the flow at 0 is I within 1e-10, ``eigen`` is
+    (eigenvalues, V, V^-1) and exp(t h) = Re (V * exp(t vals)) @ V^-1;
+    else (a defective or ill-conditioned h, kappa inf when ``eig`` fails)
+    ``eigen`` is None and the stack is ``numerics.expm`` of t h.
 
-    With S = sym(-Omega h), the Hamiltonian form of h on the space of
-    form Omega, B = max(sum of the n largest eigenvalues of S, -sum of
-    the n smallest).  In a space whose form is orthogonal with square -1
-    the phase of det Z of a Lagrangian moved by w' = h w turns at
-    tr(S P) (Robbin-Salamon's crossing form, traced), with P = Q Q^T for
-    the orbit's orthonormal frame Q and the lower block Q_b Q_b^T of the
-    graph's.  Both P have 0 <= P <= I and tr P = n (P + Omega P Omega^T
-    = I), so |tr(S P)| <= B, which rotations attain.  B never exceeds
-    the Ky Fan sum of the n largest singular values of h."""
+    ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
+    the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
+    singular values of V exp(t Lambda) V^-1 F0, F0 orthonormal, lie
+    within kappa exp(t max Re lambda) and exp(t min Re lambda) / kappa,
+    and those of the graph frame [I; Phi] in [1, 1 + |Phi|], so its
+    cond F(t) <= 1 + kappa exp(|t| max |Re lambda|) <= 2 kappa exp(|t|
+    max |Re lambda|).
+
+    ``bound`` is the rate bound B of both paths: with S = sym(-Omega h),
+    the Hamiltonian form of h on the space of form Omega, B = max(sum of
+    the n largest eigenvalues of S, -sum of the n smallest).  In a space
+    whose form is orthogonal with square -1, arg det Z of a Lagrangian
+    moved by w' = h w turns at tr(S P) (Robbin-Salamon's crossing form,
+    traced) with P = Q Q^T for the orbit's orthonormal frame Q and the
+    lower block Q_b Q_b^T of the graph's; 0 <= P <= I and tr P = n (P +
+    Omega P Omega^T = I), so |tr(S P)| <= B, which rotations attain.  B
+    is at most the Ky Fan sum of the n largest singular values of h."""
 
     h: np.ndarray
-    phi: Callable
-    spectrum: Optional[Tuple[float, np.ndarray]]
     bound: float
+    kappa: float
+    eigen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    orbit_growth: Optional[Tuple[float, float]]
+    graph_growth: Optional[Tuple[float, float]]
+
+    def stack(self, ts):
+        if self.eigen is None:
+            return expm(ts[:, None, None] * self.h)
+        vals, vecs, vinv = self.eigen
+        return ((vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv).real
 
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
@@ -213,8 +187,21 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     n = h.shape[0] // 2
     s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
-    phi, spectrum = _flow(h)
-    return _FlowRecord(h, phi, spectrum, float(max(eigs[n:].sum(), -eigs[:n].sum())))
+    bound = float(max(eigs[n:].sum(), -eigs[:n].sum()))
+    kappa = math.inf
+    try:
+        vals, vecs = np.linalg.eig(h)
+        kappa = float(np.linalg.cond(vecs))
+        if kappa < 1e7:
+            re = vals.real
+            record = _FlowRecord(h, bound, kappa, (vals, vecs, np.linalg.inv(vecs)),
+                                 (2.0 * math.log(kappa), float(re.max() - re.min())),
+                                 (math.log(2.0 * kappa), float(np.abs(re).max())))
+            if np.linalg.norm(record.stack(np.zeros(1))[0] - np.eye(2 * n)) <= 1e-10:
+                return record
+    except np.linalg.LinAlgError:
+        pass
+    return _FlowRecord(h, bound, kappa, None, None, None)
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -234,19 +221,19 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
                 tol: Tolerances) -> LagrangianPath:
     """``orbit_path`` of a checked generator."""
-    h, phi = record.h, record.phi
+    h, flow = record.h, record.stack
     d = h.shape[0]
     if start is None:
         start = vertical_lagrangian(d // 2, tol)
     f0 = start.frame
 
     def frs(ts):
-        return phi(ts) @ f0
+        return flow(ts) @ f0
 
     def dfrs(ts):
-        return h @ phi(ts) @ f0
+        return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _Stacked(frs, d, _orbit_growth(record.spectrum)),
+    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -262,17 +249,10 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
 
 
 def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
-    """``graph_path`` of a checked generator.  The frame [I; Phi] has
-    F^T F = I + Phi^T Phi, so its singular values lie in [1, 1 + |Phi|]
-    and cond F(t) <= 1 + kappa exp(|t| max |Re lambda|) <= 2 kappa
-    exp(|t| max |Re lambda|)."""
-    h, phi = record.h, record.phi
+    """``graph_path`` of a checked generator."""
+    h, flow = record.h, record.stack
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
-    growth = None
-    if record.spectrum is not None:
-        kappa, re = record.spectrum
-        growth = (math.log(2.0 * kappa), float(np.abs(re).max()))
 
     def graphs(top, bottom):
         out = np.empty((len(bottom), 2 * d, d))
@@ -281,13 +261,13 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
         return out
 
     def frs(ts):
-        return graphs(np.eye(d), phi(ts))
+        return graphs(np.eye(d), flow(ts))
 
     def dfrs(ts):
-        return graphs(0.0, h @ phi(ts))
+        return graphs(0.0, h @ flow(ts))
 
-    return LagrangianPath(space, _Stacked(frs, d, growth), _Stacked(dfrs, d), interval,
-                          record.bound)
+    return LagrangianPath(space, _Stacked(frs, d, record.graph_growth), _Stacked(dfrs, d),
+                          interval, record.bound)
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -304,8 +284,7 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
     start.space.check_same(end)
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InputError("k must be an integer, got %r" % (k,))
+    k = as_int(k, "k")
     n = start.space.half_dim
     u0 = start.frame[:n] + 1j * start.frame[n:]
     u1 = end.frame[:n] + 1j * end.frame[n:]
@@ -313,7 +292,7 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     # QR factor Q of its eigenvectors holds an orthonormal basis of each
     vals, vecs = np.linalg.eig(u0.conj().T @ u1)
     q = np.linalg.qr(vecs)[0]
-    theta = np.angle(vals) + np.pi * int(k)
+    theta = np.angle(vals) + np.pi * k
     u0q, qh = u0 @ q, q.conj().T
 
     def frames(rates, ts):
@@ -656,13 +635,12 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
 def _grid_cells(grid) -> int:
     """``grid`` as an int, checked: an integer (numpy integers too) from
     ``MIN_GRID`` to ``MAX_CELLS``, else InputError."""
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
-        raise InputError("grid must be an integer, got %r" % (grid,))
+    grid = as_int(grid, "grid")
     if grid < MIN_GRID:
         raise InputError("grid must be at least %d" % MIN_GRID)
     if grid > MAX_CELLS:
         raise InputError("grid must be at most %d" % MAX_CELLS)
-    return int(grid)
+    return grid
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
@@ -675,14 +653,17 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     (``baseline_dim``) is the smallest dimension on the grid.  A cell
     counts (2 delta arg det Z - delta sum theta) / 2 pi phases
     passing 0 upward, all phases near 0 snapped at the ends and only the
-    core's elsewhere.  ``_locate`` bisects the cells that count; located
-    times within ``MERGE_TOL`` are one and a zero total is dropped.
-    ``_forms`` classifies them and the ends, kept when their intersection
-    exceeds the core or the core is not empty; a form too small to
-    classify or with null space other than the core raises
-    NonRegularCrossing.  Counts that cancel in one cell (a tangency, a
-    +/- pair) are not listed.  A half sum of forms other than the phase
-    index raises InternalMismatch.
+    core's elsewhere.  An end is a crossing when this scan counts its
+    dimension (its phases within ``eps_rank`` of 0) above the core, or
+    when the core is not empty.  ``_locate`` bisects the cells that
+    count; located times within ``MERGE_TOL`` of each other or of a
+    crossing end are one, and a zero total is dropped.  ``_forms``
+    classifies each crossing on the intersection that
+    ``subspace_intersections`` finds there; a form too small to classify
+    or with null space other than the core raises NonRegularCrossing.
+    Counts that cancel in one cell (a tangency, a +/- pair) are not
+    listed.  A half sum of forms other than the phase index raises
+    InternalMismatch.
     """
     chart, ts, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=True)
     index = _phase_index(lifted, thetas, tol)
@@ -691,18 +672,17 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     baseline = int(dims.min())
     sums = _snapped(thetas, tol, np.r_[dims[0], np.full(len(ts) - 2, baseline), dims[-1]])[0]
     counts = np.rint((2.0 * np.diff(lifted) - np.diff(sums)) / _TWO_PI).astype(int)
-    located = _locate(path, chart, ts, lifted, sums, counts, dims[[0, -1]] > baseline,
-                      baseline, tol)
-    times, counts = np.array(sorted([(a, 0), (b, 0)] + located)).T
+    stop = dims[[0, -1]] > baseline
+    located = _locate(path, chart, ts, lifted, sums, counts, stop, baseline, tol)
+    ends = [(t, 0) for t, kept in zip((a, b), stop | (baseline > 0)) if kept]
+    times, counts = np.array(sorted(ends + located)).reshape(-1, 2).T
     cuts = np.flatnonzero(np.diff(times) > MERGE_TOL) + 1
     candidates = [a if group[0] == a else b if group[-1] == b else float(np.mean(group))
                   for group, count in zip(np.split(times, cuts), np.split(counts, cuts))
-                  if group[0] == a or group[-1] == b or count.sum()]
+                  if group.size and (group[0] == a or group[-1] == b or count.sum())]
 
     crossings = []
     for t, (v, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
-        if t in (a, b) and not (v.shape[1] > baseline or baseline > 0):
-            continue
         if not stable:
             raise NonRegularCrossing("crossing form at t=%g has an eigenvalue too small "
                                      "to classify" % t)

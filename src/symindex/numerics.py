@@ -6,10 +6,10 @@ fixed thresholds do not: ``krein.CLUSTER_GAP`` and ``krein.EIGENSPACE_RANK``
 (the partition of ``krein._clusters`` and the rank rule of its kernels),
 ``maslov.GRAY_FACTOR`` (the gray band of crossing forms), the 1e-10 and
 1e-12 checks of a ``SymplecticSpace`` form, and the condition bound 1e7
-under which ``maslov._flow`` diagonalizes a generator.  Every signature
-is measured on one scale: 1 + the largest |eigenvalue| of its symmetric
-(or Hermitian) matrix, which ``band_counts`` takes from the eigenvalues
-it classifies.
+under which ``maslov._flow_record`` diagonalizes a generator.  Every
+signature is measured on one scale: 1 + the largest |eigenvalue| of its
+symmetric (or Hermitian) matrix, which ``band_counts`` takes from the
+eigenvalues it classifies.
 Matrices are plain numpy arrays; constructors validate shape and
 finiteness at the operation boundary.
 """
@@ -66,6 +66,14 @@ def as_real(x, name: str) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def as_int(x, name: str) -> int:
+    """``x`` (numpy integers too) as an int, else InputError for a bool or a
+    non-``numbers.Integral``: the one check of an integer argument."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise InputError("%s must be an integer, got %r" % (name, x))
+    return int(x)
 
 
 @dataclass(frozen=True)

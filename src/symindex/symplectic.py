@@ -29,6 +29,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     as_even_square,
+    as_int,
     as_matrix,
     as_square,
     as_tolerances,
@@ -41,7 +42,8 @@ from .numerics import (
 
 
 def standard_J(n: int):
-    """The matrix [[0, -I_n], [I_n, 0]]."""
+    """The matrix [[0, -I_n], [I_n, 0]] for an integer n >= 1, else InputError."""
+    n = as_int(n, "n")
     if n < 1:
         raise InputError("n must be positive")
     eye = np.eye(n)
@@ -186,8 +188,8 @@ def _isotropic_frame(space: SymplecticSpace, q, tol: Tolerances) -> LagrangianFr
     return LagrangianFrame(space, q)
 
 
-# The reference Lagrangians are built once per (n, tol) and shared; typed
-# keys keep vertical_lagrangian(2.0) and (True) apart from (2) and (1).
+# The reference Lagrangians are built once per (n, tol) and shared; typed keys
+# keep (2.0) and (True), which standard_J refuses, apart from (2) and (1).
 
 @functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def vertical_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
@@ -465,6 +467,7 @@ def random_hamiltonian(n: int, seed=0, spectrum_profile: str = "generic"):
     Profiles: "generic" (J times random symmetric), "semisimple-elliptic",
     "hyperbolic", and "mixed" (conjugated plane-block generators).
     """
+    as_int(n, "n")
     rng = _as_rng(seed)
     if spectrum_profile == "generic":
         s = rng.standard_normal((2 * n, 2 * n))

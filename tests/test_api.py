@@ -40,6 +40,7 @@ from symindex import (
     maslov_index_symplectic,
     maslov_via_formula,
     orbit_path,
+    random_hamiltonian,
     random_lagrangian,
     spectral_conley_zehnder,
     standard_J,
@@ -247,3 +248,30 @@ def test_every_route_with_tol_has_a_float_tol_case():
                 and "tol" in inspect.signature(obj).parameters}
     covered = {key.split()[0] for key in list(TOL_ROUTES) + list(CACHED_TOL_ROUTES)}
     assert with_tol - covered == set()
+
+
+#: public size arguments that once escaped as numpy's TypeError
+SIZE_ROUTES = {
+    "standard_J float": lambda: standard_J(1.5),
+    "standard_J bool": lambda: standard_J(True),
+    "vertical_lagrangian": lambda: vertical_lagrangian(1.0),
+    "horizontal_lagrangian": lambda: horizontal_lagrangian("2"),
+    "graph_product": lambda: SymplecticSpace.graph_product(1.5),
+    "random_hamiltonian": lambda: random_hamiltonian(1.5),
+    "random_hamiltonian mixed": lambda: random_hamiltonian(1.5, 0, "mixed"),
+    "random_lagrangian": lambda: random_lagrangian(2.0),
+}
+
+
+@pytest.mark.parametrize("route", SIZE_ROUTES.values(), ids=SIZE_ROUTES.keys())
+def test_size_that_is_not_an_integer_is_an_input_error(route):
+    """A bool, float or string size fails the one integer check of
+    ``numerics.as_int`` with InputError."""
+    with pytest.raises(InputError, match="n must be an integer"):
+        route()
+
+
+def test_numpy_integer_size_is_an_integer():
+    assert np.array_equal(standard_J(np.int64(2)), standard_J(2))
+    assert random_hamiltonian(np.int32(2), 0, "mixed").shape == (4, 4)
+    assert vertical_lagrangian(np.int64(2)).n == 2

@@ -181,6 +181,31 @@ def test_crossing_layout_for_speed_five():
     assert scan.index == HalfInt(3)
 
 
+@pytest.mark.parametrize("route", ["orbit", "graph"])
+@pytest.mark.parametrize("delta", [10 ** -9.25, 1e-9, 10 ** -8.75, 10 ** -8.5],
+                         ids=["5.6e-10", "1e-9", "1.8e-9", "3.2e-9"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("turns", [1, 2], ids=["pi", "2pi"])
+def test_crossing_ends_are_the_ends_the_scan_counts(turns, sign, delta, route):
+    """Where the path of (k pi +- delta) J_1 returns to the reference at
+    time 1 up to an angle delta, its eigenphase 2 delta there exceeds
+    eps_rank, so the scan leaves that end out, while the SVD rule of
+    ``subspace_intersections`` still finds an intersection.  The ends
+    listed are the ends whose scanned dimension exceeds the core, and
+    the forms sum to the phase index (they once raised InternalMismatch)."""
+    h = (turns * np.pi + sign * delta) * standard_J(1)
+    if route == "orbit":
+        path, ref = orbit_path(h), vertical_lagrangian(1)
+    else:
+        path, ref = graph_path(h), diagonal_lagrangian(1)
+    scan = find_crossings(path, ref)
+    assert scan.index == maslov_index(path, ref)
+    thetas = maslov._phase_grid(path, ref, 256, DEFAULT_TOL, phases=False)[3]
+    dims = maslov._snapped(thetas, DEFAULT_TOL)[1]
+    assert [c.time for c in scan.crossings if c.at_endpoint] == [
+        t for t, dim in zip(path.interval, dims) if dim > scan.baseline_dim]
+
+
 def test_geodesic_family_shifts_index_by_k():
     space = SymplecticSpace.standard(1)
     start = horizontal_lagrangian(1)

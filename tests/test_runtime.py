@@ -18,13 +18,14 @@ import sys
 import numpy as np
 
 import symindex as si
-from symindex.maslov import _flow
+from symindex.maslov import _flow_record
+from symindex.numerics import DEFAULT_TOL
 
 shear = np.array([[0.0, 1.0], [0.0, 0.0]])
 jordan = np.block([[2.0 * si.standard_J(1), np.zeros((2, 2))],
                    [np.eye(2), 2.0 * si.standard_J(1)]])
 assert si.validate(si.make_system(3.0 * si.random_hamiltonian(2, 7, "mixed"))).agree
-assert _flow(shear)[1] is None  # the expm fallback
+assert _flow_record(shear, None, DEFAULT_TOL).eigen is None  # the expm fallback
 assert si.conley_zehnder(shear) == si.HalfInt(-1)
 assert [e.inertia for e in si.krein_spectrum(jordan)] == [si.Inertia(1, 1, 0)] * 2
 assert si.krein_signature(jordan, 2.0) == si.Inertia(1, 1, 0)

@@ -25,7 +25,8 @@ from symindex import (
     symplectic_orthogonal,
     vertical_lagrangian,
 )
-from symindex.errors import DimensionMismatch, KNotAdmissible, NotIsotropic, OddDimension
+from symindex.errors import (DimensionMismatch, InputError, KNotAdmissible, NotIsotropic,
+                             OddDimension)
 from symindex.numerics import orthonormal_columns
 from symindex.symplectic import (
     SymplecticReduction,
@@ -82,8 +83,9 @@ def test_standard_spaces_and_reference_frames_are_shared_and_read_only():
 
 def test_reference_caches_keep_argument_types_apart():
     """SymplecticSpace.standard and vertical_lagrangian at 2.0 and True
-    raise as they do uncached, whether or not 2 and 1 are in the cache:
-    2.0 == 2 and True == 1 would collide as keys of an untyped cache."""
+    raise the InputError of standard_J, whether or not 2 and 1 are in
+    the cache: 2.0 == 2 and True == 1 would collide as keys of an untyped
+    cache."""
     makers = (SymplecticSpace.standard, vertical_lagrangian,
               lambda n: vertical_lagrangian(n, DEFAULT_TOL))
 
@@ -93,14 +95,14 @@ def test_reference_caches_keep_argument_types_apart():
             for n in (2.0, True):
                 try:
                     got.append(make(n).dim if make is makers[0] else make(n).n)
-                except TypeError:
-                    got.append(TypeError)
+                except InputError:
+                    got.append(InputError)
         return got
 
     SymplecticSpace.standard.cache_clear()
     vertical_lagrangian.cache_clear()
     cold = outcomes()
-    assert cold == [TypeError] * 6
+    assert cold == [InputError] * 6
     for make in makers:
         make(2)
         make(1)

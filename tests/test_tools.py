@@ -9,7 +9,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "triple_routes_from",
-          "krein_spectrum", "spectral_conley_zehnder", "is_semisimple", "krein_signature"}
+          "krein_spectrum", "spectral_conley_zehnder", "is_semisimple", "krein_signature",
+          "find_crossings"}
 
 
 def test_parity_sweep_records_every_route_of_its_first_inputs():
@@ -36,6 +37,15 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
             rec["validate"]["correction"])
         assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"]
         assert sum(entry[2] for entry in rec["krein_spectrum"]) == 2 * n
+        scans = rec["find_crossings"]
+        assert (scans["orbit"]["index"], scans["graph"]["index"]) == (
+            rec["maslov_index_symplectic"], rec["conley_zehnder"])
+        for scan in scans.values():
+            assert scan["baseline_dim"] == 0
+            times = [float.fromhex(time) for time, _, _, _ in scan["crossings"]]
+            assert times == sorted(times) and times[0] == 0.0
+            for time, (_, dim, pair, at_endpoint) in zip(times, scan["crossings"]):
+                assert sum(pair) == dim and at_endpoint == (time in (0.0, 1.0))
 
 
 def _load_sweep():
@@ -62,7 +72,8 @@ def test_parity_sweep_queries_the_krein_signature_of_a_slow_rotation():
 
 def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     """The last ``fast`` input, 1e17 J_1, needs more cells than either
-    scan may take, and its speed is too large for the closed form."""
+    scan may take, and its speed is too large for the closed form; the
+    sweep runs no ``find_crossings`` on it."""
     sweep = _load_sweep()
     name, h = [(name, h) for name, h in sweep.ensemble() if name.startswith("fast ")][-1]
     rec = sweep.record(name, h)
@@ -70,6 +81,23 @@ def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     for route in ("maslov_index_symplectic", "conley_zehnder"):
         assert rec[route]["error"] == "GridTooCoarse"
     assert rec["spectral_conley_zehnder"]["error"] == "InputError"
+    assert set(rec) == ROUTES - {"find_crossings"} | {"input"}
+
+
+def test_parity_sweep_lists_the_crossings_of_paths_that_end_near_the_reference():
+    """The ``near`` ensemble holds 52 rotations within 1e-12 to 1e-6 of pi
+    and 2 pi.  At 2 pi +- 1e-9 both crossing lists once raised
+    InternalMismatch at their end; each now sums to the phase index."""
+    sweep = _load_sweep()
+    near = [(name, h) for name, h in sweep.ensemble() if name.startswith("near ")]
+    assert len(near) == 52
+    picked = [(name, h) for name, h in near
+              if name.startswith("near 2pi") and float.fromhex(name.split()[-1]) == 1e-9]
+    assert len(picked) == 2
+    for name, h in picked:
+        rec = sweep.record(name, h)
+        assert rec["find_crossings"]["orbit"]["index"] == rec["maslov_index_symplectic"]
+        assert rec["find_crossings"]["graph"]["index"] == rec["conley_zehnder"]
 
 
 def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
@@ -88,7 +116,8 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
     per_size = {"validate", "_flow_indices", "_flow_record", "_correction_matrix",
-                "_triple_routes", "_krein_pass", "krein_signature", "is_semisimple"}
+                "_triple_routes", "_krein_pass", "krein_signature", "is_semisimple",
+                "find_crossings"}
     for key in ("median_ms", "runs_ms"):
         assert set(tree[key]) == per_size | {"calibrate_sign", "run_property_suite"}
         for layer in per_size:

@@ -1,14 +1,16 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_22.json
+        --tree change=src --out BENCH_23.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
 ``maslov._flow_indices``, ``maslov._flow_record``,
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
-``krein._krein_pass``, ``krein.krein_signature`` and
-``krein.is_semisimple``, each at n = 1, 2, 4, 8 and 16, plus
+``krein._krein_pass``, ``krein.krein_signature``,
+``krein.is_semisimple`` and ``maslov.find_crossings`` (the orbit path
+of each generator against the vertical, built outside the timing),
+each at n = 1, 2, 4, 8 and 16, plus
 ``autonomous.calibrate_sign`` and ``checks.run_property_suite``.  The
 inputs are fixed: the generators random_hamiltonian(n, 1000 + s,
 "semisimple-elliptic"), s < SYSTEMS, of the first tree; for
@@ -57,7 +59,7 @@ import hostref  # noqa: E402
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
 PER_SIZE = ("validate", "_flow_indices", "_flow_record", "_correction_matrix", "_triple_routes",
-            "_krein_pass", "krein_signature", "is_semisimple")
+            "_krein_pass", "krein_signature", "is_semisimple", "find_crossings")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -104,7 +106,8 @@ def _time_layer(calls_by_tree, repeats, warm=True):
 def _layer_calls(tree, hs, queries):
     """{layer: calls} of one tree for the generators ``hs`` and the
     ``krein_signature`` queries, (h, alpha) pairs."""
-    au, kr, tol = tree["autonomous"], tree["krein"], tree["numerics"].DEFAULT_TOL
+    au, kr, ma = tree["autonomous"], tree["krein"], tree["maslov"]
+    tol = tree["numerics"].DEFAULT_TOL
     systems = [au.make_system(h) for h in hs]
     transversal = []
     for system in systems:
@@ -115,13 +118,15 @@ def _layer_calls(tree, hs, queries):
             pass
     return {
         "validate": [(au.validate, (s,)) for s in systems],
-        "_flow_indices": [(tree["maslov"]._flow_indices, (s.h, tol)) for s in systems],
-        "_flow_record": [(tree["maslov"]._flow_record, (s.h, None, tol)) for s in systems],
+        "_flow_indices": [(ma._flow_indices, (s.h, tol)) for s in systems],
+        "_flow_record": [(ma._flow_record, (s.h, None, tol)) for s in systems],
         "_correction_matrix": [(au._correction_matrix, (p, tol)) for p, _ in transversal],
         "_triple_routes": [(au._triple_routes, (p, x, tol)) for p, x in transversal],
         "_krein_pass": [(kr._krein_pass, (s.h, tol)) for s in systems],
         "krein_signature": [(kr.krein_signature, (h, alpha, tol)) for h, alpha in queries],
         "is_semisimple": [(kr.is_semisimple, (s.h, tol)) for s in systems],
+        "find_crossings": [(ma.find_crossings, (ma.orbit_path(s.h), ma.vertical_lagrangian(s.n)))
+                           for s in systems],
     }
 
 

@@ -8,14 +8,19 @@ Writes one JSON line per input generator: its name and, for each route
 (``maslov_index_symplectic``, ``conley_zehnder``, ``validate`` with
 sigma = -1, ``triple_routes_from`` of psi(1) with all four of its
 routes, ``krein_spectrum``, ``spectral_conley_zehnder``,
-``is_semisimple``, and ``krein_signature`` at +-Im of every
-``krein_spectrum`` cluster that carries a Krein inertia), the answer or
-the class and message of the typed error (for ``triple_routes_from``,
-TransversalityViolated where the upper-right block of psi(1) is
-singular).  Floats are written as ``float.hex``, so two trees agree on a
-line only when they agree bit for bit.  Run the same script against the
-``src`` of two trees and diff the outputs to see every answer a change
-moved.  ``--limit N`` stops after N inputs.
+``is_semisimple``, ``krein_signature`` at +-Im of every
+``krein_spectrum`` cluster that carries a Krein inertia, and
+``find_crossings`` of the orbit path against the vertical and of the
+graph path against the diagonal, each with its index, ``baseline_dim``
+and (time, dim, inertia pair, ``at_endpoint``) of every crossing), the
+answer or the class and message of the typed error (for
+``triple_routes_from``, TransversalityViolated where the upper-right
+block of psi(1) is singular).  ``find_crossings`` is not run on the
+``fast`` ensemble, whose first speed needs about 3.6e5 cells.  Floats
+are written as ``float.hex``, so two trees agree on a line only when
+they agree bit for bit.  Run the same script against the ``src`` of two
+trees and diff the outputs to see every answer a change moved.
+``--limit N`` stops after N inputs.
 
 The ensembles:
 
@@ -34,7 +39,10 @@ The ensembles:
 - ``shear``: the nilpotent shears [[0, +-1], [0, 0]];
 - ``jordan``: one Jordan block of size 2, 3 or 4 at +-i omega
   (omega 0, 0.7, 2), Krein sign +-1, nilpotent part 1e-3, 1e-2 or 1,
-  conjugated by random_symplectic(n, seed, 0.5), seeds 0-5.
+  conjugated by random_symplectic(n, seed, 0.5), seeds 0-5;
+- ``near``: (pi +- delta) J_1 and (2 pi +- delta) J_1 for 13 log-spaced
+  delta in [1e-12, 1e-6], where the orbit paths, and the graph paths
+  near 2 pi, end within an angle delta of the reference.
 """
 
 import argparse
@@ -48,11 +56,14 @@ from symindex import (
     SymplecticSpace,
     conley_zehnder,
     darboux_frame,
+    find_crossings,
+    graph_path,
     is_semisimple,
     krein_signature,
     krein_spectrum,
     make_system,
     maslov_index_symplectic,
+    orbit_path,
     plane_block_generator,
     random_hamiltonian,
     random_symplectic,
@@ -60,7 +71,9 @@ from symindex import (
     standard_J,
     triple_routes_from,
     validate,
+    vertical_lagrangian,
 )
+from symindex.symplectic import diagonal_lagrangian
 
 PROFILES = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
 
@@ -125,6 +138,11 @@ def ensemble():
                         yield ("jordan size=%d omega=%g sign=%+g nilpotent=%g seed=%d"
                                % (size, omega, sign, nilpotent, seed),
                                s @ base @ np.linalg.inv(s))
+    for turns in (1, 2):
+        for sign in (1.0, -1.0):
+            for delta in np.geomspace(1e-12, 1e-6, 13).tolist():
+                yield ("near %dpi %+g %s" % (turns, sign, float.hex(delta)),
+                       (turns * np.pi + sign * delta) * standard_J(1))
 
 
 def _report(report):
@@ -161,6 +179,21 @@ def _signatures(h):
             for alpha in (e.eigenvalue.imag, -e.eigenvalue.imag)]
 
 
+def _scan(scan):
+    return {"index": str(scan.index), "baseline_dim": scan.baseline_dim,
+            "crossings": [[float.hex(c.time), c.dim, list(c.inertia.pair), c.at_endpoint]
+                          for c in scan.crossings]}
+
+
+def _crossings(h):
+    """{path: answer} of ``find_crossings`` on the orbit path against
+    the vertical and the graph path against the diagonal."""
+    n = len(h) // 2
+    return {"orbit": _answer(lambda: _scan(find_crossings(orbit_path(h), vertical_lagrangian(n)))),
+            "graph": _answer(lambda: _scan(find_crossings(graph_path(h),
+                                                          diagonal_lagrangian(n))))}
+
+
 ROUTES = {
     "maslov_index_symplectic": lambda h: str(maslov_index_symplectic(h)),
     "conley_zehnder": lambda h: str(conley_zehnder(h)),
@@ -170,13 +203,18 @@ ROUTES = {
     "spectral_conley_zehnder": lambda h: str(spectral_conley_zehnder(h)),
     "is_semisimple": is_semisimple,
     "krein_signature": _signatures,
+    "find_crossings": _crossings,
 }
+#: routes not run on an ensemble
+SKIPPED = {"fast": {"find_crossings"}}
 
 
 def record(name, h):
     """The JSON object of one input: its name and each route's answer
     (``_answer``)."""
-    return dict({"input": name}, **{route: _answer(run, h) for route, run in ROUTES.items()})
+    skipped = SKIPPED.get(name.split()[0], set())
+    return dict({"input": name}, **{route: _answer(run, h) for route, run in ROUTES.items()
+                                    if route not in skipped})
 
 
 def main(argv=None):
