@@ -4,7 +4,9 @@ Each check draws a deterministic ensemble, exercises one contract of
 the library, and reports a one-line verdict.  A sampler discards a draw
 that fails a numerical genericity guard (near-singular blocks,
 borderline signatures, speeds near a multiple of pi), and the discarded
-draws are counted.  A check fails on an identity violation; an error
+draws are counted.  The shared guards have one home each: ``_stable``
+(a sampled form, whose inertia is then the verdict) and ``_transversal``
+(a time-one map).  A check fails on an identity violation; an error
 raised by a draw propagates and fails it too.
 """
 
@@ -21,6 +23,7 @@ from .autonomous import (
     _correction_formula,
     _correction_matrix,
     _coupling_sign,
+    _triple_constants,
     calibrate_sign,
     make_system,
     reduced_form_matrix,
@@ -57,19 +60,16 @@ from .symplectic import (
     SymplecticReduction,
     SymplecticSpace,
     apply_symplectic,
-    diagonal_lagrangian,
     graph_lagrangian,
     horizontal_lagrangian,
     lagrangian_frame,
     loxodromic_generator,
     plane_block_generator,
-    product_lagrangian,
     random_hamiltonian,
     random_lagrangian,
     random_lagrangian_of,
     random_symplectic,
     standard_J,
-    subspace_intersection,
     vertical_lagrangian,
 )
 
@@ -105,6 +105,21 @@ def _collect(sampler, want):
 #: relative gray band of a sampled form: a draw whose form has an
 #: eigenvalue between the zero band and this margin is resampled
 STABLE_MARGIN = 1e-5
+
+
+def _stable(form, tol: Tolerances):
+    """The inertia of a sampled form, or None when it is not stable
+    within ``STABLE_MARGIN``: the stable-form guard."""
+    inertia, stable = stable_signature(form, STABLE_MARGIN, tol)
+    return inertia if stable else None
+
+
+def _transversal(psi1, tol: Tolerances) -> bool:
+    """Whether the upper-right block B of a time-one map is well
+    invertible: ``validate``'s own ``_corner_invertible`` and s_min(B) >
+    1e-3, the transversal-map guard."""
+    b = split_blocks(psi1)[1]
+    return _corner_invertible(b, tol) and singular_values(b)[-1] > 1e-3
 
 
 def _pm(rng) -> float:
@@ -159,19 +174,14 @@ def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> Che
         space = SymplecticSpace.standard(n)
         ls = [random_lagrangian(n, seed + i, tol) for i in range(4)]
         m = random_symplectic(n, seed + 5)
-        combos = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0),
-                  (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         taus = {}
-        for c in combos:
-            f = kashiwara_form(space, ls[c[0]], ls[c[1]], ls[c[2]])
-            _, stable = stable_signature(f, STABLE_MARGIN, tol)
-            if not stable:
+        for c in ((0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+            inertia = _stable(kashiwara_form(space, *(ls[i] for i in c)), tol)
+            if inertia is None:
                 return None
-        # recompute through the public entry point for the verdict
-        for c in combos:
-            taus[c] = kashiwara_index(space, ls[c[0]], ls[c[1]], ls[c[2]], tol)
+            taus[c] = inertia.signature
         moved = [apply_symplectic(m, l, tol) for l in ls[:3]]
-        taus["inv"] = kashiwara_index(space, moved[0], moved[1], moved[2], tol)
+        taus["inv"] = kashiwara_index(space, *moved, tol)
         return taus
 
     got, rejected = _collect(sampler, samples)
@@ -228,11 +238,10 @@ def check_correction_symmetry(samples: int = 50, tol: Tolerances = DEFAULT_TOL) 
     def sampler(attempt):
         n = 1 + attempt % 4
         profile = ("generic", "mixed", "semisimple-elliptic")[attempt % 3]
-        system = make_system(random_hamiltonian(n, 9200 + attempt, profile), tol)
-        a, b, c, d = split_blocks(system.psi(1.0))
-        if singular_values(b)[-1] <= 1e-3:
+        psi1 = make_system(random_hamiltonian(n, 9200 + attempt, profile), tol).psi(1.0)
+        if not _transversal(psi1, tol):
             return None
-        x = _correction_formula(a, b, c, d)
+        x = _correction_formula(*split_blocks(psi1))
         return float(np.linalg.norm(x - x.T))
 
     defects, rejected = _collect(sampler, samples)
@@ -253,24 +262,16 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
         if attempt % 2 == 0:
             n = 1 + (attempt // 2) % 3
             profile = ("mixed", "generic")[(attempt // 2) % 2]
-            system = make_system(random_hamiltonian(n, 9900 + attempt, profile), tol)
-            psi1 = system.psi(1.0)
-            _, b, _, _ = split_blocks(psi1)
-            if not _corner_invertible(b, tol) or singular_values(b)[-1] <= 1e-3:
+            psi1 = make_system(random_hamiltonian(n, 9900 + attempt, profile), tol).psi(1.0)
+            if not _transversal(psi1, tol):
                 return None
-            space = SymplecticSpace.graph_product(n)
-            vert = vertical_lagrangian(n, tol)
-            diag = diagonal_lagrangian(n, tol)
-            pair = product_lagrangian(vert, vert, tol)
+            space, diag, pair, red = _triple_constants(n, tol)[:4]
             graph = graph_lagrangian(psi1, tol)
-            f = kashiwara_form(space, diag, pair, graph)
-            _, stable = stable_signature(f, STABLE_MARGIN, tol)
-            if not stable:
+            direct = _stable(kashiwara_form(space, diag, pair, graph), tol)
+            if direct is None:
                 return None
-            k = subspace_intersection(diag.frame, pair.frame, tol)
-            direct = kashiwara_index(space, diag, pair, graph, tol)
-            reduced = kashiwara_reduced(space, k, diag, pair, graph, tol)
-            return (direct, reduced, direct)
+            reduced = kashiwara_reduced(space, red.k, diag, pair, graph, tol)
+            return (direct.signature, reduced, direct.signature)
         n, k = 3, 1 + (attempt // 2) % 2
         seed = 11000 + attempt
         ambient = SymplecticSpace.standard(n)
@@ -278,19 +279,12 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
         red = SymplecticReduction(ambient, k_frame, tol)
         l_red = [random_lagrangian_of(red.space, seed + 1 + i, tol) for i in range(3)]
         lifted = [red.lift(l) for l in l_red]
-        f = kashiwara_form(ambient, *lifted)
-        _, stable = stable_signature(f, STABLE_MARGIN, tol)
-        if not stable:
+        direct = _stable(kashiwara_form(ambient, *lifted), tol)
+        on_quotient = _stable(kashiwara_form(red.space, *l_red), tol)
+        if direct is None or on_quotient is None:
             return None
-        f = kashiwara_form(red.space, l_red[0], l_red[1], l_red[2])
-        _, stable = stable_signature(f, STABLE_MARGIN, tol)
-        if not stable:
-            return None
-        direct = kashiwara_index(ambient, lifted[0], lifted[1], lifted[2], tol)
-        on_quotient = kashiwara_index(red.space, l_red[0], l_red[1], l_red[2], tol)
-        via_reduction = kashiwara_reduced(ambient, k_frame, lifted[0], lifted[1],
-                                          lifted[2], tol)
-        return (direct, on_quotient, via_reduction)
+        via_reduction = kashiwara_reduced(ambient, k_frame, *lifted, tol)
+        return (direct.signature, on_quotient.signature, via_reduction)
 
     got, rejected = _collect(sampler, samples)
     ok = all(a == b == c for a, b, c in got)
@@ -338,9 +332,8 @@ def check_quadruple_path_independence(quadruples: int = 20, *,
         l0, l1, l0p, l1p = (random_lagrangian(n, seed + i, tol) for i in range(4))
         taus = []
         for third in (l1p, l0p):
-            f = kashiwara_form(space, l0, l1, third)
-            inertia, stable = stable_signature(f, STABLE_MARGIN, tol)
-            if not stable:
+            inertia = _stable(kashiwara_form(space, l0, l1, third), tol)
+            if inertia is None:
                 return None
             taus.append(inertia.signature)
         predicted = HalfInt(taus[0] - taus[1])
@@ -382,16 +375,12 @@ def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> 
         profile = ("semisimple-elliptic", "mixed", "hyperbolic")[attempt % 3]
         system = make_system(random_hamiltonian(n, 15000 + attempt, profile), tol)
         psi1 = system.psi(1.0)
-        _, b, _, _ = split_blocks(psi1)
-        if not _corner_invertible(b, tol) or singular_values(b)[-1] <= 1e-3:
+        if not _transversal(psi1, tol):
             return None
         inertia, stable = stable_signature(_correction_matrix(psi1, tol), 1e-4, tol)
         if inertia.n_zero or not stable:
             return None
-        report = validate(system, sigma=sigma, tol=tol)
-        if report.formula_index is None:
-            return None
-        return report
+        return validate(system, sigma=sigma, tol=tol)
 
     reports, rejected = _collect(sampler, samples)
     ok = all(r.agree for r in reports)
@@ -462,23 +451,18 @@ def check_zero_property(samples: int = 16, *, tol: Tolerances = DEFAULT_TOL) -> 
     def sampler(attempt):
         rng = np.random.default_rng(17000 + attempt)
         kind = attempt % 4
-        orbit_zero = True
-        if kind in (0, 1):
+        if kind < 2:
             n = 1 + attempt % 3
             h = plane_block_generator(
                 [("hyperbolic", rng.uniform(0.3, 1.3) * _pm(rng)) for _ in range(n)])
-            if kind == 1:
-                s = random_symplectic(n, rng)
-                h = s @ h @ np.linalg.inv(s)
-            else:
-                orbit_zero = maslov_index_symplectic(h, tol=tol) == ZERO
         else:
+            n = 2
             h = loxodromic_generator(rng.uniform(0.3, 0.9), rng.uniform(0.5, 2.5))
-            if kind == 3:
-                s = random_symplectic(2, rng)
-                h = s @ h @ np.linalg.inv(s)
-            else:
-                orbit_zero = maslov_index_symplectic(h, tol=tol) == ZERO
+        # an odd kind leaves block form, where the orbit index need not vanish
+        if kind % 2:
+            s = random_symplectic(n, rng)
+            h = s @ h @ np.linalg.inv(s)
+        orbit_zero = kind % 2 == 1 or maslov_index_symplectic(h, tol=tol) == ZERO
         graph_zero = conley_zehnder(h, tol=tol) == ZERO
         spectral_zero = spectral_conley_zehnder(h, tol) == ZERO
         return bool(orbit_zero and graph_zero and spectral_zero)

@@ -35,6 +35,14 @@ CLUSTER_GAP = 1e-6
 EIGENSPACE_RANK = 1e-7
 
 
+def _square(links):
+    """The boolean square of a link matrix, taken in float32 so that BLAS
+    runs it (numpy's boolean product does not): a sum of 0/1 products is
+    positive iff one of them is 1."""
+    f = links.astype(np.float32)
+    return f @ f > 0
+
+
 def _components(vals, gap):
     """The connected components of ``vals`` linked within ``gap``, as the
     rows of a boolean mask array in the order of their first member;
@@ -42,9 +50,9 @@ def _components(vals, gap):
     squared until it is closed under composition; then row j is a
     component, and a new one iff its first member (its argmax) is j."""
     reach = np.abs(vals[:, None] - vals) <= gap
-    closed = reach @ reach
+    closed = _square(reach)
     while not np.array_equal(closed, reach):
-        reach, closed = closed, closed @ closed
+        reach, closed = closed, _square(closed)
     return reach[reach.argmax(axis=1) == np.arange(len(vals))] if len(vals) else reach
 
 
@@ -103,6 +111,14 @@ def _semisimple(kernels, multiplicities) -> bool:
     return bool(s[-1] > EIGENSPACE_RANK * s[0])
 
 
+def _on_axis(lam: complex, gap: float) -> bool:
+    """Whether a cluster mean ``lam`` lies on the imaginary axis, the one
+    axis test of the Krein layer: within half the gap of zero, or within
+    the gap of the axis and, near 0, nearer it than the real axis (so a
+    real pair +-eps slower than the gap is hyperbolic, not a rotation)."""
+    return abs(lam) <= gap / 2 or abs(lam.real) <= min(gap, abs(lam.imag))
+
+
 def krein_form_matrix(n: int):
     """The Hermitian matrix G = -i J on C^(2n)."""
     return -1j * SymplecticSpace.standard(n).form
@@ -125,10 +141,11 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
 
     It is read on the kernel chain of the one ``_clusters`` cluster that
     holds the eigenvalue nearest to i*alpha, within the gap; no full
-    pass.  The form is nondegenerate on a whole generalized eigenspace,
+    pass.  A cluster off the imaginary axis (``_on_axis``) has no Krein
+    form.  The form is nondegenerate on a whole generalized eigenspace,
     so a chain of another dimension or a degenerate form means rounding
     split the cluster (a Jordan block of size k >= 3, by about
-    (eps cond)^(1/k)) and raises NotAnEigenvalue, as a non-finite
+    (eps cond)^(1/k)).  Both raise NotAnEigenvalue, as a non-finite
     ``alpha`` does; a bool or non-real one raises InputError.
     """
     target = 1j * as_real(alpha, "alpha")
@@ -138,6 +155,9 @@ def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
     j = int(parts[:, nearest].argmax())
+    if not _on_axis(lams[j], gap):
+        raise NotAnEigenvalue("the cluster at %s nearest to %s is off the imaginary axis"
+                              % (lams[j], target))
     (inertia,) = _krein_inertias(h, lams[j:j + 1], mults[j:j + 1], [0], tol)[1]
     if inertia.dim != mults[j] or inertia.n_zero:
         raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
@@ -158,11 +178,11 @@ class KreinEigenvalue:
 def _krein_pass(h, tol: Tolerances):
     """(spectrum, semisimple, gap) of ``h``: one generator check, its
     ``_clusters`` and, for all of them at once, ``_krein_inertias``.  A
-    cluster on the imaginary axis takes the Krein form on its chain; one
-    that rounding split keeps a degenerate form."""
+    cluster on the imaginary axis (``_on_axis``) takes the Krein form on
+    its chain; one that rounding split keeps a degenerate form."""
     h, norm = _generator(h, None, tol)
     gap, _, _, lams, mults = _clusters(h, norm)
-    axis = [j for j, lam in enumerate(lams.tolist()) if abs(lam.real) <= gap]
+    axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
     kernels, inertias = _krein_inertias(h, lams, mults, axis, tol)
     inertias = dict(zip(axis, inertias))
     spectrum = [KreinEigenvalue(lam, mult, inertias.get(j))
@@ -213,24 +233,26 @@ def classify_normal_form(h, tol: Tolerances = DEFAULT_TOL):
 def _normal_form(spectrum, semisimple: bool, gap: float):
     """``classify_normal_form`` from a ``_krein_pass``.
 
-    A cluster within half the gap of zero is a zero block; one on the
-    imaginary axis gives rotations by its Krein inertia at +i*alpha.  The
-    rest are matched by ``_components`` of their folded means |Re| + i|Im|
-    into hyperbolic pairs (on the real axis), then loxodromic quadruples.
+    A cluster within half the gap of zero is a zero block; another one
+    on the imaginary axis (``_on_axis``) gives rotations by its Krein
+    inertia at +i*alpha.  The rest are matched by ``_components`` of
+    their folded means |Re| + i|Im| into hyperbolic pairs (on the real
+    axis), then loxodromic quadruples.
     """
     if not semisimple:
         raise NotSemisimple("generator has a nontrivial Jordan block")
     blocks, paired = [], []
     for entry in spectrum:
         lam, mult, inertia = entry.eigenvalue, entry.multiplicity, entry.inertia
-        if abs(lam) <= gap / 2:
+        if not _on_axis(lam, gap):
+            paired.append((lam, mult))
+        elif abs(lam) <= gap / 2:
             # the partition is closed under conjugation, so such a
             # cluster holds its conjugate unless rounding stretched it
             if mult % 2 != 0:
                 raise UnclassifiableSpectrum("odd multiplicity at zero")
             blocks.append(NormalFormBlock("zero", (), mult // 2))
-        elif abs(lam.real) <= min(gap, abs(lam.imag)):
-            # on the imaginary axis, and near 0 nearer it than the real axis
+        else:
             alpha = lam.imag
             if alpha <= 0:
                 continue  # handled together with the conjugate
@@ -240,8 +262,6 @@ def _normal_form(spectrum, semisimple: bool, gap: float):
                 blocks.append(NormalFormBlock("rotation", (alpha,), inertia.n_pos))
             if inertia.n_neg:
                 blocks.append(NormalFormBlock("rotation", (-alpha,), inertia.n_neg))
-        else:
-            paired.append((lam, mult))
     folded = np.array([complex(abs(lam.real), abs(lam.imag)) for lam, _ in paired])
     matched = []
     for part in _components(folded, gap):

@@ -32,6 +32,7 @@ from symindex.errors import (
     NotHamiltonian,
     NotSymplectic,
     OddDimension,
+    SymmetryDefect,
     TransversalityViolated,
 )
 from symindex.halfint import ZERO
@@ -568,3 +569,44 @@ def test_validate_reduces_as_kashiwara_reduced_from_scratch():
         assert validate(system, sigma=-1) == report
         compared += 1
     assert compared >= 20
+
+
+def _growth_map():
+    """psi(1) of 20 random_hamiltonian(2, 5007, "hyperbolic"), |psi(1)| ~ 1.6e12:
+    X = C + (D - I) B^-1 (I - A) cancels to an asymmetry about 1.7e4
+    times the bound (ROADMAP item 9's k = 20 census)."""
+    return make_system(20.0 * random_hamiltonian(2, 5007, "hyperbolic")).psi(1.0)
+
+
+@pytest.mark.parametrize("call,patch,error,message", [
+    (lambda: autonomous._correction_matrix(_growth_map(), numerics.DEFAULT_TOL), None,
+     SymmetryDefect, "correction matrix defect "),
+    (lambda: calibrate_sign(), ("correction_sign", lambda system, tol: 1),
+     CalibrationFailure, "probes disagree: [-1, 1]"),
+], ids=["symmetry-defect", "probes-disagree"])
+def test_formula_layer_refusals(monkeypatch, call, patch, error, message):
+    """A correction matrix that rounding left asymmetric, and probes
+    that fix opposite signs (a constant correction sign against the
+    gaps -1/2 at speed 2 and +1/2 at speed 5)."""
+    if patch is not None:
+        monkeypatch.setattr(autonomous, *patch)
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_correction_symmetry_draws_imply_the_corner_rule(monkeypatch):
+    """Check 4's guard s_min(B) > 1e-3 implies ``_corner_invertible``
+    (s_min(B) > 1e-9 max(|B|, 1)) while |B| < 1e6, so adding that rule to
+    the one transversal guard moves none of its draws: their largest
+    |B| is about 2.4."""
+    norms = []
+    transversal = checks._transversal
+
+    def recording(psi1, tol):
+        norms.append(np.linalg.norm(split_blocks(psi1)[1], 2))
+        return transversal(psi1, tol)
+
+    monkeypatch.setattr(checks, "_transversal", recording)
+    assert checks.check_correction_symmetry().passed
+    assert len(norms) == 50 and max(norms) < 1e6

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: payloads, formats, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from symindex import TripleCheck, autonomous, cli, plane_block_generator, standard_J
 from symindex.cli import main
+from symindex.errors import CalibrationFailure, InternalMismatch
 from symindex.symplectic import random_symplectic
 from test_krein import _jordan_generator
 
@@ -252,3 +254,48 @@ def test_usage_error_exit_code_of_the_process():
                        capture_output=True, text=True)
     assert r.returncode == 1
     assert "invalid int value: 'abc'" in r.stderr
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+_ROTATION = _payload(1, hamiltonian=plane_block_generator([("elliptic", 2.0)]).tolist())
+
+
+@pytest.mark.parametrize("argv,payload,patch,code,stream,text", [
+    (["index", "--tol", "1e-9"], _ROTATION, None, 0, "out", "agree         : yes"),
+    (["index", "--tol", "0"], _ROTATION, None, 1, "err", "error: --tol must be in (0, 1)"),
+    (["index", "--tol", "1.5"], _ROTATION, None, 1, "err", "error: --tol must be in (0, 1)"),
+    (["calibrate"], None, ("calibrate_sign", CalibrationFailure("probes disagree: [-1, 1]")),
+     3, "err", "calibration failure: probes disagree: [-1, 1]"),
+    (["index"], _ROTATION, ("validate", InternalMismatch("crossing forms sum to 1")),
+     2, "err", "route disagreement: crossing forms sum to 1"),
+    (["index"], _payload(1, hamiltonian=(2.0 * math.pi * standard_J(1)).tolist()), None,
+     0, "out", "formula       : unavailable (time-one map not transversal)\n"),
+    (["index", "--input", "missing.json"], None, None, 1, "err", "error: cannot read missing.json"),
+    (["index"], "[1, 2]", None, 1, "err", "error: payload must be a JSON object"),
+    (["kashiwara"], _payload(1, frames=[[[1.0, 0.0]]] * 2), None,
+     1, "err", 'error: "frames" must be a list of three frames'),
+    (["kashiwara"], _payload(1, frames=[[[1.0, 0.0, 0.0]]] * 3), None,
+     1, "err", "error: frame 1 must be 1 columns of length 2"),
+    (["kashiwara"], _payload(1), None, 1, "err", 'error: payload needs either "frames" or "psi1"'),
+    (["krein"], _payload(1, hamiltonian=plane_block_generator([("hyperbolic", 7e-7)]).tolist()),
+     None, 0, "out", "eigenvalue +7e-07+0i  x1\neigenvalue -7e-07+0i  x1\nrotation angles: []\n"),
+], ids=["tol-valid", "tol-zero", "tol-above-one", "calibration-failure", "internal-mismatch",
+        "formula-unavailable", "unreadable-input", "payload-not-object", "two-frames",
+        "frame-shape", "kashiwara-no-key", "krein-real-pair-below-gap"])
+def test_option_payload_and_exit_code_branches(tmp_path, capsys, monkeypatch, argv, payload,
+                                               patch, code, stream, text):
+    """Each branch of ``main`` and of the payload readers that the other
+    tests leave out: its exit code and the line it writes."""
+    monkeypatch.chdir(tmp_path)
+    if payload is not None:
+        argv = argv + ["--input", _write(tmp_path, payload)]
+    if patch is not None:
+        monkeypatch.setattr(cli, patch[0], _raising(patch[1]))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)

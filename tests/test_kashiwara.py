@@ -20,7 +20,7 @@ from symindex import (
     unitary_geodesic,
     vertical_lagrangian,
 )
-from symindex.errors import DegenerateForm, DimensionMismatch, KNotAdmissible
+from symindex.errors import DegenerateForm, DimensionMismatch, InputError, KNotAdmissible
 from symindex.symplectic import diagonal_lagrangian
 
 
@@ -152,3 +152,15 @@ def test_frames_of_another_space_of_equal_dimension_rejected():
     with pytest.raises(DimensionMismatch):
         kashiwara_index(SymplecticSpace.standard(2), diagonal_lagrangian(1),
                         vertical_lagrangian(2), horizontal_lagrangian(2))
+
+
+def test_transversal_closed_form_needs_a_symmetric_matrix():
+    with pytest.raises(InputError, match="^transversal closed form needs a symmetric matrix$"):
+        kashiwara_transversal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_reduction_by_a_lagrangian_k_is_zero():
+    """A Lagrangian K inside two of the three leaves a zero-dimensional
+    reduced space, where every triple index is 0."""
+    space, hor = SymplecticSpace.standard(2), horizontal_lagrangian(2)
+    assert kashiwara_reduced(space, hor.frame, hor, hor, random_lagrangian(2, 3)) == 0

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from symindex import (
     Inertia,
+    NormalFormBlock,
     classify_normal_form,
     conley_zehnder,
     is_semisimple,
@@ -592,3 +593,36 @@ def test_cluster_means_and_masks_equal_the_member_loop():
         means = np.array([np.mean(vals[np.array(part, dtype=bool)]) for part in reference],
                          dtype=complex)
         assert lams.tobytes() == means.tobytes()
+
+
+def test_real_pair_slower_than_the_gap_has_no_krein_data():
+    """+-7e-7 lie more than half the cluster gap (1e-6) from zero and off
+    the imaginary axis: the pass gives them no Krein inertia, the normal
+    form reads a hyperbolic plane, and a query at 0 is refused as off
+    the axis, all by the one axis test."""
+    h = plane_block_generator([("hyperbolic", 7e-7)])
+    assert [e.inertia for e in krein_spectrum(h)] == [None, None]
+    assert [(b.kind, b.dim) for b in classify_normal_form(h)] == [("hyperbolic", 2)]
+    with pytest.raises(NotAnEigenvalue, match="off the imaginary axis"):
+        krein_signature(h, 0.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: normal_form_matrix([NormalFormBlock("parabolic", (1.0,))]), InputError,
+     "unknown block kind 'parabolic'"),
+    (lambda: standard_direct_sum([]), InputError, "need at least one generator"),
+], ids=["unknown-block", "empty-sum"])
+def test_normal_form_constructor_refusals(call, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        call()
+
+
+def test_normal_form_matrix_builds_zero_and_loxodromic_blocks():
+    blocks = [NormalFormBlock("zero", (), 2), NormalFormBlock("loxodromic", (0.5, 1.5))]
+    h = normal_form_matrix(blocks)
+    assert h.shape == (8, 8) and is_hamiltonian(h)
+    np.testing.assert_array_equal(h[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])], np.zeros((4, 4)))
+    np.testing.assert_array_equal(h[np.ix_([2, 3, 6, 7], [2, 3, 6, 7])],
+                                  loxodromic_generator(0.5, 1.5))
+    assert [(b.kind, b.multiplicity) for b in classify_normal_form(h)] == [
+        ("zero", 2), ("loxodromic", 1)]

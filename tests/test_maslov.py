@@ -1149,3 +1149,13 @@ def test_crossing_chart_is_checked_on_scans_without_crossings():
     ref = lagrangian_frame(space, np.array([[0.0], [1.0]]))
     with pytest.raises(InputError, match="orthogonal complex-structure form"):
         find_crossings(path, ref)
+
+
+@pytest.mark.parametrize("start,end,error,message", [
+    (diagonal_lagrangian(1), product_lagrangian(vertical_lagrangian(1), vertical_lagrangian(1)),
+     InputError, "unitary parametrization needs the standard space"),
+    (vertical_lagrangian(1), diagonal_lagrangian(1), DimensionMismatch, None),
+], ids=["graph-product-frames", "frames-of-two-spaces"])
+def test_unitary_geodesic_needs_standard_frames_of_one_space(start, end, error, message):
+    with pytest.raises(error, match=None if message is None else "^%s$" % message):
+        unitary_geodesic(start, end)

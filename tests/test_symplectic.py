@@ -327,3 +327,16 @@ def test_lagrangian_frame_is_basis_independent(seed):
     g = rng.normal(size=(2, 2)) + 3.0 * np.eye(2)
     respanned = lagrangian_frame(l.space, l.frame @ g)
     assert same_span(l.frame, respanned.frame)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SymplecticSpace(np.array([[0.0, 1.0], [1.0, 0.0]])),
+     "symplectic form must be antisymmetric"),
+    (lambda: SymplecticSpace(np.zeros((2, 2))), "symplectic form must be invertible"),
+    (lambda: standard_J(0), "n must be positive"),
+    (lambda: plane_block_generator([("parabolic", 1.0)]), "unknown plane kind 'parabolic'"),
+    (lambda: random_hamiltonian(2, 0, "chaotic"), "unknown spectrum profile 'chaotic'"),
+], ids=["asymmetric-form", "singular-form", "n-zero", "unknown-plane", "unknown-profile"])
+def test_constructor_refusals(call, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        call()

@@ -1,23 +1,29 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_23.json
+        --tree change=src --out BENCH_24.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
 ``maslov._flow_indices``, ``maslov._flow_record``,
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
-``krein._krein_pass``, ``krein.krein_signature``,
-``krein.is_semisimple`` and ``maslov.find_crossings`` (the orbit path
-of each generator against the vertical, built outside the timing),
-each at n = 1, 2, 4, 8 and 16, plus
-``autonomous.calibrate_sign`` and ``checks.run_property_suite``.  The
-inputs are fixed: the generators random_hamiltonian(n, 1000 + s,
+``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
+by their intersection K, ``krein._krein_pass``,
+``krein.krein_signature``, ``krein.is_semisimple``, and
+``maslov.find_crossings`` of the orbit path of each generator against
+the vertical with three of its layers: ``_phase_samples`` on its grid
+(reported per sample), ``_locate`` on that grid's counts and ``_forms``
+at its crossing candidates (reported per crossing), each at n = 1, 2,
+4, 8 and 16, plus ``autonomous.calibrate_sign`` and
+``checks.run_property_suite``.  The inputs are fixed and built outside
+the timing: the generators random_hamiltonian(n, 1000 + s,
 "semisimple-elliptic"), s < SYSTEMS, of the first tree; for
 ``_correction_matrix`` and ``_triple_routes`` those whose time-one map
-is transversal; and for ``krein_signature`` one query per cluster that
+is transversal; for ``krein_signature`` one query per cluster that
 carries a Krein inertia in the first tree's ``krein_spectrum``, at the
-imaginary part of its eigenvalue.
+imaginary part of its eigenvalue; and for the three scan layers the
+arguments each tree's own ``find_crossings`` passes them, recorded on
+one call.
 
 Every tree (a ``src`` directory under a label) is imported into this one
 interpreter as a package of its own, with BLAS pinned to one thread, so
@@ -59,7 +65,8 @@ import hostref  # noqa: E402
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
 PER_SIZE = ("validate", "_flow_indices", "_flow_record", "_correction_matrix", "_triple_routes",
-            "_krein_pass", "krein_signature", "is_semisimple", "find_crossings")
+            "kashiwara_reduced", "_krein_pass", "krein_signature", "is_semisimple",
+            "find_crossings", "_phase_samples", "_locate", "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -80,12 +87,13 @@ def load(index, src):
 
 
 def _pass_ms(calls):
-    """Milliseconds per call of one pass over ``calls``, a list of
-    (function, args)."""
+    """Milliseconds per unit of one pass over ``calls``, a list of
+    (function, args, units): per call where units is 1, else per sample
+    or per crossing."""
     t0 = time.perf_counter()
-    for fn, args in calls:
+    for fn, args, _ in calls:
         fn(*args)
-    return 1e3 * (time.perf_counter() - t0) / len(calls)
+    return 1e3 * (time.perf_counter() - t0) / sum(units for _, _, units in calls)
 
 
 def _time_layer(calls_by_tree, repeats, warm=True):
@@ -93,7 +101,7 @@ def _time_layer(calls_by_tree, repeats, warm=True):
     None for a tree without inputs."""
     if warm:
         for calls in calls_by_tree:
-            for fn, args in calls:
+            for fn, args, _ in calls:
                 fn(*args)
     runs = [[] if calls else None for calls in calls_by_tree]
     order = [k for k, calls in enumerate(calls_by_tree) if calls]
@@ -103,9 +111,34 @@ def _time_layer(calls_by_tree, repeats, warm=True):
     return runs
 
 
+def _scan_layers(ma, path, ref):
+    """{name: args} of the first call of ``_phase_samples`` (the grid),
+    ``_locate`` and ``_forms`` in one ``find_crossings`` of ``path``
+    against ``ref``, recorded by wrapping them in the module."""
+    names = ("_phase_samples", "_locate", "_forms")
+    originals = {name: getattr(ma, name) for name in names}
+    seen = {}
+
+    def recorder(name):
+        def call(*args):
+            seen.setdefault(name, args)
+            return originals[name](*args)
+        return call
+
+    for name in names:
+        setattr(ma, name, recorder(name))
+    try:
+        ma.find_crossings(path, ref)
+    finally:
+        for name, fn in originals.items():
+            setattr(ma, name, fn)
+    return seen
+
+
 def _layer_calls(tree, hs, queries):
     """{layer: calls} of one tree for the generators ``hs`` and the
-    ``krein_signature`` queries, (h, alpha) pairs."""
+    ``krein_signature`` queries, (h, alpha) pairs; a call is (function,
+    args, units)."""
     au, kr, ma = tree["autonomous"], tree["krein"], tree["maslov"]
     tol = tree["numerics"].DEFAULT_TOL
     systems = [au.make_system(h) for h in hs]
@@ -116,17 +149,30 @@ def _layer_calls(tree, hs, queries):
             transversal.append((psi1, au._correction_matrix(psi1, tol)))
         except tree["package"].SymindexError:
             pass
+    space, diag, pair, red = au._triple_constants(systems[0].n, tol)[:4]
+    graphs = [tree["package"].graph_lagrangian(s.psi(1.0), tol) for s in systems]
+    scans = [(ma.orbit_path(s.h), ma.vertical_lagrangian(s.n)) for s in systems]
+    layers = [_scan_layers(ma, *scan) for scan in scans]
+
+    def forms(*args):
+        return list(ma._forms(*args))
+
     return {
-        "validate": [(au.validate, (s,)) for s in systems],
-        "_flow_indices": [(ma._flow_indices, (s.h, tol)) for s in systems],
-        "_flow_record": [(ma._flow_record, (s.h, None, tol)) for s in systems],
-        "_correction_matrix": [(au._correction_matrix, (p, tol)) for p, _ in transversal],
-        "_triple_routes": [(au._triple_routes, (p, x, tol)) for p, x in transversal],
-        "_krein_pass": [(kr._krein_pass, (s.h, tol)) for s in systems],
-        "krein_signature": [(kr.krein_signature, (h, alpha, tol)) for h, alpha in queries],
-        "is_semisimple": [(kr.is_semisimple, (s.h, tol)) for s in systems],
-        "find_crossings": [(ma.find_crossings, (ma.orbit_path(s.h), ma.vertical_lagrangian(s.n)))
-                           for s in systems],
+        "validate": [(au.validate, (s,), 1) for s in systems],
+        "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
+        "_flow_record": [(ma._flow_record, (s.h, None, tol), 1) for s in systems],
+        "_correction_matrix": [(au._correction_matrix, (p, tol), 1) for p, _ in transversal],
+        "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for p, x in transversal],
+        "kashiwara_reduced": [(tree["package"].kashiwara_reduced,
+                               (space, red.k, diag, pair, g, tol), 1) for g in graphs],
+        "_krein_pass": [(kr._krein_pass, (s.h, tol), 1) for s in systems],
+        "krein_signature": [(kr.krein_signature, (h, alpha, tol), 1) for h, alpha in queries],
+        "is_semisimple": [(kr.is_semisimple, (s.h, tol), 1) for s in systems],
+        "find_crossings": [(ma.find_crossings, scan, 1) for scan in scans],
+        "_phase_samples": [(ma._phase_samples, r["_phase_samples"], len(r["_phase_samples"][2]))
+                           for r in layers],
+        "_locate": [(ma._locate, r["_locate"], 1) for r in layers],
+        "_forms": [(forms, r["_forms"], len(r["_forms"][2])) for r in layers if r["_forms"][2]],
     }
 
 
@@ -154,14 +200,14 @@ def bench(trees, repeats, sizes):
                 runs[k][name][str(n)] = r
             host.sample()
     for name, module, warm in SINGLE:
-        per_tree = [[(getattr(tree[module], name), ())] for tree in loaded]
+        per_tree = [[(getattr(tree[module], name), (), 1)] for tree in loaded]
         for k, r in enumerate(_time_layer(per_tree, repeats, warm)):
             runs[k][name] = r
         host.sample()
     medians = [_combine(statistics.median, r) for r in runs]
     return {
         "script": "tools/layer_bench.py",
-        "unit": "ms per call",
+        "unit": "ms per call; _phase_samples per sample, _forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
