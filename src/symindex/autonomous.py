@@ -91,9 +91,8 @@ def split_blocks(m):
     return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
 
-def _corner_invertible(b, tol: Tolerances) -> bool:
-    """Whether the upper-right block B is numerically invertible."""
-    s = singular_values(b)
+def _corner_invertible(s, tol: Tolerances) -> bool:
+    """Whether the upper-right block B, of singular values ``s``, is numerically invertible."""
     return bool(s.size > 0 and s[-1] > tol.eps_rank * max(s[0], 1.0))
 
 
@@ -114,7 +113,7 @@ def _correction_matrix(psi1, tol: Tolerances):
     if not is_symplectic(psi1, tol):
         raise NotSymplectic("time-one map does not preserve the form")
     a, b, c, d = split_blocks(psi1)
-    if not _corner_invertible(b, tol):
+    if not _corner_invertible(singular_values(b), tol):
         raise TransversalityViolated("upper-right block of the time-one map "
                                      "is singular")
     x = _correction_formula(a, b, c, d)

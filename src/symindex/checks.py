@@ -118,8 +118,8 @@ def _transversal(psi1, tol: Tolerances) -> bool:
     """Whether the upper-right block B of a time-one map is well
     invertible: ``validate``'s own ``_corner_invertible`` and s_min(B) >
     1e-3, the transversal-map guard."""
-    b = split_blocks(psi1)[1]
-    return _corner_invertible(b, tol) and singular_values(b)[-1] > 1e-3
+    s = singular_values(split_blocks(psi1)[1])
+    return _corner_invertible(s, tol) and s[-1] > 1e-3
 
 
 def _pm(rng) -> float:

@@ -49,7 +49,6 @@ from .symplectic import (
     SymplecticSpace,
     _generator,
     diagonal_lagrangian,
-    subspace_intersections,
     vertical_lagrangian,
 )
 
@@ -316,9 +315,13 @@ class Crossing:
     """One crossing with the reference Lagrangian."""
 
     time: float
-    dim: int
     inertia: Inertia
     at_endpoint: bool
+
+    @property
+    def dim(self) -> int:
+        """dim(l(t) & ref), the order of the crossing form."""
+        return self.inertia.dim
 
     @property
     def contribution(self) -> HalfInt:
@@ -455,6 +458,26 @@ def _in_chart(chart, frames):
     return z
 
 
+def _chart_samples(path: LagrangianPath, chart, ts, tol: Tolerances):
+    """(frames, Z = C F, sign of det Z) of the path at the times ts, each
+    frame checked for rank by ``_frames`` and for Lagrangian: log |det Z|
+    = sum log s exactly when the frame is Lagrangian, so a deficit beyond
+    log eps_rank raises NotLagrangian naming the first such time."""
+    frames, log_s = _frames(path, ts, tol)
+    z = _in_chart(chart, frames)
+    sign, logdet = np.linalg.slogdet(z)
+    flat = logdet - log_s <= math.log(tol.eps_rank)
+    if flat.any():
+        raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[np.argmax(flat)])
+    return frames, z, sign
+
+
+def _eigenphases(z):
+    """Eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) for a stack of Z."""
+    # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
+    return np.angle(np.linalg.eigvals(np.linalg.solve(_tr(z.conj()), _tr(z)))) % _TWO_PI
+
+
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
                    phases: bool = True, rated: bool = False):
     """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) at every
@@ -465,18 +488,10 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     out = ([], [], [])
     ends = (0, len(ts) - 1)
     for sl in _batches(path, len(ts)):
-        frames, log_s = _frames(path, ts[sl], tol)
-        z = _in_chart(chart, frames)
-        sign, logdet = np.linalg.slogdet(z)
-        # log |det Z| = sum log s exactly when the frame is Lagrangian
-        flat = logdet - log_s <= math.log(tol.eps_rank)
-        if flat.any():
-            raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[sl][np.argmax(flat)])
+        frames, z, sign = _chart_samples(path, chart, ts[sl], tol)
         out[0].append(np.angle(sign))
-        zw = z if phases else z[[i - sl.start for i in ends if sl.start <= i < sl.stop]]
-        # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
-        w = np.linalg.solve(_tr(zw.conj()), _tr(zw))
-        out[1].append(np.angle(np.linalg.eigvals(w)) % _TWO_PI)
+        out[1].append(_eigenphases(z if phases else
+                                   z[[i - sl.start for i in ends if sl.start <= i < sl.stop]]))
         if rated:
             dframes, error = _evaluate(path, ts[sl], derivative=True)
             dz = np.linalg.solve(z[:len(dframes)], _in_chart(chart, dframes))
@@ -577,15 +592,14 @@ def _locate(path: LagrangianPath, chart, ts, lifted, sums, counts, stop, baselin
     return located
 
 
-def _chart_forms(omega, q, frames, dframes, v):
+def _chart_forms(omega, q, frames, dframes, xi):
     """Crossing forms of stacked samples in the graph chart over Q: the
-    symmetrized xi^T (dy x0^(-1)) xi with x0 = Q^T P, dy = (omega Q)^T dP
-    and xi = Q^T V for the raw frame P, its derivative dP and the
-    intersection basis V."""
+    symmetrized xi^T (dy x0^(-1)) xi with x0 = Q^T P and dy = (omega Q)^T
+    dP for the raw frame P and its derivative dP, and xi = Q^T V the
+    coordinates of the intersection basis V."""
     x0 = _tr(q) @ frames
     dy = _tr(omega @ q) @ dframes
     m = _tr(np.linalg.solve(_tr(x0), _tr(dy)))  # dy @ inv(x0)
-    xi = _tr(q) @ v
     gamma = _tr(xi) @ m @ xi
     return 0.5 * (gamma + _tr(gamma))
 
@@ -594,25 +608,37 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
     """Yields (V, gamma, inertia, stable) of the crossing form at each
     time ts in order, the one form evaluator; see ``crossing_form``.
 
-    A form with an eigenvalue between the zero band and ``GRAY_FACTOR``
-    times 1 + |gamma| cannot be classified (a tangential crossing leaves
-    one of ~sqrt(machine eps)) and is not stable.  A failing derivative
-    is raised after the forms of the times before it.
+    l(t) & ref has the dimension k the phase scan reads on the same
+    checked samples (``_chart_samples``): its eigenphases of W within
+    ``eps_rank`` of 0 (``_snapped``).  Y = Im(C Q), Q the orthonormal
+    frame of l(t), has kernel l(t) & ref in the coordinates of Q, so V = Q
+    A for A the right singular vectors of the k smallest singular values
+    of Y; no rank rule is applied.  A form with an eigenvalue between the
+    zero band and ``GRAY_FACTOR`` times 1 + |gamma| cannot be classified
+    (a tangential crossing leaves one of ~sqrt(machine eps)) and is not
+    stable.  A failing derivative is raised after the forms of the times
+    before it.
     """
-    _chart(path, ref, tol)
+    chart = _chart(path, ref, tol)
     omega = path.space.form
+    n = path.space.half_dim
     for sl in _batches(path, len(ts)):
-        frames = _frames(path, ts[sl], tol)[0]
-        q = np.linalg.svd(frames, full_matrices=False)[0]
+        frames, z, _ = _chart_samples(path, chart, ts[sl], tol)
         dframes, error = _evaluate(path, ts[sl], derivative=True)
+        frames = frames[:len(dframes)]
+        dims = _snapped(_eigenphases(z[:len(dframes)]), tol)[1]
+        q = np.linalg.svd(frames, full_matrices=False)[0]
+        coords = _tr(np.linalg.svd(chart[1] @ q)[2])
         forms = [None] * len(dframes)
-        for idx, v in subspace_intersections(q[:len(dframes)], ref.frame, tol):
-            gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], v)
+        for k in map(int, np.unique(dims)):
+            idx = np.flatnonzero(dims == k)
+            xi = coords[idx, :, n - k:]
+            gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], xi)
             if not np.all(np.isfinite(gammas)):
                 raise InputError("symmetric matrix contains non-finite entries")
             n_pos, n_neg, stable = band_counts(np.linalg.eigvalsh(gammas), tol,
                                                GRAY_FACTOR)
-            k = v.shape[2]
+            v = q[idx] @ xi
             for j, i in enumerate(idx):
                 p, m = int(n_pos[j]), int(n_neg[j])
                 forms[i] = (v[j], gammas[j], Inertia(p, m, k - p - m), bool(stable[j]))
@@ -626,8 +652,11 @@ def crossing_form(path: LagrangianPath, ref: LagrangianFrame, t0: float,
                   tol: Tolerances = DEFAULT_TOL):
     """(V, gamma) at time t0: V holds orthonormal ambient coordinates of
     l(t0) & ref, gamma is the symmetric crossing form matrix in those
-    columns.  The form of the space must be orthogonal with square -1,
-    as in the standard and the graph-product spaces."""
+    columns, as many as the phase scan's dimension at t0 (``_forms``): none
+    where l(t0) meets ref at an angle above about eps_rank / 2.  The frame
+    must be Lagrangian (else NotLagrangian) and the form of the space
+    orthogonal with square -1, as in the standard and the graph-product
+    spaces."""
     v, gamma, _, _ = next(_forms(path, ref, [t0], tol))
     return v, gamma
 
@@ -658,9 +687,10 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     when the core is not empty.  ``_locate`` bisects the cells that
     count; located times within ``MERGE_TOL`` of each other or of a
     crossing end are one, and a zero total is dropped.  ``_forms``
-    classifies each crossing on the intersection that
-    ``subspace_intersections`` finds there; a form too small to classify
-    or with null space other than the core raises NonRegularCrossing.
+    classifies each crossing on the intersection of the dimension this
+    scan's rule counts there, the one dimension rule of the list; a form
+    too small to classify or with null space other than the core raises
+    NonRegularCrossing.
     Counts that cancel in one cell (a tangency, a +/- pair) are not
     listed.  A half sum of forms other than the phase index raises
     InternalMismatch.
@@ -682,14 +712,14 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
                   if group.size and (group[0] == a or group[-1] == b or count.sum())]
 
     crossings = []
-    for t, (v, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
+    for t, (_, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
         if not stable:
             raise NonRegularCrossing("crossing form at t=%g has an eigenvalue too small "
                                      "to classify" % t)
         if inertia.n_zero != baseline:
             raise NonRegularCrossing("crossing form at t=%g has %d null directions, "
                                      "expected %d" % (t, inertia.n_zero, baseline))
-        crossings.append(Crossing(t, v.shape[1], inertia, t in (a, b)))
+        crossings.append(Crossing(t, inertia, t in (a, b)))
     total = sum((c.contribution for c in crossings), ZERO)
     if total != index:
         raise InternalMismatch("crossing forms sum to %s, the phase index is %s"

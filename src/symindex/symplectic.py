@@ -286,7 +286,8 @@ def product_lagrangian(la: LagrangianFrame, lb: LagrangianFrame,
 
 
 def subspace_intersection(fa, fb, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormal basis of span(fa) & span(fb); frames need orthonormal columns."""
+    """Orthonormal basis of span(fa) & span(fb) for frames with orthonormal
+    columns: ``orthonormal_columns`` of fa times the ``kernel_basis`` of [fa | -fb]."""
     tol = as_tolerances(tol)
     fa = as_matrix(fa, "frame")
     fb = as_matrix(fb, "frame")
@@ -294,42 +295,8 @@ def subspace_intersection(fa, fb, tol: Tolerances = DEFAULT_TOL):
         raise DimensionMismatch("frames live in different ambient spaces")
     if fa.shape[0] == 0 or fa.shape[1] == 0 or fb.shape[1] == 0:
         return np.zeros((fa.shape[0], 0))
-    ((_, v),) = subspace_intersections(fa[None], fb, tol)
-    return v[0]
-
-
-def subspace_intersections(fas, fb, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormal bases of span(fas[i]) & span(fb) for a stack of frames
-    with orthonormal columns, by two stacked SVDs.
-
-    The kernel of [fa | -fb] (relative rank rule of ``kernel_basis``) is
-    carried into span(fa) and orthonormalized (``orthonormal_columns``).
-    Returns (indices, V) groups: the frames ``fas[indices]`` share the
-    intersection dimension k and V is their (G, rows, k) stack.
-    """
-    count, rows, ca = fas.shape
-    cols = ca + fb.shape[1]
-    stacked = np.empty((count, rows, cols))
-    stacked[:, :, :ca] = fas
-    stacked[:, :, ca:] = -fb
-    if not np.all(np.isfinite(stacked)):
-        raise InputError("kernel_basis input contains non-finite entries")
-    _, s, vh = np.linalg.svd(stacked)
-    groups = []
-    for rank, idx in _split((s > tol.eps_rank * s[:, :1]).sum(axis=1)):
-        if rank == cols:
-            groups.append((idx, np.zeros((len(idx), rows, 0))))
-            continue
-        kern = np.swapaxes(vh[idx, rank:, :ca], 1, 2)
-        u, s2, _ = np.linalg.svd(fas[idx] @ kern, full_matrices=False)
-        for k, jdx in _split((s2 > tol.eps_rank * s2[:, :1]).sum(axis=1)):
-            groups.append((idx[jdx], u[jdx, :, :k]))
-    return groups
-
-
-def _split(labels):
-    """(label, indices) for each distinct value of a per-sample label."""
-    return [(int(r), np.flatnonzero(labels == r)) for r in np.unique(labels)]
+    kern = kernel_basis(np.hstack([fa, -fb]), tol)
+    return orthonormal_columns(fa @ kern[:fa.shape[1]], tol)
 
 
 def intersection_dim(la: LagrangianFrame, lb: LagrangianFrame,

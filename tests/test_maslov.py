@@ -189,10 +189,12 @@ def test_crossing_layout_for_speed_five():
 def test_crossing_ends_are_the_ends_the_scan_counts(turns, sign, delta, route):
     """Where the path of (k pi +- delta) J_1 returns to the reference at
     time 1 up to an angle delta, its eigenphase 2 delta there exceeds
-    eps_rank, so the scan leaves that end out, while the SVD rule of
-    ``subspace_intersections`` still finds an intersection.  The ends
-    listed are the ends whose scanned dimension exceeds the core, and
-    the forms sum to the phase index (they once raised InternalMismatch)."""
+    eps_rank, so the scan leaves that end out, while an SVD rank rule on
+    [Q | -Q_ref] would still find an intersection.
+    The ends listed are the ends whose scanned dimension exceeds the
+    core, the forms sum to the phase index (they once raised
+    InternalMismatch), and ``crossing_form`` at either end has the
+    scanned dimension."""
     h = (turns * np.pi + sign * delta) * standard_J(1)
     if route == "orbit":
         path, ref = orbit_path(h), vertical_lagrangian(1)
@@ -204,6 +206,7 @@ def test_crossing_ends_are_the_ends_the_scan_counts(turns, sign, delta, route):
     dims = maslov._snapped(thetas, DEFAULT_TOL)[1]
     assert [c.time for c in scan.crossings if c.at_endpoint] == [
         t for t, dim in zip(path.interval, dims) if dim > scan.baseline_dim]
+    assert [crossing_form(path, ref, t)[0].shape[1] for t in path.interval] == list(dims)
 
 
 def test_geodesic_family_shifts_index_by_k():
@@ -528,12 +531,14 @@ def test_rank_loss_names_the_first_sample():
 
 def test_non_lagrangian_frames_are_rejected():
     """e1 + t e2 and e3 pair to 1 under omega at every t: Z loses rank
-    although the frame does not, and the first sample is named."""
+    although the frame does not, and the first sample is named.  A
+    crossing form reads the scan's checked samples, so it is refused
+    too."""
     def frames(t):
         return np.array([[1.0, 0.0], [t, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     path = path_from_frames(SymplecticSpace.standard(2), frames)
-    for scan in (maslov_index, find_crossings):
+    for scan in (maslov_index, find_crossings, lambda p, ref: crossing_form(p, ref, 0.0)):
         with pytest.raises(NotLagrangian, match="^path frame is not Lagrangian at t=0$"):
             scan(path, vertical_lagrangian(2))
 
@@ -575,7 +580,10 @@ def _detection_cases():
 @pytest.mark.parametrize("path,ref,interval_mode", _detection_cases())
 def test_batched_detection_equals_per_point(path, ref, interval_mode):
     """The batched form evaluator gives, at every grid time, the form of
-    one call per time and of the numerics primitives."""
+    one call per time and of the numerics primitives.  An intersection
+    of dimension 2 or more has no unique orthonormal basis, so against
+    the primitives the projector V V^T and the form V gamma V^T are
+    compared, which do not depend on the basis."""
     tol = DEFAULT_TOL
     ts = np.linspace(*path.interval, 257)
     for i, (v, gamma, inertia, _) in enumerate(maslov._forms(path, ref, ts, tol)):
@@ -584,10 +592,11 @@ def test_batched_detection_equals_per_point(path, ref, interval_mode):
         assert v.shape == v_pt.shape == v_ref.shape
         assert inertia.dim == v.shape[1]
         np.testing.assert_allclose(v, v_pt, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v @ v.T, v_ref @ v_ref.T, rtol=0, atol=1e-14)
         if v.shape[1]:
             np.testing.assert_allclose(gamma, gamma_pt, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(gamma, gamma_ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(v @ gamma @ v.T, v_ref @ gamma_ref @ v_ref.T,
+                                       rtol=0, atol=1e-14)
     scan = find_crossings(path, ref)
     assert scan.interval_mode == interval_mode
     assert scan.baseline_dim == (1 if interval_mode else 0)

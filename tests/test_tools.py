@@ -10,7 +10,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "triple_routes_from",
           "krein_spectrum", "spectral_conley_zehnder", "is_semisimple", "krein_signature",
-          "find_crossings"}
+          "find_crossings", "crossing_form"}
 
 
 def test_parity_sweep_records_every_route_of_its_first_inputs():
@@ -40,12 +40,16 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
         scans = rec["find_crossings"]
         assert (scans["orbit"]["index"], scans["graph"]["index"]) == (
             rec["maslov_index_symplectic"], rec["conley_zehnder"])
-        for scan in scans.values():
+        for path, scan in scans.items():
             assert scan["baseline_dim"] == 0
             times = [float.fromhex(time) for time, _, _, _ in scan["crossings"]]
             assert times == sorted(times) and times[0] == 0.0
             for time, (_, dim, pair, at_endpoint) in zip(times, scan["crossings"]):
                 assert sum(pair) == dim and at_endpoint == (time in (0.0, 1.0))
+            # the forms at the ends are those of the end crossings, or empty
+            ends = {float.fromhex(time): [dim, pair]
+                    for time, dim, pair, at_endpoint in scan["crossings"] if at_endpoint}
+            assert rec["crossing_form"][path] == [ends.get(t, [0, [0, 0]]) for t in (0.0, 1.0)]
 
 
 def _load_sweep():
@@ -81,13 +85,16 @@ def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     for route in ("maslov_index_symplectic", "conley_zehnder"):
         assert rec[route]["error"] == "GridTooCoarse"
     assert rec["spectral_conley_zehnder"]["error"] == "InputError"
-    assert set(rec) == ROUTES - {"find_crossings"} | {"input"}
+    assert set(rec) == ROUTES - {"find_crossings", "crossing_form"} | {"input"}
 
 
 def test_parity_sweep_lists_the_crossings_of_paths_that_end_near_the_reference():
     """The ``near`` ensemble holds 52 rotations within 1e-12 to 1e-6 of pi
     and 2 pi.  At 2 pi +- 1e-9 both crossing lists once raised
-    InternalMismatch at their end; each now sums to the phase index."""
+    InternalMismatch at their end; each now sums to the phase index.
+    Both paths end at an angle 1e-9 from the reference, an eigenphase of
+    2e-9 that the scan does not count, so ``crossing_form`` has no
+    columns there and neither list has a crossing at that end."""
     sweep = _load_sweep()
     near = [(name, h) for name, h in sweep.ensemble() if name.startswith("near ")]
     assert len(near) == 52
@@ -98,11 +105,16 @@ def test_parity_sweep_lists_the_crossings_of_paths_that_end_near_the_reference()
         rec = sweep.record(name, h)
         assert rec["find_crossings"]["orbit"]["index"] == rec["maslov_index_symplectic"]
         assert rec["find_crossings"]["graph"]["index"] == rec["conley_zehnder"]
+        for path in ("orbit", "graph"):
+            assert rec["crossing_form"][path][1] == [0, [0, 0]]
+            assert all(time != float.hex(1.0)
+                       for time, _, _, _ in rec["find_crossings"][path]["crossings"])
 
 
 def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     """One repeat at n = 1 writes, for the tree measured, every layer's
-    time per call and its median, and the host factor."""
+    time per call and its median, and the host factor.  ``_locate`` is
+    timed per bisection round, a part of one ``find_crossings``."""
     out = tmp_path / "bench.json"
     r = subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "layer_bench.py"),
                         "--tree", "change=src", "--repeats", "1", "--sizes", "1",
@@ -126,3 +138,5 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
         assert len(tree["runs_ms"][layer]["1"]) == 1
         assert tree["median_ms"][layer]["1"] == tree["runs_ms"][layer]["1"][0] > 0
     assert tree["median_ms"]["run_property_suite"] > 0
+    assert "_locate per bisection round" in report["unit"]
+    assert tree["median_ms"]["_locate"]["1"] < tree["median_ms"]["find_crossings"]["1"]

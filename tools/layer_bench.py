@@ -1,7 +1,7 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_24.json
+        --tree change=src --out BENCH_25.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
@@ -12,8 +12,10 @@ by their intersection K, ``krein._krein_pass``,
 ``krein.krein_signature``, ``krein.is_semisimple``, and
 ``maslov.find_crossings`` of the orbit path of each generator against
 the vertical with three of its layers: ``_phase_samples`` on its grid
-(reported per sample), ``_locate`` on that grid's counts and ``_forms``
-at its crossing candidates (reported per crossing), each at n = 1, 2,
+(reported per sample), ``_locate`` on that grid's counts (reported per
+bisection round, its ``_phase_samples`` calls, counted on one call
+outside the timing) and ``_forms`` at its crossing candidates (reported
+per crossing), each at n = 1, 2,
 4, 8 and 16, plus ``autonomous.calibrate_sign`` and
 ``checks.run_property_suite``.  The inputs are fixed and built outside
 the timing: the generators random_hamiltonian(n, 1000 + s,
@@ -88,8 +90,8 @@ def load(index, src):
 
 def _pass_ms(calls):
     """Milliseconds per unit of one pass over ``calls``, a list of
-    (function, args, units): per call where units is 1, else per sample
-    or per crossing."""
+    (function, args, units): per call where units is 1, else per sample,
+    per bisection round or per crossing."""
     t0 = time.perf_counter()
     for fn, args, _ in calls:
         fn(*args)
@@ -135,6 +137,24 @@ def _scan_layers(ma, path, ref):
     return seen
 
 
+def _rounds(ma, args):
+    """Bisection rounds of ``_locate(*args)``: the ``_phase_samples``
+    calls it makes, counted on one call by wrapping that function in the
+    module."""
+    original, rounds = ma._phase_samples, []
+
+    def counted(*a, **kw):
+        rounds.append(1)
+        return original(*a, **kw)
+
+    ma._phase_samples = counted
+    try:
+        ma._locate(*args)
+    finally:
+        ma._phase_samples = original
+    return len(rounds)
+
+
 def _layer_calls(tree, hs, queries):
     """{layer: calls} of one tree for the generators ``hs`` and the
     ``krein_signature`` queries, (h, alpha) pairs; a call is (function,
@@ -153,6 +173,7 @@ def _layer_calls(tree, hs, queries):
     graphs = [tree["package"].graph_lagrangian(s.psi(1.0), tol) for s in systems]
     scans = [(ma.orbit_path(s.h), ma.vertical_lagrangian(s.n)) for s in systems]
     layers = [_scan_layers(ma, *scan) for scan in scans]
+    rounds = [_rounds(ma, r["_locate"]) for r in layers]
 
     def forms(*args):
         return list(ma._forms(*args))
@@ -171,7 +192,7 @@ def _layer_calls(tree, hs, queries):
         "find_crossings": [(ma.find_crossings, scan, 1) for scan in scans],
         "_phase_samples": [(ma._phase_samples, r["_phase_samples"], len(r["_phase_samples"][2]))
                            for r in layers],
-        "_locate": [(ma._locate, r["_locate"], 1) for r in layers],
+        "_locate": [(ma._locate, r["_locate"], k) for r, k in zip(layers, rounds) if k],
         "_forms": [(forms, r["_forms"], len(r["_forms"][2])) for r in layers if r["_forms"][2]],
     }
 
@@ -207,7 +228,8 @@ def bench(trees, repeats, sizes):
     medians = [_combine(statistics.median, r) for r in runs]
     return {
         "script": "tools/layer_bench.py",
-        "unit": "ms per call; _phase_samples per sample, _forms per crossing",
+        "unit": "ms per call; _phase_samples per sample, _locate per bisection round, "
+                "_forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,

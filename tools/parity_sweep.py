@@ -12,11 +12,14 @@ routes, ``krein_spectrum``, ``spectral_conley_zehnder``,
 ``krein_spectrum`` cluster that carries a Krein inertia, and
 ``find_crossings`` of the orbit path against the vertical and of the
 graph path against the diagonal, each with its index, ``baseline_dim``
-and (time, dim, inertia pair, ``at_endpoint``) of every crossing), the
-answer or the class and message of the typed error (for
+and (time, dim, inertia pair, ``at_endpoint``) of every crossing, and
+``crossing_form`` of the same two paths at both interval ends, each
+with the column count of V and the inertia pair of gamma), the answer
+or the class and message of the typed error (for
 ``triple_routes_from``, TransversalityViolated where the upper-right
-block of psi(1) is singular).  ``find_crossings`` is not run on the
-``fast`` ensemble, whose first speed needs about 3.6e5 cells.  Floats
+block of psi(1) is singular).  ``find_crossings`` and ``crossing_form``
+are not run on the ``fast`` ensemble, whose first speed needs about
+3.6e5 cells in a scan.  Floats
 are written as ``float.hex``, so two trees agree on a line only when
 they agree bit for bit.  Run the same script against the ``src`` of two
 trees and diff the outputs to see every answer a change moved.
@@ -55,6 +58,7 @@ from symindex import (
     SymindexError,
     SymplecticSpace,
     conley_zehnder,
+    crossing_form,
     darboux_frame,
     find_crossings,
     graph_path,
@@ -69,6 +73,7 @@ from symindex import (
     random_symplectic,
     spectral_conley_zehnder,
     standard_J,
+    sym_signature,
     triple_routes_from,
     validate,
     vertical_lagrangian,
@@ -179,19 +184,27 @@ def _signatures(h):
             for alpha in (e.eigenvalue.imag, -e.eigenvalue.imag)]
 
 
-def _scan(scan):
+def _scan(path, ref):
+    """Index, ``baseline_dim`` and crossings of ``find_crossings``."""
+    scan = find_crossings(path, ref)
     return {"index": str(scan.index), "baseline_dim": scan.baseline_dim,
             "crossings": [[float.hex(c.time), c.dim, list(c.inertia.pair), c.at_endpoint]
                           for c in scan.crossings]}
 
 
-def _crossings(h):
-    """{path: answer} of ``find_crossings`` on the orbit path against
-    the vertical and the graph path against the diagonal."""
+def _paths(h, run):
+    """{path: answer of ``run(path, reference)``} on the orbit path
+    against the vertical and the graph path against the diagonal."""
     n = len(h) // 2
-    return {"orbit": _answer(lambda: _scan(find_crossings(orbit_path(h), vertical_lagrangian(n)))),
-            "graph": _answer(lambda: _scan(find_crossings(graph_path(h),
-                                                          diagonal_lagrangian(n))))}
+    return {"orbit": _answer(lambda: run(orbit_path(h), vertical_lagrangian(n))),
+            "graph": _answer(lambda: run(graph_path(h), diagonal_lagrangian(n)))}
+
+
+def _end_forms(path, ref):
+    """[column count of V, inertia pair of gamma] of ``crossing_form``
+    at each end of the path's interval."""
+    return [[v.shape[1], list(sym_signature(gamma).pair)]
+            for v, gamma in (crossing_form(path, ref, t) for t in path.interval)]
 
 
 ROUTES = {
@@ -203,10 +216,11 @@ ROUTES = {
     "spectral_conley_zehnder": lambda h: str(spectral_conley_zehnder(h)),
     "is_semisimple": is_semisimple,
     "krein_signature": _signatures,
-    "find_crossings": _crossings,
+    "find_crossings": lambda h: _paths(h, _scan),
+    "crossing_form": lambda h: _paths(h, _end_forms),
 }
 #: routes not run on an ensemble
-SKIPPED = {"fast": {"find_crossings"}}
+SKIPPED = {"fast": {"find_crossings", "crossing_form"}}
 
 
 def record(name, h):
