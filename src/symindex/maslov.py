@@ -538,12 +538,12 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     return chart, ts, np.unwrap(args), thetas
 
 
-def _snapped(thetas, tol: Tolerances, core=None):
+def _snapped(thetas, tol: Tolerances, core=None, slack=0.0):
     """(sums, dims) of rows of eigenphases: a dim counts the phases within
-    ``eps_rank`` of 0, and a sum sets the ``core`` phases nearest 0 (an
-    int or one per row; default the dims) to 0."""
+    eps_rank + ``slack`` (one per row) of 0, and a sum sets the ``core``
+    phases nearest 0 (an int or one per row; default the dims) to 0."""
     near = np.minimum(thetas, _TWO_PI - thetas)
-    dims = (near <= tol.eps_rank).sum(axis=-1)
+    dims = (near <= tol.eps_rank + np.asarray(slack)[..., None]).sum(axis=-1)
     rank = np.argsort(np.argsort(near, axis=-1), axis=-1)
     snap = np.asarray(dims if core is None else core)[..., None]
     return np.where(rank < snap, 0.0, thetas).sum(axis=-1), dims
@@ -561,10 +561,11 @@ def _phase_index(lifted, thetas, tol: Tolerances) -> HalfInt:
 
 def _locate(path: LagrangianPath, chart, ts, lifted, sums, counts, stop, baseline: int,
             tol: Tolerances):
-    """(time, count) of the crossings in the cells whose counts are not
-    0, halved in rounds of one batched sample of all midpoints down to
-    max(``REFINE_XTOL``, 4 float spacings); a bracket whose halves both
-    count splits, one at an end flagged in ``stop`` stops there."""
+    """(time, count, offset: 0 at an end, else half the closed bracket) of
+    the crossings in the cells whose counts are not 0, halved in rounds of
+    one batched sample of all midpoints down to max(``REFINE_XTOL``, 4
+    float spacings); a bracket whose halves both count splits, one at an
+    end flagged in ``stop`` stops there."""
     a, b = ts[0], ts[-1]
     live = [(ts[i], ts[i + 1], lifted[i], sums[i], int(counts[i]))
             for i in np.flatnonzero(counts)]
@@ -573,9 +574,9 @@ def _locate(path: LagrangianPath, chart, ts, lifted, sums, counts, stop, baselin
         running = []
         for lo, hi, lift, total, count in live:
             if (lo == a and stop[0]) or (hi == b and stop[1]):
-                located.append((a if lo == a and stop[0] else b, count))
+                located.append((a if lo == a and stop[0] else b, count, 0.0))
             elif hi - lo <= max(REFINE_XTOL, 4.0 * math.ulp(abs(lo) + abs(hi))):
-                located.append((0.5 * (lo + hi), count))
+                located.append((0.5 * (lo + hi), count, 0.5 * (hi - lo)))
             else:
                 running.append((lo, hi, lift, total, count))
         if not running:
@@ -592,50 +593,48 @@ def _locate(path: LagrangianPath, chart, ts, lifted, sums, counts, stop, baselin
     return located
 
 
-def _chart_forms(omega, q, frames, dframes, xi):
-    """Crossing forms of stacked samples in the graph chart over Q: the
-    symmetrized xi^T (dy x0^(-1)) xi with x0 = Q^T P and dy = (omega Q)^T
-    dP for the raw frame P and its derivative dP, and xi = Q^T V the
-    coordinates of the intersection basis V."""
-    x0 = _tr(q) @ frames
-    dy = _tr(omega @ q) @ dframes
-    m = _tr(np.linalg.solve(_tr(x0), _tr(dy)))  # dy @ inv(x0)
-    gamma = _tr(xi) @ m @ xi
-    return 0.5 * (gamma + _tr(gamma))
-
-
-def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances):
+def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances, offsets=None):
     """Yields (V, gamma, inertia, stable) of the crossing form at each
     time ts in order, the one form evaluator; see ``crossing_form``.
 
-    l(t) & ref has the dimension k the phase scan reads on the same
-    checked samples (``_chart_samples``): its eigenphases of W within
-    ``eps_rank`` of 0 (``_snapped``).  Y = Im(C Q), Q the orthonormal
-    frame of l(t), has kernel l(t) & ref in the coordinates of Q, so V = Q
-    A for A the right singular vectors of the k smallest singular values
-    of Y; no rank rule is applied.  A form with an eigenvalue between the
-    zero band and ``GRAY_FACTOR`` times 1 + |gamma| cannot be classified
-    (a tangential crossing leaves one of ~sqrt(machine eps)) and is not
-    stable.  A failing derivative is raised after the forms of the times
-    before it.
+    With Q the orthonormal frame of l(t), P its raw frame and dP the
+    derivative, A = (omega Q)^T dP (Q^T P)^(-1) (InputError if not finite)
+    is the form of all of l(t) in the coordinates of Q, the horizontal
+    lift Q' = omega Q A.  As Z = C Q = sqrt(2) U, U unitary, W = U U^T
+    moves by W' = 2i U A U^T: each eigenphase at most at 2 |A|.  l(t) &
+    ref has the dimension k of the eigenphases within ``eps_rank`` of 0 on
+    the scan's checked samples (``_chart_samples``, ``_snapped``), plus
+    2 |A|_F times ``offsets`` (one per time, default 0) at a time the scan
+    located within them of a crossing.  Y = Im(C Q) has kernel l(t) & ref
+    in the coordinates of Q, so V = Q xi for xi the right singular vectors
+    of the k smallest singular values of Y; no rank rule is applied.  A
+    form with an eigenvalue between the zero band and ``GRAY_FACTOR`` times
+    1 + |gamma| cannot be classified (a tangential crossing leaves one of
+    ~sqrt(machine eps)) and is not stable.  A failing derivative is raised
+    after the forms of the times before it.
     """
     chart = _chart(path, ref, tol)
     omega = path.space.form
     n = path.space.half_dim
+    offsets = np.zeros(len(ts)) if offsets is None else offsets
     for sl in _batches(path, len(ts)):
         frames, z, _ = _chart_samples(path, chart, ts[sl], tol)
         dframes, error = _evaluate(path, ts[sl], derivative=True)
         frames = frames[:len(dframes)]
-        dims = _snapped(_eigenphases(z[:len(dframes)]), tol)[1]
         q = np.linalg.svd(frames, full_matrices=False)[0]
+        x0, dy = _tr(q) @ frames, _tr(omega @ q) @ dframes
+        full = _tr(np.linalg.solve(_tr(x0), _tr(dy)))  # A = dy @ inv(x0)
+        if not np.all(np.isfinite(full)):
+            raise InputError("symmetric matrix contains non-finite entries")
+        slack = 2.0 * np.linalg.norm(full, axis=(1, 2)) * offsets[sl][:len(frames)]
+        dims = _snapped(_eigenphases(z[:len(frames)]), tol, slack=slack)[1]
         coords = _tr(np.linalg.svd(chart[1] @ q)[2])
-        forms = [None] * len(dframes)
+        forms = [None] * len(frames)
         for k in map(int, np.unique(dims)):
             idx = np.flatnonzero(dims == k)
             xi = coords[idx, :, n - k:]
-            gammas = _chart_forms(omega, q[idx], frames[idx], dframes[idx], xi)
-            if not np.all(np.isfinite(gammas)):
-                raise InputError("symmetric matrix contains non-finite entries")
+            gammas = _tr(xi) @ full[idx] @ xi
+            gammas = 0.5 * (gammas + _tr(gammas))
             n_pos, n_neg, stable = band_counts(np.linalg.eigvalsh(gammas), tol,
                                                GRAY_FACTOR)
             v = q[idx] @ xi
@@ -688,9 +687,10 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     count; located times within ``MERGE_TOL`` of each other or of a
     crossing end are one, and a zero total is dropped.  ``_forms``
     classifies each crossing on the intersection of the dimension this
-    scan's rule counts there, the one dimension rule of the list; a form
-    too small to classify or with null space other than the core raises
-    NonRegularCrossing.
+    scan's rule counts there (at a located time widened by the most a
+    phase moves within its offset), the one dimension rule of the list.
+    A form too small to classify or with null space other than the core
+    raises NonRegularCrossing.
     Counts that cancel in one cell (a tangency, a +/- pair) are not
     listed.  A half sum of forms other than the phase index raises
     InternalMismatch.
@@ -704,15 +704,18 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     counts = np.rint((2.0 * np.diff(lifted) - np.diff(sums)) / _TWO_PI).astype(int)
     stop = dims[[0, -1]] > baseline
     located = _locate(path, chart, ts, lifted, sums, counts, stop, baseline, tol)
-    ends = [(t, 0) for t, kept in zip((a, b), stop | (baseline > 0)) if kept]
-    times, counts = np.array(sorted(ends + located)).reshape(-1, 2).T
-    cuts = np.flatnonzero(np.diff(times) > MERGE_TOL) + 1
-    candidates = [a if group[0] == a else b if group[-1] == b else float(np.mean(group))
-                  for group, count in zip(np.split(times, cuts), np.split(counts, cuts))
-                  if group.size and (group[0] == a or group[-1] == b or count.sum())]
+    ends = [(t, 0, 0.0) for t, kept in zip((a, b), stop | (baseline > 0)) if kept]
+    groups = np.array(sorted(ends + located)).reshape(-1, 3).T
+    cuts = np.flatnonzero(np.diff(groups[0]) > MERGE_TOL) + 1
+    # the mean of a group is within its spread and largest offset of each crossing
+    candidates = [(a, 0.0) if times[0] == a else (b, 0.0) if times[-1] == b
+                  else (float(np.mean(times)), times[-1] - times[0] + offsets.max())
+                  for times, counts, offsets in zip(*(np.split(g, cuts) for g in groups))
+                  if times.size and (times[0] == a or times[-1] == b or counts.sum())]
+    times, offsets = [t for t, _ in candidates], np.array([o for _, o in candidates])
 
     crossings = []
-    for t, (_, _, inertia, stable) in zip(candidates, _forms(path, ref, candidates, tol)):
+    for t, (_, _, inertia, stable) in zip(times, _forms(path, ref, times, tol, offsets)):
         if not stable:
             raise NonRegularCrossing("crossing form at t=%g has an eigenvalue too small "
                                      "to classify" % t)

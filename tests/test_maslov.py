@@ -80,6 +80,8 @@ ROTATION_TABLE = [
     (300.0, 191, 190),
     (1000.0, 637, 638),
     (2000.0, 1273, 1274),
+    (3000.0, 1909, 1910),
+    (-8000.0, -5093, -5094),
     (20 * TWO_PI, 80, 80),
     (60 * TWO_PI, 240, 240),
     (100 * TWO_PI, 400, 400),
@@ -88,9 +90,20 @@ ROTATION_TABLE = [
 
 @pytest.mark.parametrize("alpha,orbit2,graph2", ROTATION_TABLE)
 def test_rotation_indices_match_closed_forms(alpha, orbit2, graph2):
+    """The scans, the crossing lists and the closed forms agree.  A
+    located crossing is known to half its closed bracket, up to 5e-13,
+    where a plane turning at alpha still has an eigenphase of up to
+    2 |alpha| 5e-13, above eps_rank once |alpha| passes about 1e3; each
+    crossing still has the dimension of one plane, 1 on the orbit and 2
+    on the graph."""
     h = plane_block_generator([("elliptic", alpha)])
     assert maslov_index_symplectic(h) == HalfInt(orbit2)
     assert conley_zehnder(h) == HalfInt(graph2)
+    for path, ref, index2, dim in ((orbit_path(h), vertical_lagrangian(1), orbit2, 1),
+                                   (graph_path(h), diagonal_lagrangian(1), graph2, 2)):
+        scan = find_crossings(path, ref)
+        assert scan.index == HalfInt(index2)
+        assert {c.dim for c in scan.crossings} == {dim}
     assert rotation_orbit_index(alpha) == HalfInt(orbit2)
     assert rotation_graph_index(alpha) == HalfInt(graph2)
 
@@ -619,12 +632,12 @@ def test_scan_memory_is_bounded():
 
 def _serial_bisection(path, chart, bracket, baseline, tol):
     """Reference: one bracket at a time, one sample per call, halved
-    down to the stopping width of the scan."""
+    down to the stopping width of the scan; (time, count, half width)."""
     out, todo = [], [bracket]
     while todo:
         lo, hi, lift, total, count = todo.pop(0)
         if hi - lo <= max(maslov.REFINE_XTOL, 4.0 * np.spacing(abs(lo) + abs(hi))):
-            out.append((0.5 * (lo + hi), count))
+            out.append((0.5 * (lo + hi), count, 0.5 * (hi - lo)))
             continue
         mid = 0.5 * (lo + hi)
         (arg,), thetas, _ = maslov._phase_samples(path, chart, np.array([mid]), tol)

@@ -139,4 +139,23 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
         assert tree["median_ms"][layer]["1"] == tree["runs_ms"][layer]["1"][0] > 0
     assert tree["median_ms"]["run_property_suite"] > 0
     assert "_locate per bisection round" in report["unit"]
-    assert tree["median_ms"]["_locate"]["1"] < tree["median_ms"]["find_crossings"]["1"]
+
+
+def test_layer_bench_counts_the_bisection_rounds_of_a_recorded_locate(monkeypatch):
+    """The unit of ``_locate`` is one bisection round: on the call that
+    ``find_crossings`` makes for 5 J_1 (a crossing at pi / 5), whose
+    cells of width 1/256 halve down to ``REFINE_XTOL`` = 1e-12 in 32
+    rounds, ``_rounds`` counts 32."""
+    import numpy as np
+    from symindex import maslov, orbit_path, standard_J, vertical_lagrangian
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins them on import; restored after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("layer_bench", ROOT / "tools" / "layer_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    layers = bench._scan_layers(maslov, orbit_path(5.0 * standard_J(1)), vertical_lagrangian(1))
+    assert len(layers["_locate"][2]) == 257  # the grid times
+    assert int(np.ceil(np.log2((1.0 / 256) / maslov.REFINE_XTOL))) == 32
+    assert bench._rounds(maslov, layers["_locate"]) == 32

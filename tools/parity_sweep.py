@@ -32,8 +32,10 @@ The ensembles:
   n = 8 and n = 16;
 - ``growth``: 20 * random_hamiltonian(1 + s % 3, 5000 + s, profile),
   mixed and hyperbolic in turn, s < 30, where frames lose rank;
-- ``rotation``: alpha J_1 for 97 speeds in [-400, 400], and loops of
-  1, 3, 10 and 100 turns;
+- ``rotation``: alpha J_1 for 97 speeds in [-400, 400] and for 2000,
+  3000 and 8000, where a crossing located to 1e-12 still has an
+  eigenphase of up to 2 alpha 5e-13 there, and loops of 1, 3, 10 and 100
+  turns;
 - ``fast``: alpha J_1 for 12 log-spaced alpha in [1e6, 1e17], where the
   scans need more than ``MAX_CELLS`` cells and the closed forms meet the
   spacing of doubles at alpha/pi;
@@ -121,7 +123,7 @@ def ensemble():
         profile = ("mixed", "hyperbolic")[s % 2]
         yield ("growth %d %s" % (s, profile),
                20.0 * random_hamiltonian(1 + s % 3, 5000 + s, profile))
-    for alpha in np.linspace(-400.0, 400.0, 97).tolist():
+    for alpha in np.linspace(-400.0, 400.0, 97).tolist() + [2000.0, 3000.0, 8000.0]:
         yield "rotation %s" % float.hex(alpha), alpha * standard_J(1)
     for turns in (1, 3, 10, 100):
         yield "loop %d" % turns, 2.0 * np.pi * turns * standard_J(1)
