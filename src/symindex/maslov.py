@@ -62,8 +62,8 @@ REFINE_XTOL = 1e-12
 GRAY_FACTOR = 1e-6
 #: most cells a certified scan may take; a path that needs more raises GridTooCoarse
 MAX_CELLS = 2 ** 20
-#: largest move of arg det Z a certified cell may bound: ``np.unwrap`` lifts
-#: every step below pi exactly, and pi/8 covers the rounding of the samples
+#: largest move of arg det Z a certified cell may bound: ``_lift`` (``np.unwrap``)
+#: lifts every step below pi exactly, and pi/8 covers the rounding of the samples
 CELL_PHASE = 7.0 * math.pi / 8.0
 
 
@@ -190,14 +190,17 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     kappa = math.inf
     try:
         vals, vecs = np.linalg.eig(h)
-        kappa = float(np.linalg.cond(vecs))
+        # np.linalg.cond(vecs) without its general path
+        sv = np.linalg.svd(vecs, compute_uv=False)
+        kappa = float(sv[0]) / float(sv[-1]) if sv[-1] > 0 else math.inf
         if kappa < 1e7:
-            re = vals.real
-            record = _FlowRecord(h, bound, kappa, (vals, vecs, np.linalg.inv(vecs)),
-                                 (2.0 * math.log(kappa), float(re.max() - re.min())),
-                                 (math.log(2.0 * kappa), float(np.abs(re).max())))
-            if np.linalg.norm(record.stack(np.zeros(1))[0] - np.eye(2 * n)) <= 1e-10:
-                return record
+            vinv = np.linalg.inv(vecs)
+            # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1
+            if np.linalg.norm((vecs @ vinv).real - np.eye(2 * n)) <= 1e-10:
+                re = vals.real
+                return _FlowRecord(h, bound, kappa, (vals, vecs, vinv),
+                                   (2.0 * math.log(kappa), float(re.max() - re.min())),
+                                   (math.log(2.0 * kappa), float(np.abs(re).max())))
     except np.linalg.LinAlgError:
         pass
     return _FlowRecord(h, bound, kappa, None, None, None)
@@ -252,6 +255,7 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
     h, flow = record.h, record.stack
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
+    eye = np.eye(d)
 
     def graphs(top, bottom):
         out = np.empty((len(bottom), 2 * d, d))
@@ -260,7 +264,7 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
         return out
 
     def frs(ts):
-        return graphs(np.eye(d), flow(ts))
+        return graphs(eye, flow(ts))
 
     def dfrs(ts):
         return graphs(0.0, h @ flow(ts))
@@ -353,7 +357,7 @@ _TWO_PI = 2.0 * math.pi
 
 def _tr(a):
     """Transpose of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _batches(path: LagrangianPath, count: int):
@@ -391,9 +395,8 @@ def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
     if values.shape[1:] != shape:
         return values[:0], DimensionMismatch("%s has shape %s" % (
             "derivative" if derivative else "path frame", values.shape[1:]))
-    finite = np.isfinite(values).all(axis=(1, 2))
-    if not finite.all():
-        first = int(np.argmin(finite))
+    if not np.isfinite(values).all():
+        first = int(np.argmin(np.isfinite(values).all(axis=(1, 2))))
         return values[:first], InputError("%s contains non-finite entries" % (
             "path frame derivative" if derivative else "path frame"))
     return values, None
@@ -423,7 +426,7 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
         else:
             if error is not None:
                 raise error
-            return frames, np.log(np.diagonal(r, axis1=1, axis2=2)).sum(axis=1)
+            return frames, np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
     s = np.linalg.svd(frames, compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
@@ -484,21 +487,26 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     time if ``phases``, else at the first and last, |Im tr(Z^-1 Z')| when
     ``rated``) at the times ts, in one pass over the samples.  Every Z =
     C F, and C F' on the rated branch, is formed by ``_in_chart`` from
-    the real and imaginary parts of the ``chart``."""
+    the real and imaginary parts of the ``chart``; the end phases take
+    one ``_eigenphases`` call after the last batch."""
     out = ([], [], [])
-    ends = (0, len(ts) - 1)
+    last, ends = len(ts) - 1, []
     for sl in _batches(path, len(ts)):
         frames, z, sign = _chart_samples(path, chart, ts[sl], tol)
         out[0].append(np.angle(sign))
-        out[1].append(_eigenphases(z if phases else
-                                   z[[i - sl.start for i in ends if sl.start <= i < sl.stop]]))
+        if phases:
+            out[1].append(_eigenphases(z))
+        else:
+            ends += [z[i - sl.start] for i in (0, last) if sl.start <= i < sl.stop]
         if rated:
             dframes, error = _evaluate(path, ts[sl], derivative=True)
             dz = np.linalg.solve(z[:len(dframes)], _in_chart(chart, dframes))
             out[2].append(np.abs(np.trace(dz, axis1=1, axis2=2).imag))
             if error is not None:
                 raise error
-    return tuple(np.concatenate(x) if x else None for x in out)
+    if not phases:
+        out[1].append(_eigenphases(np.array(ends)))
+    return tuple(None if not x else x[0] if len(x) == 1 else np.concatenate(x) for x in out)
 
 
 def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerances,
@@ -508,8 +516,8 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
 
     A path with a rate bound B needs ceil(B (b - a) / ``CELL_PHASE``)
     cells, none moving arg det Z by more than ``CELL_PHASE``, so by less
-    than the pi up to which ``np.unwrap`` lifts exactly, and may take at
-    most ``MAX_CELLS``.
+    than the pi up to which ``_lift`` (``np.unwrap``) lifts exactly, and
+    may take at most ``MAX_CELLS``.
     An index scan (not ``phases``) takes exactly those cells, at least
     one; ``find_crossings`` takes at least ``grid``, since its core is the
     smallest dimension sampled and its bisection starts from the cells.
@@ -529,30 +537,70 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
             raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
                                 % (need, MAX_CELLS))
         cells = max(grid if phases else 1, need)
-    ts = np.linspace(a, b, cells + 1)
+    ts = _grid_times(a, b, cells)
     args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
-    fast = [] if rates is None else np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
-    if np.any(fast):
-        raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
-                            "increase grid" % tuple(ts[np.argmax(fast):][:2]))
-    return chart, ts, np.unwrap(args), thetas
+    if bound is None:
+        fast = np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
+        if fast.any():
+            raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
+                                "increase grid" % tuple(ts[np.argmax(fast):][:2]))
+    return chart, ts, _lift(args), thetas
+
+
+def _grid_times(a, b, cells):
+    """``np.linspace(a, b, cells + 1)`` bit for bit, without its general
+    path: i times the step (b - a) / cells (i / cells times b - a where
+    that step underflows to 0) plus a, for i = 0 .. cells, and b last."""
+    ts = np.arange(cells + 1.0)
+    step = (b - a) / cells
+    if step == 0.0:
+        ts /= cells
+        ts *= b - a
+    else:
+        ts *= step
+    ts += a
+    ts[-1] = b
+    return ts
+
+
+def _lift(args):
+    """``np.unwrap(args)`` of finite args bit for bit, without its general
+    path.  Each sample after the first gains the sum of the corrections
+    of the steps before it: 0 for a step below pi, which every step of a
+    certified cell is unless arg det Z crosses its cut at pi, and else
+    the step taken into [-pi, pi] by ``np.unwrap``'s arithmetic, less the
+    step."""
+    steps = args[1:] - args[:-1]
+    cut = np.abs(steps) >= math.pi
+    corrections = np.zeros_like(steps)
+    if cut.any():
+        turned = (steps + math.pi) % _TWO_PI - math.pi
+        turned[(turned == -math.pi) & (steps > 0)] = math.pi
+        corrections = np.where(cut, turned - steps, 0.0)
+    lifted = args.copy()
+    lifted[1:] += corrections.cumsum()
+    return lifted
 
 
 def _snapped(thetas, tol: Tolerances, core=None, slack=0.0):
     """(sums, dims) of rows of eigenphases: a dim counts the phases within
-    eps_rank + ``slack`` (one per row) of 0, and a sum sets the ``core``
-    phases nearest 0 (an int or one per row; default the dims) to 0."""
+    eps_rank + ``slack`` (a scalar, or a column of one per row) of 0, and
+    a sum sets the ``core`` phases nearest 0 (an int or one per row;
+    default the dims, which are the phases within the band) to 0."""
     near = np.minimum(thetas, _TWO_PI - thetas)
-    dims = (near <= tol.eps_rank + np.asarray(slack)[..., None]).sum(axis=-1)
-    rank = np.argsort(np.argsort(near, axis=-1), axis=-1)
-    snap = np.asarray(dims if core is None else core)[..., None]
-    return np.where(rank < snap, 0.0, thetas).sum(axis=-1), dims
+    inside = near <= tol.eps_rank + slack
+    if core is None:
+        snap = inside
+    else:
+        snap = np.argsort(np.argsort(near, axis=-1), axis=-1) < np.asarray(core)[..., None]
+    return np.where(snap, 0.0, thetas).sum(axis=-1), inside.sum(axis=-1)
 
 
-def _phase_index(lifted, thetas, tol: Tolerances) -> HalfInt:
-    """The index of the module docstring; more than 1e-6 off the
-    half-integer lattice raises InternalMismatch."""
-    sums, dims = _snapped(thetas[[0, -1]], tol)
+def _phase_index(lifted, ends, tol: Tolerances) -> HalfInt:
+    """The index of the module docstring from the lift and the
+    eigenphases at the two ends; more than 1e-6 off the half-integer
+    lattice raises InternalMismatch."""
+    sums, dims = _snapped(ends, tol)
     twice = (2.0 * (lifted[-1] - lifted[0]) - sums[1] + sums[0]) / math.pi + dims[0] - dims[1]
     if abs(twice - round(twice)) > 2e-6:
         raise InternalMismatch("phase index %.9g is not a half integer" % (0.5 * twice))
@@ -627,7 +675,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances, offs
         if not np.all(np.isfinite(full)):
             raise InputError("symmetric matrix contains non-finite entries")
         slack = 2.0 * np.linalg.norm(full, axis=(1, 2)) * offsets[sl][:len(frames)]
-        dims = _snapped(_eigenphases(z[:len(frames)]), tol, slack=slack)[1]
+        dims = _snapped(_eigenphases(z[:len(frames)]), tol, slack=slack[:, None])[1]
         coords = _tr(np.linalg.svd(chart[1] @ q)[2])
         forms = [None] * len(frames)
         for k in map(int, np.unique(dims)):
@@ -696,7 +744,7 @@ def find_crossings(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     InternalMismatch.
     """
     chart, ts, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=True)
-    index = _phase_index(lifted, thetas, tol)
+    index = _phase_index(lifted, thetas[[0, -1]], tol)
     a, b = path.interval
     dims = _snapped(thetas, tol)[1]
     baseline = int(dims.min())
@@ -738,12 +786,13 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
     Built-in paths are certified by their rate bound B and take exactly
     the max(1, ceil(B (b - a) / ``CELL_PHASE``)) cells it needs, whatever
-    ``grid``: no cell moves arg det Z by pi or more, so the lift is exact.
-    Their frames are checked for rank and Lagrangian at those samples
-    only.  ``path_from_frames`` paths take ``grid`` cells and are checked
-    only at their samples, so a full turn between two samples goes
-    unseen.  Each frame is evaluated once, in batches within
-    ``_BATCH_BYTES``.
+    ``grid``: no cell moves arg det Z by pi or more, so the lift
+    (``_lift``, ``np.unwrap`` bit for bit) is exact.  Their frames are
+    checked for rank and Lagrangian at those samples only.
+    ``path_from_frames`` paths take ``grid`` cells and are checked only
+    at their samples, so a full turn between two samples goes unseen.
+    Each frame is evaluated once, in batches within ``_BATCH_BYTES``,
+    and the eigenphases of the two ends in one call after them.
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)

@@ -119,7 +119,7 @@ def as_matrix(a, name="matrix", dtype=float):
         raise InputError("%s must be a rectangular array of numbers" % name)
     if m.ndim != 2:
         raise InputError("%s must be 2-dimensional, got ndim=%d" % (name, m.ndim))
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputError("%s contains non-finite entries" % name)
     return m
 

@@ -47,8 +47,10 @@ def standard_J(n: int):
     if n < 1:
         raise InputError("n must be positive")
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = -eye
+    J[n:, :n] = eye
+    return J
 
 
 #: entries kept by each cache of per-dimension constants: the standard
@@ -125,8 +127,8 @@ class SymplecticSpace:
         return (self.form @ _frame_of(self, fa, "frame")).T @ _frame_of(self, fb, "frame")
 
     def is_standard(self) -> bool:
-        return bool(np.allclose(self.form, SymplecticSpace.standard(self.half_dim).form,
-                                atol=1e-12))
+        standard = SymplecticSpace.standard(self.half_dim)
+        return self is standard or bool(np.allclose(self.form, standard.form, atol=1e-12))
 
     def check_same(self, *operands):
         """Raise DimensionMismatch unless every operand (a space, or a

@@ -1181,3 +1181,124 @@ def test_crossing_chart_is_checked_on_scans_without_crossings():
 def test_unitary_geodesic_needs_standard_frames_of_one_space(start, end, error, message):
     with pytest.raises(error, match=None if message is None else "^%s$" % message):
         unitary_geodesic(start, end)
+
+
+def _bits(a):
+    """The bytes of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("path,ref,budget", [
+    (orbit_path(60.0 * standard_J(1)), vertical_lagrangian(1), 3 * 64),
+    (graph_path(random_hamiltonian(2, 3, "semisimple-elliptic")), diagonal_lagrangian(2),
+     3 * 8 * 8 * 8),
+    (graph_path(4.0 * random_hamiltonian(16, 1016, "semisimple-elliptic")),
+     diagonal_lagrangian(16), None),
+], ids=["orbit 60J, 3 samples a batch", "graph n=2, 3 samples a batch",
+        "graph n=16, default batches"])
+def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypatch):
+    """An index scan over several batches takes the eigenphases of its
+    two ends in one ``_eigenphases`` call, and its lift and end phases
+    equal those of the same scan in one batch bit for bit."""
+    tol = DEFAULT_TOL
+    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
+    _, ts, whole_lift, whole_ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
+    assert len(maslov._batches(path, len(ts))) == 1
+    monkeypatch.undo()
+    if budget is not None:
+        monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
+    assert len(maslov._batches(path, len(ts))) > 1
+    calls = []
+    eigenphases = maslov._eigenphases
+
+    def counting(z):
+        calls.append(len(z))
+        return eigenphases(z)
+
+    monkeypatch.setattr(maslov, "_eigenphases", counting)
+    _, batched_ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
+    assert calls == [2]
+    assert _bits(batched_ts) == _bits(ts)
+    assert _bits(lifted) == _bits(whole_lift)
+    assert ends.shape == (2, path.space.half_dim)
+    assert _bits(ends) == _bits(whole_ends)
+
+
+def test_lift_equals_unwrap_bit_for_bit():
+    """``_lift`` is ``np.unwrap`` bit for bit: on the sampled arg det Z
+    of every certified scan, whose cells cross the cut at pi, and on
+    sequences with steps of pi and more, exact multiples of pi and
+    signed zeros."""
+    tol, crossed = DEFAULT_TOL, 0
+    for path, ref in _certified_scans():
+        chart, ts, lifted, _ = maslov._phase_grid(path, ref, 256, tol, phases=False)
+        args = maslov._phase_samples(path, chart, ts, tol, False)[0]
+        crossed += bool(np.any(np.abs(np.diff(args)) >= np.pi))
+        assert _bits(lifted) == _bits(np.unwrap(args)) == _bits(maslov._lift(args))
+    assert crossed > 0
+    pi = np.pi
+    for args in ([-0.0, -0.0, 0.0, -0.0],
+                 [0.0, pi, -pi, pi, -0.0, -pi, 0.5, -3.0, 3.0, -0.0],
+                 [3.0, -3.0, 2.9, -2.9, np.nextafter(pi, 0.0), -pi, 1e-300, -1e-300],
+                 [0.1, 0.1 + pi, 0.1, 0.1 - pi, 0.1 + 2.0 * pi],
+                 [2.5],
+                 list(np.random.default_rng(26).uniform(-pi, pi, 200))):
+        args = np.array(args)
+        assert _bits(maslov._lift(args)) == _bits(np.unwrap(args))
+
+
+
+def test_grid_times_equal_linspace_bit_for_bit():
+    """The scan grid is ``np.linspace(a, b, cells + 1)`` bit for bit, also
+    where the step (b - a) / cells underflows to 0."""
+    rng = np.random.default_rng(26)
+    intervals = [(0.0, 1.0), (-0.5, 1.75), (-2.0, -1.0), (1.0, np.nextafter(1.0, 2.0)),
+                 (0.0, 5e-324), (0.0, 1e-320), (-1e300, 1e300)]
+    intervals += [tuple(sorted(rng.uniform(-10.0, 10.0, 2))) for _ in range(50)]
+    intervals += [tuple(sorted(rng.standard_normal(2) * 10.0 ** rng.integers(-300, 300)))
+                  for _ in range(50)]
+    for a, b in intervals:
+        for cells in (1, 2, 3, 64, 257, 4096):
+            assert _bits(maslov._grid_times(a, b, cells)) == _bits(np.linspace(a, b, cells + 1))
+
+
+def test_flow_record_condition_number_is_np_linalg_cond():
+    """kappa of the flow record is ``np.linalg.cond`` of the eigenvectors
+    of h, also for defective generators, whose eigenvectors are nearly
+    parallel."""
+    hs = [random_hamiltonian(n, seed, profile) for n in (1, 2, 4) for seed in range(4)
+          for profile in ("generic", "mixed", "semisimple-elliptic")]
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    hs += [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 3.0 * standard_J(1),
+           np.block([[jordan, np.zeros((2, 2))], [np.zeros((2, 2)), -jordan.T]])]
+    for h in hs:
+        kappa = maslov._flow_record(h, None, DEFAULT_TOL).kappa
+        assert kappa == float(np.linalg.cond(np.linalg.eig(h)[1])), h
+
+def test_snapped_sums_without_a_core_zero_the_phases_in_the_band():
+    """Without a core, ``_snapped`` sets the phases within the band to 0,
+    bit for bit what it does with the dims as the core, also on rows
+    with ties and with phases exactly at the edge of the band."""
+    tol = DEFAULT_TOL
+    eps = tol.eps_rank
+    edge = TWO_PI - eps  # near this phase is 2 pi - edge, within rounding of eps
+    rows = np.array([
+        [0.0, 0.0, 1.0, 1.0],
+        [eps, eps, eps, 3.0],
+        [eps, edge, 0.5, 0.5],
+        [np.nextafter(eps, 1.0), eps, 0.0, TWO_PI],
+        [2.0 * eps, 2.0 * eps, 1e-20, 6.0],
+        [3.0, 3.0, 3.0, 3.0],
+        [edge, edge, TWO_PI, 1e-30],
+    ])
+    for slack in (0.0, np.array([[0.0], [0.0], [0.0], [0.0], [eps], [0.0], [0.0]])):
+        sums, dims = maslov._snapped(rows, tol, slack=slack)
+        cored, cored_dims = maslov._snapped(rows, tol, dims, slack)
+        assert _bits(sums) == _bits(cored)
+        np.testing.assert_array_equal(dims, cored_dims)
+        near = np.minimum(rows, TWO_PI - rows)
+        inside = near <= eps + slack
+        np.testing.assert_array_equal(dims, inside.sum(axis=1))
+        assert _bits(sums) == _bits(np.where(inside, 0.0, rows).sum(axis=1))
+    at_edge = int(TWO_PI - edge <= eps)
+    assert list(maslov._snapped(rows, tol)[1]) == [2, 3, 1 + at_edge, 3, 1, 0, 2 + 2 * at_edge]

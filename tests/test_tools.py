@@ -127,9 +127,10 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert report["host_factor"] > 0 and report["ratios"] == {}
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
-    per_size = {"validate", "_flow_indices", "_flow_record", "_correction_matrix",
-                "_triple_routes", "kashiwara_reduced", "_krein_pass", "krein_signature",
-                "is_semisimple", "find_crossings", "_phase_samples", "_locate", "_forms"}
+    per_size = {"validate", "_flow_indices", "_flow_record", "maslov_index",
+                "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
+                "krein_signature", "is_semisimple", "find_crossings", "_phase_samples",
+                "_locate", "_forms"}
     for key in ("median_ms", "runs_ms"):
         assert set(tree[key]) == per_size | {"calibrate_sign", "run_property_suite"}
         for layer in per_size:
