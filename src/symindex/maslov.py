@@ -190,9 +190,7 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     kappa = math.inf
     try:
         vals, vecs = np.linalg.eig(h)
-        # np.linalg.cond(vecs) without its general path
-        sv = np.linalg.svd(vecs, compute_uv=False)
-        kappa = float(sv[0]) / float(sv[-1]) if sv[-1] > 0 else math.inf
+        kappa = float(np.linalg.cond(vecs))
         if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
             # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1

@@ -1262,19 +1262,6 @@ def test_grid_times_equal_linspace_bit_for_bit():
             assert _bits(maslov._grid_times(a, b, cells)) == _bits(np.linspace(a, b, cells + 1))
 
 
-def test_flow_record_condition_number_is_np_linalg_cond():
-    """kappa of the flow record is ``np.linalg.cond`` of the eigenvectors
-    of h, also for defective generators, whose eigenvectors are nearly
-    parallel."""
-    hs = [random_hamiltonian(n, seed, profile) for n in (1, 2, 4) for seed in range(4)
-          for profile in ("generic", "mixed", "semisimple-elliptic")]
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    hs += [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 3.0 * standard_J(1),
-           np.block([[jordan, np.zeros((2, 2))], [np.zeros((2, 2)), -jordan.T]])]
-    for h in hs:
-        kappa = maslov._flow_record(h, None, DEFAULT_TOL).kappa
-        assert kappa == float(np.linalg.cond(np.linalg.eig(h)[1])), h
-
 def test_snapped_sums_without_a_core_zero_the_phases_in_the_band():
     """Without a core, ``_snapped`` sets the phases within the band to 0,
     bit for bit what it does with the dims as the core, also on rows
