@@ -1188,6 +1188,9 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
+# a budget of three samples: the largest per-sample stack is the 2 x 2
+# complex flow (64 bytes) of the orbit at n = 1 and the 8 x 8 real
+# intersection matrix (512 bytes) of the graph at n = 2
 @pytest.mark.parametrize("path,ref,budget", [
     (orbit_path(60.0 * standard_J(1)), vertical_lagrangian(1), 3 * 64),
     (graph_path(random_hamiltonian(2, 3, "semisimple-elliptic")), diagonal_lagrangian(2),
@@ -1245,7 +1248,6 @@ def test_lift_equals_unwrap_bit_for_bit():
                  list(np.random.default_rng(26).uniform(-pi, pi, 200))):
         args = np.array(args)
         assert _bits(maslov._lift(args)) == _bits(np.unwrap(args))
-
 
 
 def test_grid_times_equal_linspace_bit_for_bit():
