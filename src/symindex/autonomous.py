@@ -67,9 +67,14 @@ PUBLISHED_SIGN = 1
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    """An autonomous linear Hamiltonian system, held by its generator."""
+    """An autonomous linear Hamiltonian system, held by its generator: a
+    finite square matrix of even size, else InputError or OddDimension.
+    ``make_system`` also checks that it is Hamiltonian."""
 
     h: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", as_even_square(self.h, "generator"))
 
     @property
     def n(self) -> int:
@@ -82,6 +87,15 @@ class HamiltonianSystem:
 
 def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
     return HamiltonianSystem(_generator(h, None, tol)[0])
+
+
+def _as_system(system) -> HamiltonianSystem:
+    """``system`` itself if it is a HamiltonianSystem, else InputError:
+    the one check of every route that takes a system."""
+    if not isinstance(system, HamiltonianSystem):
+        raise InputError("system must be a HamiltonianSystem, got %s"
+                         % type(system).__name__)
+    return system
 
 
 def split_blocks(m):
@@ -125,7 +139,7 @@ def _correction_matrix(psi1, tol: Tolerances):
 
 def correction_matrix(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL):
     """Correction matrix of the system's time-one map."""
-    return _correction_matrix(system.psi(1.0), tol)
+    return _correction_matrix(_as_system(system).psi(1.0), tol)
 
 
 def correction_sign(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -266,6 +280,7 @@ def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None, *
     ``sigma`` defaults to the calibrated coupling sign; pass +1 or -1
     to force a convention.
     """
+    _as_system(system)
     sigma = _coupling_sign(sigma, tol)
     graph = conley_zehnder(system.h, tol=tol)
     return graph + HalfInt(sigma * correction_sign(system, tol))
@@ -297,6 +312,7 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     scans read one record of the generator (``maslov._flow_indices``),
     so it is checked, diagonalized and decomposed once.
     """
+    _as_system(system)
     _grid_cells(grid)
     sigma = _coupling_sign(sigma, tol)
     orbit, graph = _flow_indices(system.h, tol)

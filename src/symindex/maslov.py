@@ -16,6 +16,7 @@ w(t, v)) on l(t0) & L; their half sum must equal the phase index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -37,6 +38,7 @@ from .numerics import (
     DEFAULT_TOL,
     Inertia,
     Tolerances,
+    as_even_square,
     as_int,
     as_matrix,
     as_real,
@@ -139,7 +141,8 @@ class _Stacked:
 
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
-    """The flow of a generator h checked once.  ``stack(ts)`` is the stack
+    """The flow of a generator h checked once, shared read-only: ``h``
+    and the arrays of ``eigen`` refuse writes.  ``stack(ts)`` is the stack
     of exp(t h) at the times ts, each matrix equal bit for bit to the flow
     at its time alone.  When kappa = cond V of the eigenvectors V of h is
     below 1e7 and the flow at 0 is I within 1e-10, ``eigen`` is
@@ -181,9 +184,26 @@ class _FlowRecord:
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
     """The record of ``h`` checked by ``_generator`` against ``space``
-    (default: the standard space of its size)."""
-    h = _generator(h, space, tol)[0]
-    n = h.shape[0] // 2
+    (default: the standard space of its size).
+
+    The last record built is kept, keyed by the C-order bytes of h as a
+    float64 matrix, its size, ``space`` and ``tol``, so the routes of one
+    generator check and diagonalize it once while it stays the last one
+    seen.  ``tol`` and the matrix are checked before the key is formed,
+    so their typed errors come first; a generator that raises is not
+    kept and leaves the kept record in place.  The record reads a copy
+    of h, so a caller's later write to its array does not reach it."""
+    tol = as_tolerances(tol)
+    h = as_even_square(h, "generator")
+    return _record_of(h.tobytes(), h.shape[0], space, tol)
+
+
+@functools.lru_cache(maxsize=1)
+def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
+               tol: Tolerances) -> _FlowRecord:
+    """``_flow_record`` of the d x d matrix of bytes ``data``."""
+    h = _generator(np.frombuffer(data).reshape(d, d), space, tol)[0]
+    n = d // 2
     s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
     bound = float(max(eigs[n:].sum(), -eigs[:n].sum()))
@@ -194,7 +214,9 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
         if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
             # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1
-            if np.linalg.norm((vecs @ vinv).real - np.eye(2 * n)) <= 1e-10:
+            if np.linalg.norm((vecs @ vinv).real - np.eye(d)) <= 1e-10:
+                for a in (vals, vecs, vinv):
+                    a.flags.writeable = False
                 re = vals.real
                 return _FlowRecord(h, bound, kappa, (vals, vecs, vinv),
                                    (2.0 * math.log(kappa), float(re.max() - re.min())),

@@ -56,6 +56,26 @@ def test_make_system_validation():
         make_system(np.eye(2))
 
 
+@pytest.mark.parametrize("route", [validate, maslov_via_formula, correction_matrix,
+                                   correction_sign])
+@pytest.mark.parametrize("given", [3.0 * standard_J(1), None, "J"], ids=["ndarray", "None", "str"])
+def test_system_routes_refuse_a_non_system(route, given):
+    with pytest.raises(InputError, match="system must be a HamiltonianSystem"):
+        route(given)
+
+
+def test_system_built_from_a_list_holds_a_float_generator():
+    system = HamiltonianSystem([[0, -3], [3, 0]])
+    assert system.h.dtype == np.float64
+    np.testing.assert_array_equal(system.psi(1.0), make_system(3.0 * standard_J(1)).psi(1.0))
+    assert validate(system, sigma=-1) == validate(make_system(3.0 * standard_J(1)), sigma=-1)
+    assert correction_sign(system) == 1
+    with pytest.raises(OddDimension):
+        HamiltonianSystem([[0.0]])
+    with pytest.raises(InputError):
+        HamiltonianSystem("J")
+
+
 def test_generator_is_checked_with_the_callers_tol():
     """A generator 1e-6 off the Lie algebra passes a loose eps_sym; every
     route of validate checks it with that tol, not the default."""
@@ -417,9 +437,11 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
     """At n=8 one validate takes three spectral norms, all in input
     checks: of the generator, of the time-one map and of the correction
     matrix's symmetry.  Every signature takes its scale from its own
-    eigenvalues.  The shared constants of n=8 are built beforehand."""
+    eigenvalues.  The shared constants of n=8 are built beforehand, and
+    the generator's flow record is dropped after them."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     assert validate(system, sigma=-1).agree
+    maslov._record_of.cache_clear()
     original, callers = numerics.spectral_norm, []
 
     def counted(m):

@@ -2,8 +2,11 @@
 
 import collections
 import dataclasses
+import importlib.util
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from symindex import (
     validate,
     vertical_lagrangian,
 )
-from symindex import horizontal_lagrangian, maslov
+from symindex import horizontal_lagrangian, maslov, symplectic
 from symindex.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -52,6 +55,7 @@ from symindex.maslov import (
 from symindex.numerics import (
     DEFAULT_TOL,
     Inertia,
+    Tolerances,
     expm,
     kernel_basis,
     orthonormal_columns,
@@ -1291,3 +1295,126 @@ def test_snapped_sums_without_a_core_zero_the_phases_in_the_band():
         assert _bits(sums) == _bits(np.where(inside, 0.0, rows).sum(axis=1))
     at_edge = int(TWO_PI - edge <= eps)
     assert list(maslov._snapped(rows, tol)[1]) == [2, 3, 1 + at_edge, 3, 1, 0, 2 + 2 * at_edge]
+
+
+# -- the flow record of the last generator ------------------------------------
+
+def test_both_routes_of_one_generator_share_its_flow_record(monkeypatch):
+    h = random_hamiltonian(2, 4, "semisimple-elliptic")
+    calls = collections.Counter()
+    eig, check = np.linalg.eig, symplectic._hamiltonian_for
+
+    def counted_eig(a, *args, **kwargs):
+        calls["eig(h)"] += np.shape(a) == h.shape and np.array_equal(a, h)
+        return eig(a, *args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        calls["_hamiltonian_for"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(symplectic, "_hamiltonian_for", counted_check)
+    maslov_index_symplectic(h)
+    conley_zehnder(h)
+    assert calls == {"eig(h)": 1, "_hamiltonian_for": 1}
+    assert maslov._record_of.cache_info().misses == 1
+
+
+def test_a_generator_changed_in_place_gets_a_fresh_record():
+    h = 3.0 * standard_J(1)
+    assert maslov_index_symplectic(h) == rotation_orbit_index(3.0)
+    assert conley_zehnder(h) == rotation_graph_index(3.0)
+    h *= 2.0
+    assert maslov_index_symplectic(h) == rotation_orbit_index(6.0)
+    assert conley_zehnder(h) == rotation_graph_index(6.0)
+    assert maslov._flow_record(h, None, DEFAULT_TOL).h[1, 0] == 6.0
+
+
+def test_a_raising_generator_is_not_kept_and_keeps_the_kept_record():
+    h = 3.0 * standard_J(1)
+    record = maslov._flow_record(h, None, DEFAULT_TOL)
+    for _ in range(2):
+        with pytest.raises(NotHamiltonian):
+            maslov_index_symplectic(np.eye(2))
+    with pytest.raises(OddDimension):
+        maslov._flow_record(np.eye(3), None, DEFAULT_TOL)
+    with pytest.raises(InputError, match="tol must be a Tolerances"):
+        maslov._flow_record(h, None, [1e-9])  # unhashable: checked before the key
+    assert maslov._record_of.cache_info().currsize == 1
+    assert maslov._flow_record(h, None, DEFAULT_TOL) is record
+
+
+def test_another_tol_or_space_builds_its_own_record():
+    """Each call differs from the one before in one part of the key."""
+    h = 3.0 * standard_J(1)
+    space = SymplecticSpace.standard(1)
+    record = maslov._flow_record(h, None, DEFAULT_TOL)
+    spaced = maslov._flow_record(h, space, DEFAULT_TOL)
+    loose = maslov._flow_record(h, space, Tolerances(eps_sym=1e-5))
+    assert len({id(record), id(spaced), id(loose)}) == 3
+    info = maslov._record_of.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+    np.testing.assert_array_equal(spaced.h, record.h)
+
+
+def test_a_flow_record_refuses_writes():
+    h = random_hamiltonian(2, 4, "semisimple-elliptic")
+    record = maslov._flow_record(h, None, DEFAULT_TOL)
+    assert record.eigen is not None
+    for a in (record.h,) + record.eigen:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    defective = maslov._flow_record(np.array([[0.0, 1.0], [0.0, 0.0]]), None, DEFAULT_TOL)
+    assert defective.eigen is None
+    with pytest.raises(ValueError, match="read-only"):
+        defective.h[0, 0] = 1.0
+
+
+def test_one_generator_in_any_array_form_shares_one_record():
+    """A list, an int array, an F-ordered array and a complex array with
+    zero imaginary part hold the same checked float64 matrix, so they
+    share its record and its answers, those of a cold scan."""
+    for h, forms in [
+            (3.0 * standard_J(1), [[[0, -3], [3, 0]], np.array([[0, -3], [3, 0]])]),
+            (random_hamiltonian(2, 4, "mixed"), [])]:
+        forms += [h.tolist(), np.asfortranarray(h), h + 0j]
+        maslov._record_of.cache_clear()
+        want = (maslov_index_symplectic(h), conley_zehnder(h))
+        record = maslov._flow_record(h, None, DEFAULT_TOL)
+        for form in forms:
+            assert maslov._flow_record(form, None, DEFAULT_TOL) is record
+            assert (maslov_index_symplectic(form), conley_zehnder(form)) == want
+        assert maslov._record_of.cache_info().misses == 1
+
+
+def _load_sweep():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("parity_sweep",
+                                                  root / "tools" / "parity_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_every_route_answers_alike_with_a_cold_and_a_warm_record():
+    """On the first input of each parity-sweep ensemble every route gives
+    the same answer, bit for bit, with the record cache cleared before
+    the call as after the routes have run on that input."""
+    sweep = _load_sweep()
+    firsts = {}
+    for name, h in sweep.ensemble():
+        firsts.setdefault(name.split()[0], (name, h))
+    assert set(firsts) == {"random", "growth", "rotation", "loop", "fast", "slow", "shear",
+                           "jordan", "near"}
+    for name, h in firsts.values():
+        skipped = sweep.SKIPPED.get(name.split()[0], set())
+        routes = {route: run for route, run in sweep.ROUTES.items() if route not in skipped}
+        cold = {}
+        for route, run in routes.items():
+            maslov._record_of.cache_clear()
+            cold[route] = json.dumps(sweep._answer(run, h), sort_keys=True)
+        warm = {}
+        for route, run in routes.items():
+            sweep._answer(sweep.ROUTES["maslov_index_symplectic"], h)
+            warm[route] = json.dumps(sweep._answer(run, h), sort_keys=True)
+        assert warm == cold, name

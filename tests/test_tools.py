@@ -127,7 +127,7 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert report["host_factor"] > 0 and report["ratios"] == {}
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
-    per_size = {"validate", "_flow_indices", "_flow_record", "maslov_index",
+    per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
                 "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
                 "krein_signature", "is_semisimple", "find_crossings", "_phase_samples",
                 "_locate", "_forms"}
@@ -142,6 +142,16 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert "_locate per bisection round" in report["unit"]
 
 
+def _load_bench(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins them on import; restored after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("layer_bench", ROOT / "tools" / "layer_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 def test_layer_bench_counts_the_bisection_rounds_of_a_recorded_locate(monkeypatch):
     """The unit of ``_locate`` is one bisection round: on the call that
     ``find_crossings`` makes for 5 J_1 (a crossing at pi / 5), whose
@@ -150,13 +160,29 @@ def test_layer_bench_counts_the_bisection_rounds_of_a_recorded_locate(monkeypatc
     import numpy as np
     from symindex import maslov, orbit_path, standard_J, vertical_lagrangian
 
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # the script pins them on import; restored after
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("layer_bench", ROOT / "tools" / "layer_bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load_bench(monkeypatch)
     layers = bench._scan_layers(maslov, orbit_path(5.0 * standard_J(1)), vertical_lagrangian(1))
     assert len(layers["_locate"][2]) == 257  # the grid times
     assert int(np.ceil(np.log2((1.0 / 256) / maslov.REFINE_XTOL))) == 32
     assert bench._rounds(maslov, layers["_locate"]) == 32
+
+
+def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch):
+    """The ``_flow_record`` layer takes its generators in turn, so a pass,
+    after the warm-up pass, builds all of their records: the one kept
+    record is never the next one asked for.  A ``route_pair`` builds one
+    record for its two scans."""
+    import symindex
+    from symindex import autonomous, krein, maslov, numerics, random_hamiltonian
+
+    bench = _load_bench(monkeypatch)
+    tree = {"autonomous": autonomous, "krein": krein, "maslov": maslov, "numerics": numerics,
+            "package": symindex}
+    hs = [random_hamiltonian(1, 1000 + s, "semisimple-elliptic") for s in range(bench.SYSTEMS)]
+    calls = bench._layer_calls(tree, hs, [])
+    for layer, hits in (("_flow_record", 0), ("route_pair", bench.SYSTEMS)):
+        bench._pass_ms(calls[layer])
+        before = maslov._record_of.cache_info()
+        bench._pass_ms(calls[layer])
+        after = maslov._record_of.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (bench.SYSTEMS, hits)

@@ -1,11 +1,14 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_26.json
+        --tree change=src --out BENCH_28.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
-``maslov._flow_indices``, ``maslov._flow_record``,
+``maslov._flow_indices``, ``maslov._flow_record`` (its generators taken
+in turn, so each call builds a record), ``route_pair`` (the public
+``maslov_index_symplectic`` then ``conley_zehnder`` of one generator,
+reported per pair),
 ``maslov.maslov_index`` (reported per scan: the orbit path of each
 generator against the vertical and its graph path against the
 diagonal, built outside the timing),
@@ -69,9 +72,10 @@ import hostref  # noqa: E402
 #: generators per size
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
-PER_SIZE = ("validate", "_flow_indices", "_flow_record", "maslov_index", "_correction_matrix",
-            "_triple_routes", "kashiwara_reduced", "_krein_pass", "krein_signature",
-            "is_semisimple", "find_crossings", "_phase_samples", "_locate", "_forms")
+PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
+            "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
+            "krein_signature", "is_semisimple", "find_crossings", "_phase_samples", "_locate",
+            "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -182,10 +186,14 @@ def _layer_calls(tree, hs, queries):
     def forms(*args):
         return list(ma._forms(*args))
 
+    def route_pair(h):
+        return ma.maslov_index_symplectic(h), ma.conley_zehnder(h)
+
     return {
         "validate": [(au.validate, (s,), 1) for s in systems],
         "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
         "_flow_record": [(ma._flow_record, (s.h, None, tol), 1) for s in systems],
+        "route_pair": [(route_pair, (s.h,), 1) for s in systems],
         "maslov_index": [(ma.maslov_index, scan, 1) for scan in scans + graph_scans],
         "_correction_matrix": [(au._correction_matrix, (p, tol), 1) for p, _ in transversal],
         "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for p, x in transversal],
@@ -233,8 +241,8 @@ def bench(trees, repeats, sizes):
     medians = [_combine(statistics.median, r) for r in runs]
     return {
         "script": "tools/layer_bench.py",
-        "unit": "ms per call; maslov_index per scan, _phase_samples per sample, "
-                "_locate per bisection round, _forms per crossing",
+        "unit": "ms per call; route_pair per pair, maslov_index per scan, "
+                "_phase_samples per sample, _locate per bisection round, _forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
