@@ -38,14 +38,14 @@ from .kashiwara import (
     kashiwara_transversal,
     transversal_triple,
 )
-from .krein import classify_normal_form, krein_signature, krein_spectrum, standard_direct_sum
+from .krein import (classify_normal_form, krein_signature, krein_spectrum,
+                    spectral_conley_zehnder, standard_direct_sum)
 from .maslov import (
     conley_zehnder,
     maslov_index,
     maslov_index_symplectic,
     rotation_graph_index,
     rotation_orbit_index,
-    spectral_conley_zehnder,
     unitary_geodesic,
 )
 from .numerics import (

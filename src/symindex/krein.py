@@ -18,12 +18,16 @@ quadruples which carry no Krein data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NotAnEigenvalue, NotSemisimple, UnclassifiableSpectrum
+from .errors import (InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple,
+                     UnclassifiableSpectrum)
+from .halfint import ZERO, HalfInt
+from .maslov import _flow_record, rotation_graph_index
 from .numerics import (DEFAULT_TOL, Inertia, Tolerances, _signatures, as_even_square, as_real,
                        as_square, as_tolerances, spectral_norm)
 from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
@@ -33,6 +37,9 @@ CLUSTER_GAP = 1e-6
 
 #: relative rank rule of the cluster kernels and their chains (see ``_kernels``)
 EIGENSPACE_RANK = 1e-7
+
+#: safety factor of every certificate of ``_certified_pass``
+_MARGIN = 10.0
 
 
 def _square(links):
@@ -136,28 +143,92 @@ def _krein_inertias(h, lams, mults, axis, tol: Tolerances):
                      for b, p, q in zip(bases, n_pos.tolist(), n_neg.tolist())]
 
 
+@functools.lru_cache(maxsize=1)
+def _certified_pass(record, tol: Tolerances):
+    """(spectrum, gap, lams) of the ``_krein_pass`` of the generator h of
+    the ``maslov._FlowRecord`` ``record``, read from its eigenbasis
+    h = V Lambda V^-1 (unit columns, kappa = cond V); or None where that
+    basis does not certify that the SVD route (``_svd_pass``) reaches the
+    same verdicts.  It does when, with c = ``_MARGIN``:
+
+    - kappa < 1 / (c EIGENSPACE_RANK): the stacked kernels are V up to
+      rounding and column phases, so they pass ``_semisimple``'s rule
+      (the third certificate implies it, as sep_j <= |h| + |lambda_j|;
+      it is tested first because it is cheap);
+    - every eigenvalue lies farther than the gap from every other, so
+      each is a cluster of its own with mean 0.0 + lambda, as
+      ``_clusters`` forms it;
+    - sep_j, its distance to the others, exceeds c EIGENSPACE_RANK kappa
+      (|h| + |lambda_j|): sigma_2(h - lambda_j I) >= sep_j / kappa then
+      clears the rank rule of ``_kernels`` (whose largest singular value
+      is at most |h| + |lambda_j|), so the cluster's kernel is v_j alone;
+    - the Krein form g_j = v_j* G v_j of every cluster on the axis clears
+      the zero band of ``band_counts`` by c max(eps_sign, EIGENSPACE_RANK)
+      times its scale, so the rounding of v_j cannot move its sign.  For
+      a Hamiltonian h, (conj(lambda_k) + lambda_j) v_k* G v_j = 0 puts
+      column j of V* G V at g_j e_j, so |g_j| >= sigma_min(V) >= 1/kappa.
+
+    Then the spectrum holds those clusters, of multiplicity 1, with the
+    inertias of one ``_signatures`` call over the 1x1 Gram matrices, and
+    h is semisimple.  The one memo is keyed by the record, so the routes
+    of one generator take no decomposition beyond the record's; the
+    spectrum is a tuple of frozen entries and ``lams`` refuses writes."""
+    if record.eigen is None or not record.kappa * _MARGIN * EIGENSPACE_RANK < 1.0:
+        return None
+    vals, vecs, _ = record.eigen
+    gap = CLUSTER_GAP * max(1.0, record.norm)
+    dist = np.abs(vals[:, None] - vals)
+    np.fill_diagonal(dist, np.inf)
+    sep = dist.min(axis=1, initial=np.inf)
+    floor = _MARGIN * EIGENSPACE_RANK * record.kappa * (record.norm + np.abs(vals))
+    if not ((sep > gap) & (sep > floor)).all():
+        return None
+    lams = (0.0 + vals).astype(complex)
+    axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
+    v = vecs[:, axis]
+    grams = np.einsum("ij,ij->j", v.conj(), krein_form_matrix(len(vals) // 2) @ v)
+    margin = _MARGIN * max(tol.eps_sign, EIGENSPACE_RANK)
+    n_pos, n_neg, stable = _signatures(grams[:, None, None], tol, margin, hermitian=True)
+    if not (stable.all() and (n_pos + n_neg == 1).all()):
+        return None
+    inertias = dict(zip(axis, map(Inertia, n_pos.tolist(), n_neg.tolist(), [0] * len(axis))))
+    spectrum = tuple(KreinEigenvalue(lam, 1, inertias.get(j))
+                     for j, lam in enumerate(lams.tolist()))
+    lams.flags.writeable = False
+    return spectrum, gap, lams
+
+
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of the Krein form on the generalized eigenspace of i*alpha.
 
-    It is read on the kernel chain of the one ``_clusters`` cluster that
-    holds the eigenvalue nearest to i*alpha, within the gap; no full
-    pass.  A cluster off the imaginary axis (``_on_axis``) has no Krein
-    form.  The form is nondegenerate on a whole generalized eigenspace,
-    so a chain of another dimension or a degenerate form means rounding
-    split the cluster (a Jordan block of size k >= 3, by about
-    (eps cond)^(1/k)).  Both raise NotAnEigenvalue, as a non-finite
-    ``alpha`` does; a bool or non-real one raises InputError.
+    Where the flow record certifies the pass (``_certified_pass``), it
+    is the inertia of the pass's cluster nearest to i*alpha, a lookup.
+    Otherwise it is read on the kernel chain of the one ``_clusters``
+    cluster that holds the eigenvalue nearest to i*alpha, within the
+    gap; no full pass.  A cluster off the imaginary axis (``_on_axis``)
+    has no Krein form.  The form is nondegenerate on a whole generalized
+    eigenspace, so a chain of another dimension or a degenerate form
+    means rounding split the cluster (a Jordan block of size k >= 3, by
+    about (eps cond)^(1/k)).  Both raise NotAnEigenvalue, as a
+    non-finite ``alpha`` does; a bool or non-real one raises InputError.
     """
     target = 1j * as_real(alpha, "alpha")
-    h, norm = _generator(h, None, tol)
-    gap, vals, parts, lams, mults = _clusters(h, norm)
-    nearest = np.argmin(np.abs(vals - target))
+    certified = _certified_pass(_flow_record(h, None, tol), tol)
+    if certified is None:
+        h, norm = _generator(h, None, tol)
+        gap, vals, parts, lams, mults = _clusters(h, norm)
+    else:
+        spectrum, gap, lams = certified
+        vals = lams
+    nearest = int(np.argmin(np.abs(vals - target)))
     if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
-    j = int(parts[:, nearest].argmax())
+    j = nearest if certified else int(parts[:, nearest].argmax())
     if not _on_axis(lams[j], gap):
         raise NotAnEigenvalue("the cluster at %s nearest to %s is off the imaginary axis"
                               % (lams[j], target))
+    if certified:
+        return spectrum[j].inertia
     (inertia,) = _krein_inertias(h, lams[j:j + 1], mults[j:j + 1], [0], tol)[1]
     if inertia.dim != mults[j] or inertia.n_zero:
         raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
@@ -176,10 +247,22 @@ class KreinEigenvalue:
 
 
 def _krein_pass(h, tol: Tolerances):
-    """(spectrum, semisimple, gap) of ``h``: one generator check, its
-    ``_clusters`` and, for all of them at once, ``_krein_inertias``.  A
-    cluster on the imaginary axis (``_on_axis``) takes the Krein form on
-    its chain; one that rounding split keeps a degenerate form."""
+    """(spectrum, semisimple, gap) of ``h``: the ``_certified_pass`` of
+    its flow record where that certifies it, else ``_svd_pass``.  The
+    spectrum is a new list on every call."""
+    certified = _certified_pass(_flow_record(h, None, tol), tol)
+    if certified is None:
+        return _svd_pass(h, tol)
+    spectrum, gap, _ = certified
+    return list(spectrum), True, gap
+
+
+def _svd_pass(h, tol: Tolerances):
+    """``_krein_pass`` by one generator check, its ``_clusters`` and,
+    for all of them at once, ``_krein_inertias``: the one route for
+    Jordan, clustered and ill-conditioned generators.  A cluster on the
+    imaginary axis (``_on_axis``) takes the Krein form on its chain; one
+    that rounding split keeps a degenerate form."""
     h, norm = _generator(h, None, tol)
     gap, _, _, lams, mults = _clusters(h, norm)
     axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
@@ -197,10 +280,19 @@ def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
 
 def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the eigenvectors of the square matrix ``h`` span the whole
-    space: every cluster's kernel has the cluster's multiplicity and the
-    kernels are independent (``_semisimple``)."""
+    space: True for a Hamiltonian generator whose flow record certifies
+    its pass (``_certified_pass``); else every cluster's kernel has the
+    cluster's multiplicity and the kernels are independent
+    (``_semisimple``)."""
     as_tolerances(tol)
     h = as_square(h, "generator")
+    if h.size and h.shape[0] % 2 == 0:
+        try:
+            record = _flow_record(h, None, tol)
+        except NotHamiltonian:
+            record = None
+        if record is not None and _certified_pass(record, tol) is not None:
+            return True
     _, _, _, lams, mults = _clusters(h, spectral_norm(h))
     return _semisimple(_kernels(h, lams)[1], mults)
 
@@ -292,6 +384,16 @@ def krein_positive_angles(h, tol: Tolerances = DEFAULT_TOL):
 def _rotation_speeds(blocks):
     return sorted(block.parameters[0] for block in blocks if block.kind == "rotation"
                   for _ in range(block.multiplicity))
+
+
+def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
+    """Graph-route index of a semisimple generator from its Krein normal
+    form: the sum of ``rotation_graph_index`` over its signed rotation
+    speeds.  The graph route is invariant under symplectic conjugation,
+    so the normal form decides it; the vertical route is not.  A Jordan
+    block raises NotSemisimple, a spectrum with no normal form
+    UnclassifiableSpectrum."""
+    return sum(map(rotation_graph_index, krein_positive_angles(h, tol)), ZERO)
 
 
 def normal_form_matrix(blocks):

@@ -33,7 +33,6 @@ from .errors import (
     SymindexError,
 )
 from .halfint import ZERO, HalfInt
-from .krein import krein_positive_angles
 from .numerics import (
     DEFAULT_TOL,
     Inertia,
@@ -49,7 +48,7 @@ from .numerics import (
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
-    _generator,
+    _generator_norm,
     diagonal_lagrangian,
     vertical_lagrangian,
 )
@@ -142,7 +141,8 @@ class _Stacked:
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
     """The flow of a generator h checked once, shared read-only: ``h``
-    and the arrays of ``eigen`` refuse writes.  ``stack(ts)`` is the stack
+    and the arrays of ``eigen`` refuse writes.  ``norm`` is the spectral
+    norm of h that the generator check measured.  ``stack(ts)`` is the stack
     of exp(t h) at the times ts, each matrix equal bit for bit to the flow
     at its time alone.  When kappa = cond V of the eigenvectors V of h is
     below 1e7 and the flow at 0 is I within 1e-10, ``eigen`` is
@@ -166,9 +166,15 @@ class _FlowRecord:
     traced) with P = Q Q^T for the orbit's orthonormal frame Q and the
     lower block Q_b Q_b^T of the graph's; 0 <= P <= I and tr P = n (P +
     Omega P Omega^T = I), so |tr(S P)| <= B, which rotations attain.  B
-    is at most the Ky Fan sum of the n largest singular values of h."""
+    is at most the Ky Fan sum of the n largest singular values of h.
+
+    The Krein layer reads the same record: ``krein._certified_pass``
+    takes the Krein spectrum of h from ``eigen``, ``kappa`` and ``norm``
+    where they certify it, once per record, so the scans and the
+    spectral routes of one generator share one ``eig``."""
 
     h: np.ndarray
+    norm: float
     bound: float
     kappa: float
     eigen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -190,7 +196,9 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     float64 matrix, its size, ``space`` and ``tol``, so the routes of one
     generator check and diagonalize it once while it stays the last one
     seen.  ``tol`` and the matrix are checked before the key is formed,
-    so their typed errors come first; a generator that raises is not
+    so their typed errors come first; a miss runs the rest of the
+    generator check (``_generator_norm``) on the float64 copy of the key,
+    so h is converted once.  A generator that raises is not
     kept and leaves the kept record in place.  The record reads a copy
     of h, so a caller's later write to its array does not reach it."""
     tol = as_tolerances(tol)
@@ -202,7 +210,8 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
     """``_flow_record`` of the d x d matrix of bytes ``data``."""
-    h = _generator(np.frombuffer(data).reshape(d, d), space, tol)[0]
+    h = np.frombuffer(data).reshape(d, d)
+    norm = _generator_norm(h, space, tol)
     n = d // 2
     s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
@@ -218,12 +227,12 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                 for a in (vals, vecs, vinv):
                     a.flags.writeable = False
                 re = vals.real
-                return _FlowRecord(h, bound, kappa, (vals, vecs, vinv),
+                return _FlowRecord(h, norm, bound, kappa, (vals, vecs, vinv),
                                    (2.0 * math.log(kappa), float(re.max() - re.min())),
                                    (math.log(2.0 * kappa), float(np.abs(re).max())))
     except np.linalg.LinAlgError:
         pass
-    return _FlowRecord(h, bound, kappa, None, None, None)
+    return _FlowRecord(h, norm, bound, kappa, None, None, None)
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -854,7 +863,7 @@ def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
     return orbit, graph
 
 
-# -- closed forms for rotation blocks and spectral routes ---------------------
+# -- closed forms for rotation blocks ------------------------------------------
 
 #: absolute distance below which alpha/pi is snapped onto the lattice; the
 #: spacing of doubles at alpha/pi must not exceed it
@@ -895,13 +904,3 @@ def rotation_graph_index(alpha: float) -> HalfInt:
         return HalfInt.from_int(nearest)
     m = math.floor(x)
     return HalfInt.from_int(m if m % 2 else m + 1)
-
-
-def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Graph-route index of a semisimple generator from its Krein normal
-    form: the sum of ``rotation_graph_index`` over its signed rotation
-    speeds.  The graph route is invariant under symplectic conjugation,
-    so the normal form decides it; the vertical route is not.  A Jordan
-    block raises NotSemisimple, a spectrum with no normal form
-    UnclassifiableSpectrum."""
-    return sum(map(rotation_graph_index, krein_positive_angles(h, tol)), ZERO)

@@ -240,13 +240,21 @@ def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
     its spectral norm), the norm the check measured."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
+    return h, _generator_norm(h, space, tol)
+
+
+def _generator_norm(h, space: Optional[SymplecticSpace], tol: Tolerances) -> float:
+    """The last two checks of ``_generator`` on ``h``, an even square
+    float64 array, within a checked ``tol``: the size of ``space``, else
+    DimensionMismatch; Hamiltonian, else NotHamiltonian.  Returns the
+    spectral norm of h that the check measured."""
     form = (SymplecticSpace.standard(h.shape[0] // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
     hamiltonian, norm = _hamiltonian_for(h, form, tol)
     if not hamiltonian:
         raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
-    return h, norm
+    return norm
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

@@ -1,6 +1,7 @@
 """Krein signatures, spectra, and normal-form classification."""
 
 import collections
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -10,6 +11,7 @@ import scipy.linalg
 
 from symindex import (
     Inertia,
+    KreinEigenvalue,
     NormalFormBlock,
     classify_normal_form,
     conley_zehnder,
@@ -25,8 +27,11 @@ from symindex import (
 )
 from symindex.errors import (InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple,
                              SymindexError, UnclassifiableSpectrum)
-from symindex.krein import _chain, _clusters, _kernels, krein_form_matrix
-from symindex.numerics import herm_signature, spectral_norm
+from symindex import maslov
+from symindex.checks import check_krein_pairing
+from symindex.krein import (_certified_pass, _chain, _clusters, _kernels, _krein_pass,
+                            _normal_form, _svd_pass, krein_form_matrix)
+from symindex.numerics import DEFAULT_TOL, Tolerances, herm_signature, spectral_norm
 from symindex.symplectic import (
     SymplecticSpace,
     darboux_frame,
@@ -241,34 +246,53 @@ def _count_decompositions(monkeypatch):
     return calls
 
 
+def _warm_krein_routes(h):
+    """Every Krein route of ``h``, a signature query at each cluster on
+    the imaginary axis included."""
+    for e in krein_spectrum(h):
+        if e.inertia is not None:
+            krein_signature(h, e.eigenvalue.imag)
+    classify_normal_form(h)
+    spectral_conley_zehnder(h)
+    is_semisimple(h)
+
+
 @pytest.mark.parametrize("route", [krein_spectrum, classify_normal_form, spectral_conley_zehnder])
 def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
-    """At n=8 a semisimple generator takes one eigvals, one stacked SVD
-    for the kernels of its 16 eigenvalue clusters, one SVD of the stacked
-    kernels and the one spectral-norm SVD of the generator check, which
-    also sets the cluster gap, no eig and no Schur form."""
+    """At n=8 a cold route on a semisimple generator takes the
+    decompositions of its flow record only: one eig and the
+    spectral-norm SVD of the generator check (cond V takes its SVD
+    inside numpy, which the counter does not see).  Its eigenbasis
+    certifies the pass, so there is no eigvals, no kernel SVD and no
+    Schur form; a warm Krein route on the same h takes none."""
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
     route(h)  # builds the cached standard space of dimension 16
+    maslov._record_of.cache_clear()
     calls = _count_decompositions(monkeypatch)
     route(h)
-    assert calls == {"eigvals": 1, "svd": 3}
+    assert calls == {"eig": 1, "svd": 1}
+    calls.clear()
+    _warm_krein_routes(h)
+    assert calls == {}
 
 
 def test_one_eigvals_and_one_cluster_kernel_per_signature_query(monkeypatch):
-    """A krein_signature query at n=8 takes the generator check's
-    spectral-norm SVD, one eigvals and the kernel SVD of its one cluster:
-    not the stacked kernels of all 16 clusters, nor the SVD of the
-    stacked kernels, of a full pass."""
+    """A cold krein_signature query at n=8 takes its flow record's eig
+    and spectral-norm SVD, no eigvals and no kernel SVD; every further
+    query on h, at +-Im of each of its 16 clusters, is a lookup of the
+    nearest cluster of the record's pass and takes none."""
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
-    alpha = krein_spectrum(h)[0].eigenvalue.imag
-    krein_signature(h, alpha)
+    alphas = [e.eigenvalue.imag for e in krein_spectrum(h)]
+    assert len(alphas) == 16
+    maslov._record_of.cache_clear()
     calls = _count_decompositions(monkeypatch)
-    shapes = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
-        shapes.append(np.shape(a)), svd(a, *args, **kwargs))[1])
-    krein_signature(h, alpha)
-    assert calls == {"eigvals": 1, "svd": 2} and shapes == [(16, 16), (1, 16, 16)]
+    krein_signature(h, alphas[0])
+    assert calls == {"eig": 1, "svd": 1}
+    calls.clear()
+    for alpha in alphas:
+        q, p = krein_signature(h, -alpha).pair
+        assert krein_signature(h, alpha) == Inertia(p, q, 0)
+    assert calls == {}
 
 
 def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
@@ -626,3 +650,138 @@ def test_normal_form_matrix_builds_zero_and_loxodromic_blocks():
                                   loxodromic_generator(0.5, 1.5))
     assert [(b.kind, b.multiplicity) for b in classify_normal_form(h)] == [
         ("zero", 2), ("loxodromic", 1)]
+
+
+def _pass_bytes(spectrum, semisimple, gap):
+    """A pass as bytes and exact values, so that equal means bit for bit."""
+    eigenvalues = np.array([e.eigenvalue for e in spectrum], dtype=complex).tobytes()
+    return (eigenvalues, [(e.multiplicity, e.inertia) for e in spectrum], semisimple,
+            float.hex(gap))
+
+
+def test_certified_pass_equals_the_svd_pass_on_every_sweep_input_it_accepts():
+    """Every input of tools/parity_sweep.py whose flow record certifies
+    the pass (``_certified_pass``) gets from ``krein_spectrum``'s pass
+    the (spectrum, semisimple, gap) of the SVD route (``_svd_pass``),
+    bit for bit; the shears and the conjugated Jordan blocks are never
+    certified and keep the SVD route."""
+    ensembles = ("random", "growth", "rotation", "loop", "fast", "slow", "near")
+    certified = 0
+    for h in _sweep_inputs(*ensembles):
+        if _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None:
+            continue
+        certified += 1
+        assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == _pass_bytes(
+            *_svd_pass(h, DEFAULT_TOL)), h
+    assert certified >= 600
+    for h in _sweep_inputs("shear", "jordan"):
+        assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-8, 1e-7, 4e-7])
+def test_slow_rotations_within_the_gap_keep_their_refusal(eps):
+    """eps J_1 and the planes at +eps and -2 eps with their eigenvalues
+    within the cluster gap (1e-6) of each other: ``eig`` separates them
+    with kappa = 1, but they form one cluster of several members, so the
+    record does not certify the pass and spectral_conley_zehnder keeps
+    the SVD route's NotSemisimple, never an index (reading +-i eps as
+    semisimple rotations of one cluster would give speed 0)."""
+    pair = plane_block_generator([("elliptic", eps), ("elliptic", -2 * eps)])
+    for h in (eps * standard_J(1), pair):
+        assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None
+        with pytest.raises(NotSemisimple):
+            spectral_conley_zehnder(h)
+        assert not is_semisimple(h)
+
+
+def test_a_returned_spectrum_or_a_changed_generator_does_not_change_the_next_answer():
+    """The pass kept with a flow record is a tuple of frozen entries:
+    changing the list ``krein_spectrum`` returned changes neither the
+    next pass nor the normal form, and a generator changed in place gets
+    the answers of its new values."""
+    h = random_hamiltonian(2, 3, "semisimple-elliptic")
+    expected = _pass_bytes(*_svd_pass(h.copy(), DEFAULT_TOL))
+    blocks = classify_normal_form(h)
+    spectrum = krein_spectrum(h)
+    spectrum[0] = spectrum.pop()
+    spectrum.append(KreinEigenvalue(0j, 7, None))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum[1].multiplicity = 2
+    assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == expected
+    assert classify_normal_form(h) == blocks
+    h *= 2.0
+    doubled = _pass_bytes(*_svd_pass(h.copy(), DEFAULT_TOL))
+    assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == doubled != expected
+    assert classify_normal_form(h) == _normal_form(*_svd_pass(h.copy(), DEFAULT_TOL)) != blocks
+
+
+def test_krein_pairing_check_takes_one_eig_per_sampled_generator(monkeypatch):
+    """``check_krein_pairing`` reads the spectrum, the signature queries
+    and the normal form of each sampled generator from one flow record:
+    one eig per generator (and one per anchor generator), no eigvals."""
+    check_krein_pairing(samples=8)  # builds the cached standard spaces
+    calls = _count_decompositions(monkeypatch)
+    assert check_krein_pairing(samples=8).passed
+    assert calls["eig"] == 8 + 2 and "eigvals" not in calls
+
+
+def test_is_semisimple_reads_the_record_pass_of_a_hamiltonian_generator(monkeypatch):
+    """A cold is_semisimple of a certified generator at n=8 takes its
+    flow record's eig and spectral-norm SVD only; a non-Hamiltonian or
+    odd-sized matrix keeps the kernel route, shears and all."""
+    h = random_hamiltonian(8, 0, "semisimple-elliptic")
+    is_semisimple(h)  # builds the cached standard space of dimension 16
+    maslov._record_of.cache_clear()
+    calls = _count_decompositions(monkeypatch)
+    assert is_semisimple(h)
+    assert calls == {"eig": 1, "svd": 1}
+    assert is_semisimple(h + np.diag(np.arange(16.0)))
+    assert not is_semisimple(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert not is_semisimple(np.eye(3, k=1))
+    assert is_semisimple(np.diag([1.0, 2.0, 3.0]))
+
+
+def _interleaved_near_jordan_generator(delta):
+    """diag(A, -A^T) for A = diag(J_3(1) + delta^3 E_31, J_3(1) - delta^3 E_31):
+    two perturbed Jordan blocks whose eigenvalues 1 + delta w (w^3 = +-1)
+    interleave on one circle, delta apart, and their partners at -1."""
+    def block(e):
+        b = np.eye(3) + np.eye(3, k=1)
+        b[2, 0] = e
+        return b
+
+    a = scipy.linalg.block_diag(block(delta ** 3), block(-delta ** 3))
+    return scipy.linalg.block_diag(a, -a.T)
+
+
+def test_interleaved_near_jordan_blocks_keep_the_svd_route():
+    """At delta = 5e-3 every eigenvalue is a cluster of its own (delta
+    apart, far beyond the gap) and kappa is about 4e4, below the kappa
+    certificate; but h - lambda_j I has two singular values under the
+    rank rule of the kernels, so the SVD route calls h not semisimple.
+    Only the certificate sep_j > c EIGENSPACE_RANK kappa (|h| +
+    |lambda_j|) sees it, so the record does not certify the pass and
+    every route keeps the SVD route's verdict."""
+    h = _interleaved_near_jordan_generator(5e-3)
+    assert is_hamiltonian(h)
+    record = maslov._flow_record(h, None, DEFAULT_TOL)
+    assert record.kappa < 1e5
+    assert min(e.multiplicity for e in _svd_pass(h, DEFAULT_TOL)[0]) == 1
+    assert _certified_pass(record, DEFAULT_TOL) is None
+    assert not is_semisimple(h)
+    assert not _krein_pass(h, DEFAULT_TOL)[1]
+    with pytest.raises(NotSemisimple):
+        classify_normal_form(h)
+
+
+def test_a_krein_form_near_its_zero_band_keeps_the_svd_route():
+    """The record route needs each 1x1 Krein form to clear its zero band
+    (eps_sign times its scale) by the margin c = 10.  With eps_sign =
+    0.25 no form of a unit vector can, so a caller's wide band sends
+    even a well-conditioned generator to the SVD route, whose pass is
+    then the one reported."""
+    h = random_hamiltonian(2, 3, "semisimple-elliptic")
+    assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is not None
+    wide = Tolerances(eps_sign=0.25)
+    assert _certified_pass(maslov._flow_record(h, None, wide), wide) is None
+    assert _pass_bytes(*_krein_pass(h, wide)) == _pass_bytes(*_svd_pass(h, wide))

@@ -34,7 +34,7 @@ from symindex import (
     validate,
     vertical_lagrangian,
 )
-from symindex import horizontal_lagrangian, maslov, symplectic
+from symindex import horizontal_lagrangian, maslov, numerics, symplectic
 from symindex.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -1318,6 +1318,29 @@ def test_both_routes_of_one_generator_share_its_flow_record(monkeypatch):
     conley_zehnder(h)
     assert calls == {"eig(h)": 1, "_hamiltonian_for": 1}
     assert maslov._record_of.cache_info().misses == 1
+
+
+def test_a_flow_record_miss_converts_the_generator_once(monkeypatch):
+    """A miss converts and checks the matrix once, in ``_flow_record``
+    before the key; ``_record_of`` runs the rest of the generator check
+    on the float64 copy of the key.  The record keeps the spectral norm
+    that check measured, and the caller's tol still decides the check."""
+    calls = collections.Counter()
+    convert = numerics.as_matrix
+
+    def counted(*args, **kwargs):
+        calls["as_matrix"] += 1
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "as_matrix", counted)
+    h = random_hamiltonian(2, 4, "semisimple-elliptic")
+    record = maslov._flow_record(h.tolist(), None, DEFAULT_TOL)
+    assert calls == {"as_matrix": 1} and maslov._record_of.cache_info().misses == 1
+    assert record.norm == np.linalg.norm(h, 2)
+    bent = h + 1e-7 * np.eye(4)
+    with pytest.raises(NotHamiltonian):
+        maslov._flow_record(bent, None, DEFAULT_TOL)
+    assert maslov._flow_record(bent, None, Tolerances(eps_sym=1e-5)).h.tobytes() == bent.tobytes()
 
 
 def test_a_generator_changed_in_place_gets_a_fresh_record():

@@ -129,8 +129,8 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     tree = report["trees"]["change"]
     per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
                 "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
-                "krein_signature", "is_semisimple", "find_crossings", "_phase_samples",
-                "_locate", "_forms"}
+                "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
+                "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms"}
     for key in ("median_ms", "runs_ms"):
         assert set(tree[key]) == per_size | {"calibrate_sign", "run_property_suite"}
         for layer in per_size:
@@ -171,7 +171,10 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     """The ``_flow_record`` layer takes its generators in turn, so a pass,
     after the warm-up pass, builds all of their records: the one kept
     record is never the next one asked for.  A ``route_pair`` builds one
-    record for its two scans."""
+    record for its two scans.  The Krein layers and the two CZ routes
+    clear the cache before each call, so each builds its record, and
+    ``krein_routes`` builds one record per generator for all its calls."""
+    import numpy as np
     import symindex
     from symindex import autonomous, krein, maslov, numerics, random_hamiltonian
 
@@ -179,10 +182,23 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     tree = {"autonomous": autonomous, "krein": krein, "maslov": maslov, "numerics": numerics,
             "package": symindex}
     hs = [random_hamiltonian(1, 1000 + s, "semisimple-elliptic") for s in range(bench.SYSTEMS)]
-    calls = bench._layer_calls(tree, hs, [])
+    queries = [(h, e.eigenvalue.imag) for h in hs for e in krein.krein_spectrum(h)]
+    calls = bench._layer_calls(tree, hs, queries)
     for layer, hits in (("_flow_record", 0), ("route_pair", bench.SYSTEMS)):
         bench._pass_ms(calls[layer])
         before = maslov._record_of.cache_info()
         bench._pass_ms(calls[layer])
         after = maslov._record_of.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (bench.SYSTEMS, hits)
+    # clearing the cache resets its counts, so the cold layers count the eig of each record
+    eigs = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (eigs.append(1), eig(a))[1])
+    for layer, records in (("_krein_pass", bench.SYSTEMS), ("is_semisimple", bench.SYSTEMS),
+                           ("spectral_conley_zehnder", bench.SYSTEMS),
+                           ("conley_zehnder", bench.SYSTEMS), ("krein_routes", bench.SYSTEMS),
+                           ("krein_signature", len(queries))):
+        bench._pass_ms(calls[layer])
+        eigs.clear()
+        bench._pass_ms(calls[layer])
+        assert len(eigs) == records, layer

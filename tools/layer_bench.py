@@ -1,7 +1,7 @@
 """Per-layer timings of symindex, written to a BENCH_<pr>.json file.
 
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
-        --tree change=src --out BENCH_28.json
+        --tree change=src --out BENCH_29.json
 
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
@@ -14,8 +14,15 @@ generator against the vertical and its graph path against the
 diagonal, built outside the timing),
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
 ``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
-by their intersection K, ``krein._krein_pass``,
-``krein.krein_signature``, ``krein.is_semisimple``, and
+by their intersection K; on cold flow records (the record cache
+cleared before each call, so every call builds the record of its
+generator, as the ``_flow_record`` layer does by taking its generators
+in turn) ``krein._krein_pass``, ``krein.krein_signature``,
+``krein.is_semisimple``, ``krein_routes`` (per generator: its
+``krein_spectrum``, ``krein_signature`` at +-Im of each cluster that
+carries a Krein inertia, then ``classify_normal_form``; the record is
+cleared once per generator), ``spectral_conley_zehnder`` and
+``conley_zehnder``; and
 ``maslov.find_crossings`` of the orbit path of each generator against
 the vertical with three of its layers: ``_phase_samples`` on its grid
 (reported per sample), ``_locate`` on that grid's counts (reported per
@@ -74,8 +81,8 @@ SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
 PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
             "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
-            "krein_signature", "is_semisimple", "find_crossings", "_phase_samples", "_locate",
-            "_forms")
+            "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
+            "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -162,6 +169,18 @@ def _rounds(ma, args):
     return len(rounds)
 
 
+def _cold(ma, fn):
+    """``fn`` called on an empty flow-record cache (a tree without one
+    builds every record anyway)."""
+    cache = getattr(ma, "_record_of", None)
+
+    def call(*args):
+        if cache is not None:
+            cache.cache_clear()
+        return fn(*args)
+    return call
+
+
 def _layer_calls(tree, hs, queries):
     """{layer: calls} of one tree for the generators ``hs`` and the
     ``krein_signature`` queries, (h, alpha) pairs; a call is (function,
@@ -189,6 +208,13 @@ def _layer_calls(tree, hs, queries):
     def route_pair(h):
         return ma.maslov_index_symplectic(h), ma.conley_zehnder(h)
 
+    def krein_routes(h):
+        for e in kr.krein_spectrum(h, tol):
+            if e.inertia is not None:
+                kr.krein_signature(h, e.eigenvalue.imag, tol)
+                kr.krein_signature(h, -e.eigenvalue.imag, tol)
+        return kr.classify_normal_form(h, tol)
+
     return {
         "validate": [(au.validate, (s,), 1) for s in systems],
         "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
@@ -199,9 +225,14 @@ def _layer_calls(tree, hs, queries):
         "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for p, x in transversal],
         "kashiwara_reduced": [(tree["package"].kashiwara_reduced,
                                (space, red.k, diag, pair, g, tol), 1) for g in graphs],
-        "_krein_pass": [(kr._krein_pass, (s.h, tol), 1) for s in systems],
-        "krein_signature": [(kr.krein_signature, (h, alpha, tol), 1) for h, alpha in queries],
-        "is_semisimple": [(kr.is_semisimple, (s.h, tol), 1) for s in systems],
+        "_krein_pass": [(_cold(ma, kr._krein_pass), (s.h, tol), 1) for s in systems],
+        "krein_signature": [(_cold(ma, kr.krein_signature), (h, alpha, tol), 1)
+                            for h, alpha in queries],
+        "is_semisimple": [(_cold(ma, kr.is_semisimple), (s.h, tol), 1) for s in systems],
+        "krein_routes": [(_cold(ma, krein_routes), (s.h,), 1) for s in systems],
+        "spectral_conley_zehnder": [(_cold(ma, tree["package"].spectral_conley_zehnder),
+                                     (s.h, tol), 1) for s in systems],
+        "conley_zehnder": [(_cold(ma, ma.conley_zehnder), (s.h,), 1) for s in systems],
         "find_crossings": [(ma.find_crossings, scan, 1) for scan in scans],
         "_phase_samples": [(ma._phase_samples, r["_phase_samples"], len(r["_phase_samples"][2]))
                            for r in layers],
@@ -241,7 +272,8 @@ def bench(trees, repeats, sizes):
     medians = [_combine(statistics.median, r) for r in runs]
     return {
         "script": "tools/layer_bench.py",
-        "unit": "ms per call; route_pair per pair, maslov_index per scan, "
+        "unit": "ms per call; route_pair per pair, krein_routes per generator, "
+                "maslov_index per scan, "
                 "_phase_samples per sample, _locate per bisection round, _forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
