@@ -30,7 +30,7 @@ from .halfint import ZERO, HalfInt
 from .maslov import _flow_record, rotation_graph_index
 from .numerics import (DEFAULT_TOL, Inertia, Tolerances, _signatures, as_even_square, as_real,
                        as_square, as_tolerances, spectral_norm)
-from .symplectic import SymplecticSpace, _generator, loxodromic_generator, plane_block_generator
+from .symplectic import SymplecticSpace, loxodromic_generator, plane_block_generator
 
 #: relative gap within which two eigenvalues are linked into one cluster
 CLUSTER_GAP = 1e-6
@@ -131,25 +131,12 @@ def krein_form_matrix(n: int):
     return -1j * SymplecticSpace.standard(n).form
 
 
-def _krein_inertias(h, lams, mults, axis, tol: Tolerances):
-    """(kernels, inertias): the ``_kernels`` of the clusters at ``lams``
-    and, for each cluster j in ``axis``, the Krein inertia on the ``_chain``
-    of its kernel up to mults[j], all classified by one ``_signatures``."""
-    a, kernels, cutoffs = _kernels(h, lams)
-    bases = [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis]
-    g = krein_form_matrix(h.shape[0] // 2)
-    n_pos, n_neg, _ = _signatures([b.conj().T @ g @ b for b in bases], tol, 0.0, hermitian=True)
-    return kernels, [Inertia(p, q, b.shape[1] - p - q)
-                     for b, p, q in zip(bases, n_pos.tolist(), n_neg.tolist())]
-
-
-@functools.lru_cache(maxsize=1)
 def _certified_pass(record, tol: Tolerances):
-    """(spectrum, gap, lams) of the ``_krein_pass`` of the generator h of
-    the ``maslov._FlowRecord`` ``record``, read from its eigenbasis
-    h = V Lambda V^-1 (unit columns, kappa = cond V); or None where that
-    basis does not certify that the SVD route (``_svd_pass``) reaches the
-    same verdicts.  It does when, with c = ``_MARGIN``:
+    """``_record_pass`` of the ``maslov._FlowRecord`` ``record`` read
+    from its eigenbasis h = V Lambda V^-1 (unit columns, kappa = cond
+    V); or None where that basis does not certify that the SVD route
+    (``_svd_pass``) reaches the same verdicts.  It does when, with c =
+    ``_MARGIN``:
 
     - kappa < 1 / (c EIGENSPACE_RANK): the stacked kernels are V up to
       rounding and column phases, so they pass ``_semisimple``'s rule
@@ -169,10 +156,8 @@ def _certified_pass(record, tol: Tolerances):
       column j of V* G V at g_j e_j, so |g_j| >= sigma_min(V) >= 1/kappa.
 
     Then the spectrum holds those clusters, of multiplicity 1, with the
-    inertias of one ``_signatures`` call over the 1x1 Gram matrices, and
-    h is semisimple.  The one memo is keyed by the record, so the routes
-    of one generator take no decomposition beyond the record's; the
-    spectrum is a tuple of frozen entries and ``lams`` refuses writes."""
+    inertias of one ``_signatures`` call over the 1x1 Gram matrices, h
+    is semisimple, and each eigenvalue owns its own cluster."""
     if record.eigen is None or not record.kappa * _MARGIN * EIGENSPACE_RANK < 1.0:
         return None
     vals, vecs, _ = record.eigen
@@ -194,46 +179,73 @@ def _certified_pass(record, tol: Tolerances):
     inertias = dict(zip(axis, map(Inertia, n_pos.tolist(), n_neg.tolist(), [0] * len(axis))))
     spectrum = tuple(KreinEigenvalue(lam, 1, inertias.get(j))
                      for j, lam in enumerate(lams.tolist()))
-    lams.flags.writeable = False
-    return spectrum, gap, lams
+    return spectrum, True, gap, lams, np.arange(len(lams))
+
+
+def _svd_pass(record, tol: Tolerances):
+    """``_record_pass`` of the checked generator ``record.h`` by its
+    ``_clusters`` and, for all of them at once, their ``_kernels``: the
+    one route for Jordan, clustered and ill-conditioned generators.
+    Each cluster on the imaginary axis (``_on_axis``) takes the Krein
+    form on the ``_chain`` of its kernel up to its multiplicity, all
+    classified by one ``_signatures``; one that rounding split keeps a
+    degenerate form.  ``vals`` are the eigenvalues of the partition and
+    ``owner`` their clusters."""
+    h = record.h
+    gap, vals, parts, lams, mults = _clusters(h, record.norm)
+    axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
+    a, kernels, cutoffs = _kernels(h, lams)
+    bases = [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis]
+    g = krein_form_matrix(h.shape[0] // 2)
+    n_pos, n_neg, _ = _signatures([b.conj().T @ g @ b for b in bases], tol, 0.0, hermitian=True)
+    inertias = {j: Inertia(p, q, b.shape[1] - p - q)
+                for j, b, p, q in zip(axis, bases, n_pos.tolist(), n_neg.tolist())}
+    spectrum = tuple(KreinEigenvalue(lam, mult, inertias.get(j))
+                     for j, (lam, mult) in enumerate(zip(lams.tolist(), mults)))
+    return spectrum, _semisimple(kernels, mults), gap, vals, parts.argmax(axis=0)
+
+
+@functools.lru_cache(maxsize=1)
+def _record_pass(record, tol: Tolerances):
+    """(spectrum, semisimple, gap, vals, owner): the one Krein pass of
+    the generator of the ``maslov._FlowRecord`` ``record``, which every
+    Krein route of it reads: its ``_certified_pass`` where that
+    certifies it, else its ``_svd_pass``.  ``spectrum`` is a tuple of
+    frozen ``KreinEigenvalue``, and ``owner[i]`` is the cluster of
+    ``vals[i]``, the eigenvalues in which a ``krein_signature`` query
+    finds its nearest; both arrays refuse writes.  The one memo is keyed
+    by the record, which reads a copy of h, so a generator changed in
+    place gets a record and a pass of its own."""
+    spectrum, semisimple, gap, vals, owner = _certified_pass(record, tol) or _svd_pass(record, tol)
+    vals.flags.writeable = owner.flags.writeable = False
+    return spectrum, semisimple, gap, vals, owner
 
 
 def krein_signature(h, alpha: float, tol: Tolerances = DEFAULT_TOL) -> Inertia:
     """Inertia of the Krein form on the generalized eigenspace of i*alpha.
 
-    Where the flow record certifies the pass (``_certified_pass``), it
-    is the inertia of the pass's cluster nearest to i*alpha, a lookup.
-    Otherwise it is read on the kernel chain of the one ``_clusters``
-    cluster that holds the eigenvalue nearest to i*alpha, within the
-    gap; no full pass.  A cluster off the imaginary axis (``_on_axis``)
-    has no Krein form.  The form is nondegenerate on a whole generalized
-    eigenspace, so a chain of another dimension or a degenerate form
-    means rounding split the cluster (a Jordan block of size k >= 3, by
-    about (eps cond)^(1/k)).  Both raise NotAnEigenvalue, as a
-    non-finite ``alpha`` does; a bool or non-real one raises InputError.
+    A lookup in the ``_record_pass`` of h: the inertia of the cluster
+    that owns the eigenvalue nearest to i*alpha, within the gap.  A
+    cluster off the imaginary axis (``_on_axis``) has no Krein form.
+    The form is nondegenerate on a whole generalized eigenspace, so a
+    chain of another dimension or a degenerate form means rounding split
+    the cluster (a Jordan block of size k >= 3, by about (eps
+    cond)^(1/k)).  Both raise NotAnEigenvalue, as a non-finite
+    ``alpha`` does; a bool or non-real one raises InputError.
     """
     target = 1j * as_real(alpha, "alpha")
-    certified = _certified_pass(_flow_record(h, None, tol), tol)
-    if certified is None:
-        h, norm = _generator(h, None, tol)
-        gap, vals, parts, lams, mults = _clusters(h, norm)
-    else:
-        spectrum, gap, lams = certified
-        vals = lams
+    spectrum, _, gap, vals, owner = _record_pass(_flow_record(h, None, tol), tol)
     nearest = int(np.argmin(np.abs(vals - target)))
     if not abs(vals[nearest] - target) <= gap:
         raise NotAnEigenvalue("no eigenvalue within %.2e of %s" % (gap, target))
-    j = nearest if certified else int(parts[:, nearest].argmax())
-    if not _on_axis(lams[j], gap):
+    cluster = spectrum[owner[nearest]]
+    if not _on_axis(cluster.eigenvalue, gap):
         raise NotAnEigenvalue("the cluster at %s nearest to %s is off the imaginary axis"
-                              % (lams[j], target))
-    if certified:
-        return spectrum[j].inertia
-    (inertia,) = _krein_inertias(h, lams[j:j + 1], mults[j:j + 1], [0], tol)[1]
-    if inertia.dim != mults[j] or inertia.n_zero:
+                              % (cluster.eigenvalue, target))
+    if cluster.inertia.dim != cluster.multiplicity or cluster.inertia.n_zero:
         raise NotAnEigenvalue("the %d eigenvalues of the cluster at %s are part of a "
-                              "cluster split beyond the gap" % (mults[j], target))
-    return inertia
+                              "cluster split beyond the gap" % (cluster.multiplicity, target))
+    return cluster.inertia
 
 
 @dataclass(frozen=True)
@@ -247,30 +259,10 @@ class KreinEigenvalue:
 
 
 def _krein_pass(h, tol: Tolerances):
-    """(spectrum, semisimple, gap) of ``h``: the ``_certified_pass`` of
-    its flow record where that certifies it, else ``_svd_pass``.  The
+    """(spectrum, semisimple, gap) of the ``_record_pass`` of ``h``; the
     spectrum is a new list on every call."""
-    certified = _certified_pass(_flow_record(h, None, tol), tol)
-    if certified is None:
-        return _svd_pass(h, tol)
-    spectrum, gap, _ = certified
-    return list(spectrum), True, gap
-
-
-def _svd_pass(h, tol: Tolerances):
-    """``_krein_pass`` by one generator check, its ``_clusters`` and,
-    for all of them at once, ``_krein_inertias``: the one route for
-    Jordan, clustered and ill-conditioned generators.  A cluster on the
-    imaginary axis (``_on_axis``) takes the Krein form on its chain; one
-    that rounding split keeps a degenerate form."""
-    h, norm = _generator(h, None, tol)
-    gap, _, _, lams, mults = _clusters(h, norm)
-    axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
-    kernels, inertias = _krein_inertias(h, lams, mults, axis, tol)
-    inertias = dict(zip(axis, inertias))
-    spectrum = [KreinEigenvalue(lam, mult, inertias.get(j))
-                for j, (lam, mult) in enumerate(zip(lams.tolist(), mults))]
-    return spectrum, _semisimple(kernels, mults), gap
+    spectrum, semisimple, gap, _, _ = _record_pass(_flow_record(h, None, tol), tol)
+    return list(spectrum), semisimple, gap
 
 
 def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
@@ -280,19 +272,17 @@ def krein_spectrum(h, tol: Tolerances = DEFAULT_TOL):
 
 def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the eigenvectors of the square matrix ``h`` span the whole
-    space: True for a Hamiltonian generator whose flow record certifies
-    its pass (``_certified_pass``); else every cluster's kernel has the
-    cluster's multiplicity and the kernels are independent
-    (``_semisimple``)."""
+    space: every cluster's kernel has the cluster's multiplicity and the
+    kernels are independent (``_semisimple``).  A Hamiltonian generator
+    reads the verdict of its ``_record_pass``; another matrix (empty,
+    odd-sized or not Hamiltonian within ``tol``) takes its kernels."""
     as_tolerances(tol)
     h = as_square(h, "generator")
     if h.size and h.shape[0] % 2 == 0:
         try:
-            record = _flow_record(h, None, tol)
+            return _record_pass(_flow_record(h, None, tol), tol)[1]
         except NotHamiltonian:
-            record = None
-        if record is not None and _certified_pass(record, tol) is not None:
-            return True
+            pass
     _, _, _, lams, mults = _clusters(h, spectral_norm(h))
     return _semisimple(_kernels(h, lams)[1], mults)
 

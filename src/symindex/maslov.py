@@ -168,10 +168,11 @@ class _FlowRecord:
     Omega P Omega^T = I), so |tr(S P)| <= B, which rotations attain.  B
     is at most the Ky Fan sum of the n largest singular values of h.
 
-    The Krein layer reads the same record: ``krein._certified_pass``
-    takes the Krein spectrum of h from ``eigen``, ``kappa`` and ``norm``
-    where they certify it, once per record, so the scans and the
-    spectral routes of one generator share one ``eig``."""
+    The Krein layer reads the same record: ``krein._record_pass`` keeps
+    one Krein pass per record, taken from ``eigen``, ``kappa`` and
+    ``norm`` where they certify it and else from the checked ``h`` and
+    ``norm``, so the scans and the spectral routes of one generator
+    share one generator check and one ``eig``."""
 
     h: np.ndarray
     norm: float

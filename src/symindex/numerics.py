@@ -4,12 +4,13 @@ The rank, signature and symmetry decisions on the inputs and results of
 a route read one ``Tolerances`` object, its fields in (0, 1).  A few
 fixed thresholds do not: ``krein.CLUSTER_GAP`` and ``krein.EIGENSPACE_RANK``
 (the partition of ``krein._clusters`` and the rank rule of its kernels),
-``maslov.GRAY_FACTOR`` (the gray band of crossing forms), the 1e-10 and
-1e-12 checks of a ``SymplecticSpace`` form, and the condition bound 1e7
-under which ``maslov._flow_record`` diagonalizes a generator.  Every
-signature is measured on one scale: 1 + the largest |eigenvalue| of its
-symmetric (or Hermitian) matrix, which ``band_counts`` takes from the
-eigenvalues it classifies.
+``krein._MARGIN`` (the safety factor of the certificates of
+``krein._certified_pass``), ``maslov.GRAY_FACTOR`` (the gray band of
+crossing forms), the 1e-10 and 1e-12 checks of a ``SymplecticSpace``
+form, and the condition bound 1e7 under which ``maslov._flow_record``
+diagonalizes a generator.  Every signature is measured on one scale:
+1 + the largest |eigenvalue| of its symmetric (or Hermitian) matrix,
+which ``band_counts`` takes from the eigenvalues it classifies.
 Matrices are plain numpy arrays; constructors validate shape and
 finiteness at the operation boundary.
 """

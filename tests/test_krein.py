@@ -30,7 +30,7 @@ from symindex.errors import (InputError, NotAnEigenvalue, NotHamiltonian, NotSem
 from symindex import maslov
 from symindex.checks import check_krein_pairing
 from symindex.krein import (_certified_pass, _chain, _clusters, _kernels, _krein_pass,
-                            _normal_form, _svd_pass, krein_form_matrix)
+                            _normal_form, _record_pass, _svd_pass, krein_form_matrix)
 from symindex.numerics import DEFAULT_TOL, Tolerances, herm_signature, spectral_norm
 from symindex.symplectic import (
     SymplecticSpace,
@@ -299,13 +299,45 @@ def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     """The kernels ker A of both size-2 Jordan clusters come from one
     stacked SVD, and each short kernel takes one more SVD for ker A^2
     (``_chain``); a short kernel already decides that the generator is
-    not semisimple, so the kernels are not stacked.  One more SVD is the
-    spectral norm of the generator check, which also sets the cluster
-    gap."""
-    krein_spectrum(_jordan_at_2i())
+    not semisimple, so the kernels are not stacked.  The other eig and
+    SVD are the flow record's: its eigenbasis and the spectral norm of
+    its generator check, which also sets the cluster gap; the pass runs
+    no generator check of its own.  A warm pass reads the record's pass
+    and takes none."""
+    krein_spectrum(_jordan_at_2i())  # builds the cached standard space
+    maslov._record_of.cache_clear()
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
-    assert calls == {"eigvals": 1, "svd": 4}
+    assert calls == {"eig": 1, "eigvals": 1, "svd": 4}
+    calls.clear()
+    krein_spectrum(_jordan_at_2i())
+    assert calls == {}
+
+
+def test_svd_route_queries_read_the_record_pass(monkeypatch):
+    """On two generators of the SVD route, a Jordan block at +-2i and a
+    doubled rotation system (doubled eigenvalues are never certified),
+    every Krein route after ``krein_spectrum`` reads the record's pass:
+    the queries at +-Im of every cluster on the axis, is_semisimple and
+    classify_normal_form take no eig, eigvals or SVD."""
+    doubled = standard_direct_sum([random_hamiltonian(2, 1000, "semisimple-elliptic")] * 2)
+    calls = _count_decompositions(monkeypatch)
+    for h, semisimple in ((_jordan_at_2i(), False), (doubled, True)):
+        assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None
+        spectrum = krein_spectrum(h)
+        calls.clear()
+        for e in spectrum:
+            if e.inertia is not None:
+                assert krein_signature(h, e.eigenvalue.imag) == e.inertia
+                q, p = e.inertia.pair
+                assert krein_signature(h, -e.eigenvalue.imag) == Inertia(p, q, e.inertia.n_zero)
+        assert is_semisimple(h) is semisimple
+        if semisimple:
+            assert len(classify_normal_form(h)) == 2
+        else:
+            with pytest.raises(NotSemisimple):
+                classify_normal_form(h)
+        assert calls == {}
 
 
 def _cluster_basis(h, lam, k):
@@ -659,6 +691,12 @@ def _pass_bytes(spectrum, semisimple, gap):
             float.hex(gap))
 
 
+def _svd_bytes(h, tol=DEFAULT_TOL):
+    """``_pass_bytes`` of the SVD route (``_svd_pass``) on the flow record
+    of ``h``."""
+    return _pass_bytes(*_svd_pass(maslov._flow_record(h, None, tol), tol)[:3])
+
+
 def test_certified_pass_equals_the_svd_pass_on_every_sweep_input_it_accepts():
     """Every input of tools/parity_sweep.py whose flow record certifies
     the pass (``_certified_pass``) gets from ``krein_spectrum``'s pass
@@ -671,8 +709,7 @@ def test_certified_pass_equals_the_svd_pass_on_every_sweep_input_it_accepts():
         if _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None:
             continue
         certified += 1
-        assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == _pass_bytes(
-            *_svd_pass(h, DEFAULT_TOL)), h
+        assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == _svd_bytes(h), h
     assert certified >= 600
     for h in _sweep_inputs("shear", "jordan"):
         assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None
@@ -695,24 +732,35 @@ def test_slow_rotations_within_the_gap_keep_their_refusal(eps):
 
 
 def test_a_returned_spectrum_or_a_changed_generator_does_not_change_the_next_answer():
-    """The pass kept with a flow record is a tuple of frozen entries:
+    """The pass kept with a flow record, on either route, is a tuple of
+    frozen entries whose eigenvalue and owner arrays refuse writes:
     changing the list ``krein_spectrum`` returned changes neither the
     next pass nor the normal form, and a generator changed in place gets
-    the answers of its new values."""
-    h = random_hamiltonian(2, 3, "semisimple-elliptic")
-    expected = _pass_bytes(*_svd_pass(h.copy(), DEFAULT_TOL))
-    blocks = classify_normal_form(h)
-    spectrum = krein_spectrum(h)
-    spectrum[0] = spectrum.pop()
-    spectrum.append(KreinEigenvalue(0j, 7, None))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spectrum[1].multiplicity = 2
-    assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == expected
-    assert classify_normal_form(h) == blocks
-    h *= 2.0
-    doubled = _pass_bytes(*_svd_pass(h.copy(), DEFAULT_TOL))
-    assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == doubled != expected
-    assert classify_normal_form(h) == _normal_form(*_svd_pass(h.copy(), DEFAULT_TOL)) != blocks
+    the answers of its new values.  The SVD-route generator is a doubled
+    rotation system, whose doubled eigenvalues are never certified."""
+    g = random_hamiltonian(2, 3, "semisimple-elliptic")
+    for h, certified in ((g, True), (standard_direct_sum([g, g]), False)):
+        expected = _svd_bytes(h.copy())
+        blocks = classify_normal_form(h)
+        record = maslov._flow_record(h, None, DEFAULT_TOL)
+        assert (_certified_pass(record, DEFAULT_TOL) is not None) is certified
+        _, _, _, vals, owner = _record_pass(record, DEFAULT_TOL)
+        for array in (vals, owner):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+        spectrum = krein_spectrum(h)
+        spectrum[0] = spectrum.pop()
+        spectrum.append(KreinEigenvalue(0j, 7, None))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spectrum[1].multiplicity = 2
+        assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == expected
+        assert classify_normal_form(h) == blocks
+        h *= 2.0
+        doubled = _svd_bytes(h.copy())
+        assert _pass_bytes(*_krein_pass(h, DEFAULT_TOL)) == doubled != expected
+        reference = _normal_form(*_svd_pass(maslov._flow_record(h.copy(), None, DEFAULT_TOL),
+                                            DEFAULT_TOL)[:3])
+        assert classify_normal_form(h) == reference != blocks
 
 
 def test_krein_pairing_check_takes_one_eig_per_sampled_generator(monkeypatch):
@@ -766,7 +814,7 @@ def test_interleaved_near_jordan_blocks_keep_the_svd_route():
     assert is_hamiltonian(h)
     record = maslov._flow_record(h, None, DEFAULT_TOL)
     assert record.kappa < 1e5
-    assert min(e.multiplicity for e in _svd_pass(h, DEFAULT_TOL)[0]) == 1
+    assert min(e.multiplicity for e in _svd_pass(record, DEFAULT_TOL)[0]) == 1
     assert _certified_pass(record, DEFAULT_TOL) is None
     assert not is_semisimple(h)
     assert not _krein_pass(h, DEFAULT_TOL)[1]
@@ -784,4 +832,4 @@ def test_a_krein_form_near_its_zero_band_keeps_the_svd_route():
     assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is not None
     wide = Tolerances(eps_sign=0.25)
     assert _certified_pass(maslov._flow_record(h, None, wide), wide) is None
-    assert _pass_bytes(*_krein_pass(h, wide)) == _pass_bytes(*_svd_pass(h, wide))
+    assert _pass_bytes(*_krein_pass(h, wide)) == _svd_bytes(h, wide)

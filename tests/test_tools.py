@@ -132,9 +132,11 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
                 "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
                 "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms"}
     for key in ("median_ms", "runs_ms"):
-        assert set(tree[key]) == per_size | {"calibrate_sign", "run_property_suite"}
+        assert set(tree[key]) == per_size | {"krein_routes_svd", "calibrate_sign",
+                                             "run_property_suite"}
         for layer in per_size:
             assert set(tree[key][layer]) == {"1"}
+        assert tree[key]["krein_routes_svd"] == {"1": None}  # no generator of size 1 / 2
     for layer in per_size:
         assert len(tree["runs_ms"][layer]["1"]) == 1
         assert tree["median_ms"][layer]["1"] == tree["runs_ms"][layer]["1"][0] > 0
@@ -173,7 +175,8 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     record is never the next one asked for.  A ``route_pair`` builds one
     record for its two scans.  The Krein layers and the two CZ routes
     clear the cache before each call, so each builds its record, and
-    ``krein_routes`` builds one record per generator for all its calls."""
+    ``krein_routes`` and ``krein_routes_svd`` build one record per
+    generator for all their calls."""
     import numpy as np
     import symindex
     from symindex import autonomous, krein, maslov, numerics, random_hamiltonian
@@ -183,7 +186,7 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
             "package": symindex}
     hs = [random_hamiltonian(1, 1000 + s, "semisimple-elliptic") for s in range(bench.SYSTEMS)]
     queries = [(h, e.eigenvalue.imag) for h in hs for e in krein.krein_spectrum(h)]
-    calls = bench._layer_calls(tree, hs, queries)
+    calls = bench._layer_calls(tree, hs, queries, bench._doubled(tree, 2))
     for layer, hits in (("_flow_record", 0), ("route_pair", bench.SYSTEMS)):
         bench._pass_ms(calls[layer])
         before = maslov._record_of.cache_info()
@@ -197,6 +200,7 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     for layer, records in (("_krein_pass", bench.SYSTEMS), ("is_semisimple", bench.SYSTEMS),
                            ("spectral_conley_zehnder", bench.SYSTEMS),
                            ("conley_zehnder", bench.SYSTEMS), ("krein_routes", bench.SYSTEMS),
+                           ("krein_routes_svd", bench.SYSTEMS),
                            ("krein_signature", len(queries))):
         bench._pass_ms(calls[layer])
         eigs.clear()

@@ -21,7 +21,10 @@ in turn) ``krein._krein_pass``, ``krein.krein_signature``,
 ``krein.is_semisimple``, ``krein_routes`` (per generator: its
 ``krein_spectrum``, ``krein_signature`` at +-Im of each cluster that
 carries a Krein inertia, then ``classify_normal_form``; the record is
-cleared once per generator), ``spectral_conley_zehnder`` and
+cleared once per generator), ``krein_routes_svd`` (the same on
+standard_direct_sum([g, g]) for the generators g of size n // 2, whose
+doubled eigenvalues are never certified, so every one takes the SVD
+route; none at n = 1), ``spectral_conley_zehnder`` and
 ``conley_zehnder``; and
 ``maslov.find_crossings`` of the orbit path of each generator against
 the vertical with three of its layers: ``_phase_samples`` on its grid
@@ -81,8 +84,9 @@ SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
 PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
             "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
-            "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
-            "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms")
+            "krein_signature", "is_semisimple", "krein_routes", "krein_routes_svd",
+            "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
+            "_locate", "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -181,10 +185,29 @@ def _cold(ma, fn):
     return call
 
 
-def _layer_calls(tree, hs, queries):
-    """{layer: calls} of one tree for the generators ``hs`` and the
-    ``krein_signature`` queries, (h, alpha) pairs; a call is (function,
-    args, units)."""
+def _generators(tree, n):
+    """The generators of size n: random_hamiltonian(n, 1000 + s,
+    "semisimple-elliptic"), s < SYSTEMS."""
+    return [tree["package"].random_hamiltonian(n, 1000 + s, "semisimple-elliptic")
+            for s in range(SYSTEMS)]
+
+
+def _doubled(tree, n):
+    """The inputs of ``krein_routes_svd`` at size n: standard_direct_sum
+    of two copies of each generator of size n // 2 (none at n = 1);
+    ValueError if the flow record of one of them certifies its Krein
+    pass, as then it would not take the SVD route."""
+    kr, ma, tol = tree["krein"], tree["maslov"], tree["numerics"].DEFAULT_TOL
+    hs = [kr.standard_direct_sum([g, g]) for g in _generators(tree, n // 2)] if n >= 2 else []
+    if any(kr._certified_pass(ma._flow_record(h, None, tol), tol) is not None for h in hs):
+        raise ValueError("a doubled generator of size %d is certified" % n)
+    return hs
+
+
+def _layer_calls(tree, hs, queries, doubled):
+    """{layer: calls} of one tree for the generators ``hs``, the
+    ``krein_signature`` queries, (h, alpha) pairs, and the SVD-route
+    generators ``doubled``; a call is (function, args, units)."""
     au, kr, ma = tree["autonomous"], tree["krein"], tree["maslov"]
     tol = tree["numerics"].DEFAULT_TOL
     systems = [au.make_system(h) for h in hs]
@@ -230,6 +253,7 @@ def _layer_calls(tree, hs, queries):
                             for h, alpha in queries],
         "is_semisimple": [(_cold(ma, kr.is_semisimple), (s.h, tol), 1) for s in systems],
         "krein_routes": [(_cold(ma, krein_routes), (s.h,), 1) for s in systems],
+        "krein_routes_svd": [(_cold(ma, krein_routes), (h,), 1) for h in doubled],
         "spectral_conley_zehnder": [(_cold(ma, tree["package"].spectral_conley_zehnder),
                                      (s.h, tol), 1) for s in systems],
         "conley_zehnder": [(_cold(ma, ma.conley_zehnder), (s.h,), 1) for s in systems],
@@ -255,11 +279,11 @@ def bench(trees, repeats, sizes):
     host = hostref.HostReference()
     runs = [{name: {} for name in PER_SIZE} for _ in trees]
     for n in sizes:
-        hs = [loaded[0]["package"].random_hamiltonian(n, 1000 + s, "semisimple-elliptic")
-              for s in range(SYSTEMS)]
+        hs = _generators(loaded[0], n)
         queries = [(h, e.eigenvalue.imag) for h in hs
                    for e in loaded[0]["krein"].krein_spectrum(h) if e.inertia is not None]
-        calls = [_layer_calls(tree, hs, queries) for tree in loaded]
+        doubled = _doubled(loaded[0], n)
+        calls = [_layer_calls(tree, hs, queries, doubled) for tree in loaded]
         for name in PER_SIZE:
             for k, r in enumerate(_time_layer([c[name] for c in calls], repeats)):
                 runs[k][name][str(n)] = r
@@ -272,8 +296,8 @@ def bench(trees, repeats, sizes):
     medians = [_combine(statistics.median, r) for r in runs]
     return {
         "script": "tools/layer_bench.py",
-        "unit": "ms per call; route_pair per pair, krein_routes per generator, "
-                "maslov_index per scan, "
+        "unit": "ms per call; route_pair per pair, krein_routes and krein_routes_svd "
+                "per generator, maslov_index per scan, "
                 "_phase_samples per sample, _locate per bisection round, _forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
