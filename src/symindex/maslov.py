@@ -127,15 +127,76 @@ class _Stacked:
     every frame F(t) the function returns; ``_frames`` skips the SVD
     rank rule where it holds.  It belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound."""
+    ``dataclasses.replace`` carries no bound; so does ``blocks``, None or
+    the ``_Blocks`` sampler of the flow path the function traces."""
 
-    def __init__(self, stack, flow_dim: int, growth=None):
+    def __init__(self, stack, flow_dim: int, growth=None, blocks=None):
         self.stack = stack
         self.sample_bytes = 16 * flow_dim * flow_dim
         self.growth = growth
+        self.blocks = blocks
 
     def __call__(self, t):
         return self.stack(np.array([t], dtype=float))[0]
+
+
+class _Blocks:
+    """The block sampler of a built-in flow path against its own cached
+    reference ``ref``: the orbit of the default start against the
+    vertical, the graph against the diagonal.  ``flow(ts)`` is the
+    record's stack of Phi = exp(t h) = [[A, B], [C, D]] and ``frames``
+    maps such a stack onto the path's frames.
+
+    ``sample`` reads arg det Z, log |det Z| and sum log s, the samples of
+    ``_chart_samples``, from the blocks of Phi without the chart's
+    products.  For any orthonormal frame of the vertical, det Z = det(D -
+    iB) and the frames Phi [0; P] have the singular values of [B; D]; the
+    cached frame is [0; -I], so Z = D - iB and the frames -[B; D] equal
+    the chart's bit for bit.  For the graph frame [I; Phi] against an
+    orthonormal frame of the diagonal, Z is, up to unitary factors, 2
+    [[M, *], [0, I]] in the eigenbasis of J, with M = 1/2 [(A + D) + i (C
+    - B)] the complex-linear part of Phi; so arg det Z = arg det(2 M) up
+    to one constant of the frame, log |det Z| = n log 2 + log |det M|,
+    and the Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's
+    winding of det M).  Where the growth bound holds, sum log s comes
+    from one Cholesky factor of that Gram matrix, else the frames are
+    formed and take ``_volumes``' SVD rank rule; the Lagrangian check of
+    ``_chart_samples`` runs on every sample."""
+
+    def __init__(self, ref: LagrangianFrame, flow, frames, growth, eye=None):
+        self.ref = ref
+        self.flow = flow
+        self.frames = frames
+        self.growth = growth
+        self.eye = eye  # the identity of the flow's size for the graph, None for the orbit
+
+    def sample(self, flows, ts, tol: Tolerances, error=None):
+        """(arg det Z, log |det Z|, sum log s, the block Z: D - iB or 2 M)
+        at the flows Phi of the times ts; the rank check, then ``error``
+        (of the sample after the last flow), then the Lagrangian check
+        raise as in ``_chart_samples``."""
+        n = flows.shape[-1] // 2
+        z = np.empty((len(flows), n, n), dtype=complex)
+        if self.eye is not None:
+            np.add(flows[:, :n, :n], flows[:, n:, n:], out=z.real)
+            np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=z.imag)
+
+            def gram():
+                g = _tr(flows) @ flows
+                g += self.eye
+                return g
+
+            log_s = _volumes(ts, self.growth, lambda: self.frames(flows), tol, gram)
+        else:
+            f = -flows[:, :, n:]
+            z.real = flows[:, n:, n:]
+            z.imag = f[:, :n]
+            log_s = _volumes(ts, self.growth, f, tol)
+        if error is not None:
+            raise error
+        sign, logdet = np.linalg.slogdet(z)
+        _check_flat(ts, logdet, log_s, tol)
+        return np.angle(sign), logdet, log_s, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +313,17 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
 def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
                 tol: Tolerances) -> LagrangianPath:
-    """``orbit_path`` of a checked generator."""
+    """``orbit_path`` of a checked generator; from the default start it
+    carries the block sampler of the vertical."""
     h, flow = record.h, record.stack
     d = h.shape[0]
-    if start is None:
+    own = start is None
+    if own:
         start = vertical_lagrangian(d // 2, tol)
     f0 = start.frame
+
+    def frames(flows):
+        return flows @ f0
 
     def frs(ts):
         return flow(ts) @ f0
@@ -265,7 +331,8 @@ def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth),
+    blocks = _Blocks(start, flow, frames, record.orbit_growth) if own else None
+    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth, blocks),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -277,11 +344,13 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     its phase turns at tr(S P_b), with P_b the lower block of the
     graph's orthogonal projector and S = sym(-J h); its rate bound is
     the orbit's, B of ``_FlowRecord``."""
-    return _graph_path(_flow_record(h, None, tol), interval)
+    record = _flow_record(h, None, tol)
+    return _graph_path(record, interval, diagonal_lagrangian(record.h.shape[0] // 2, tol))
 
 
-def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
-    """``graph_path`` of a checked generator."""
+def _graph_path(record: _FlowRecord, interval, diagonal: LagrangianFrame) -> LagrangianPath:
+    """``graph_path`` of a checked generator, carrying the block sampler
+    of ``diagonal``, the cached diagonal of its tolerances."""
     h, flow = record.h, record.stack
     d = h.shape[0]
     space = SymplecticSpace.graph_product(d // 2)
@@ -293,14 +362,18 @@ def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
         out[:, d:] = bottom
         return out
 
+    def frames(flows):
+        return graphs(eye, flows)
+
     def frs(ts):
         return graphs(eye, flow(ts))
 
     def dfrs(ts):
         return graphs(0.0, h @ flow(ts))
 
-    return LagrangianPath(space, _Stacked(frs, d, record.graph_growth), _Stacked(dfrs, d),
-                          interval, record.bound)
+    blocks = _Blocks(diagonal, flow, frames, record.graph_growth, eye)
+    return LagrangianPath(space, _Stacked(frs, d, record.graph_growth, blocks),
+                          _Stacked(dfrs, d), interval, record.bound)
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -425,90 +498,188 @@ def _evaluate(path: LagrangianPath, ts, derivative: bool = False):
     if values.shape[1:] != shape:
         return values[:0], DimensionMismatch("%s has shape %s" % (
             "derivative" if derivative else "path frame", values.shape[1:]))
-    if not np.isfinite(values).all():
-        first = int(np.argmin(np.isfinite(values).all(axis=(1, 2))))
-        return values[:first], InputError("%s contains non-finite entries" % (
-            "path frame derivative" if derivative else "path frame"))
-    return values, None
+    return _finite(values, "path frame derivative" if derivative else "path frame")
+
+
+def _finite(values, name: str):
+    """(values, None), or the values before the first sample with a
+    non-finite entry and the InputError that names it."""
+    if np.isfinite(values).all():
+        return values, None
+    first = int(np.argmin(np.isfinite(values).all(axis=(1, 2))))
+    return values[:first], InputError("%s contains non-finite entries" % name)
+
+
+def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
+    """Sum log s over the singular values s of each frame F of a stack at
+    the times ts.  ``frames`` is the stack; where ``gram()`` gives the
+    stack of F^T F, ``frames`` is instead a function that forms the stack,
+    called only on the SVD branch.  NotLagrangian names the first time
+    whose frame lost rank under the relative rank rule of
+    ``orthonormal_columns``.
+
+    Where ``growth`` (of ``_Stacked``) bounds cond F(t) at every ts by B
+    with B^2 <= 1e-3 / eps_rank every frame passes the rank rule, six
+    orders inside the cut at the default tol, and the sums come from one
+    batched Cholesky factor R of F^T F as sum log diag R.  Otherwise, or
+    where a Cholesky factor fails, one stacked SVD of the frames gives
+    the sums and applies the rank rule.
+    """
+    log_bound = math.inf if growth is None else growth[0] + growth[1] * float(np.abs(ts).max())
+    if 2.0 * log_bound <= math.log(1e-3 / tol.eps_rank):
+        try:
+            r = np.linalg.cholesky(_tr(frames) @ frames if gram is None else gram())
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    s = np.linalg.svd(frames if gram is None else frames(), compute_uv=False)
+    full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
+    if not full.all():
+        raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
+    return np.log(s).sum(axis=1)
 
 
 def _frames(path: LagrangianPath, ts, tol: Tolerances):
     """(frames, sum log s over the singular values s of each frame) of
-    the path at the times ts; NotLagrangian names the first time whose
-    frame lost rank under the relative rank rule of
-    ``orthonormal_columns``.
-
-    A frame function whose ``growth`` bounds cond F(t) at every ts by B
-    with B^2 <= 1e-3 / eps_rank passes the rank rule at every sample,
-    six orders inside the cut at the default tol, and its sums come from
-    one batched Cholesky factor R of F^T F as sum log diag R.  Any other
-    frame function, or a Cholesky factor that fails, takes one stacked
-    SVD, which also applies the rank rule.
-    """
+    the path at the times ts by ``_volumes``, whose rank check runs
+    before the error of a failing sample is raised."""
     frames, error = _evaluate(path, ts)
     growth = path.frame_fn.growth if isinstance(path.frame_fn, _Stacked) else None
-    log_bound = math.inf if growth is None else growth[0] + growth[1] * float(np.abs(ts).max())
-    if 2.0 * log_bound <= math.log(1e-3 / tol.eps_rank):
-        try:
-            r = np.linalg.cholesky(_tr(frames) @ frames)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if error is not None:
-                raise error
-            return frames, np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    s = np.linalg.svd(frames, compute_uv=False)
-    full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
-    if not full.all():
-        raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
+    log_s = _volumes(ts, growth, frames, tol)
     if error is not None:
         raise error
-    return frames, np.log(s).sum(axis=1)
+    return frames, log_s
 
 
 def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
-    """(Re C, Im C) = (Q^T, -Q^T Omega), contiguous, of the chart C =
-    Q^T (I - i Omega) of the reference frame Q, so Z(t) = C F(t); the
-    first check of every scan and crossing form.  For a form that is
-    orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
-    and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
-    else InputError."""
+    """(Re C, Im C, blocks) with (Re C, Im C) = (Q^T, -Q^T Omega),
+    contiguous, of the chart C = Q^T (I - i Omega) of the reference frame
+    Q, so Z(t) = C F(t); the first check of every scan and crossing form.
+    ``blocks`` is the ``_Blocks`` sampler of the path's frame function
+    when ``ref`` is its own cached reference, else None; only index
+    scans read it.  For a form that is orthogonal with square -1, [Q |
+    Omega Q] is orthogonal, symplectic and maps the horizontal onto
+    ``ref``.  ``tol`` must be a Tolerances, else InputError."""
     as_tolerances(tol)
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
+    blocks = getattr(path.frame_fn, "blocks", None)
     q = ref.frame
-    return np.ascontiguousarray(q.T), -(q.T @ path.space.form)
+    return (np.ascontiguousarray(q.T), -(q.T @ path.space.form),
+            blocks if blocks is not None and blocks.ref is ref else None)
 
 
 def _in_chart(chart, frames):
     """The stack C F of real frames F as two real products, Re C F and
     Im C F; a complex product would first upcast every F."""
-    re, im = chart
+    re, im = chart[0], chart[1]
     z = np.empty(frames.shape[:-2] + (re.shape[0], frames.shape[-1]), dtype=complex)
     z.real = re @ frames
     z.imag = im @ frames
     return z
 
 
-def _chart_samples(path: LagrangianPath, chart, ts, tol: Tolerances):
-    """(frames, Z = C F, sign of det Z) of the path at the times ts, each
-    frame checked for rank by ``_frames`` and for Lagrangian: log |det Z|
-    = sum log s exactly when the frame is Lagrangian, so a deficit beyond
-    log eps_rank raises NotLagrangian naming the first such time."""
-    frames, log_s = _frames(path, ts, tol)
-    z = _in_chart(chart, frames)
-    sign, logdet = np.linalg.slogdet(z)
+def _check_flat(ts, logdet, log_s, tol: Tolerances):
+    """NotLagrangian naming the first time ts whose log |det Z| falls
+    short of its sum log s by more than -log eps_rank: the two are equal
+    exactly when the frame is Lagrangian."""
     flat = logdet - log_s <= math.log(tol.eps_rank)
     if flat.any():
         raise NotLagrangian("path frame is not Lagrangian at t=%g" % ts[np.argmax(flat)])
+
+
+def _chart_samples(path: LagrangianPath, chart, ts, tol: Tolerances):
+    """(frames, Z = C F, sign of det Z) of the path at the times ts, each
+    frame checked for rank by ``_frames`` and for Lagrangian by
+    ``_check_flat``."""
+    frames, log_s = _frames(path, ts, tol)
+    z = _in_chart(chart, frames)
+    sign, logdet = np.linalg.slogdet(z)
+    _check_flat(ts, logdet, log_s, tol)
     return frames, z, sign
 
 
-def _eigenphases(z):
-    """Eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) for a stack of Z."""
+#: W from this size on takes its eigenphases from one real ``eigh``: on
+#: the pairs of end Z of the orbit and graph scans of 8 generators,
+#: ``eigvals`` took 33 us and this route 38 us per pair at size 8, 58.6 and
+#: 52.6 us at size 12, 93 and 72 us at size 16 (solve included; 2 vCPU,
+#: Python 3.11, numpy 2.4, OpenBLAS at one thread)
+_EIGH_SIZE = 12
+#: mu of Re W + mu Im W: two eigenphases a, b of W meet there where a + b
+#: = 2 atan(mu) mod 2 pi.  Of the 65373 W of size 8 or more that the
+#: parity sweep's scans sample, 5954 took the fallback at mu = 0, 605 at
+#: 0.618, 429 at 1, 296 at 2.5, 269 at 3.7 and 243 to 340 for mu in
+#: [2.5, 20]
+_EIGH_MU = 3.7
+#: a structured eigenphase stands where the residual |W U - U diag(U^T W
+#: U)|_F of its matrix is below this fraction of eps_rank
+_EIGH_RESIDUAL = 1e-3
+
+
+def _eigenphases(z, tol: Tolerances):
+    """Eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) for a stack of Z.
+
+    W is symmetric and unitary, so Re W and Im W are commuting real
+    symmetric matrices.  From size ``_EIGH_SIZE`` on, the orthogonal U of
+    one ``eigh`` of Re W + ``_EIGH_MU`` Im W diagonalizes both unless that
+    sum merges two distinct eigenphases, and the phases are those of the
+    diagonal of U^T W U.  W is normal, so by Hoffman-Wielandt the
+    residual |W U - U diag(U^T W U)|_F bounds the distance of that
+    diagonal to the eigenvalues; a matrix whose residual is not below
+    ``_EIGH_RESIDUAL`` eps_rank takes ``eigvals``, as smaller ones do."""
     # W is symmetric, and conj(Z)^(-T) Z^T is its transpose
-    return np.angle(np.linalg.eigvals(np.linalg.solve(_tr(z.conj()), _tr(z)))) % _TWO_PI
+    w = np.linalg.solve(_tr(z.conj()), _tr(z))
+    if w.shape[-1] < _EIGH_SIZE:
+        return np.angle(np.linalg.eigvals(w)) % _TWO_PI
+    u = np.linalg.eigh(w.real + _EIGH_MU * w.imag)[1]
+    wu_re, wu_im = w.real @ u, w.imag @ u
+    vals_re, vals_im = (u * wu_re).sum(axis=-2), (u * wu_im).sum(axis=-2)
+    residual = (np.square(wu_re - u * vals_re[..., None, :]).sum(axis=(-2, -1))
+                + np.square(wu_im - u * vals_im[..., None, :]).sum(axis=(-2, -1)))
+    vals = vals_re + 1j * vals_im
+    for i in np.flatnonzero(~(residual < np.square(_EIGH_RESIDUAL * tol.eps_rank))):
+        vals[i] = np.linalg.eigvals(w[i])
+    return np.angle(vals) % _TWO_PI
+
+
+def _block_samples(scans, ts, tol: Tolerances):
+    """[(arg det Z at the times ts, Z at the first and last time, error
+    or None)] of each (path, chart) of ``scans``: paths of one flow whose
+    charts carry their ``_Blocks``, sampled in the batches of the last
+    path, the largest, with one stack of the flow per batch for all of
+    them.  The orbit's end Z is its block Z; the graph forms its chart's
+    Z at its two end flows.  A scan that fails keeps its error and takes
+    no further batch; when the first scan fails, sampling stops and the
+    list holds its error alone, as that error is raised first."""
+    flow = scans[0][1][2].flow
+    out = [[[], [], None] for _ in scans]  # per scan: args, (first, last) rows, error
+    for sl in _batches(scans[-1][0], len(ts)):
+        times = ts[sl]
+        flows, error = _finite(flow(times), "path frame")
+        for (_, chart), scan in zip(scans, out):
+            blocks = chart[2]
+            if scan[2] is None:
+                try:
+                    arg, _, _, z = blocks.sample(flows, times, tol, error)
+                except SymindexError as exc:
+                    scan[2] = exc
+                    continue
+                scan[0].append(arg)
+                rows = z if blocks.eye is None else flows
+                if sl.start == 0:
+                    scan[1].append(rows[0])
+                if sl.stop == len(ts):
+                    scan[1].append(rows[-1])
+        if out[0][2] is not None:
+            return [(None, None, out[0][2])]
+    for (_, chart), scan in zip(scans, out):
+        if scan[2] is None:
+            args, ends = scan[0], np.array(scan[1])
+            scan[0] = args[0] if len(args) == 1 else np.concatenate(args)
+            scan[1] = ends if chart[2].eye is None else _in_chart(chart, chart[2].frames(ends))
+    return out
 
 
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
@@ -518,14 +689,22 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     ``rated``) at the times ts, in one pass over the samples.  Every Z =
     C F, and C F' on the rated branch, is formed by ``_in_chart`` from
     the real and imaginary parts of the ``chart``; the end phases take
-    one ``_eigenphases`` call after the last batch."""
+    one ``_eigenphases`` call after the last batch.  An index scan (not
+    ``phases``, not ``rated``) whose chart carries the path's ``_Blocks``
+    takes every arg det Z from them (``_block_samples``) and forms Z at
+    its two ends only."""
+    if chart[2] is not None and not phases and not rated:
+        (args, ends, error), = _block_samples([(path, chart)], ts, tol)
+        if error is not None:
+            raise error
+        return args, _eigenphases(ends, tol), None
     out = ([], [], [])
     last, ends = len(ts) - 1, []
     for sl in _batches(path, len(ts)):
         frames, z, sign = _chart_samples(path, chart, ts[sl], tol)
         out[0].append(np.angle(sign))
         if phases:
-            out[1].append(_eigenphases(z))
+            out[1].append(_eigenphases(z, tol))
         else:
             ends += [z[i - sl.start] for i in (0, last) if sl.start <= i < sl.stop]
         if rated:
@@ -535,14 +714,33 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
             if error is not None:
                 raise error
     if not phases:
-        out[1].append(_eigenphases(np.array(ends)))
+        out[1].append(_eigenphases(np.array(ends), tol))
     return tuple(None if not x else x[0] if len(x) == 1 else np.concatenate(x) for x in out)
 
 
 def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerances,
                 phases: bool):
     """(chart, times, lifted arg det Z, eigenphases at every time if
-    ``phases``, else at the ends) on the scan grid.
+    ``phases``, else at the ends) on the scan grid of ``_scan_times``.
+    Every sample is checked for rank and Lagrangian.  A path without a
+    bound takes ``grid`` cells, and a cell whose width times the larger
+    sampled rate at its ends exceeds pi/2 raises GridTooCoarse.
+    """
+    grid = _grid_cells(grid)
+    chart = _chart(path, ref, tol)
+    ts = _scan_times(path, grid, phases)
+    bound = path._rate_bound
+    args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
+    if bound is None:
+        fast = np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
+        if fast.any():
+            raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
+                                "increase grid" % tuple(ts[np.argmax(fast):][:2]))
+    return chart, ts, _lift(args), thetas
+
+
+def _scan_times(path: LagrangianPath, grid: int, phases: bool):
+    """The times of a scan grid of ``grid`` checked cells.
 
     A path with a rate bound B needs ceil(B (b - a) / ``CELL_PHASE``)
     cells, none moving arg det Z by more than ``CELL_PHASE``, so by less
@@ -551,12 +749,8 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     An index scan (not ``phases``) takes exactly those cells, at least
     one; ``find_crossings`` takes at least ``grid``, since its core is the
     smallest dimension sampled and its bisection starts from the cells.
-    A path without a bound takes ``grid`` cells, and a cell whose width
-    times the larger sampled rate at its ends exceeds pi/2 raises
-    GridTooCoarse.  Every sample is checked for rank and Lagrangian.
+    A path without a bound takes ``grid`` cells.
     """
-    grid = _grid_cells(grid)
-    chart = _chart(path, ref, tol)
     a, b = path.interval
     bound = path._rate_bound
     if bound is None:
@@ -567,14 +761,7 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
             raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
                                 % (need, MAX_CELLS))
         cells = max(grid if phases else 1, need)
-    ts = _grid_times(a, b, cells)
-    args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
-    if bound is None:
-        fast = np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
-        if fast.any():
-            raise GridTooCoarse("the phase of det Z turns by more than pi/2 in [%g, %g]; "
-                                "increase grid" % tuple(ts[np.argmax(fast):][:2]))
-    return chart, ts, _lift(args), thetas
+    return _grid_times(a, b, cells)
 
 
 def _grid_times(a, b, cells):
@@ -602,13 +789,13 @@ def _lift(args):
     step."""
     steps = args[1:] - args[:-1]
     cut = np.abs(steps) >= math.pi
-    corrections = np.zeros_like(steps)
+    lifted = args.copy()
     if cut.any():
         turned = (steps + math.pi) % _TWO_PI - math.pi
         turned[(turned == -math.pi) & (steps > 0)] = math.pi
-        corrections = np.where(cut, turned - steps, 0.0)
-    lifted = args.copy()
-    lifted[1:] += corrections.cumsum()
+        lifted[1:] += np.where(cut, turned - steps, 0.0).cumsum()
+    else:
+        lifted[1:] += 0.0  # as np.unwrap, which turns -0.0 into 0.0
     return lifted
 
 
@@ -705,7 +892,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances, offs
         if not np.all(np.isfinite(full)):
             raise InputError("symmetric matrix contains non-finite entries")
         slack = 2.0 * np.linalg.norm(full, axis=(1, 2)) * offsets[sl][:len(frames)]
-        dims = _snapped(_eigenphases(z[:len(frames)]), tol, slack=slack[:, None])[1]
+        dims = _snapped(_eigenphases(z[:len(frames)], tol), tol, slack=slack[:, None])[1]
         coords = _tr(np.linalg.svd(chart[1] @ q)[2])
         forms = [None] * len(frames)
         for k in map(int, np.unique(dims)):
@@ -846,22 +1033,30 @@ def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
     """Index of the graph path of exp(t h) against the diagonal.  The
     path is certified: ``grid`` is validated and does not change the
     scan."""
-    path = graph_path(h, interval, tol)
-    ref = diagonal_lagrangian(path.space.dim // 4, tol)
-    return maslov_index(path, ref, grid, tol)
+    record = _flow_record(h, None, tol)
+    ref = diagonal_lagrangian(record.h.shape[0] // 2, tol)
+    return maslov_index(_graph_path(record, interval, ref), ref, grid, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
     """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``) on [0, 1]
     from one ``_flow_record`` of h, the two scans of ``validate`` and of
-    each calibration probe."""
+    each calibration probe.  The two paths share their rate bound and
+    interval, so their grid: ``_block_samples`` stacks the flow once per
+    batch for both, and the errors and checks come in the order of the
+    two scans run one after the other."""
     record = _flow_record(h, None, tol)
-    n = record.h.shape[0] // 2
-    orbit = maslov_index(_orbit_path(record, None, (0.0, 1.0), tol),
-                         vertical_lagrangian(n, tol), tol=tol)
-    graph = maslov_index(_graph_path(record, (0.0, 1.0)), diagonal_lagrangian(n, tol),
-                         tol=tol)
-    return orbit, graph
+    paths = (_orbit_path(record, None, (0.0, 1.0), tol),
+             _graph_path(record, (0.0, 1.0), diagonal_lagrangian(record.h.shape[0] // 2, tol)))
+    scans = [(path, _chart(path, path.frame_fn.blocks.ref, tol)) for path in paths]
+    ts = _scan_times(paths[0], MIN_GRID, False)
+    indices = []
+    for args, ends, error in _block_samples(scans, ts, tol):
+        if error is not None:
+            raise error
+        indices.append(_phase_index(_lift(args), _eigenphases(ends, tol), tol))
+    return indices[0], indices[1]
 
 
 # -- closed forms for rotation blocks ------------------------------------------

@@ -375,14 +375,17 @@ def cold_calibration():
 
 @pytest.fixture
 def scan_count(monkeypatch):
+    """The index scans run, counted by the ``_phase_index`` call that
+    ends each of them (``maslov_index`` and both scans of
+    ``_flow_indices``)."""
     scans = []
-    index = maslov.maslov_index
+    index = maslov._phase_index
 
     def counting_index(*args, **kwargs):
         scans.append(args)
         return index(*args, **kwargs)
 
-    monkeypatch.setattr(maslov, "maslov_index", counting_index)
+    monkeypatch.setattr(maslov, "_phase_index", counting_index)
     return scans
 
 

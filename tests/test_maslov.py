@@ -1218,9 +1218,9 @@ def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypa
     calls = []
     eigenphases = maslov._eigenphases
 
-    def counting(z):
+    def counting(z, tol):
         calls.append(len(z))
-        return eigenphases(z)
+        return eigenphases(z, tol)
 
     monkeypatch.setattr(maslov, "_eigenphases", counting)
     _, batched_ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
@@ -1441,3 +1441,239 @@ def test_every_route_answers_alike_with_a_cold_and_a_warm_record():
             sweep._answer(sweep.ROUTES["maslov_index_symplectic"], h)
             warm[route] = json.dumps(sweep._answer(run, h), sort_keys=True)
         assert warm == cold, name
+
+
+# -- block samples of the two flow routes ----------------------------------------
+
+def _own_scan(h, route, interval=(0.0, 1.0)):
+    """(path, reference) of the orbit path of h from the vertical or its
+    graph path, against the cached reference the path carries."""
+    n = np.shape(h)[0] // 2
+    if route == "orbit":
+        return orbit_path(h, interval=interval), vertical_lagrangian(n, DEFAULT_TOL)
+    return graph_path(h, interval), diagonal_lagrangian(n, DEFAULT_TOL)
+
+
+def _block_cases():
+    """(id, generator, interval, whether its record takes the expm
+    branch): the eigen branch at n = 1, 2, 4, 8 and 16, the expm branch
+    (a shear, and a Jordan block beside a rotation) and a non-default
+    interval."""
+    for n in (1, 2, 4, 8, 16):
+        yield ("eigen n=%d" % n, 2.0 * random_hamiltonian(n, 3100 + n, "mixed"), (0.0, 1.0),
+               False)
+    yield "shear", np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0), True
+    jordan = np.zeros((4, 4))
+    jordan[0, 1], jordan[3, 2] = 1.0, -1.0
+    yield "jordan", standard_direct_sum([jordan, 3.0 * standard_J(1)]), (0.0, 1.0), True
+    yield ("interval", 3.0 * random_hamiltonian(2, 3107, "semisimple-elliptic"), (-0.5, 1.75),
+           False)
+
+
+@pytest.mark.parametrize("route", ["orbit", "graph"])
+@pytest.mark.parametrize("h,interval,expm_branch", [case[1:] for case in _block_cases()],
+                         ids=[case[0] for case in _block_cases()])
+def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route):
+    """The block sampler of a built-in flow path against its own cached
+    reference gives the arg det Z of the generic chart up to one constant
+    per scan, and its log |det Z| and sum log s, within 1e-12 relative;
+    on the orbit all three are the chart's bit for bit."""
+    tol = DEFAULT_TOL
+    path, ref = _own_scan(h, route, interval)
+    chart = maslov._chart(path, ref, tol)
+    blocks = chart[2]
+    assert blocks is not None and blocks.ref is ref
+    assert (blocks.eye is None) == (route == "orbit")
+    assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
+    ts = np.linspace(*interval, 41)
+    _, z, sign = maslov._chart_samples(path, chart[:2] + (None,), ts, tol)
+    logdet = np.linalg.slogdet(z)[1]
+    log_s = maslov._frames(path, ts, tol)[1]
+    arg, block_logdet, block_log_s, _ = blocks.sample(blocks.flow(ts), ts, tol)
+    shift = np.angle(sign) - arg
+    constant = np.exp(1j * shift)
+    assert np.abs(constant - constant[0]).max() <= 1e-12
+    scale = 1.0 + np.abs(logdet).max()
+    assert np.abs(block_logdet - logdet).max() <= 1e-12 * scale
+    assert np.abs(block_log_s - log_s).max() <= 1e-12 * (1.0 + np.abs(log_s).max())
+    if route == "orbit":
+        assert _bits(arg) == _bits(np.angle(sign))
+        assert _bits(block_logdet) == _bits(logdet) and _bits(block_log_s) == _bits(log_s)
+
+
+def _answer_or_error(fn, *args):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args)
+    except SymindexError as exc:
+        return "error", type(exc), str(exc)
+
+
+def _two_scans(h):
+    """The orbit scan of h then its graph scan, run one after the other:
+    both indices, or the first error."""
+    orbit = _answer_or_error(maslov_index_symplectic, h)
+    if isinstance(orbit, tuple):
+        return orbit
+    graph = _answer_or_error(conley_zehnder, h)
+    return graph if isinstance(graph, tuple) else (orbit, graph)
+
+
+@pytest.mark.parametrize("route", ["orbit", "graph"])
+@pytest.mark.parametrize("h,interval", [case[1:3] for case in _block_cases()],
+                         ids=[case[0] for case in _block_cases()])
+def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
+    """An index scan that takes its blocks gives the index of the same
+    scan on the generic chart; a scan never mixes the two samplers, so
+    its lift differs from the generic lift by one constant."""
+    tol = DEFAULT_TOL
+    path, ref = _own_scan(h, route, interval)
+    chart, ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
+    assert chart[2] is not None
+    generic = chart[:2] + (None,)
+    args, generic_ends, _ = maslov._phase_samples(path, generic, ts, tol, False)
+    offset = lifted - maslov._lift(args)
+    assert np.abs(offset - offset[0]).max() <= 1e-10
+    assert _bits(ends) == _bits(generic_ends)
+    assert maslov._phase_index(lifted, ends, tol) == maslov._phase_index(
+        maslov._lift(args), generic_ends, tol) == maslov_index(_looped(path), ref)
+
+
+def test_only_the_own_cached_reference_takes_the_blocks():
+    """A graph path scanned against any other reference, a diagonal of
+    other tolerances included, an orbit path from a given start, and a
+    path given another frame function take the generic chart, with the
+    same index as the block scans."""
+    h = random_hamiltonian(2, 3111, "mixed")
+    n, tol = 2, DEFAULT_TOL
+    graph, diagonal = _own_scan(h, "graph")
+    other = product_lagrangian(random_lagrangian(n, 1), random_lagrangian(n, 2))
+    loose = Tolerances(eps_sym=1e-7)
+    for ref in (other, diagonal_lagrangian(n, loose)):
+        assert maslov._chart(graph, ref, tol)[2] is None
+        assert maslov_index(graph, ref) == maslov_index(_looped(graph), ref)
+    assert maslov_index(graph, diagonal_lagrangian(n, loose)) == conley_zehnder(h)
+    vertical = vertical_lagrangian(n, tol)
+    started = orbit_path(h, start=vertical)
+    assert started.frame_fn.blocks is None
+    assert maslov._chart(started, vertical, tol)[2] is None
+    assert maslov_index(started, vertical) == maslov_index_symplectic(h)
+    assert maslov._chart(_looped(graph), diagonal, tol)[2] is None
+    orbit, own = _own_scan(h, "orbit")
+    assert maslov._chart(orbit, own, tol)[2] is orbit.frame_fn.blocks
+    assert maslov._chart(orbit, horizontal_lagrangian(n, tol), tol)[2] is None
+
+
+def test_find_crossings_keeps_the_generic_chart(monkeypatch):
+    """find_crossings of a path that carries blocks samples through the
+    generic chart only."""
+    monkeypatch.setattr(maslov._Blocks, "sample", None)
+    path, ref = _own_scan(5.0 * standard_J(1), "orbit")
+    assert find_crossings(path, ref).index == HalfInt(3)
+    with pytest.raises(TypeError):
+        maslov_index(path, ref)
+
+
+def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
+    """``_flow_indices`` gives the two public scans and evaluates the
+    flow of its record once per batch of the graph path, for both
+    routes; the parent scans stacked it once per batch of each."""
+    tol = DEFAULT_TOL
+    stacks = []
+    stack = maslov._FlowRecord.stack
+
+    def counting(record, ts):
+        stacks.append(len(ts))
+        return stack(record, ts)
+
+    for n, batches in ((1, 1), (16, 11)):
+        h = 4.0 * random_hamiltonian(n, 1016, "semisimple-elliptic")
+        want = maslov_index_symplectic(h), conley_zehnder(h)
+        path = graph_path(h)
+        ts = maslov._scan_times(path, 256, False)
+        assert len(maslov._batches(path, len(ts))) == batches
+        monkeypatch.setattr(maslov._FlowRecord, "stack", counting)
+        assert maslov._flow_indices(h, tol) == want
+        monkeypatch.undo()
+        assert len(stacks) == batches and sum(stacks) == len(ts)
+        stacks.clear()
+
+
+def test_flow_indices_raise_what_the_two_scans_raise():
+    """On the sweep's growth generators and two hyperbolic ones (one whose
+    graph frames alone lose rank, one whose orbit frames do too),
+    ``_flow_indices`` returns or raises what the orbit scan then the
+    graph scan return or raise."""
+    sweep = _load_sweep()
+    hs = [h for name, h in sweep.ensemble() if name.startswith("growth")]
+    hs += [plane_block_generator([("hyperbolic", 22.0)]), HYPERBOLIC_PAIR,
+           np.diag([800.0, -800.0])]
+    outcomes = []
+    for h in hs:
+        got = _answer_or_error(maslov._flow_indices, h, DEFAULT_TOL)
+        assert got == _two_scans(h)
+        outcomes.append(got[1] if got[0] == "error" else HalfInt)
+    assert outcomes[-3:] == [NotLagrangian, NotLagrangian, InputError]
+    assert HalfInt in outcomes
+    with pytest.raises(NotLagrangian, match="^path frame lost rank at t=1$"):
+        conley_zehnder(plane_block_generator([("hyperbolic", 22.0)]))
+    with pytest.raises(NotLagrangian, match="^path frame lost rank at t=1$"):
+        maslov._flow_indices(plane_block_generator([("hyperbolic", 22.0)]), DEFAULT_TOL)
+
+
+# -- eigenphases of W -------------------------------------------------------------
+
+def _symmetric_unitary_charts(size, seed, phases=None):
+    """A stack of two Z = Q diag(exp(i phi)) R, Q orthogonal and R real
+    invertible, whose W = Z conj(Z)^-1 = Q diag(exp(2 i phi)) Q^T is
+    symmetric and unitary with the eigenphases 2 phi, drawn off 0 and
+    2 pi unless given."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        r = rng.standard_normal((size, size)) + 3.0 * np.eye(size)
+        theta = rng.uniform(0.01, TWO_PI - 0.01, size) if phases is None else np.asarray(phases)
+        out.append((q * np.exp(0.5j * theta)) @ r)
+    return np.array(out)
+
+
+def _reference_phases(z):
+    w = np.linalg.solve(maslov._tr(z.conj()), maslov._tr(z))
+    return np.angle(np.linalg.eigvals(w)) % TWO_PI
+
+
+@pytest.mark.parametrize("size", range(1, 33))
+def test_eigenphases_match_eigvals(size):
+    """On random symmetric unitary W of sizes 1 to 32, the eigenphases
+    (from one real eigh from size 12 on) match np.angle(eigvals(W))
+    within 1e-12."""
+    z = _symmetric_unitary_charts(size, 3200 + size)
+    got, want = maslov._eigenphases(z, DEFAULT_TOL), _reference_phases(z)
+    assert got.shape == want.shape == (2, size)
+    assert np.abs(np.sort(got) - np.sort(want)).max() <= 1e-12
+
+
+def test_eigenphases_merged_by_the_real_pencil_take_eigvals(monkeypatch):
+    """Two distinct eigenphases a and b = 2 atan(mu) - a meet in one
+    eigenvalue of Re W + mu Im W; that W takes eigvals, matrix by
+    matrix, and its phases still match."""
+    size = 16
+    gamma = np.arctan(maslov._EIGH_MU)
+    phases = np.linspace(0.3, 6.0, size)
+    phases[:2] = gamma + 0.9, gamma - 0.9
+    z = _symmetric_unitary_charts(size, 3300, phases)
+    z[1] = _symmetric_unitary_charts(size, 3301)[1]  # a W the pencil separates
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    got = maslov._eigenphases(z, DEFAULT_TOL)
+    assert calls == [(size, size)]
+    monkeypatch.undo()
+    assert np.abs(np.sort(got) - np.sort(_reference_phases(z))).max() <= 1e-12
+    assert np.abs(np.sort(got[0]) - np.sort(phases)).max() <= 1e-9

@@ -127,8 +127,8 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert report["host_factor"] > 0 and report["ratios"] == {}
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
-    per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
-                "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
+    per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
+                "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
                 "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
                 "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms"}
     for key in ("median_ms", "runs_ms"):

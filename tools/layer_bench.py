@@ -9,9 +9,15 @@ Each layer is called directly, not through a tracer:
 in turn, so each call builds a record), ``route_pair`` (the public
 ``maslov_index_symplectic`` then ``conley_zehnder`` of one generator,
 reported per pair),
-``maslov.maslov_index`` (reported per scan: the orbit path of each
-generator against the vertical and its graph path against the
-diagonal, built outside the timing),
+``maslov.maslov_index`` of the orbit path of each generator against
+the vertical (``orbit_scan``) and of its graph path against the
+diagonal (``graph_scan``), the paths built outside the timing and the
+references those of the public routes, ``vertical_lagrangian(n, tol)``
+and ``diagonal_lagrangian(n, tol)``, so that each scan takes the block
+sampler its path carries where the tree has one;
+``maslov._eigenphases`` of W at the two ends of each of those scans
+(``_eigenphases_orbit`` of size n, ``_eigenphases_graph`` of size 2 n;
+reported per end, Z formed by the generic chart outside the timing);
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
 ``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
 by their intersection K; on cold flow records (the record cache
@@ -66,6 +72,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -82,8 +89,8 @@ import hostref  # noqa: E402
 #: generators per size
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
-PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "maslov_index",
-            "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
+PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
+            "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
             "krein_signature", "is_semisimple", "krein_routes", "krein_routes_svd",
             "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
             "_locate", "_forms")
@@ -173,6 +180,15 @@ def _rounds(ma, args):
     return len(rounds)
 
 
+def _end_phases(ma, path, ref, tol):
+    """(``_eigenphases``, its arguments, 2) for W at the two ends of the
+    scan of ``path`` against ``ref``; a tree whose ``_eigenphases`` takes
+    no tolerances is passed none."""
+    z = ma._chart_samples(path, ma._chart(path, ref, tol), numpy.array(path.interval), tol)[1]
+    takes_tol = len(inspect.signature(ma._eigenphases).parameters) > 1
+    return ma._eigenphases, (z, tol) if takes_tol else (z,), 2
+
+
 def _cold(ma, fn):
     """``fn`` called on an empty flow-record cache (a tree without one
     builds every record anyway)."""
@@ -220,8 +236,8 @@ def _layer_calls(tree, hs, queries, doubled):
             pass
     space, diag, pair, red = au._triple_constants(systems[0].n, tol)[:4]
     graphs = [tree["package"].graph_lagrangian(s.psi(1.0), tol) for s in systems]
-    scans = [(ma.orbit_path(s.h), ma.vertical_lagrangian(s.n)) for s in systems]
-    graph_scans = [(ma.graph_path(s.h), ma.diagonal_lagrangian(s.n)) for s in systems]
+    scans = [(ma.orbit_path(s.h), ma.vertical_lagrangian(s.n, tol)) for s in systems]
+    graph_scans = [(ma.graph_path(s.h), ma.diagonal_lagrangian(s.n, tol)) for s in systems]
     layers = [_scan_layers(ma, *scan) for scan in scans]
     rounds = [_rounds(ma, r["_locate"]) for r in layers]
 
@@ -243,7 +259,10 @@ def _layer_calls(tree, hs, queries, doubled):
         "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
         "_flow_record": [(ma._flow_record, (s.h, None, tol), 1) for s in systems],
         "route_pair": [(route_pair, (s.h,), 1) for s in systems],
-        "maslov_index": [(ma.maslov_index, scan, 1) for scan in scans + graph_scans],
+        "orbit_scan": [(ma.maslov_index, scan, 1) for scan in scans],
+        "graph_scan": [(ma.maslov_index, scan, 1) for scan in graph_scans],
+        "_eigenphases_orbit": [_end_phases(ma, *scan, tol) for scan in scans],
+        "_eigenphases_graph": [_end_phases(ma, *scan, tol) for scan in graph_scans],
         "_correction_matrix": [(au._correction_matrix, (p, tol), 1) for p, _ in transversal],
         "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for p, x in transversal],
         "kashiwara_reduced": [(tree["package"].kashiwara_reduced,
@@ -297,8 +316,8 @@ def bench(trees, repeats, sizes):
     return {
         "script": "tools/layer_bench.py",
         "unit": "ms per call; route_pair per pair, krein_routes and krein_routes_svd "
-                "per generator, maslov_index per scan, "
-                "_phase_samples per sample, _locate per bisection round, _forms per crossing",
+                "per generator, orbit_scan and graph_scan per scan, _eigenphases_orbit and "
+                "_eigenphases_graph per end, _phase_samples per sample, _locate per bisection round, _forms per crossing",
         "settings": {"repeats": repeats, "sizes": list(sizes), "systems_per_size": SYSTEMS,
                      "blas_threads": 1},
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
