@@ -645,8 +645,8 @@ def _eigenphases(z, tol: Tolerances):
 
 
 def _block_samples(scans, ts, tol: Tolerances):
-    """[(arg det Z at the times ts, Z at the first and last time, error
-    or None)] of each (path, chart) of ``scans``: paths of one flow whose
+    """[arg det Z at the times ts, Z at the first and last time, error
+    or None] of each (path, chart) of ``scans``: paths of one flow whose
     charts carry their ``_Blocks``, sampled in the batches of the last
     path, the largest, with one stack of the flow per batch for all of
     them.  The orbit's end Z is its block Z; the graph forms its chart's
@@ -668,15 +668,15 @@ def _block_samples(scans, ts, tol: Tolerances):
                     continue
                 scan[0].append(arg)
                 rows = z if blocks.eye is None else flows
-                if sl.start == 0:
-                    scan[1].append(rows[0])
-                if sl.stop == len(ts):
-                    scan[1].append(rows[-1])
+                if len(rows) == len(ts):  # one batch: a view of both ends
+                    scan[1] = rows[::len(ts) - 1]
+                elif sl.start == 0 or sl.stop == len(ts):
+                    scan[1].append(rows[0 if sl.start == 0 else -1])
         if out[0][2] is not None:
             return [(None, None, out[0][2])]
     for (_, chart), scan in zip(scans, out):
         if scan[2] is None:
-            args, ends = scan[0], np.array(scan[1])
+            args, ends = scan[0], np.asarray(scan[1])
             scan[0] = args[0] if len(args) == 1 else np.concatenate(args)
             scan[1] = ends if chart[2].eye is None else _in_chart(chart, chart[2].frames(ends))
     return out
@@ -1009,7 +1009,10 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     ``path_from_frames`` paths take ``grid`` cells and are checked only
     at their samples, so a full turn between two samples goes unseen.
     Each frame is evaluated once, in batches within ``_BATCH_BYTES``,
-    and the eigenphases of the two ends in one call after them.
+    and the eigenphases of the two ends in one call after them.  The
+    orbit path of the vertical and the graph path, scanned against the
+    vertical and the diagonal their factories cached, take every sample
+    from the blocks of the flow (``_Blocks``) and form Z at the ends only.
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)
