@@ -127,8 +127,9 @@ class _Stacked:
     every frame F(t) the function returns; ``_frames`` skips the SVD
     rank rule where it holds.  It belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound; so does ``blocks``, None or
-    the ``_Blocks`` sampler of the flow path the function traces."""
+    ``dataclasses.replace`` carries no bound.  Nor does it carry
+    ``blocks``: None, or the ``_Blocks`` sampler of the flow path the
+    function traces."""
 
     def __init__(self, stack, flow_dim: int, growth=None, blocks=None):
         self.stack = stack
