@@ -234,7 +234,7 @@ def calibrate_sign(*, tol: Tolerances = DEFAULT_TOL) -> int:
     sigmas = []
     for alpha in _CALIBRATION_SPEEDS:
         system = make_system(alpha * standard_J(1), tol)
-        orbit, graph = _flow_indices(system.h, tol)
+        orbit, graph, _ = _flow_indices(system.h, tol)
         sx = correction_sign(system, tol)
         gap = orbit - graph
         if abs(gap.twice) != 1 or sx not in (-1, 1):
@@ -310,13 +310,13 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     routes disagreed.  ``grid`` is validated as in ``maslov_index``,
     before any scan, and does not change the certified scans.  Both
     scans read one record of the generator (``maslov._flow_indices``),
-    so it is checked, diagonalized and decomposed once.
+    so it is checked, diagonalized and decomposed once, and the formula
+    reads psi(1) from their flow sample at t = 1: no second ``expm``.
     """
     _as_system(system)
     _grid_cells(grid)
     sigma = _coupling_sign(sigma, tol)
-    orbit, graph = _flow_indices(system.h, tol)
-    psi1 = system.psi(1.0)
+    orbit, graph, psi1 = _flow_indices(system.h, tol)
     try:
         x = _correction_matrix(psi1, tol)
     except TransversalityViolated:

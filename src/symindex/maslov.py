@@ -148,6 +148,9 @@ class _Blocks:
     record's stack of Phi = exp(t h) = [[A, B], [C, D]] and ``frames``
     maps such a stack onto the path's frames.
 
+    ``origin_defect`` is the record's delta0, which certifies the
+    eigenphases of a scan's t = 0 end (``_block_samples``).
+
     ``sample`` reads arg det Z, log |det Z| and sum log s, the samples of
     ``_chart_samples``, from the blocks of Phi without the chart's
     products.  For any orthonormal frame of the vertical, det Z = det(D -
@@ -164,9 +167,10 @@ class _Blocks:
     formed and take ``_volumes``' SVD rank rule; the Lagrangian check of
     ``_chart_samples`` runs on every sample."""
 
-    def __init__(self, ref: LagrangianFrame, flow, frames, growth, eye=None):
+    def __init__(self, ref: LagrangianFrame, record: "_FlowRecord", frames, growth, eye=None):
         self.ref = ref
-        self.flow = flow
+        self.flow = record.stack
+        self.origin_defect = record.origin_defect
         self.frames = frames
         self.growth = growth
         self.eye = eye  # the identity of the flow's size for the graph, None for the orbit
@@ -211,6 +215,9 @@ class _FlowRecord:
     (eigenvalues, V, V^-1) and exp(t h) = Re (V * exp(t vals)) @ V^-1;
     else (a defective or ill-conditioned h, kappa inf when ``eig`` fails)
     ``eigen`` is None and the stack is ``numerics.expm`` of t h.
+    ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
+    ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
+    are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
 
     ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
     the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
@@ -240,6 +247,7 @@ class _FlowRecord:
     norm: float
     bound: float
     kappa: float
+    origin_defect: float
     eigen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     orbit_growth: Optional[Tuple[float, float]]
     graph_growth: Optional[Tuple[float, float]]
@@ -261,9 +269,11 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     seen.  ``tol`` and the matrix are checked before the key is formed,
     so their typed errors come first; a miss runs the rest of the
     generator check (``_generator_norm``) on the float64 copy of the key,
-    so h is converted once.  A generator that raises is not
-    kept and leaves the kept record in place.  The record reads a copy
-    of h, so a caller's later write to its array does not reach it."""
+    so h is converted once, or reads it from that check's memo where h
+    was just checked under the same key (``make_system``).  A generator
+    that raises is not kept and leaves the kept record in place.  The
+    record reads a copy of h, so a caller's later write to its array
+    does not reach it."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
     return _record_of(h.tobytes(), h.shape[0], space, tol)
@@ -273,8 +283,7 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
     """``_flow_record`` of the d x d matrix of bytes ``data``."""
-    h = np.frombuffer(data).reshape(d, d)
-    norm = _generator_norm(h, space, tol)
+    h, norm = _generator_norm(data, d, space, tol)
     n = d // 2
     s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
@@ -286,16 +295,17 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
         if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
             # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1
-            if np.linalg.norm((vecs @ vinv).real - np.eye(d)) <= 1e-10:
+            defect = float(np.linalg.norm((vecs @ vinv).real - np.eye(d)))
+            if defect <= 1e-10:
                 for a in (vals, vecs, vinv):
                     a.flags.writeable = False
                 re = vals.real
-                return _FlowRecord(h, norm, bound, kappa, (vals, vecs, vinv),
+                return _FlowRecord(h, norm, bound, kappa, defect, (vals, vecs, vinv),
                                    (2.0 * math.log(kappa), float(re.max() - re.min())),
                                    (math.log(2.0 * kappa), float(np.abs(re).max())))
     except np.linalg.LinAlgError:
         pass
-    return _FlowRecord(h, norm, bound, kappa, None, None, None)
+    return _FlowRecord(h, norm, bound, kappa, 0.0, None, None, None)
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -332,7 +342,7 @@ def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    blocks = _Blocks(start, flow, frames, record.orbit_growth) if own else None
+    blocks = _Blocks(start, record, frames, record.orbit_growth) if own else None
     return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth, blocks),
                           _Stacked(dfrs, d), interval, record.bound)
 
@@ -372,7 +382,7 @@ def _graph_path(record: _FlowRecord, interval, diagonal: LagrangianFrame) -> Lag
     def dfrs(ts):
         return graphs(0.0, h @ flow(ts))
 
-    blocks = _Blocks(diagonal, flow, frames, record.graph_growth, eye)
+    blocks = _Blocks(diagonal, record, frames, record.graph_growth, eye)
     return LagrangianPath(space, _Stacked(frs, d, record.graph_growth, blocks),
                           _Stacked(dfrs, d), interval, record.bound)
 
@@ -646,15 +656,37 @@ def _eigenphases(z, tol: Tolerances):
 
 
 def _block_samples(scans, ts, tol: Tolerances):
-    """[arg det Z at the times ts, Z at the first and last time, error
-    or None] of each (path, chart) of ``scans``: paths of one flow whose
-    charts carry their ``_Blocks``, sampled in the batches of the last
-    path, the largest, with one stack of the flow per batch for all of
-    them.  The orbit's end Z is its block Z; the graph forms its chart's
-    Z at its two end flows.  A scan that fails keeps its error and takes
-    no further batch; when the first scan fails, sampling stops and the
-    list holds its error alone, as that error is raised first."""
+    """([arg det Z at the times ts, eigenphases of W at the first and
+    last time, error or None] of each (path, chart) of ``scans``, the
+    flow at the last time): paths of one flow whose charts carry their
+    ``_Blocks``, sampled in the batches of the last path, the largest,
+    with one stack of the flow per batch for all of them.  The orbit's
+    end Z is its block Z; the graph forms its chart's Z at its end
+    flows.  A scan that fails keeps its error and takes no further
+    batch; when the first scan fails, sampling stops and the list holds
+    its error alone, as that error is raised first, with no flow.
+
+    A scan whose first time is 0 starts on its reference.  Where 4
+    delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
+    end takes the phases 0 without ``_eigenphases``, which ``_snapped``
+    reads as the sum 0 and the dimension the size of W, as it reads the
+    computed phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0
+    = D0 - iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0
+    - I = (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 /
+    (1 - delta0).  On the graph, in the chart of the diagonal [I; I] /
+    sqrt 2 (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I
+    + F0) - iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I -
+    iJ) E / 2 and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 /
+    (1 - delta0).  An eigenvalue within r < 1 of 1 has a phase of at
+    most arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4
+    eps_rank, so every computed phase at 0 lies in the band eps_rank
+    where ``_snapped`` zeroes it while eps_rank is well above the
+    rounding of W, and the index is the same bit for bit.  Otherwise the
+    first end's phases are computed.  The t = 0 sample keeps its rank
+    and Lagrangian checks."""
     flow = scans[0][1][2].flow
+    # 1 where the t = 0 end is certified by the bound above, else 0
+    zero = int(ts[0] == 0.0 and 4.0 * scans[0][1][2].origin_defect <= tol.eps_rank)
     out = [[[], [], None] for _ in scans]  # per scan: args, (first, last) rows, error
     for sl in _batches(scans[-1][0], len(ts)):
         times = ts[sl]
@@ -674,13 +706,15 @@ def _block_samples(scans, ts, tol: Tolerances):
                 elif sl.start == 0 or sl.stop == len(ts):
                     scan[1].append(rows[0 if sl.start == 0 else -1])
         if out[0][2] is not None:
-            return [(None, None, out[0][2])]
+            return [(None, None, out[0][2])], None
     for (_, chart), scan in zip(scans, out):
         if scan[2] is None:
-            args, ends = scan[0], np.asarray(scan[1])
+            blocks, args, ends = chart[2], scan[0], np.asarray(scan[1])[zero:]
             scan[0] = args[0] if len(args) == 1 else np.concatenate(args)
-            scan[1] = ends if chart[2].eye is None else _in_chart(chart, chart[2].frames(ends))
-    return out
+            scan[1] = np.zeros((2, ends.shape[-1]))  # the size of W
+            scan[1][zero:] = _eigenphases(ends if blocks.eye is None
+                                          else _in_chart(chart, blocks.frames(ends)), tol)
+    return out, flows[-1]
 
 
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
@@ -692,13 +726,14 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     the real and imaginary parts of the ``chart``; the end phases take
     one ``_eigenphases`` call after the last batch.  An index scan (not
     ``phases``, not ``rated``) whose chart carries the path's ``_Blocks``
-    takes every arg det Z from them (``_block_samples``) and forms Z at
-    its two ends only."""
+    takes every arg det Z from them and its end phases from Z at its
+    ends, the first left out where the record certifies it
+    (``_block_samples``)."""
     if chart[2] is not None and not phases and not rated:
-        (args, ends, error), = _block_samples([(path, chart)], ts, tol)
+        (args, thetas, error), = _block_samples([(path, chart)], ts, tol)[0]
         if error is not None:
             raise error
-        return args, _eigenphases(ends, tol), None
+        return args, thetas, None
     out = ([], [], [])
     last, ends = len(ts) - 1, []
     for sl in _batches(path, len(ts)):
@@ -1013,7 +1048,9 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     and the eigenphases of the two ends in one call after them.  The
     orbit path of the vertical and the graph path, scanned against the
     vertical and the diagonal their factories cached, take every sample
-    from the blocks of the flow (``_Blocks``) and form Z at the ends only.
+    from the blocks of the flow (``_Blocks``) and form Z at the ends only,
+    at the last one only where the record certifies a t = 0 start
+    (``_block_samples``).
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)
@@ -1043,24 +1080,27 @@ def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
-def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt]:
-    """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``) on [0, 1]
-    from one ``_flow_record`` of h, the two scans of ``validate`` and of
-    each calibration probe.  The two paths share their rate bound and
-    interval, so their grid: ``_block_samples`` stacks the flow once per
-    batch for both, and the errors and checks come in the order of the
-    two scans run one after the other."""
+def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
+    """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``, psi(1)) on
+    [0, 1] from one ``_flow_record`` of h, the two scans of ``validate``
+    and of each calibration probe.  The two paths share their rate bound
+    and interval, so their grid: ``_block_samples`` stacks the flow once
+    per batch for both, and the errors and checks come in the order of
+    the two scans run one after the other.  psi(1) is the scans' own
+    flow sample at t = 1, ``record.stack`` at 1.0 bit for bit (on the
+    ``expm`` branch also ``expm(h)`` alone)."""
     record = _flow_record(h, None, tol)
     paths = (_orbit_path(record, None, (0.0, 1.0), tol),
              _graph_path(record, (0.0, 1.0), diagonal_lagrangian(record.h.shape[0] // 2, tol)))
     scans = [(path, _chart(path, path.frame_fn.blocks.ref, tol)) for path in paths]
     ts = _scan_times(paths[0], MIN_GRID, False)
+    sampled, psi1 = _block_samples(scans, ts, tol)
     indices = []
-    for args, ends, error in _block_samples(scans, ts, tol):
+    for args, thetas, error in sampled:
         if error is not None:
             raise error
-        indices.append(_phase_index(_lift(args), _eigenphases(ends, tol), tol))
-    return indices[0], indices[1]
+        indices.append(_phase_index(_lift(args), thetas, tol))
+    return indices[0], indices[1], psi1
 
 
 # -- closed forms for rotation blocks ------------------------------------------

@@ -190,16 +190,32 @@ def _isotropic_frame(space: SymplecticSpace, q, tol: Tolerances) -> LagrangianFr
     return LagrangianFrame(space, q)
 
 
-# The reference Lagrangians are built once per (n, tol) and shared; typed keys
-# keep (2.0) and (True), which standard_J refuses, apart from (2) and (1).
+def _per_dim(build):
+    """``build(n, tol)`` built once per (n, tol) and shared: the cache of
+    the reference Lagrangians.  Its key is (n, tol) however tol is
+    passed, so ``f(n)`` and ``f(n, DEFAULT_TOL)`` are one object and a
+    scan against either takes the block sampler of a path whose factory
+    looked up the other (``maslov._chart`` compares by identity).  Typed
+    keys keep (2.0) and (True), which standard_J refuses, apart from (2)
+    and (1)."""
+    cached = functools.lru_cache(maxsize=CACHED_DIMS, typed=True)(build)
 
-@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
+    @functools.wraps(build)
+    def reference(n, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
+        return cached(n, tol)
+
+    reference.cache_clear = cached.cache_clear
+    reference.cache_info = cached.cache_info
+    return reference
+
+
+@_per_dim
 def vertical_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace {0} x R^n of the standard space."""
     return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, n:], tol)
 
 
-@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
+@_per_dim
 def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace R^n x {0} of the standard space."""
     return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, :n], tol)
@@ -240,21 +256,29 @@ def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
     its spectral norm), the norm the check measured."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
-    return h, _generator_norm(h, space, tol)
+    return h, _generator_norm(h.tobytes(), h.shape[0], space, tol)[1]
 
 
-def _generator_norm(h, space: Optional[SymplecticSpace], tol: Tolerances) -> float:
-    """The last two checks of ``_generator`` on ``h``, an even square
-    float64 array, within a checked ``tol``: the size of ``space``, else
-    DimensionMismatch; Hamiltonian, else NotHamiltonian.  Returns the
-    spectral norm of h that the check measured."""
-    form = (SymplecticSpace.standard(h.shape[0] // 2) if space is None else space).form
+@functools.lru_cache(maxsize=1)
+def _generator_norm(data: bytes, d: int, space: Optional[SymplecticSpace], tol: Tolerances):
+    """The last two checks of ``_generator`` on the d x d float64 matrix
+    h of C-order bytes ``data``, within a checked ``tol``: the size of
+    ``space``, else DimensionMismatch; Hamiltonian, else NotHamiltonian.
+    Returns (h, read-only over ``data``, the spectral norm of h that the
+    check measured).
+
+    The last generator that passed is kept under the key of the flow
+    record (``maslov._record_of``), so ``make_system(h)`` and the record
+    miss of its first scan check h once.  A write to the array gives a
+    new key, and a generator that raises is not kept."""
+    h = np.frombuffer(data).reshape(d, d)
+    form = (SymplecticSpace.standard(d // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
     hamiltonian, norm = _hamiltonian_for(h, form, tol)
     if not hamiltonian:
         raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
-    return norm
+    return h, norm
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
@@ -274,7 +298,7 @@ def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     return _isotropic_frame(SymplecticSpace.graph_product(len(m) // 2), q, tol)
 
 
-@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
+@_per_dim
 def diagonal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The diagonal {(v, v)} in the product space over R^(2n)."""
     space = SymplecticSpace.graph_product(n)

@@ -21,6 +21,7 @@ from symindex import (
     random_hamiltonian,
     spectral_conley_zehnder,
     standard_J,
+    standard_direct_sum,
     triple_routes_from,
     validate,
 )
@@ -303,17 +304,111 @@ def test_validate_full_report():
 
 
 def test_validate_evaluates_time_one_map_once(monkeypatch):
-    calls = []
+    """validate evaluates the flow at t = 1 once, in its scans: it calls
+    no HamiltonianSystem.psi, and the formula and the triple routes both
+    read the last row of the scans' last flow stack."""
+    calls, stacks, maps = [], [], []
     psi = HamiltonianSystem.psi
+    stack = maslov._FlowRecord.stack
 
     def counting_psi(self, t):
         calls.append(t)
         return psi(self, t)
 
+    def kept_stack(record, ts):
+        stacks.append((ts[-1], stack(record, ts)))
+        return stacks[-1][1]
+
+    def spy(name):
+        original = getattr(autonomous, name)
+
+        def spied(psi1, *args):
+            maps.append(psi1)
+            return original(psi1, *args)
+
+        monkeypatch.setattr(autonomous, name, spied)
+
     monkeypatch.setattr(HamiltonianSystem, "psi", counting_psi)
+    monkeypatch.setattr(maslov._FlowRecord, "stack", kept_stack)
+    spy("_correction_matrix")
+    spy("_triple_routes")
     report = validate(make_system(plane_block_generator([("elliptic", 5.0)])), sigma=-1)
     assert report.formula_index == HalfInt(3)
-    assert calls == [1.0]
+    assert calls == []
+    assert len(maps) == 2 and maps[0] is maps[1]
+    last_time, last_stack = stacks[-1]
+    assert last_time == 1.0 and np.shares_memory(maps[0], last_stack[-1])
+    assert maps[0].tobytes() == last_stack[-1].tobytes()
+
+
+def _jordan_beside_rotation():
+    jordan = np.zeros((4, 4))
+    jordan[0, 1], jordan[3, 2] = 1.0, -1.0
+    return standard_direct_sum([jordan, 3.0 * standard_J(1)])
+
+
+@pytest.mark.parametrize("h,expm_branch", [
+    (plane_block_generator([("elliptic", 5.0)]), False),
+    (2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"), False),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), True),
+    (_jordan_beside_rotation(), True),
+], ids=["rotation", "n=8", "shear", "jordan"])
+def test_validate_reads_psi1_from_the_flow_of_its_scans(monkeypatch, h, expm_branch):
+    """The psi(1) that validate passes to ``_correction_matrix`` is the
+    record's flow at 1 bit for bit.  On the eigen branch validate runs
+    no expm and no HamiltonianSystem.psi; on the expm branch (Jordan
+    blocks) that psi(1) is also ``make_system(h).psi(1.0)`` bit for bit."""
+    tol = numerics.DEFAULT_TOL
+    system = make_system(h)
+    maps = []
+    correction = autonomous._correction_matrix
+
+    def spied(psi1, tol):
+        maps.append(psi1)
+        return correction(psi1, tol)
+
+    monkeypatch.setattr(autonomous, "_correction_matrix", spied)
+    monkeypatch.setattr(HamiltonianSystem, "psi", None)  # a call raises TypeError
+    expm = numerics.expm
+    if not expm_branch:
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("symindex")
+                    and getattr(module, "expm", None) is expm):
+                monkeypatch.setattr(module, "expm", None)
+    validate(system, sigma=-1)
+    monkeypatch.undo()
+    record = maslov._flow_record(h, None, tol)
+    assert (record.eigen is None) == expm_branch
+    assert len(maps) == 1
+    assert maps[0].tobytes() == record.stack(np.ones(1))[0].tobytes()
+    if expm_branch:
+        assert maps[0].tobytes() == system.psi(1.0).tobytes()
+
+
+def test_validate_of_a_fresh_system_checks_its_generator_once(monkeypatch):
+    """``validate(make_system(h))`` on a fresh h runs one Hamiltonian
+    check: the record miss of its scans reads ``make_system``'s from its
+    memo.  A write to ``system.h`` in place gives a new key, so the next
+    validate checks h again and refuses a generator no longer
+    Hamiltonian."""
+    checked = []
+    check = symplectic._hamiltonian_for
+
+    def counted(h, *args):
+        checked.append(h.tobytes())
+        return check(h, *args)
+
+    monkeypatch.setattr(symplectic, "_hamiltonian_for", counted)
+    system = make_system(2.0 * random_hamiltonian(2, 7, "mixed"))
+    assert validate(system, sigma=-1).orbit_index is not None
+    assert checked == [system.h.tobytes()]
+    system.h[:] *= 2.0
+    validate(system, sigma=-1)
+    assert checked == [checked[0], system.h.tobytes()]
+    system.h[0, 0] += 1.0
+    with pytest.raises(NotHamiltonian):
+        validate(system, sigma=-1)
+    assert len(checked) == 3
 
 
 def test_validate_skips_formula_off_transversality():
@@ -402,12 +497,12 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
 
 
 def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
-    """At n=8 one validate runs one eig of h, one eigvalsh of its
-    Hamiltonian form S = sym(-J h), one Hamiltonian check of it, whose
-    spectral norm is the one SVD of h, and the frames of its two
+    """At n=8 ``validate(make_system(h))`` runs one eig of h, one
+    eigvalsh of its Hamiltonian form S = sym(-J h), one Hamiltonian
+    check of it (``make_system``'s, which the record miss reads back),
+    whose spectral norm is the one SVD of h, and the frames of its two
     certified scans take no SVD in _frames."""
-    system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
-    h = system.h
+    h = 2.0 * random_hamiltonian(8, 0, "semisimple-elliptic")
     s = -standard_J(8) @ h
     s = 0.5 * (s + s.T)
     calls = collections.Counter()
@@ -430,7 +525,7 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     count(np.linalg, "eigvalsh")
     count(np.linalg, "svd")
     count(symplectic, "_hamiltonian_for")
-    assert validate(system, sigma=-1).agree
+    assert validate(make_system(h), sigma=-1).agree
     assert calls == {"eig(h)": 1, "eigvalsh(S)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
     with pytest.raises(NotHamiltonian):
         validate(HamiltonianSystem(np.random.default_rng(0).standard_normal((4, 4))), sigma=1)
@@ -441,10 +536,12 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
     checks: of the generator, of the time-one map and of the correction
     matrix's symmetry.  Every signature takes its scale from its own
     eigenvalues.  The shared constants of n=8 are built beforehand, and
-    the generator's flow record is dropped after them."""
+    the generator's flow record and the memo of its check are dropped
+    after them."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     assert validate(system, sigma=-1).agree
     maslov._record_of.cache_clear()
+    symplectic._generator_norm.cache_clear()
     original, callers = numerics.spectral_norm, []
 
     def counted(m):

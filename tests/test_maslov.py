@@ -1204,8 +1204,9 @@ def _bits(a):
 ], ids=["orbit 60J, 3 samples a batch", "graph n=2, 3 samples a batch",
         "graph n=16, default batches"])
 def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypatch):
-    """An index scan over several batches takes the eigenphases of its
-    two ends in one ``_eigenphases`` call, and its lift and end phases
+    """An index scan over several batches takes the eigenphases of the
+    ends it computes in one ``_eigenphases`` call, here the last end
+    only, as the record certifies the first, and its lift and end phases
     equal those of the same scan in one batch bit for bit."""
     tol = DEFAULT_TOL
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
@@ -1224,7 +1225,7 @@ def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypa
 
     monkeypatch.setattr(maslov, "_eigenphases", counting)
     _, batched_ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
-    assert calls == [2]
+    assert calls == [1]
     assert _bits(batched_ts) == _bits(ts)
     assert _bits(lifted) == _bits(whole_lift)
     assert ends.shape == (2, path.space.half_dim)
@@ -1393,6 +1394,22 @@ def test_a_flow_record_refuses_writes():
         defective.h[0, 0] = 1.0
 
 
+def test_the_origin_defect_is_that_of_the_stacked_flow_at_0():
+    """delta0 is |F0 - I|_F of the flow at 0 as ``stack`` forms it, bit
+    for bit, alone or first in a batch; on the ``expm`` branch that flow
+    is I exactly and delta0 is 0."""
+    ts = np.linspace(0.0, 1.0, 5)
+    for _, h, _, expm_branch in _block_cases():
+        record = maslov._flow_record(h, None, DEFAULT_TOL)
+        assert (record.eigen is None) == expm_branch
+        f0 = record.stack(np.zeros(1))[0]
+        assert _bits(record.stack(ts)[0]) == _bits(f0)
+        assert record.origin_defect == np.linalg.norm(f0 - np.eye(len(h)))
+        assert 4.0 * record.origin_defect <= DEFAULT_TOL.eps_rank
+        if expm_branch:
+            assert record.origin_defect == 0.0 and _bits(f0) == _bits(np.eye(len(h)))
+
+
 def test_one_generator_in_any_array_form_shares_one_record():
     """A list, an int array, an F-ordered array and a complex array with
     zero imaginary part hold the same checked float64 matrix, so they
@@ -1525,7 +1542,9 @@ def _two_scans(h):
 def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
     """An index scan that takes its blocks gives the index of the same
     scan on the generic chart; a scan never mixes the two samplers, so
-    its lift differs from the generic lift by one constant."""
+    its lift differs from the generic lift by one constant.  Its end
+    phases are the generic ones bit for bit, except a certified t = 0
+    end, whose zeros ``_snapped`` reads as it reads the computed phases."""
     tol = DEFAULT_TOL
     path, ref = _own_scan(h, route, interval)
     chart, ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
@@ -1534,7 +1553,10 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
     args, generic_ends, _ = maslov._phase_samples(path, generic, ts, tol, False)
     offset = lifted - maslov._lift(args)
     assert np.abs(offset - offset[0]).max() <= 1e-10
-    assert _bits(ends) == _bits(generic_ends)
+    computed = int(ts[0] == 0.0)  # the rows both scans compute
+    assert _bits(ends[computed:]) == _bits(generic_ends[computed:])
+    for got, want in zip(maslov._snapped(ends, tol), maslov._snapped(generic_ends, tol)):
+        assert _bits(got) == _bits(want)
     assert maslov._phase_index(lifted, ends, tol) == maslov._phase_index(
         maslov._lift(args), generic_ends, tol) == maslov_index(_looped(path), ref)
 
@@ -1564,6 +1586,22 @@ def test_only_the_own_cached_reference_takes_the_blocks():
     assert maslov._chart(orbit, horizontal_lagrangian(n, tol), tol)[2] is None
 
 
+@pytest.mark.parametrize("n", [3, 16])
+def test_either_spelling_of_a_cached_reference_takes_the_blocks(n):
+    """``vertical_lagrangian(n)`` and ``diagonal_lagrangian(n)`` are the
+    objects of ``(n, DEFAULT_TOL)``, however tol is passed, so a scan
+    against either takes the block sampler of the public routes' paths."""
+    h = random_hamiltonian(n, 3120 + n, "mixed")
+    for make, route in ((vertical_lagrangian, "orbit"), (diagonal_lagrangian, "graph"),
+                        (horizontal_lagrangian, None)):
+        ref = make(n)
+        assert make(n, DEFAULT_TOL) is ref and make(n, tol=DEFAULT_TOL) is ref
+        assert make(n, Tolerances(eps_sym=1e-7)) is not ref
+        if route is not None:
+            path = _own_scan(h, route)[0]
+            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is path.frame_fn.blocks
+
+
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):
     """find_crossings of a path that carries blocks samples through the
     generic chart only."""
@@ -1577,7 +1615,8 @@ def test_find_crossings_keeps_the_generic_chart(monkeypatch):
 def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
     """``_flow_indices`` gives the two public scans and evaluates the
     flow of its record once per batch of the graph path, for both
-    routes; the parent scans stacked it once per batch of each."""
+    routes; the parent scans stacked it once per batch of each.  Its
+    psi(1) is the record's flow at 1 bit for bit."""
     tol = DEFAULT_TOL
     stacks = []
     stack = maslov._FlowRecord.stack
@@ -1593,8 +1632,10 @@ def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
         ts = maslov._scan_times(path, 256, False)
         assert len(maslov._batches(path, len(ts))) == batches
         monkeypatch.setattr(maslov._FlowRecord, "stack", counting)
-        assert maslov._flow_indices(h, tol) == want
+        orbit, graph, psi1 = maslov._flow_indices(h, tol)
+        assert (orbit, graph) == want
         monkeypatch.undo()
+        assert _bits(psi1) == _bits(maslov._flow_record(h, None, tol).stack(np.ones(1))[0])
         assert len(stacks) == batches and sum(stacks) == len(ts)
         stacks.clear()
 
@@ -1611,6 +1652,7 @@ def test_flow_indices_raise_what_the_two_scans_raise():
     outcomes = []
     for h in hs:
         got = _answer_or_error(maslov._flow_indices, h, DEFAULT_TOL)
+        got = got if got[0] == "error" else got[:2]
         assert got == _two_scans(h)
         outcomes.append(got[1] if got[0] == "error" else HalfInt)
     assert outcomes[-3:] == [NotLagrangian, NotLagrangian, InputError]
@@ -1619,6 +1661,74 @@ def test_flow_indices_raise_what_the_two_scans_raise():
         conley_zehnder(plane_block_generator([("hyperbolic", 22.0)]))
     with pytest.raises(NotLagrangian, match="^path frame lost rank at t=1$"):
         maslov._flow_indices(plane_block_generator([("hyperbolic", 22.0)]), DEFAULT_TOL)
+
+
+def _counting_eigenphases(monkeypatch):
+    """The row counts of the stacks ``_eigenphases`` receives."""
+    rows = []
+    eigenphases = maslov._eigenphases
+
+    def counting(z, tol):
+        rows.append(len(z))
+        return eigenphases(z, tol)
+
+    monkeypatch.setattr(maslov, "_eigenphases", counting)
+    return rows
+
+
+def test_a_certified_first_end_gives_the_index_of_its_computed_phases(monkeypatch):
+    """On the first input of each parity-sweep ensemble, ``_flow_indices``
+    and the two public scans answer alike, psi(1) bit for bit, whether
+    the record certifies their t = 0 end, whose phases then skip
+    ``_eigenphases``, or a record without the certificate has every end
+    computed."""
+    sweep = _load_sweep()
+    firsts = {}
+    for name, h in sweep.ensemble():
+        firsts.setdefault(name.split()[0], h)
+    rows = _counting_eigenphases(monkeypatch)
+    record_of = maslov._record_of
+
+    def uncertified(*key):
+        return dataclasses.replace(record_of(*key), origin_defect=np.inf)
+
+    def answers(h):
+        got = _answer_or_error(maslov._flow_indices, h, DEFAULT_TOL)
+        got = got if got[0] == "error" else got[:2] + (_bits(got[2]),)
+        return got, _two_scans(h)
+
+    answered = 0
+    for h in firsts.values():
+        certified = answers(h)
+        assert set(rows) <= {1}
+        answered += bool(rows)
+        rows.clear()
+        monkeypatch.setattr(maslov, "_record_of", uncertified)
+        assert answers(h) == certified
+        monkeypatch.setattr(maslov, "_record_of", record_of)
+        assert set(rows) <= {2}
+        rows.clear()
+    assert answered == len(firsts) == 9
+
+
+def test_an_uncertified_first_end_computes_its_phases(monkeypatch):
+    """A record whose delta0 is above eps_rank / 4 (a tol with eps_rank =
+    delta0) and a scan that does not start at 0 pass the first end to
+    ``_eigenphases`` beside the last; at the default tol the scans from
+    0 pass the last end only."""
+    h = random_hamiltonian(2, 4, "semisimple-elliptic")
+    defect = maslov._flow_record(h, None, DEFAULT_TOL).origin_defect
+    assert defect > 0.0
+    rows = _counting_eigenphases(monkeypatch)
+    for tol, count in ((DEFAULT_TOL, 1), (Tolerances(eps_rank=defect), 2)):
+        maslov._flow_indices(h, tol)
+        maslov_index_symplectic(h, tol=tol)
+        conley_zehnder(h, tol=tol)
+        assert rows == [count] * 4
+        rows.clear()
+    late = orbit_path(h, interval=(-0.5, 1.0))
+    maslov_index(late, vertical_lagrangian(2))
+    assert rows == [2]
 
 
 # -- eigenphases of W -------------------------------------------------------------

@@ -21,9 +21,9 @@ reported per end, Z formed by the generic chart outside the timing);
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
 ``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
 by their intersection K; on cold flow records (the record cache
-cleared before each call, so every call builds the record of its
-generator, as the ``_flow_record`` layer does by taking its generators
-in turn) ``krein._krein_pass``, ``krein.krein_signature``,
+cleared before each call, with the memo of the generator check, so
+every call builds the record of its generator, as the ``_flow_record``
+layer does by taking its generators in turn) ``krein._krein_pass``, ``krein.krein_signature``,
 ``krein.is_semisimple``, ``krein_routes`` (per generator: its
 ``krein_spectrum``, ``krein_signature`` at +-Im of each cluster that
 carries a Krein inertia, then ``classify_normal_form``; the record is
@@ -190,12 +190,14 @@ def _end_phases(ma, path, ref, tol):
 
 
 def _cold(ma, fn):
-    """``fn`` called on an empty flow-record cache (a tree without one
-    builds every record anyway)."""
-    cache = getattr(ma, "_record_of", None)
+    """``fn`` called on an empty flow-record cache and an empty memo of
+    the generator check (a tree without them builds every record and
+    runs every check anyway)."""
+    caches = [c for c in (getattr(ma, "_record_of", None), getattr(ma, "_generator_norm", None))
+              if hasattr(c, "cache_clear")]
 
     def call(*args):
-        if cache is not None:
+        for cache in caches:
             cache.cache_clear()
         return fn(*args)
     return call
