@@ -34,7 +34,7 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .kashiwara import _admissible_reduction, kashiwara_form
-from .maslov import _flow_indices, _grid_cells, conley_zehnder
+from .maslov import _flow_indices, _flow_record, _grid_cells, conley_zehnder
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -81,7 +81,9 @@ class HamiltonianSystem:
         return self.h.shape[0] // 2
 
     def psi(self, t: float):
-        """Fundamental solution at time t."""
+        """Fundamental solution at time t, the Padé ``expm`` of t h (I
+        exactly at t = 0).  The formula routes do not read it: they take
+        psi(1) from the flow record of h (``_time_one``)."""
         return expm(t * self.h)
 
 
@@ -137,9 +139,17 @@ def _correction_matrix(psi1, tol: Tolerances):
     return 0.5 * (x + x.T)
 
 
+def _time_one(system, tol: Tolerances):
+    """psi(1) of ``system`` as its flow record stacks it at t = 1: the one
+    time-one map of every formula route, ``validate``'s (the scans'
+    sample at 1) bit for bit.  The record checks ``tol``, then h."""
+    return _flow_record(_as_system(system).h, None, tol).stack(np.ones(1))[0]
+
+
 def correction_matrix(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL):
-    """Correction matrix of the system's time-one map."""
-    return _correction_matrix(_as_system(system).psi(1.0), tol)
+    """Correction matrix of the system's time-one map, read from the flow
+    record of its generator (``validate``'s psi(1), not ``system.psi``)."""
+    return _correction_matrix(_time_one(system, tol), tol)
 
 
 def correction_sign(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -227,15 +237,15 @@ def calibrate_sign(*, tol: Tolerances = DEFAULT_TOL) -> int:
 
     For each probe speed the orbit and graph indices are the certified
     phase scans of ``validate`` (``maslov._flow_indices``, one record of
-    the generator for both), and the correction sign comes from the
-    time-one map; sigma is the unique sign making the closed formula
-    hold.  The probes must agree, otherwise CalibrationFailure is raised.
+    the generator for both), and the correction sign is that of the
+    time-one map those scans return; sigma is the unique sign making the
+    closed formula hold.  The probes must agree, otherwise
+    CalibrationFailure is raised.
     """
     sigmas = []
     for alpha in _CALIBRATION_SPEEDS:
-        system = make_system(alpha * standard_J(1), tol)
-        orbit, graph, _ = _flow_indices(system.h, tol)
-        sx = correction_sign(system, tol)
+        orbit, graph, psi1 = _flow_indices(alpha * standard_J(1), tol)
+        sx = sym_signature(_correction_matrix(psi1, tol), tol).signature
         gap = orbit - graph
         if abs(gap.twice) != 1 or sx not in (-1, 1):
             raise CalibrationFailure(
@@ -278,7 +288,9 @@ def maslov_via_formula(system: HamiltonianSystem, sigma: Optional[int] = None, *
     """Orbit index predicted by the closed formula.
 
     ``sigma`` defaults to the calibrated coupling sign; pass +1 or -1
-    to force a convention.
+    to force a convention.  The ``conley_zehnder`` scan and the
+    correction read one flow record of the generator, and the correction
+    its psi(1), so they answer as ``validate``'s graph and correction.
     """
     _as_system(system)
     sigma = _coupling_sign(sigma, tol)

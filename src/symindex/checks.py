@@ -23,6 +23,7 @@ from .autonomous import (
     _correction_formula,
     _correction_matrix,
     _coupling_sign,
+    _time_one,
     _triple_constants,
     calibrate_sign,
     make_system,
@@ -374,7 +375,7 @@ def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> 
         n = 1 + attempt % 4
         profile = ("semisimple-elliptic", "mixed", "hyperbolic")[attempt % 3]
         system = make_system(random_hamiltonian(n, 15000 + attempt, profile), tol)
-        psi1 = system.psi(1.0)
+        psi1 = _time_one(system, tol)  # the map of validate's record
         if not _transversal(psi1, tol):
             return None
         inertia, stable = stable_signature(_correction_matrix(psi1, tol), 1e-4, tol)

@@ -568,18 +568,22 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
     contiguous, of the chart C = Q^T (I - i Omega) of the reference frame
     Q, so Z(t) = C F(t); the first check of every scan and crossing form.
     ``blocks`` is the ``_Blocks`` sampler of the path's frame function
-    when ``ref`` is its own cached reference, else None; only index
-    scans read it.  For a form that is orthogonal with square -1, [Q |
-    Omega Q] is orthogonal, symplectic and maps the horizontal onto
-    ``ref``.  ``tol`` must be a Tolerances, else InputError."""
+    when ``ref`` is its own cached reference, tested first by identity,
+    or has its frame: the spaces matched, an equal frame gives the same
+    chart bit for bit, so a reference of any tol or spelling qualifies.
+    Else it is None; only index scans read it.  For a form that is
+    orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
+    and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
+    else InputError."""
     as_tolerances(tol)
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
     blocks = getattr(path.frame_fn, "blocks", None)
     q = ref.frame
-    return (np.ascontiguousarray(q.T), -(q.T @ path.space.form),
-            blocks if blocks is not None and blocks.ref is ref else None)
+    if blocks is not None and not (blocks.ref is ref or np.array_equal(blocks.ref.frame, q)):
+        blocks = None
+    return np.ascontiguousarray(q.T), -(q.T @ path.space.form), blocks
 
 
 def _in_chart(chart, frames):

@@ -190,32 +190,13 @@ def _isotropic_frame(space: SymplecticSpace, q, tol: Tolerances) -> LagrangianFr
     return LagrangianFrame(space, q)
 
 
-def _per_dim(build):
-    """``build(n, tol)`` built once per (n, tol) and shared: the cache of
-    the reference Lagrangians.  Its key is (n, tol) however tol is
-    passed, so ``f(n)`` and ``f(n, DEFAULT_TOL)`` are one object and a
-    scan against either takes the block sampler of a path whose factory
-    looked up the other (``maslov._chart`` compares by identity).  Typed
-    keys keep (2.0) and (True), which standard_J refuses, apart from (2)
-    and (1)."""
-    cached = functools.lru_cache(maxsize=CACHED_DIMS, typed=True)(build)
-
-    @functools.wraps(build)
-    def reference(n, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
-        return cached(n, tol)
-
-    reference.cache_clear = cached.cache_clear
-    reference.cache_info = cached.cache_info
-    return reference
-
-
-@_per_dim
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def vertical_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace {0} x R^n of the standard space."""
     return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, n:], tol)
 
 
-@_per_dim
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The subspace R^n x {0} of the standard space."""
     return lagrangian_frame(SymplecticSpace.standard(n), np.eye(2 * n)[:, :n], tol)
@@ -298,7 +279,7 @@ def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     return _isotropic_frame(SymplecticSpace.graph_product(len(m) // 2), q, tol)
 
 
-@_per_dim
+@functools.lru_cache(maxsize=CACHED_DIMS, typed=True)
 def diagonal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
     """The diagonal {(v, v)} in the product space over R^(2n)."""
     space = SymplecticSpace.graph_product(n)

@@ -1,6 +1,9 @@
 """Correction matrix, sign calibration, and the closed index formula."""
 
 import collections
+import functools
+import importlib.util
+import pathlib
 import sys
 
 import numpy as np
@@ -48,6 +51,9 @@ from symindex.symplectic import (
     subspace_intersection,
     vertical_lagrangian,
 )
+
+
+SWEEP = pathlib.Path(__file__).resolve().parent.parent / "tools" / "parity_sweep.py"
 
 
 def test_make_system_validation():
@@ -347,19 +353,19 @@ def _jordan_beside_rotation():
     return standard_direct_sum([jordan, 3.0 * standard_J(1)])
 
 
-@pytest.mark.parametrize("h,expm_branch", [
-    (plane_block_generator([("elliptic", 5.0)]), False),
-    (2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"), False),
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), True),
-    (_jordan_beside_rotation(), True),
-], ids=["rotation", "n=8", "shear", "jordan"])
-def test_validate_reads_psi1_from_the_flow_of_its_scans(monkeypatch, h, expm_branch):
-    """The psi(1) that validate passes to ``_correction_matrix`` is the
-    record's flow at 1 bit for bit.  On the eigen branch validate runs
-    no expm and no HamiltonianSystem.psi; on the expm branch (Jordan
-    blocks) that psi(1) is also ``make_system(h).psi(1.0)`` bit for bit."""
-    tol = numerics.DEFAULT_TOL
-    system = make_system(h)
+#: (generator, whether its record takes the expm branch)
+_TIME_ONE_CASES = [
+    pytest.param(plane_block_generator([("elliptic", 5.0)]), False, id="rotation"),
+    pytest.param(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"), False, id="n=8"),
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), True, id="shear"),
+    pytest.param(_jordan_beside_rotation(), True, id="jordan"),
+]
+
+
+def _spied_time_one_maps(monkeypatch, expm_branch):
+    """The list of the maps ``_correction_matrix`` gets from now on, with
+    ``HamiltonianSystem.psi`` and, unless ``expm_branch``, the ``expm`` of
+    every symindex module patched to None, so a call raises TypeError."""
     maps = []
     correction = autonomous._correction_matrix
 
@@ -368,13 +374,25 @@ def test_validate_reads_psi1_from_the_flow_of_its_scans(monkeypatch, h, expm_bra
         return correction(psi1, tol)
 
     monkeypatch.setattr(autonomous, "_correction_matrix", spied)
-    monkeypatch.setattr(HamiltonianSystem, "psi", None)  # a call raises TypeError
+    monkeypatch.setattr(HamiltonianSystem, "psi", None)
     expm = numerics.expm
     if not expm_branch:
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("symindex")
                     and getattr(module, "expm", None) is expm):
                 monkeypatch.setattr(module, "expm", None)
+    return maps
+
+
+@pytest.mark.parametrize("h,expm_branch", _TIME_ONE_CASES)
+def test_validate_reads_psi1_from_the_flow_of_its_scans(monkeypatch, h, expm_branch):
+    """The psi(1) that validate passes to ``_correction_matrix`` is the
+    record's flow at 1 bit for bit.  On the eigen branch validate runs
+    no expm and no HamiltonianSystem.psi; on the expm branch (Jordan
+    blocks) that psi(1) is also ``make_system(h).psi(1.0)`` bit for bit."""
+    tol = numerics.DEFAULT_TOL
+    system = make_system(h)
+    maps = _spied_time_one_maps(monkeypatch, expm_branch)
     validate(system, sigma=-1)
     monkeypatch.undo()
     record = maslov._flow_record(h, None, tol)
@@ -383,6 +401,72 @@ def test_validate_reads_psi1_from_the_flow_of_its_scans(monkeypatch, h, expm_bra
     assert maps[0].tobytes() == record.stack(np.ones(1))[0].tobytes()
     if expm_branch:
         assert maps[0].tobytes() == system.psi(1.0).tobytes()
+
+
+@pytest.mark.parametrize("h,expm_branch", _TIME_ONE_CASES)
+def test_formula_routes_read_psi1_from_the_flow_record(monkeypatch, h, expm_branch):
+    """``correction_matrix``, ``correction_sign`` and ``maslov_via_formula``
+    pass ``_correction_matrix`` the psi(1) of ``_flow_indices`` bit for
+    bit, and each probe of ``calibrate_sign`` that of its generator; on
+    the expm branch it is also ``make_system(h).psi(1.0)`` bit for bit.
+    None calls ``HamiltonianSystem.psi``, and on the eigen branch none
+    runs an expm.  Their answers are validate's, None where they raise
+    TransversalityViolated (the Jordan case)."""
+    tol = numerics.DEFAULT_TOL
+    system = make_system(h)
+
+    def answer(route, *args, **kwargs):
+        try:
+            return route(*args, **kwargs)
+        except TransversalityViolated:
+            return None
+
+    maps = _spied_time_one_maps(monkeypatch, expm_branch)
+    x = answer(correction_matrix, system)
+    answers = answer(correction_sign, system), answer(maslov_via_formula, system, sigma=-1)
+    assert calibrate_sign() == -1
+    monkeypatch.undo()
+    psi1 = maslov._flow_indices(h, tol)[2]
+    probes = [maslov._flow_indices(a * standard_J(1), tol)[2]
+              for a in autonomous._CALIBRATION_SPEEDS]
+    assert [m.tobytes() for m in maps] == [psi1.tobytes()] * 3 + [p.tobytes() for p in probes]
+    if x is not None:
+        assert x.tobytes() == autonomous._correction_matrix(psi1, tol).tobytes()
+    if expm_branch:
+        assert psi1.tobytes() == system.psi(1.0).tobytes()
+    report = validate(system, sigma=-1)
+    assert answers == (report.correction, report.formula_index)
+
+
+@functools.lru_cache(maxsize=1)
+def _sweep_inputs():
+    """{name: generator} of the ensembles of tools/parity_sweep.py."""
+    spec = importlib.util.spec_from_file_location("parity_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return dict(sweep.ensemble())
+
+
+@pytest.mark.parametrize("name", [
+    "growth 5 hyperbolic", "near 1pi +1 0x1.12e0be826d695p-30",
+    "near 2pi +1 0x1.12e0be826d695p-30", "near 2pi -1 0x1.5798ee2308c3ap-27", "loop 1"])
+def test_formula_routes_answer_as_validate_where_the_pade_map_did_not(name):
+    """On the four parity-sweep inputs where the Padé psi(1) decided the
+    symmetry of X, transversality or the sign of X unlike the record's,
+    and on a loop, ``correction_sign`` and ``maslov_via_formula`` give
+    validate's correction and formula, or TransversalityViolated where
+    validate has none (the loop)."""
+    system = make_system(_sweep_inputs()[name])
+    report = validate(system, sigma=-1)
+    assert (report.correction is None) == (name == "loop 1")
+    if report.correction is None:
+        with pytest.raises(TransversalityViolated):
+            correction_sign(system)
+        with pytest.raises(TransversalityViolated):
+            maslov_via_formula(system, sigma=-1)
+    else:
+        assert correction_sign(system) == report.correction
+        assert maslov_via_formula(system, sigma=-1) == report.formula_index
 
 
 def test_validate_of_a_fresh_system_checks_its_generator_once(monkeypatch):
@@ -588,11 +672,11 @@ def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):
 def test_calibration_failure_is_not_cached(cold_calibration, monkeypatch):
     calls = []
 
-    def failing_sign(system, tol):
-        calls.append(system)
-        return 0
+    def failing_matrix(psi1, tol):
+        calls.append(psi1)
+        return np.zeros((1, 1))  # correction sign 0
 
-    monkeypatch.setattr(autonomous, "correction_sign", failing_sign)
+    monkeypatch.setattr(autonomous, "_correction_matrix", failing_matrix)
     system = make_system(plane_block_generator([("elliptic", 5.0)]))
     for _ in range(2):
         with pytest.raises(CalibrationFailure):
@@ -605,18 +689,41 @@ def test_calibration_failure_is_not_cached(cold_calibration, monkeypatch):
     (checks.check_reduction_equality, 1),
 ])
 def test_checks_evaluate_time_one_map_once_per_draw(monkeypatch, check, per_system):
-    calls = {}
+    """Each draw evaluates psi(1) at most ``per_system`` times, as a
+    ``HamiltonianSystem.psi`` call or a flow stack that reaches t = 1.
+    Check 5 calls ``system.psi(1.0)``.  Check 9 calls no
+    ``HamiltonianSystem.psi``: its guard stacks the flow record of the
+    draw at 1, and the validate it gates samples the flow of that same
+    record at 1 in its scans, so each draw builds one record."""
+    psi_calls, stacks, misses = (collections.Counter() for _ in range(3))
     psi = HamiltonianSystem.psi
+    stack = maslov._FlowRecord.stack
+    record_of = maslov._record_of
 
     def counting_psi(self, t):
-        key = self.h.tobytes()
-        calls[key] = calls.get(key, 0) + 1
+        psi_calls[self.h.tobytes()] += 1
         return psi(self, t)
 
+    def counting_stack(record, ts):
+        stacks[record.h.tobytes()] += int(ts[-1] == 1.0)
+        return stack(record, ts)
+
+    def counting_record(data, *key):
+        before = record_of.cache_info().misses
+        record = record_of(data, *key)
+        misses[data] += record_of.cache_info().misses - before
+        return record
+
+    checks._coupling_sign(None, numerics.DEFAULT_TOL)  # calibrated before the draws
     monkeypatch.setattr(HamiltonianSystem, "psi", counting_psi)
+    monkeypatch.setattr(maslov._FlowRecord, "stack", counting_stack)
+    monkeypatch.setattr(maslov, "_record_of", counting_record)
     assert check(samples=6).passed
-    # validate evaluates psi(1) once more for an accepted main-identity draw
-    assert calls and max(calls.values()) <= per_system
+    evaluations = psi_calls + stacks
+    assert evaluations and max(evaluations.values()) <= per_system
+    if check is checks.check_main_identity:
+        assert not psi_calls
+        assert len(misses) >= 6 and set(misses.values()) == {1}
 
 
 def test_routes_without_grid_reject_an_old_grid_argument():
@@ -703,7 +810,7 @@ def _growth_map():
 @pytest.mark.parametrize("call,patch,error,message", [
     (lambda: autonomous._correction_matrix(_growth_map(), numerics.DEFAULT_TOL), None,
      SymmetryDefect, "correction matrix defect "),
-    (lambda: calibrate_sign(), ("correction_sign", lambda system, tol: 1),
+    (lambda: calibrate_sign(), ("_correction_matrix", lambda psi1, tol: np.ones((1, 1))),
      CalibrationFailure, "probes disagree: [-1, 1]"),
 ], ids=["symmetry-defect", "probes-disagree"])
 def test_formula_layer_refusals(monkeypatch, call, patch, error, message):

@@ -1562,19 +1562,21 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
 
 
 def test_only_the_own_cached_reference_takes_the_blocks():
-    """A graph path scanned against any other reference, a diagonal of
-    other tolerances included, an orbit path from a given start, and a
-    path given another frame function take the generic chart, with the
-    same index as the block scans."""
+    """A graph path scanned against any other reference, an orbit path
+    from a given start, and a path given another frame function take the
+    generic chart, with the same index as the block scans.  A diagonal
+    of other tolerances has the frame of the path's own, so it takes the
+    blocks, with the same index."""
     h = random_hamiltonian(2, 3111, "mixed")
     n, tol = 2, DEFAULT_TOL
     graph, diagonal = _own_scan(h, "graph")
     other = product_lagrangian(random_lagrangian(n, 1), random_lagrangian(n, 2))
-    loose = Tolerances(eps_sym=1e-7)
-    for ref in (other, diagonal_lagrangian(n, loose)):
-        assert maslov._chart(graph, ref, tol)[2] is None
-        assert maslov_index(graph, ref) == maslov_index(_looped(graph), ref)
-    assert maslov_index(graph, diagonal_lagrangian(n, loose)) == conley_zehnder(h)
+    assert maslov._chart(graph, other, tol)[2] is None
+    assert maslov_index(graph, other) == maslov_index(_looped(graph), other)
+    loose = diagonal_lagrangian(n, Tolerances(eps_sym=1e-7))
+    assert loose is not diagonal
+    assert maslov._chart(graph, loose, tol)[2] is graph.frame_fn.blocks
+    assert maslov_index(graph, loose) == maslov_index(_looped(graph), loose) == conley_zehnder(h)
     vertical = vertical_lagrangian(n, tol)
     started = orbit_path(h, start=vertical)
     assert started.frame_fn.blocks is None
@@ -1588,18 +1590,18 @@ def test_only_the_own_cached_reference_takes_the_blocks():
 
 @pytest.mark.parametrize("n", [3, 16])
 def test_either_spelling_of_a_cached_reference_takes_the_blocks(n):
-    """``vertical_lagrangian(n)`` and ``diagonal_lagrangian(n)`` are the
-    objects of ``(n, DEFAULT_TOL)``, however tol is passed, so a scan
-    against either takes the block sampler of the public routes' paths."""
+    """A scan against ``vertical_lagrangian(n)`` or ``diagonal_lagrangian(n)``,
+    however tol is passed, takes the block sampler of the public routes'
+    paths, whose references have the same frame; every spelling of
+    ``horizontal_lagrangian(n)`` takes the generic chart."""
     h = random_hamiltonian(n, 3120 + n, "mixed")
-    for make, route in ((vertical_lagrangian, "orbit"), (diagonal_lagrangian, "graph"),
-                        (horizontal_lagrangian, None)):
-        ref = make(n)
-        assert make(n, DEFAULT_TOL) is ref and make(n, tol=DEFAULT_TOL) is ref
-        assert make(n, Tolerances(eps_sym=1e-7)) is not ref
-        if route is not None:
-            path = _own_scan(h, route)[0]
-            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is path.frame_fn.blocks
+    orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
+    for make, path, blocks in ((vertical_lagrangian, orbit, orbit.frame_fn.blocks),
+                               (diagonal_lagrangian, graph, graph.frame_fn.blocks),
+                               (horizontal_lagrangian, orbit, None)):
+        for ref in (make(n), make(n, DEFAULT_TOL), make(n, tol=DEFAULT_TOL),
+                    make(n, Tolerances(eps_sym=1e-7))):
+            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is blocks
 
 
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):

@@ -128,9 +128,11 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
     per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
-                "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
-                "krein_signature", "is_semisimple", "krein_routes", "spectral_conley_zehnder",
-                "conley_zehnder", "find_crossings", "_phase_samples", "_locate", "_forms"}
+                "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix",
+                "_triple_routes", "correction_sign", "maslov_via_formula", "kashiwara_reduced",
+                "_krein_pass", "krein_signature", "is_semisimple", "krein_routes",
+                "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
+                "_locate", "_forms"}
     for key in ("median_ms", "runs_ms"):
         assert set(tree[key]) == per_size | {"krein_routes_svd", "calibrate_sign",
                                              "run_property_suite"}
@@ -173,8 +175,10 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     """The ``_flow_record`` layer takes its generators in turn, so a pass,
     after the warm-up pass, builds all of their records: the one kept
     record is never the next one asked for.  A ``route_pair`` builds one
-    record for its two scans.  The Krein layers and the two CZ routes
-    clear the cache before each call, so each builds its record, and
+    record for its two scans, a ``correction_sign`` one for its psi(1),
+    and a ``maslov_via_formula`` one for its scan and its correction.
+    The Krein layers and the two CZ routes clear the cache before each
+    call, so each builds its record, and
     ``krein_routes`` and ``krein_routes_svd`` build one record per
     generator for all their calls."""
     import numpy as np
@@ -187,12 +191,15 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     hs = [random_hamiltonian(1, 1000 + s, "semisimple-elliptic") for s in range(bench.SYSTEMS)]
     queries = [(h, e.eigenvalue.imag) for h in hs for e in krein.krein_spectrum(h)]
     calls = bench._layer_calls(tree, hs, queries, bench._doubled(tree, 2))
-    for layer, hits in (("_flow_record", 0), ("route_pair", bench.SYSTEMS)):
+    assert len(calls["correction_sign"]) == len(calls["maslov_via_formula"]) > 1
+    for layer, hits in (("_flow_record", 0), ("route_pair", 1), ("correction_sign", 0),
+                        ("maslov_via_formula", 1)):
         bench._pass_ms(calls[layer])
         before = maslov._record_of.cache_info()
         bench._pass_ms(calls[layer])
         after = maslov._record_of.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (bench.SYSTEMS, hits)
+        count = len(calls[layer])
+        assert (after.misses - before.misses, after.hits - before.hits) == (count, hits * count)
     # clearing the cache resets its counts, so the cold layers count the eig of each record
     eigs = []
     eig = np.linalg.eig

@@ -19,6 +19,9 @@ sampler its path carries where the tree has one;
 (``_eigenphases_orbit`` of size n, ``_eigenphases_graph`` of size 2 n;
 reported per end, Z formed by the generic chart outside the timing);
 ``autonomous._correction_matrix``, ``autonomous._triple_routes``,
+``autonomous.correction_sign`` and ``autonomous.maslov_via_formula``
+with sigma = -1 (its ``conley_zehnder`` scan and its correction read one
+flow record, which each call builds, the generators taken in turn),
 ``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
 by their intersection K; on cold flow records (the record cache
 cleared before each call, with the memo of the generator check, so
@@ -42,8 +45,8 @@ per crossing), each at n = 1, 2,
 ``checks.run_property_suite``.  The inputs are fixed and built outside
 the timing: the generators random_hamiltonian(n, 1000 + s,
 "semisimple-elliptic"), s < SYSTEMS, of the first tree; for
-``_correction_matrix`` and ``_triple_routes`` those whose time-one map
-is transversal; for ``krein_signature`` one query per cluster that
+``_correction_matrix``, ``_triple_routes``, ``correction_sign`` and
+``maslov_via_formula`` those whose time-one map is transversal; for ``krein_signature`` one query per cluster that
 carries a Krein inertia in the first tree's ``krein_spectrum``, at the
 imaginary part of its eigenvalue; and for the three scan layers the
 arguments each tree's own ``find_crossings`` passes them, recorded on
@@ -90,8 +93,9 @@ import hostref  # noqa: E402
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
 PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
-            "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix", "_triple_routes", "kashiwara_reduced", "_krein_pass",
-            "krein_signature", "is_semisimple", "krein_routes", "krein_routes_svd",
+            "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix",
+            "_triple_routes", "correction_sign", "maslov_via_formula", "kashiwara_reduced",
+            "_krein_pass", "krein_signature", "is_semisimple", "krein_routes", "krein_routes_svd",
             "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
             "_locate", "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
@@ -233,7 +237,7 @@ def _layer_calls(tree, hs, queries, doubled):
     for system in systems:
         psi1 = system.psi(1.0)
         try:
-            transversal.append((psi1, au._correction_matrix(psi1, tol)))
+            transversal.append((system, psi1, au._correction_matrix(psi1, tol)))
         except tree["package"].SymindexError:
             pass
     space, diag, pair, red = au._triple_constants(systems[0].n, tol)[:4]
@@ -265,8 +269,10 @@ def _layer_calls(tree, hs, queries, doubled):
         "graph_scan": [(ma.maslov_index, scan, 1) for scan in graph_scans],
         "_eigenphases_orbit": [_end_phases(ma, *scan, tol) for scan in scans],
         "_eigenphases_graph": [_end_phases(ma, *scan, tol) for scan in graph_scans],
-        "_correction_matrix": [(au._correction_matrix, (p, tol), 1) for p, _ in transversal],
-        "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for p, x in transversal],
+        "_correction_matrix": [(au._correction_matrix, (p, tol), 1) for _, p, _ in transversal],
+        "_triple_routes": [(au._triple_routes, (p, x, tol), 1) for _, p, x in transversal],
+        "correction_sign": [(au.correction_sign, (s,), 1) for s, _, _ in transversal],
+        "maslov_via_formula": [(au.maslov_via_formula, (s, -1), 1) for s, _, _ in transversal],
         "kashiwara_reduced": [(tree["package"].kashiwara_reduced,
                                (space, red.k, diag, pair, g, tol), 1) for g in graphs],
         "_krein_pass": [(_cold(ma, kr._krein_pass), (s.h, tol), 1) for s in systems],
