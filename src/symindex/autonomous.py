@@ -51,7 +51,6 @@ from .numerics import (
 from .symplectic import (
     CACHED_DIMS,
     SymplecticSpace,
-    _generator,
     diagonal_lagrangian,
     graph_lagrangian,
     is_symplectic,
@@ -69,7 +68,8 @@ PUBLISHED_SIGN = 1
 class HamiltonianSystem:
     """An autonomous linear Hamiltonian system, held by its generator: a
     finite square matrix of even size, else InputError or OddDimension.
-    ``make_system`` also checks that it is Hamiltonian."""
+    ``make_system`` also checks that it is Hamiltonian, by building its
+    flow record."""
 
     h: np.ndarray
 
@@ -88,7 +88,19 @@ class HamiltonianSystem:
 
 
 def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
-    return HamiltonianSystem(_generator(h, None, tol)[0])
+    """The system of the generator ``h``, checked by building its flow
+    record (``maslov._flow_record``): ``tol`` a Tolerances, else
+    InputError; the matrix, else InputError or OddDimension; Hamiltonian
+    within ``tol``, else NotHamiltonian.  The routes on the system read
+    that record while it stays the kept one, so ``validate(make_system(h))``
+    checks and decomposes a fresh h once; a caller that only reads
+    ``system.psi`` pays for the decomposition.  ``system.h`` is the
+    caller's converted, writable array: a write to it in place is a new
+    key, checked again by the next route."""
+    tol = as_tolerances(tol)
+    system = HamiltonianSystem(h)
+    _flow_record(system.h, None, tol)
+    return system
 
 
 def _as_system(system) -> HamiltonianSystem:

@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     InternalMismatch,
     NonRegularCrossing,
+    NotHamiltonian,
     NotLagrangian,
     SymindexError,
 )
@@ -48,7 +49,7 @@ from .numerics import (
 from .symplectic import (
     LagrangianFrame,
     SymplecticSpace,
-    _generator_norm,
+    _hamiltonian_for,
     diagonal_lagrangian,
     vertical_lagrangian,
 )
@@ -260,20 +261,22 @@ class _FlowRecord:
 
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
-    """The record of ``h`` checked by ``_generator`` against ``space``
-    (default: the standard space of its size).
+    """The record of the generator ``h`` of ``space`` (default: the
+    standard space of its size), the one generator check of every route:
+    ``tol`` a Tolerances, else InputError; a finite square matrix of even
+    size, else InputError or OddDimension; the size of ``space``, else
+    DimensionMismatch; Hamiltonian within ``tol``, else NotHamiltonian.
 
     The last record built is kept, keyed by the C-order bytes of h as a
     float64 matrix, its size, ``space`` and ``tol``, so the routes of one
     generator check and diagonalize it once while it stays the last one
-    seen.  ``tol`` and the matrix are checked before the key is formed,
-    so their typed errors come first; a miss runs the rest of the
-    generator check (``_generator_norm``) on the float64 copy of the key,
-    so h is converted once, or reads it from that check's memo where h
-    was just checked under the same key (``make_system``).  A generator
-    that raises is not kept and leaves the kept record in place.  The
-    record reads a copy of h, so a caller's later write to its array
-    does not reach it."""
+    seen (``make_system`` builds it, so a route on the system it returns
+    finds it kept).  ``tol`` and the matrix are checked before the key is
+    formed, so their typed errors come first; a miss runs the rest of the
+    check on the float64 copy of the key, so h is converted once.  A
+    generator that raises is not kept and leaves the kept record in
+    place.  The record reads a copy of h, so a caller's later write to
+    its array does not reach it."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
     return _record_of(h.tobytes(), h.shape[0], space, tol)
@@ -282,10 +285,19 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
 @functools.lru_cache(maxsize=1)
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
-    """``_flow_record`` of the d x d matrix of bytes ``data``."""
-    h, norm = _generator_norm(data, d, space, tol)
+    """``_flow_record`` of the d x d float64 matrix h of C-order bytes
+    ``data`` (read-only over them) within a checked ``tol``: the size
+    check, then the Hamiltonian check, whose spectral norm the record
+    keeps, then the flow."""
+    h = np.frombuffer(data).reshape(d, d)
+    form = (SymplecticSpace.standard(d // 2) if space is None else space).form
+    if form.shape != h.shape:
+        raise DimensionMismatch("generator does not match the space")
+    hamiltonian, norm = _hamiltonian_for(h, form, tol)
+    if not hamiltonian:
+        raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
     n = d // 2
-    s = -(SymplecticSpace.standard(n) if space is None else space).form @ h
+    s = -form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
     bound = float(max(eigs[n:].sum(), -eigs[:n].sum()))
     kappa = math.inf

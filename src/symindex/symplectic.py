@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     InputError,
-    NotHamiltonian,
     NotIsotropic,
     NotLagrangian,
 )
@@ -226,40 +224,6 @@ def _hamiltonian_for(h, form, tol: Tolerances):
     defect = np.linalg.norm(h.T @ form + form @ h)
     norm = spectral_norm(h)
     return bool(defect <= tol.eps_sym * (1.0 + norm)), norm
-
-
-def _generator(h, space: Optional[SymplecticSpace], tol: Tolerances):
-    """``h`` checked as a Hamiltonian generator of ``space`` (default:
-    the standard space of its size) within ``tol``, the one generator
-    check of every route: ``tol`` a Tolerances, else InputError; even
-    size, else OddDimension; the size of ``space``, else
-    DimensionMismatch; Hamiltonian, else NotHamiltonian.  Returns (h,
-    its spectral norm), the norm the check measured."""
-    tol = as_tolerances(tol)
-    h = as_even_square(h, "generator")
-    return h, _generator_norm(h.tobytes(), h.shape[0], space, tol)[1]
-
-
-@functools.lru_cache(maxsize=1)
-def _generator_norm(data: bytes, d: int, space: Optional[SymplecticSpace], tol: Tolerances):
-    """The last two checks of ``_generator`` on the d x d float64 matrix
-    h of C-order bytes ``data``, within a checked ``tol``: the size of
-    ``space``, else DimensionMismatch; Hamiltonian, else NotHamiltonian.
-    Returns (h, read-only over ``data``, the spectral norm of h that the
-    check measured).
-
-    The last generator that passed is kept under the key of the flow
-    record (``maslov._record_of``), so ``make_system(h)`` and the record
-    miss of its first scan check h once.  A write to the array gives a
-    new key, and a generator that raises is not kept."""
-    h = np.frombuffer(data).reshape(d, d)
-    form = (SymplecticSpace.standard(d // 2) if space is None else space).form
-    if form.shape != h.shape:
-        raise DimensionMismatch("generator does not match the space")
-    hamiltonian, norm = _hamiltonian_for(h, form, tol)
-    if not hamiltonian:
-        raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
-    return h, norm
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

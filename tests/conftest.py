@@ -9,8 +9,7 @@ The ``workloads`` fixture is the benchmark's input generator,
 ``perfbench/workloads.py``.  ``perfbench/`` is only read: it is put on
 ``sys.path`` for the import and no bytecode is written next to it.
 
-Every test starts with an empty flow-record cache (``maslov._record_of``)
-and an empty memo of the generator check (``symplectic._generator_norm``),
+Every test starts with an empty flow-record cache (``maslov._record_of``),
 so what a test counts of the records it builds does not depend on the
 tests run before it.
 """
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from symindex import maslov, symplectic
+from symindex import maslov
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -33,7 +32,6 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "symindex-hypothesis")
 @pytest.fixture(autouse=True)
 def cold_flow_records():
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

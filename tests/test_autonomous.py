@@ -471,18 +471,18 @@ def test_formula_routes_answer_as_validate_where_the_pade_map_did_not(name):
 
 def test_validate_of_a_fresh_system_checks_its_generator_once(monkeypatch):
     """``validate(make_system(h))`` on a fresh h runs one Hamiltonian
-    check: the record miss of its scans reads ``make_system``'s from its
-    memo.  A write to ``system.h`` in place gives a new key, so the next
-    validate checks h again and refuses a generator no longer
-    Hamiltonian."""
+    check: ``make_system`` builds the flow record, and the scans of
+    validate find it kept.  A write to ``system.h`` in place gives a new
+    key, so the next validate checks h again and refuses a generator no
+    longer Hamiltonian."""
     checked = []
-    check = symplectic._hamiltonian_for
+    check = maslov._hamiltonian_for
 
     def counted(h, *args):
         checked.append(h.tobytes())
         return check(h, *args)
 
-    monkeypatch.setattr(symplectic, "_hamiltonian_for", counted)
+    monkeypatch.setattr(maslov, "_hamiltonian_for", counted)
     system = make_system(2.0 * random_hamiltonian(2, 7, "mixed"))
     assert validate(system, sigma=-1).orbit_index is not None
     assert checked == [system.h.tobytes()]
@@ -493,6 +493,38 @@ def test_validate_of_a_fresh_system_checks_its_generator_once(monkeypatch):
     with pytest.raises(NotHamiltonian):
         validate(system, sigma=-1)
     assert len(checked) == 3
+
+
+def test_make_system_builds_the_flow_record_its_routes_read(monkeypatch):
+    """``make_system`` checks h by building its flow record, one miss of
+    ``_record_of`` that keeps h's record; ``validate``, ``correction_sign``
+    and ``maslov_via_formula`` on the system then read it, with no miss
+    and no eig of h.  A generator that raises is not kept and leaves the
+    kept record in place, and ``tol`` is checked before the matrix."""
+    h = plane_block_generator([("elliptic", 5.0)])
+    eigs = []
+    eig = np.linalg.eig
+
+    def counted_eig(a, *args, **kwargs):
+        eigs.append(np.shape(a) == h.shape and np.array_equal(a, h))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    system = make_system(h)
+    info = maslov._record_of.cache_info()
+    assert (info.misses, info.currsize, eigs) == (1, 1, [True])
+    record = maslov._flow_record(system.h, None, numerics.DEFAULT_TOL)
+    assert record.h.tobytes() == h.tobytes() and maslov._record_of.cache_info().misses == 1
+    assert validate(system, sigma=-1).agree
+    assert correction_sign(system) == -1
+    assert maslov_via_formula(system, sigma=-1) == HalfInt(3)
+    assert maslov._record_of.cache_info().misses == 1 and eigs == [True]
+    with pytest.raises(NotHamiltonian):
+        make_system(np.eye(2))
+    assert maslov._flow_record(system.h, None, numerics.DEFAULT_TOL) is record
+    assert maslov._record_of.cache_info().misses == 2
+    with pytest.raises(InputError, match="tol must be a Tolerances"):
+        make_system(np.zeros((3, 3)), [1e-9])
 
 
 def test_validate_skips_formula_off_transversality():
@@ -583,9 +615,9 @@ def test_validate_calibrates_once_per_process(cold_calibration, scan_count):
 def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     """At n=8 ``validate(make_system(h))`` runs one eig of h, one
     eigvalsh of its Hamiltonian form S = sym(-J h), one Hamiltonian
-    check of it (``make_system``'s, which the record miss reads back),
-    whose spectral norm is the one SVD of h, and the frames of its two
-    certified scans take no SVD in _frames."""
+    check of it (all in the flow record that ``make_system`` builds and
+    the scans find kept), whose spectral norm is the one SVD of h, and
+    the frames of its two certified scans take no SVD in _frames."""
     h = 2.0 * random_hamiltonian(8, 0, "semisimple-elliptic")
     s = -standard_J(8) @ h
     s = 0.5 * (s + s.T)
@@ -608,7 +640,7 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
     count(np.linalg, "eig")
     count(np.linalg, "eigvalsh")
     count(np.linalg, "svd")
-    count(symplectic, "_hamiltonian_for")
+    count(maslov, "_hamiltonian_for")
     assert validate(make_system(h), sigma=-1).agree
     assert calls == {"eig(h)": 1, "eigvalsh(S)": 1, "svd(h)": 1, "_hamiltonian_for(h)": 1}
     with pytest.raises(NotHamiltonian):
@@ -620,12 +652,10 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
     checks: of the generator, of the time-one map and of the correction
     matrix's symmetry.  Every signature takes its scale from its own
     eigenvalues.  The shared constants of n=8 are built beforehand, and
-    the generator's flow record and the memo of its check are dropped
-    after them."""
+    the generator's flow record is dropped after them."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     assert validate(system, sigma=-1).agree
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
     original, callers = numerics.spectral_norm, []
 
     def counted(m):

@@ -27,7 +27,7 @@ from symindex import (
 )
 from symindex.errors import (InputError, NotAnEigenvalue, NotHamiltonian, NotSemisimple,
                              SymindexError, UnclassifiableSpectrum)
-from symindex import maslov, symplectic
+from symindex import maslov
 from symindex.checks import check_krein_pairing
 from symindex.krein import (_certified_pass, _chain, _clusters, _kernels, _krein_pass,
                             _normal_form, _record_pass, _svd_pass, krein_form_matrix)
@@ -268,7 +268,6 @@ def test_one_eigvals_and_no_schur_per_semisimple_generator(monkeypatch, route):
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
     route(h)  # builds the cached standard space of dimension 16
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
     calls = _count_decompositions(monkeypatch)
     route(h)
     assert calls == {"eig": 1, "svd": 1}
@@ -286,7 +285,6 @@ def test_one_eigvals_and_one_cluster_kernel_per_signature_query(monkeypatch):
     alphas = [e.eigenvalue.imag for e in krein_spectrum(h)]
     assert len(alphas) == 16
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
     calls = _count_decompositions(monkeypatch)
     krein_signature(h, alphas[0])
     assert calls == {"eig": 1, "svd": 1}
@@ -308,7 +306,6 @@ def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     and takes none."""
     krein_spectrum(_jordan_at_2i())  # builds the cached standard space
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
     assert calls == {"eig": 1, "eigvals": 1, "svd": 4}
@@ -783,7 +780,6 @@ def test_is_semisimple_reads_the_record_pass_of_a_hamiltonian_generator(monkeypa
     h = random_hamiltonian(8, 0, "semisimple-elliptic")
     is_semisimple(h)  # builds the cached standard space of dimension 16
     maslov._record_of.cache_clear()
-    symplectic._generator_norm.cache_clear()
     calls = _count_decompositions(monkeypatch)
     assert is_semisimple(h)
     assert calls == {"eig": 1, "svd": 1}

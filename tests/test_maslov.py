@@ -34,7 +34,7 @@ from symindex import (
     validate,
     vertical_lagrangian,
 )
-from symindex import horizontal_lagrangian, maslov, numerics, symplectic
+from symindex import horizontal_lagrangian, maslov, numerics
 from symindex.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -1303,7 +1303,7 @@ def test_snapped_sums_without_a_core_zero_the_phases_in_the_band():
 def test_both_routes_of_one_generator_share_its_flow_record(monkeypatch):
     h = random_hamiltonian(2, 4, "semisimple-elliptic")
     calls = collections.Counter()
-    eig, check = np.linalg.eig, symplectic._hamiltonian_for
+    eig, check = np.linalg.eig, maslov._hamiltonian_for
 
     def counted_eig(a, *args, **kwargs):
         calls["eig(h)"] += np.shape(a) == h.shape and np.array_equal(a, h)
@@ -1314,7 +1314,7 @@ def test_both_routes_of_one_generator_share_its_flow_record(monkeypatch):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
-    monkeypatch.setattr(symplectic, "_hamiltonian_for", counted_check)
+    monkeypatch.setattr(maslov, "_hamiltonian_for", counted_check)
     maslov_index_symplectic(h)
     conley_zehnder(h)
     assert calls == {"eig(h)": 1, "_hamiltonian_for": 1}

@@ -127,8 +127,9 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert report["host_factor"] > 0 and report["ratios"] == {}
     assert set(report["trees"]) == {"change"}
     tree = report["trees"]["change"]
-    per_size = {"validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
-                "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix",
+    per_size = {"validate", "_flow_indices", "_flow_record", "make_system", "route_pair",
+                "orbit_scan", "graph_scan", "_eigenphases_orbit", "_eigenphases_graph",
+                "_correction_matrix",
                 "_triple_routes", "correction_sign", "maslov_via_formula", "kashiwara_reduced",
                 "_krein_pass", "krein_signature", "is_semisimple", "krein_routes",
                 "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
@@ -172,9 +173,9 @@ def test_layer_bench_counts_the_bisection_rounds_of_a_recorded_locate(monkeypatc
 
 
 def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch):
-    """The ``_flow_record`` layer takes its generators in turn, so a pass,
-    after the warm-up pass, builds all of their records: the one kept
-    record is never the next one asked for.  A ``route_pair`` builds one
+    """The ``_flow_record`` and ``make_system`` layers take their
+    generators in turn, so a pass, after the warm-up pass, builds all of
+    their records: the one kept record is never the next one asked for.  A ``route_pair`` builds one
     record for its two scans, a ``correction_sign`` one for its psi(1),
     and a ``maslov_via_formula`` one for its scan and its correction.
     The Krein layers and the two CZ routes clear the cache before each
@@ -192,8 +193,8 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     queries = [(h, e.eigenvalue.imag) for h in hs for e in krein.krein_spectrum(h)]
     calls = bench._layer_calls(tree, hs, queries, bench._doubled(tree, 2))
     assert len(calls["correction_sign"]) == len(calls["maslov_via_formula"]) > 1
-    for layer, hits in (("_flow_record", 0), ("route_pair", 1), ("correction_sign", 0),
-                        ("maslov_via_formula", 1)):
+    for layer, hits in (("_flow_record", 0), ("make_system", 0), ("route_pair", 1),
+                        ("correction_sign", 0), ("maslov_via_formula", 1)):
         bench._pass_ms(calls[layer])
         before = maslov._record_of.cache_info()
         bench._pass_ms(calls[layer])

@@ -6,7 +6,8 @@
 Each layer is called directly, not through a tracer:
 ``autonomous.validate`` with the calibrated sign,
 ``maslov._flow_indices``, ``maslov._flow_record`` (its generators taken
-in turn, so each call builds a record), ``route_pair`` (the public
+in turn, so each call builds a record), ``autonomous.make_system`` (the
+same, so each call is a cold generator check), ``route_pair`` (the public
 ``maslov_index_symplectic`` then ``conley_zehnder`` of one generator,
 reported per pair),
 ``maslov.maslov_index`` of the orbit path of each generator against
@@ -23,10 +24,11 @@ reported per end, Z formed by the generic chart outside the timing);
 with sigma = -1 (its ``conley_zehnder`` scan and its correction read one
 flow record, which each call builds, the generators taken in turn),
 ``kashiwara.kashiwara_reduced`` of (diagonal, L0 x L0, graph of psi(1))
-by their intersection K; on cold flow records (the record cache
-cleared before each call, with the memo of the generator check, so
-every call builds the record of its generator, as the ``_flow_record``
-layer does by taking its generators in turn) ``krein._krein_pass``, ``krein.krein_signature``,
+by their intersection K, where psi(1) is the one the library's formula
+routes decide on, ``autonomous._time_one`` (``system.psi(1.0)`` in a
+tree without it); on cold flow records (``_cold``, so every call builds
+the record of its generator, as the ``_flow_record`` layer does by
+taking its generators in turn) ``krein._krein_pass``, ``krein.krein_signature``,
 ``krein.is_semisimple``, ``krein_routes`` (per generator: its
 ``krein_spectrum``, ``krein_signature`` at +-Im of each cluster that
 carries a Krein inertia, then ``classify_normal_form``; the record is
@@ -92,12 +94,12 @@ import hostref  # noqa: E402
 #: generators per size
 SYSTEMS = 8
 SIZES = (1, 2, 4, 8, 16)
-PER_SIZE = ("validate", "_flow_indices", "_flow_record", "route_pair", "orbit_scan",
-            "graph_scan", "_eigenphases_orbit", "_eigenphases_graph", "_correction_matrix",
-            "_triple_routes", "correction_sign", "maslov_via_formula", "kashiwara_reduced",
-            "_krein_pass", "krein_signature", "is_semisimple", "krein_routes", "krein_routes_svd",
-            "spectral_conley_zehnder", "conley_zehnder", "find_crossings", "_phase_samples",
-            "_locate", "_forms")
+PER_SIZE = ("validate", "_flow_indices", "_flow_record", "make_system", "route_pair",
+            "orbit_scan", "graph_scan", "_eigenphases_orbit", "_eigenphases_graph",
+            "_correction_matrix", "_triple_routes", "correction_sign", "maslov_via_formula",
+            "kashiwara_reduced", "_krein_pass", "krein_signature", "is_semisimple",
+            "krein_routes", "krein_routes_svd", "spectral_conley_zehnder", "conley_zehnder",
+            "find_crossings", "_phase_samples", "_locate", "_forms")
 #: the layers called once per repeat: (name, module, warmed first)
 SINGLE = (("calibrate_sign", "autonomous", True), ("run_property_suite", "checks", False))
 
@@ -194,11 +196,13 @@ def _end_phases(ma, path, ref, tol):
 
 
 def _cold(ma, fn):
-    """``fn`` called on an empty flow-record cache and an empty memo of
-    the generator check (a tree without them builds every record and
-    runs every check anyway)."""
-    caches = [c for c in (getattr(ma, "_record_of", None), getattr(ma, "_generator_norm", None))
-              if hasattr(c, "cache_clear")]
+    """``fn`` called on empty one-entry caches of the generator, whichever
+    of the two a tree's ``maslov`` holds: the flow-record cache
+    ``_record_of`` and, in an older tree, the memo of its generator
+    check (a tree without them builds every record and runs every check
+    anyway)."""
+    caches = [c for c in vars(ma).values()
+              if hasattr(c, "cache_clear") and c.cache_info().maxsize == 1]
 
     def call(*args):
         for cache in caches:
@@ -233,15 +237,16 @@ def _layer_calls(tree, hs, queries, doubled):
     au, kr, ma = tree["autonomous"], tree["krein"], tree["maslov"]
     tol = tree["numerics"].DEFAULT_TOL
     systems = [au.make_system(h) for h in hs]
+    time_one = getattr(au, "_time_one", None)
+    psi1s = [s.psi(1.0) if time_one is None else time_one(s, tol) for s in systems]
     transversal = []
-    for system in systems:
-        psi1 = system.psi(1.0)
+    for system, psi1 in zip(systems, psi1s):
         try:
             transversal.append((system, psi1, au._correction_matrix(psi1, tol)))
         except tree["package"].SymindexError:
             pass
     space, diag, pair, red = au._triple_constants(systems[0].n, tol)[:4]
-    graphs = [tree["package"].graph_lagrangian(s.psi(1.0), tol) for s in systems]
+    graphs = [tree["package"].graph_lagrangian(psi1, tol) for psi1 in psi1s]
     scans = [(ma.orbit_path(s.h), ma.vertical_lagrangian(s.n, tol)) for s in systems]
     graph_scans = [(ma.graph_path(s.h), ma.diagonal_lagrangian(s.n, tol)) for s in systems]
     layers = [_scan_layers(ma, *scan) for scan in scans]
@@ -264,6 +269,7 @@ def _layer_calls(tree, hs, queries, doubled):
         "validate": [(au.validate, (s,), 1) for s in systems],
         "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
         "_flow_record": [(ma._flow_record, (s.h, None, tol), 1) for s in systems],
+        "make_system": [(au.make_system, (h,), 1) for h in hs],
         "route_pair": [(route_pair, (s.h,), 1) for s in systems],
         "orbit_scan": [(ma.maslov_index, scan, 1) for scan in scans],
         "graph_scan": [(ma.maslov_index, scan, 1) for scan in graph_scans],
