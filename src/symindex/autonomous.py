@@ -38,10 +38,9 @@ from .maslov import _flow_indices, _flow_record, _grid_cells, conley_zehnder
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    _signatures,
+    _form_counts,
     as_even_square,
     as_int,
-    as_square,
     as_tolerances,
     expm,
     singular_values,
@@ -51,9 +50,9 @@ from .numerics import (
 from .symplectic import (
     CACHED_DIMS,
     SymplecticSpace,
+    _graph_frame,
+    _symplectic_for,
     diagonal_lagrangian,
-    graph_lagrangian,
-    is_symplectic,
     product_lagrangian,
     standard_J,
     subspace_intersection,
@@ -92,7 +91,7 @@ def make_system(h, tol: Tolerances = DEFAULT_TOL) -> HamiltonianSystem:
     record (``maslov._flow_record``): ``tol`` a Tolerances, else
     InputError; the matrix, else InputError or OddDimension; Hamiltonian
     within ``tol``, else NotHamiltonian.  The routes on the system read
-    that record while it stays the kept one, so ``validate(make_system(h))``
+    that record while it stays kept, so ``validate(make_system(h))``
     checks and decomposes a fresh h once; a caller that only reads
     ``system.psi`` pays for the decomposition.  ``system.h`` is the
     caller's converted, writable array: a write to it in place is a new
@@ -131,16 +130,22 @@ def _correction_formula(a, b, c, d):
 
 
 def _correction_matrix(psi1, tol: Tolerances):
-    """The symmetric correction matrix X of a symplectic time-one map.
+    """The correction matrix X of a symplectic time-one map, returned as
+    (X + X^T) / 2, so symmetric entry for entry.
 
-    Raises TransversalityViolated when B is numerically singular and
-    SymmetryDefect when the computed matrix fails to be symmetric,
-    which signals an input too far from the symplectic group.
+    ``tol`` and the map are checked once (``as_even_square``), the map
+    is symplectic (``_symplectic_for``), else NotSymplectic, and its
+    blocks are slices of that array.  Raises TransversalityViolated when
+    B is numerically singular and SymmetryDefect when the computed
+    matrix fails to be symmetric, which signals an input too far from
+    the symplectic group.
     """
-    psi1 = as_square(psi1, "time-one map")
-    if not is_symplectic(psi1, tol):
+    tol = as_tolerances(tol)
+    psi1 = as_even_square(psi1, "time-one map")
+    n = len(psi1) // 2
+    if not _symplectic_for(psi1, SymplecticSpace.standard(n).form, tol):
         raise NotSymplectic("time-one map does not preserve the form")
-    a, b, c, d = split_blocks(psi1)
+    a, b, c, d = psi1[:n, :n], psi1[:n, n:], psi1[n:, :n], psi1[n:, n:]
     if not _corner_invertible(singular_values(b), tol):
         raise TransversalityViolated("upper-right block of the time-one map "
                                      "is singular")
@@ -213,27 +218,33 @@ def _triple_constants(n: int, tol: Tolerances):
 
 
 def _triple_routes(psi1, x, tol: Tolerances) -> TripleCheck:
-    """The four routes for a time-one map whose correction matrix is x:
-    tau directly and in the reduction by K (``kashiwara_reduced`` with
-    K = diagonal & L0 x L0), -sign X (which ``validate`` reads back) and
-    the block-matrix form of -X/2, classified by one ``_signatures``."""
+    """The four routes for a checked time-one map whose correction
+    matrix is x (``_correction_matrix``'s): tau directly and in the
+    reduction by K (``kashiwara_reduced`` with K = diagonal & L0 x L0),
+    -sign X (which ``validate`` reads back) and the block-matrix form of
+    -X/2.  X and the block matrix of a symmetric X are symmetric entry
+    for entry, and so is each Kashiwara form, t + t^T, so the four forms
+    take ``_form_counts`` unchecked: one ``eigvalsh`` per size."""
     space, diag, pair, red, red_diag, red_pair = _triple_constants(x.shape[0], tol)
-    graph = graph_lagrangian(psi1, tol)
+    graph = _graph_frame(psi1, tol)
 
     # the congruence diag(I/sqrt(s), sqrt(s) I, I/sqrt(s)) maps the block
     # matrix of X onto that of X/s, so its signature is taken at s = 1 +
     # |X|_F, where the unit blocks do not drown the eigenvalues of X
     half = -0.5 * x
-    n_pos, n_neg, _ = _signatures([
+    n_pos, n_neg, _ = _form_counts([
         x, kashiwara_form(red.space, red_diag, red_pair, red.project(graph)),
         reduced_form_matrix(half / (1.0 + np.linalg.norm(half))),
-        kashiwara_form(space, diag, pair, graph)], tol, 0.0, False)
+        kashiwara_form(space, diag, pair, graph)], tol, 0.0)
     sign_x, tau_reduced, sign_y, tau_direct = (n_pos - n_neg).tolist()
     return TripleCheck(tau_direct, tau_reduced, -sign_x, sign_y)
 
 
 def triple_routes_from(psi1, tol: Tolerances = DEFAULT_TOL) -> TripleCheck:
-    """All four routes to tau(diagonal, L0 x L0, graph) of a time-one map."""
+    """All four routes to tau(diagonal, L0 x L0, graph) of a time-one
+    map, converted once for both ``_correction_matrix`` and the graph."""
+    tol = as_tolerances(tol)
+    psi1 = as_even_square(psi1, "time-one map")
     return _triple_routes(psi1, _correction_matrix(psi1, tol), tol)
 
 

@@ -267,22 +267,25 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     size, else InputError or OddDimension; the size of ``space``, else
     DimensionMismatch; Hamiltonian within ``tol``, else NotHamiltonian.
 
-    The last record built is kept, keyed by the C-order bytes of h as a
-    float64 matrix, its size, ``space`` and ``tol``, so the routes of one
-    generator check and diagonalize it once while it stays the last one
-    seen (``make_system`` builds it, so a route on the system it returns
-    finds it kept).  ``tol`` and the matrix are checked before the key is
-    formed, so their typed errors come first; a miss runs the rest of the
-    check on the float64 copy of the key, so h is converted once.  A
-    generator that raises is not kept and leaves the kept record in
-    place.  The record reads a copy of h, so a caller's later write to
-    its array does not reach it."""
+    The three records used last are kept, keyed by the C-order bytes of
+    h as a float64 matrix, its size, ``space`` and ``tol``, so the routes
+    of one generator check and diagonalize it once while it stays kept
+    (``make_system`` builds it, so a route on the system it returns
+    finds it kept).  Three is just enough for h and the records of the
+    two calibration probes, so the first ``validate(make_system(h))`` of
+    a process with the calibrated sign still finds h's record kept.
+    ``tol`` and the matrix are checked before the key is formed, so
+    their typed errors come first; a miss runs the rest of the check on
+    the float64 copy of the key, so h is converted once.  A generator
+    that raises is not kept and leaves the kept records in place.  The
+    record reads a copy of h, so a caller's later write to its array
+    does not reach it."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
     return _record_of(h.tobytes(), h.shape[0], space, tol)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=3)
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
     """``_flow_record`` of the d x d float64 matrix h of C-order bytes

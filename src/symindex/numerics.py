@@ -166,18 +166,11 @@ def _signature(s, tol: Tolerances, margin: float, hermitian: bool):
 
 def _signatures(mats, tol: Tolerances, margin: float, hermitian: bool):
     """``band_counts`` of the symmetric or Hermitian part of each finite
-    square matrix of the list ``mats``, in order.  The matrices of one
-    size are checked and diagonalized as one stack, by one ``eigvalsh``;
-    all eigenvalue rows, padded with zeros (which change no count, scale
-    or band), take one ``band_counts``.  A matrix whose defect
-    |s - s*|_F exceeds ``eps_sym`` (1 + |s|_F) raises NonHermitianInput
-    or AsymmetricInput."""
-    sizes = {}
-    for j, m in enumerate(mats):
-        sizes.setdefault(m.shape[0], []).append(j)
-    eigs = np.zeros((len(mats), max(sizes, default=0)))
-    for size, idx in sizes.items():
-        s = np.array([mats[j] for j in idx])
+    square matrix of the list ``mats``, in order: ``_form_counts`` with
+    the check and the symmetrization of each stack of one size.  A
+    matrix whose defect |s - s*|_F exceeds ``eps_sym`` (1 + |s|_F)
+    raises NonHermitianInput or AsymmetricInput."""
+    def part(s):
         adj = np.swapaxes(s.conj() if hermitian else s, -1, -2)
         defect = np.linalg.norm(s - adj, axis=(-2, -1))
         bad = defect > tol.eps_sym * (1.0 + np.linalg.norm(s, axis=(-2, -1)))
@@ -186,8 +179,31 @@ def _signatures(mats, tol: Tolerances, margin: float, hermitian: bool):
             if hermitian:
                 raise NonHermitianInput("hermitian defect %.3e too large" % first)
             raise AsymmetricInput("symmetry defect %.3e too large" % first)
+        return 0.5 * (s + adj)
+    return _form_counts(mats, tol, margin, part)
+
+
+def _form_counts(forms, tol: Tolerances, margin: float, part=None):
+    """``band_counts`` of each matrix of the list ``forms``, in order:
+    of the matrix itself, which must then be symmetric or Hermitian
+    entry for entry (a form built so by construction), or, given
+    ``part``, of ``part`` of the stack of the matrices of its size
+    (``_signatures`` passes its check and symmetrization).  The forms of
+    one size take one ``eigvalsh``, and without ``part`` a size held by
+    one form takes that form, with no stack copy; all eigenvalue rows,
+    padded with zeros (which change no count, scale or band), take one
+    ``band_counts``: the one grouping of the package."""
+    sizes = {}
+    for j, m in enumerate(forms):
+        sizes.setdefault(m.shape[0], []).append(j)
+    eigs = np.zeros((len(forms), max(sizes, default=0)))
+    for size, idx in sizes.items():
+        lone = part is None and len(idx) == 1
+        s = forms[idx[0]] if lone else np.array([forms[j] for j in idx])
+        if part is not None:
+            s = part(s)
         if size:
-            eigs[idx, :size] = np.linalg.eigvalsh(0.5 * (s + adj))
+            eigs[idx, :size] = np.linalg.eigvalsh(s)
     return band_counts(eigs, tol, margin)
 
 

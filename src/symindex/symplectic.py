@@ -201,14 +201,30 @@ def horizontal_lagrangian(n: int, tol: Tolerances = DEFAULT_TOL) -> LagrangianFr
 
 
 def is_symplectic(m, tol: Tolerances = DEFAULT_TOL, space: SymplecticSpace = None) -> bool:
-    """Whether m^T Omega m = Omega within tolerance."""
+    """Whether m^T Omega m = Omega within tolerance, Omega the form of
+    ``space`` (default: the standard space of m's size): ``tol`` and
+    ``m`` checked, Omega of m's size, else DimensionMismatch, then
+    ``_symplectic_for``."""
     tol = as_tolerances(tol)
     m = as_even_square(m, "matrix")
     omega = (SymplecticSpace.standard(m.shape[0] // 2) if space is None else space).form
     if omega.shape != m.shape:
         raise DimensionMismatch("matrix does not match the space")
-    defect = np.linalg.norm(m.T @ omega @ m - omega)
-    return bool(defect <= tol.eps_sym * (1.0 + spectral_norm(m)) ** 2)
+    return _symplectic_for(m, omega, tol)
+
+
+def _symplectic_for(m, form, tol: Tolerances) -> bool:
+    """Whether |m^T form m - form|_F <= eps_sym (1 + |m|_2)^2 for a
+    checked m of the size of ``form``.  Where the square overflows, the
+    defect is compared with eps_sym (1 + |m|_2) after dividing it by
+    1 + |m|_2, so a finite matrix never raises and an infinite defect
+    never passes."""
+    defect = np.linalg.norm(m.T @ form @ m - form)
+    scale = 1.0 + spectral_norm(m)
+    try:
+        return bool(defect <= tol.eps_sym * scale ** 2)
+    except OverflowError:
+        return bool(defect / scale <= tol.eps_sym * scale)
 
 
 def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -235,10 +251,16 @@ def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> La
 
 
 def graph_lagrangian(m, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:
-    """Graph {(v, m v)} as a Lagrangian of the product space: [I; m] has
-    no singular value below 1, so one QR orthonormalizes it, no rank rule."""
+    """Graph {(v, m v)} as a Lagrangian of the product space: ``m`` and
+    ``tol`` checked, then ``_graph_frame``."""
     m = as_even_square(m, "matrix")
-    tol = as_tolerances(tol)
+    return _graph_frame(m, as_tolerances(tol))
+
+
+def _graph_frame(m, tol: Tolerances) -> LagrangianFrame:
+    """``graph_lagrangian`` of a checked m: [I; m] has no singular value
+    below 1, so one QR orthonormalizes it, no rank rule; the isotropy
+    check of ``_isotropic_frame`` stays."""
     q = np.linalg.qr(np.concatenate((np.eye(len(m)), m)))[0]
     return _isotropic_frame(SymplecticSpace.graph_product(len(m) // 2), q, tol)
 

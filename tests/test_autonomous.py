@@ -274,6 +274,58 @@ def test_triple_routes_equal_the_generic_routes(n, conjugated):
         assert generic.consistent
 
 
+def _transversal_time_one_maps(n):
+    """(psi(1), X) of the seeded generators random_hamiltonian(n, 1000 +
+    s, profile), s < 2, of the four profiles, whose psi(1) is
+    transversal: the time-one maps ``validate`` reads."""
+    maps = []
+    for profile in ("generic", "semisimple-elliptic", "hyperbolic", "mixed"):
+        for s in range(2):
+            psi1 = autonomous._time_one(make_system(random_hamiltonian(n, 1000 + s, profile)),
+                                        numerics.DEFAULT_TOL)
+            try:
+                maps.append((psi1, autonomous._correction_matrix(psi1, numerics.DEFAULT_TOL)))
+            except TransversalityViolated:
+                pass
+    return maps
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_triple_forms_are_symmetric_entry_for_entry(monkeypatch, n):
+    """The four forms ``_triple_routes`` classifies unchecked (X, the two
+    Kashiwara forms and the block matrix) equal their transposes bit for
+    bit, so symmetrizing them changes nothing, and their counts are
+    those of the checked ``_signatures``."""
+    forms_seen = []
+    form_counts = numerics._form_counts
+
+    def recording(forms, tol, margin):
+        forms_seen.append(forms)
+        return form_counts(forms, tol, margin)
+
+    monkeypatch.setattr(autonomous, "_form_counts", recording)
+    maps = _transversal_time_one_maps(n)
+    assert len(maps) >= 4
+    for psi1, x in maps:
+        forms_seen.clear()
+        autonomous._triple_routes(psi1, x, numerics.DEFAULT_TOL)
+        (forms,) = forms_seen
+        assert len(forms) == 4
+        for m in forms:
+            assert np.array_equal(m, m.T) and np.array_equal(0.5 * (m + m.T), m)
+        got = form_counts(forms, numerics.DEFAULT_TOL, 0.0)
+        want = numerics._signatures(forms, numerics.DEFAULT_TOL, 0.0, False)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_triple_routes_from_refuses_a_huge_symplectic_map_by_its_corner():
+    """diag(1e160, 1e-160) is symplectic; its (1 + |m|_2)^2 overflows a
+    float, and its upper-right block is 0."""
+    with pytest.raises(TransversalityViolated):
+        triple_routes_from(np.diag([1e160, 1e-160]))
+
+
 def test_inconsistent_triple_routes_turn_agree_false(monkeypatch):
     """Rotation 5: the formula matches the orbit index, so a triple-route
     disagreement alone must turn agree to False."""
@@ -667,7 +719,57 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
                 and getattr(module, "spectral_norm", None) is original):
             monkeypatch.setattr(module, "spectral_norm", counted)
     assert validate(system, sigma=-1).agree
-    assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "is_symplectic"]
+    assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "_symplectic_for"]
+
+
+def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls(monkeypatch):
+    """One warm ``validate(system, sigma=-1)`` of a transversal n = 1
+    system (its flow record kept, the shared constants built) makes
+    exactly these ``numpy.linalg`` calls, counted by name, and classifies
+    every signature without ``numerics._signatures``: a new decomposition
+    on this path shows here.  The three ``eigvalsh`` are one per size of
+    the four triple forms (1, 3 and 6)."""
+    system = make_system(random_hamiltonian(1, 1000, "semisimple-elliptic"))
+    assert validate(system, sigma=-1).formula_index is not None
+    calls = collections.Counter()
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counter(name, fn))
+    original = numerics._signatures
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("symindex")
+                and getattr(module, "_signatures", None) is original):
+            monkeypatch.setattr(module, "_signatures", counter("_signatures", original))
+    assert validate(system, sigma=-1).agree
+    assert calls == {"cholesky": 2, "eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1,
+                     "slogdet": 2, "solve": 3, "svd": 5}
+
+
+def test_the_first_validate_of_a_process_decomposes_the_generator_once(
+        cold_calibration, monkeypatch):
+    """The calibration probes keep their records beside the one
+    ``make_system`` built, so the first ``validate(make_system(h))`` with
+    the calibrated sign finds h's record kept: one eig of h, and three
+    record misses, h and the two probes."""
+    h = random_hamiltonian(1, 1000, "semisimple-elliptic")
+    eigs = []
+    eig = np.linalg.eig
+
+    def counted_eig(a, *args, **kwargs):
+        eigs.append(np.shape(a) == h.shape and np.array_equal(a, h))
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    assert validate(make_system(h)).agree
+    assert eigs.count(True) == 1 and maslov._record_of.cache_info().misses == 3
 
 
 def test_validate_checks_grid_before_any_scan(cold_calibration, scan_count):

@@ -138,6 +138,16 @@ def test_kashiwara_time_one_mode(tmp_path, capsys):
     assert body["consistent"] is True
 
 
+def test_kashiwara_of_a_huge_symplectic_map_is_a_typed_error(tmp_path):
+    """psi(1) = diag(1e160, 1e-160) is symplectic with a zero corner: the
+    command reports the transversality error, exit 1, no traceback."""
+    path = _write(tmp_path, _payload(1, psi1=[[1e160, 0.0], [0.0, 1e-160]]))
+    r = subprocess.run([sys.executable, "-m", "symindex.cli", "kashiwara", "--input", path],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_inconsistent_triple_routes_exit_2(tmp_path, capsys, monkeypatch):
     """A triple-route disagreement alone fails both commands that read it."""
     mismatch = TripleCheck(1, 1, 1, -1)

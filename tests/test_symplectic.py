@@ -236,6 +236,18 @@ def test_graph_frame_is_orthonormal_and_needs_a_symplectic_map():
         graph_lagrangian(2.0 * random_symplectic(2, 3))
 
 
+def test_is_symplectic_of_a_map_whose_bound_overflows():
+    """Past |m|_2 of about 1.3e154, (1 + |m|_2)^2 overflows a float: a
+    finite symplectic map still passes, and a map whose defect is itself
+    infinite still fails, with no OverflowError."""
+    for m in (np.diag([1e160, 1e-160]), np.diag([1e300, 1e-300]),
+              np.array([[1e200, 1e200], [0.0, 1e-200]])):
+        assert is_symplectic(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not is_symplectic(np.diag([1e200, 1e200]))
+        assert not is_symplectic(np.diag([1e160, 2e160]))
+
+
 @pytest.mark.parametrize("call", [
     lambda: product_lagrangian(diagonal_lagrangian(1), vertical_lagrangian(2)),
     lambda: intersection_dim(vertical_lagrangian(2), diagonal_lagrangian(1)),

@@ -196,13 +196,14 @@ def _end_phases(ma, path, ref, tol):
 
 
 def _cold(ma, fn):
-    """``fn`` called on empty one-entry caches of the generator, whichever
-    of the two a tree's ``maslov`` holds: the flow-record cache
-    ``_record_of`` and, in an older tree, the memo of its generator
-    check (a tree without them builds every record and runs every check
-    anyway)."""
+    """``fn`` called on empty caches of the generator, whichever of the
+    two a tree's ``maslov`` holds: the flow-record cache ``_record_of``
+    (three entries, one in an older tree) and, in an older tree, the
+    one-entry memo of its generator check (a tree without them builds
+    every record and runs every check anyway).  The per-dimension caches
+    it imports keep more entries and stay."""
     caches = [c for c in vars(ma).values()
-              if hasattr(c, "cache_clear") and c.cache_info().maxsize == 1]
+              if hasattr(c, "cache_clear") and c.cache_info().maxsize in (1, 3)]
 
     def call(*args):
         for cache in caches:
