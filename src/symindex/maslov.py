@@ -128,53 +128,50 @@ class _Stacked:
     every frame F(t) the function returns; ``_frames`` skips the SVD
     rank rule where it holds.  It belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound.  Nor does it carry
-    ``blocks``: None, or the ``_Blocks`` sampler of the flow path the
-    function traces."""
+    ``dataclasses.replace`` carries no bound, nor the flow and reference
+    of a ``_FlowFrames``."""
 
-    def __init__(self, stack, flow_dim: int, growth=None, blocks=None):
+    def __init__(self, stack, flow_dim: int, growth=None):
         self.stack = stack
         self.sample_bytes = 16 * flow_dim * flow_dim
         self.growth = growth
-        self.blocks = blocks
 
     def __call__(self, t):
         return self.stack(np.array([t], dtype=float))[0]
 
 
-class _Blocks:
-    """The block sampler of a built-in flow path against its own cached
-    reference ``ref``: the orbit of the default start against the
-    vertical, the graph against the diagonal.  ``flow(ts)`` is the
-    record's stack of Phi = exp(t h) = [[A, B], [C, D]] and ``frames``
-    maps such a stack onto the path's frames.
-
-    ``origin_defect`` is the record's delta0, which certifies the
-    eigenphases of a scan's t = 0 end (``_block_samples``).
+class _FlowFrames(_Stacked):
+    """The frame function of a flow path, ``orbit_path`` or
+    ``graph_path``: ``stack(ts)`` is ``frames`` of the stack of Phi =
+    exp(t h) = [[A, B], [C, D]] that ``record``, the path's
+    ``_FlowRecord``, forms at the times ts.  ``ref`` is the path's own
+    cached reference, the vertical of the default start or the diagonal
+    of the graph, else None; ``record.origin_defect`` certifies the
+    eigenphases of a scan's t = 0 end against it (``_block_samples``).
 
     ``sample`` reads arg det Z, log |det Z| and sum log s, the samples of
-    ``_chart_samples``, from the blocks of Phi without the chart's
-    products.  For any orthonormal frame of the vertical, det Z = det(D -
-    iB) and the frames Phi [0; P] have the singular values of [B; D]; the
-    cached frame is [0; -I], so Z = D - iB and the frames -[B; D] equal
-    the chart's bit for bit.  For the graph frame [I; Phi] against an
-    orthonormal frame of the diagonal, Z is, up to unitary factors, 2
-    [[M, *], [0, I]] in the eigenbasis of J, with M = 1/2 [(A + D) + i (C
-    - B)] the complex-linear part of Phi; so arg det Z = arg det(2 M) up
-    to one constant of the frame, log |det Z| = n log 2 + log |det M|,
-    and the Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's
-    winding of det M).  Where the growth bound holds, sum log s comes
-    from one Cholesky factor of that Gram matrix, else the frames are
-    formed and take ``_volumes``' SVD rank rule; the Lagrangian check of
-    ``_chart_samples`` runs on every sample."""
+    ``_chart_samples`` against ``ref``, from the blocks of Phi without
+    the chart's products.  For any orthonormal frame of the vertical,
+    det Z = det(D - iB) and the frames Phi [0; P] have the singular
+    values of [B; D]; the cached frame is [0; -I], so Z = D - iB and the
+    frames -[B; D] equal the chart's bit for bit.  For the graph frame
+    [I; Phi] against an orthonormal frame of the diagonal, Z is, up to
+    unitary factors, 2 [[M, *], [0, I]] in the eigenbasis of J, with M =
+    1/2 [(A + D) + i (C - B)] the complex-linear part of Phi; so arg det
+    Z = arg det(2 M) up to one constant of the frame, log |det Z| = n log
+    2 + log |det M|, and the Gram matrix of the frame is I + Phi^T Phi
+    (Conley-Zehnder's winding of det M).  Where the growth bound holds,
+    sum log s comes from one Cholesky factor of that Gram matrix, else
+    the frames are formed and take ``_volumes``' SVD rank rule; the
+    Lagrangian check of ``_chart_samples`` runs on every sample."""
 
-    def __init__(self, ref: LagrangianFrame, record: "_FlowRecord", frames, growth, eye=None):
-        self.ref = ref
-        self.flow = record.stack
-        self.origin_defect = record.origin_defect
-        self.frames = frames
-        self.growth = growth
+    def __init__(self, record: "_FlowRecord", frames, growth, ref, eye=None):
+        self.record, self.frames, self.growth, self.ref = record, frames, growth, ref
         self.eye = eye  # the identity of the flow's size for the graph, None for the orbit
+        self.sample_bytes = 16 * record.h.size
+
+    def stack(self, ts):
+        return self.frames(self.record.stack(ts))
 
     def sample(self, flows, ts, tol: Tolerances, error=None):
         """(arg det Z, log |det Z|, sum log s, the block Z: D - iB or 2 M)
@@ -219,6 +216,8 @@ class _FlowRecord:
     ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
     ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
     are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
+    The frame function of a flow path (``_FlowFrames``) holds its record
+    and reads both through it.
 
     ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
     the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
@@ -339,26 +338,21 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
 def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
                 tol: Tolerances) -> LagrangianPath:
-    """``orbit_path`` of a checked generator; from the default start it
-    carries the block sampler of the vertical."""
+    """``orbit_path`` of a checked generator; from the default start its
+    frame function's own reference is the vertical it starts on."""
     h, flow = record.h, record.stack
     d = h.shape[0]
-    own = start is None
-    if own:
-        start = vertical_lagrangian(d // 2, tol)
+    ref = vertical_lagrangian(d // 2, tol) if start is None else None
+    start = ref if start is None else start
     f0 = start.frame
 
     def frames(flows):
         return flows @ f0
 
-    def frs(ts):
-        return flow(ts) @ f0
-
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    blocks = _Blocks(start, record, frames, record.orbit_growth) if own else None
-    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth, blocks),
+    return LagrangianPath(start.space, _FlowFrames(record, frames, record.orbit_growth, ref),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -375,30 +369,23 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
 
 
 def _graph_path(record: _FlowRecord, interval, diagonal: LagrangianFrame) -> LagrangianPath:
-    """``graph_path`` of a checked generator, carrying the block sampler
-    of ``diagonal``, the cached diagonal of its tolerances."""
+    """``graph_path`` of a checked generator, whose frame function's own
+    reference is ``diagonal``, the cached diagonal of its tolerances."""
     h, flow = record.h, record.stack
     d = h.shape[0]
-    space = SymplecticSpace.graph_product(d // 2)
     eye = np.eye(d)
 
-    def graphs(top, bottom):
-        out = np.empty((len(bottom), 2 * d, d))
+    def frames(flows, top=eye):
+        out = np.empty((len(flows), 2 * d, d))
         out[:, :d] = top
-        out[:, d:] = bottom
+        out[:, d:] = flows
         return out
 
-    def frames(flows):
-        return graphs(eye, flows)
-
-    def frs(ts):
-        return graphs(eye, flow(ts))
-
     def dfrs(ts):
-        return graphs(0.0, h @ flow(ts))
+        return frames(h @ flow(ts), 0.0)
 
-    blocks = _Blocks(diagonal, record, frames, record.graph_growth, eye)
-    return LagrangianPath(space, _Stacked(frs, d, record.graph_growth, blocks),
+    return LagrangianPath(SymplecticSpace.graph_product(d // 2),
+                          _FlowFrames(record, frames, record.graph_growth, diagonal, eye),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -579,14 +566,14 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
 
 
 def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
-    """(Re C, Im C, blocks) with (Re C, Im C) = (Q^T, -Q^T Omega),
+    """(Re C, Im C, flow) with (Re C, Im C) = (Q^T, -Q^T Omega),
     contiguous, of the chart C = Q^T (I - i Omega) of the reference frame
     Q, so Z(t) = C F(t); the first check of every scan and crossing form.
-    ``blocks`` is the ``_Blocks`` sampler of the path's frame function
-    when ``ref`` is its own cached reference, tested first by identity,
-    or has its frame: the spaces matched, an equal frame gives the same
-    chart bit for bit, so a reference of any tol or spelling qualifies.
-    Else it is None; only index scans read it.  For a form that is
+    ``flow`` is the path's frame function, a ``_FlowFrames``, when
+    ``ref`` is its own cached reference, tested first by identity, or has
+    its frame: the spaces matched, an equal frame gives the same chart
+    bit for bit, so a reference of any tol or spelling qualifies.  Else
+    it is None; only index scans read it.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
     else InputError."""
@@ -594,11 +581,11 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    blocks = getattr(path.frame_fn, "blocks", None)
-    q = ref.frame
-    if blocks is not None and not (blocks.ref is ref or np.array_equal(blocks.ref.frame, q)):
-        blocks = None
-    return np.ascontiguousarray(q.T), -(q.T @ path.space.form), blocks
+    flow, q = path.frame_fn, ref.frame
+    if not (isinstance(flow, _FlowFrames) and flow.ref is not None
+            and (flow.ref is ref or np.array_equal(flow.ref.frame, q))):
+        flow = None
+    return np.ascontiguousarray(q.T), -(q.T @ path.space.form), flow
 
 
 def _in_chart(chart, frames):
@@ -678,12 +665,13 @@ def _block_samples(scans, ts, tol: Tolerances):
     """([arg det Z at the times ts, eigenphases of W at the first and
     last time, error or None] of each (path, chart) of ``scans``, the
     flow at the last time): paths of one flow whose charts carry their
-    ``_Blocks``, sampled in the batches of the last path, the largest,
-    with one stack of the flow per batch for all of them.  The orbit's
-    end Z is its block Z; the graph forms its chart's Z at its end
-    flows.  A scan that fails keeps its error and takes no further
-    batch; when the first scan fails, sampling stops and the list holds
-    its error alone, as that error is raised first, with no flow.
+    ``_FlowFrames``, sampled in the batches of the last path, the
+    largest, with one stack of the record's flow per batch for all of
+    them.  The orbit's end Z is its block Z; the graph forms its chart's
+    Z at its end flows.  A scan that fails keeps its error and takes no
+    further batch; when the first scan fails, sampling stops and the
+    list holds its error alone, as that error is raised first, with no
+    flow.
 
     A scan whose first time is 0 starts on its reference.  Where 4
     delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
@@ -703,23 +691,23 @@ def _block_samples(scans, ts, tol: Tolerances):
     rounding of W, and the index is the same bit for bit.  Otherwise the
     first end's phases are computed.  The t = 0 sample keeps its rank
     and Lagrangian checks."""
-    flow = scans[0][1][2].flow
+    record = scans[0][1][2].record
     # 1 where the t = 0 end is certified by the bound above, else 0
-    zero = int(ts[0] == 0.0 and 4.0 * scans[0][1][2].origin_defect <= tol.eps_rank)
+    zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
     out = [[[], [], None] for _ in scans]  # per scan: args, (first, last) rows, error
     for sl in _batches(scans[-1][0], len(ts)):
         times = ts[sl]
-        flows, error = _finite(flow(times), "path frame")
+        flows, error = _finite(record.stack(times), "path frame")
         for (_, chart), scan in zip(scans, out):
-            blocks = chart[2]
+            flow = chart[2]
             if scan[2] is None:
                 try:
-                    arg, _, _, z = blocks.sample(flows, times, tol, error)
+                    arg, _, _, z = flow.sample(flows, times, tol, error)
                 except SymindexError as exc:
                     scan[2] = exc
                     continue
                 scan[0].append(arg)
-                rows = z if blocks.eye is None else flows
+                rows = z if flow.eye is None else flows
                 if len(rows) == len(ts):  # one batch: a view of both ends
                     scan[1] = rows[::len(ts) - 1]
                 elif sl.start == 0 or sl.stop == len(ts):
@@ -728,11 +716,11 @@ def _block_samples(scans, ts, tol: Tolerances):
             return [(None, None, out[0][2])], None
     for (_, chart), scan in zip(scans, out):
         if scan[2] is None:
-            blocks, args, ends = chart[2], scan[0], np.asarray(scan[1])[zero:]
+            flow, args, ends = chart[2], scan[0], np.asarray(scan[1])[zero:]
             scan[0] = args[0] if len(args) == 1 else np.concatenate(args)
             scan[1] = np.zeros((2, ends.shape[-1]))  # the size of W
-            scan[1][zero:] = _eigenphases(ends if blocks.eye is None
-                                          else _in_chart(chart, blocks.frames(ends)), tol)
+            scan[1][zero:] = _eigenphases(ends if flow.eye is None
+                                          else _in_chart(chart, flow.frames(ends)), tol)
     return out, flows[-1]
 
 
@@ -744,10 +732,10 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     C F, and C F' on the rated branch, is formed by ``_in_chart`` from
     the real and imaginary parts of the ``chart``; the end phases take
     one ``_eigenphases`` call after the last batch.  An index scan (not
-    ``phases``, not ``rated``) whose chart carries the path's ``_Blocks``
-    takes every arg det Z from them and its end phases from Z at its
-    ends, the first left out where the record certifies it
-    (``_block_samples``)."""
+    ``phases``, not ``rated``) whose chart carries the path's
+    ``_FlowFrames`` takes every arg det Z from its block formula and its
+    end phases from Z at its ends, the first left out where the record
+    certifies it (``_block_samples``)."""
     if chart[2] is not None and not phases and not rated:
         (args, thetas, error), = _block_samples([(path, chart)], ts, tol)[0]
         if error is not None:
@@ -1067,9 +1055,9 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     and the eigenphases of the two ends in one call after them.  The
     orbit path of the vertical and the graph path, scanned against the
     vertical and the diagonal their factories cached, take every sample
-    from the blocks of the flow (``_Blocks``) and form Z at the ends only,
-    at the last one only where the record certifies a t = 0 start
-    (``_block_samples``).
+    from the blocks of the flow (``_FlowFrames.sample``) and form Z at
+    the ends only, at the last one only where the record certifies a t =
+    0 start (``_block_samples``).
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)
@@ -1111,7 +1099,7 @@ def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
     record = _flow_record(h, None, tol)
     paths = (_orbit_path(record, None, (0.0, 1.0), tol),
              _graph_path(record, (0.0, 1.0), diagonal_lagrangian(record.h.shape[0] // 2, tol)))
-    scans = [(path, _chart(path, path.frame_fn.blocks.ref, tol)) for path in paths]
+    scans = [(path, _chart(path, path.frame_fn.ref, tol)) for path in paths]
     ts = _scan_times(paths[0], MIN_GRID, False)
     sampled, psi1 = _block_samples(scans, ts, tol)
     indices = []

@@ -218,8 +218,11 @@ def _symplectic_for(m, form, tol: Tolerances) -> bool:
     checked m of the size of ``form``.  Where the square overflows, the
     defect is compared with eps_sym (1 + |m|_2) after dividing it by
     1 + |m|_2, so a finite matrix never raises and an infinite defect
-    never passes."""
-    defect = np.linalg.norm(m.T @ form @ m - form)
+    never passes.  A product that overflows gives an inf or nan defect,
+    which fails the comparison, so it is formed without numpy's
+    warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(m.T @ form @ m - form)
     scale = 1.0 + spectral_norm(m)
     try:
         return bool(defect <= tol.eps_sym * scale ** 2)

@@ -1,9 +1,18 @@
 """The calls the benchmark makes still run: a signature change that
 breaks ``perfbench/workloads.py`` fails here, not in a benchmark run.
+Nor may a change break its traced run: ``perfbench/tracing.py`` must
+still find every layer boundary it wraps.
 
 ``perfbench/`` is only read, through the ``workloads`` fixture of
-``conftest.py``.
+``conftest.py`` and, for the traced run, by a subprocess that writes no
+bytecode.
 """
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +32,50 @@ def test_benchmark_ops_run(workloads, workload, first_pass):
     outcomes = [o for op in ops for o in workloads.execute(op, symindex)]
     assert outcomes
     assert not [o for o in outcomes if o.failed], [o.error for o in outcomes if o.failed]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: installs the tracer, runs the reference op of every workload, and
+#: prints the boundaries left unwrapped, the failed outcomes and the spans
+_TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import symindex, symindex.checks
+import tracing, workloads
+tracer = tracing.Tracer()
+tracing.install(tracer, symindex)
+names = [(m, f) for m, f, _ in tracing.SPANS]
+names += [("maslov", f) for f in tracing.PATH_FACTORIES]
+names += [("numerics", f) for f in tracing.SVD_FUNCTIONS]
+unwrapped = [m + "." + f for m, f in names
+             if not hasattr(getattr(sys.modules["symindex." + m], f), "__wrapped__")]
+if not hasattr(symindex.HamiltonianSystem.psi, "__wrapped__"):
+    unwrapped.append("autonomous.HamiltonianSystem.psi")
+spans, failed = {}, []
+for w in workloads.WORKLOADS:
+    start = len(tracer.spans)
+    outcomes = workloads.execute(workloads.reference_op(w), symindex)
+    failed += [(w, o.error) for o in outcomes if o.failed]
+    spans[w] = sorted({rec[0] for rec in tracer.spans[start:]})
+print(json.dumps({"unwrapped": unwrapped, "failed": failed, "spans": spans}))
+"""
+
+
+def test_traced_run_wraps_every_layer_boundary():
+    """With ``tracing.install``, every name of ``SPANS``,
+    ``PATH_FACTORIES`` and ``SVD_FUNCTIONS`` and
+    ``HamiltonianSystem.psi`` is a wrapper; the reference op of every
+    workload runs without failure, and the index op leaves an
+    ``autonomous.validate`` span."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-B", "-c", _TRACED_RUN, str(ROOT / "perfbench")],
+                       cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["unwrapped"] == []
+    assert report["failed"] == []
+    assert set(report["spans"]) == {"index-small", "index-large", "dense-crossings",
+                                    "acceptance"}
+    assert "autonomous.validate" in report["spans"]["index-small"]
+    assert "autonomous.validate" in report["spans"]["index-large"]

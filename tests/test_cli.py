@@ -148,6 +148,17 @@ def test_kashiwara_of_a_huge_symplectic_map_is_a_typed_error(tmp_path):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+def test_kashiwara_of_a_map_whose_defect_overflows_reports_only_the_error(tmp_path):
+    """psi(1) = diag(1e200, 1e200) is not symplectic and m^T J m
+    overflows: the command prints the typed error alone on stderr, no
+    numpy warning, and exits 1."""
+    path = _write(tmp_path, _payload(1, psi1=[[1e200, 0.0], [0.0, 1e200]]))
+    r = subprocess.run([sys.executable, "-m", "symindex.cli", "kashiwara", "--input", path],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stderr == "error: time-one map does not preserve the form\n"
+
+
 def test_inconsistent_triple_routes_exit_2(tmp_path, capsys, monkeypatch):
     """A triple-route disagreement alone fails both commands that read it."""
     mismatch = TripleCheck(1, 1, 1, -1)

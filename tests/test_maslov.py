@@ -1498,15 +1498,15 @@ def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route):
     tol = DEFAULT_TOL
     path, ref = _own_scan(h, route, interval)
     chart = maslov._chart(path, ref, tol)
-    blocks = chart[2]
-    assert blocks is not None and blocks.ref is ref
-    assert (blocks.eye is None) == (route == "orbit")
+    flow = chart[2]
+    assert flow is not None and flow.ref is ref
+    assert (flow.eye is None) == (route == "orbit")
     assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
     ts = np.linspace(*interval, 41)
     _, z, sign = maslov._chart_samples(path, chart[:2] + (None,), ts, tol)
     logdet = np.linalg.slogdet(z)[1]
     log_s = maslov._frames(path, ts, tol)[1]
-    arg, block_logdet, block_log_s, _ = blocks.sample(blocks.flow(ts), ts, tol)
+    arg, block_logdet, block_log_s, _ = flow.sample(flow.record.stack(ts), ts, tol)
     shift = np.angle(sign) - arg
     constant = np.exp(1j * shift)
     assert np.abs(constant - constant[0]).max() <= 1e-12
@@ -1575,16 +1575,16 @@ def test_only_the_own_cached_reference_takes_the_blocks():
     assert maslov_index(graph, other) == maslov_index(_looped(graph), other)
     loose = diagonal_lagrangian(n, Tolerances(eps_sym=1e-7))
     assert loose is not diagonal
-    assert maslov._chart(graph, loose, tol)[2] is graph.frame_fn.blocks
+    assert maslov._chart(graph, loose, tol)[2] is graph.frame_fn
     assert maslov_index(graph, loose) == maslov_index(_looped(graph), loose) == conley_zehnder(h)
     vertical = vertical_lagrangian(n, tol)
     started = orbit_path(h, start=vertical)
-    assert started.frame_fn.blocks is None
+    assert started.frame_fn.ref is None
     assert maslov._chart(started, vertical, tol)[2] is None
     assert maslov_index(started, vertical) == maslov_index_symplectic(h)
     assert maslov._chart(_looped(graph), diagonal, tol)[2] is None
     orbit, own = _own_scan(h, "orbit")
-    assert maslov._chart(orbit, own, tol)[2] is orbit.frame_fn.blocks
+    assert maslov._chart(orbit, own, tol)[2] is orbit.frame_fn
     assert maslov._chart(orbit, horizontal_lagrangian(n, tol), tol)[2] is None
 
 
@@ -1596,18 +1596,18 @@ def test_either_spelling_of_a_cached_reference_takes_the_blocks(n):
     ``horizontal_lagrangian(n)`` takes the generic chart."""
     h = random_hamiltonian(n, 3120 + n, "mixed")
     orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
-    for make, path, blocks in ((vertical_lagrangian, orbit, orbit.frame_fn.blocks),
-                               (diagonal_lagrangian, graph, graph.frame_fn.blocks),
-                               (horizontal_lagrangian, orbit, None)):
+    for make, path, flow in ((vertical_lagrangian, orbit, orbit.frame_fn),
+                             (diagonal_lagrangian, graph, graph.frame_fn),
+                             (horizontal_lagrangian, orbit, None)):
         for ref in (make(n), make(n, DEFAULT_TOL), make(n, tol=DEFAULT_TOL),
                     make(n, Tolerances(eps_sym=1e-7))):
-            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is blocks
+            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is flow
 
 
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):
     """find_crossings of a path that carries blocks samples through the
     generic chart only."""
-    monkeypatch.setattr(maslov._Blocks, "sample", None)
+    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
     path, ref = _own_scan(5.0 * standard_J(1), "orbit")
     assert find_crossings(path, ref).index == HalfInt(3)
     with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 """Symplectic linear algebra: spaces, frames, reduction, ensembles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,16 @@ def test_is_symplectic_of_a_map_whose_bound_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         assert not is_symplectic(np.diag([1e200, 1e200]))
         assert not is_symplectic(np.diag([1e160, 2e160]))
+
+
+def test_is_symplectic_of_a_map_whose_defect_overflows_warns_nothing():
+    """m^T J m of diag(1e200, 1e200) overflows: the check answers False
+    with no RuntimeWarning, whatever the caller's warning filters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_symplectic(np.diag([1e200, 1e200]))
+        assert not is_symplectic(np.diag([1e160, 2e160]))
+        assert is_symplectic(np.diag([1e160, 1e-160]))
 
 
 @pytest.mark.parametrize("call", [

@@ -214,3 +214,38 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
         eigs.clear()
         bench._pass_ms(calls[layer])
         assert len(eigs) == records, layer
+
+
+_SNIPPET = '''"""A module docstring,
+on two lines."""
+
+import math  # a comment after code
+
+TEXT = """a string that is
+not a docstring"""
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+    return math.fsum([x,
+                      x])
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    """``tools/code_lines.py`` counts each line of a statement that spans
+    several lines, a string that is not a docstring among them, and no
+    docstring, comment or blank line: 6 on the snippet.  Its report
+    lists every module of the package and their total."""
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.code_lines(_SNIPPET) == 6
+    r = subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "code_lines.py")],
+                       cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "symindex").glob("*.py"))
+    assert [name for name, _ in rows] == modules + ["total"]
+    assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])
