@@ -75,12 +75,13 @@ class LagrangianPath:
 
     ``frame_fn(t)`` returns a 2n x n frame with independent (not
     necessarily orthonormal) columns.  ``dframe_fn`` is its derivative;
-    when absent a central finite difference is used, so ``frame_fn``
-    should be smooth slightly beyond the interval ends.  The built-in
-    factories set ``_rate_bound``, a bound on |d arg det Z / dt| in any
-    reference chart; ``dataclasses.replace`` keeps it, so a new
-    ``frame_fn`` must trace the same path.  Their frame functions also
-    bound the condition number of the frames (``_Stacked``); a new
+    when absent the frames at t -+ 1e-6 are differenced over the float
+    distance of those two times (InputError where both round to t), so
+    ``frame_fn`` should be smooth slightly beyond the interval ends.
+    The built-in factories set ``_rate_bound``, a bound on |d arg det Z
+    / dt| in any reference chart; ``dataclasses.replace`` keeps it, so a
+    new ``frame_fn`` must trace the same path.  Their frame functions
+    also bound the condition number of the frames (``_Stacked``); a new
     ``frame_fn`` may return other frames of the path and drops it.
     """
 
@@ -111,7 +112,11 @@ class LagrangianPath:
             if d.shape != (self.space.dim, self.space.half_dim):
                 raise DimensionMismatch("derivative has shape %s" % (d.shape,))
             return d
-        return (self.frame(t + 1e-6) - self.frame(t - 1e-6)) / 2e-6
+        lo, hi = t - 1e-6, t + 1e-6
+        if lo == hi:
+            raise InputError("no finite difference of the path frame at t=%g: "
+                             "t +- 1e-6 round to t" % t)
+        return (self.frame(hi) - self.frame(lo)) / (hi - lo)
 
 
 def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
@@ -128,8 +133,8 @@ class _Stacked:
     every frame F(t) the function returns; ``_frames`` skips the SVD
     rank rule where it holds.  It belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound, nor the flow and reference
-    of a ``_FlowFrames``."""
+    ``dataclasses.replace`` carries no bound, nor the flow of a
+    ``_FlowFrames``."""
 
     def __init__(self, stack, flow_dim: int, growth=None):
         self.stack = stack
@@ -144,16 +149,16 @@ class _FlowFrames(_Stacked):
     """The frame function of a flow path, ``orbit_path`` or
     ``graph_path``: ``stack(ts)`` is ``frames`` of the stack of Phi =
     exp(t h) = [[A, B], [C, D]] that ``record``, the path's
-    ``_FlowRecord``, forms at the times ts.  ``ref`` is the path's own
-    cached reference, the vertical of the default start or the diagonal
-    of the graph, else None; ``record.origin_defect`` certifies the
-    eigenphases of a scan's t = 0 end against it (``_block_samples``).
+    ``_FlowRecord``, forms at the times ts.
 
-    ``sample`` reads arg det Z, log |det Z| and sum log s, the samples of
-    ``_chart_samples`` against ``ref``, from the blocks of Phi without
-    the chart's products.  For any orthonormal frame of the vertical,
-    det Z = det(D - iB) and the frames Phi [0; P] have the singular
-    values of [B; D]; the cached frame is [0; -I], so Z = D - iB and the
+    ``sample``, called by ``_flow_scans`` alone, reads arg det Z, log
+    |det Z| and sum log s, the samples of ``_chart_samples``, from the
+    blocks of Phi without the chart's products: on the orbit of the
+    default start against the vertical, and on the graph against the
+    diagonal (from another start the orbit's blocks are not its samples).
+    For any orthonormal frame of the vertical, det Z = det(D - iB) and
+    the frames Phi [0; P] have the singular values of [B; D]; the frame
+    of ``vertical_lagrangian`` is [0; -I], so Z = D - iB and the
     frames -[B; D] equal the chart's bit for bit.  For the graph frame
     [I; Phi] against an orthonormal frame of the diagonal, Z is, up to
     unitary factors, 2 [[M, *], [0, I]] in the eigenbasis of J, with M =
@@ -163,10 +168,19 @@ class _FlowFrames(_Stacked):
     (Conley-Zehnder's winding of det M).  Where the growth bound holds,
     sum log s comes from one Cholesky factor of that Gram matrix, else
     the frames are formed and take ``_volumes``' SVD rank rule; the
-    Lagrangian check of ``_chart_samples`` runs on every sample."""
+    Lagrangian check of ``_chart_samples`` runs on every sample.
 
-    def __init__(self, record: "_FlowRecord", frames, growth, ref, eye=None):
-        self.record, self.frames, self.growth, self.ref = record, frames, growth, ref
+    The blocks stay because the other samplers cost more.  The scan of
+    the graph path against the diagonal through the generic chart took
+    1.17 to 1.34 times the block scan's time at n = 8 and 1.45 to 1.64
+    times at n = 16, and the orbit's up to 1.11 times (8 generators per
+    n, 2 vCPU, one BLAS thread).  A factored sampler (RV) e^(t Lambda)
+    (V^-1 F), which never forms Phi, took 1.05 to 1.15 times the blocks'
+    time from n = 2 on, its volumes and ``slogdet`` included, at 8 and
+    64 samples."""
+
+    def __init__(self, record: "_FlowRecord", frames, growth, eye=None):
+        self.record, self.frames, self.growth = record, frames, growth
         self.eye = eye  # the identity of the flow's size for the graph, None for the orbit
         self.sample_bytes = 16 * record.h.size
 
@@ -338,12 +352,10 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
 def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
                 tol: Tolerances) -> LagrangianPath:
-    """``orbit_path`` of a checked generator; from the default start its
-    frame function's own reference is the vertical it starts on."""
+    """``orbit_path`` of a checked generator."""
     h, flow = record.h, record.stack
     d = h.shape[0]
-    ref = vertical_lagrangian(d // 2, tol) if start is None else None
-    start = ref if start is None else start
+    start = vertical_lagrangian(d // 2, tol) if start is None else start
     f0 = start.frame
 
     def frames(flows):
@@ -352,7 +364,7 @@ def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _FlowFrames(record, frames, record.orbit_growth, ref),
+    return LagrangianPath(start.space, _FlowFrames(record, frames, record.orbit_growth),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -364,13 +376,11 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     its phase turns at tr(S P_b), with P_b the lower block of the
     graph's orthogonal projector and S = sym(-J h); its rate bound is
     the orbit's, B of ``_FlowRecord``."""
-    record = _flow_record(h, None, tol)
-    return _graph_path(record, interval, diagonal_lagrangian(record.h.shape[0] // 2, tol))
+    return _graph_path(_flow_record(h, None, tol), interval)
 
 
-def _graph_path(record: _FlowRecord, interval, diagonal: LagrangianFrame) -> LagrangianPath:
-    """``graph_path`` of a checked generator, whose frame function's own
-    reference is ``diagonal``, the cached diagonal of its tolerances."""
+def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
+    """``graph_path`` of a checked generator."""
     h, flow = record.h, record.stack
     d = h.shape[0]
     eye = np.eye(d)
@@ -385,7 +395,7 @@ def _graph_path(record: _FlowRecord, interval, diagonal: LagrangianFrame) -> Lag
         return frames(h @ flow(ts), 0.0)
 
     return LagrangianPath(SymplecticSpace.graph_product(d // 2),
-                          _FlowFrames(record, frames, record.graph_growth, diagonal, eye),
+                          _FlowFrames(record, frames, record.graph_growth, eye),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -566,14 +576,9 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
 
 
 def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
-    """(Re C, Im C, flow) with (Re C, Im C) = (Q^T, -Q^T Omega),
-    contiguous, of the chart C = Q^T (I - i Omega) of the reference frame
-    Q, so Z(t) = C F(t); the first check of every scan and crossing form.
-    ``flow`` is the path's frame function, a ``_FlowFrames``, when
-    ``ref`` is its own cached reference, tested first by identity, or has
-    its frame: the spaces matched, an equal frame gives the same chart
-    bit for bit, so a reference of any tol or spelling qualifies.  Else
-    it is None; only index scans read it.  For a form that is
+    """(Re C, Im C) = (Q^T, -Q^T Omega), contiguous, of the chart C = Q^T
+    (I - i Omega) of the reference frame Q, so Z(t) = C F(t); the first
+    check of every scan and crossing form.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
     else InputError."""
@@ -581,11 +586,8 @@ def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
     path.space.check_same(ref)
     if not path.space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
-    flow, q = path.frame_fn, ref.frame
-    if not (isinstance(flow, _FlowFrames) and flow.ref is not None
-            and (flow.ref is ref or np.array_equal(flow.ref.frame, q))):
-        flow = None
-    return np.ascontiguousarray(q.T), -(q.T @ path.space.form), flow
+    q = ref.frame
+    return np.ascontiguousarray(q.T), -(q.T @ path.space.form)
 
 
 def _in_chart(chart, frames):
@@ -661,69 +663,6 @@ def _eigenphases(z, tol: Tolerances):
     return np.angle(vals) % _TWO_PI
 
 
-def _block_samples(scans, ts, tol: Tolerances):
-    """([arg det Z at the times ts, eigenphases of W at the first and
-    last time, error or None] of each (path, chart) of ``scans``, the
-    flow at the last time): paths of one flow whose charts carry their
-    ``_FlowFrames``, sampled in the batches of the last path, the
-    largest, with one stack of the record's flow per batch for all of
-    them.  The orbit's end Z is its block Z; the graph forms its chart's
-    Z at its end flows.  A scan that fails keeps its error and takes no
-    further batch; when the first scan fails, sampling stops and the
-    list holds its error alone, as that error is raised first, with no
-    flow.
-
-    A scan whose first time is 0 starts on its reference.  Where 4
-    delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
-    end takes the phases 0 without ``_eigenphases``, which ``_snapped``
-    reads as the sum 0 and the dimension the size of W, as it reads the
-    computed phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0
-    = D0 - iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0
-    - I = (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 /
-    (1 - delta0).  On the graph, in the chart of the diagonal [I; I] /
-    sqrt 2 (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I
-    + F0) - iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I -
-    iJ) E / 2 and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 /
-    (1 - delta0).  An eigenvalue within r < 1 of 1 has a phase of at
-    most arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4
-    eps_rank, so every computed phase at 0 lies in the band eps_rank
-    where ``_snapped`` zeroes it while eps_rank is well above the
-    rounding of W, and the index is the same bit for bit.  Otherwise the
-    first end's phases are computed.  The t = 0 sample keeps its rank
-    and Lagrangian checks."""
-    record = scans[0][1][2].record
-    # 1 where the t = 0 end is certified by the bound above, else 0
-    zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
-    out = [[[], [], None] for _ in scans]  # per scan: args, (first, last) rows, error
-    for sl in _batches(scans[-1][0], len(ts)):
-        times = ts[sl]
-        flows, error = _finite(record.stack(times), "path frame")
-        for (_, chart), scan in zip(scans, out):
-            flow = chart[2]
-            if scan[2] is None:
-                try:
-                    arg, _, _, z = flow.sample(flows, times, tol, error)
-                except SymindexError as exc:
-                    scan[2] = exc
-                    continue
-                scan[0].append(arg)
-                rows = z if flow.eye is None else flows
-                if len(rows) == len(ts):  # one batch: a view of both ends
-                    scan[1] = rows[::len(ts) - 1]
-                elif sl.start == 0 or sl.stop == len(ts):
-                    scan[1].append(rows[0 if sl.start == 0 else -1])
-        if out[0][2] is not None:
-            return [(None, None, out[0][2])], None
-    for (_, chart), scan in zip(scans, out):
-        if scan[2] is None:
-            flow, args, ends = chart[2], scan[0], np.asarray(scan[1])[zero:]
-            scan[0] = args[0] if len(args) == 1 else np.concatenate(args)
-            scan[1] = np.zeros((2, ends.shape[-1]))  # the size of W
-            scan[1][zero:] = _eigenphases(ends if flow.eye is None
-                                          else _in_chart(chart, flow.frames(ends)), tol)
-    return out, flows[-1]
-
-
 def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
                    phases: bool = True, rated: bool = False):
     """(arg det Z, eigenphases in [0, 2 pi] of W = Z conj(Z)^(-1) at every
@@ -731,16 +670,7 @@ def _phase_samples(path: LagrangianPath, chart, ts, tol: Tolerances,
     ``rated``) at the times ts, in one pass over the samples.  Every Z =
     C F, and C F' on the rated branch, is formed by ``_in_chart`` from
     the real and imaginary parts of the ``chart``; the end phases take
-    one ``_eigenphases`` call after the last batch.  An index scan (not
-    ``phases``, not ``rated``) whose chart carries the path's
-    ``_FlowFrames`` takes every arg det Z from its block formula and its
-    end phases from Z at its ends, the first left out where the record
-    certifies it (``_block_samples``)."""
-    if chart[2] is not None and not phases and not rated:
-        (args, thetas, error), = _block_samples([(path, chart)], ts, tol)[0]
-        if error is not None:
-            raise error
-        return args, thetas, None
+    one ``_eigenphases`` call after the last batch."""
     out = ([], [], [])
     last, ends = len(ts) - 1, []
     for sl in _batches(path, len(ts)):
@@ -1052,12 +982,7 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     ``path_from_frames`` paths take ``grid`` cells and are checked only
     at their samples, so a full turn between two samples goes unseen.
     Each frame is evaluated once, in batches within ``_BATCH_BYTES``,
-    and the eigenphases of the two ends in one call after them.  The
-    orbit path of the vertical and the graph path, scanned against the
-    vertical and the diagonal their factories cached, take every sample
-    from the blocks of the flow (``_FlowFrames.sample``) and form Z at
-    the ends only, at the last one only where the record certifies a t =
-    0 start (``_block_samples``).
+    and the eigenphases of the two ends in one call after them.
     """
     _, _, lifted, thetas = _phase_grid(path, ref, grid, tol, phases=False)
     return _phase_index(lifted, thetas, tol)
@@ -1069,8 +994,13 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
                             tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of t -> exp(t h) . start against ref (both default vertical).
     The path is certified: ``grid`` is validated and does not change
-    the scan."""
-    path = orbit_path(h, start, interval, tol)
+    the scan.  With both defaults the scan reads the blocks of the flow
+    (``_flow_scans``)."""
+    record = _flow_record(h, None if start is None else start.space, tol)
+    path = _orbit_path(record, start, interval, tol)
+    if start is None and ref is None:
+        _grid_cells(grid)
+        return _flow_scans([path], tol)[0][0]
     if ref is None:
         ref = vertical_lagrangian(path.space.half_dim, tol)
     return maslov_index(path, ref, grid, tol)
@@ -1078,36 +1008,97 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
 
 def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of the graph path of exp(t h) against the diagonal.  The
-    path is certified: ``grid`` is validated and does not change the
-    scan."""
-    record = _flow_record(h, None, tol)
-    ref = diagonal_lagrangian(record.h.shape[0] // 2, tol)
-    return maslov_index(_graph_path(record, interval, ref), ref, grid, tol)
+    """Index of the graph path of exp(t h) against the diagonal, read from
+    the blocks of the flow (``_flow_scans``).  The path is certified:
+    ``grid`` is validated and does not change the scan."""
+    path = _graph_path(_flow_record(h, None, tol), interval)
+    _grid_cells(grid)
+    return _flow_scans([path], tol)[0][0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
 def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
     """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``, psi(1)) on
     [0, 1] from one ``_flow_record`` of h, the two scans of ``validate``
-    and of each calibration probe.  The two paths share their rate bound
-    and interval, so their grid: ``_block_samples`` stacks the flow once
-    per batch for both, and the errors and checks come in the order of
-    the two scans run one after the other.  psi(1) is the scans' own
-    flow sample at t = 1, ``record.stack`` at 1.0 bit for bit (on the
-    ``expm`` branch also ``expm(h)`` alone)."""
+    and of each calibration probe, in one ``_flow_scans``.  psi(1) is the
+    scans' own flow sample at t = 1, ``record.stack`` at 1.0 bit for bit
+    (on the ``expm`` branch also ``expm(h)`` alone)."""
     record = _flow_record(h, None, tol)
-    paths = (_orbit_path(record, None, (0.0, 1.0), tol),
-             _graph_path(record, (0.0, 1.0), diagonal_lagrangian(record.h.shape[0] // 2, tol)))
-    scans = [(path, _chart(path, path.frame_fn.ref, tol)) for path in paths]
+    (orbit, graph), psi1 = _flow_scans(
+        [_orbit_path(record, None, (0.0, 1.0), tol), _graph_path(record, (0.0, 1.0))], tol)
+    return orbit, graph, psi1
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
+def _flow_scans(paths, tol: Tolerances):
+    """([index of each path], the flow at the last time): the index scans
+    of ``paths``, flow paths of one record built by ``_orbit_path`` from
+    the default start against the vertical or by ``_graph_path`` against
+    the diagonal, read from the blocks of the flow
+    (``_FlowFrames.sample``, which nothing else calls).  The paths share
+    their rate bound and interval, so their grid (``_scan_times``); they
+    are sampled in the batches of the last path, the largest, with one
+    stack of the record's flow per batch for all of them.  The orbit's
+    end Z is its block Z; the graph forms its chart's Z at its end
+    flows.  Errors come in the order of the scans run one after the
+    other: a scan that fails takes no further batch, and when the first
+    scan fails, sampling stops and its error is raised.
+
+    A scan whose first time is 0 starts on its reference.  Where 4
+    delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
+    end takes the phases 0 without ``_eigenphases``, which ``_snapped``
+    reads as the sum 0 and the dimension the size of W, as it reads the
+    computed phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0
+    = D0 - iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0
+    - I = (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 /
+    (1 - delta0).  On the graph, in the chart of the diagonal [I; I] /
+    sqrt 2 (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I
+    + F0) - iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I -
+    iJ) E / 2 and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 /
+    (1 - delta0).  An eigenvalue within r < 1 of 1 has a phase of at
+    most arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4
+    eps_rank, so every computed phase at 0 lies in the band eps_rank
+    where ``_snapped`` zeroes it while eps_rank is well above the
+    rounding of W, and the index is the same bit for bit.  Otherwise the
+    first end's phases are computed.  The t = 0 sample keeps its rank
+    and Lagrangian checks."""
+    record = paths[0].frame_fn.record
     ts = _scan_times(paths[0], MIN_GRID, False)
-    sampled, psi1 = _block_samples(scans, ts, tol)
+    # 1 where the t = 0 end is certified by the bound above, else 0
+    zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
+    out = [[[], [], None] for _ in paths]  # per scan: args, (first, last) rows, error
+    for sl in _batches(paths[-1], len(ts)):
+        times = ts[sl]
+        flows, error = _finite(record.stack(times), "path frame")
+        for path, scan in zip(paths, out):
+            flow = path.frame_fn
+            if scan[2] is None:
+                try:
+                    arg, _, _, z = flow.sample(flows, times, tol, error)
+                except SymindexError as exc:
+                    scan[2] = exc
+                    continue
+                scan[0].append(arg)
+                rows = z if flow.eye is None else flows
+                if len(rows) == len(ts):  # one batch: a view of both ends
+                    scan[1] = rows[::len(ts) - 1]
+                elif sl.start == 0 or sl.stop == len(ts):
+                    scan[1].append(rows[0 if sl.start == 0 else -1])
+        if out[0][2] is not None:
+            raise out[0][2]
     indices = []
-    for args, thetas, error in sampled:
+    for path, (args, ends, error) in zip(paths, out):
         if error is not None:
             raise error
-        indices.append(_phase_index(_lift(args), thetas, tol))
-    return indices[0], indices[1], psi1
+        flow, ends = path.frame_fn, np.asarray(ends)[zero:]
+        if flow.eye is not None:
+            diagonal = diagonal_lagrangian(record.h.shape[0] // 2, tol)
+            ends = _in_chart(_chart(path, diagonal, tol), flow.frames(ends))
+        thetas = np.zeros((2, ends.shape[-1]))  # the size of W
+        thetas[zero:] = _eigenphases(ends, tol)
+        lifted = _lift(args[0] if len(args) == 1 else np.concatenate(args))
+        indices.append(_phase_index(lifted, thetas, tol))
+    return indices, flows[-1]
 
 
 # -- closed forms for rotation blocks ------------------------------------------

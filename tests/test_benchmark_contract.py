@@ -1,7 +1,8 @@
 """The calls the benchmark makes still run: a signature change that
 breaks ``perfbench/workloads.py`` fails here, not in a benchmark run.
 Nor may a change break its traced run: ``perfbench/tracing.py`` must
-still find every layer boundary it wraps.
+still find every layer boundary it wraps, and the public flow routes
+must sample the same code traced as untraced.
 
 ``perfbench/`` is only read, through the ``workloads`` fixture of
 ``conftest.py`` and, for the traced run, by a subprocess that writes no
@@ -79,3 +80,46 @@ def test_traced_run_wraps_every_layer_boundary():
                                     "acceptance"}
     assert "autonomous.validate" in report["spans"]["index-small"]
     assert "autonomous.validate" in report["spans"]["index-large"]
+
+
+#: counts the ``maslov._chart_samples`` calls of the two public flow
+#: routes on 5 J_1, untraced and then traced, and prints them
+_FLOW_ROUTES_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import symindex, symindex.checks
+from symindex import maslov
+import tracing
+calls = []
+chart_samples = maslov._chart_samples
+
+def counting(*args):
+    calls.append(1)
+    return chart_samples(*args)
+
+maslov._chart_samples = counting
+h = 5.0 * symindex.standard_J(1)
+report = {}
+for run in ("untraced", "traced"):
+    if run == "traced":
+        tracing.install(tracing.Tracer(), symindex)
+    for route in ("maslov_index_symplectic", "conley_zehnder"):
+        del calls[:]
+        index = getattr(symindex, route)(h)
+        report[run + " " + route] = [str(index), len(calls)]
+print(json.dumps(report))
+"""
+
+
+def test_traced_flow_routes_sample_as_untraced():
+    """After ``tracing.install``, whose path factories replace a path's
+    frame function, ``maslov_index_symplectic(5 J_1)`` and
+    ``conley_zehnder(5 J_1)`` give the untraced indices and, as untraced,
+    read the blocks of the flow: no ``maslov._chart_samples`` call."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-B", "-c", _FLOW_ROUTES_RUN, str(ROOT / "perfbench")],
+                       cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {
+        "untraced maslov_index_symplectic": ["3/2", 0], "untraced conley_zehnder": ["1", 0],
+        "traced maslov_index_symplectic": ["3/2", 0], "traced conley_zehnder": ["1", 0]}

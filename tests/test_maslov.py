@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -531,6 +532,30 @@ def test_derivative_contradicting_the_frames_is_rejected():
     with pytest.raises(InternalMismatch, match="crossing forms sum to -2, the phase "
                                                "index is 2"):
         find_crossings(path, ref)
+
+
+def test_finite_difference_divides_by_the_distance_of_its_sampled_times():
+    """Without a derivative function a path differences its frames at t
+    +- 1e-6 over the float distance of those two times: at t = 3e9 they
+    round 1.9e-6 apart and the rotation's derivative is exact.  At t =
+    1e12 both round to t, so no derivative exists and a scan raises
+    InputError naming t, where a fixed step of 2e-6 read 0, so the rate
+    check never fired and the scan returned 62 for the index 318 that
+    the same rotation has on (0, 1)."""
+    def rotation(speed):
+        return lambda t: np.array([[np.cos(speed * t)], [np.sin(speed * t)]])
+
+    space, ref = SymplecticSpace.standard(1), vertical_lagrangian(1)
+    t = 3e9
+    derivative = path_from_frames(space, rotation(1.0)).dframe(t)
+    assert np.abs(derivative - np.array([[-np.sin(t)], [np.cos(t)]])).max() <= 1e-8
+    assert maslov_index(path_from_frames(space, rotation(1000.0)), ref, 4096) == HalfInt(636)
+    late = path_from_frames(space, rotation(1000.0), (1e12, 1e12 + 1.0))
+    message = "^no finite difference of the path frame at t=1e\\+12: t \\+- 1e-6 round to t$"
+    with pytest.raises(InputError, match=message):
+        late.dframe(1e12)
+    with pytest.raises(InputError, match=message):
+        maslov_index(late, ref, 64)
 
 
 def test_rank_loss_names_the_first_sample():
@@ -1195,22 +1220,21 @@ def _bits(a):
 # a budget of three samples: the largest per-sample stack is the 2 x 2
 # complex flow (64 bytes) of the orbit at n = 1 and the 8 x 8 real
 # intersection matrix (512 bytes) of the graph at n = 2
-@pytest.mark.parametrize("path,ref,budget", [
-    (orbit_path(60.0 * standard_J(1)), vertical_lagrangian(1), 3 * 64),
-    (graph_path(random_hamiltonian(2, 3, "semisimple-elliptic")), diagonal_lagrangian(2),
-     3 * 8 * 8 * 8),
-    (graph_path(4.0 * random_hamiltonian(16, 1016, "semisimple-elliptic")),
-     diagonal_lagrangian(16), None),
+@pytest.mark.parametrize("path,budget", [
+    (orbit_path(60.0 * standard_J(1)), 3 * 64),
+    (graph_path(random_hamiltonian(2, 3, "semisimple-elliptic")), 3 * 8 * 8 * 8),
+    (graph_path(4.0 * random_hamiltonian(16, 1016, "semisimple-elliptic")), None),
 ], ids=["orbit 60J, 3 samples a batch", "graph n=2, 3 samples a batch",
         "graph n=16, default batches"])
-def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypatch):
-    """An index scan over several batches takes the eigenphases of the
-    ends it computes in one ``_eigenphases`` call, here the last end
-    only, as the record certifies the first, and its lift and end phases
-    equal those of the same scan in one batch bit for bit."""
-    tol = DEFAULT_TOL
+def test_index_scan_takes_its_end_phases_in_one_call(path, budget, monkeypatch):
+    """An index scan of ``_flow_scans`` over several batches takes the
+    eigenphases of the ends it computes in one ``_eigenphases`` call,
+    here the last end only, as the record certifies the first, and its
+    lift and end phases equal those of the same scan in one batch bit
+    for bit."""
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
-    _, ts, whole_lift, whole_ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
+    whole = _flow_scan_parts([path])
+    ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
     assert len(maslov._batches(path, len(ts))) == 1
     monkeypatch.undo()
     if budget is not None:
@@ -1224,9 +1248,10 @@ def test_index_scan_takes_its_end_phases_in_one_call(path, ref, budget, monkeypa
         return eigenphases(z, tol)
 
     monkeypatch.setattr(maslov, "_eigenphases", counting)
-    _, batched_ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
+    batched = _flow_scan_parts([path])
+    (lifted, ends), = batched.scans
     assert calls == [1]
-    assert _bits(batched_ts) == _bits(ts)
+    assert _bits(batched.ts) == _bits(ts)
     assert _bits(lifted) == _bits(whole_lift)
     assert ends.shape == (2, path.space.half_dim)
     assert _bits(ends) == _bits(whole_ends)
@@ -1464,7 +1489,8 @@ def test_every_route_answers_alike_with_a_cold_and_a_warm_record():
 
 def _own_scan(h, route, interval=(0.0, 1.0)):
     """(path, reference) of the orbit path of h from the vertical or its
-    graph path, against the cached reference the path carries."""
+    graph path, and the vertical or the diagonal the public routes scan
+    them against."""
     n = np.shape(h)[0] // 2
     if route == "orbit":
         return orbit_path(h, interval=interval), vertical_lagrangian(n, DEFAULT_TOL)
@@ -1487,23 +1513,55 @@ def _block_cases():
            False)
 
 
+def _flow_scan_parts(paths, tol=DEFAULT_TOL):
+    """The run of one ``_flow_scans`` of ``paths``: ``ts`` its times,
+    ``scans`` the (lift, end phases) of each scan it passes
+    ``_phase_index``, ``indices`` and ``flow`` what it returns, and
+    ``samplers`` the frame functions whose ``sample`` it calls, one per
+    call; recorded by wrapping those functions."""
+    run = types.SimpleNamespace(scans=[], samplers=[])
+    scan_times, phase_index = maslov._scan_times, maslov._phase_index
+    sample = maslov._FlowFrames.sample
+
+    def times(*args):
+        run.ts = scan_times(*args)
+        return run.ts
+
+    def index(lifted, ends, tol):
+        run.scans.append((lifted, ends))
+        return phase_index(lifted, ends, tol)
+
+    def sampling(flow, *args):
+        run.samplers.append(flow)
+        return sample(flow, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maslov, "_scan_times", times)
+        patch.setattr(maslov, "_phase_index", index)
+        patch.setattr(maslov._FlowFrames, "sample", sampling)
+        run.indices, run.flow = maslov._flow_scans(paths, tol)
+    return run
+
+
 @pytest.mark.parametrize("route", ["orbit", "graph"])
 @pytest.mark.parametrize("h,interval,expm_branch", [case[1:] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
 def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route):
-    """The block sampler of a built-in flow path against its own cached
-    reference gives the arg det Z of the generic chart up to one constant
-    per scan, and its log |det Z| and sum log s, within 1e-12 relative;
-    on the orbit all three are the chart's bit for bit."""
+    """The block sampler ``_flow_scans`` reads for a built-in flow path,
+    its frame function, gives the arg det Z of the generic chart of its
+    reference up to one constant per scan, and its log |det Z| and sum
+    log s, within 1e-12 relative; on the orbit all three are the chart's
+    bit for bit."""
     tol = DEFAULT_TOL
     path, ref = _own_scan(h, route, interval)
-    chart = maslov._chart(path, ref, tol)
-    flow = chart[2]
-    assert flow is not None and flow.ref is ref
+    flow = path.frame_fn
+    samplers = _flow_scan_parts([path]).samplers
+    assert samplers and all(s is flow for s in samplers)
+    assert flow.record is maslov._flow_record(h, None, tol)
     assert (flow.eye is None) == (route == "orbit")
     assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
     ts = np.linspace(*interval, 41)
-    _, z, sign = maslov._chart_samples(path, chart[:2] + (None,), ts, tol)
+    _, z, sign = maslov._chart_samples(path, maslov._chart(path, ref, tol), ts, tol)
     logdet = np.linalg.slogdet(z)[1]
     log_s = maslov._frames(path, ts, tol)[1]
     arg, block_logdet, block_log_s, _ = flow.sample(flow.record.stack(ts), ts, tol)
@@ -1540,78 +1598,87 @@ def _two_scans(h):
 @pytest.mark.parametrize("h,interval", [case[1:3] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
 def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
-    """An index scan that takes its blocks gives the index of the same
-    scan on the generic chart; a scan never mixes the two samplers, so
-    its lift differs from the generic lift by one constant.  Its end
-    phases are the generic ones bit for bit, except a certified t = 0
-    end, whose zeros ``_snapped`` reads as it reads the computed phases."""
+    """An index scan of ``_flow_scans``, which reads the blocks, gives the
+    index of the same scan on the generic chart, which ``maslov_index``
+    takes; a scan never mixes the two samplers, so its lift differs from
+    the generic lift by one constant.  Its end phases are the generic
+    ones bit for bit, except a certified t = 0 end, whose zeros
+    ``_snapped`` reads as it reads the computed phases."""
     tol = DEFAULT_TOL
     path, ref = _own_scan(h, route, interval)
-    chart, ts, lifted, ends = maslov._phase_grid(path, ref, 256, tol, phases=False)
-    assert chart[2] is not None
-    generic = chart[:2] + (None,)
-    args, generic_ends, _ = maslov._phase_samples(path, generic, ts, tol, False)
+    run = _flow_scan_parts([path])
+    ts, ((lifted, ends),) = run.ts, run.scans
+    assert run.samplers and all(s is path.frame_fn for s in run.samplers)
+    args, generic_ends, _ = maslov._phase_samples(path, maslov._chart(path, ref, tol), ts, tol,
+                                                  False)
     offset = lifted - maslov._lift(args)
     assert np.abs(offset - offset[0]).max() <= 1e-10
     computed = int(ts[0] == 0.0)  # the rows both scans compute
     assert _bits(ends[computed:]) == _bits(generic_ends[computed:])
     for got, want in zip(maslov._snapped(ends, tol), maslov._snapped(generic_ends, tol)):
         assert _bits(got) == _bits(want)
+    assert run.indices == [maslov._phase_index(lifted, ends, tol)]
     assert maslov._phase_index(lifted, ends, tol) == maslov._phase_index(
-        maslov._lift(args), generic_ends, tol) == maslov_index(_looped(path), ref)
+        maslov._lift(args), generic_ends, tol) == maslov_index(path, ref) == maslov_index(
+        _looped(path), ref)
 
 
-def test_only_the_own_cached_reference_takes_the_blocks():
+def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
     """A graph path scanned against any other reference, an orbit path
-    from a given start, and a path given another frame function take the
-    generic chart, with the same index as the block scans.  A diagonal
-    of other tolerances has the frame of the path's own, so it takes the
-    blocks, with the same index."""
+    from a given start and ``maslov_index_symplectic`` with a given start
+    or reference read no block: with the block sampler patched away they
+    give the index of the same scan of the path with a plain frame
+    function, or the public route's index."""
     h = random_hamiltonian(2, 3111, "mixed")
     n, tol = 2, DEFAULT_TOL
-    graph, diagonal = _own_scan(h, "graph")
+    orbit_index, graph_index = maslov_index_symplectic(h), conley_zehnder(h)
+    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
+    graph = _own_scan(h, "graph")[0]
     other = product_lagrangian(random_lagrangian(n, 1), random_lagrangian(n, 2))
-    assert maslov._chart(graph, other, tol)[2] is None
     assert maslov_index(graph, other) == maslov_index(_looped(graph), other)
     loose = diagonal_lagrangian(n, Tolerances(eps_sym=1e-7))
-    assert loose is not diagonal
-    assert maslov._chart(graph, loose, tol)[2] is graph.frame_fn
-    assert maslov_index(graph, loose) == maslov_index(_looped(graph), loose) == conley_zehnder(h)
+    assert maslov_index(graph, loose) == maslov_index(_looped(graph), loose) == graph_index
     vertical = vertical_lagrangian(n, tol)
-    started = orbit_path(h, start=vertical)
-    assert started.frame_fn.ref is None
-    assert maslov._chart(started, vertical, tol)[2] is None
-    assert maslov_index(started, vertical) == maslov_index_symplectic(h)
-    assert maslov._chart(_looped(graph), diagonal, tol)[2] is None
-    orbit, own = _own_scan(h, "orbit")
-    assert maslov._chart(orbit, own, tol)[2] is orbit.frame_fn
-    assert maslov._chart(orbit, horizontal_lagrangian(n, tol), tol)[2] is None
+    assert maslov_index(orbit_path(h, start=vertical), vertical) == orbit_index
+    assert maslov_index_symplectic(h, start=vertical) == orbit_index
+    assert maslov_index_symplectic(h, ref=vertical_lagrangian(n)) == orbit_index
+    orbit, horizontal = _own_scan(h, "orbit")[0], horizontal_lagrangian(n, tol)
+    assert maslov_index(orbit, horizontal) == maslov_index(_looped(orbit), horizontal) == \
+        maslov_index_symplectic(h, ref=horizontal)
 
 
 @pytest.mark.parametrize("n", [3, 16])
-def test_either_spelling_of_a_cached_reference_takes_the_blocks(n):
-    """A scan against ``vertical_lagrangian(n)`` or ``diagonal_lagrangian(n)``,
-    however tol is passed, takes the block sampler of the public routes'
-    paths, whose references have the same frame; every spelling of
-    ``horizontal_lagrangian(n)`` takes the generic chart."""
+def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
+    """A scan of the public routes' paths against ``vertical_lagrangian(n)``,
+    ``diagonal_lagrangian(n)`` or ``horizontal_lagrangian(n)``, however
+    tol is passed, reads no block (the block sampler is patched away)
+    and gives the index of the public route."""
     h = random_hamiltonian(n, 3120 + n, "mixed")
     orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
-    for make, path, flow in ((vertical_lagrangian, orbit, orbit.frame_fn),
-                             (diagonal_lagrangian, graph, graph.frame_fn),
-                             (horizontal_lagrangian, orbit, None)):
+    wants = (maslov_index_symplectic(h), conley_zehnder(h),
+             maslov_index_symplectic(h, ref=horizontal_lagrangian(n)))
+    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
+    for make, path, want in ((vertical_lagrangian, orbit, wants[0]),
+                             (diagonal_lagrangian, graph, wants[1]),
+                             (horizontal_lagrangian, orbit, wants[2])):
         for ref in (make(n), make(n, DEFAULT_TOL), make(n, tol=DEFAULT_TOL),
                     make(n, Tolerances(eps_sym=1e-7))):
-            assert maslov._chart(path, ref, DEFAULT_TOL)[2] is flow
+            assert maslov_index(path, ref) == want
 
 
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):
-    """find_crossings of a path that carries blocks samples through the
-    generic chart only."""
+    """Only the public flow routes read the blocks: with the block
+    sampler patched away, ``find_crossings`` and ``maslov_index`` of a
+    flow path sample through the generic chart, while
+    ``maslov_index_symplectic`` and ``conley_zehnder`` fail."""
+    h = 5.0 * standard_J(1)
     monkeypatch.setattr(maslov._FlowFrames, "sample", None)
-    path, ref = _own_scan(5.0 * standard_J(1), "orbit")
+    path, ref = _own_scan(h, "orbit")
     assert find_crossings(path, ref).index == HalfInt(3)
-    with pytest.raises(TypeError):
-        maslov_index(path, ref)
+    assert maslov_index(path, ref) == HalfInt(3)
+    for route in (maslov_index_symplectic, conley_zehnder):
+        with pytest.raises(TypeError):
+            route(h)
 
 
 def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
