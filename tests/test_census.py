@@ -1,0 +1,114 @@
+"""A ratchet on wrong and silent-wrong indices of ``validate``.
+
+Three seeded censuses run ``validate(make_system(h), sigma=-1)`` on
+generators whose indices are known and count, exactly, the draws whose
+index differs from its truth (wrong) and those of them that report
+``agree=True`` (silent).  A typed error counts as neither.  The counts
+are pinned as the code gives them, not as they should be: a change that
+moves one re-pins it and states the old and the new count.
+
+- Conjugated loops: h = S (2 pi J_1) S^-1 with S = [[a, 0], [c, 1/a]],
+  drawn per generator as a = exp(U(-3, 3)), then c = N(0, 1) U(0, 20);
+  400 draws from ``default_rng(0)``.  Both indices are 2.
+- Conjugated k pi turns: the same S around k pi J_1, k = 1 .. 4, 400
+  draws from ``default_rng(10 + k)``; the truths are
+  ``rotation_orbit_index`` and ``rotation_graph_index`` of k pi.
+- General conjugates: draw s of 300 is one elliptic plane at k pi, k =
+  1 + s % 4, beside n - 1 planes, n = 1 + s % 3, each elliptic at
+  U(0.4, 2.9) with probability 0.6, else hyperbolic at U(0.2, 1.5)
+  (one ``default_rng(1)`` per scale), conjugated by
+  ``random_symplectic(n, 9100 + s, scale)``.  The truth of the graph
+  index is ``conley_zehnder`` of the unconjugated generator; conjugation
+  moves the orbit index, which has no truth here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from symindex import (
+    HalfInt,
+    conley_zehnder,
+    make_system,
+    plane_block_generator,
+    random_symplectic,
+    rotation_graph_index,
+    rotation_orbit_index,
+    standard_J,
+    validate,
+)
+from symindex.errors import SymindexError
+
+
+def _conjugated_turns(alpha, seed, draws=400):
+    """(h, orbit truth, graph truth) of S (alpha J_1) S^-1 for the lower
+    triangular S of the module docstring."""
+    rng = np.random.default_rng(seed)
+    truths = rotation_orbit_index(alpha), rotation_graph_index(alpha)
+    for _ in range(draws):
+        a = math.exp(rng.uniform(-3.0, 3.0))
+        c = rng.standard_normal() * rng.uniform(0.0, 20.0)
+        s = np.array([[a, 0.0], [c, 1.0 / a]])
+        yield (s @ (alpha * standard_J(1)) @ np.linalg.inv(s),) + truths
+
+
+def _general_conjugates(scale, draws=300):
+    """(h, None, graph truth) of the general conjugates at ``scale``."""
+    rng = np.random.default_rng(1)
+    for s in range(draws):
+        kinds = [("elliptic", (1 + s % 4) * math.pi)]
+        for _ in range(s % 3):
+            if rng.uniform() < 0.6:
+                kinds.append(("elliptic", rng.uniform(0.4, 2.9)))
+            else:
+                kinds.append(("hyperbolic", rng.uniform(0.2, 1.5)))
+        g = plane_block_generator(kinds)
+        m = random_symplectic(len(kinds), 9100 + s, scale)
+        yield m @ g @ np.linalg.inv(m), None, conley_zehnder(g)
+
+
+def _census(draws):
+    """(wrong, silent) of ``validate`` over (h, orbit truth, graph truth)
+    draws; a truth of None is not compared."""
+    wrong = silent = 0
+    for h, orbit, graph in draws:
+        try:
+            report = validate(make_system(h), sigma=-1)
+        except SymindexError:
+            continue
+        if (orbit not in (None, report.orbit_index)
+                or graph not in (None, report.graph_index)):
+            wrong += 1
+            silent += report.agree
+    return wrong, silent
+
+
+#: (draws, pinned (wrong, silent) counts) of each census
+CENSUSES = {
+    "loops": (lambda: _conjugated_turns(2.0 * math.pi, 0), (27, 26)),
+    "turns k=1": (lambda: _conjugated_turns(math.pi, 11), (13, 4)),
+    "turns k=2": (lambda: _conjugated_turns(2.0 * math.pi, 12), (30, 29)),
+    "turns k=3": (lambda: _conjugated_turns(3.0 * math.pi, 13), (26, 12)),
+    "turns k=4": (lambda: _conjugated_turns(4.0 * math.pi, 14), (35, 34)),
+    "general scale=1.5": (lambda: _general_conjugates(1.5), (0, 0)),
+    "general scale=2.5": (lambda: _general_conjugates(2.5), (8, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUSES))
+def test_census_counts_of_wrong_and_silent_indices(name):
+    """Each census gives exactly its pinned (wrong, silent) counts."""
+    draws, pin = CENSUSES[name]
+    assert _census(draws()) == pin
+
+
+def test_census_truths_are_the_closed_forms():
+    """The truths the censuses compare against: 2 for both indices of a
+    loop, and the closed forms of a k pi turn, which the graph route of
+    an unconjugated plane block gives."""
+    h, orbit, graph = next(_conjugated_turns(2.0 * math.pi, 0))
+    assert orbit == graph == HalfInt.from_int(2)
+    for k in (1, 2, 3, 4):
+        g = plane_block_generator([("elliptic", k * math.pi)])
+        assert conley_zehnder(g) == rotation_graph_index(k * math.pi)
