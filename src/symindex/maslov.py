@@ -92,13 +92,7 @@ class LagrangianPath:
     _rate_bound: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        try:
-            a, b = (as_real(t, "interval bound") for t in self.interval)
-        except (TypeError, ValueError):  # not iterable, or not two values
-            raise InputError("interval must be a pair (a, b), got %r" % (self.interval,))
-        if not (a < b and math.isfinite(b - a)):  # nan, inf and overflow fail
-            raise InputError("interval must be finite with a < b")
-        object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "interval", _interval(self.interval))
 
     def frame(self, t: float):
         f = as_matrix(self.frame_fn(t), "path frame")
@@ -119,6 +113,18 @@ class LagrangianPath:
         return (self.frame(hi) - self.frame(lo)) / (hi - lo)
 
 
+def _interval(interval) -> Tuple[float, float]:
+    """``interval`` as a pair of floats (a, b), finite with a < b, else
+    InputError; the check of every path and flow scan."""
+    try:
+        a, b = (as_real(t, "interval bound") for t in interval)
+    except (TypeError, ValueError):  # not iterable, or not two values
+        raise InputError("interval must be a pair (a, b), got %r" % (interval,))
+    if not (a < b and math.isfinite(b - a)):  # nan, inf and overflow fail
+        raise InputError("interval must be finite with a < b")
+    return a, b
+
+
 def path_from_frames(space: SymplecticSpace, frame_fn, interval=(0.0, 1.0),
                      dframe_fn=None) -> LagrangianPath:
     return LagrangianPath(space, frame_fn, dframe_fn, interval)
@@ -130,11 +136,10 @@ class _Stacked:
     the complex flow matrix of ``sample_bytes`` behind each sample.
 
     ``growth`` is None or (c, r) with log cond F(t) <= c + r |t| for
-    every frame F(t) the function returns; ``_frames`` skips the SVD
+    every frame F(t) the function returns; ``_volumes`` skips the SVD
     rank rule where it holds.  It belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound, nor the flow of a
-    ``_FlowFrames``."""
+    ``dataclasses.replace`` carries no bound."""
 
     def __init__(self, stack, flow_dim: int, growth=None):
         self.stack = stack
@@ -143,77 +148,6 @@ class _Stacked:
 
     def __call__(self, t):
         return self.stack(np.array([t], dtype=float))[0]
-
-
-class _FlowFrames(_Stacked):
-    """The frame function of a flow path, ``orbit_path`` or
-    ``graph_path``: ``stack(ts)`` is ``frames`` of the stack of Phi =
-    exp(t h) = [[A, B], [C, D]] that ``record``, the path's
-    ``_FlowRecord``, forms at the times ts.
-
-    ``sample``, called by ``_flow_scans`` alone, reads arg det Z, log
-    |det Z| and sum log s, the samples of ``_chart_samples``, from the
-    blocks of Phi without the chart's products: on the orbit of the
-    default start against the vertical, and on the graph against the
-    diagonal (from another start the orbit's blocks are not its samples).
-    For any orthonormal frame of the vertical, det Z = det(D - iB) and
-    the frames Phi [0; P] have the singular values of [B; D]; the frame
-    of ``vertical_lagrangian`` is [0; -I], so Z = D - iB and the
-    frames -[B; D] equal the chart's bit for bit.  For the graph frame
-    [I; Phi] against an orthonormal frame of the diagonal, Z is, up to
-    unitary factors, 2 [[M, *], [0, I]] in the eigenbasis of J, with M =
-    1/2 [(A + D) + i (C - B)] the complex-linear part of Phi; so arg det
-    Z = arg det(2 M) up to one constant of the frame, log |det Z| = n log
-    2 + log |det M|, and the Gram matrix of the frame is I + Phi^T Phi
-    (Conley-Zehnder's winding of det M).  Where the growth bound holds,
-    sum log s comes from one Cholesky factor of that Gram matrix, else
-    the frames are formed and take ``_volumes``' SVD rank rule; the
-    Lagrangian check of ``_chart_samples`` runs on every sample.
-
-    The blocks stay because the other samplers cost more.  The scan of
-    the graph path against the diagonal through the generic chart took
-    1.17 to 1.34 times the block scan's time at n = 8 and 1.45 to 1.64
-    times at n = 16, and the orbit's up to 1.11 times (8 generators per
-    n, 2 vCPU, one BLAS thread).  A factored sampler (RV) e^(t Lambda)
-    (V^-1 F), which never forms Phi, took 1.05 to 1.15 times the blocks'
-    time from n = 2 on, its volumes and ``slogdet`` included, at 8 and
-    64 samples."""
-
-    def __init__(self, record: "_FlowRecord", frames, growth, eye=None):
-        self.record, self.frames, self.growth = record, frames, growth
-        self.eye = eye  # the identity of the flow's size for the graph, None for the orbit
-        self.sample_bytes = 16 * record.h.size
-
-    def stack(self, ts):
-        return self.frames(self.record.stack(ts))
-
-    def sample(self, flows, ts, tol: Tolerances, error=None):
-        """(arg det Z, log |det Z|, sum log s, the block Z: D - iB or 2 M)
-        at the flows Phi of the times ts; the rank check, then ``error``
-        (of the sample after the last flow), then the Lagrangian check
-        raise as in ``_chart_samples``."""
-        n = flows.shape[-1] // 2
-        z = np.empty((len(flows), n, n), dtype=complex)
-        if self.eye is not None:
-            np.add(flows[:, :n, :n], flows[:, n:, n:], out=z.real)
-            np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=z.imag)
-
-            def gram():
-                g = _tr(flows) @ flows
-                g += self.eye
-                return g
-
-            log_s = _volumes(ts, self.growth, lambda: self.frames(flows), tol, gram)
-        else:
-            f = -flows[:, :, n:]
-            z.real = flows[:, n:, n:]
-            z.imag = f[:, :n]
-            log_s = _volumes(ts, self.growth, f, tol)
-        if error is not None:
-            raise error
-        sign, logdet = np.linalg.slogdet(z)
-        _check_flat(ts, logdet, log_s, tol)
-        return np.angle(sign), logdet, log_s, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +164,9 @@ class _FlowRecord:
     ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
     ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
     are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
-    The frame function of a flow path (``_FlowFrames``) holds its record
-    and reads both through it.
+    The frame functions of the flow paths (``_orbit_path``,
+    ``graph_path``) and the scans of the flow routes (``_flow_scans``)
+    read the flow through ``stack``; none keeps a copy of it.
 
     ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
     the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
@@ -352,19 +287,22 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
 
 def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
                 tol: Tolerances) -> LagrangianPath:
-    """``orbit_path`` of a checked generator."""
+    """``orbit_path`` of a checked generator, for the generic scans: its
+    frames are ``record.stack(ts)`` times the frame of ``start``, with
+    the record's ``orbit_growth``.  The flow routes scan the orbit of
+    the vertical without a path (``_flow_scans``)."""
     h, flow = record.h, record.stack
     d = h.shape[0]
     start = vertical_lagrangian(d // 2, tol) if start is None else start
     f0 = start.frame
 
-    def frames(flows):
-        return flows @ f0
+    def frs(ts):
+        return flow(ts) @ f0
 
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _FlowFrames(record, frames, record.orbit_growth),
+    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -375,28 +313,41 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     else NotHamiltonian.  As the orbit of the diagonal under diag(0, h)
     its phase turns at tr(S P_b), with P_b the lower block of the
     graph's orthogonal projector and S = sym(-J h); its rate bound is
-    the orbit's, B of ``_FlowRecord``."""
-    return _graph_path(_flow_record(h, None, tol), interval)
-
-
-def _graph_path(record: _FlowRecord, interval) -> LagrangianPath:
-    """``graph_path`` of a checked generator."""
+    the orbit's, B of ``_FlowRecord``.  Its frames [I; Phi] are read
+    from ``record.stack``, with the record's ``graph_growth``; the flow
+    routes scan the graph without a path (``_flow_scans``)."""
+    record = _flow_record(h, None, tol)
     h, flow = record.h, record.stack
     d = h.shape[0]
     eye = np.eye(d)
 
-    def frames(flows, top=eye):
-        out = np.empty((len(flows), 2 * d, d))
-        out[:, :d] = top
-        out[:, d:] = flows
-        return out
+    def frs(ts):
+        return _graph_frames(flow(ts), eye)
 
     def dfrs(ts):
-        return frames(h @ flow(ts), 0.0)
+        return _graph_frames(h @ flow(ts), 0.0)
 
     return LagrangianPath(SymplecticSpace.graph_product(d // 2),
-                          _FlowFrames(record, frames, record.graph_growth, eye),
-                          _Stacked(dfrs, d), interval, record.bound)
+                          _Stacked(frs, d, record.graph_growth), _Stacked(dfrs, d), interval,
+                          record.bound)
+
+
+def _graph_gram(flows, eye):
+    """The Gram matrices I + Phi^T Phi of the graph frames [I; Phi] of a
+    stack of flows Phi, the identity added in place."""
+    g = _tr(flows) @ flows
+    g += eye
+    return g
+
+
+def _graph_frames(flows, top):
+    """The stack [top; Phi] of each flow Phi of a stack: the graph frames
+    for ``top`` the identity, their derivatives for 0."""
+    d = flows.shape[-1]
+    out = np.empty((len(flows), 2 * d, d))
+    out[:, :d] = top
+    out[:, d:] = flows
+    return out
 
 
 def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
@@ -534,10 +485,10 @@ def _finite(values, name: str):
 
 
 def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
-    """Sum log s over the singular values s of each frame F of a stack at
-    the times ts.  ``frames`` is the stack; where ``gram()`` gives the
-    stack of F^T F, ``frames`` is instead a function that forms the stack,
-    called only on the SVD branch.  NotLagrangian names the first time
+    """Sum log s over the singular values s of each frame F of the stack
+    ``frames()`` at the times ts.  ``gram()``, where given, forms the
+    stack of F^T F, else F^T F is formed from ``frames()``; each is called
+    only on the branch that reads it.  NotLagrangian names the first time
     whose frame lost rank under the relative rank rule of
     ``orthonormal_columns``.
 
@@ -551,12 +502,12 @@ def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
     log_bound = math.inf if growth is None else growth[0] + growth[1] * float(np.abs(ts).max())
     if 2.0 * log_bound <= math.log(1e-3 / tol.eps_rank):
         try:
-            r = np.linalg.cholesky(_tr(frames) @ frames if gram is None else gram())
+            r = np.linalg.cholesky(_tr(frames()) @ frames() if gram is None else gram())
         except np.linalg.LinAlgError:
             pass
         else:
             return np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    s = np.linalg.svd(frames if gram is None else frames(), compute_uv=False)
+    s = np.linalg.svd(frames(), compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
         raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
@@ -569,25 +520,25 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
     before the error of a failing sample is raised."""
     frames, error = _evaluate(path, ts)
     growth = path.frame_fn.growth if isinstance(path.frame_fn, _Stacked) else None
-    log_s = _volumes(ts, growth, frames, tol)
+    log_s = _volumes(ts, growth, lambda: frames, tol)
     if error is not None:
         raise error
     return frames, log_s
 
 
-def _chart(path: LagrangianPath, ref: LagrangianFrame, tol: Tolerances):
+def _chart(space: SymplecticSpace, ref: LagrangianFrame, tol: Tolerances):
     """(Re C, Im C) = (Q^T, -Q^T Omega), contiguous, of the chart C = Q^T
-    (I - i Omega) of the reference frame Q, so Z(t) = C F(t); the first
-    check of every scan and crossing form.  For a form that is
+    (I - i Omega) of the reference frame Q in ``space``, so Z(t) = C F(t);
+    the first check of every scan and crossing form.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
     else InputError."""
     as_tolerances(tol)
-    path.space.check_same(ref)
-    if not path.space.is_complex_structure:
+    space.check_same(ref)
+    if not space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
     q = ref.frame
-    return np.ascontiguousarray(q.T), -(q.T @ path.space.form)
+    return np.ascontiguousarray(q.T), -(q.T @ space.form)
 
 
 def _in_chart(chart, frames):
@@ -700,9 +651,9 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     sampled rate at its ends exceeds pi/2 raises GridTooCoarse.
     """
     grid = _grid_cells(grid)
-    chart = _chart(path, ref, tol)
-    ts = _scan_times(path, grid, phases)
+    chart = _chart(path.space, ref, tol)
     bound = path._rate_bound
+    ts = _scan_times(path.interval, bound, grid, phases)
     args, thetas, rates = _phase_samples(path, chart, ts, tol, phases, bound is None)
     if bound is None:
         fast = np.diff(ts) * np.maximum(rates[:-1], rates[1:]) > 0.5 * math.pi
@@ -712,8 +663,9 @@ def _phase_grid(path: LagrangianPath, ref: LagrangianFrame, grid, tol: Tolerance
     return chart, ts, _lift(args), thetas
 
 
-def _scan_times(path: LagrangianPath, grid: int, phases: bool):
-    """The times of a scan grid of ``grid`` checked cells.
+def _scan_times(interval, bound: Optional[float], grid: int, phases: bool):
+    """The times of a scan grid of ``grid`` checked cells on the checked
+    ``interval`` of a path of rate bound ``bound`` (None: no bound).
 
     A path with a rate bound B needs ceil(B (b - a) / ``CELL_PHASE``)
     cells, none moving arg det Z by more than ``CELL_PHASE``, so by less
@@ -724,8 +676,7 @@ def _scan_times(path: LagrangianPath, grid: int, phases: bool):
     smallest dimension sampled and its bisection starts from the cells.
     A path without a bound takes ``grid`` cells.
     """
-    a, b = path.interval
-    bound = path._rate_bound
+    a, b = interval
     if bound is None:
         cells = grid
     else:
@@ -851,7 +802,7 @@ def _forms(path: LagrangianPath, ref: LagrangianFrame, ts, tol: Tolerances, offs
     ~sqrt(machine eps)) and is not stable.  A failing derivative is raised
     after the forms of the times before it.
     """
-    chart = _chart(path, ref, tol)
+    chart = _chart(path.space, ref, tol)
     omega = path.space.form
     n = path.space.half_dim
     offsets = np.zeros(len(ts)) if offsets is None else offsets
@@ -995,12 +946,13 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
     """Index of t -> exp(t h) . start against ref (both default vertical).
     The path is certified: ``grid`` is validated and does not change
     the scan.  With both defaults the scan reads the blocks of the flow
-    (``_flow_scans``)."""
+    (``_flow_scans``) and builds no path."""
     record = _flow_record(h, None if start is None else start.space, tol)
-    path = _orbit_path(record, start, interval, tol)
     if start is None and ref is None:
+        interval = _interval(interval)
         _grid_cells(grid)
-        return _flow_scans([path], tol)[0][0]
+        return _flow_scans(record, ("orbit",), interval, tol)[0][0]
+    path = _orbit_path(record, start, interval, tol)
     if ref is None:
         ref = vertical_lagrangian(path.space.half_dim, tol)
     return maslov_index(path, ref, grid, tol)
@@ -1009,11 +961,13 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
 def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
                    tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of the graph path of exp(t h) against the diagonal, read from
-    the blocks of the flow (``_flow_scans``).  The path is certified:
-    ``grid`` is validated and does not change the scan."""
-    path = _graph_path(_flow_record(h, None, tol), interval)
+    the blocks of the flow (``_flow_scans``), with no path built.  The
+    path is certified: ``grid`` is validated and does not change the
+    scan."""
+    record = _flow_record(h, None, tol)
+    interval = _interval(interval)
     _grid_cells(grid)
-    return _flow_scans([path], tol)[0][0]
+    return _flow_scans(record, ("graph",), interval, tol)[0][0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
@@ -1023,26 +977,41 @@ def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
     and of each calibration probe, in one ``_flow_scans``.  psi(1) is the
     scans' own flow sample at t = 1, ``record.stack`` at 1.0 bit for bit
     (on the ``expm`` branch also ``expm(h)`` alone)."""
-    record = _flow_record(h, None, tol)
-    (orbit, graph), psi1 = _flow_scans(
-        [_orbit_path(record, None, (0.0, 1.0), tol), _graph_path(record, (0.0, 1.0))], tol)
+    (orbit, graph), psi1 = _flow_scans(_flow_record(h, None, tol), ("orbit", "graph"),
+                                       (0.0, 1.0), tol)
     return orbit, graph, psi1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
-def _flow_scans(paths, tol: Tolerances):
-    """([index of each path], the flow at the last time): the index scans
-    of ``paths``, flow paths of one record built by ``_orbit_path`` from
-    the default start against the vertical or by ``_graph_path`` against
-    the diagonal, read from the blocks of the flow
-    (``_FlowFrames.sample``, which nothing else calls).  The paths share
-    their rate bound and interval, so their grid (``_scan_times``); they
-    are sampled in the batches of the last path, the largest, with one
-    stack of the record's flow per batch for all of them.  The orbit's
-    end Z is its block Z; the graph forms its chart's Z at its end
-    flows.  Errors come in the order of the scans run one after the
-    other: a scan that fails takes no further batch, and when the first
-    scan fails, sampling stops and its error is raised.
+def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
+    """([index of each route], the flow at the last time): the index scans
+    on the checked ``interval`` of the flow routes of ``record``, each
+    "orbit" (the orbit of the vertical against the vertical) or "graph"
+    (the graph path against the diagonal), read from the blocks of Phi =
+    exp(t h) = [[A, B], [C, D]] without a path, a frame or a chart
+    product.  The routes share the record's rate bound, so their grid
+    (``_scan_times``); they are sampled in the batches of the generic
+    scan of the largest path, the graph's where it is scanned, with one
+    ``record.stack`` and one ``slogdet`` per batch for all of them.
+
+    The vertical's frame [0; -I] gives Z = D - iB and the frames
+    Phi [0; -I] = -[B; D], the generic chart's bit for bit, and the
+    frames have the singular values of [B; D] for any orthonormal frame
+    of the vertical.  For the graph frame [I; Phi] against an
+    orthonormal frame of the diagonal, Z is, up to unitary factors, 2
+    [[M, *], [0, I]] in the eigenbasis of J, with M = 1/2 [(A + D) + i
+    (C - B)] the complex-linear part of Phi; so arg det Z = arg det(2 M)
+    up to one constant of the frame, log |det Z| = n log 2 + log |det M|,
+    and the Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's
+    winding of det M).  Each route takes sum log s from its own Gram
+    matrix by ``_volumes``: one Cholesky factor where the record's growth
+    bound holds, else the SVD rank rule on its frames; then the error of
+    a non-finite flow, then the Lagrangian check of ``_check_flat``, as
+    the generic scan raises them.  The orbit's end Z is its block Z; the
+    graph forms its chart's Z at its end flows.  Errors come in the order
+    of the scans run one after the other: a scan that fails takes no
+    further batch, and when the first scan fails, sampling stops and its
+    error is raised.
 
     A scan whose first time is 0 starts on its reference.  Where 4
     delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
@@ -1062,38 +1031,56 @@ def _flow_scans(paths, tol: Tolerances):
     rounding of W, and the index is the same bit for bit.  Otherwise the
     first end's phases are computed.  The t = 0 sample keeps its rank
     and Lagrangian checks."""
-    record = paths[0].frame_fn.record
-    ts = _scan_times(paths[0], MIN_GRID, False)
+    d = record.h.shape[0]
+    n, eye = d // 2, np.eye(d)
+    ts = _scan_times(interval, record.bound, MIN_GRID, False)
     # 1 where the t = 0 end is certified by the bound above, else 0
     zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
-    out = [[[], [], None] for _ in paths]  # per scan: args, (first, last) rows, error
-    for sl in _batches(paths[-1], len(ts)):
-        times = ts[sl]
+    # per sample, the generic scan's 2d x 2d real intersections of the
+    # graph, else the d x d complex flow
+    step = max(1, _BATCH_BYTES // (16 * d * d * (1 + ("graph" in routes))))
+    scans = [[route, [], [], None] for route in routes]  # route, args, end rows, error
+    for first in range(0, len(ts), step):
+        times = ts[first:first + step]
         flows, error = _finite(record.stack(times), "path frame")
-        for path, scan in zip(paths, out):
-            flow = path.frame_fn
-            if scan[2] is None:
-                try:
-                    arg, _, _, z = flow.sample(flows, times, tol, error)
-                except SymindexError as exc:
-                    scan[2] = exc
-                    continue
-                scan[0].append(arg)
-                rows = z if flow.eye is None else flows
-                if len(rows) == len(ts):  # one batch: a view of both ends
-                    scan[1] = rows[::len(ts) - 1]
-                elif sl.start == 0 or sl.stop == len(ts):
-                    scan[1].append(rows[0 if sl.start == 0 else -1])
-        if out[0][2] is not None:
-            raise out[0][2]
+        live = [scan for scan in scans if scan[3] is None]
+        z = np.empty((len(live), len(flows), n, n), dtype=complex)
+        volumes = []  # the arguments of each route's ``_volumes`` after ts
+        for k, scan in enumerate(live):
+            if scan[0] == "graph":
+                np.add(flows[:, :n, :n], flows[:, n:, n:], out=z[k].real)
+                np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=z[k].imag)
+                volumes.append((record.graph_growth, lambda: _graph_frames(flows, eye), tol,
+                                lambda: _graph_gram(flows, eye)))
+            else:
+                # -B by assignment: numpy 2.4.6's np.negative(x, out=z.imag) wrote
+                # wrong values for a (T, 1, 1) slice x of a real view of a complex stack
+                frames = -flows[:, :, n:]
+                z[k].real, z[k].imag = flows[:, n:, n:], frames[:, :n]
+                volumes.append((record.orbit_growth, lambda: frames, tol))
+        sign, logdet = np.linalg.slogdet(z)
+        for k, scan in enumerate(live):
+            try:
+                log_s = _volumes(times, *volumes[k])
+                if error is not None:
+                    raise error
+                _check_flat(times, logdet[k], log_s, tol)
+            except SymindexError as exc:
+                scan[3] = exc
+                continue
+            scan[1].append(np.angle(sign[k]))
+            rows = z[k] if scan[0] == "orbit" else flows
+            scan[2] += [rows[i - first] for i in (0, len(ts) - 1) if first <= i < first + step]
+        if scans[0][3] is not None:
+            raise scans[0][3]
     indices = []
-    for path, (args, ends, error) in zip(paths, out):
+    for route, args, ends, error in scans:
         if error is not None:
             raise error
-        flow, ends = path.frame_fn, np.asarray(ends)[zero:]
-        if flow.eye is not None:
-            diagonal = diagonal_lagrangian(record.h.shape[0] // 2, tol)
-            ends = _in_chart(_chart(path, diagonal, tol), flow.frames(ends))
+        ends = np.asarray(ends)[zero:]
+        if route == "graph":
+            diagonal = diagonal_lagrangian(n, tol)
+            ends = _in_chart(_chart(diagonal.space, diagonal, tol), _graph_frames(ends, eye))
         thetas = np.zeros((2, ends.shape[-1]))  # the size of W
         thetas[zero:] = _eigenphases(ends, tol)
         lifted = _lift(args[0] if len(args) == 1 else np.concatenate(args))

@@ -15,10 +15,12 @@ from symindex import (
     PUBLISHED_SIGN,
     TripleCheck,
     calibrate_sign,
+    conley_zehnder,
     correction_matrix,
     correction_sign,
     kashiwara_index,
     make_system,
+    maslov_index_symplectic,
     maslov_via_formula,
     plane_block_generator,
     random_hamiltonian,
@@ -722,6 +724,12 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
     assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "_symplectic_for"]
 
 
+#: the ``numpy.linalg`` calls of one warm ``validate(system, sigma=-1)`` of
+#: the transversal n = 1 system below, by name
+WARM_VALIDATE_CALLS = {"cholesky": 2, "eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1,
+                       "slogdet": 1, "solve": 3, "svd": 5}
+
+
 def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls(monkeypatch):
     """One warm ``validate(system, sigma=-1)`` of a transversal n = 1
     system (its flow record kept, the shared constants built) makes
@@ -749,8 +757,43 @@ def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls(monkeypatch):
                 and getattr(module, "_signatures", None) is original):
             monkeypatch.setattr(module, "_signatures", counter("_signatures", original))
     assert validate(system, sigma=-1).agree
-    assert calls == {"cholesky": 2, "eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1,
-                     "slogdet": 2, "solve": 3, "svd": 5}
+    assert calls == WARM_VALIDATE_CALLS
+
+
+@pytest.mark.parametrize("route,pinned", [
+    ("maslov_index_symplectic", {"cholesky": 1, "eigvals": 1, "slogdet": 1, "solve": 1}),
+    ("conley_zehnder", {"cholesky": 1, "eigvals": 1, "slogdet": 1, "solve": 1}),
+    ("validate", WARM_VALIDATE_CALLS),
+])
+def test_warm_flow_routes_scan_the_record_without_a_path(route, pinned, monkeypatch):
+    """A warm flow route of the n = 1 system above scans its flow record
+    without constructing a ``LagrangianPath`` and makes exactly the
+    pinned ``numpy.linalg`` calls: per scan one Cholesky factor of each
+    route's Gram matrix, one ``slogdet`` for all its routes and one
+    ``solve`` and ``eigvals`` for the last end's eigenphases, the t = 0
+    end being certified."""
+    system = make_system(random_hamiltonian(1, 1000, "semisimple-elliptic"))
+    call = {"maslov_index_symplectic": lambda: maslov_index_symplectic(system.h),
+            "conley_zehnder": lambda: conley_zehnder(system.h),
+            "validate": lambda: validate(system, sigma=-1)}[route]
+    want = call()
+    calls = collections.Counter()
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counter(name, fn))
+    post_init = maslov.LagrangianPath.__post_init__
+    monkeypatch.setattr(maslov.LagrangianPath, "__post_init__",
+                        counter("LagrangianPath", post_init))
+    assert call() == want
+    assert calls == pinned
 
 
 def test_the_first_validate_of_a_process_decomposes_the_generator_once(

@@ -770,7 +770,7 @@ def test_sampled_phase_rate_stays_within_the_rate_bound():
                 (orbit_path(h), other),
                 (graph_path(h), diagonal_lagrangian(n)),
                 (graph_path(h), product_lagrangian(other, random_lagrangian(n, k + 1)))]:
-            chart = maslov._chart(path, ref, DEFAULT_TOL)
+            chart = maslov._chart(path.space, ref, DEFAULT_TOL)
             rates = maslov._phase_samples(path, chart, ts, DEFAULT_TOL, False, True)[2]
             assert rates.max() <= path._rate_bound * (1.0 + 1e-9)
 
@@ -1220,22 +1220,23 @@ def _bits(a):
 # a budget of three samples: the largest per-sample stack is the 2 x 2
 # complex flow (64 bytes) of the orbit at n = 1 and the 8 x 8 real
 # intersection matrix (512 bytes) of the graph at n = 2
-@pytest.mark.parametrize("path,budget", [
-    (orbit_path(60.0 * standard_J(1)), 3 * 64),
-    (graph_path(random_hamiltonian(2, 3, "semisimple-elliptic")), 3 * 8 * 8 * 8),
-    (graph_path(4.0 * random_hamiltonian(16, 1016, "semisimple-elliptic")), None),
+@pytest.mark.parametrize("h,route,budget", [
+    (60.0 * standard_J(1), "orbit", 3 * 64),
+    (random_hamiltonian(2, 3, "semisimple-elliptic"), "graph", 3 * 8 * 8 * 8),
+    (4.0 * random_hamiltonian(16, 1016, "semisimple-elliptic"), "graph", None),
 ], ids=["orbit 60J, 3 samples a batch", "graph n=2, 3 samples a batch",
         "graph n=16, default batches"])
-def test_index_scan_takes_its_end_phases_in_one_call(path, budget, monkeypatch):
-    """An index scan of ``_flow_scans`` over several batches takes the
-    eigenphases of the ends it computes in one ``_eigenphases`` call,
-    here the last end only, as the record certifies the first, and its
-    lift and end phases equal those of the same scan in one batch bit
-    for bit."""
+def test_index_scan_takes_its_end_phases_in_one_call(h, route, budget, monkeypatch):
+    """An index scan of ``_flow_scans`` over several batches, those of
+    the generic scan of its path, takes the eigenphases of the ends it
+    computes in one ``_eigenphases`` call, here the last end only, as
+    the record certifies the first, and its lift and end phases equal
+    those of the same scan in one batch bit for bit."""
+    path = _own_scan(h, route)[0]
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
-    whole = _flow_scan_parts([path])
+    whole = _flow_scan_parts(h, route)
     ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
-    assert len(maslov._batches(path, len(ts))) == 1
+    assert len(maslov._batches(path, len(ts))) == len(whole.records) == 1
     monkeypatch.undo()
     if budget is not None:
         monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
@@ -1248,8 +1249,9 @@ def test_index_scan_takes_its_end_phases_in_one_call(path, budget, monkeypatch):
         return eigenphases(z, tol)
 
     monkeypatch.setattr(maslov, "_eigenphases", counting)
-    batched = _flow_scan_parts([path])
+    batched = _flow_scan_parts(h, route)
     (lifted, ends), = batched.scans
+    assert len(batched.records) == len(maslov._batches(path, len(ts)))
     assert calls == [1]
     assert _bits(batched.ts) == _bits(ts)
     assert _bits(lifted) == _bits(whole_lift)
@@ -1499,12 +1501,14 @@ def _own_scan(h, route, interval=(0.0, 1.0)):
 
 def _block_cases():
     """(id, generator, interval, whether its record takes the expm
-    branch): the eigen branch at n = 1, 2, 4, 8 and 16, the expm branch
-    (a shear, and a Jordan block beside a rotation) and a non-default
-    interval."""
+    branch): the eigen branch at n = 1, 2, 4, 8 and 16, and a rotation,
+    whose flow stack is the real view of a complex one (n = 1 above is
+    hyperbolic, with a real stack), the expm branch (a shear, and a
+    Jordan block beside a rotation) and a non-default interval."""
     for n in (1, 2, 4, 8, 16):
         yield ("eigen n=%d" % n, 2.0 * random_hamiltonian(n, 3100 + n, "mixed"), (0.0, 1.0),
                False)
+    yield "rotation n=1", 5.0 * standard_J(1), (0.0, 1.0), False
     yield "shear", np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0), True
     jordan = np.zeros((4, 4))
     jordan[0, 1], jordan[3, 2] = 1.0, -1.0
@@ -1513,58 +1517,70 @@ def _block_cases():
            False)
 
 
-def _flow_scan_parts(paths, tol=DEFAULT_TOL):
-    """The run of one ``_flow_scans`` of ``paths``: ``ts`` its times,
-    ``scans`` the (lift, end phases) of each scan it passes
-    ``_phase_index``, ``indices`` and ``flow`` what it returns, and
-    ``samplers`` the frame functions whose ``sample`` it calls, one per
-    call; recorded by wrapping those functions."""
-    run = types.SimpleNamespace(scans=[], samplers=[])
+def _flow_scan_parts(h, route, interval=(0.0, 1.0), ts=None, tol=DEFAULT_TOL):
+    """The run of the ``_flow_scans`` of one route of h on ``interval``,
+    at the times ``ts`` where given, else at its own: ``ts`` its times,
+    ``records`` the records whose stack it reads, one per batch,
+    ``samples`` the (arg det Z, log |det Z|, sum log s) of its samples,
+    ``scans`` the (lift, end phases) it passes ``_phase_index``, and
+    ``indices`` and ``flow`` what it returns; recorded by wrapping those
+    functions."""
+    run = types.SimpleNamespace(records=[], flat=[], lifts=[], scans=[])
     scan_times, phase_index = maslov._scan_times, maslov._phase_index
-    sample = maslov._FlowFrames.sample
+    check_flat, lift, stack = maslov._check_flat, maslov._lift, maslov._FlowRecord.stack
 
     def times(*args):
-        run.ts = scan_times(*args)
+        run.ts = scan_times(*args) if ts is None else ts
         return run.ts
+
+    def stacking(record, times):
+        run.records.append(record)
+        return stack(record, times)
+
+    def flat(times, logdet, log_s, tol):
+        run.flat.append((logdet, log_s))
+        return check_flat(times, logdet, log_s, tol)
+
+    def lifting(args):
+        run.lifts.append(args)
+        return lift(args)
 
     def index(lifted, ends, tol):
         run.scans.append((lifted, ends))
         return phase_index(lifted, ends, tol)
 
-    def sampling(flow, *args):
-        run.samplers.append(flow)
-        return sample(flow, *args)
-
+    record = maslov._flow_record(h, None, tol)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(maslov, "_scan_times", times)
-        patch.setattr(maslov, "_phase_index", index)
-        patch.setattr(maslov._FlowFrames, "sample", sampling)
-        run.indices, run.flow = maslov._flow_scans(paths, tol)
+        for name, fn in (("_scan_times", times), ("_check_flat", flat), ("_lift", lifting),
+                         ("_phase_index", index)):
+            patch.setattr(maslov, name, fn)
+        patch.setattr(maslov._FlowRecord, "stack", stacking)
+        run.indices, run.flow = maslov._flow_scans(record, (route,), interval, tol)
+    run.samples = (run.lifts[0],) + tuple(np.concatenate(x) for x in zip(*run.flat))
     return run
 
 
 @pytest.mark.parametrize("route", ["orbit", "graph"])
 @pytest.mark.parametrize("h,interval,expm_branch", [case[1:] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
-def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route):
-    """The block sampler ``_flow_scans`` reads for a built-in flow path,
-    its frame function, gives the arg det Z of the generic chart of its
-    reference up to one constant per scan, and its log |det Z| and sum
-    log s, within 1e-12 relative; on the orbit all three are the chart's
-    bit for bit."""
+def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route, monkeypatch):
+    """The block samples of ``_flow_scans``, read from the stack of the
+    record of h, give the arg det Z of the generic chart of the route's
+    path and reference up to one constant per scan, and its log |det Z|
+    and sum log s, within 1e-12 relative; on the orbit all three are the
+    chart's bit for bit.  Both sample all times in one batch, so both
+    take the volumes on one branch."""
     tol = DEFAULT_TOL
+    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
     path, ref = _own_scan(h, route, interval)
-    flow = path.frame_fn
-    samplers = _flow_scan_parts([path]).samplers
-    assert samplers and all(s is flow for s in samplers)
-    assert flow.record is maslov._flow_record(h, None, tol)
-    assert (flow.eye is None) == (route == "orbit")
     assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
     ts = np.linspace(*interval, 41)
-    _, z, sign = maslov._chart_samples(path, maslov._chart(path, ref, tol), ts, tol)
+    run = _flow_scan_parts(h, route, interval, ts)
+    assert run.records and all(r is maslov._flow_record(h, None, tol) for r in run.records)
+    _, z, sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)
     logdet = np.linalg.slogdet(z)[1]
     log_s = maslov._frames(path, ts, tol)[1]
-    arg, block_logdet, block_log_s, _ = flow.sample(flow.record.stack(ts), ts, tol)
+    arg, block_logdet, block_log_s = run.samples
     shift = np.angle(sign) - arg
     constant = np.exp(1j * shift)
     assert np.abs(constant - constant[0]).max() <= 1e-12
@@ -1606,11 +1622,11 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
     ``_snapped`` reads as it reads the computed phases."""
     tol = DEFAULT_TOL
     path, ref = _own_scan(h, route, interval)
-    run = _flow_scan_parts([path])
+    run = _flow_scan_parts(h, route, interval)
     ts, ((lifted, ends),) = run.ts, run.scans
-    assert run.samplers and all(s is path.frame_fn for s in run.samplers)
-    args, generic_ends, _ = maslov._phase_samples(path, maslov._chart(path, ref, tol), ts, tol,
-                                                  False)
+    assert run.records and all(r is maslov._flow_record(h, None, tol) for r in run.records)
+    args, generic_ends, _ = maslov._phase_samples(path, maslov._chart(path.space, ref, tol), ts,
+                                                  tol, False)
     offset = lifted - maslov._lift(args)
     assert np.abs(offset - offset[0]).max() <= 1e-10
     computed = int(ts[0] == 0.0)  # the rows both scans compute
@@ -1626,13 +1642,13 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
 def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
     """A graph path scanned against any other reference, an orbit path
     from a given start and ``maslov_index_symplectic`` with a given start
-    or reference read no block: with the block sampler patched away they
-    give the index of the same scan of the path with a plain frame
+    or reference read no block: with the block scans (``_flow_scans``)
+    patched away they give the index of the same scan of the path with a plain frame
     function, or the public route's index."""
     h = random_hamiltonian(2, 3111, "mixed")
     n, tol = 2, DEFAULT_TOL
     orbit_index, graph_index = maslov_index_symplectic(h), conley_zehnder(h)
-    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
+    monkeypatch.setattr(maslov, "_flow_scans", None)
     graph = _own_scan(h, "graph")[0]
     other = product_lagrangian(random_lagrangian(n, 1), random_lagrangian(n, 2))
     assert maslov_index(graph, other) == maslov_index(_looped(graph), other)
@@ -1651,13 +1667,13 @@ def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
 def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
     """A scan of the public routes' paths against ``vertical_lagrangian(n)``,
     ``diagonal_lagrangian(n)`` or ``horizontal_lagrangian(n)``, however
-    tol is passed, reads no block (the block sampler is patched away)
-    and gives the index of the public route."""
+    tol is passed, reads no block (the block scans, ``_flow_scans``, are
+    patched away) and gives the index of the public route."""
     h = random_hamiltonian(n, 3120 + n, "mixed")
     orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
     wants = (maslov_index_symplectic(h), conley_zehnder(h),
              maslov_index_symplectic(h, ref=horizontal_lagrangian(n)))
-    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
+    monkeypatch.setattr(maslov, "_flow_scans", None)
     for make, path, want in ((vertical_lagrangian, orbit, wants[0]),
                              (diagonal_lagrangian, graph, wants[1]),
                              (horizontal_lagrangian, orbit, wants[2])):
@@ -1667,12 +1683,12 @@ def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
 
 
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):
-    """Only the public flow routes read the blocks: with the block
-    sampler patched away, ``find_crossings`` and ``maslov_index`` of a
+    """Only the public flow routes read the blocks: with the block scans
+    (``_flow_scans``) patched away, ``find_crossings`` and ``maslov_index`` of a
     flow path sample through the generic chart, while
     ``maslov_index_symplectic`` and ``conley_zehnder`` fail."""
     h = 5.0 * standard_J(1)
-    monkeypatch.setattr(maslov._FlowFrames, "sample", None)
+    monkeypatch.setattr(maslov, "_flow_scans", None)
     path, ref = _own_scan(h, "orbit")
     assert find_crossings(path, ref).index == HalfInt(3)
     assert maslov_index(path, ref) == HalfInt(3)
@@ -1698,7 +1714,7 @@ def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
         h = 4.0 * random_hamiltonian(n, 1016, "semisimple-elliptic")
         want = maslov_index_symplectic(h), conley_zehnder(h)
         path = graph_path(h)
-        ts = maslov._scan_times(path, 256, False)
+        ts = maslov._scan_times(path.interval, path._rate_bound, 256, False)
         assert len(maslov._batches(path, len(ts))) == batches
         monkeypatch.setattr(maslov._FlowRecord, "stack", counting)
         orbit, graph, psi1 = maslov._flow_indices(h, tol)

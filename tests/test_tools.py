@@ -1,5 +1,6 @@
 """The parity sweep writes one JSON record per input."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -175,9 +176,12 @@ def test_layer_bench_counts_the_bisection_rounds_of_a_recorded_locate(monkeypatc
 def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch):
     """The ``_flow_record`` and ``make_system`` layers take their
     generators in turn, so a pass, after the warm-up pass, builds all of
-    their records: the one kept record is never the next one asked for.  A ``route_pair`` builds one
-    record for its two scans, a ``correction_sign`` one for its psi(1),
-    and a ``maslov_via_formula`` one for its scan and its correction.
+    their records: the one kept record is never the next one asked for.
+    A ``correction_sign`` builds one record for its psi(1), and a
+    ``maslov_via_formula`` one for its scan and its correction.  The
+    warm layers (``validate``, ``_flow_indices``, ``route_pair`` and the
+    two public flow routes) build none after their warm-up pass, though
+    their 8 generators taken in turn outnumber the three kept records.
     The Krein layers and the two CZ routes clear the cache before each
     call, so each builds its record, and
     ``krein_routes`` and ``krein_routes_svd`` build one record per
@@ -187,20 +191,33 @@ def test_layer_bench_builds_a_flow_record_on_every_call_of_its_layer(monkeypatch
     from symindex import autonomous, krein, maslov, numerics, random_hamiltonian
 
     bench = _load_bench(monkeypatch)
+    built, build = [], maslov._record_of.__wrapped__
+
+    def building(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(maslov, "_record_of", functools.lru_cache(maxsize=3)(building))
     tree = {"autonomous": autonomous, "krein": krein, "maslov": maslov, "numerics": numerics,
             "package": symindex}
     hs = [random_hamiltonian(1, 1000 + s, "semisimple-elliptic") for s in range(bench.SYSTEMS)]
     queries = [(h, e.eigenvalue.imag) for h in hs for e in krein.krein_spectrum(h)]
     calls = bench._layer_calls(tree, hs, queries, bench._doubled(tree, 2))
     assert len(calls["correction_sign"]) == len(calls["maslov_via_formula"]) > 1
-    for layer, hits in (("_flow_record", 0), ("make_system", 0), ("route_pair", 1),
-                        ("correction_sign", 0), ("maslov_via_formula", 1)):
+    for layer, hits in (("_flow_record", 0), ("make_system", 0), ("correction_sign", 0),
+                        ("maslov_via_formula", 1)):
         bench._pass_ms(calls[layer])
         before = maslov._record_of.cache_info()
         bench._pass_ms(calls[layer])
         after = maslov._record_of.cache_info()
         count = len(calls[layer])
         assert (after.misses - before.misses, after.hits - before.hits) == (count, hits * count)
+    for layer in ("validate", "_flow_indices", "route_pair", "orbit_scan", "graph_scan"):
+        assert len(calls[layer]) == bench.SYSTEMS > 3
+        bench._pass_ms(calls[layer])
+        built.clear()
+        bench._pass_ms(calls[layer])
+        assert not built, layer
     # clearing the cache resets its counts, so the cold layers count the eig of each record
     eigs = []
     eig = np.linalg.eig

@@ -3,17 +3,17 @@
     python tools/layer_bench.py --tree parent=/path/to/parent/src \
         --tree change=src --out BENCH_29.json
 
-Each layer is called directly, not through a tracer:
-``autonomous.validate`` with the calibrated sign,
-``maslov._flow_indices``, ``maslov._flow_record`` (its generators taken
-in turn, so each call builds a record), ``autonomous.make_system`` (the
-same, so each call is a cold generator check), ``route_pair`` (the public
-``maslov_index_symplectic`` then ``conley_zehnder`` of one generator,
-reported per pair),
-the two public flow routes, which read the blocks of the flow where
-the tree has them, on warm records (``_warm``, so no call builds a
-record): ``maslov.maslov_index_symplectic`` (``orbit_scan``) and
+Each layer is called directly, not through a tracer.  On warm records
+(``_warm``, so no timed call builds a record): ``autonomous.validate``
+with the calibrated sign, ``maslov._flow_indices``, ``route_pair`` (the
+public ``maslov_index_symplectic`` then ``conley_zehnder`` of one
+generator, reported per pair) and the two public flow routes, which
+read the blocks of the flow where the tree has them,
+``maslov.maslov_index_symplectic`` (``orbit_scan``) and
 ``maslov.conley_zehnder`` (``graph_scan``) of each generator;
+``maslov._flow_record`` (its generators taken in turn, so each call
+builds a record), ``autonomous.make_system`` (the same, so each call is
+a cold generator check);
 ``maslov._eigenphases`` of W at the two ends of the scans of the orbit
 path of each generator against ``vertical_lagrangian(n, tol)`` and of
 its graph path against ``diagonal_lagrangian(n, tol)``
@@ -189,9 +189,11 @@ def _rounds(ma, args):
 
 def _end_phases(ma, path, ref, tol):
     """(``_eigenphases``, its arguments, 2) for W at the two ends of the
-    scan of ``path`` against ``ref``; a tree whose ``_eigenphases`` takes
-    no tolerances is passed none."""
-    z = ma._chart_samples(path, ma._chart(path, ref, tol), numpy.array(path.interval), tol)[1]
+    scan of ``path`` against ``ref``; a tree whose ``_chart`` takes the
+    path, not its space, is passed the path, and one whose
+    ``_eigenphases`` takes no tolerances is passed none."""
+    space = path.space if "space" in inspect.signature(ma._chart).parameters else path
+    z = ma._chart_samples(path, ma._chart(space, ref, tol), numpy.array(path.interval), tol)[1]
     takes_tol = len(inspect.signature(ma._eigenphases).parameters) > 1
     return ma._eigenphases, (z, tol) if takes_tol else (z,), 2
 
@@ -276,10 +278,12 @@ def _layer_calls(tree, hs, queries, doubled):
     def forms(*args):
         return list(ma._forms(*args))
 
-    orbit_scan, graph_scan = _warm(ma, ma.maslov_index_symplectic), _warm(ma, ma.conley_zehnder)
-
-    def route_pair(h):
+    def both_routes(h):
         return ma.maslov_index_symplectic(h), ma.conley_zehnder(h)
+
+    validate, flow_indices, route_pair, orbit_scan, graph_scan = (
+        _warm(ma, fn) for fn in (au.validate, ma._flow_indices, both_routes,
+                                 ma.maslov_index_symplectic, ma.conley_zehnder))
 
     def krein_routes(h):
         for e in kr.krein_spectrum(h, tol):
@@ -289,8 +293,8 @@ def _layer_calls(tree, hs, queries, doubled):
         return kr.classify_normal_form(h, tol)
 
     return {
-        "validate": [(au.validate, (s,), 1) for s in systems],
-        "_flow_indices": [(ma._flow_indices, (s.h, tol), 1) for s in systems],
+        "validate": [(validate, (s,), 1) for s in systems],
+        "_flow_indices": [(flow_indices, (s.h, tol), 1) for s in systems],
         "_flow_record": [(ma._flow_record, (s.h, None, tol), 1) for s in systems],
         "make_system": [(au.make_system, (h,), 1) for h in hs],
         "route_pair": [(route_pair, (s.h,), 1) for s in systems],
