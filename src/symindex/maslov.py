@@ -164,7 +164,7 @@ class _FlowRecord:
     ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
     ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
     are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
-    The frame functions of the flow paths (``_orbit_path``,
+    The frame functions of the flow paths (``orbit_path``,
     ``graph_path``) and the scans of the flow routes (``_flow_scans``)
     read the flow through ``stack``; none keeps a copy of it.
 
@@ -280,17 +280,10 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     the standard space.  Rate bound: moved by its horizontal lift
     (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
     tr A = tr(Q^T S Q) for S = sym(-Omega h), at most the bound B of
-    ``_FlowRecord``."""
+    ``_FlowRecord``.  Its frames are ``record.stack(ts)`` times the frame
+    of ``start``, with the record's ``orbit_growth``; the flow routes
+    scan the orbit of the vertical without a path (``_flow_scans``)."""
     record = _flow_record(h, None if start is None else start.space, tol)
-    return _orbit_path(record, start, interval, tol)
-
-
-def _orbit_path(record: _FlowRecord, start: Optional[LagrangianFrame], interval,
-                tol: Tolerances) -> LagrangianPath:
-    """``orbit_path`` of a checked generator, for the generic scans: its
-    frames are ``record.stack(ts)`` times the frame of ``start``, with
-    the record's ``orbit_growth``.  The flow routes scan the orbit of
-    the vertical without a path (``_flow_scans``)."""
     h, flow = record.h, record.stack
     d = h.shape[0]
     start = vertical_lagrangian(d // 2, tol) if start is None else start
@@ -947,12 +940,12 @@ def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
     The path is certified: ``grid`` is validated and does not change
     the scan.  With both defaults the scan reads the blocks of the flow
     (``_flow_scans``) and builds no path."""
-    record = _flow_record(h, None if start is None else start.space, tol)
     if start is None and ref is None:
+        record = _flow_record(h, None, tol)
         interval = _interval(interval)
         _grid_cells(grid)
         return _flow_scans(record, ("orbit",), interval, tol)[0][0]
-    path = _orbit_path(record, start, interval, tol)
+    path = orbit_path(h, start, interval, tol)
     if ref is None:
         ref = vertical_lagrangian(path.space.half_dim, tol)
     return maslov_index(path, ref, grid, tol)
