@@ -1025,7 +1025,7 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
     first end's phases are computed.  The t = 0 sample keeps its rank
     and Lagrangian checks."""
     d = record.h.shape[0]
-    n, eye = d // 2, np.eye(d)
+    n, eye = d // 2, np.eye(d) if "graph" in routes else None
     ts = _scan_times(interval, record.bound, MIN_GRID, False)
     # 1 where the t = 0 end is certified by the bound above, else 0
     zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
@@ -1063,7 +1063,10 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
                 continue
             scan[1].append(np.angle(sign[k]))
             rows = z[k] if scan[0] == "orbit" else flows
-            scan[2] += [rows[i - first] for i in (0, len(ts) - 1) if first <= i < first + step]
+            if len(rows) == len(ts):  # one batch: a view of both ends
+                scan[2] = rows[::len(ts) - 1]
+            else:
+                scan[2] += [rows[i - first] for i in (0, len(ts) - 1) if first <= i < first + step]
         if scans[0][3] is not None:
             raise scans[0][3]
     indices = []
