@@ -1033,11 +1033,15 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
     # graph, else the d x d complex flow
     step = max(1, _BATCH_BYTES // (16 * d * d * (1 + ("graph" in routes))))
     scans = [[route, [], [], None] for route in routes]  # route, args, end rows, error
+    # one stack of blocks for every batch, end rows copied out of it: a
+    # stack per batch took _flow_indices up to 1.14 times as long at n =
+    # 16 in tools/layer_bench.py, where the heap had served every layer
+    blocks = np.empty((len(routes), min(step, len(ts)), n, n), dtype=complex)
     for first in range(0, len(ts), step):
         times = ts[first:first + step]
         flows, error = _finite(record.stack(times), "path frame")
         live = [scan for scan in scans if scan[3] is None]
-        z = np.empty((len(live), len(flows), n, n), dtype=complex)
+        z = blocks[:len(live), :len(flows)]
         volumes = []  # the arguments of each route's ``_volumes`` after ts
         for k, scan in enumerate(live):
             if scan[0] == "graph":
@@ -1066,7 +1070,8 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
             if len(rows) == len(ts):  # one batch: a view of both ends
                 scan[2] = rows[::len(ts) - 1]
             else:
-                scan[2] += [rows[i - first] for i in (0, len(ts) - 1) if first <= i < first + step]
+                scan[2] += [rows[i - first].copy() for i in (0, len(ts) - 1)
+                            if first <= i < first + step]
         if scans[0][3] is not None:
             raise scans[0][3]
     indices = []
