@@ -1035,7 +1035,7 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
     scans = [[route, [], [], None] for route in routes]  # route, args, end rows, error
     # one stack of blocks for every batch, end rows copied out of it: a
     # stack per batch took _flow_indices up to 1.14 times as long at n =
-    # 16 in tools/layer_bench.py, where the heap had served every layer
+    # 16 in full tools/layer_bench.py runs, on the heap the earlier layers left
     blocks = np.empty((len(routes), min(step, len(ts)), n, n), dtype=complex)
     for first in range(0, len(ts), step):
         times = ts[first:first + step]
