@@ -36,7 +36,7 @@ from .errors import (
     SymindexError,
 )
 from .kashiwara import kashiwara_index
-from .krein import _krein_pass, _normal_form, _rotation_speeds
+from .krein import is_semisimple, krein_positive_angles, krein_spectrum
 from .maslov import _grid_cells
 from .numerics import DEFAULT_TOL, Tolerances, as_int, as_matrix
 from .symplectic import SymplecticSpace, lagrangian_frame
@@ -177,15 +177,14 @@ def _cmd_kashiwara(args, tol: Tolerances):
 
 def _cmd_krein(args, tol: Tolerances):
     n, h = _read_generator(args.input)
-    entries, semisimple, gap = _krein_pass(h, tol)
     spectrum = [{
         "real": entry.eigenvalue.real,
         "imag": entry.eigenvalue.imag,
         "multiplicity": entry.multiplicity,
         "krein": None if entry.inertia is None else list(entry.inertia.pair),
-    } for entry in entries]
+    } for entry in krein_spectrum(h, tol)]
     try:
-        angles = [float(a) for a in _rotation_speeds(_normal_form(entries, semisimple, gap))]
+        angles = [float(a) for a in krein_positive_angles(h, tol)]
     except SymindexError:
         angles = None
     lines = ["eigenvalue %+.6g%+.6gi  x%d%s"
@@ -194,7 +193,8 @@ def _cmd_krein(args, tol: Tolerances):
              for row in spectrum]
     if angles is not None:
         lines.append("rotation angles: %s" % (angles,))
-    out = {"n": n, "spectrum": spectrum, "semisimple": semisimple, "rotation_angles": angles}
+    out = {"n": n, "spectrum": spectrum, "semisimple": is_semisimple(h, tol),
+           "rotation_angles": angles}
     return out, lines, 0
 
 

@@ -7,6 +7,7 @@ and equality checks are exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -22,6 +23,10 @@ class HalfInt:
 
     @classmethod
     def from_int(cls, k: int) -> "HalfInt":
+        """The integer k, an Integral (numpy integers too) but not a bool,
+        else TypeError: ``int`` would truncate a float."""
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise TypeError("HalfInt.from_int needs an integer, got %r" % (k,))
         return cls(2 * int(k))
 
     @classmethod

@@ -63,19 +63,19 @@ def _components(vals, gap):
     return reach[reach.argmax(axis=1) == np.arange(len(vals))] if len(vals) else reach
 
 
-def _clusters(h, norm: float):
-    """(gap, vals, parts, lams, mults): the one eigenvalue partition of
-    the Krein layer: the eigenvalues of h, their ``_components`` within
-    CLUSTER_GAP * max(1, ``norm``), norm = |h|, the complex cluster means
-    (np.mean's bit for bit: a singleton x sums to 0.0 + x, as
-    ``np.add.reduce`` starts from 0) and the cluster sizes."""
-    gap, vals = CLUSTER_GAP * max(1.0, norm), np.linalg.eigvals(h)
+def _clusters(vals, norm: float):
+    """(gap, parts, lams, mults): the one eigenvalue partition of the
+    Krein layer: the ``_components`` of the eigenvalues ``vals`` of h
+    within CLUSTER_GAP * max(1, ``norm``), norm = |h|, the complex
+    cluster means (np.mean's bit for bit: a singleton x sums to 0.0 + x,
+    as ``np.add.reduce`` starts from 0) and the cluster sizes."""
+    gap = CLUSTER_GAP * max(1.0, norm)
     parts = _components(vals, gap)
     mults = parts.sum(axis=1).tolist()
     sums = 0.0 + vals[parts.argmax(axis=1)] if len(vals) else vals
     for j in [j for j, mult in enumerate(mults) if mult > 1]:
         sums[j] = vals[parts[j]].sum()
-    return gap, vals, parts, (sums / mults).astype(complex), mults
+    return gap, parts, (sums / mults).astype(complex), mults
 
 
 def _kernels(h, lams):
@@ -160,7 +160,7 @@ def _certified_pass(record, tol: Tolerances):
     is semisimple, and each eigenvalue owns its own cluster."""
     if record.eigen is None or not record.kappa * _MARGIN * EIGENSPACE_RANK < 1.0:
         return None
-    vals, vecs, _ = record.eigen
+    vals, vecs = record.vals, record.eigen[0]
     gap = CLUSTER_GAP * max(1.0, record.norm)
     dist = np.abs(vals[:, None] - vals)
     np.fill_diagonal(dist, np.inf)
@@ -183,16 +183,18 @@ def _certified_pass(record, tol: Tolerances):
 
 
 def _svd_pass(record, tol: Tolerances):
-    """``_record_pass`` of the checked generator ``record.h`` by its
-    ``_clusters`` and, for all of them at once, their ``_kernels``: the
-    one route for Jordan, clustered and ill-conditioned generators.
-    Each cluster on the imaginary axis (``_on_axis``) takes the Krein
-    form on the ``_chain`` of its kernel up to its multiplicity, all
-    classified by one ``_signatures``; one that rounding split keeps a
-    degenerate form.  ``vals`` are the eigenvalues of the partition and
+    """``_record_pass`` of the checked generator ``record.h`` by the
+    ``_clusters`` of its eigenvalues and, for all of them at once, their
+    ``_kernels``: the one route for Jordan, clustered and ill-conditioned
+    generators.  Each cluster on the imaginary axis (``_on_axis``) takes
+    the Krein form on the ``_chain`` of its kernel up to its
+    multiplicity, all classified by one ``_signatures``; one that
+    rounding split keeps a degenerate form.  ``vals`` are the record's
+    eigenvalues, those of ``eigvals`` where its ``eig`` failed, and
     ``owner`` their clusters."""
     h = record.h
-    gap, vals, parts, lams, mults = _clusters(h, record.norm)
+    vals = np.linalg.eigvals(h) if record.vals is None else record.vals
+    gap, parts, lams, mults = _clusters(vals, record.norm)
     axis = [j for j, lam in enumerate(lams.tolist()) if _on_axis(lam, gap)]
     a, kernels, cutoffs = _kernels(h, lams)
     bases = [_chain(a[j], kernels[j], cutoffs[j], mults[j]) for j in axis]
@@ -275,7 +277,8 @@ def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
     space: every cluster's kernel has the cluster's multiplicity and the
     kernels are independent (``_semisimple``).  A Hamiltonian generator
     reads the verdict of its ``_record_pass``; another matrix (empty,
-    odd-sized or not Hamiltonian within ``tol``) takes its kernels."""
+    odd-sized or not Hamiltonian within ``tol``) takes the kernels of
+    the clusters of its own ``eigvals``."""
     as_tolerances(tol)
     h = as_square(h, "generator")
     if h.size and h.shape[0] % 2 == 0:
@@ -283,7 +286,7 @@ def is_semisimple(h, tol: Tolerances = DEFAULT_TOL) -> bool:
             return _record_pass(_flow_record(h, None, tol), tol)[1]
         except NotHamiltonian:
             pass
-    _, _, _, lams, mults = _clusters(h, spectral_norm(h))
+    _, _, lams, mults = _clusters(np.linalg.eigvals(h), spectral_norm(h))
     return _semisimple(_kernels(h, lams)[1], mults)
 
 
@@ -368,12 +371,8 @@ def krein_positive_angles(h, tol: Tolerances = DEFAULT_TOL):
     inertia (p, q) as p copies of +alpha and q copies of -alpha; other
     spectrum contributes nothing.  Sorted ascending.
     """
-    return _rotation_speeds(classify_normal_form(h, tol))
-
-
-def _rotation_speeds(blocks):
-    return sorted(block.parameters[0] for block in blocks if block.kind == "rotation"
-                  for _ in range(block.multiplicity))
+    return sorted(block.parameters[0] for block in classify_normal_form(h, tol)
+                  if block.kind == "rotation" for _ in range(block.multiplicity))
 
 
 def spectral_conley_zehnder(h, tol: Tolerances = DEFAULT_TOL) -> HalfInt:

@@ -115,7 +115,7 @@ class LagrangianPath:
 
 def _interval(interval) -> Tuple[float, float]:
     """``interval`` as a pair of floats (a, b), finite with a < b, else
-    InputError; the check of every path and flow scan."""
+    InputError; the check of every path."""
     try:
         a, b = (as_real(t, "interval bound") for t in interval)
     except (TypeError, ValueError):  # not iterable, or not two values
@@ -152,15 +152,16 @@ class _Stacked:
 
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
-    """The flow of a generator h checked once, shared read-only: ``h``
-    and the arrays of ``eigen`` refuse writes.  ``norm`` is the spectral
-    norm of h that the generator check measured.  ``stack(ts)`` is the stack
-    of exp(t h) at the times ts, each matrix equal bit for bit to the flow
-    at its time alone.  When kappa = cond V of the eigenvectors V of h is
-    below 1e7 and the flow at 0 is I within 1e-10, ``eigen`` is
-    (eigenvalues, V, V^-1) and exp(t h) = Re (V * exp(t vals)) @ V^-1;
-    else (a defective or ill-conditioned h, kappa inf when ``eig`` fails)
-    ``eigen`` is None and the stack is ``numerics.expm`` of t h.
+    """The flow of a generator h checked once, shared read-only: ``h``,
+    ``vals`` and the arrays of ``eigen`` refuse writes.  ``norm`` is the
+    spectral norm of h that the generator check measured, ``vals`` the
+    eigenvalues of its one ``eig`` (None where ``eig`` fails).
+    ``stack(ts)`` is the stack of exp(t h) at the times ts, each matrix
+    equal bit for bit to the flow at its time alone.  When kappa = cond V
+    of the eigenvectors V of h is below 1e7 and the flow at 0 is I within
+    1e-10, ``eigen`` is (V, V^-1) and exp(t h) = Re (V * exp(t vals)) @
+    V^-1; else (a defective or ill-conditioned h, kappa inf when ``eig``
+    fails) ``eigen`` is None and the stack is ``numerics.expm`` of t h.
     ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
     ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
     are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
@@ -188,24 +189,25 @@ class _FlowRecord:
 
     The Krein layer reads the same record: ``krein._record_pass`` keeps
     one Krein pass per record, taken from ``eigen``, ``kappa`` and
-    ``norm`` where they certify it and else from the checked ``h`` and
-    ``norm``, so the scans and the spectral routes of one generator
-    share one generator check and one ``eig``."""
+    ``norm`` where they certify it and else from the checked ``h``,
+    ``vals`` and ``norm``, so the scans and the spectral routes of one
+    generator share one generator check and one ``eig``."""
 
     h: np.ndarray
     norm: float
     bound: float
     kappa: float
     origin_defect: float
-    eigen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    vals: Optional[np.ndarray]
+    eigen: Optional[Tuple[np.ndarray, np.ndarray]]
     orbit_growth: Optional[Tuple[float, float]]
     graph_growth: Optional[Tuple[float, float]]
 
     def stack(self, ts):
         if self.eigen is None:
             return expm(ts[:, None, None] * self.h)
-        vals, vecs, vinv = self.eigen
-        return ((vecs * np.exp(ts[:, None] * vals)[:, None, :]) @ vinv).real
+        vecs, vinv = self.eigen
+        return ((vecs * np.exp(ts[:, None] * self.vals)[:, None, :]) @ vinv).real
 
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
@@ -251,24 +253,24 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
     s = -form @ h
     eigs = np.linalg.eigvalsh(0.5 * (s + s.T))
     bound = float(max(eigs[n:].sum(), -eigs[:n].sum()))
-    kappa = math.inf
+    kappa, vals = math.inf, None
     try:
         vals, vecs = np.linalg.eig(h)
+        vals.flags.writeable = False
         kappa = float(np.linalg.cond(vecs))
         if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
             # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1
             defect = float(np.linalg.norm((vecs @ vinv).real - np.eye(d)))
             if defect <= 1e-10:
-                for a in (vals, vecs, vinv):
-                    a.flags.writeable = False
+                vecs.flags.writeable = vinv.flags.writeable = False
                 re = vals.real
-                return _FlowRecord(h, norm, bound, kappa, defect, (vals, vecs, vinv),
+                return _FlowRecord(h, norm, bound, kappa, defect, vals, (vecs, vinv),
                                    (2.0 * math.log(kappa), float(re.max() - re.min())),
                                    (math.log(2.0 * kappa), float(np.abs(re).max())))
     except np.linalg.LinAlgError:
         pass
-    return _FlowRecord(h, norm, bound, kappa, 0.0, None, None, None)
+    return _FlowRecord(h, norm, bound, kappa, 0.0, vals, None, None, None)
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -932,35 +934,27 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
     return _phase_index(lifted, thetas, tol)
 
 
-def maslov_index_symplectic(h, start: Optional[LagrangianFrame] = None,
-                            ref: Optional[LagrangianFrame] = None,
-                            interval=(0.0, 1.0), grid: int = 256,
-                            tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of t -> exp(t h) . start against ref (both default vertical).
-    The path is certified: ``grid`` is validated and does not change
-    the scan.  With both defaults the scan reads the blocks of the flow
-    (``_flow_scans``) and builds no path."""
-    if start is None and ref is None:
-        record = _flow_record(h, None, tol)
-        interval = _interval(interval)
-        _grid_cells(grid)
-        return _flow_scans(record, ("orbit",), interval, tol)[0][0]
-    path = orbit_path(h, start, interval, tol)
-    if ref is None:
-        ref = vertical_lagrangian(path.space.half_dim, tol)
-    return maslov_index(path, ref, grid, tol)
-
-
-def conley_zehnder(h, interval=(0.0, 1.0), grid: int = 256,
-                   tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Index of the graph path of exp(t h) against the diagonal, read from
-    the blocks of the flow (``_flow_scans``), with no path built.  The
-    path is certified: ``grid`` is validated and does not change the
-    scan."""
+def maslov_index_symplectic(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
+    """Index of the orbit t -> exp(t h) . V, t in [0, 1], of the vertical
+    V against V, read from the blocks of the flow (``_flow_scans``) with
+    no path built.  The scan is certified: ``grid`` is validated and does
+    not change it.  Another start, reference or interval is a scan of the
+    orbit path: ``maslov_index(orbit_path(h, start, interval, tol), ref)``."""
     record = _flow_record(h, None, tol)
-    interval = _interval(interval)
     _grid_cells(grid)
-    return _flow_scans(record, ("graph",), interval, tol)[0][0]
+    return _flow_scans(record, ("orbit",), tol)[0][0]
+
+
+def conley_zehnder(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
+    """Index of the graph path of exp(t h), t in [0, 1], against the
+    diagonal, read from the blocks of the flow (``_flow_scans``) with no
+    path built.  The scan is certified: ``grid`` is validated and does
+    not change it.  Another interval is a scan of the graph path,
+    ``maslov_index(graph_path(h, interval, tol), diagonal_lagrangian(n,
+    tol))``; a period T is ``conley_zehnder(T * h)``."""
+    record = _flow_record(h, None, tol)
+    _grid_cells(grid)
+    return _flow_scans(record, ("graph",), tol)[0][0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
@@ -970,17 +964,16 @@ def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
     and of each calibration probe, in one ``_flow_scans``.  psi(1) is the
     scans' own flow sample at t = 1, ``record.stack`` at 1.0 bit for bit
     (on the ``expm`` branch also ``expm(h)`` alone)."""
-    (orbit, graph), psi1 = _flow_scans(_flow_record(h, None, tol), ("orbit", "graph"),
-                                       (0.0, 1.0), tol)
+    (orbit, graph), psi1 = _flow_scans(_flow_record(h, None, tol), ("orbit", "graph"), tol)
     return orbit, graph, psi1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
-def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
-    """([index of each route], the flow at the last time): the index scans
-    on the checked ``interval`` of the flow routes of ``record``, each
-    "orbit" (the orbit of the vertical against the vertical) or "graph"
-    (the graph path against the diagonal), read from the blocks of Phi =
+def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
+    """([index of each route], the flow at t = 1): the index scans on [0,
+    1] of the flow routes of ``record``, each "orbit" (the orbit of the
+    vertical against the vertical) or "graph" (the graph path against
+    the diagonal), read from the blocks of Phi =
     exp(t h) = [[A, B], [C, D]] without a path, a frame or a chart
     product.  The routes share the record's rate bound, so their grid
     (``_scan_times``); they are sampled in the batches of the generic
@@ -1006,7 +999,7 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
     further batch, and when the first scan fails, sampling stops and its
     error is raised.
 
-    A scan whose first time is 0 starts on its reference.  Where 4
+    Every scan starts at t = 0 on its reference.  Where 4
     delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
     end takes the phases 0 without ``_eigenphases``, which ``_snapped``
     reads as the sum 0 and the dimension the size of W, as it reads the
@@ -1026,9 +1019,9 @@ def _flow_scans(record: _FlowRecord, routes, interval, tol: Tolerances):
     and Lagrangian checks."""
     d = record.h.shape[0]
     n, eye = d // 2, np.eye(d) if "graph" in routes else None
-    ts = _scan_times(interval, record.bound, MIN_GRID, False)
+    ts = _scan_times((0.0, 1.0), record.bound, MIN_GRID, False)
     # 1 where the t = 0 end is certified by the bound above, else 0
-    zero = int(ts[0] == 0.0 and 4.0 * record.origin_defect <= tol.eps_rank)
+    zero = int(4.0 * record.origin_defect <= tol.eps_rank)
     # per sample, the generic scan's 2d x 2d real intersections of the
     # graph, else the d x d complex flow
     step = max(1, _BATCH_BYTES // (16 * d * d * (1 + ("graph" in routes))))

@@ -300,18 +300,73 @@ def test_jordan_clusters_take_a_kernel_chain(monkeypatch):
     stacked SVD, and each short kernel takes one more SVD for ker A^2
     (``_chain``); a short kernel already decides that the generator is
     not semisimple, so the kernels are not stacked.  The other eig and
-    SVD are the flow record's: its eigenbasis and the spectral norm of
-    its generator check, which also sets the cluster gap; the pass runs
-    no generator check of its own.  A warm pass reads the record's pass
-    and takes none."""
+    SVD are the flow record's: its eigenbasis, whose eigenvalues the
+    clusters read (the ill-conditioned basis gives the record no flow
+    eigenbasis, and no eigvals is taken), and the spectral norm of its
+    generator check, which also sets the cluster gap; the pass runs no
+    generator check of its own.  A warm pass reads the record's pass and
+    takes none."""
     krein_spectrum(_jordan_at_2i())  # builds the cached standard space
     maslov._record_of.cache_clear()
     calls = _count_decompositions(monkeypatch)
     krein_spectrum(_jordan_at_2i())
-    assert calls == {"eig": 1, "eigvals": 1, "svd": 4}
+    assert maslov._flow_record(_jordan_at_2i(), None, DEFAULT_TOL).eigen is None
+    assert calls == {"eig": 1, "svd": 4}
     calls.clear()
     krein_spectrum(_jordan_at_2i())
     assert calls == {}
+
+
+@pytest.mark.parametrize("route", [krein_spectrum, is_semisimple, krein_positive_angles])
+def test_a_cold_svd_route_takes_no_eigvals(monkeypatch, route):
+    """A cold Krein route on the SVD route clusters the eigenvalues of
+    the flow record's one eig and takes no eigvals, whether the record
+    keeps a flow eigenbasis (a doubled rotation, whose repeated
+    eigenvalues are never certified) or not (a Jordan block at +-2i)."""
+    doubled = standard_direct_sum([2.0 * standard_J(1)] * 2)
+    for h, eigen in ((doubled, True), (_jordan_at_2i(), False)):
+        assert _certified_pass(maslov._flow_record(h, None, DEFAULT_TOL), DEFAULT_TOL) is None
+        assert (maslov._flow_record(h, None, DEFAULT_TOL).eigen is not None) == eigen
+        maslov._record_of.cache_clear()
+        calls = _count_decompositions(monkeypatch)
+        try:
+            route(h)
+        except NotSemisimple:
+            pass
+        assert calls["eig"] == 1 and "eigvals" not in calls
+        monkeypatch.undo()
+
+
+def test_a_record_whose_eig_fails_clusters_eigvals(monkeypatch):
+    """Where eig raises, the record keeps no eigenvalues, and the SVD
+    route takes its partition from one eigvals of the record's h: the
+    same spectrum as a record whose eig returns."""
+    h = _jordan_at_2i()
+    want = krein_spectrum(h)
+    maslov._record_of.cache_clear()
+
+    def failing(a):
+        raise np.linalg.LinAlgError("eig did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    record = maslov._flow_record(h, None, DEFAULT_TOL)
+    assert record.vals is None and record.eigen is None and record.kappa == np.inf
+    assert krein_spectrum(h) == want
+    maslov._record_of.cache_clear()
+
+
+def test_the_record_eigenvalues_are_those_of_eigvals():
+    """On every generator of the parity sweep, the eigenvalues that the
+    flow record keeps from its eig equal eigvals of its generator byte
+    for byte, dtype included, so the SVD route reads them in place of an
+    eigvals of its own with the same partition."""
+    inputs = _sweep_inputs("random", "growth", "rotation", "loop", "fast", "slow", "shear",
+                           "jordan", "near")
+    assert len(inputs) == 992
+    for h in inputs:
+        record = maslov._flow_record(h, None, DEFAULT_TOL)
+        want = np.linalg.eigvals(record.h)
+        assert record.vals.dtype == want.dtype and record.vals.tobytes() == want.tobytes()
 
 
 def test_svd_route_queries_read_the_record_pass(monkeypatch):
@@ -363,7 +418,7 @@ def test_batched_krein_pass_equals_one_cluster_at_a_time():
             generators.append(s @ base @ np.linalg.inv(s))
     generators.append(_jordan_at_2i())
     for h in generators:
-        gap, _, _, lams, mults = _clusters(h, spectral_norm(h))
+        gap, _, lams, mults = _clusters(np.linalg.eigvals(h), spectral_norm(h))
         g = krein_form_matrix(h.shape[0] // 2)
         expected = []
         for lam, mult in zip(lams.tolist(), mults):
@@ -428,7 +483,8 @@ def test_jordan_cluster_inertia_matches_the_schur_basis(size, omega):
             assert is_hamiltonian(h) and not is_semisimple(h)
             spec = krein_spectrum(h)
             assert [e.multiplicity for e in spec] == [blocks * size] * (1 if omega == 0 else 2)
-            gap, g = _clusters(h, spectral_norm(h))[0], krein_form_matrix(h.shape[0] // 2)
+            gap = _clusters(np.linalg.eigvals(h), spectral_norm(h))[0]
+            g = krein_form_matrix(h.shape[0] // 2)
             for e in spec:
                 alpha = e.eigenvalue.imag
                 basis = _cluster_basis(h, e.eigenvalue, e.multiplicity)
@@ -642,7 +698,8 @@ def test_cluster_means_and_masks_equal_the_member_loop():
     profiles = ("generic", "semisimple-elliptic", "hyperbolic", "mixed")
     randoms = [random_hamiltonian(1 + s % 8, 9000 + s, profiles[s % 4]) for s in range(40)]
     for h in _sweep_inputs("rotation", "jordan", "slow") + randoms + [np.zeros((0, 0))]:
-        gap, vals, parts, lams, mults = _clusters(h, spectral_norm(h))
+        vals = np.linalg.eigvals(h)
+        gap, parts, lams, mults = _clusters(vals, spectral_norm(h))
         reference = _linked_components(vals, gap)
         assert parts.tolist() == reference
         assert mults == [part.count(True) for part in reference]

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import importlib.util
+import inspect
 import json
 import tracemalloc
 import types
@@ -492,9 +493,8 @@ def test_interval_length_must_be_finite(h):
     from the cell count; so is an interval that is not a pair of reals
     a < b (one of three values, or "ab", raised a bare ValueError)."""
     huge = (-1e308, 1e308)
-    for route in (maslov_index_symplectic, conley_zehnder):
-        with pytest.raises(InputError, match="interval must be finite"):
-            route(h, interval=huge)
+    with pytest.raises(InputError, match="interval must be finite"):
+        orbit_path(h, interval=huge)
     with pytest.raises(InputError, match="interval must be finite"):
         path_from_frames(SymplecticSpace.standard(1), lambda t: np.eye(2)[:, :1], huge)
     frames = lambda t: np.eye(2)[:, :1]  # noqa: E731
@@ -502,9 +502,16 @@ def test_interval_length_must_be_finite(h):
                 (0.0, float("nan")), (-1e308, float("inf"))]:
         with pytest.raises(InputError, match="interval"):
             path_from_frames(SymplecticSpace.standard(1), frames, bad)
-        for route in (orbit_path, conley_zehnder):
+        for route in (orbit_path, graph_path):
             with pytest.raises(InputError, match="interval"):
                 route(h, interval=bad)
+
+
+def test_the_flow_routes_take_only_the_generator_grid_and_tol():
+    """The two flow routes scan [0, 1] from the vertical against the
+    vertical and the diagonal: no start, reference or interval."""
+    for route in (maslov_index_symplectic, conley_zehnder):
+        assert list(inspect.signature(route).parameters) == ["h", "grid", "tol"]
 
 
 def test_nilpotent_shear_indices():
@@ -1412,13 +1419,14 @@ def test_a_flow_record_refuses_writes():
     h = random_hamiltonian(2, 4, "semisimple-elliptic")
     record = maslov._flow_record(h, None, DEFAULT_TOL)
     assert record.eigen is not None
-    for a in (record.h,) + record.eigen:
+    for a in (record.h, record.vals) + record.eigen:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     defective = maslov._flow_record(np.array([[0.0, 1.0], [0.0, 0.0]]), None, DEFAULT_TOL)
-    assert defective.eigen is None
-    with pytest.raises(ValueError, match="read-only"):
-        defective.h[0, 0] = 1.0
+    assert defective.eigen is None and defective.vals is not None
+    for a in (defective.h, defective.vals):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 def test_the_origin_defect_is_that_of_the_stacked_flow_at_0():
@@ -1426,7 +1434,7 @@ def test_the_origin_defect_is_that_of_the_stacked_flow_at_0():
     for bit, alone or first in a batch; on the ``expm`` branch that flow
     is I exactly and delta0 is 0."""
     ts = np.linspace(0.0, 1.0, 5)
-    for _, h, _, expm_branch in _block_cases():
+    for _, h, expm_branch in _block_cases():
         record = maslov._flow_record(h, None, DEFAULT_TOL)
         assert (record.eigen is None) == expm_branch
         f0 = record.stack(np.zeros(1))[0]
@@ -1489,37 +1497,35 @@ def test_every_route_answers_alike_with_a_cold_and_a_warm_record():
 
 # -- block samples of the two flow routes ----------------------------------------
 
-def _own_scan(h, route, interval=(0.0, 1.0)):
+def _own_scan(h, route):
     """(path, reference) of the orbit path of h from the vertical or its
     graph path, and the vertical or the diagonal the public routes scan
     them against."""
     n = np.shape(h)[0] // 2
     if route == "orbit":
-        return orbit_path(h, interval=interval), vertical_lagrangian(n, DEFAULT_TOL)
-    return graph_path(h, interval), diagonal_lagrangian(n, DEFAULT_TOL)
+        return orbit_path(h), vertical_lagrangian(n, DEFAULT_TOL)
+    return graph_path(h), diagonal_lagrangian(n, DEFAULT_TOL)
 
 
 def _block_cases():
-    """(id, generator, interval, whether its record takes the expm
-    branch): the eigen branch at n = 1, 2, 4, 8 and 16, and a rotation,
-    whose flow stack is the real view of a complex one (n = 1 above is
-    hyperbolic, with a real stack), the expm branch (a shear, and a
-    Jordan block beside a rotation) and a non-default interval."""
+    """(id, generator, whether its record takes the expm branch): the
+    eigen branch at n = 1, 2, 4, 8 and 16, and a rotation, whose flow
+    stack is the real view of a complex one (n = 1 above is hyperbolic,
+    with a real stack), the expm branch (a shear, and a Jordan block
+    beside a rotation) and a fast generator whose scan takes 21 cells."""
     for n in (1, 2, 4, 8, 16):
-        yield ("eigen n=%d" % n, 2.0 * random_hamiltonian(n, 3100 + n, "mixed"), (0.0, 1.0),
-               False)
-    yield "rotation n=1", 5.0 * standard_J(1), (0.0, 1.0), False
-    yield "shear", np.array([[0.0, 1.0], [0.0, 0.0]]), (0.0, 1.0), True
+        yield "eigen n=%d" % n, 2.0 * random_hamiltonian(n, 3100 + n, "mixed"), False
+    yield "rotation n=1", 5.0 * standard_J(1), False
+    yield "shear", np.array([[0.0, 1.0], [0.0, 0.0]]), True
     jordan = np.zeros((4, 4))
     jordan[0, 1], jordan[3, 2] = 1.0, -1.0
-    yield "jordan", standard_direct_sum([jordan, 3.0 * standard_J(1)]), (0.0, 1.0), True
-    yield ("interval", 3.0 * random_hamiltonian(2, 3107, "semisimple-elliptic"), (-0.5, 1.75),
-           False)
+    yield "jordan", standard_direct_sum([jordan, 3.0 * standard_J(1)]), True
+    yield "21 cells", 6.75 * random_hamiltonian(2, 3107, "semisimple-elliptic"), False
 
 
-def _flow_scan_parts(h, route, interval=(0.0, 1.0), ts=None, tol=DEFAULT_TOL):
-    """The run of the ``_flow_scans`` of one route of h on ``interval``,
-    at the times ``ts`` where given, else at its own: ``ts`` its times,
+def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL):
+    """The run of the ``_flow_scans`` of one route of h on [0, 1], at
+    the times ``ts`` where given, else at its own: ``ts`` its times,
     ``records`` the records whose stack it reads, one per batch,
     ``samples`` the (arg det Z, log |det Z|, sum log s) of its samples,
     ``scans`` the (lift, end phases) it passes ``_phase_index``, and
@@ -1555,15 +1561,15 @@ def _flow_scan_parts(h, route, interval=(0.0, 1.0), ts=None, tol=DEFAULT_TOL):
                          ("_phase_index", index)):
             patch.setattr(maslov, name, fn)
         patch.setattr(maslov._FlowRecord, "stack", stacking)
-        run.indices, run.flow = maslov._flow_scans(record, (route,), interval, tol)
+        run.indices, run.flow = maslov._flow_scans(record, (route,), tol)
     run.samples = (run.lifts[0],) + tuple(np.concatenate(x) for x in zip(*run.flat))
     return run
 
 
 @pytest.mark.parametrize("route", ["orbit", "graph"])
-@pytest.mark.parametrize("h,interval,expm_branch", [case[1:] for case in _block_cases()],
+@pytest.mark.parametrize("h,expm_branch", [case[1:] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
-def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route, monkeypatch):
+def test_block_samples_equal_the_chart_samples(h, expm_branch, route, monkeypatch):
     """The block samples of ``_flow_scans``, read from the stack of the
     record of h, give the arg det Z of the generic chart of the route's
     path and reference up to one constant per scan, and its log |det Z|
@@ -1572,10 +1578,10 @@ def test_block_samples_equal_the_chart_samples(h, interval, expm_branch, route, 
     take the volumes on one branch."""
     tol = DEFAULT_TOL
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
-    path, ref = _own_scan(h, route, interval)
+    path, ref = _own_scan(h, route)
     assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
-    ts = np.linspace(*interval, 41)
-    run = _flow_scan_parts(h, route, interval, ts)
+    ts = np.linspace(0.0, 1.0, 41)
+    run = _flow_scan_parts(h, route, ts)
     assert run.records and all(r is maslov._flow_record(h, None, tol) for r in run.records)
     _, z, sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)
     logdet = np.linalg.slogdet(z)[1]
@@ -1611,9 +1617,9 @@ def _two_scans(h):
 
 
 @pytest.mark.parametrize("route", ["orbit", "graph"])
-@pytest.mark.parametrize("h,interval", [case[1:3] for case in _block_cases()],
+@pytest.mark.parametrize("h", [case[1] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
-def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
+def test_block_scans_give_the_index_of_the_chart_scan(h, route):
     """An index scan of ``_flow_scans``, which reads the blocks, gives the
     index of the same scan on the generic chart, which ``maslov_index``
     takes; a scan never mixes the two samplers, so its lift differs from
@@ -1621,16 +1627,15 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
     ones bit for bit, except a certified t = 0 end, whose zeros
     ``_snapped`` reads as it reads the computed phases."""
     tol = DEFAULT_TOL
-    path, ref = _own_scan(h, route, interval)
-    run = _flow_scan_parts(h, route, interval)
+    path, ref = _own_scan(h, route)
+    run = _flow_scan_parts(h, route)
     ts, ((lifted, ends),) = run.ts, run.scans
     assert run.records and all(r is maslov._flow_record(h, None, tol) for r in run.records)
     args, generic_ends, _ = maslov._phase_samples(path, maslov._chart(path.space, ref, tol), ts,
                                                   tol, False)
     offset = lifted - maslov._lift(args)
     assert np.abs(offset - offset[0]).max() <= 1e-10
-    computed = int(ts[0] == 0.0)  # the rows both scans compute
-    assert _bits(ends[computed:]) == _bits(generic_ends[computed:])
+    assert _bits(ends[1:]) == _bits(generic_ends[1:])  # the row both scans compute
     for got, want in zip(maslov._snapped(ends, tol), maslov._snapped(generic_ends, tol)):
         assert _bits(got) == _bits(want)
     assert run.indices == [maslov._phase_index(lifted, ends, tol)]
@@ -1640,11 +1645,11 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, interval, route):
 
 
 def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
-    """A graph path scanned against any other reference, an orbit path
-    from a given start and ``maslov_index_symplectic`` with a given start
-    or reference read no block: with the block scans (``_flow_scans``)
-    patched away they give the index of the same scan of the path with a plain frame
-    function, or the public route's index."""
+    """A graph path scanned against any other reference and an orbit path
+    from a given start or against another reference read no block: with
+    the block scans (``_flow_scans``) patched away they give the index of
+    the same scan of the path with a plain frame function, or the public
+    route's index."""
     h = random_hamiltonian(2, 3111, "mixed")
     n, tol = 2, DEFAULT_TOL
     orbit_index, graph_index = maslov_index_symplectic(h), conley_zehnder(h)
@@ -1656,11 +1661,12 @@ def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
     assert maslov_index(graph, loose) == maslov_index(_looped(graph), loose) == graph_index
     vertical = vertical_lagrangian(n, tol)
     assert maslov_index(orbit_path(h, start=vertical), vertical) == orbit_index
-    assert maslov_index_symplectic(h, start=vertical) == orbit_index
-    assert maslov_index_symplectic(h, ref=vertical_lagrangian(n)) == orbit_index
+    assert maslov_index(orbit_path(h, vertical, (0.0, 1.0), tol), vertical, 256, tol) == \
+        orbit_index
+    assert maslov_index(orbit_path(h), vertical_lagrangian(n)) == orbit_index
     orbit, horizontal = _own_scan(h, "orbit")[0], horizontal_lagrangian(n, tol)
     assert maslov_index(orbit, horizontal) == maslov_index(_looped(orbit), horizontal) == \
-        maslov_index_symplectic(h, ref=horizontal)
+        maslov_index(orbit_path(h, None, (0.0, 1.0), tol), horizontal, 256, tol)
 
 
 @pytest.mark.parametrize("n", [3, 16])
@@ -1672,7 +1678,7 @@ def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
     h = random_hamiltonian(n, 3120 + n, "mixed")
     orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
     wants = (maslov_index_symplectic(h), conley_zehnder(h),
-             maslov_index_symplectic(h, ref=horizontal_lagrangian(n)))
+             maslov_index(orbit_path(h), horizontal_lagrangian(n)))
     monkeypatch.setattr(maslov, "_flow_scans", None)
     for make, path, want in ((vertical_lagrangian, orbit, wants[0]),
                              (diagonal_lagrangian, graph, wants[1]),

@@ -251,6 +251,18 @@ def test_halfint_rendering():
     assert HalfInt.parse("7") == HalfInt.from_int(7)
 
 
+def test_halfint_from_int_takes_only_integers():
+    """An index value is never rounded through a float: a float, numpy
+    float, bool, string or None raises TypeError (2.7 read as 2 and a
+    numpy 0.5 as 0); Python and numpy integers pass."""
+    for bad in (2.7, 2.0, np.float64(0.5), True, np.bool_(True), "2", None):
+        with pytest.raises(TypeError):
+            HalfInt.from_int(bad)
+    for k in (3, -4, np.int64(3), np.int32(-4), np.uint8(3)):
+        assert HalfInt.from_int(k) == HalfInt(2 * int(k))
+        assert type(HalfInt.from_int(k).twice) is int
+
+
 def test_halfint_arithmetic():
     a = HalfInt(3)   # 3/2
     b = HalfInt(-1)  # -1/2
