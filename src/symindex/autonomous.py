@@ -20,6 +20,7 @@ intersection.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,7 +130,7 @@ def _correction_formula(a, b, c, d):
     return c + (d - eye) @ np.linalg.solve(b, eye - a)
 
 
-def _correction_matrix(psi1, tol: Tolerances):
+def _correction_matrix(psi1, tol: Tolerances, defect: float = math.inf):
     """The correction matrix X of a symplectic time-one map, returned as
     (X + X^T) / 2, so symmetric entry for entry.
 
@@ -139,20 +140,32 @@ def _correction_matrix(psi1, tol: Tolerances):
     B is numerically singular and SymmetryDefect when the computed
     matrix fails to be symmetric, which signals an input too far from
     the symplectic group.
+
+    ``defect`` bounds |psi1^T J psi1 - J|_2, as a flow record's D bounds
+    its psi(1) (``maslov._FlowRecord.defect``); inf, the default, for a
+    map of unknown origin such as ``triple_routes_from``'s.  Where
+    sqrt(2n) D <= eps_sym the check is skipped, as it would pass: the
+    Frobenius norm of a 2n x 2n matrix is at most sqrt(2n) times its
+    spectral norm, so the exact defect is within eps_sym; the rounding of
+    the check's product, at most 2 (d + 2) d u |psi1|^2 with d = 2n and
+    |psi1| <= g, is below D / 16 by the terms of D that cover the
+    products of the flow; and the check allows eps_sym (1 + |psi1|_2)^2,
+    more than twice eps_sym for a map this close to symplectic.
     """
     tol = as_tolerances(tol)
     psi1 = as_even_square(psi1, "time-one map")
     n = len(psi1) // 2
-    if not _symplectic_for(psi1, SymplecticSpace.standard(n).form, tol):
+    if not (math.sqrt(2 * n) * defect <= tol.eps_sym
+            or _symplectic_for(psi1, SymplecticSpace.standard(n).form, tol)):
         raise NotSymplectic("time-one map does not preserve the form")
     a, b, c, d = psi1[:n, :n], psi1[:n, n:], psi1[n:, :n], psi1[n:, n:]
     if not _corner_invertible(singular_values(b), tol):
         raise TransversalityViolated("upper-right block of the time-one map "
                                      "is singular")
     x = _correction_formula(a, b, c, d)
-    defect = np.linalg.norm(x - x.T)
-    if defect > tol.eps_sym * (1.0 + spectral_norm(x)):
-        raise SymmetryDefect("correction matrix defect %.3e" % defect)
+    asymmetry = np.linalg.norm(x - x.T)
+    if asymmetry > tol.eps_sym * (1.0 + spectral_norm(x)):
+        raise SymmetryDefect("correction matrix defect %.3e" % asymmetry)
     return 0.5 * (x + x.T)
 
 
@@ -165,8 +178,10 @@ def _time_one(system, tol: Tolerances):
 
 def correction_matrix(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL):
     """Correction matrix of the system's time-one map, read from the flow
-    record of its generator (``validate``'s psi(1), not ``system.psi``)."""
-    return _correction_matrix(_time_one(system, tol), tol)
+    record of its generator (``validate``'s psi(1), not ``system.psi``),
+    whose bound D on its symplectic defect it passes on."""
+    record = _flow_record(_as_system(system).h, None, tol)
+    return _correction_matrix(record.stack(np.ones(1))[0], tol, record.defect)
 
 
 def correction_sign(system: HamiltonianSystem, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -267,8 +282,8 @@ def calibrate_sign(*, tol: Tolerances = DEFAULT_TOL) -> int:
     """
     sigmas = []
     for alpha in _CALIBRATION_SPEEDS:
-        orbit, graph, psi1 = _flow_indices(alpha * standard_J(1), tol)
-        sx = sym_signature(_correction_matrix(psi1, tol), tol).signature
+        orbit, graph, psi1, defect = _flow_indices(alpha * standard_J(1), tol)
+        sx = sym_signature(_correction_matrix(psi1, tol, defect), tol).signature
         gap = orbit - graph
         if abs(gap.twice) != 1 or sx not in (-1, 1):
             raise CalibrationFailure(
@@ -346,14 +361,16 @@ def validate(system: HamiltonianSystem, sigma: Optional[int] = None,
     before any scan, and does not change the certified scans.  Both
     scans read one record of the generator (``maslov._flow_indices``),
     so it is checked, diagonalized and decomposed once, and the formula
-    reads psi(1) from their flow sample at t = 1: no second ``expm``.
+    reads psi(1) from their flow sample at t = 1: no second ``expm``, and
+    no symplectic check where the record's bound on its defect certifies
+    it (``_correction_matrix``).
     """
     _as_system(system)
     _grid_cells(grid)
     sigma = _coupling_sign(sigma, tol)
-    orbit, graph, psi1 = _flow_indices(system.h, tol)
+    orbit, graph, psi1, defect = _flow_indices(system.h, tol)
     try:
-        x = _correction_matrix(psi1, tol)
+        x = _correction_matrix(psi1, tol, defect)
     except TransversalityViolated:
         return IndexReport(orbit, graph, sigma, None, None, None, None, True)
     check = _triple_routes(psi1, x, tol)

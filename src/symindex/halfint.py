@@ -18,7 +18,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, int):
+        if isinstance(self.twice, bool) or not isinstance(self.twice, int):
             raise TypeError("twice must be a Python int, got %r" % (self.twice,))
 
     @classmethod
@@ -51,9 +51,11 @@ class HalfInt:
         return HalfInt(-self.twice)
 
     def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            raise TypeError("HalfInt can only be scaled by an int")
-        return HalfInt(self.twice * k)
+        """Scaled by an Integral (numpy integers too) but not a bool, as
+        ``from_int`` takes them, else TypeError."""
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise TypeError("HalfInt can only be scaled by an integer, got %r" % (k,))
+        return HalfInt(self.twice * int(k))
 
     __rmul__ = __mul__
 

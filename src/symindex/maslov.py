@@ -153,21 +153,26 @@ class _Stacked:
 @dataclass(frozen=True, eq=False)
 class _FlowRecord:
     """The flow of a generator h checked once, shared read-only: ``h``,
-    ``vals`` and the arrays of ``eigen`` refuse writes.  ``norm`` is the
-    spectral norm of h that the generator check measured, ``vals`` the
-    eigenvalues of its one ``eig`` (None where ``eig`` fails).
-    ``stack(ts)`` is the stack of exp(t h) at the times ts, each matrix
-    equal bit for bit to the flow at its time alone.  When kappa = cond V
-    of the eigenvectors V of h is below 1e7 and the flow at 0 is I within
-    1e-10, ``eigen`` is (V, V^-1) and exp(t h) = Re (V * exp(t vals)) @
-    V^-1; else (a defective or ill-conditioned h, kappa inf when ``eig``
-    fails) ``eigen`` is None and the stack is ``numerics.expm`` of t h.
-    ``origin_defect`` is delta0 = |F0 - I|_F for the flow F0 at 0 as
-    ``stack`` forms it: Re V V^-1 on the eigen branch, whose exp(0 vals)
-    are all 1, and 0 on the ``expm`` branch, where expm(0) is I exactly.
-    The frame functions of the flow paths (``orbit_path``,
-    ``graph_path``) and the scans of the flow routes (``_flow_scans``)
-    read the flow through ``stack``; none keeps a copy of it.
+    ``vals`` and the arrays of ``eigen``, ``exponent`` and ``factors``
+    refuse writes.  ``norm`` is the spectral norm of h that the
+    generator check measured, ``vals`` the eigenvalues of its one ``eig``
+    (None where ``eig`` fails).  ``stack(ts)`` is the stack of exp(t h)
+    at the times ts, each matrix equal bit for bit to the flow at its
+    time alone.  When kappa = cond V of the eigenvectors V of h is below
+    1e7 and the flow at 0 is I within 1e-10, ``eigen`` is (V, V^-1) and
+    exp(t h) = Re (V * exp(t exponent)) @ V^-1, where ``exponent`` is
+    ``vals`` with the eigenvalues that ``_record_of`` snaps onto i pi k
+    set to i pi k exactly (``vals`` itself where none is) and ``snaps``
+    holds (index, k, distance, bound) of each snap; else (a defective or
+    ill-conditioned h, kappa inf when ``eig`` fails) ``eigen`` and
+    ``exponent`` are None, ``snaps`` is empty and the stack is
+    ``numerics.expm`` of t h.  ``origin_defect`` is delta0 = |F0 - I|_F
+    for the flow F0 at 0 as ``stack`` forms it: Re V V^-1 on the eigen
+    branch, whose exp(0 exponent) are all 1, and 0 on the ``expm``
+    branch, where expm(0) is I exactly.  The frame functions of the flow
+    paths (``orbit_path``, ``graph_path``) and the scans of the flow
+    routes (``_flow_scans``) read the flow through ``stack``; none keeps
+    a copy of it.
 
     ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
     the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
@@ -175,7 +180,18 @@ class _FlowRecord:
     within kappa exp(t max Re lambda) and exp(t min Re lambda) / kappa,
     and those of the graph frame [I; Phi] in [1, 1 + |Phi|], so its
     cond F(t) <= 1 + kappa exp(|t| max |Re lambda|) <= 2 kappa exp(|t|
-    max |Re lambda|).
+    max |Re lambda|), lambda over ``exponent``.
+
+    ``defect`` is D, a bound on the symplectic defect |Phi(t)^T J Phi(t)
+    - J|_2 over t in [0, 1] of the flow Phi(t) as ``stack`` forms it,
+    derived in ``_record_of``; inf on the ``expm`` branch, for a space
+    other than the standard one and where the rank rule of ``_volumes``
+    fails for a growth bound at t = 1.  With g = kappa exp(max |Re lambda|),
+    which bounds |Phi(t)| and |Phi(t)^-1| on [0, 1], the record is
+    certified where 16 n D g^2 <= 1; then ``factors`` is (L, R), the
+    eigen factors of Z(t) = L (exp(t exponent) o R) of the flow routes
+    "orbit" and "graph" stacked in that order (``_flow_scans``), else it
+    is None.
 
     ``bound`` is the rate bound B of both paths: with S = sym(-Omega h),
     the Hamiltonian form of h on the space of form Omega, B = max(sum of
@@ -202,12 +218,16 @@ class _FlowRecord:
     eigen: Optional[Tuple[np.ndarray, np.ndarray]]
     orbit_growth: Optional[Tuple[float, float]]
     graph_growth: Optional[Tuple[float, float]]
+    exponent: Optional[np.ndarray] = None
+    snaps: Tuple[Tuple[int, int, float, float], ...] = ()
+    defect: float = math.inf
+    factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def stack(self, ts):
         if self.eigen is None:
             return expm(ts[:, None, None] * self.h)
         vecs, vinv = self.eigen
-        return ((vecs * np.exp(ts[:, None] * self.vals)[:, None, :]) @ vinv).real
+        return ((vecs * np.exp(ts[:, None] * self.exponent)[:, None, :]) @ vinv).real
 
 
 def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowRecord:
@@ -235,18 +255,86 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     return _record_of(h.tobytes(), h.shape[0], space, tol)
 
 
+#: unit roundoff of the record's error bounds, 2^-52 (twice that of one
+#: rounding)
+_U = 2.0 ** -52
+#: the c of the snap rule of ``_record_of``: an exponent within c cond_i u
+#: |h| of i pi k becomes i pi k
+_SNAP = 48.0
+
+
 @functools.lru_cache(maxsize=3)
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
     """``_flow_record`` of the d x d float64 matrix h of C-order bytes
     ``data`` (read-only over them) within a checked ``tol``: the size
-    check, then the Hamiltonian check, whose spectral norm the record
-    keeps, then the flow."""
+    check, then the Hamiltonian check, whose spectral norm |h| the record
+    keeps and whose defect delta_h = |h^T J + J h|_F its certificate
+    reads, then the flow.
+
+    The snap (eigen branch, ``_snap``).  An eigenvalue lambda_i of ``eig``
+    is off by about cond_i u |h|, with cond_i = |V e_i| |e_i^T V^-1|
+    (Wilkinson) and u = 2^-52.  Where lambda_i lies within c cond_i u |h|
+    of i pi k, k = round(Im lambda_i / pi), and so does its Hamiltonian
+    partner -conj(lambda_i), its exponent is i pi k exactly, so the flow
+    at 1 of a loop or of a k pi turn is exp(i pi k) = +-1 on that
+    eigenvector.  ``eig`` of a real matrix returns conjugates exactly, so
+    lambda, -conj(lambda), conj(lambda) and -lambda snap together.
+    c = 48 is the geometric mean of the margins |lambda - i pi k| /
+    (cond_i u |h|) measured on the two sides: every one of the 2600 draws
+    of the censuses of tests/test_census.py, whose ends are degenerate,
+    has an eigenvalue within 3.2, and the inputs of tools/parity_sweep.py
+    whose ends are not degenerate keep at least 717 (``near 2pi +-1e-12``),
+    so each side keeps a factor of 15.  Only |k| < 2^23 snaps, the
+    lattice on which the closed forms place a speed (``_turns``): beyond
+    it the doubles cannot tell i pi k from its neighbours, and from |h| of
+    about pi / (2 c u) = 1.5e14 every exponent would lie within its bound
+    of some i pi k.  ``vals`` stays the output of ``eig``.
+
+    The certificate D (``_certificate``), for the standard form J where
+    the rank rule holds for both growth bounds at t = 1.  Write
+    V, W for the computed V^-1, Lambda' for the exponent, kappa = cond V,
+    g = kappa exp(max |Re lambda'|), e = 4 (d + 2) d u, and h' = V Lambda'
+    V^-1 with the exact inverse.  The columns of V and the exponents come
+    in exact conjugate pairs, so h' is real; the columns are unit vectors,
+    so |V^-1| <= kappa, and Psi(t) = exp(t h') = V exp(t Lambda') V^-1 and
+    its inverse have norms at most g on [0, 1].
+
+    - Generator: h' - h = (V Lambda - h V) V^-1 + V (Lambda' - Lambda)
+      V^-1, so rho = |h' - h|_2 <= kappa (|h V - V Lambda|_F + max |lambda'
+      - lambda| + 3 e |h|), from one product per record, 3 e |h| covering
+      its rounding: ``eig`` is backward stable, so every computed
+      eigenvalue is at most 2 |h| in modulus.  The snap adds its kappa max
+      |lambda' - lambda|.
+    - Flow: d/dt Psi^T J Psi = Psi^T (h'^T J + J h') Psi, and h'^T J + J
+      h' = (h^T J + J h) + (h' - h)^T J + J (h' - h), so |Psi(t)^T J
+      Psi(t) - J|_2 <= t g^2 (delta_h + 2 rho).
+    - Rounding of ``stack``: Phi = Re fl(fl(V o E^) W) with E^ the
+      computed exp(t lambda').  Phi - Psi is the real part of V E (W -
+      V^-1) + V (E^ - E) W plus the rounding of the products, where V E
+      (W - V^-1) = Psi (V W - I), |E^ - E| <= (|t lambda'| + 4) u |E|,
+      |V|_F = sqrt d, |W|_F <= sqrt d kappa, and a complex product of
+      length d errs by at most 2 (d + 2) u times the product of the
+      absolute values.  So epsilon = g (|fl(V W) - I|_F + e (1 + kappa +
+      2 |h|)) bounds |Phi(t) - Psi(t)|_2 on [0, 1]: the defect of
+      the computed inverse (e kappa covering the rounding of fl(V W)),
+      the imaginary part that ``Re`` drops (|Re Y| <= |Y|) and the
+      products.
+
+    With Delta = Phi - Psi, Phi^T J Phi - J = (Psi^T J Psi - J) + Delta^T
+    J Psi + Psi^T J Delta + Delta^T J Delta, so
+
+        D = 2 [g^2 (delta_h + 2 rho) + 2 g epsilon + epsilon^2]
+
+    bounds the defect on [0, 1]; the factor 2 covers the rounding of the
+    bound's own arithmetic and of the computed kappa, norms and
+    exponentials.  The record is certified where 16 n D g^2 <= 1;
+    ``_flow_scans`` shows what that certifies."""
     h = np.frombuffer(data).reshape(d, d)
     form = (SymplecticSpace.standard(d // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
-    hamiltonian, norm = _hamiltonian_for(h, form, tol)
+    hamiltonian, norm, hamiltonian_defect = _hamiltonian_for(h, form, tol)
     if not hamiltonian:
         raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
     n = d // 2
@@ -260,17 +348,73 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
         kappa = float(np.linalg.cond(vecs))
         if kappa < 1e7:
             vinv = np.linalg.inv(vecs)
-            # the flow at 0 as ``stack`` forms it, whose exp(0 vals) are all 1
-            defect = float(np.linalg.norm((vecs @ vinv).real - np.eye(d)))
+            product = vecs @ vinv
+            # the flow at 0 as ``stack`` forms it, whose exp(0 exponent) are all 1
+            defect = float(np.linalg.norm(product.real - np.eye(d)))
             if defect <= 1e-10:
                 vecs.flags.writeable = vinv.flags.writeable = False
-                re = vals.real
+                exponent, snaps = _snap(vals, vinv, norm)
+                re = exponent.real
+                growths = ((2.0 * math.log(kappa), float(re.max() - re.min())),
+                           (math.log(2.0 * kappa), float(np.abs(re).max())))
+                certificate = math.inf, None
+                if space is None and all(_within_growth(c, 1.0, tol) for c in growths):
+                    certificate = _certificate(h, norm, hamiltonian_defect, vecs, vinv, vals,
+                                               product, defect, snaps, kappa, growths[1][1])
                 return _FlowRecord(h, norm, bound, kappa, defect, vals, (vecs, vinv),
-                                   (2.0 * math.log(kappa), float(re.max() - re.min())),
-                                   (math.log(2.0 * kappa), float(np.abs(re).max())))
+                                   *growths, exponent, snaps, *certificate)
     except np.linalg.LinAlgError:
         pass
     return _FlowRecord(h, norm, bound, kappa, 0.0, vals, None, None, None)
+
+
+def _snap(vals, vinv, norm):
+    """(exponent, snaps) of the snap rule of ``_record_of``: ``vals`` with
+    each eigenvalue lambda_i within ``_SNAP`` cond_i u |h| of i pi k, k =
+    round(Im lambda_i / pi) below 2^23 in modulus, whose partner
+    -conj(lambda_i) is too, set to i pi k, and (i, k, distance, bound) of
+    each; ``vals`` itself and () where none is near.  ``eig`` returns
+    unit eigenvectors, so cond_i is the norm of row i of V^-1; the
+    partner of lambda_i is the eigenvalue nearest -conj(lambda_i)."""
+    k = np.rint(vals.imag / math.pi)
+    distance = np.abs(vals - 1j * math.pi * k)
+    bound = np.linalg.norm(vinv, axis=1) * (_SNAP * _U * norm)
+    near = (distance <= bound) & (np.abs(k) < 2.0 ** 23)  # on the lattice of ``_turns``
+    if not near.any():
+        return vals, ()
+    near &= near[np.abs(vals[:, None] + vals.conj()).argmin(axis=0)]  # and its partner
+    # i pi k; a real spectrum snaps onto 0 only
+    exponent = np.where(near, 1j * math.pi * k if np.iscomplexobj(vals) else 0.0, vals)
+    exponent.flags.writeable = False
+    return exponent, tuple((int(i), int(k[i]), float(distance[i]), float(bound[i]))
+                           for i in np.flatnonzero(near))
+
+
+def _certificate(h, norm, hamiltonian_defect, vecs, vinv, vals, product, origin_defect, snaps,
+                 kappa, growth):
+    """(D, factors) of ``_record_of``: the bound D on the symplectic
+    defect of the stacked flow on [0, 1], from the checked h of spectral
+    norm ``norm`` and Hamiltonian defect ``hamiltonian_defect``, its unit
+    eigenvectors, their computed inverse and their computed product, whose
+    real part is ``origin_defect`` from I, its eigenvalues and ``snaps``,
+    kappa and max |Re lambda'| = ``growth``; and, where the record is
+    certified, the (L, R) of ``_flow_scans``' factored source, the
+    orbit's then the graph's stacked and read-only, else None."""
+    d, n = len(h), len(h) // 2
+    g, rounding = kappa * math.exp(growth), 4.0 * (d + 2) * d * _U
+    rho = kappa * (float(np.linalg.norm(h @ vecs - vecs * vals))
+                   + max((snap[2] for snap in snaps), default=0.0) + rounding * 3.0 * norm)
+    # |fl(V W) - I|_F from the defects of its real and imaginary parts
+    epsilon = g * (math.hypot(origin_defect, float(np.linalg.norm(product.imag)))
+                   + rounding * (1.0 + kappa + 2.0 * norm))
+    defect = 2.0 * (g * g * (hamiltonian_defect + 2.0 * rho) + (2.0 * g + epsilon) * epsilon)
+    if 16.0 * n * defect * g * g > 1.0:
+        return defect, None
+    # Z(t) is D - iB for the orbit and (A + D) + i (C - B) for the graph
+    factors = (np.array((vecs[n:] - 1j * vecs[:n], vecs[:n] + 1j * vecs[n:])),
+               np.array((vinv[:, n:], vinv[:, :n] - 1j * vinv[:, n:])))
+    factors[0].flags.writeable = factors[1].flags.writeable = False
+    return defect, factors
 
 
 def orbit_path(h, start: Optional[LagrangianFrame] = None,
@@ -325,14 +469,6 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     return LagrangianPath(SymplecticSpace.graph_product(d // 2),
                           _Stacked(frs, d, record.graph_growth), _Stacked(dfrs, d), interval,
                           record.bound)
-
-
-def _graph_gram(flows, eye):
-    """The Gram matrices I + Phi^T Phi of the graph frames [I; Phi] of a
-    stack of flows Phi, the identity added in place."""
-    g = _tr(flows) @ flows
-    g += eye
-    return g
 
 
 def _graph_frames(flows, top):
@@ -494,8 +630,7 @@ def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
     where a Cholesky factor fails, one stacked SVD of the frames gives
     the sums and applies the rank rule.
     """
-    log_bound = math.inf if growth is None else growth[0] + growth[1] * float(np.abs(ts).max())
-    if 2.0 * log_bound <= math.log(1e-3 / tol.eps_rank):
+    if _within_growth(growth, float(np.abs(ts).max()), tol):
         try:
             r = np.linalg.cholesky(_tr(frames()) @ frames() if gram is None else gram())
         except np.linalg.LinAlgError:
@@ -507,6 +642,14 @@ def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
     if not full.all():
         raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
     return np.log(s).sum(axis=1)
+
+
+def _within_growth(growth, t: float, tol: Tolerances) -> bool:
+    """Whether the ``growth`` (c, r) of ``_Stacked``, None for no bound,
+    keeps every frame up to |t| within the rank rule's margin: its cond
+    bound B = exp(c + r |t|) has B^2 <= 1e-3 / eps_rank."""
+    return growth is not None and 2.0 * (growth[0] + growth[1] * t) <= math.log(
+        1e-3 / tol.eps_rank)
 
 
 def _frames(path: LagrangianPath, ts, tol: Tolerances):
@@ -958,14 +1101,31 @@ def conley_zehnder(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
-def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray]:
-    """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``, psi(1)) on
-    [0, 1] from one ``_flow_record`` of h, the two scans of ``validate``
-    and of each calibration probe, in one ``_flow_scans``.  psi(1) is the
-    scans' own flow sample at t = 1, ``record.stack`` at 1.0 bit for bit
-    (on the ``expm`` branch also ``expm(h)`` alone)."""
-    (orbit, graph), psi1 = _flow_scans(_flow_record(h, None, tol), ("orbit", "graph"), tol)
-    return orbit, graph, psi1
+def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray, float]:
+    """(``maslov_index_symplectic(h)``, ``conley_zehnder(h)``, psi(1), D)
+    on [0, 1] from one ``_flow_record`` of h, the two scans of
+    ``validate`` and of each calibration probe, in one ``_flow_scans``.
+    psi(1) is the scans' own flow sample at t = 1, ``record.stack`` at
+    1.0 bit for bit (on the ``expm`` branch also ``expm(h)`` alone), and D
+    the record's bound on its symplectic defect (``_FlowRecord.defect``)."""
+    indices, psi1 = _flow_scans(record := _flow_record(h, None, tol), ("orbit", "graph"), tol)
+    return (*indices, psi1, record.defect)
+
+
+def _block_z(flows, route: str, out):
+    """Writes the Z of a flow route into ``out`` from a stack of flows Phi
+    = [[A, B], [C, D]]: D - iB for "orbit", (A + D) + i (C - B) for
+    "graph" (``_flow_scans``); returns the orbit's frames -[B; D], else
+    None."""
+    n = out.shape[-1]
+    if route == "orbit":
+        # -B by assignment: numpy 2.4.6's np.negative(x, out=z.imag) wrote
+        # wrong values for a (T, 1, 1) slice x of a real view of a complex stack
+        frames = -flows[:, :, n:]
+        out.real, out.imag = flows[:, n:, n:], frames[:, :n]
+        return frames
+    np.add(flows[:, :n, :n], flows[:, n:, n:], out=out.real)
+    np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=out.imag)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
@@ -973,50 +1133,99 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
     """([index of each route], the flow at t = 1): the index scans on [0,
     1] of the flow routes of ``record``, each "orbit" (the orbit of the
     vertical against the vertical) or "graph" (the graph path against
-    the diagonal), read from the blocks of Phi =
-    exp(t h) = [[A, B], [C, D]] without a path, a frame or a chart
-    product.  The routes share the record's rate bound, so their grid
-    (``_scan_times``); they are sampled in the batches of the generic
-    scan of the largest path, the graph's where it is scanned, with one
-    ``record.stack`` and one ``slogdet`` per batch for all of them.
+    the diagonal), read from the blocks of Phi = exp(t h) = [[A, B], [C,
+    D]] without a path, a frame or a chart product.  The routes share the
+    record's rate bound, so their grid (``_scan_times``); they are sampled
+    in the batches of the generic scan of the largest path, the graph's
+    where it is scanned, with one ``slogdet`` per batch for all of them.
 
-    The vertical's frame [0; -I] gives Z = D - iB and the frames
-    Phi [0; -I] = -[B; D], the generic chart's bit for bit, and the
-    frames have the singular values of [B; D] for any orthonormal frame
-    of the vertical.  For the graph frame [I; Phi] against an
-    orthonormal frame of the diagonal, Z is, up to unitary factors, 2
-    [[M, *], [0, I]] in the eigenbasis of J, with M = 1/2 [(A + D) + i
-    (C - B)] the complex-linear part of Phi; so arg det Z = arg det(2 M)
-    up to one constant of the frame, log |det Z| = n log 2 + log |det M|,
-    and the Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's
-    winding of det M).  Each route takes sum log s from its own Gram
-    matrix by ``_volumes``: one Cholesky factor where the record's growth
-    bound holds, else the SVD rank rule on its frames; then the error of
-    a non-finite flow, then the Lagrangian check of ``_check_flat``, as
-    the generic scan raises them.  The orbit's end Z is its block Z; the
-    graph forms its chart's Z at its end flows.  Errors come in the order
-    of the scans run one after the other: a scan that fails takes no
-    further batch, and when the first scan fails, sampling stops and its
-    error is raised.
+    The vertical's frame [0; -I] gives Z = D - iB and the frames Phi [0;
+    -I] = -[B; D], the generic chart's bit for bit, and the frames have
+    the singular values of [B; D] for any orthonormal frame of the
+    vertical.  For the graph frame [I; Phi] against an orthonormal frame
+    of the diagonal, Z is, up to unitary factors, 2 [[M, *], [0, I]] in
+    the eigenbasis of J, with M = 1/2 [(A + D) + i (C - B)] the
+    complex-linear part of Phi; so arg det Z = arg det(2 M) up to one
+    constant of the frame, log |det Z| = n log 2 + log |det M|, and the
+    Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's winding
+    of det M).  One ``record.stack`` at t = 0 and 1 gives psi(1) and the
+    end samples of every scan, the matrices of the batches bit for bit:
+    their block Z (``_block_z``) are the samples at the ends, the orbit's
+    end rows, and the graph's end flows give its chart's end rows.
 
-    Every scan starts at t = 0 on its reference.  Where 4
-    delta0 <= eps_rank, delta0 the record's ``origin_defect``, its first
-    end takes the phases 0 without ``_eigenphases``, which ``_snapped``
-    reads as the sum 0 and the dimension the size of W, as it reads the
-    computed phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0
-    = D0 - iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0
-    - I = (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 /
-    (1 - delta0).  On the graph, in the chart of the diagonal [I; I] /
-    sqrt 2 (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I
-    + F0) - iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I -
-    iJ) E / 2 and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 /
-    (1 - delta0).  An eigenvalue within r < 1 of 1 has a phase of at
-    most arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4
-    eps_rank, so every computed phase at 0 lies in the band eps_rank
-    where ``_snapped`` zeroes it while eps_rank is well above the
-    rounding of W, and the index is the same bit for bit.  Otherwise the
-    first end's phases are computed.  The t = 0 sample keeps its rank
-    and Lagrangian checks."""
+    Two sources, one per record, in one batch loop.  An uncertified
+    record (the ``expm`` branch, or ``record.factors`` None) takes the
+    block source: one ``record.stack`` per batch for all routes, the block
+    formulas, and each route's sum log s from its own Gram matrix by
+    ``_volumes`` (one Cholesky factor where the record's growth bound
+    holds, else the SVD rank rule on its frames); then the error of a
+    non-finite flow, then the Lagrangian check of ``_check_flat``, as the
+    generic scan raises them.  Errors come in the order of the scans run
+    one after the other: a scan that fails takes no further batch, and
+    when the first scan fails, sampling stops and its error is raised.
+
+    A certified record (``_record_of``) takes the factored source: every
+    sample's Z is L (exp(t exponent) o R) with its route's eigen factors,
+    L = V[n:] - i V[:n] and R = V^-1[:, n:] for the orbit (D - iB of V
+    exp(t Lambda) V^-1) and L = V[:n] + i V[n:] and R = V^-1[:, :n] - i
+    V^-1[:, n:] for the graph ((A + D) + i (C - B)): no flow, no Gram
+    matrix, no Cholesky factor and no ``_check_flat``.  The end samples
+    are the stack's on both sources, so the ends' arg det Z are the
+    block source's bit for bit.  No check of the block source can fire
+    on such a record, and both sources give one index:
+
+    (a) For an orthonormal frame G and the chart C = Q^T (I - i Omega)
+        of an orthonormal Lagrangian frame Q, Omega orthogonal with
+        square -1: Q Q^T + Omega Q Q^T Omega^T = I gives C^* C = I - i
+        Omega, so (C G)^* (C G) = I - i G^T Omega G, whose eigenvalues
+        are 1 +- mu_k for the singular values mu_k of the antisymmetric
+        G^T Omega G, which come in pairs: |det C G| = prod_k (1 -
+        mu_k^2)^(1/4).  For F = G R (QR), |det Z| / prod s(F) = |det C
+        G|.
+    (b) |G^T Omega G| <= |F^T Omega F| / sigma_min(F)^2.  Orbit: F = Phi
+        F0 with F0^T J F0 = 0, so |F^T J F| <= D, and sigma_min(Phi) >=
+        1/g - epsilon with epsilon <= D / 4g (``_record_of``), so mu <=
+        1.04 D g^2 <= 1/(15 n).  Graph: [I; Phi] in (-J) x J gives Phi^T
+        J Phi - J, and sigma_min >= 1, so mu <= D.  By (a) the ratio of
+        ``_check_flat`` is at least (1 - 1/(225 n^2))^(n/4) > 0.99, while
+        it fires only at eps_rank <= 1e-3 (the growth rule needs B^2 <=
+        1e-3 / eps_rank with B >= 1).
+    (c) Rank and finiteness: the growth rule holds at t = 1, so on every
+        batch; ``_volumes`` then takes a Cholesky factor, or the SVD rule
+        whose ratio 1 / cond F >= (eps_rank / 1e-3)^(1/2) passes, and
+        |Phi| <= g + epsilon is finite.
+    (d) Phase: with |exp(s h)| <= g exp(g rho) on [0, 1] (h = h' + (h -
+        h'), Van Loan's bound), variation of constants gives |Psi(t) -
+        exp(t h)| <= g^2 rho exp(g rho) <= D / 4, so each sample of either
+        source is the Z of a flow within D / 2 of exp(t h) (epsilon <=
+        D / 4 covers the factored products too, the products of ``stack``
+        in another order).  The block formulas have norm at most 2 in the
+        flow, and the Lagrangian frames of exp(t h) have |Z^-1| <= 1.02 g
+        by (a) with mu = 0, so each sampled arg det Z is within n arcsin
+        (1.02 g D) < 1/15 rad of that of exp(t h), which a certified cell
+        moves by at most 7 pi/8 (``bound``).  Each sampled step is below
+        7 pi/8 + 2/15 < pi, inside the pi/8 rounding headroom of
+        ``CELL_PHASE``: both lifts are exact, and with the same end
+        arguments they give the same index.
+
+    Every scan starts at t = 0 on its reference.  Where 4 delta0 <=
+    eps_rank, delta0 the record's ``origin_defect``, its first end takes
+    the phases 0 without ``_eigenphases``, which ``_snapped`` reads as the
+    sum 0 and the dimension the size of W, as it reads the computed
+    phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0 = D0 -
+    iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0 - I =
+    (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 / (1 -
+    delta0).  On the graph, in the chart of the diagonal [I; I] / sqrt 2
+    (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I + F0) -
+    iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I - iJ) E / 2
+    and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 / (1 -
+    delta0).  An eigenvalue within r < 1 of 1 has a phase of at most
+    arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4 eps_rank, so
+    every computed phase at 0 lies in the band eps_rank where ``_snapped``
+    zeroes it while eps_rank is well above the rounding of W, and the
+    index is the same bit for bit.  Otherwise the first end's phases are
+    computed.  The t = 0 sample keeps its rank and Lagrangian checks on
+    the block source."""
     d = record.h.shape[0]
     n, eye = d // 2, np.eye(d) if "graph" in routes else None
     ts = _scan_times((0.0, 1.0), record.bound, MIN_GRID, False)
@@ -1025,61 +1234,59 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
     # per sample, the generic scan's 2d x 2d real intersections of the
     # graph, else the d x d complex flow
     step = max(1, _BATCH_BYTES // (16 * d * d * (1 + ("graph" in routes))))
-    scans = [[route, [], [], None] for route in routes]  # route, args, end rows, error
-    # one stack of blocks for every batch, end rows copied out of it: a
-    # stack per batch took _flow_indices up to 1.14 times as long at n =
-    # 16 in full tools/layer_bench.py runs, on the heap the earlier layers left
+    scans = [[route, [], None] for route in routes]  # route, args, error
+    # one stack of blocks for every batch: a stack per batch took
+    # _flow_indices up to 1.14 times as long at n = 16 in full
+    # tools/layer_bench.py runs, on the heap the earlier layers left
     blocks = np.empty((len(routes), min(step, len(ts)), n, n), dtype=complex)
+    at_ends = record.stack(ts[[0, -1]])  # psi(1) and the end samples, the batches' bit for bit
+    ends = np.empty((len(routes), 2, n, n), dtype=complex)
+    for k, scan in enumerate(scans):
+        _block_z(at_ends, scan[0], ends[k])
+    if record.factors is not None:
+        left, right = (factor[[("orbit", "graph").index(route) for route in routes], None]
+                       for factor in record.factors)
     for first in range(0, len(ts), step):
         times = ts[first:first + step]
-        flows, error = _finite(record.stack(times), "path frame")
-        live = [scan for scan in scans if scan[3] is None]
-        z = blocks[:len(live), :len(flows)]
-        volumes = []  # the arguments of each route's ``_volumes`` after ts
-        for k, scan in enumerate(live):
-            if scan[0] == "graph":
-                np.add(flows[:, :n, :n], flows[:, n:, n:], out=z[k].real)
-                np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=z[k].imag)
-                volumes.append((record.graph_growth, lambda: _graph_frames(flows, eye), tol,
-                                lambda: _graph_gram(flows, eye)))
-            else:
-                # -B by assignment: numpy 2.4.6's np.negative(x, out=z.imag) wrote
-                # wrong values for a (T, 1, 1) slice x of a real view of a complex stack
-                frames = -flows[:, :, n:]
-                z[k].real, z[k].imag = flows[:, n:, n:], frames[:, :n]
-                volumes.append((record.orbit_growth, lambda: frames, tol))
+        live = [scan for scan in scans if scan[2] is None]
+        z, volumes = blocks[:len(live), :len(times)], []
+        if record.factors is not None:
+            np.matmul(left, np.exp(times[:, None] * record.exponent)[:, :, None] * right, out=z)
+        else:
+            flows, error = _finite(record.stack(times), "path frame")
+            z = z[:, :len(flows)]
+            for k, scan in enumerate(live):
+                frames = _block_z(flows, scan[0], z[k])
+                volumes.append((record.orbit_growth, lambda f=frames: f, tol) if scan[0] == "orbit"
+                               else (record.graph_growth, lambda: _graph_frames(flows, eye), tol,
+                                     lambda: _tr(flows) @ flows + eye))
+        for i, end in ((0, 0), (len(ts) - 1, 1)):  # the end samples of both sources
+            if 0 <= i - first < z.shape[1]:
+                z[:, i - first] = ends[:len(live), end]
         sign, logdet = np.linalg.slogdet(z)
         for k, scan in enumerate(live):
             try:
-                log_s = _volumes(times, *volumes[k])
-                if error is not None:
-                    raise error
-                _check_flat(times, logdet[k], log_s, tol)
+                if volumes:
+                    log_s = _volumes(times, *volumes[k])
+                    if error is not None:
+                        raise error
+                    _check_flat(times, logdet[k], log_s, tol)
             except SymindexError as exc:
-                scan[3] = exc
+                scan[2] = exc
                 continue
             scan[1].append(np.angle(sign[k]))
-            rows = z[k] if scan[0] == "orbit" else flows
-            if len(rows) == len(ts):  # one batch: a view of both ends
-                scan[2] = rows[::len(ts) - 1]
-            else:
-                scan[2] += [rows[i - first].copy() for i in (0, len(ts) - 1)
-                            if first <= i < first + step]
-        if scans[0][3] is not None:
-            raise scans[0][3]
+        if scans[0][2] is not None:
+            raise scans[0][2]
     indices = []
-    for route, args, ends, error in scans:
+    for (route, args, error), rows in zip(scans, ends):
         if error is not None:
             raise error
-        ends = np.asarray(ends)[zero:]
         if route == "graph":
             diagonal = diagonal_lagrangian(n, tol)
-            ends = _in_chart(_chart(diagonal.space, diagonal, tol), _graph_frames(ends, eye))
-        thetas = np.zeros((2, ends.shape[-1]))  # the size of W
-        thetas[zero:] = _eigenphases(ends, tol)
-        lifted = _lift(args[0] if len(args) == 1 else np.concatenate(args))
-        indices.append(_phase_index(lifted, thetas, tol))
-    return indices, flows[-1]
+            rows = _in_chart(_chart(diagonal.space, diagonal, tol), _graph_frames(at_ends, eye))
+        thetas = np.concatenate((np.zeros((zero, rows.shape[-1])), _eigenphases(rows[zero:], tol)))
+        indices.append(_phase_index(_lift(np.concatenate(args)), thetas, tol))
+    return indices, at_ends[-1]
 
 
 # -- closed forms for rotation blocks ------------------------------------------

@@ -239,10 +239,10 @@ def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def _hamiltonian_for(h, form, tol: Tolerances):
     """(whether h^T form + form h = 0 within tolerance, the spectral norm
-    of h that scales the tolerance)."""
-    defect = np.linalg.norm(h.T @ form + form @ h)
+    of h that scales the tolerance, the defect |h^T form + form h|_F)."""
+    defect = float(np.linalg.norm(h.T @ form + form @ h))
     norm = spectral_norm(h)
-    return bool(defect <= tol.eps_sym * (1.0 + norm)), norm
+    return bool(defect <= tol.eps_sym * (1.0 + norm)), norm, defect
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

@@ -156,6 +156,19 @@ def test_correction_requires_symplectic_input():
         triple_routes_from(np.eye(2) * 2.0)
 
 
+def test_triple_routes_from_checks_the_map_it_is_given():
+    """``triple_routes_from`` takes the caller's map, so it keeps the
+    symplectic check where validate reads a certified psi(1): the
+    record's psi(1) passes it, and the same map scaled by 1 + 1e-6, or
+    diag(2, 1), raises NotSymplectic."""
+    psi1 = autonomous._time_one(make_system(plane_block_generator([("elliptic", 5.0)])),
+                                numerics.DEFAULT_TOL)
+    assert triple_routes_from(psi1).consistent
+    for m in (psi1 * (1.0 + 1e-6), np.diag([2.0, 1.0])):
+        with pytest.raises(NotSymplectic, match="^time-one map does not preserve the form$"):
+            triple_routes_from(m)
+
+
 def test_correction_requires_invertible_corner():
     system = make_system(plane_block_generator([("hyperbolic", 0.8)]))
     with pytest.raises(TransversalityViolated):
@@ -423,9 +436,9 @@ def _spied_time_one_maps(monkeypatch, expm_branch):
     maps = []
     correction = autonomous._correction_matrix
 
-    def spied(psi1, tol):
+    def spied(psi1, tol, *args):
         maps.append(psi1)
-        return correction(psi1, tol)
+        return correction(psi1, tol, *args)
 
     monkeypatch.setattr(autonomous, "_correction_matrix", spied)
     monkeypatch.setattr(HamiltonianSystem, "psi", None)
@@ -702,11 +715,14 @@ def test_validate_checks_and_decomposes_the_generator_once(monkeypatch):
 
 
 def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
-    """At n=8 one validate takes three spectral norms, all in input
-    checks: of the generator, of the time-one map and of the correction
-    matrix's symmetry.  Every signature takes its scale from its own
-    eigenvalues.  The shared constants of n=8 are built beforehand, and
-    the generator's flow record is dropped after them."""
+    """At n=8 one validate takes two spectral norms, both in input
+    checks: of the generator and of the correction matrix's symmetry.
+    The time-one map takes none: the bound D of its flow record certifies
+    it symplectic (sqrt(2n) D <= eps_sym), so ``_symplectic_for`` does not
+    run, while ``triple_routes_from`` of the same map, whose origin it
+    cannot know, takes that third norm.  Every signature takes its scale
+    from its own eigenvalues.  The shared constants of n=8 are built
+    beforehand, and the generator's flow record is dropped after them."""
     system = make_system(2.0 * random_hamiltonian(8, 0, "semisimple-elliptic"))
     assert validate(system, sigma=-1).agree
     maslov._record_of.cache_clear()
@@ -721,24 +737,82 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
                 and getattr(module, "spectral_norm", None) is original):
             monkeypatch.setattr(module, "spectral_norm", counted)
     assert validate(system, sigma=-1).agree
-    assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for", "_symplectic_for"]
+    assert sorted(callers) == ["_correction_matrix", "_hamiltonian_for"]
+    callers.clear()
+    triple_routes_from(autonomous._time_one(system, numerics.DEFAULT_TOL))
+    assert sorted(callers) == ["_correction_matrix", "_symplectic_for"]
 
 
-#: the ``numpy.linalg`` calls of one warm ``validate(system, sigma=-1)`` of
-#: the transversal n = 1 system below, by name
-WARM_VALIDATE_CALLS = {"cholesky": 2, "eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1,
-                       "slogdet": 1, "solve": 3, "svd": 5}
+#: the generators of the cost table: the certified records of n = 1, 4 and
+#: 16 (the first transversal), a Jordan block beside a rotation on the
+#: ``expm`` branch, and an eigen record whose growth fails the rank rule
+#: at t = 1, so uncertified
+COST_GENERATORS = {
+    "n=1": random_hamiltonian(1, 1000, "semisimple-elliptic"),
+    "n=4": random_hamiltonian(4, 1000, "semisimple-elliptic"),
+    "n=16": random_hamiltonian(16, 1000, "semisimple-elliptic"),
+    "expm": _jordan_beside_rotation(),
+    "growth": 5.0 * random_hamiltonian(2, 5000, "hyperbolic"),
+}
+
+#: route -> generator -> cost of the route on the record a call before kept
+#: (warm): the ``numpy.linalg`` calls of one call by name and the rows of
+#: ``record.stack`` it reads ("stack rows"); ``validate`` runs with sigma = -1
+#: and the shared constants built
+COST_TABLE = {
+    "validate": {
+        "n=1": {"eigvals": 2, "eigvalsh": 3, "norm": 4, "qr": 1, "slogdet": 1, "solve": 3,
+                "stack rows": 2, "svd": 4},
+        "n=4": {"eigvals": 2, "eigvalsh": 3, "norm": 4, "qr": 1, "slogdet": 1, "solve": 3,
+                "stack rows": 2, "svd": 4},
+        "n=16": {"eigh": 2, "eigvalsh": 3, "norm": 5, "qr": 1, "slogdet": 3, "solve": 3,
+                 "stack rows": 2, "svd": 5},
+        "expm": {"eigvals": 2, "norm": 1, "slogdet": 1, "solve": 7, "stack rows": 6, "svd": 4},
+        "growth": {"eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1, "slogdet": 1, "solve": 3,
+                   "stack rows": 8, "svd": 7},
+    },
+    "maslov_index_symplectic": {
+        "n=1": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=4": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=16": {"eigh": 1, "slogdet": 2, "solve": 1, "stack rows": 2},
+        "expm": {"eigvals": 1, "slogdet": 1, "solve": 6, "stack rows": 6, "svd": 1},
+        "growth": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 8, "svd": 1},
+    },
+    "conley_zehnder": {
+        "n=1": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=4": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=16": {"eigh": 1, "slogdet": 3, "solve": 1, "stack rows": 2},
+        "expm": {"eigvals": 1, "slogdet": 1, "solve": 6, "stack rows": 6, "svd": 1},
+        "growth": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 8, "svd": 1},
+    },
+}
+
+#: the cost a cold record adds, the record built by the call: by the kind of
+#: the generator's record, certified, ``expm`` branch or uncertified eigen
+#: record (growth)
+RECORD_COST = {
+    "certified": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 5, "svd": 1},
+    "expm": {"cond": 1, "eig": 1, "eigvalsh": 1, "norm": 1, "svd": 1},
+    "growth": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 3, "svd": 1},
+}
+
+#: the kind of record of each generator of the cost table
+COST_KINDS = {"n=1": "certified", "n=4": "certified", "n=16": "certified", "expm": "expm",
+              "growth": "growth"}
 
 
-def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls(monkeypatch):
-    """One warm ``validate(system, sigma=-1)`` of a transversal n = 1
-    system (its flow record kept, the shared constants built) makes
-    exactly these ``numpy.linalg`` calls, counted by name, and classifies
-    every signature without ``numerics._signatures``: a new decomposition
-    on this path shows here.  The three ``eigvalsh`` are one per size of
-    the four triple forms (1, 3 and 6)."""
-    system = make_system(random_hamiltonian(1, 1000, "semisimple-elliptic"))
-    assert validate(system, sigma=-1).formula_index is not None
+def _route(route, h):
+    """The call of ``route`` on the generator h; ``validate`` on the
+    system ``make_system(h)`` built here."""
+    system = make_system(h)
+    return {"validate": lambda: validate(system, sigma=-1),
+            "maslov_index_symplectic": lambda: maslov_index_symplectic(h),
+            "conley_zehnder": lambda: conley_zehnder(h)}[route]
+
+
+def _costs(call, *spied):
+    """(the answer of ``call()``, its cost as in ``COST_TABLE``, and the
+    calls of each (module, name) of ``spied``, counted under that name)."""
     calls = collections.Counter()
 
     def counter(name, fn):
@@ -747,53 +821,95 @@ def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in np.linalg.__all__:
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not isinstance(fn, type):
-            monkeypatch.setattr(np.linalg, name, counter(name, fn))
-    original = numerics._signatures
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("symindex")
-                and getattr(module, "_signatures", None) is original):
-            monkeypatch.setattr(module, "_signatures", counter("_signatures", original))
-    assert validate(system, sigma=-1).agree
-    assert calls == WARM_VALIDATE_CALLS
+    stack = maslov._FlowRecord.stack
+
+    def stacking(record, ts):
+        calls["stack rows"] += len(ts)
+        return stack(record, ts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                patch.setattr(np.linalg, name, counter(name, fn))
+        for module, name in spied:
+            patch.setattr(module, name, counter(name, getattr(module, name)))
+        patch.setattr(maslov._FlowRecord, "stack", stacking)
+        answer = call()
+    return answer, {k: v for k, v in calls.items() if all(k != name for _, name in spied)}, {
+        name: calls[name] for _, name in spied}
+
+
+def test_the_cost_generators_take_both_batch_sources():
+    """The table covers both sources of ``_flow_scans``: the records of
+    n = 1, 4 and 16 are certified, the Jordan one takes the ``expm``
+    branch and the growth one is an eigen record that is not."""
+    records = {g: maslov._flow_record(h, None, numerics.DEFAULT_TOL)
+               for g, h in COST_GENERATORS.items()}
+    assert all(records[g].factors is not None for g in ("n=1", "n=4", "n=16"))
+    assert records["expm"].eigen is None and records["expm"].factors is None
+    assert records["growth"].eigen is not None and records["growth"].factors is None
+
+
+def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls():
+    """One warm ``validate(system, sigma=-1)`` of each generator of the
+    cost table (its flow record kept, the shared constants built) makes
+    exactly the pinned ``numpy.linalg`` calls, counted by name, and reads
+    the pinned stack rows, and classifies every signature without
+    ``numerics._signatures``: a new decomposition on this path shows here.
+    At n = 1 and 4 the three ``eigvalsh`` are one per size of the four
+    triple forms, and the certified psi(1) takes no symplectic check."""
+    assert validate(make_system(COST_GENERATORS["n=1"]), sigma=-1).formula_index is not None
+    spied = [(module, "_signatures") for module in list(sys.modules.values())
+             if getattr(module, "__name__", "").startswith("symindex")
+             and getattr(module, "_signatures", None) is numerics._signatures]
+    for g, h in COST_GENERATORS.items():
+        call = _route("validate", h)
+        want = call()
+        answer, cost, others = _costs(call, *spied)
+        assert answer == want and cost == COST_TABLE["validate"][g], g
+        assert not any(others.values()), g
 
 
 @pytest.mark.parametrize("route,pinned", [
-    ("maslov_index_symplectic", {"cholesky": 1, "eigvals": 1, "slogdet": 1, "solve": 1}),
-    ("conley_zehnder", {"cholesky": 1, "eigvals": 1, "slogdet": 1, "solve": 1}),
-    ("validate", WARM_VALIDATE_CALLS),
+    ("maslov_index_symplectic", COST_TABLE["maslov_index_symplectic"]),
+    ("conley_zehnder", COST_TABLE["conley_zehnder"]),
+    ("validate", COST_TABLE["validate"]),
 ])
-def test_warm_flow_routes_scan_the_record_without_a_path(route, pinned, monkeypatch):
-    """A warm flow route of the n = 1 system above scans its flow record
-    without constructing a ``LagrangianPath`` and makes exactly the
-    pinned ``numpy.linalg`` calls: per scan one Cholesky factor of each
-    route's Gram matrix, one ``slogdet`` for all its routes and one
-    ``solve`` and ``eigvals`` for the last end's eigenphases, the t = 0
-    end being certified."""
-    system = make_system(random_hamiltonian(1, 1000, "semisimple-elliptic"))
-    call = {"maslov_index_symplectic": lambda: maslov_index_symplectic(system.h),
-            "conley_zehnder": lambda: conley_zehnder(system.h),
-            "validate": lambda: validate(system, sigma=-1)}[route]
-    want = call()
-    calls = collections.Counter()
+def test_warm_flow_routes_scan_the_record_without_a_path(route, pinned):
+    """A warm flow route of each generator of the cost table scans its
+    flow record without constructing a ``LagrangianPath`` and makes
+    exactly the pinned ``numpy.linalg`` calls and stack rows.  On a
+    certified record a scan takes one ``slogdet`` per batch for all its
+    routes, one ``solve`` and ``eigvals`` (``eigh`` from size 12) for the
+    last end's eigenphases, the t = 0 end being certified, and the two
+    end rows of the stack; the block source of the ``expm`` and the growth
+    records stacks every sample and takes its volumes (the SVD rank rule
+    where the growth bound fails)."""
+    for g, h in COST_GENERATORS.items():
+        call = _route(route, h)
+        want = call()
+        answer, cost, paths = _costs(call, (maslov.LagrangianPath, "__post_init__"))
+        assert answer == want and cost == pinned[g] and paths == {"__post_init__": 0}, g
 
-    def counter(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
 
-    for name in np.linalg.__all__:
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not isinstance(fn, type):
-            monkeypatch.setattr(np.linalg, name, counter(name, fn))
-    post_init = maslov.LagrangianPath.__post_init__
-    monkeypatch.setattr(maslov.LagrangianPath, "__post_init__",
-                        counter("LagrangianPath", post_init))
-    assert call() == want
-    assert calls == pinned
+@pytest.mark.parametrize("route", ["maslov_index_symplectic", "conley_zehnder", "validate"])
+def test_a_cold_flow_route_takes_a_pinned_set_of_linalg_calls(route):
+    """A flow route of each generator of the cost table on a cold record
+    (the record cache cleared, the shared constants built) makes exactly
+    the pinned ``numpy.linalg`` calls and stack rows of the warm route
+    plus those of one record of its kind (``RECORD_COST``): the generator
+    check, ``eigvalsh`` of its Hamiltonian form, ``eig`` with its ``cond``,
+    and on the eigen branch ``inv``, the origin defect and, where the
+    growth rule holds, the two norms of the certificate."""
+    for g, h in COST_GENERATORS.items():
+        call = _route(route, h)
+        want = call()
+        maslov._record_of.cache_clear()
+        answer, cost, _ = _costs(call)
+        cold = collections.Counter(COST_TABLE[route][g]) + collections.Counter(
+            RECORD_COST[COST_KINDS[g]])
+        assert answer == want and cost == cold, g
 
 
 def test_the_first_validate_of_a_process_decomposes_the_generator_once(
@@ -847,7 +963,7 @@ def test_calibration_entry_points_rerun_probes(cold_calibration, scan_count):
 def test_calibration_failure_is_not_cached(cold_calibration, monkeypatch):
     calls = []
 
-    def failing_matrix(psi1, tol):
+    def failing_matrix(psi1, tol, *args):
         calls.append(psi1)
         return np.zeros((1, 1))  # correction sign 0
 
@@ -985,7 +1101,7 @@ def _growth_map():
 @pytest.mark.parametrize("call,patch,error,message", [
     (lambda: autonomous._correction_matrix(_growth_map(), numerics.DEFAULT_TOL), None,
      SymmetryDefect, "correction matrix defect "),
-    (lambda: calibrate_sign(), ("_correction_matrix", lambda psi1, tol: np.ones((1, 1))),
+    (lambda: calibrate_sign(), ("_correction_matrix", lambda psi1, tol, *args: np.ones((1, 1))),
      CalibrationFailure, "probes disagree: [-1, 1]"),
 ], ids=["symmetry-defect", "probes-disagree"])
 def test_formula_layer_refusals(monkeypatch, call, patch, error, message):

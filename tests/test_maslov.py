@@ -1238,32 +1238,38 @@ def test_index_scan_takes_its_end_phases_in_one_call(h, route, budget, monkeypat
     the generic scan of its path, takes the eigenphases of the ends it
     computes in one ``_eigenphases`` call, here the last end only, as
     the record certifies the first, and its lift and end phases equal
-    those of the same scan in one batch bit for bit."""
+    those of the same scan in one batch bit for bit.  This holds on both
+    sources of the certified record of h: both stack the flow once at
+    the two ends, and the block source also once per batch."""
     path = _own_scan(h, route)[0]
-    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
-    whole = _flow_scan_parts(h, route)
-    ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
-    assert len(maslov._batches(path, len(ts))) == len(whole.records) == 1
-    monkeypatch.undo()
-    if budget is not None:
-        monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
-    assert len(maslov._batches(path, len(ts))) > 1
-    calls = []
-    eigenphases = maslov._eigenphases
+    assert maslov._flow_record(h, None, DEFAULT_TOL).factors is not None
+    for block in (True, False):
+        monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
+        whole = _flow_scan_parts(h, route, block=block)
+        ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
+        assert len(maslov._batches(path, len(ts))) == len(whole.records) - block == 1
+        monkeypatch.undo()
+        if budget is not None:
+            monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
+        batches = len(maslov._batches(path, len(ts)))
+        assert batches > 1
+        calls = []
+        eigenphases = maslov._eigenphases
 
-    def counting(z, tol):
-        calls.append(len(z))
-        return eigenphases(z, tol)
+        def counting(z, tol):
+            calls.append(len(z))
+            return eigenphases(z, tol)
 
-    monkeypatch.setattr(maslov, "_eigenphases", counting)
-    batched = _flow_scan_parts(h, route)
-    (lifted, ends), = batched.scans
-    assert len(batched.records) == len(maslov._batches(path, len(ts)))
-    assert calls == [1]
-    assert _bits(batched.ts) == _bits(ts)
-    assert _bits(lifted) == _bits(whole_lift)
-    assert ends.shape == (2, path.space.half_dim)
-    assert _bits(ends) == _bits(whole_ends)
+        monkeypatch.setattr(maslov, "_eigenphases", counting)
+        batched = _flow_scan_parts(h, route, block=block)
+        (lifted, ends), = batched.scans
+        assert len(batched.records) == 1 + (batches if block else 0)
+        assert calls == [1]
+        assert _bits(batched.ts) == _bits(ts)
+        assert _bits(lifted) == _bits(whole_lift)
+        assert ends.shape == (2, path.space.half_dim)
+        assert _bits(ends) == _bits(whole_ends)
+        monkeypatch.undo()
 
 
 def test_lift_equals_unwrap_bit_for_bit():
@@ -1353,6 +1359,35 @@ def test_both_routes_of_one_generator_share_its_flow_record(monkeypatch):
     conley_zehnder(h)
     assert calls == {"eig(h)": 1, "_hamiltonian_for": 1}
     assert maslov._record_of.cache_info().misses == 1
+
+
+def test_the_record_snaps_exponents_within_rounding_of_i_pi_k():
+    """The record of a conjugated loop S (2 pi J_1) S^-1 snaps both
+    exponents onto +-2 pi i exactly and keeps (index, k, distance,
+    bound) of each, its distance within its bound; ``vals`` stays the
+    output of ``eig``.  Two conjugated loops side by side snap all four
+    eigenvalues, as Hamiltonian pairs.  A rotation at 2 pi + 1e-12, 15
+    bounds from 2 pi, snaps nothing and exponentiates ``vals`` itself, as
+    does one at 1e14, whose bound (1.1) exceeds its distance to i pi k
+    but whose k lies beyond the 2^23 that doubles resolve."""
+    tol = DEFAULT_TOL
+
+    def loop(a, c):
+        s = np.array([[a, 0.0], [c, 1.0 / a]])
+        return s @ (TWO_PI * standard_J(1)) @ np.linalg.inv(s)
+
+    h = loop(3.0, -7.0)
+    record = maslov._flow_record(h, None, tol)
+    assert record.vals.tobytes() == np.linalg.eig(h)[0].tobytes()
+    assert sorted(k for _, k, _, _ in record.snaps) == [-2, 2]
+    for i, k, distance, bound in record.snaps:
+        assert distance == abs(record.vals[i] - 1j * np.pi * k) <= bound
+        assert record.exponent[i] == 1j * (np.pi * k)
+    pair = maslov._flow_record(standard_direct_sum([h, loop(0.5, 2.0)]), None, tol)
+    assert sorted(k for _, k, _, _ in pair.snaps) == [-2, -2, 2, 2]
+    for speed in (TWO_PI + 1e-12, 1e14):
+        near = maslov._flow_record(speed * standard_J(1), None, tol)
+        assert near.snaps == () and near.exponent is near.vals
 
 
 def test_a_flow_record_miss_converts_the_generator_once(monkeypatch):
@@ -1523,14 +1558,19 @@ def _block_cases():
     yield "21 cells", 6.75 * random_hamiltonian(2, 3107, "semisimple-elliptic"), False
 
 
-def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL):
+def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL, block=False):
     """The run of the ``_flow_scans`` of one route of h on [0, 1], at
-    the times ``ts`` where given, else at its own: ``ts`` its times,
-    ``records`` the records whose stack it reads, one per batch,
-    ``samples`` the (arg det Z, log |det Z|, sum log s) of its samples,
-    ``scans`` the (lift, end phases) it passes ``_phase_index``, and
-    ``indices`` and ``flow`` what it returns; recorded by wrapping those
-    functions."""
+    the times ``ts`` where given, else at its own, on the record of h or,
+    with ``block``, on a copy of it without ``factors``, which takes the
+    block source whatever the record certifies: ``record`` the record it
+    scans, ``ts`` its times, ``records`` the records whose stack it
+    reads, one for the two ends and on the block source one per batch,
+    ``samples`` the (arg det Z, log |det Z|, sum log
+    s) of its samples (arg det Z alone on the factored source, which
+    runs no ``_check_flat``), ``flat`` the (log |det Z|, sum log s) of
+    each ``_check_flat``, ``scans`` the (lift, end phases) it passes
+    ``_phase_index``, and ``indices`` and ``flow`` what it returns;
+    recorded by wrapping those functions."""
     run = types.SimpleNamespace(records=[], flat=[], lifts=[], scans=[])
     scan_times, phase_index = maslov._scan_times, maslov._phase_index
     check_flat, lift, stack = maslov._check_flat, maslov._lift, maslov._FlowRecord.stack
@@ -1556,12 +1596,13 @@ def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL):
         return phase_index(lifted, ends, tol)
 
     record = maslov._flow_record(h, None, tol)
+    run.record = dataclasses.replace(record, factors=None) if block else record
     with pytest.MonkeyPatch.context() as patch:
         for name, fn in (("_scan_times", times), ("_check_flat", flat), ("_lift", lifting),
                          ("_phase_index", index)):
             patch.setattr(maslov, name, fn)
         patch.setattr(maslov._FlowRecord, "stack", stacking)
-        run.indices, run.flow = maslov._flow_scans(record, (route,), tol)
+        run.indices, run.flow = maslov._flow_scans(run.record, (route,), tol)
     run.samples = (run.lifts[0],) + tuple(np.concatenate(x) for x in zip(*run.flat))
     return run
 
@@ -1575,14 +1616,19 @@ def test_block_samples_equal_the_chart_samples(h, expm_branch, route, monkeypatc
     path and reference up to one constant per scan, and its log |det Z|
     and sum log s, within 1e-12 relative; on the orbit all three are the
     chart's bit for bit.  Both sample all times in one batch, so both
-    take the volumes on one branch."""
+    take the volumes on one branch.  A certified record is scanned
+    through a copy without its factors (``_flow_scan_parts``), so the
+    block source runs on every case: uncertified, ``expm`` and
+    certified records alike."""
     tol = DEFAULT_TOL
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
     path, ref = _own_scan(h, route)
-    assert (maslov._flow_record(h, None, tol).eigen is None) == expm_branch
+    record = maslov._flow_record(h, None, tol)
+    assert (record.eigen is None) == expm_branch
     ts = np.linspace(0.0, 1.0, 41)
-    run = _flow_scan_parts(h, route, ts)
-    assert run.records and all(r is maslov._flow_record(h, None, tol) for r in run.records)
+    run = _flow_scan_parts(h, route, ts, block=True)
+    assert run.record.factors is None and run.record.h is record.h
+    assert run.records and all(r is run.record for r in run.records)
     _, z, sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)
     logdet = np.linalg.slogdet(z)[1]
     log_s = maslov._frames(path, ts, tol)[1]
@@ -1596,6 +1642,43 @@ def test_block_samples_equal_the_chart_samples(h, expm_branch, route, monkeypatc
     if route == "orbit":
         assert _bits(arg) == _bits(np.angle(sign))
         assert _bits(block_logdet) == _bits(logdet) and _bits(block_log_s) == _bits(log_s)
+
+
+def _certified_cases():
+    """The cases of ``_block_cases`` whose record is certified."""
+    return [case for case in _block_cases()
+            if maslov._flow_record(case[1], None, DEFAULT_TOL).factors is not None]
+
+
+@pytest.mark.parametrize("route", ["orbit", "graph"])
+@pytest.mark.parametrize("h", [case[1] for case in _certified_cases()],
+                         ids=[case[0] for case in _certified_cases()])
+def test_factored_samples_equal_the_chart_samples(h, route, monkeypatch):
+    """On a certified record ``_flow_scans`` reads every sample from the
+    eigen factors: it stacks the flow once, at the two ends, runs no
+    ``_check_flat``, and its arg det Z is the generic chart's up to one
+    constant per scan within 1e-12.  Its end samples, end phases, psi(1)
+    and index are those of the block source on the same record bit for
+    bit, and its lift between the ends equals the block source's within
+    rounding."""
+    tol = DEFAULT_TOL
+    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
+    path, ref = _own_scan(h, route)
+    record = maslov._flow_record(h, None, tol)
+    ts = np.linspace(0.0, 1.0, 41)
+    run, block = _flow_scan_parts(h, route, ts), _flow_scan_parts(h, route, ts, block=True)
+    assert run.records == [record] and run.flat == [] and len(block.flat) == 1
+    sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)[2]
+    (arg,), (block_arg, _, _) = run.samples, block.samples
+    constant = np.exp(1j * (np.angle(sign) - arg))
+    assert np.abs(constant - constant[0]).max() <= 1e-12
+    assert np.abs(np.exp(1j * arg) - np.exp(1j * block_arg)).max() <= 1e-12
+    assert _bits(arg[[0, -1]]) == _bits(block_arg[[0, -1]])
+    ((lifted, ends),), ((block_lifted, block_ends),) = run.scans, block.scans
+    assert _bits(ends) == _bits(block_ends)
+    turn = lifted[-1] - lifted[0]
+    assert abs(turn - (block_lifted[-1] - block_lifted[0])) <= 1e-12 * (1.0 + abs(turn))
+    assert run.indices == block.indices and _bits(run.flow) == _bits(block.flow)
 
 
 def _answer_or_error(fn, *args):
@@ -1705,9 +1788,11 @@ def test_find_crossings_keeps_the_generic_chart(monkeypatch):
 
 def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
     """``_flow_indices`` gives the two public scans and evaluates the
-    flow of its record once per batch of the graph path, for both
-    routes; the parent scans stacked it once per batch of each.  Its
-    psi(1) is the record's flow at 1 bit for bit."""
+    flow of its record for both routes at once: at the two ends, and on
+    the block source also once per batch of the graph path (the parent
+    scans stacked it once per batch of each), where the factored source
+    of a certified record reads no other flow.  Both give the same
+    indices, and their psi(1) is the record's flow at 1 bit for bit."""
     tol = DEFAULT_TOL
     stacks = []
     stack = maslov._FlowRecord.stack
@@ -1719,15 +1804,21 @@ def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
     for n, batches in ((1, 1), (16, 11)):
         h = 4.0 * random_hamiltonian(n, 1016, "semisimple-elliptic")
         want = maslov_index_symplectic(h), conley_zehnder(h)
+        record = maslov._flow_record(h, None, tol)
+        assert record.factors is not None
         path = graph_path(h)
         ts = maslov._scan_times(path.interval, path._rate_bound, 256, False)
         assert len(maslov._batches(path, len(ts))) == batches
         monkeypatch.setattr(maslov._FlowRecord, "stack", counting)
-        orbit, graph, psi1 = maslov._flow_indices(h, tol)
-        assert (orbit, graph) == want
+        orbit, graph, psi1, _ = maslov._flow_indices(h, tol)
+        assert (orbit, graph) == want and stacks == [2]
+        stacks.clear()
+        indices, block_psi1 = maslov._flow_scans(dataclasses.replace(record, factors=None),
+                                                 ("orbit", "graph"), tol)
+        assert indices == list(want)
         monkeypatch.undo()
-        assert _bits(psi1) == _bits(maslov._flow_record(h, None, tol).stack(np.ones(1))[0])
-        assert len(stacks) == batches and sum(stacks) == len(ts)
+        assert _bits(psi1) == _bits(block_psi1) == _bits(record.stack(np.ones(1))[0])
+        assert stacks[0] == 2 and len(stacks) == 1 + batches and sum(stacks) == 2 + len(ts)
         stacks.clear()
 
 
@@ -1752,6 +1843,37 @@ def test_flow_indices_raise_what_the_two_scans_raise():
         conley_zehnder(plane_block_generator([("hyperbolic", 22.0)]))
     with pytest.raises(NotLagrangian, match="^path frame lost rank at t=1$"):
         maslov._flow_indices(plane_block_generator([("hyperbolic", 22.0)]), DEFAULT_TOL)
+
+
+def test_a_growth_beyond_the_rank_rule_still_loses_rank():
+    """exp(22 t) on a hyperbolic plane passes the rank rule's growth
+    bound, so its record is not certified and its scans keep the
+    per-sample rank check: ``conley_zehnder`` raises NotLagrangian at t =
+    1, and the orbit scan answers."""
+    h = plane_block_generator([("hyperbolic", 22.0)])
+    with pytest.raises(NotLagrangian, match="^path frame lost rank at t=1$"):
+        conley_zehnder(h)
+    assert maslov_index_symplectic(h) == HalfInt(0)
+
+
+def test_a_generator_near_the_hamiltonian_tolerance_keeps_the_per_sample_checks(monkeypatch):
+    """S (3 J_1) S^-1 + 5e-8 I with S = diag(5, 1/5) is Hamiltonian within
+    the default tol and its frames stay within the rank rule's growth
+    bound, but its flow is too far from symplectic for the record to
+    certify the frames (16 n D g^2 > 1): both scans run the Lagrangian
+    check of ``_check_flat`` on their samples and give 1/2 and 1."""
+    s = np.diag([5.0, 0.2])
+    h = s @ (3.0 * standard_J(1)) @ np.linalg.inv(s) + 5e-8 * np.eye(2)
+    checked = []
+    check_flat = maslov._check_flat
+
+    def counted(ts, *args):
+        checked.append(len(ts))
+        return check_flat(ts, *args)
+
+    monkeypatch.setattr(maslov, "_check_flat", counted)
+    assert maslov._flow_indices(h, DEFAULT_TOL)[:2] == (HalfInt(1), HalfInt(2))
+    assert len(checked) == 2 and checked[0] == checked[1] > 2
 
 
 def _counting_eigenphases(monkeypatch):

@@ -263,6 +263,21 @@ def test_halfint_from_int_takes_only_integers():
         assert type(HalfInt.from_int(k).twice) is int
 
 
+def test_halfint_refuses_a_bool_and_scales_by_numpy_integers():
+    """A bool is no index value: ``HalfInt(True)`` and a scale by True
+    raise TypeError, as ``from_int`` does.  A scale takes every other
+    Integral, numpy integers too, and keeps a Python int; a float
+    scale raises TypeError."""
+    for bad in (lambda: HalfInt(True), lambda: HalfInt(np.int64(1)),
+                lambda: HalfInt(1) * True, lambda: False * HalfInt(1),
+                lambda: HalfInt(1) * 2.0, lambda: HalfInt(1) * np.float64(2.0)):
+        with pytest.raises(TypeError):
+            bad()
+    for k in (3, np.int64(2), np.int32(-4), np.uint8(3)):
+        scaled = HalfInt(3) * k
+        assert scaled == HalfInt(3 * int(k)) and type(scaled.twice) is int
+
+
 def test_halfint_arithmetic():
     a = HalfInt(3)   # 3/2
     b = HalfInt(-1)  # -1/2

@@ -113,9 +113,11 @@ def test_parity_sweep_lists_the_crossings_of_paths_that_end_near_the_reference()
 
 
 def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
-    """One repeat at n = 1 writes, for the tree measured, every layer's
-    time per call and its median, and the host factor.  ``_locate`` is
-    timed per bisection round, a part of one ``find_crossings``."""
+    """One repeat at n = 1 writes, for the tree measured and for its A/A
+    copy, loaded again under its own label, every layer's time per call
+    and its median, the copy's ratios to the tree as the control, and the
+    host factor.  ``_locate`` is timed per bisection round, a part of one
+    ``find_crossings``."""
     out = tmp_path / "bench.json"
     r = subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "layer_bench.py"),
                         "--tree", "change=src", "--repeats", "1", "--sizes", "1",
@@ -124,9 +126,11 @@ def test_layer_bench_reports_every_layer_of_a_tree(tmp_path):
     assert r.returncode == 0, r.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"script", "unit", "settings", "environment", "host_factor", "trees",
-                           "ratios"}
-    assert report["host_factor"] > 0 and report["ratios"] == {}
-    assert set(report["trees"]) == {"change"}
+                           "ratios", "control"}
+    assert report["host_factor"] > 0 and report["control"] == "change copy/change"
+    assert set(report["trees"]) == {"change", "change copy"} and set(report["ratios"]) == {
+        "change copy/change"}
+    assert report["ratios"]["change copy/change"]["validate"]["1"] > 0
     tree = report["trees"]["change"]
     per_size = {"validate", "_flow_indices", "_flow_record", "make_system", "route_pair",
                 "orbit_scan", "graph_scan", "_eigenphases_orbit", "_eigenphases_graph",

@@ -60,12 +60,17 @@ the trees take turns pass by pass.  A layer is first called once on
 each input of each tree to fill its caches (the property suite
 excepted); then each of REPEATS repeats times one pass over the inputs
 in every tree, and the tree that goes first alternates from repeat to
-repeat, so a change of host speed falls on all trees alike.  The report
+repeat, so a change of host speed falls on all trees alike.  The first
+tree is always loaded a second time, as a package of its own under the
+label "<first> copy", and measured as one more tree: an A/A control, whose
+ratio to the first tree shows what identical code reads on this host and
+in this order, so a change/parent ratio is read beside it.  The report
 holds, for each tree, the milliseconds per call of every repeat and
-their median; with two or more trees, the ratio of each later tree's
-medians to the first tree's; and the host factor of perfbench/hostref.py
-(the median seconds of its reference kernel, sampled after each layer,
-over REF_S; above 1 the host ran slow).
+their median; the ratio of each later tree's medians to the first
+tree's, the copy's among them, with ``control`` naming the copy's; and
+the host factor of perfbench/hostref.py (the median seconds of its
+reference kernel, sampled after each layer, over REF_S; above 1 the host
+ran slow).
 """
 
 import os
@@ -334,7 +339,9 @@ def _combine(fn, *tables):
 
 
 def bench(trees, repeats, sizes):
-    """The report of ``trees``, a list of (label, src)."""
+    """The report of ``trees``, a list of (label, src), and of the A/A
+    copy of the first tree, measured last."""
+    trees = list(trees) + [("%s copy" % trees[0][0], trees[0][1])]
     loaded = [load(k, src) for k, (_, src) in enumerate(trees)]
     host = hostref.HostReference()
     runs = [{name: {} for name in PER_SIZE} for _ in trees]
@@ -368,6 +375,7 @@ def bench(trees, repeats, sizes):
                   for (label, _), m, r in zip(trees, medians, runs)},
         "ratios": {"%s/%s" % (label, trees[0][0]): _combine(lambda a, b: a / b, m, medians[0])
                    for (label, _), m in zip(trees[1:], medians[1:])},
+        "control": "%s/%s" % (trees[-1][0], trees[0][0]),
     }
 
 
@@ -375,7 +383,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC",
                         help="a src directory to measure under a label; repeat to compare, "
-                             "the first is the base of the ratios (default: change=src)")
+                             "the first is the base of the ratios and is measured again as "
+                             "its A/A copy (default: change=src)")
     parser.add_argument("--out", help="write the report here (default: standard output)")
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
