@@ -260,7 +260,7 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
 _U = 2.0 ** -52
 #: the c of the snap rule of ``_record_of``: an exponent within c cond_i u
 #: |h| of i pi k becomes i pi k
-_SNAP = 48.0
+_SNAP = 10.0
 
 
 @functools.lru_cache(maxsize=3)
@@ -280,16 +280,20 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
     at 1 of a loop or of a k pi turn is exp(i pi k) = +-1 on that
     eigenvector.  ``eig`` of a real matrix returns conjugates exactly, so
     lambda, -conj(lambda), conj(lambda) and -lambda snap together.
-    c = 48 is the geometric mean of the margins |lambda - i pi k| /
-    (cond_i u |h|) measured on the two sides: every one of the 2600 draws
-    of the censuses of tests/test_census.py, whose ends are degenerate,
-    has an eigenvalue within 3.2, and the inputs of tools/parity_sweep.py
-    whose ends are not degenerate keep at least 717 (``near 2pi +-1e-12``),
-    so each side keeps a factor of 15.  Only |k| < 2^23 snaps, the
-    lattice on which the closed forms place a speed (``_turns``): beyond
-    it the doubles cannot tell i pi k from its neighbours, and from |h| of
-    about pi / (2 c u) = 1.5e14 every exponent would lie within its bound
-    of some i pi k.  ``vals`` stays the output of ``eig``.
+    c = 10 is set by the margins |lambda - i pi k| / (cond_i u |h|):
+    every one of the 2600 draws of the censuses of tests/test_census.py,
+    whose ends are degenerate, has an eigenvalue within 3.2; the inputs of
+    tools/parity_sweep.py whose ends are not degenerate keep at least 717
+    (``near 2pi +-1e-12``); and the near loops S (2 pi + delta) J_1 S^-1
+    of the census recipe, not degenerate either, reach down to 2.6 at
+    delta = 1e-8, where c = 10 snaps 7 of 400 draws (c = 48 would snap
+    33, and 2 of 400 at delta = +-1e-7), none with a margin above 100,
+    where the computed spectrum resolves the side of 2 pi.  Only |k| <
+    2^23 snaps, the lattice on which the closed forms place a speed
+    (``_turns``): beyond it the doubles cannot tell i pi k from its
+    neighbours, and from |h| of about pi / (2 c u) = 7e14 every exponent
+    would lie within its bound of some i pi k.  ``vals`` stays the output
+    of ``eig``.
 
     The certificate D (``_certificate``), for the standard form J where
     the rank rule holds for both growth bounds at t = 1.  Write
@@ -334,7 +338,7 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
     form = (SymplecticSpace.standard(d // 2) if space is None else space).form
     if form.shape != h.shape:
         raise DimensionMismatch("generator does not match the space")
-    hamiltonian, norm, hamiltonian_defect = _hamiltonian_for(h, form, tol)
+    hamiltonian, norm, delta_h = _hamiltonian_for(h, form, tol)
     if not hamiltonian:
         raise NotHamiltonian("generator is not Hamiltonian for the form of its space")
     n = d // 2
@@ -353,14 +357,14 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
             defect = float(np.linalg.norm(product.real - np.eye(d)))
             if defect <= 1e-10:
                 vecs.flags.writeable = vinv.flags.writeable = False
-                exponent, snaps = _snap(vals, vinv, norm)
+                exponent, snaps = _snap(vals, vinv, norm, kappa)
                 re = exponent.real
                 growths = ((2.0 * math.log(kappa), float(re.max() - re.min())),
                            (math.log(2.0 * kappa), float(np.abs(re).max())))
                 certificate = math.inf, None
                 if space is None and all(_within_growth(c, 1.0, tol) for c in growths):
-                    certificate = _certificate(h, norm, hamiltonian_defect, vecs, vinv, vals,
-                                               product, defect, snaps, kappa, growths[1][1])
+                    certificate = _certificate(h, norm, delta_h, vecs, vinv, vals, product, defect,
+                                               snaps, kappa, growths[1][1])
                 return _FlowRecord(h, norm, bound, kappa, defect, vals, (vecs, vinv),
                                    *growths, exponent, snaps, *certificate)
     except np.linalg.LinAlgError:
@@ -368,16 +372,19 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
     return _FlowRecord(h, norm, bound, kappa, 0.0, vals, None, None, None)
 
 
-def _snap(vals, vinv, norm):
+def _snap(vals, vinv, norm, kappa):
     """(exponent, snaps) of the snap rule of ``_record_of``: ``vals`` with
     each eigenvalue lambda_i within ``_SNAP`` cond_i u |h| of i pi k, k =
     round(Im lambda_i / pi) below 2^23 in modulus, whose partner
     -conj(lambda_i) is too, set to i pi k, and (i, k, distance, bound) of
     each; ``vals`` itself and () where none is near.  ``eig`` returns
-    unit eigenvectors, so cond_i is the norm of row i of V^-1; the
-    partner of lambda_i is the eigenvalue nearest -conj(lambda_i)."""
+    unit eigenvectors, so cond_i is the norm of row i of V^-1, at most
+    |V^-1| <= kappa; the partner of lambda_i is the eigenvalue nearest
+    -conj(lambda_i)."""
     k = np.rint(vals.imag / math.pi)
     distance = np.abs(vals - 1j * math.pi * k)
+    if distance.min() > _SNAP * _U * norm * 2.0 * kappa:  # beyond every bound
+        return vals, ()
     bound = np.linalg.norm(vinv, axis=1) * (_SNAP * _U * norm)
     near = (distance <= bound) & (np.abs(k) < 2.0 ** 23)  # on the lattice of ``_turns``
     if not near.any():
@@ -390,11 +397,10 @@ def _snap(vals, vinv, norm):
                            for i in np.flatnonzero(near))
 
 
-def _certificate(h, norm, hamiltonian_defect, vecs, vinv, vals, product, origin_defect, snaps,
-                 kappa, growth):
+def _certificate(h, norm, delta_h, vecs, vinv, vals, product, origin_defect, snaps, kappa, growth):
     """(D, factors) of ``_record_of``: the bound D on the symplectic
     defect of the stacked flow on [0, 1], from the checked h of spectral
-    norm ``norm`` and Hamiltonian defect ``hamiltonian_defect``, its unit
+    norm ``norm`` and Hamiltonian defect ``delta_h``, its unit
     eigenvectors, their computed inverse and their computed product, whose
     real part is ``origin_defect`` from I, its eigenvalues and ``snaps``,
     kappa and max |Re lambda'| = ``growth``; and, where the record is
@@ -407,7 +413,7 @@ def _certificate(h, norm, hamiltonian_defect, vecs, vinv, vals, product, origin_
     # |fl(V W) - I|_F from the defects of its real and imaginary parts
     epsilon = g * (math.hypot(origin_defect, float(np.linalg.norm(product.imag)))
                    + rounding * (1.0 + kappa + 2.0 * norm))
-    defect = 2.0 * (g * g * (hamiltonian_defect + 2.0 * rho) + (2.0 * g + epsilon) * epsilon)
+    defect = 2.0 * (g * g * (delta_h + 2.0 * rho) + (2.0 * g + epsilon) * epsilon)
     if 16.0 * n * defect * g * g > 1.0:
         return defect, None
     # Z(t) is D - iB for the orbit and (A + D) + i (C - B) for the graph
@@ -1121,9 +1127,8 @@ def _block_z(flows, route: str, out):
     if route == "orbit":
         # -B by assignment: numpy 2.4.6's np.negative(x, out=z.imag) wrote
         # wrong values for a (T, 1, 1) slice x of a real view of a complex stack
-        frames = -flows[:, :, n:]
-        out.real, out.imag = flows[:, n:, n:], frames[:, :n]
-        return frames
+        out.real, out.imag = flows[:, n:, n:], -flows[:, :n, n:]
+        return -flows[:, :, n:]
     np.add(flows[:, :n, :n], flows[:, n:, n:], out=out.real)
     np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=out.imag)
 

@@ -791,9 +791,9 @@ COST_TABLE = {
 #: the generator's record, certified, ``expm`` branch or uncertified eigen
 #: record (growth)
 RECORD_COST = {
-    "certified": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 5, "svd": 1},
+    "certified": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 4, "svd": 1},
     "expm": {"cond": 1, "eig": 1, "eigvalsh": 1, "norm": 1, "svd": 1},
-    "growth": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 3, "svd": 1},
+    "growth": {"cond": 1, "eig": 1, "eigvalsh": 1, "inv": 1, "norm": 2, "svd": 1},
 }
 
 #: the kind of record of each generator of the cost table

@@ -1366,10 +1366,10 @@ def test_the_record_snaps_exponents_within_rounding_of_i_pi_k():
     exponents onto +-2 pi i exactly and keeps (index, k, distance,
     bound) of each, its distance within its bound; ``vals`` stays the
     output of ``eig``.  Two conjugated loops side by side snap all four
-    eigenvalues, as Hamiltonian pairs.  A rotation at 2 pi + 1e-12, 15
+    eigenvalues, as Hamiltonian pairs.  A rotation at 2 pi + 1e-12, 72
     bounds from 2 pi, snaps nothing and exponentiates ``vals`` itself, as
-    does one at 1e14, whose bound (1.1) exceeds its distance to i pi k
-    but whose k lies beyond the 2^23 that doubles resolve."""
+    does one at 1e14, whose bound (0.222) exceeds its distance to i pi k
+    (0.219) but whose k lies beyond the 2^23 that doubles resolve."""
     tol = DEFAULT_TOL
 
     def loop(a, c):
