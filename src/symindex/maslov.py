@@ -264,6 +264,10 @@ _SNAP = 10.0
 
 
 @functools.lru_cache(maxsize=3)
+# a generator near the largest doubles overflows to bounds that refuse: a
+# rate bound that is not finite raises GridTooCoarse (``_scan_times``), a
+# defect that is not finite certifies nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                tol: Tolerances) -> _FlowRecord:
     """``_flow_record`` of the d x d float64 matrix h of C-order bytes
@@ -434,7 +438,8 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     tr A = tr(Q^T S Q) for S = sym(-Omega h), at most the bound B of
     ``_FlowRecord``.  Its frames are ``record.stack(ts)`` times the frame
     of ``start``, with the record's ``orbit_growth``; the flow routes
-    scan the orbit of the vertical without a path (``_flow_scans``)."""
+    scan the orbit of the vertical of a certified record without a path
+    (``_flow_scans``)."""
     record = _flow_record(h, None if start is None else start.space, tol)
     h, flow = record.h, record.stack
     d = h.shape[0]
@@ -460,7 +465,8 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     graph's orthogonal projector and S = sym(-J h); its rate bound is
     the orbit's, B of ``_FlowRecord``.  Its frames [I; Phi] are read
     from ``record.stack``, with the record's ``graph_growth``; the flow
-    routes scan the graph without a path (``_flow_scans``)."""
+    routes scan the graph of a certified record without a path
+    (``_flow_scans``)."""
     record = _flow_record(h, None, tol)
     h, flow = record.h, record.stack
     d = h.shape[0]
@@ -621,12 +627,10 @@ def _finite(values, name: str):
     return values[:first], InputError("%s contains non-finite entries" % name)
 
 
-def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
+def _volumes(ts, growth, frames, tol: Tolerances):
     """Sum log s over the singular values s of each frame F of the stack
-    ``frames()`` at the times ts.  ``gram()``, where given, forms the
-    stack of F^T F, else F^T F is formed from ``frames()``; each is called
-    only on the branch that reads it.  NotLagrangian names the first time
-    whose frame lost rank under the relative rank rule of
+    ``frames`` at the times ts.  NotLagrangian names the first time whose
+    frame lost rank under the relative rank rule of
     ``orthonormal_columns``.
 
     Where ``growth`` (of ``_Stacked``) bounds cond F(t) at every ts by B
@@ -638,12 +642,12 @@ def _volumes(ts, growth, frames, tol: Tolerances, gram=None):
     """
     if _within_growth(growth, float(np.abs(ts).max()), tol):
         try:
-            r = np.linalg.cholesky(_tr(frames()) @ frames() if gram is None else gram())
+            r = np.linalg.cholesky(_tr(frames) @ frames)
         except np.linalg.LinAlgError:
             pass
         else:
             return np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    s = np.linalg.svd(frames(), compute_uv=False)
+    s = np.linalg.svd(frames, compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
         raise NotLagrangian("path frame lost rank at t=%g" % ts[int(np.argmin(full))])
@@ -664,7 +668,7 @@ def _frames(path: LagrangianPath, ts, tol: Tolerances):
     before the error of a failing sample is raised."""
     frames, error = _evaluate(path, ts)
     growth = path.frame_fn.growth if isinstance(path.frame_fn, _Stacked) else None
-    log_s = _volumes(ts, growth, lambda: frames, tol)
+    log_s = _volumes(ts, growth, frames, tol)
     if error is not None:
         raise error
     return frames, log_s
@@ -814,7 +818,8 @@ def _scan_times(interval, bound: Optional[float], grid: int, phases: bool):
     A path with a rate bound B needs ceil(B (b - a) / ``CELL_PHASE``)
     cells, none moving arg det Z by more than ``CELL_PHASE``, so by less
     than the pi up to which ``_lift`` (``np.unwrap``) lifts exactly, and
-    may take at most ``MAX_CELLS``.
+    may take at most ``MAX_CELLS``: more, or a count that is not finite,
+    raises GridTooCoarse.
     An index scan (not ``phases``) takes exactly those cells, at least
     one; ``find_crossings`` takes at least ``grid``, since its core is the
     smallest dimension sampled and its bisection starts from the cells.
@@ -824,11 +829,11 @@ def _scan_times(interval, bound: Optional[float], grid: int, phases: bool):
     if bound is None:
         cells = grid
     else:
-        need = math.ceil(bound * (b - a) / CELL_PHASE)
-        if need > MAX_CELLS:
-            raise GridTooCoarse("the phase of this path needs %d cells, more than %d"
-                                % (need, MAX_CELLS))
-        cells = max(grid if phases else 1, need)
+        need = bound * (b - a) / CELL_PHASE
+        if not need <= MAX_CELLS:  # NaN too, from a bound that overflowed
+            raise GridTooCoarse("the phase of this path needs %s cells, more than %d"
+                                % (math.ceil(need) if math.isfinite(need) else need, MAX_CELLS))
+        cells = max(grid if phases else 1, math.ceil(need))
     return _grid_times(a, b, cells)
 
 
@@ -1085,10 +1090,11 @@ def maslov_index(path: LagrangianPath, ref: LagrangianFrame, grid: int = 256,
 
 def maslov_index_symplectic(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of the orbit t -> exp(t h) . V, t in [0, 1], of the vertical
-    V against V, read from the blocks of the flow (``_flow_scans``) with
-    no path built.  The scan is certified: ``grid`` is validated and does
-    not change it.  Another start, reference or interval is a scan of the
-    orbit path: ``maslov_index(orbit_path(h, start, interval, tol), ref)``."""
+    V against V (``_flow_scans``: on a certified record from its eigen
+    factors with no path built).  The scan is certified: ``grid`` is
+    validated and does not change it.  Another start, reference or
+    interval is a scan of the orbit path: ``maslov_index(orbit_path(h,
+    start, interval, tol), ref)``."""
     record = _flow_record(h, None, tol)
     _grid_cells(grid)
     return _flow_scans(record, ("orbit",), tol)[0][0]
@@ -1096,11 +1102,12 @@ def maslov_index_symplectic(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -
 
 def conley_zehnder(h, grid: int = 256, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Index of the graph path of exp(t h), t in [0, 1], against the
-    diagonal, read from the blocks of the flow (``_flow_scans``) with no
-    path built.  The scan is certified: ``grid`` is validated and does
-    not change it.  Another interval is a scan of the graph path,
-    ``maslov_index(graph_path(h, interval, tol), diagonal_lagrangian(n,
-    tol))``; a period T is ``conley_zehnder(T * h)``."""
+    diagonal (``_flow_scans``: on a certified record from its eigen
+    factors with no path built).  The scan is certified: ``grid`` is
+    validated and does not change it.  Another interval is a scan of the
+    graph path, ``maslov_index(graph_path(h, interval, tol),
+    diagonal_lagrangian(n, tol))``; a period T is ``conley_zehnder(T *
+    h)``."""
     record = _flow_record(h, None, tol)
     _grid_cells(grid)
     return _flow_scans(record, ("graph",), tol)[0][0]
@@ -1121,16 +1128,15 @@ def _flow_indices(h, tol: Tolerances) -> Tuple[HalfInt, HalfInt, np.ndarray, flo
 def _block_z(flows, route: str, out):
     """Writes the Z of a flow route into ``out`` from a stack of flows Phi
     = [[A, B], [C, D]]: D - iB for "orbit", (A + D) + i (C - B) for
-    "graph" (``_flow_scans``); returns the orbit's frames -[B; D], else
-    None."""
+    "graph" (``_flow_scans``)."""
     n = out.shape[-1]
     if route == "orbit":
         # -B by assignment: numpy 2.4.6's np.negative(x, out=z.imag) wrote
         # wrong values for a (T, 1, 1) slice x of a real view of a complex stack
         out.real, out.imag = flows[:, n:, n:], -flows[:, :n, n:]
-        return -flows[:, :, n:]
-    np.add(flows[:, :n, :n], flows[:, n:, n:], out=out.real)
-    np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=out.imag)
+    else:
+        np.add(flows[:, :n, :n], flows[:, n:, n:], out=out.real)
+        np.subtract(flows[:, n:, :n], flows[:, :n, n:], out=out.imag)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise typed errors
@@ -1138,46 +1144,33 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
     """([index of each route], the flow at t = 1): the index scans on [0,
     1] of the flow routes of ``record``, each "orbit" (the orbit of the
     vertical against the vertical) or "graph" (the graph path against
-    the diagonal), read from the blocks of Phi = exp(t h) = [[A, B], [C,
-    D]] without a path, a frame or a chart product.  The routes share the
+    the diagonal), and psi(1) from one ``record.stack`` at t = 0 and 1.
+
+    A record without ``factors`` (the ``expm`` branch, growth beyond the
+    rank rule, or a bound above 1/(16 n g^2)) takes the generic scan of
+    each route, one after the other, with all of its checks and errors:
+    ``maslov_index`` of ``orbit_path`` against the vertical, and of
+    ``graph_path`` against the diagonal, whose paths find the kept record.
+
+    A certified record (``_record_of``) is read from its eigen factors
+    without a path, a frame or a chart product.  The routes share the
     record's rate bound, so their grid (``_scan_times``); they are sampled
     in the batches of the generic scan of the largest path, the graph's
     where it is scanned, with one ``slogdet`` per batch for all of them.
-
-    The vertical's frame [0; -I] gives Z = D - iB and the frames Phi [0;
-    -I] = -[B; D], the generic chart's bit for bit, and the frames have
-    the singular values of [B; D] for any orthonormal frame of the
-    vertical.  For the graph frame [I; Phi] against an orthonormal frame
-    of the diagonal, Z is, up to unitary factors, 2 [[M, *], [0, I]] in
-    the eigenbasis of J, with M = 1/2 [(A + D) + i (C - B)] the
-    complex-linear part of Phi; so arg det Z = arg det(2 M) up to one
-    constant of the frame, log |det Z| = n log 2 + log |det M|, and the
-    Gram matrix of the frame is I + Phi^T Phi (Conley-Zehnder's winding
-    of det M).  One ``record.stack`` at t = 0 and 1 gives psi(1) and the
-    end samples of every scan, the matrices of the batches bit for bit:
-    their block Z (``_block_z``) are the samples at the ends, the orbit's
-    end rows, and the graph's end flows give its chart's end rows.
-
-    Two sources, one per record, in one batch loop.  An uncertified
-    record (the ``expm`` branch, or ``record.factors`` None) takes the
-    block source: one ``record.stack`` per batch for all routes, the block
-    formulas, and each route's sum log s from its own Gram matrix by
-    ``_volumes`` (one Cholesky factor where the record's growth bound
-    holds, else the SVD rank rule on its frames); then the error of a
-    non-finite flow, then the Lagrangian check of ``_check_flat``, as the
-    generic scan raises them.  Errors come in the order of the scans run
-    one after the other: a scan that fails takes no further batch, and
-    when the first scan fails, sampling stops and its error is raised.
-
-    A certified record (``_record_of``) takes the factored source: every
-    sample's Z is L (exp(t exponent) o R) with its route's eigen factors,
-    L = V[n:] - i V[:n] and R = V^-1[:, n:] for the orbit (D - iB of V
-    exp(t Lambda) V^-1) and L = V[:n] + i V[n:] and R = V^-1[:, :n] - i
-    V^-1[:, n:] for the graph ((A + D) + i (C - B)): no flow, no Gram
-    matrix, no Cholesky factor and no ``_check_flat``.  The end samples
-    are the stack's on both sources, so the ends' arg det Z are the
-    block source's bit for bit.  No check of the block source can fire
-    on such a record, and both sources give one index:
+    With Phi = exp(t h) = [[A, B], [C, D]], the vertical's frame [0; -I]
+    gives Z = D - iB, the generic chart's bit for bit.  For the graph
+    frame [I; Phi] against an orthonormal frame of the diagonal, Z is, up
+    to unitary factors, 2 [[M, *], [0, I]] in the eigenbasis of J, with M
+    = 1/2 [(A + D) + i (C - B)] the complex-linear part of Phi; so arg det
+    Z = arg det(2 M) up to one constant of the frame (Conley-Zehnder's
+    winding of det M).  Every sample's Z is L (exp(t exponent) o R) with
+    its route's eigen factors, L = V[n:] - i V[:n] and R = V^-1[:, n:] for
+    the orbit (D - iB of V exp(t Lambda) V^-1) and L = V[:n] + i V[n:] and
+    R = V^-1[:, :n] - i V^-1[:, n:] for the graph ((A + D) + i (C - B)).
+    The end samples are instead the block Z (``_block_z``) of the stack at
+    0 and 1, and the graph's end phases are read in its chart from the
+    graph frames of that stack.  No check of the generic scan can fire on
+    a certified record, and both scans give one index:
 
     (a) For an orthonormal frame G and the chart C = Q^T (I - i Omega)
         of an orthonormal Lagrangian frame Q, Omega orthogonal with
@@ -1192,9 +1185,9 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
         1/g - epsilon with epsilon <= D / 4g (``_record_of``), so mu <=
         1.04 D g^2 <= 1/(15 n).  Graph: [I; Phi] in (-J) x J gives Phi^T
         J Phi - J, and sigma_min >= 1, so mu <= D.  By (a) the ratio of
-        ``_check_flat`` is at least (1 - 1/(225 n^2))^(n/4) > 0.99, while
-        it fires only at eps_rank <= 1e-3 (the growth rule needs B^2 <=
-        1e-3 / eps_rank with B >= 1).
+        the Lagrangian check ``_check_flat`` is at least (1 - 1/(225
+        n^2))^(n/4) > 0.99, while it fires only at eps_rank <= 1e-3 (the
+        growth rule needs B^2 <= 1e-3 / eps_rank with B >= 1).
     (c) Rank and finiteness: the growth rule holds at t = 1, so on every
         batch; ``_volumes`` then takes a Cholesky factor, or the SVD rule
         whose ratio 1 / cond F >= (eps_rank / 1e-3)^(1/2) passes, and
@@ -1202,95 +1195,75 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
     (d) Phase: with |exp(s h)| <= g exp(g rho) on [0, 1] (h = h' + (h -
         h'), Van Loan's bound), variation of constants gives |Psi(t) -
         exp(t h)| <= g^2 rho exp(g rho) <= D / 4, so each sample of either
-        source is the Z of a flow within D / 2 of exp(t h) (epsilon <=
-        D / 4 covers the factored products too, the products of ``stack``
-        in another order).  The block formulas have norm at most 2 in the
-        flow, and the Lagrangian frames of exp(t h) have |Z^-1| <= 1.02 g
-        by (a) with mu = 0, so each sampled arg det Z is within n arcsin
-        (1.02 g D) < 1/15 rad of that of exp(t h), which a certified cell
-        moves by at most 7 pi/8 (``bound``).  Each sampled step is below
-        7 pi/8 + 2/15 < pi, inside the pi/8 rounding headroom of
-        ``CELL_PHASE``: both lifts are exact, and with the same end
-        arguments they give the same index.
+        scan is the Z of a flow within D / 2 of exp(t h) (epsilon <= D / 4
+        covers the factored products too, the products of ``stack`` in
+        another order).  Z is linear in the flow with norm at most 2, and
+        the Lagrangian frames of exp(t h) have |Z^-1| <= 1.02 g by (a)
+        with mu = 0, so each sampled arg det Z is within n arcsin (1.02 g
+        D) < 1/15 rad of that of exp(t h), which a certified cell moves by
+        at most 7 pi/8 (``bound``).  Each sampled step is below 7 pi/8 +
+        2/15 < pi, inside the pi/8 rounding headroom of ``CELL_PHASE``:
+        both lifts are exact, and with the same end arguments, up to the
+        graph's constant, they give the same index.
 
     Every scan starts at t = 0 on its reference.  Where 4 delta0 <=
-    eps_rank, delta0 the record's ``origin_defect``, its first end takes
-    the phases 0 without ``_eigenphases``, which ``_snapped`` reads as the
-    sum 0 and the dimension the size of W, as it reads the computed
-    phases.  Write F0 = I + E, |E|_F = delta0.  On the orbit Z0 = D0 -
-    iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0, and W0 - I =
-    (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2 delta0 / (1 -
-    delta0).  On the graph, in the chart of the diagonal [I; I] / sqrt 2
-    (another orthonormal frame R of it gives R^T W0 R), Z0 = [(I + F0) -
-    iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I - iJ) E / 2
-    and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 / (1 -
-    delta0).  An eigenvalue within r < 1 of 1 has a phase of at most
+    eps_rank, delta0 the record's ``origin_defect``, the certified scan's
+    first end takes the phases 0 without ``_eigenphases``, which
+    ``_snapped`` reads as the sum 0 and the dimension the size of W, as it
+    reads the computed phases.  Write F0 = I + E, |E|_F = delta0.  On the
+    orbit Z0 = D0 - iB0 = I + Delta with |Delta|_2 <= |Delta|_F <= delta0,
+    and W0 - I = (Delta - conj Delta) conj(Z0)^-1, so |W0 - I|_2 <= 2
+    delta0 / (1 - delta0).  On the graph, in the chart of the diagonal [I;
+    I] / sqrt 2 (another orthonormal frame R of it gives R^T W0 R), Z0 =
+    [(I + F0) - iJ (F0 - I)] / sqrt 2 = sqrt 2 (I + Delta) with Delta = (I
+    - iJ) E / 2 and Delta - conj Delta = -iJE, so |W0 - I|_2 <= delta0 /
+    (1 - delta0).  An eigenvalue within r < 1 of 1 has a phase of at most
     arcsin r, here arcsin(2 eps_rank / (4 - eps_rank)) < 3/4 eps_rank, so
     every computed phase at 0 lies in the band eps_rank where ``_snapped``
     zeroes it while eps_rank is well above the rounding of W, and the
     index is the same bit for bit.  Otherwise the first end's phases are
-    computed.  The t = 0 sample keeps its rank and Lagrangian checks on
-    the block source."""
-    d = record.h.shape[0]
-    n, eye = d // 2, np.eye(d) if "graph" in routes else None
+    computed."""
+    h = record.h
+    d = h.shape[0]
+    n = d // 2
     ts = _scan_times((0.0, 1.0), record.bound, MIN_GRID, False)
-    # 1 where the t = 0 end is certified by the bound above, else 0
-    zero = int(4.0 * record.origin_defect <= tol.eps_rank)
+    at_ends = record.stack(ts[[0, -1]])  # psi(1) and the end samples, the batches' bit for bit
+    if record.factors is None:  # the generic scans, one after the other
+        paths = {"orbit": lambda: (orbit_path(h, None, (0.0, 1.0), tol),
+                                   vertical_lagrangian(n, tol)),
+                 "graph": lambda: (graph_path(h, (0.0, 1.0), tol), diagonal_lagrangian(n, tol))}
+        return [maslov_index(*paths[route](), MIN_GRID, tol) for route in routes], at_ends[-1]
     # per sample, the generic scan's 2d x 2d real intersections of the
     # graph, else the d x d complex flow
     step = max(1, _BATCH_BYTES // (16 * d * d * (1 + ("graph" in routes))))
-    scans = [[route, [], None] for route in routes]  # route, args, error
     # one stack of blocks for every batch: a stack per batch took
     # _flow_indices up to 1.14 times as long at n = 16 in full
     # tools/layer_bench.py runs, on the heap the earlier layers left
     blocks = np.empty((len(routes), min(step, len(ts)), n, n), dtype=complex)
-    at_ends = record.stack(ts[[0, -1]])  # psi(1) and the end samples, the batches' bit for bit
     ends = np.empty((len(routes), 2, n, n), dtype=complex)
-    for k, scan in enumerate(scans):
-        _block_z(at_ends, scan[0], ends[k])
-    if record.factors is not None:
-        left, right = (factor[[("orbit", "graph").index(route) for route in routes], None]
-                       for factor in record.factors)
+    for route, out in zip(routes, ends):
+        _block_z(at_ends, route, out)
+    left, right = (factor[[("orbit", "graph").index(route) for route in routes], None]
+                   for factor in record.factors)
+    args = []
     for first in range(0, len(ts), step):
         times = ts[first:first + step]
-        live = [scan for scan in scans if scan[2] is None]
-        z, volumes = blocks[:len(live), :len(times)], []
-        if record.factors is not None:
-            np.matmul(left, np.exp(times[:, None] * record.exponent)[:, :, None] * right, out=z)
-        else:
-            flows, error = _finite(record.stack(times), "path frame")
-            z = z[:, :len(flows)]
-            for k, scan in enumerate(live):
-                frames = _block_z(flows, scan[0], z[k])
-                volumes.append((record.orbit_growth, lambda f=frames: f, tol) if scan[0] == "orbit"
-                               else (record.graph_growth, lambda: _graph_frames(flows, eye), tol,
-                                     lambda: _tr(flows) @ flows + eye))
-        for i, end in ((0, 0), (len(ts) - 1, 1)):  # the end samples of both sources
-            if 0 <= i - first < z.shape[1]:
-                z[:, i - first] = ends[:len(live), end]
-        sign, logdet = np.linalg.slogdet(z)
-        for k, scan in enumerate(live):
-            try:
-                if volumes:
-                    log_s = _volumes(times, *volumes[k])
-                    if error is not None:
-                        raise error
-                    _check_flat(times, logdet[k], log_s, tol)
-            except SymindexError as exc:
-                scan[2] = exc
-                continue
-            scan[1].append(np.angle(sign[k]))
-        if scans[0][2] is not None:
-            raise scans[0][2]
+        z = blocks[:, :len(times)]
+        np.matmul(left, np.exp(times[:, None] * record.exponent)[:, :, None] * right, out=z)
+        for i, end in ((0, 0), (len(ts) - 1, 1)):  # the end samples
+            if 0 <= i - first < len(times):
+                z[:, i - first] = ends[:, end]
+        args.append(np.angle(np.linalg.slogdet(z)[0]))
+    # 1 where the t = 0 end is certified by the bound above, else 0
+    zero = int(4.0 * record.origin_defect <= tol.eps_rank)
     indices = []
-    for (route, args, error), rows in zip(scans, ends):
-        if error is not None:
-            raise error
+    for route, route_args, rows in zip(routes, np.concatenate(args, axis=1), ends):
         if route == "graph":
             diagonal = diagonal_lagrangian(n, tol)
-            rows = _in_chart(_chart(diagonal.space, diagonal, tol), _graph_frames(at_ends, eye))
+            rows = _in_chart(_chart(diagonal.space, diagonal, tol),
+                             _graph_frames(at_ends, np.eye(d)))
         thetas = np.concatenate((np.zeros((zero, rows.shape[-1])), _eigenphases(rows[zero:], tol)))
-        indices.append(_phase_index(_lift(np.concatenate(args)), thetas, tol))
+        indices.append(_phase_index(_lift(route_args), thetas, tol))
     return indices, at_ends[-1]
 
 

@@ -767,9 +767,9 @@ COST_TABLE = {
                 "stack rows": 2, "svd": 4},
         "n=16": {"eigh": 2, "eigvalsh": 3, "norm": 5, "qr": 1, "slogdet": 3, "solve": 3,
                  "stack rows": 2, "svd": 5},
-        "expm": {"eigvals": 2, "norm": 1, "slogdet": 1, "solve": 7, "stack rows": 6, "svd": 4},
-        "growth": {"eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1, "slogdet": 1, "solve": 3,
-                   "stack rows": 8, "svd": 7},
+        "expm": {"eigvals": 2, "norm": 1, "slogdet": 2, "solve": 10, "stack rows": 10, "svd": 4},
+        "growth": {"eigvals": 2, "eigvalsh": 3, "norm": 5, "qr": 1, "slogdet": 2, "solve": 3,
+                   "stack rows": 14, "svd": 7},
     },
     "maslov_index_symplectic": {
         "n=1": {"eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
@@ -841,9 +841,10 @@ def _costs(call, *spied):
 
 
 def test_the_cost_generators_take_both_batch_sources():
-    """The table covers both sources of ``_flow_scans``: the records of
-    n = 1, 4 and 16 are certified, the Jordan one takes the ``expm``
-    branch and the growth one is an eigen record that is not."""
+    """The table covers both kinds of record of ``_flow_scans``: the
+    records of n = 1, 4 and 16 are certified and take the factored
+    source, the Jordan one takes the ``expm`` branch and the growth one
+    is an eigen record that is not, so both take the generic scans."""
     records = {g: maslov._flow_record(h, None, numerics.DEFAULT_TOL)
                for g, h in COST_GENERATORS.items()}
     assert all(records[g].factors is not None for g in ("n=1", "n=4", "n=16"))
@@ -877,20 +878,23 @@ def test_a_warm_validate_takes_a_pinned_set_of_linalg_calls():
     ("validate", COST_TABLE["validate"]),
 ])
 def test_warm_flow_routes_scan_the_record_without_a_path(route, pinned):
-    """A warm flow route of each generator of the cost table scans its
-    flow record without constructing a ``LagrangianPath`` and makes
+    """A warm flow route of each generator of the cost table makes
     exactly the pinned ``numpy.linalg`` calls and stack rows.  On a
-    certified record a scan takes one ``slogdet`` per batch for all its
-    routes, one ``solve`` and ``eigvals`` (``eigh`` from size 12) for the
-    last end's eigenphases, the t = 0 end being certified, and the two
-    end rows of the stack; the block source of the ``expm`` and the growth
-    records stacks every sample and takes its volumes (the SVD rank rule
-    where the growth bound fails)."""
+    certified record it scans the record without constructing a
+    ``LagrangianPath``: one ``slogdet`` per batch for all its routes, one
+    ``solve`` and ``eigvals`` (``eigh`` from size 12) for the last end's
+    eigenphases, the t = 0 end being certified, and the two end rows of
+    the stack.  The ``expm`` and the growth records take the generic scan
+    of one path per route, which stacks every sample, takes its volumes
+    (the SVD rank rule where the growth bound fails) and the phases of
+    both ends, beside the two end rows of psi(1)."""
+    scans = {"maslov_index_symplectic": 1, "conley_zehnder": 1, "validate": 2}[route]
     for g, h in COST_GENERATORS.items():
         call = _route(route, h)
         want = call()
         answer, cost, paths = _costs(call, (maslov.LagrangianPath, "__post_init__"))
-        assert answer == want and cost == pinned[g] and paths == {"__post_init__": 0}, g
+        built = 0 if COST_KINDS[g] == "certified" else scans
+        assert answer == want and cost == pinned[g] and paths == {"__post_init__": built}, g
 
 
 @pytest.mark.parametrize("route", ["maslov_index_symplectic", "conley_zehnder", "validate"])

@@ -19,6 +19,7 @@ import pytest
 
 import symindex
 import symindex.checks  # noqa: F401  (``execute`` runs a check by name)
+from symindex import maslov
 
 
 @pytest.mark.parametrize("workload,first_pass", [
@@ -115,7 +116,8 @@ def test_traced_flow_routes_sample_as_untraced():
     """After ``tracing.install``, whose path factories replace a path's
     frame function, ``maslov_index_symplectic(5 J_1)`` and
     ``conley_zehnder(5 J_1)`` give the untraced indices and, as untraced,
-    read the blocks of the flow: no ``maslov._chart_samples`` call."""
+    read the eigen factors of their certified record: no
+    ``maslov._chart_samples`` call."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     r = subprocess.run([sys.executable, "-B", "-c", _FLOW_ROUTES_RUN, str(ROOT / "perfbench")],
                        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
@@ -123,3 +125,28 @@ def test_traced_flow_routes_sample_as_untraced():
     assert json.loads(r.stdout) == {
         "untraced maslov_index_symplectic": ["3/2", 0], "untraced conley_zehnder": ["1", 0],
         "traced maslov_index_symplectic": ["3/2", 0], "traced conley_zehnder": ["1", 0]}
+
+
+def test_the_benchmark_scans_only_certified_flow_records(workloads, monkeypatch):
+    """Every flow record that ``maslov._flow_scans`` scans in the first
+    pass of index-small, index-large and dense-crossings, and in one
+    ``run_property_suite()``, is certified (has ``factors``): the generic
+    scan that a record without factors takes, one path per route, is
+    slower, and none of these calls takes it."""
+    flow_scans, records = maslov._flow_scans, []
+
+    def recording(record, routes, tol):
+        records.append(record)
+        return flow_scans(record, routes, tol)
+
+    monkeypatch.setattr(maslov, "_flow_scans", recording)
+    for workload in ("index-small", "index-large", "dense-crossings"):
+        start = len(records)
+        ops = workloads.make_pass(workload, workloads.REFERENCE_SEED, 0)
+        outcomes = [o for op in ops for o in workloads.execute(op, symindex)]
+        assert not [o for o in outcomes if o.failed], workload
+        assert len(records) > start, workload
+    start = len(records)
+    assert all(r.passed for r in symindex.checks.run_property_suite())
+    assert len(records) > start
+    assert [r for r in records if r.factors is None] == []

@@ -20,6 +20,18 @@ moves one re-pins it and states the old and the new count.
   ``random_symplectic(n, 9100 + s, scale)``.  The truth of the graph
   index is ``conley_zehnder`` of the unconjugated generator; conjugation
   moves the orbit index, which has no truth here.
+- Near loops: the conjugated turns around 2 pi + delta, 400 draws from
+  ``default_rng(100 + |log10 delta|)``, for delta = 1e-8, +-1e-7 and
+  1e-6: not loops, but within delta of one.  A draw is kept where its
+  computed eigenvalue lambda (Im lambda > 0) resolves its side of 2 pi,
+  |Im lambda - 2 pi| > 100 cond u |h|_2 with cond = |e^T V^-1| of its
+  unit eigenvector and u = 2^-52; the truths of a kept draw are
+  ``rotation_orbit_index`` and ``rotation_graph_index`` of Im lambda
+  (S preserves the vertical, so an elliptic 2 x 2 orbit index depends
+  on the speed alone).  The census counts (kept, wrong, silent) on the
+  kept draws and (wrong, silent) on all 400 against the closed forms
+  of 2 pi + delta; the second count also holds the draws whose
+  eigenvalue the flow record snaps onto 2 pi i, which are not kept.
 """
 
 import math
@@ -68,20 +80,58 @@ def _general_conjugates(scale, draws=300):
         yield m @ g @ np.linalg.inv(m), None, conley_zehnder(g)
 
 
+def _near_loops(delta, draws=400):
+    """(h, orbit truth, graph truth, truths from the spectrum of a kept
+    draw, else None) of the near loops around 2 pi + ``delta``."""
+    seed = 100 + round(abs(math.log10(abs(delta))))
+    for h, orbit, graph in _conjugated_turns(2.0 * math.pi + delta, seed, draws):
+        vals, vecs = np.linalg.eig(h)
+        i = int(np.argmax(vals.imag))
+        speed, cond = vals[i].imag, np.linalg.norm(np.linalg.inv(vecs)[i])
+        kept = abs(speed - 2.0 * math.pi) > 100.0 * cond * 2.0 ** -52 * np.linalg.norm(h, 2)
+        truths = (rotation_orbit_index(speed), rotation_graph_index(speed)) if kept else None
+        yield h, orbit, graph, truths
+
+
+def _report(h):
+    """``validate(make_system(h), sigma=-1)``, or None for a typed error."""
+    try:
+        return validate(make_system(h), sigma=-1)
+    except SymindexError:
+        return None
+
+
+def _verdict(report, orbit, graph):
+    """(wrong, silent), each 0 or 1, of a report against its truths; a
+    truth of None is not compared."""
+    wrong = orbit not in (None, report.orbit_index) or graph not in (None, report.graph_index)
+    return int(wrong), int(wrong and report.agree)
+
+
 def _census(draws):
     """(wrong, silent) of ``validate`` over (h, orbit truth, graph truth)
-    draws; a truth of None is not compared."""
-    wrong = silent = 0
+    draws."""
+    counts = np.zeros(2, dtype=int)
     for h, orbit, graph in draws:
-        try:
-            report = validate(make_system(h), sigma=-1)
-        except SymindexError:
-            continue
-        if (orbit not in (None, report.orbit_index)
-                or graph not in (None, report.graph_index)):
-            wrong += 1
-            silent += report.agree
-    return wrong, silent
+        report = _report(h)
+        if report is not None:
+            counts += _verdict(report, orbit, graph)
+    return tuple(counts.tolist())
+
+
+def _near_loop_census(delta):
+    """((kept, wrong, silent) on the kept draws, (wrong, silent) on all
+    draws) of the near loops around 2 pi + ``delta``, one ``validate``
+    per draw."""
+    kept, on_kept, on_all = 0, np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for h, orbit, graph, truths in _near_loops(delta):
+        kept += truths is not None
+        report = _report(h)
+        if report is not None:
+            on_all += _verdict(report, orbit, graph)
+            if truths is not None:
+                on_kept += _verdict(report, *truths)
+    return (kept, *on_kept.tolist()), tuple(on_all.tolist())
 
 
 #: (draws, pinned (wrong, silent) counts) of each census; the snap of the
@@ -96,6 +146,25 @@ CENSUSES = {
     "general scale=1.5": (lambda: _general_conjugates(1.5), (0, 0)),
     "general scale=2.5": (lambda: _general_conjugates(2.5), (0, 0)),
 }
+
+
+#: delta -> pinned ((kept, wrong, silent) on the kept draws, (wrong,
+#: silent) on all draws) of the near-loop census.  The graph end's
+#: smallest eigenphase is about delta / cond, so at small delta it falls
+#: inside the absolute band ``eps_rank`` that counts an end as degenerate
+NEAR_LOOPS = {
+    1e-8: ((341, 292, 212), (351, 261)),
+    1e-7: ((393, 198, 116), (205, 118)),
+    -1e-7: ((393, 198, 116), (205, 118)),
+    1e-6: ((400, 10, 2), (10, 2)),
+}
+
+
+@pytest.mark.parametrize("delta", list(NEAR_LOOPS))
+def test_near_loop_census_counts(delta):
+    """The near-loop census at each delta gives exactly its pinned
+    counts."""
+    assert _near_loop_census(delta) == NEAR_LOOPS[delta]
 
 
 @pytest.mark.parametrize("name", list(CENSUSES))

@@ -448,6 +448,24 @@ def test_certified_cell_count_is_capped():
         maslov_index_symplectic(1e7 * standard_J(1))
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e308])
+def test_a_generator_near_the_largest_doubles_is_too_coarse(scale):
+    """A rotation whose speed nears the largest double needs more than
+    ``MAX_CELLS`` cells: its flow routes raise GridTooCoarse and no numpy
+    warning escapes the build of its record.  At 1e308 the symmetric part
+    of its Hamiltonian form overflows, so that record's rate bound is not
+    finite."""
+    h = scale * standard_J(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = maslov._flow_record(h, None, DEFAULT_TOL).bound
+        assert np.isfinite(bound) == (scale < 1e308)
+        for route in (maslov_index_symplectic, conley_zehnder,
+                      lambda h: validate(make_system(h), sigma=-1)):
+            with pytest.raises(GridTooCoarse, match="more than %d$" % maslov.MAX_CELLS):
+                route(h)
+
+
 def test_crossing_chart_requires_orthogonal_form():
     space = SymplecticSpace(2.0 * standard_J(1))
     path = path_from_frames(
@@ -1234,42 +1252,39 @@ def _bits(a):
 ], ids=["orbit 60J, 3 samples a batch", "graph n=2, 3 samples a batch",
         "graph n=16, default batches"])
 def test_index_scan_takes_its_end_phases_in_one_call(h, route, budget, monkeypatch):
-    """An index scan of ``_flow_scans`` over several batches, those of
-    the generic scan of its path, takes the eigenphases of the ends it
+    """An index scan of ``_flow_scans`` of the certified record of h over
+    several batches, those of the generic scan of its path, stacks the
+    flow once, at the two ends, and takes the eigenphases of the ends it
     computes in one ``_eigenphases`` call, here the last end only, as
-    the record certifies the first, and its lift and end phases equal
-    those of the same scan in one batch bit for bit.  This holds on both
-    sources of the certified record of h: both stack the flow once at
-    the two ends, and the block source also once per batch."""
+    the record certifies the first; its lift and end phases equal those
+    of the same scan in one batch bit for bit."""
     path = _own_scan(h, route)[0]
     assert maslov._flow_record(h, None, DEFAULT_TOL).factors is not None
-    for block in (True, False):
-        monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
-        whole = _flow_scan_parts(h, route, block=block)
-        ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
-        assert len(maslov._batches(path, len(ts))) == len(whole.records) - block == 1
-        monkeypatch.undo()
-        if budget is not None:
-            monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
-        batches = len(maslov._batches(path, len(ts)))
-        assert batches > 1
-        calls = []
-        eigenphases = maslov._eigenphases
+    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
+    whole = _flow_scan_parts(h, route)
+    ts, ((whole_lift, whole_ends),) = whole.ts, whole.scans
+    assert len(maslov._batches(path, len(ts))) == len(whole.records) == 1
+    monkeypatch.undo()
+    if budget is not None:
+        monkeypatch.setattr(maslov, "_BATCH_BYTES", budget)
+    batches = len(maslov._batches(path, len(ts)))
+    assert batches > 1
+    calls = []
+    eigenphases = maslov._eigenphases
 
-        def counting(z, tol):
-            calls.append(len(z))
-            return eigenphases(z, tol)
+    def counting(z, tol):
+        calls.append(len(z))
+        return eigenphases(z, tol)
 
-        monkeypatch.setattr(maslov, "_eigenphases", counting)
-        batched = _flow_scan_parts(h, route, block=block)
-        (lifted, ends), = batched.scans
-        assert len(batched.records) == 1 + (batches if block else 0)
-        assert calls == [1]
-        assert _bits(batched.ts) == _bits(ts)
-        assert _bits(lifted) == _bits(whole_lift)
-        assert ends.shape == (2, path.space.half_dim)
-        assert _bits(ends) == _bits(whole_ends)
-        monkeypatch.undo()
+    monkeypatch.setattr(maslov, "_eigenphases", counting)
+    batched = _flow_scan_parts(h, route)
+    (lifted, ends), = batched.scans
+    assert len(batched.records) == 1
+    assert calls == [1]
+    assert _bits(batched.ts) == _bits(ts)
+    assert _bits(lifted) == _bits(whole_lift)
+    assert ends.shape == (2, path.space.half_dim)
+    assert _bits(ends) == _bits(whole_ends)
 
 
 def test_lift_equals_unwrap_bit_for_bit():
@@ -1530,7 +1545,7 @@ def test_every_route_answers_alike_with_a_cold_and_a_warm_record():
         assert warm == cold, name
 
 
-# -- block samples of the two flow routes ----------------------------------------
+# -- flow scans of the two flow routes --------------------------------------------
 
 def _own_scan(h, route):
     """(path, reference) of the orbit path of h from the vertical or its
@@ -1558,17 +1573,16 @@ def _block_cases():
     yield "21 cells", 6.75 * random_hamiltonian(2, 3107, "semisimple-elliptic"), False
 
 
-def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL, block=False):
-    """The run of the ``_flow_scans`` of one route of h on [0, 1], at
-    the times ``ts`` where given, else at its own, on the record of h or,
-    with ``block``, on a copy of it without ``factors``, which takes the
-    block source whatever the record certifies: ``record`` the record it
-    scans, ``ts`` its times, ``records`` the records whose stack it
-    reads, one for the two ends and on the block source one per batch,
-    ``samples`` the (arg det Z, log |det Z|, sum log
-    s) of its samples (arg det Z alone on the factored source, which
-    runs no ``_check_flat``), ``flat`` the (log |det Z|, sum log s) of
-    each ``_check_flat``, ``scans`` the (lift, end phases) it passes
+def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL):
+    """The run of the ``_flow_scans`` of one route of h on [0, 1] on the
+    record of h, at the times ``ts`` where given, else at its own:
+    ``record`` the record it scans, ``ts`` its times, ``records`` the
+    records whose stack it reads, one for the two ends on the factored
+    source and on the generic scan of an uncertified record also one per
+    batch, ``samples`` the (arg det Z, log |det Z|, sum log s) of its
+    samples (arg det Z alone on the factored source, which runs no
+    ``_check_flat``), ``flat`` the (log |det Z|, sum log s) of each
+    ``_check_flat``, ``scans`` the (lift, end phases) it passes
     ``_phase_index``, and ``indices`` and ``flow`` what it returns;
     recorded by wrapping those functions."""
     run = types.SimpleNamespace(records=[], flat=[], lifts=[], scans=[])
@@ -1595,8 +1609,7 @@ def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL, block=False):
         run.scans.append((lifted, ends))
         return phase_index(lifted, ends, tol)
 
-    record = maslov._flow_record(h, None, tol)
-    run.record = dataclasses.replace(record, factors=None) if block else record
+    run.record = maslov._flow_record(h, None, tol)
     with pytest.MonkeyPatch.context() as patch:
         for name, fn in (("_scan_times", times), ("_check_flat", flat), ("_lift", lifting),
                          ("_phase_index", index)):
@@ -1610,38 +1623,30 @@ def _flow_scan_parts(h, route, ts=None, tol=DEFAULT_TOL, block=False):
 @pytest.mark.parametrize("route", ["orbit", "graph"])
 @pytest.mark.parametrize("h,expm_branch", [case[1:] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
-def test_block_samples_equal_the_chart_samples(h, expm_branch, route, monkeypatch):
-    """The block samples of ``_flow_scans``, read from the stack of the
-    record of h, give the arg det Z of the generic chart of the route's
-    path and reference up to one constant per scan, and its log |det Z|
-    and sum log s, within 1e-12 relative; on the orbit all three are the
-    chart's bit for bit.  Both sample all times in one batch, so both
-    take the volumes on one branch.  A certified record is scanned
-    through a copy without its factors (``_flow_scan_parts``), so the
-    block source runs on every case: uncertified, ``expm`` and
-    certified records alike."""
+def test_block_samples_equal_the_chart_samples(h, expm_branch, route):
+    """The block Z of ``_block_z`` from the stack of the record of h, the
+    end samples of the certified scans, give the arg det Z of the generic
+    chart of the route's path and reference up to one constant per scan,
+    and its log |det Z| within 1e-12 relative; on the orbit both are the
+    chart's bit for bit.  This holds on every record: ``expm``,
+    uncertified and certified alike."""
     tol = DEFAULT_TOL
-    monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
     path, ref = _own_scan(h, route)
     record = maslov._flow_record(h, None, tol)
     assert (record.eigen is None) == expm_branch
-    ts = np.linspace(0.0, 1.0, 41)
-    run = _flow_scan_parts(h, route, ts, block=True)
-    assert run.record.factors is None and run.record.h is record.h
-    assert run.records and all(r is run.record for r in run.records)
-    _, z, sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)
-    logdet = np.linalg.slogdet(z)[1]
-    log_s = maslov._frames(path, ts, tol)[1]
-    arg, block_logdet, block_log_s = run.samples
-    shift = np.angle(sign) - arg
-    constant = np.exp(1j * shift)
+    ts, n = np.linspace(0.0, 1.0, 41), len(h) // 2
+    z = np.empty((len(ts), n, n), dtype=complex)
+    maslov._block_z(record.stack(ts), route, z)
+    sign, logdet = np.linalg.slogdet(z)
+    chart_z, chart_sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts,
+                                                tol)[1:]
+    chart_logdet = np.linalg.slogdet(chart_z)[1]
+    constant = chart_sign / sign
     assert np.abs(constant - constant[0]).max() <= 1e-12
-    scale = 1.0 + np.abs(logdet).max()
-    assert np.abs(block_logdet - logdet).max() <= 1e-12 * scale
-    assert np.abs(block_log_s - log_s).max() <= 1e-12 * (1.0 + np.abs(log_s).max())
+    assert np.abs(logdet - chart_logdet).max() <= 1e-12 * (1.0 + np.abs(chart_logdet).max())
     if route == "orbit":
-        assert _bits(arg) == _bits(np.angle(sign))
-        assert _bits(block_logdet) == _bits(logdet) and _bits(block_log_s) == _bits(log_s)
+        assert _bits(np.angle(sign)) == _bits(np.angle(chart_sign))
+        assert _bits(logdet) == _bits(chart_logdet)
 
 
 def _certified_cases():
@@ -1650,35 +1655,69 @@ def _certified_cases():
             if maslov._flow_record(case[1], None, DEFAULT_TOL).factors is not None]
 
 
+def _uncertified_cases():
+    """The cases of ``_block_cases`` whose record is not certified."""
+    return [case for case in _block_cases()
+            if maslov._flow_record(case[1], None, DEFAULT_TOL).factors is None]
+
+
+@pytest.mark.parametrize("route", ["orbit", "graph"])
+@pytest.mark.parametrize("h", [case[1] for case in _uncertified_cases()],
+                         ids=[case[0] for case in _uncertified_cases()])
+def test_an_uncertified_record_takes_the_generic_scan_of_its_path(h, route):
+    """On a record without factors ``_flow_scans`` is the generic scan of
+    the route's path against its reference (``maslov_index`` at
+    ``MIN_GRID``): the same lift and end phases bit for bit, with the
+    Lagrangian check of every sample, and the same index; its paths read
+    the stack of the kept record, and psi(1) is that record's flow at 1
+    bit for bit."""
+    tol = DEFAULT_TOL
+    path, ref = _own_scan(h, route)
+    run = _flow_scan_parts(h, route)
+    assert run.record.factors is None and run.flat
+    assert run.records and all(r is run.record for r in run.records)
+    _, ts, lifted, ends = maslov._phase_grid(path, ref, maslov.MIN_GRID, tol, phases=False)
+    ((run_lifted, run_ends),) = run.scans
+    assert _bits(run.ts) == _bits(ts)
+    assert _bits(run_lifted) == _bits(lifted) and _bits(run_ends) == _bits(ends)
+    assert run.indices == [maslov_index(path, ref, maslov.MIN_GRID, tol)]
+    assert _bits(run.flow) == _bits(run.record.stack(np.ones(1))[0])
+
+
 @pytest.mark.parametrize("route", ["orbit", "graph"])
 @pytest.mark.parametrize("h", [case[1] for case in _certified_cases()],
                          ids=[case[0] for case in _certified_cases()])
 def test_factored_samples_equal_the_chart_samples(h, route, monkeypatch):
     """On a certified record ``_flow_scans`` reads every sample from the
     eigen factors: it stacks the flow once, at the two ends, runs no
-    ``_check_flat``, and its arg det Z is the generic chart's up to one
-    constant per scan within 1e-12.  Its end samples, end phases, psi(1)
-    and index are those of the block source on the same record bit for
-    bit, and its lift between the ends equals the block source's within
-    rounding."""
+    ``_check_flat``, and its arg det Z is the generic chart's
+    (``_phase_samples`` of the route's path) up to one constant per scan
+    within 1e-12.  The orbit's end arguments are the chart's bit for bit,
+    the graph's are within 1e-12 up to one constant; its last end phases
+    are the chart's bit for bit and its first end's read alike by
+    ``_snapped`` (the record certifies them, so they are 0), and its
+    index and psi(1) are the chart scan's and the record's flow at 1 bit
+    for bit."""
     tol = DEFAULT_TOL
     monkeypatch.setattr(maslov, "_BATCH_BYTES", 1 << 40)
     path, ref = _own_scan(h, route)
     record = maslov._flow_record(h, None, tol)
     ts = np.linspace(0.0, 1.0, 41)
-    run, block = _flow_scan_parts(h, route, ts), _flow_scan_parts(h, route, ts, block=True)
-    assert run.records == [record] and run.flat == [] and len(block.flat) == 1
-    sign = maslov._chart_samples(path, maslov._chart(path.space, ref, tol), ts, tol)[2]
-    (arg,), (block_arg, _, _) = run.samples, block.samples
-    constant = np.exp(1j * (np.angle(sign) - arg))
+    run = _flow_scan_parts(h, route, ts)
+    assert run.records == [record] and run.flat == []
+    args, ends, _ = maslov._phase_samples(path, maslov._chart(path.space, ref, tol), ts, tol,
+                                          False)
+    (arg,), ((lifted, run_ends),) = run.samples, run.scans
+    constant = np.exp(1j * (args - arg))
     assert np.abs(constant - constant[0]).max() <= 1e-12
-    assert np.abs(np.exp(1j * arg) - np.exp(1j * block_arg)).max() <= 1e-12
-    assert _bits(arg[[0, -1]]) == _bits(block_arg[[0, -1]])
-    ((lifted, ends),), ((block_lifted, block_ends),) = run.scans, block.scans
-    assert _bits(ends) == _bits(block_ends)
-    turn = lifted[-1] - lifted[0]
-    assert abs(turn - (block_lifted[-1] - block_lifted[0])) <= 1e-12 * (1.0 + abs(turn))
-    assert run.indices == block.indices and _bits(run.flow) == _bits(block.flow)
+    if route == "orbit":
+        assert _bits(arg[[0, -1]]) == _bits(args[[0, -1]])
+    assert abs(constant[-1] - constant[0]) <= 1e-12
+    assert _bits(run_ends[1:]) == _bits(ends[1:])
+    for got, want in zip(maslov._snapped(run_ends, tol), maslov._snapped(ends, tol)):
+        assert _bits(got) == _bits(want)
+    assert run.indices == [maslov._phase_index(maslov._lift(args), ends, tol)]
+    assert _bits(run.flow) == _bits(record.stack(np.ones(1))[0])
 
 
 def _answer_or_error(fn, *args):
@@ -1703,7 +1742,8 @@ def _two_scans(h):
 @pytest.mark.parametrize("h", [case[1] for case in _block_cases()],
                          ids=[case[0] for case in _block_cases()])
 def test_block_scans_give_the_index_of_the_chart_scan(h, route):
-    """An index scan of ``_flow_scans``, which reads the blocks, gives the
+    """An index scan of ``_flow_scans``, from the eigen factors of a
+    certified record or the generic scan of an uncertified one, gives the
     index of the same scan on the generic chart, which ``maslov_index``
     takes; a scan never mixes the two samplers, so its lift differs from
     the generic lift by one constant.  Its end phases are the generic
@@ -1729,8 +1769,8 @@ def test_block_scans_give_the_index_of_the_chart_scan(h, route):
 
 def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
     """A graph path scanned against any other reference and an orbit path
-    from a given start or against another reference read no block: with
-    the block scans (``_flow_scans``) patched away they give the index of
+    from a given start or against another reference take no flow scan:
+    with ``_flow_scans`` patched away they give the index of
     the same scan of the path with a plain frame function, or the public
     route's index."""
     h = random_hamiltonian(2, 3111, "mixed")
@@ -1756,8 +1796,8 @@ def test_other_references_and_starts_take_the_generic_chart(monkeypatch):
 def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
     """A scan of the public routes' paths against ``vertical_lagrangian(n)``,
     ``diagonal_lagrangian(n)`` or ``horizontal_lagrangian(n)``, however
-    tol is passed, reads no block (the block scans, ``_flow_scans``, are
-    patched away) and gives the index of the public route."""
+    tol is passed, takes no flow scan (``_flow_scans`` is patched away)
+    and gives the index of the public route."""
     h = random_hamiltonian(n, 3120 + n, "mixed")
     orbit, graph = _own_scan(h, "orbit")[0], _own_scan(h, "graph")[0]
     wants = (maslov_index_symplectic(h), conley_zehnder(h),
@@ -1772,8 +1812,8 @@ def test_every_spelling_of_a_reference_takes_the_generic_chart(n, monkeypatch):
 
 
 def test_find_crossings_keeps_the_generic_chart(monkeypatch):
-    """Only the public flow routes read the blocks: with the block scans
-    (``_flow_scans``) patched away, ``find_crossings`` and ``maslov_index`` of a
+    """Only the public flow routes take the flow scans: with
+    ``_flow_scans`` patched away, ``find_crossings`` and ``maslov_index`` of a
     flow path sample through the generic chart, while
     ``maslov_index_symplectic`` and ``conley_zehnder`` fail."""
     h = 5.0 * standard_J(1)
@@ -1788,11 +1828,12 @@ def test_find_crossings_keeps_the_generic_chart(monkeypatch):
 
 def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
     """``_flow_indices`` gives the two public scans and evaluates the
-    flow of its record for both routes at once: at the two ends, and on
-    the block source also once per batch of the graph path (the parent
-    scans stacked it once per batch of each), where the factored source
-    of a certified record reads no other flow.  Both give the same
-    indices, and their psi(1) is the record's flow at 1 bit for bit."""
+    flow of a certified record for both routes at once, at the two ends:
+    the factored source reads no other flow.  A copy of the record
+    without its factors takes the generic scan of each path, which
+    stacks the flow of the kept record once per batch of each, after the
+    two ends.  Both give the same indices, and their psi(1) is the
+    record's flow at 1 bit for bit."""
     tol = DEFAULT_TOL
     stacks = []
     stack = maslov._FlowRecord.stack
@@ -1801,24 +1842,25 @@ def test_flow_indices_stack_the_flow_once_per_batch(monkeypatch):
         stacks.append(len(ts))
         return stack(record, ts)
 
-    for n, batches in ((1, 1), (16, 11)):
+    for n, batches in ((1, (1, 1)), (16, (6, 11))):
         h = 4.0 * random_hamiltonian(n, 1016, "semisimple-elliptic")
         want = maslov_index_symplectic(h), conley_zehnder(h)
         record = maslov._flow_record(h, None, tol)
         assert record.factors is not None
-        path = graph_path(h)
-        ts = maslov._scan_times(path.interval, path._rate_bound, 256, False)
-        assert len(maslov._batches(path, len(ts))) == batches
+        paths = orbit_path(h), graph_path(h)
+        ts = maslov._scan_times((0.0, 1.0), record.bound, 256, False)
+        assert tuple(len(maslov._batches(path, len(ts))) for path in paths) == batches
         monkeypatch.setattr(maslov._FlowRecord, "stack", counting)
         orbit, graph, psi1, _ = maslov._flow_indices(h, tol)
         assert (orbit, graph) == want and stacks == [2]
         stacks.clear()
-        indices, block_psi1 = maslov._flow_scans(dataclasses.replace(record, factors=None),
-                                                 ("orbit", "graph"), tol)
+        indices, generic_psi1 = maslov._flow_scans(dataclasses.replace(record, factors=None),
+                                                   ("orbit", "graph"), tol)
         assert indices == list(want)
         monkeypatch.undo()
-        assert _bits(psi1) == _bits(block_psi1) == _bits(record.stack(np.ones(1))[0])
-        assert stacks[0] == 2 and len(stacks) == 1 + batches and sum(stacks) == 2 + len(ts)
+        assert _bits(psi1) == _bits(generic_psi1) == _bits(record.stack(np.ones(1))[0])
+        assert stacks[0] == 2 and len(stacks) == 1 + sum(batches)
+        assert sum(stacks) == 2 + 2 * len(ts)
         stacks.clear()
 
 
@@ -1892,9 +1934,10 @@ def _counting_eigenphases(monkeypatch):
 def test_a_certified_first_end_gives_the_index_of_its_computed_phases(monkeypatch):
     """On the first input of each parity-sweep ensemble, ``_flow_indices``
     and the two public scans answer alike, psi(1) bit for bit, whether
-    the record certifies their t = 0 end, whose phases then skip
-    ``_eigenphases``, or a record without the certificate has every end
-    computed."""
+    a certified record certifies their t = 0 end, whose phases then skip
+    ``_eigenphases``, or a record without that certificate has every end
+    computed.  A record without factors takes the generic scans, which
+    compute both ends either way."""
     sweep = _load_sweep()
     firsts = {}
     for name, h in sweep.ensemble():
@@ -1910,10 +1953,12 @@ def test_a_certified_first_end_gives_the_index_of_its_computed_phases(monkeypatc
         got = got if got[0] == "error" else got[:2] + (_bits(got[2]),)
         return got, _two_scans(h)
 
-    answered = 0
+    answered = factored = 0
     for h in firsts.values():
+        ends = 1 if maslov._flow_record(h, None, DEFAULT_TOL).factors is not None else 2
+        factored += ends == 1
         certified = answers(h)
-        assert set(rows) <= {1}
+        assert set(rows) <= {ends}
         answered += bool(rows)
         rows.clear()
         monkeypatch.setattr(maslov, "_record_of", uncertified)
@@ -1921,7 +1966,7 @@ def test_a_certified_first_end_gives_the_index_of_its_computed_phases(monkeypatc
         monkeypatch.setattr(maslov, "_record_of", record_of)
         assert set(rows) <= {2}
         rows.clear()
-    assert answered == len(firsts) == 9
+    assert answered == len(firsts) == 9 and 0 < factored < 9
 
 
 def test_an_uncertified_first_end_computes_its_phases(monkeypatch):

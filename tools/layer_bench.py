@@ -8,7 +8,7 @@ Each layer is called directly, not through a tracer.  On warm records
 with the calibrated sign, ``maslov._flow_indices``, ``route_pair`` (the
 public ``maslov_index_symplectic`` then ``conley_zehnder`` of one
 generator, reported per pair) and the two public flow routes, which
-read the blocks of the flow where the tree has them,
+read the eigen factors of a certified record where the tree has them,
 ``maslov.maslov_index_symplectic`` (``orbit_scan``) and
 ``maslov.conley_zehnder`` (``graph_scan``) of each generator;
 ``maslov._flow_record`` (its generators taken in turn, so each call
