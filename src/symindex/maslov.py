@@ -47,10 +47,12 @@ from .numerics import (
     expm,
 )
 from .symplectic import (
+    CACHED_DIMS,
     LagrangianFrame,
     SymplecticSpace,
     _hamiltonian_for,
     diagonal_lagrangian,
+    lagrangian_frame,
     vertical_lagrangian,
 )
 
@@ -80,9 +82,10 @@ class LagrangianPath:
     ``frame_fn`` should be smooth slightly beyond the interval ends.
     The built-in factories set ``_rate_bound``, a bound on |d arg det Z
     / dt| in any reference chart; ``dataclasses.replace`` keeps it, so a
-    new ``frame_fn`` must trace the same path.  Their frame functions
-    also bound the condition number of the frames (``_Stacked``); a new
-    ``frame_fn`` may return other frames of the path and drops it.
+    new ``frame_fn`` must trace the same path.  The frame functions of
+    the flow paths of a certified record are ``certified`` (``_Stacked``);
+    a new ``frame_fn`` may return other frames of the path and drops the
+    flag, so its frames take every check of the scan.
     """
 
     space: SymplecticSpace
@@ -135,16 +138,21 @@ class _Stacked:
     array of times, a call the batch of one.  Scan batches must also fit
     the complex flow matrix of ``sample_bytes`` behind each sample.
 
-    ``growth`` is None or (c, r) with log cond F(t) <= c + r |t| for
-    every frame F(t) the function returns; ``_volumes`` skips the SVD
-    rank rule where it holds.  It belongs to the function, not to the
+    ``certified`` is set where the certificate of a flow record
+    (``_record_of``) proves that every frame the function returns at a
+    time in [0, 1] passes the rank and the Lagrangian checks of a scan
+    (``_flow_scans``, (a)-(c)); ``_frames`` and ``_chart_samples`` skip
+    them on a batch of such times.  The proof is drawn at the ``tol`` of
+    the factory; a scan under another ``tol`` trusts it too, where only
+    an eps_rank above (eps_rank / 1e-3)^(1/2) of the factory's could
+    have refused a frame.  The flag belongs to the function, not to the
     path, so a path given another frame function by
-    ``dataclasses.replace`` carries no bound."""
+    ``dataclasses.replace`` is not certified."""
 
-    def __init__(self, stack, flow_dim: int, growth=None):
+    def __init__(self, stack, flow_dim: int, certified: bool = False):
         self.stack = stack
         self.sample_bytes = 16 * flow_dim * flow_dim
-        self.growth = growth
+        self.certified = certified
 
     def __call__(self, t):
         return self.stack(np.array([t], dtype=float))[0]
@@ -174,24 +182,17 @@ class _FlowRecord:
     routes (``_flow_scans``) read the flow through ``stack``; none keeps
     a copy of it.
 
-    ``orbit_growth`` and ``graph_growth``, None without ``eigen``, are
-    the (c, r) of ``_Stacked`` for the orbit and the graph frames: the
-    singular values of V exp(t Lambda) V^-1 F0, F0 orthonormal, lie
-    within kappa exp(t max Re lambda) and exp(t min Re lambda) / kappa,
-    and those of the graph frame [I; Phi] in [1, 1 + |Phi|], so its
-    cond F(t) <= 1 + kappa exp(|t| max |Re lambda|) <= 2 kappa exp(|t|
-    max |Re lambda|), lambda over ``exponent``.
-
     ``defect`` is D, a bound on the symplectic defect |Phi(t)^T J Phi(t)
     - J|_2 over t in [0, 1] of the flow Phi(t) as ``stack`` forms it,
     derived in ``_record_of``; inf on the ``expm`` branch, for a space
-    other than the standard one and where the rank rule of ``_volumes``
-    fails for a growth bound at t = 1.  With g = kappa exp(max |Re lambda|),
-    which bounds |Phi(t)| and |Phi(t)^-1| on [0, 1], the record is
-    certified where 16 n D g^2 <= 1; then ``factors`` is (L, R), the
-    eigen factors of Z(t) = L (exp(t exponent) o R) of the flow routes
-    "orbit" and "graph" stacked in that order (``_flow_scans``), else it
-    is None.
+    other than the standard one and where the rank premise of
+    ``_record_of`` fails.  With g = kappa exp(max |Re lambda|), which
+    bounds |Phi(t)| and |Phi(t)^-1| on [0, 1], the record is certified
+    where 16 n D g^2 <= 1; then ``factors`` is (L, R), the eigen factors
+    of Z(t) = L (exp(t exponent) o R) of the flow routes "orbit" and
+    "graph" stacked in that order (``_flow_scans``), and the frame
+    functions of ``orbit_path`` from the vertical and of ``graph_path``
+    are ``certified`` (``_Stacked``); else it is None.
 
     ``bound`` is the rate bound B of both paths: with S = sym(-Omega h),
     the Hamiltonian form of h on the space of form Omega, B = max(sum of
@@ -216,8 +217,6 @@ class _FlowRecord:
     origin_defect: float
     vals: Optional[np.ndarray]
     eigen: Optional[Tuple[np.ndarray, np.ndarray]]
-    orbit_growth: Optional[Tuple[float, float]]
-    graph_growth: Optional[Tuple[float, float]]
     exponent: Optional[np.ndarray] = None
     snaps: Tuple[Tuple[int, int, float, float], ...] = ()
     defect: float = math.inf
@@ -299,14 +298,23 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
     would lie within its bound of some i pi k.  ``vals`` stays the output
     of ``eig``.
 
+    The rank premise.  The singular values of the orbit frames V exp(t
+    Lambda') V^-1 F0, F0 orthonormal, lie within kappa exp(t max Re
+    lambda') and exp(t min Re lambda') / kappa, and those of the graph
+    frames [I; Phi] in [1, 1 + |Phi|], so for t in [0, 1] their cond F(t)
+    is at most B = kappa^2 exp(max Re lambda' - min Re lambda') and B = 2
+    kappa exp(max |Re lambda'|).  The certificate is formed only where
+    both have B^2 <= 1e-3 / eps_rank, six orders inside the rank rule's
+    cut at the default tol.
+
     The certificate D (``_certificate``), for the standard form J where
-    the rank rule holds for both growth bounds at t = 1.  Write
-    V, W for the computed V^-1, Lambda' for the exponent, kappa = cond V,
-    g = kappa exp(max |Re lambda'|), e = 4 (d + 2) d u, and h' = V Lambda'
-    V^-1 with the exact inverse.  The columns of V and the exponents come
-    in exact conjugate pairs, so h' is real; the columns are unit vectors,
-    so |V^-1| <= kappa, and Psi(t) = exp(t h') = V exp(t Lambda') V^-1 and
-    its inverse have norms at most g on [0, 1].
+    the rank premise holds.  Write V, W for the computed V^-1, Lambda'
+    for the exponent, kappa = cond V, g = kappa exp(max |Re lambda'|), e
+    = 4 (d + 2) d u, and h' = V Lambda' V^-1 with the exact inverse.  The
+    columns of V and the exponents come in exact conjugate pairs, so h'
+    is real; the columns are unit vectors, so |V^-1| <= kappa, and Psi(t)
+    = exp(t h') = V exp(t Lambda') V^-1 and its inverse have norms at
+    most g on [0, 1].
 
     - Generator: h' - h = (V Lambda - h V) V^-1 + V (Lambda' - Lambda)
       V^-1, so rho = |h' - h|_2 <= kappa (|h V - V Lambda|_F + max |lambda'
@@ -363,17 +371,20 @@ def _record_of(data: bytes, d: int, space: Optional[SymplecticSpace],
                 vecs.flags.writeable = vinv.flags.writeable = False
                 exponent, snaps = _snap(vals, vinv, norm, kappa)
                 re = exponent.real
-                growths = ((2.0 * math.log(kappa), float(re.max() - re.min())),
-                           (math.log(2.0 * kappa), float(np.abs(re).max())))
+                reach = float(np.abs(re).max())
+                # log B of the orbit and the graph frames, the rank premise
+                logs = (2.0 * math.log(kappa) + float(re.max() - re.min()),
+                        math.log(2.0 * kappa) + reach)
                 certificate = math.inf, None
-                if space is None and all(_within_growth(c, 1.0, tol) for c in growths):
+                if space is None and all(2.0 * c <= math.log(1e-3 / tol.eps_rank)
+                                         for c in logs):
                     certificate = _certificate(h, norm, delta_h, vecs, vinv, vals, product, defect,
-                                               snaps, kappa, growths[1][1])
+                                               snaps, kappa, reach)
                 return _FlowRecord(h, norm, bound, kappa, defect, vals, (vecs, vinv),
-                                   *growths, exponent, snaps, *certificate)
+                                   exponent, snaps, *certificate)
     except np.linalg.LinAlgError:
         pass
-    return _FlowRecord(h, norm, bound, kappa, 0.0, vals, None, None, None)
+    return _FlowRecord(h, norm, bound, kappa, 0.0, vals, None)
 
 
 def _snap(vals, vinv, norm, kappa):
@@ -401,17 +412,17 @@ def _snap(vals, vinv, norm, kappa):
                            for i in np.flatnonzero(near))
 
 
-def _certificate(h, norm, delta_h, vecs, vinv, vals, product, origin_defect, snaps, kappa, growth):
+def _certificate(h, norm, delta_h, vecs, vinv, vals, product, origin_defect, snaps, kappa, reach):
     """(D, factors) of ``_record_of``: the bound D on the symplectic
     defect of the stacked flow on [0, 1], from the checked h of spectral
     norm ``norm`` and Hamiltonian defect ``delta_h``, its unit
     eigenvectors, their computed inverse and their computed product, whose
     real part is ``origin_defect`` from I, its eigenvalues and ``snaps``,
-    kappa and max |Re lambda'| = ``growth``; and, where the record is
+    kappa and max |Re lambda'| = ``reach``; and, where the record is
     certified, the (L, R) of ``_flow_scans``' factored source, the
     orbit's then the graph's stacked and read-only, else None."""
     d, n = len(h), len(h) // 2
-    g, rounding = kappa * math.exp(growth), 4.0 * (d + 2) * d * _U
+    g, rounding = kappa * math.exp(reach), 4.0 * (d + 2) * d * _U
     rho = kappa * (float(np.linalg.norm(h @ vecs - vecs * vals))
                    + max((snap[2] for snap in snaps), default=0.0) + rounding * 3.0 * norm)
     # |fl(V W) - I|_F from the defects of its real and imaginary parts
@@ -437,8 +448,11 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
     tr A = tr(Q^T S Q) for S = sym(-Omega h), at most the bound B of
     ``_FlowRecord``.  Its frames are ``record.stack(ts)`` times the frame
-    of ``start``, with the record's ``orbit_growth``; the flow routes
-    scan the orbit of the vertical of a certified record without a path
+    of ``start``.  From the default start the record is the one of h,
+    and its frame function is ``certified`` where that record has
+    ``factors``; an explicit ``start`` keys the record by its space, which
+    has none, so its scans take every check.  The flow routes scan the
+    orbit of the vertical of a certified record without a path
     (``_flow_scans``)."""
     record = _flow_record(h, None if start is None else start.space, tol)
     h, flow = record.h, record.stack
@@ -452,7 +466,7 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _Stacked(frs, d, record.orbit_growth),
+    return LagrangianPath(start.space, _Stacked(frs, d, record.factors is not None),
                           _Stacked(dfrs, d), interval, record.bound)
 
 
@@ -464,9 +478,9 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
     its phase turns at tr(S P_b), with P_b the lower block of the
     graph's orthogonal projector and S = sym(-J h); its rate bound is
     the orbit's, B of ``_FlowRecord``.  Its frames [I; Phi] are read
-    from ``record.stack``, with the record's ``graph_growth``; the flow
-    routes scan the graph of a certified record without a path
-    (``_flow_scans``)."""
+    from ``record.stack``, and its frame function is ``certified`` where
+    the record has ``factors``; the flow routes scan the graph of a
+    certified record without a path (``_flow_scans``)."""
     record = _flow_record(h, None, tol)
     h, flow = record.h, record.stack
     d = h.shape[0]
@@ -479,8 +493,8 @@ def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> Lagrang
         return _graph_frames(h @ flow(ts), 0.0)
 
     return LagrangianPath(SymplecticSpace.graph_product(d // 2),
-                          _Stacked(frs, d, record.graph_growth), _Stacked(dfrs, d), interval,
-                          record.bound)
+                          _Stacked(frs, d, record.factors is not None), _Stacked(dfrs, d),
+                          interval, record.bound)
 
 
 def _graph_frames(flows, top):
@@ -501,8 +515,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     unitary U = X + iY; the path follows U0 Q diag(exp(i t theta)) Q*,
     with U0* U1 = Q diag(lambda) Q* from ``eig`` and theta = arg lambda
     + pi k.  Different integers k give mutually non-homotopic paths with
-    the same endpoints.  arg det Z turns at exactly |sum theta|.  The
-    frame [Re U; Im U] of a unitary U is orthonormal, so cond F(t) = 1.
+    the same endpoints.  arg det Z turns at exactly |sum theta|.  No
+    certificate covers its frames, so its scans take every check.
     """
     if not start.space.is_standard():
         raise InputError("unitary parametrization needs the standard space")
@@ -528,8 +542,8 @@ def unitary_geodesic(start: LagrangianFrame, end: LagrangianFrame,
     def dfrs(ts):
         return frames(1j * theta, ts)
 
-    return LagrangianPath(start.space, _Stacked(frs, n, (0.0, 0.0)), _Stacked(dfrs, n),
-                          (0.0, 1.0), abs(float(theta.sum())))
+    return LagrangianPath(start.space, _Stacked(frs, n), _Stacked(dfrs, n), (0.0, 1.0),
+                          abs(float(theta.sum())))
 
 
 # -- the phase scan ------------------------------------------------------------
@@ -627,26 +641,13 @@ def _finite(values, name: str):
     return values[:first], InputError("%s contains non-finite entries" % name)
 
 
-def _volumes(ts, growth, frames, tol: Tolerances):
+def _volumes(ts, frames, tol: Tolerances):
     """Sum log s over the singular values s of each frame F of the stack
-    ``frames`` at the times ts.  NotLagrangian names the first time whose
-    frame lost rank under the relative rank rule of
+    ``frames`` at the times ts, from one stacked SVD, the one rule of
+    every frame that no certificate covers.  NotLagrangian names the
+    first time whose frame lost rank under the relative rank rule of
     ``orthonormal_columns``.
-
-    Where ``growth`` (of ``_Stacked``) bounds cond F(t) at every ts by B
-    with B^2 <= 1e-3 / eps_rank every frame passes the rank rule, six
-    orders inside the cut at the default tol, and the sums come from one
-    batched Cholesky factor R of F^T F as sum log diag R.  Otherwise, or
-    where a Cholesky factor fails, one stacked SVD of the frames gives
-    the sums and applies the rank rule.
     """
-    if _within_growth(growth, float(np.abs(ts).max()), tol):
-        try:
-            r = np.linalg.cholesky(_tr(frames) @ frames)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return np.log(r.diagonal(axis1=1, axis2=2)).sum(axis=1)
     s = np.linalg.svd(frames, compute_uv=False)
     full = s[:, -1] > tol.eps_rank * s[:, 0]  # every singular value above the cut
     if not full.all():
@@ -654,24 +655,28 @@ def _volumes(ts, growth, frames, tol: Tolerances):
     return np.log(s).sum(axis=1)
 
 
-def _within_growth(growth, t: float, tol: Tolerances) -> bool:
-    """Whether the ``growth`` (c, r) of ``_Stacked``, None for no bound,
-    keeps every frame up to |t| within the rank rule's margin: its cond
-    bound B = exp(c + r |t|) has B^2 <= 1e-3 / eps_rank."""
-    return growth is not None and 2.0 * (growth[0] + growth[1] * t) <= math.log(
-        1e-3 / tol.eps_rank)
-
-
 def _frames(path: LagrangianPath, ts, tol: Tolerances):
-    """(frames, sum log s over the singular values s of each frame) of
-    the path at the times ts by ``_volumes``, whose rank check runs
-    before the error of a failing sample is raised."""
+    """(frames, sum log s over the singular values s of each frame, or
+    None) of the path at the times ts.  A ``certified`` frame function
+    (``_Stacked``) on times that all lie in [0, 1], the domain of its
+    certificate, takes no check and gives None; every other batch takes
+    ``_volumes``, whose rank check runs before the error of a failing
+    sample is raised."""
     frames, error = _evaluate(path, ts)
-    growth = path.frame_fn.growth if isinstance(path.frame_fn, _Stacked) else None
-    log_s = _volumes(ts, growth, frames, tol)
+    fn = path.frame_fn
+    certified = isinstance(fn, _Stacked) and fn.certified and 0.0 <= np.min(ts)
+    log_s = None if certified and np.max(ts) <= 1.0 else _volumes(ts, frames, tol)
     if error is not None:
         raise error
     return frames, log_s
+
+
+@functools.lru_cache(maxsize=CACHED_DIMS)
+def _check_reference(ref: LagrangianFrame, tol: Tolerances):
+    """``lagrangian_frame`` of the frame of ``ref``, its result dropped:
+    the shape, rank and isotropy checks of a reference, once per
+    reference object and ``tol``."""
+    lagrangian_frame(ref.space, ref.frame, tol)
 
 
 def _chart(space: SymplecticSpace, ref: LagrangianFrame, tol: Tolerances):
@@ -680,11 +685,14 @@ def _chart(space: SymplecticSpace, ref: LagrangianFrame, tol: Tolerances):
     the first check of every scan and crossing form.  For a form that is
     orthogonal with square -1, [Q | Omega Q] is orthogonal, symplectic
     and maps the horizontal onto ``ref``.  ``tol`` must be a Tolerances,
-    else InputError."""
+    else InputError; ``ref`` must be Lagrangian (``_check_reference``),
+    else NotLagrangian, as the certified scans, which check no sample,
+    read its chart."""
     as_tolerances(tol)
     space.check_same(ref)
     if not space.is_complex_structure:
         raise InputError("crossing forms need an orthogonal complex-structure form")
+    _check_reference(ref, tol)
     q = ref.frame
     return np.ascontiguousarray(q.T), -(q.T @ space.form)
 
@@ -711,11 +719,13 @@ def _check_flat(ts, logdet, log_s, tol: Tolerances):
 def _chart_samples(path: LagrangianPath, chart, ts, tol: Tolerances):
     """(frames, Z = C F, sign of det Z) of the path at the times ts, each
     frame checked for rank by ``_frames`` and for Lagrangian by
-    ``_check_flat``."""
+    ``_check_flat``, but for a certified batch of ``_frames``, whose
+    certificate proves that both checks pass."""
     frames, log_s = _frames(path, ts, tol)
     z = _in_chart(chart, frames)
     sign, logdet = np.linalg.slogdet(z)
-    _check_flat(ts, logdet, log_s, tol)
+    if log_s is not None:
+        _check_flat(ts, logdet, log_s, tol)
     return frames, z, sign
 
 
@@ -1147,8 +1157,9 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
     the diagonal), and psi(1) from one ``record.stack`` at t = 0 and 1.
 
     A record without ``factors`` (the ``expm`` branch, growth beyond the
-    rank rule, or a bound above 1/(16 n g^2)) takes the generic scan of
-    each route, one after the other, with all of its checks and errors:
+    rank premise of ``_record_of``, or a bound above 1/(16 n g^2)) takes
+    the generic scan of each route, one after the other, with all of its
+    checks and errors:
     ``maslov_index`` of ``orbit_path`` against the vertical, and of
     ``graph_path`` against the diagonal, whose paths find the kept record.
 
@@ -1187,11 +1198,11 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
         J Phi - J, and sigma_min >= 1, so mu <= D.  By (a) the ratio of
         the Lagrangian check ``_check_flat`` is at least (1 - 1/(225
         n^2))^(n/4) > 0.99, while it fires only at eps_rank <= 1e-3 (the
-        growth rule needs B^2 <= 1e-3 / eps_rank with B >= 1).
-    (c) Rank and finiteness: the growth rule holds at t = 1, so on every
-        batch; ``_volumes`` then takes a Cholesky factor, or the SVD rule
-        whose ratio 1 / cond F >= (eps_rank / 1e-3)^(1/2) passes, and
-        |Phi| <= g + epsilon is finite.
+        rank premise needs B^2 <= 1e-3 / eps_rank with B >= 1).
+    (c) Rank and finiteness: the rank premise bounds cond F by B on [0,
+        1], so the SVD rule of ``_volumes``, whose ratio 1 / cond F >=
+        (eps_rank / 1e-3)^(1/2), passes, and |Phi| <= g + epsilon is
+        finite.
     (d) Phase: with |exp(s h)| <= g exp(g rho) on [0, 1] (h = h' + (h -
         h'), Van Loan's bound), variation of constants gives |Psi(t) -
         exp(t h)| <= g^2 rho exp(g rho) <= D / 4, so each sample of either
@@ -1205,6 +1216,13 @@ def _flow_scans(record: _FlowRecord, routes, tol: Tolerances):
         2/15 < pi, inside the pi/8 rounding headroom of ``CELL_PHASE``:
         both lifts are exact, and with the same end arguments, up to the
         graph's constant, they give the same index.
+
+    (a)-(c) hold for every frame at a time in [0, 1] of ``orbit_path``
+    from the vertical and of ``graph_path`` of a certified record, in
+    the chart of any orthonormal Lagrangian reference, so the generic
+    scans of those paths skip both checks on such times (``certified``
+    of ``_Stacked``, ``_frames``), and their references are checked once
+    (``_chart``).
 
     Every scan starts at t = 0 on its reference.  Where 4 delta0 <=
     eps_rank, delta0 the record's ``origin_defect``, the certified scan's

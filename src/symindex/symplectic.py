@@ -239,10 +239,23 @@ def is_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def _hamiltonian_for(h, form, tol: Tolerances):
     """(whether h^T form + form h = 0 within tolerance, the spectral norm
-    of h that scales the tolerance, the defect |h^T form + form h|_F)."""
-    defect = float(np.linalg.norm(h.T @ form + form @ h))
-    norm = spectral_norm(h)
-    return bool(defect <= tol.eps_sym * (1.0 + norm)), norm, defect
+    of h that scales the tolerance, the defect |h^T form + form h|_F).
+    The test is defect <= eps_sym (1 + norm).  Where the norm or the
+    defect overflows, h is decided as h / m, m its largest |entry|, by
+    defect(h / m) <= eps_sym (1 / m + norm(h / m)), the same test
+    divided by m, so an overflow never passes a defect; the norm and the
+    defect returned stay those of h.  The products that overflow are
+    formed without numpy's warnings."""
+    def defect_of(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(a.T @ form + form @ a))
+
+    defect, norm = defect_of(h), spectral_norm(h)
+    if np.isfinite(norm) and np.isfinite(defect):
+        return bool(defect <= tol.eps_sym * (1.0 + norm)), norm, defect
+    m = float(np.abs(h).max())
+    scaled = h / m
+    return bool(defect_of(scaled) <= tol.eps_sym * (1.0 / m + spectral_norm(scaled))), norm, defect
 
 
 def apply_symplectic(m, L: LagrangianFrame, tol: Tolerances = DEFAULT_TOL) -> LagrangianFrame:

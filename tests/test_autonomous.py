@@ -1,6 +1,7 @@
 """Correction matrix, sign calibration, and the closed index formula."""
 
 import collections
+import dataclasses
 import functools
 import importlib.util
 import pathlib
@@ -745,8 +746,8 @@ def test_validate_measures_spectral_norms_only_in_input_checks(monkeypatch):
 
 #: the generators of the cost table: the certified records of n = 1, 4 and
 #: 16 (the first transversal), a Jordan block beside a rotation on the
-#: ``expm`` branch, and an eigen record whose growth fails the rank rule
-#: at t = 1, so uncertified
+#: ``expm`` branch, and an eigen record whose growth fails the rank
+#: premise of its certificate, so uncertified
 COST_GENERATORS = {
     "n=1": random_hamiltonian(1, 1000, "semisimple-elliptic"),
     "n=4": random_hamiltonian(4, 1000, "semisimple-elliptic"),
@@ -886,8 +887,8 @@ def test_warm_flow_routes_scan_the_record_without_a_path(route, pinned):
     eigenphases, the t = 0 end being certified, and the two end rows of
     the stack.  The ``expm`` and the growth records take the generic scan
     of one path per route, which stacks every sample, takes its volumes
-    (the SVD rank rule where the growth bound fails) and the phases of
-    both ends, beside the two end rows of psi(1)."""
+    (the SVD rank rule) and the phases of both ends, beside the two end
+    rows of psi(1)."""
     scans = {"maslov_index_symplectic": 1, "conley_zehnder": 1, "validate": 2}[route]
     for g, h in COST_GENERATORS.items():
         call = _route(route, h)
@@ -905,7 +906,7 @@ def test_a_cold_flow_route_takes_a_pinned_set_of_linalg_calls(route):
     plus those of one record of its kind (``RECORD_COST``): the generator
     check, ``eigvalsh`` of its Hamiltonian form, ``eig`` with its ``cond``,
     and on the eigen branch ``inv``, the origin defect and, where the
-    growth rule holds, the two norms of the certificate."""
+    rank premise holds, the two norms of the certificate."""
     for g, h in COST_GENERATORS.items():
         call = _route(route, h)
         want = call()
@@ -914,6 +915,178 @@ def test_a_cold_flow_route_takes_a_pinned_set_of_linalg_calls(route):
         cold = collections.Counter(COST_TABLE[route][g]) + collections.Counter(
             RECORD_COST[COST_KINDS[g]])
         assert answer == want and cost == cold, g
+
+
+#: scan -> generator -> warm cost of a generic scan of a flow path built
+#: in the call, as in ``COST_TABLE``, with the cells of its grid ("cells")
+#: and the bisection rounds of ``_locate`` ("rounds"); a scan of a
+#: certified record takes no ``_volumes``, so no SVD, on its samples
+SCAN_COST_TABLE = {
+    "orbit index": {
+        "n=1": {"cells": 1, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=4": {"cells": 5, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 6},
+        "n=16": {"cells": 22, "eigh": 1, "slogdet": 2, "solve": 1, "stack rows": 23},
+        "expm": {"cells": 3, "eigvals": 1, "slogdet": 1, "solve": 4, "stack rows": 4, "svd": 1},
+        "growth": {"cells": 5, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 6, "svd": 1},
+    },
+    "graph index": {
+        "n=1": {"cells": 1, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 2},
+        "n=4": {"cells": 5, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 6},
+        "n=16": {"cells": 22, "eigh": 1, "slogdet": 3, "solve": 1, "stack rows": 23},
+        "expm": {"cells": 3, "eigvals": 1, "slogdet": 1, "solve": 4, "stack rows": 4, "svd": 1},
+        "growth": {"cells": 5, "eigvals": 1, "slogdet": 1, "solve": 1, "stack rows": 6, "svd": 1},
+    },
+    "orbit crossings": {
+        "n=1": {"cells": 256, "eigvals": 2, "eigvalsh": 1, "norm": 1, "slogdet": 2, "solve": 3,
+                "stack rows": 259, "svd": 2},
+        "n=4": {"cells": 256, "eigvals": 35, "eigvalsh": 2, "norm": 1, "rounds": 32,
+                "slogdet": 35, "solve": 36, "stack rows": 293, "svd": 2},
+        "n=16": {"cells": 256, "eigh": 50, "eigvals": 8, "eigvalsh": 2, "norm": 1, "rounds": 32,
+                 "slogdet": 50, "solve": 51, "stack rows": 395, "svd": 2},
+        "expm": {"cells": 256, "eigvals": 2, "eigvalsh": 2, "norm": 1, "slogdet": 2, "solve": 12,
+                 "stack rows": 261, "svd": 4},
+        "growth": {"cells": 256, "eigvals": 2, "eigvalsh": 1, "norm": 1, "slogdet": 2,
+                   "solve": 3, "stack rows": 259, "svd": 4},
+    },
+}
+
+
+def _scan_route(scan, h):
+    """The call of ``scan`` of ``SCAN_COST_TABLE`` on the generator h."""
+    n = len(h) // 2
+    return {"orbit index": lambda: maslov.maslov_index(orbit_path(h), vertical_lagrangian(n)),
+            "graph index": lambda: maslov.maslov_index(graph_path(h), diagonal_lagrangian(n)),
+            "orbit crossings": lambda: maslov.find_crossings(orbit_path(h),
+                                                             vertical_lagrangian(n))}[scan]
+
+
+@pytest.mark.parametrize("scan", list(SCAN_COST_TABLE))
+def test_a_warm_generic_scan_takes_a_pinned_set_of_linalg_calls(scan, monkeypatch):
+    """A warm generic scan of a flow path of each generator of the cost
+    table makes exactly the pinned ``numpy.linalg`` calls and stack rows,
+    on the pinned cells and bisection rounds.  On a certified record the
+    index scans take no SVD, and ``find_crossings`` only the two of
+    ``_forms``, whose crossing forms take the orthonormal frames of
+    their samples."""
+    cost = collections.Counter()
+    scan_times, phase_samples = maslov._scan_times, maslov._phase_samples
+
+    def times(*args):
+        ts = scan_times(*args)
+        cost["cells"] += len(ts) - 1
+        return ts
+
+    def samples(*args, **kwargs):
+        cost["rounds"] += int(sys._getframe(1).f_code.co_name == "_locate")
+        return phase_samples(*args, **kwargs)
+
+    monkeypatch.setattr(maslov, "_scan_times", times)
+    monkeypatch.setattr(maslov, "_phase_samples", samples)
+    for g, h in COST_GENERATORS.items():
+        call = _scan_route(scan, h)
+        want = call()
+        cost.clear()
+        answer, calls, _ = _costs(call)
+        assert answer == want, g
+        assert dict(calls, **{k: v for k, v in cost.items() if v}) == SCAN_COST_TABLE[scan][g], g
+
+
+def _replaced(path):
+    """The path with its frame function replaced, so it is not certified."""
+    frame_fn = path.frame_fn
+    return dataclasses.replace(path, frame_fn=lambda t: frame_fn(t))
+
+
+def _scan_answers(path, ref):
+    """Bit for bit: the index, the crossings (time, inertia,
+    ``at_endpoint``) of ``find_crossings`` and the crossing form at each
+    crossing time and at 1/2."""
+    index = maslov.maslov_index(path, ref)
+    scan = maslov.find_crossings(path, ref)
+    crossings = [(float.hex(c.time), c.inertia, c.at_endpoint) for c in scan.crossings]
+    forms = [tuple(np.ascontiguousarray(x).tobytes() for x in maslov.crossing_form(path, ref, t))
+             for t in [c.time for c in scan.crossings] + [0.5]]
+    return index, scan.index, scan.baseline_dim, crossings, forms
+
+
+def _spied_checks(monkeypatch):
+    """A counter of the calls of ``_volumes`` and ``_check_flat``."""
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("_volumes", "_check_flat"):
+        monkeypatch.setattr(maslov, name, spy(name, getattr(maslov, name)))
+    return calls
+
+
+@pytest.mark.parametrize("g", ["n=1", "n=4", "n=16"])
+def test_certified_generic_scans_skip_the_checks_and_keep_their_answers(g, monkeypatch):
+    """``maslov_index``, ``find_crossings`` and ``crossing_form`` of the
+    orbit path against the vertical and of the graph path against the
+    diagonal of a certified record call neither ``_volumes`` nor
+    ``_check_flat``, and answer bit for bit as the same path with its
+    frame function replaced, which takes both checks on every sample."""
+    h = COST_GENERATORS[g]
+    n = len(h) // 2
+    calls = _spied_checks(monkeypatch)
+    for path, ref in ((orbit_path(h), vertical_lagrangian(n)),
+                      (graph_path(h), diagonal_lagrangian(n))):
+        assert path.frame_fn.certified
+        certified = _scan_answers(path, ref)
+        assert not calls
+        assert _scan_answers(_replaced(path), ref) == certified
+        assert calls["_volumes"] == calls["_check_flat"] > 0
+        calls.clear()
+
+
+def test_uncertified_batches_still_take_the_volumes(monkeypatch):
+    """``_volumes`` runs on every batch of times not all in [0, 1] of a
+    certified path on interval (-0.5, 1.5), and on no other of its
+    batches (here the form at 1/2), and on every batch of an
+    orbit from an explicit start, of the flow paths of the ``expm`` and
+    growth generators of the cost table, and of a geodesic."""
+    batches = []
+    frames, volumes = maslov._frames, maslov._volumes
+
+    def framing(path, ts, tol):
+        batches.append([np.asarray(ts, dtype=float), False])
+        return frames(path, ts, tol)
+
+    def volume(ts, *args):
+        batches[-1][1] = True
+        return volumes(ts, *args)
+
+    monkeypatch.setattr(maslov, "_frames", framing)
+    monkeypatch.setattr(maslov, "_volumes", volume)
+    h = COST_GENERATORS["n=4"]
+    wide = orbit_path(h, None, (-0.5, 1.5))
+    maslov.maslov_index(wide, vertical_lagrangian(4))
+    maslov.find_crossings(wide, vertical_lagrangian(4))
+    for t in (0.5, 1.25):
+        maslov.crossing_form(wide, vertical_lagrangian(4), t)
+    assert wide.frame_fn.certified
+    windowed = [((ts >= 0.0) & (ts <= 1.0)).all() for ts, _ in batches]
+    assert [took for _, took in batches] == [not inside for inside in windowed]
+    assert any(windowed) and not all(windowed)
+    batches.clear()
+    paths = [(orbit_path(h, vertical_lagrangian(4)), vertical_lagrangian(4)),
+             (maslov.unitary_geodesic(symplectic.horizontal_lagrangian(2),
+                                      symplectic.random_lagrangian(2, 3), 2),
+              symplectic.horizontal_lagrangian(2))]
+    for g in ("expm", "growth"):
+        n = len(COST_GENERATORS[g]) // 2
+        paths += [(orbit_path(COST_GENERATORS[g]), vertical_lagrangian(n)),
+                  (graph_path(COST_GENERATORS[g]), diagonal_lagrangian(n))]
+    for path, ref in paths:
+        assert not path.frame_fn.certified
+        maslov.maslov_index(path, ref)
+        maslov.find_crossings(path, ref)
+    assert batches and all(took for _, took in batches)
 
 
 def test_the_first_validate_of_a_process_decomposes_the_generator_once(

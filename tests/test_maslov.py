@@ -1051,9 +1051,9 @@ def _parity_cases():
     # a frame of the wrong shape for the space
     misfit = dataclasses.replace(orbit_path(standard_J(1)), space=SymplecticSpace.standard(2))
     cases.append((misfit, vertical_lagrangian(2), 256))
-    # conjugated generators, whose frames carry a condition bound (both
-    # paths of the first, the graph path of the second), and a constant
-    # orbit whose raw frame loses rank
+    # conjugated generators, the first certified (its paths skip the
+    # per-sample checks) and the second not, and a constant orbit whose
+    # raw frame loses rank
     for h in (CONJUGATED_ELLIPTIC, CONJUGATED_MIXED, HYPERBOLIC_PAIR):
         n = h.shape[0] // 2
         cases.append((orbit_path(h), vertical_lagrangian(n), 256))
@@ -1072,8 +1072,8 @@ def _index_or_error(path, ref, grid):
 def test_stacked_scan_equals_per_time_loop():
     """find_crossings and maslov_index on a built-in path give the
     crossings, the index, or the error, that one frame call per sample
-    gives; the looped frame function carries no condition bound, so a
-    certified path also matches the SVD rank rule."""
+    gives; the looped frame function is not certified, so a certified
+    path also matches the per-sample checks."""
     outcomes, indices = [], []
     for path, ref, grid in _parity_cases():
         stacked = _scan_or_error(path, ref, grid)
@@ -1106,38 +1106,66 @@ def _svd_counter(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("path", [
-    orbit_path(CONJUGATED_ELLIPTIC),
-    graph_path(CONJUGATED_ELLIPTIC),
-    graph_path(CONJUGATED_MIXED),
-    unitary_geodesic(horizontal_lagrangian(2), random_lagrangian(2, 3), 2),
+@pytest.mark.parametrize("path,certified", [
+    (orbit_path(CONJUGATED_ELLIPTIC), True),
+    (graph_path(CONJUGATED_ELLIPTIC), True),
+    (graph_path(CONJUGATED_MIXED), False),
+    (unitary_geodesic(horizontal_lagrangian(2), random_lagrangian(2, 3), 2), False),
 ], ids=["orbit", "graph", "graph mixed", "geodesic"])
-def test_certified_frames_take_the_cholesky_volumes(path, monkeypatch):
-    """On a path whose frames carry a condition bound inside the rank
-    cut, sum log s comes from a Cholesky factor with no SVD, and equals
-    the SVD's of the same frames within 1e-9."""
+def test_certified_frames_take_no_volumes(path, certified, monkeypatch):
+    """The flow paths of a certified record have a ``certified`` frame
+    function, whose frames on [0, 1] take no ``_volumes`` and so no SVD;
+    the same frames of the path with its frame function replaced take
+    one stacked SVD.  The graph path of the mixed generator, whose record
+    is not certified, and the geodesic take that SVD rule as well, with
+    the sums of the replaced path bit for bit."""
+    assert path.frame_fn.certified is certified
     ts = np.linspace(*path.interval, 129)
     svds = _svd_counter(monkeypatch)
     frames, log_s = maslov._frames(path, ts, DEFAULT_TOL)
-    assert svds == []
+    assert svds == ([] if certified else [frames.shape])
+    svds.clear()
     looped_frames, looped_log_s = maslov._frames(_looped(path), ts, DEFAULT_TOL)
     assert svds == [frames.shape]
     assert np.array_equal(frames, looped_frames)
-    assert np.max(np.abs(log_s - looped_log_s)) < 1e-9
+    assert log_s is None if certified else _bits(log_s) == _bits(looped_log_s)
 
 
-def test_replaced_frame_function_drops_the_condition_bound(monkeypatch):
-    """The bound belongs to the frame function: dataclasses.replace with
-    another frame_fn keeps the rate bound but not the condition bound,
-    so the new frames go through the SVD rank rule."""
+def test_replaced_frame_function_drops_the_certificate(monkeypatch):
+    """The flag belongs to the frame function: dataclasses.replace with
+    another frame_fn keeps the rate bound but not ``certified``, so the
+    new frames go through the SVD rank rule."""
     path = orbit_path(CONJUGATED_ELLIPTIC)
-    assert path.frame_fn.growth is not None
+    assert path.frame_fn.certified
     replaced = dataclasses.replace(path, frame_fn=lambda t: path.frame_fn(t))
     assert replaced._rate_bound == path._rate_bound
-    assert not hasattr(replaced.frame_fn, "growth")
+    assert not hasattr(replaced.frame_fn, "certified")
     svds = _svd_counter(monkeypatch)
     maslov._frames(replaced, np.linspace(0.0, 1.0, 9), DEFAULT_TOL)
     assert svds == [(9, 6, 3)]
+
+
+@pytest.mark.parametrize("route", [
+    lambda path, ref: maslov_index(path, ref),
+    lambda path, ref: find_crossings(path, ref).index,
+    lambda path, ref: crossing_form(path, ref, 0.5)[1].shape,
+], ids=["maslov_index", "find_crossings", "crossing_form"])
+def test_a_raw_reference_is_checked_as_a_lagrangian_frame(route):
+    """A raw ``LagrangianFrame`` that breaks its invariant raises the
+    NotLagrangian of ``lagrangian_frame`` on every scan route, before any
+    sample (a certified path checks none): a frame of shape (4, 3), and
+    the span of e1 and e3, which is not isotropic.  A raw frame with the
+    span of the horizontal but columns of length 2 still answers as the
+    horizontal."""
+    path = orbit_path(random_hamiltonian(2, 1000, "semisimple-elliptic"))
+    assert path.frame_fn.certified
+    space = path.space
+    with pytest.raises(NotLagrangian, match=r"^frame must be 4 x 2, got \(4, 3\)$"):
+        route(path, LagrangianFrame(space, np.eye(4)[:, :3]))
+    with pytest.raises(NotLagrangian, match="^isotropy defect .* too large$"):
+        route(path, LagrangianFrame(space, np.eye(4)[:, [0, 2]]))
+    scaled = LagrangianFrame(space, 2.0 * np.eye(4)[:, :2])
+    assert route(path, scaled) == route(path, horizontal_lagrangian(2))
 
 
 @pytest.mark.parametrize("route", [
@@ -1888,8 +1916,8 @@ def test_flow_indices_raise_what_the_two_scans_raise():
 
 
 def test_a_growth_beyond_the_rank_rule_still_loses_rank():
-    """exp(22 t) on a hyperbolic plane passes the rank rule's growth
-    bound, so its record is not certified and its scans keep the
+    """exp(22 t) on a hyperbolic plane fails the rank premise of the
+    certificate, so its record is not certified and its scans keep the
     per-sample rank check: ``conley_zehnder`` raises NotLagrangian at t =
     1, and the orbit scan answers."""
     h = plane_block_generator([("hyperbolic", 22.0)])
@@ -1900,8 +1928,8 @@ def test_a_growth_beyond_the_rank_rule_still_loses_rank():
 
 def test_a_generator_near_the_hamiltonian_tolerance_keeps_the_per_sample_checks(monkeypatch):
     """S (3 J_1) S^-1 + 5e-8 I with S = diag(5, 1/5) is Hamiltonian within
-    the default tol and its frames stay within the rank rule's growth
-    bound, but its flow is too far from symplectic for the record to
+    the default tol and its frames meet the rank premise of the
+    certificate, but its flow is too far from symplectic for the record to
     certify the frames (16 n D g^2 > 1): both scans run the Lagrangian
     check of ``_check_flat`` on their samples and give 1/2 and 1."""
     s = np.diag([5.0, 0.2])

@@ -18,6 +18,7 @@ from symindex import (
     is_hamiltonian,
     is_symplectic,
     lagrangian_frame,
+    maslov_index_symplectic,
     plane_block_generator,
     random_hamiltonian,
     random_lagrangian,
@@ -27,8 +28,8 @@ from symindex import (
     symplectic_orthogonal,
     vertical_lagrangian,
 )
-from symindex.errors import (DimensionMismatch, InputError, KNotAdmissible, NotIsotropic,
-                             OddDimension)
+from symindex.errors import (DimensionMismatch, InputError, KNotAdmissible, NotHamiltonian,
+                             NotIsotropic, OddDimension)
 from symindex.numerics import orthonormal_columns
 from symindex.symplectic import (
     SymplecticReduction,
@@ -258,6 +259,21 @@ def test_is_symplectic_of_a_map_whose_defect_overflows_warns_nothing():
         assert not is_symplectic(np.diag([1e200, 1e200]))
         assert not is_symplectic(np.diag([1e160, 2e160]))
         assert is_symplectic(np.diag([1e160, 1e-160]))
+
+
+def test_is_hamiltonian_of_a_generator_whose_norm_overflows():
+    """1e308 ones (trace 2e308) and [[1.5e308, 0], [1e308, 1.5e308]]
+    (trace 3e308) are not Hamiltonian, though their spectral norms
+    overflow: the check answers False and the flow route raises
+    NotHamiltonian, with no RuntimeWarning.  [[1e308, 1e308], [1e308,
+    -1e308]], of trace 0 and a finite norm, stays Hamiltonian."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1e308 * np.ones((2, 2)), np.array([[1.5e308, 0.0], [1e308, 1.5e308]])):
+            assert not is_hamiltonian(h)
+            with pytest.raises(NotHamiltonian):
+                maslov_index_symplectic(h)
+        assert is_hamiltonian(np.array([[1e308, 1e308], [1e308, -1e308]]))
 
 
 @pytest.mark.parametrize("call", [

@@ -14,10 +14,12 @@ routes, ``krein_spectrum``, ``spectral_conley_zehnder``,
 graph path against the diagonal, each with its index, ``baseline_dim``
 and (time, dim, inertia pair, ``at_endpoint``) of every crossing, and
 ``crossing_form`` of the same two paths at both interval ends, each
-with the column count of V and the inertia pair of gamma), the answer
-or the class and message of the typed error (for
-``triple_routes_from``, TransversalityViolated where the upper-right
-block of psi(1) is singular).  ``find_crossings`` and ``crossing_form``
+with the column count of V and the inertia pair of gamma, and
+``maslov_index`` of the orbit path on (-0.5, 1.5) against the vertical,
+whose samples outside [0, 1] no certificate covers), the answer or the
+class and message of the typed error (for ``triple_routes_from``,
+TransversalityViolated where the upper-right block of psi(1) is
+singular).  ``find_crossings``, ``crossing_form`` and the wide orbit
 are not run on the ``fast`` ensemble, whose first speed needs about
 3.6e5 cells in a scan.  Floats
 are written as ``float.hex``, so two trees agree on a line only when
@@ -68,6 +70,7 @@ from symindex import (
     krein_signature,
     krein_spectrum,
     make_system,
+    maslov_index,
     maslov_index_symplectic,
     orbit_path,
     plane_block_generator,
@@ -220,9 +223,11 @@ ROUTES = {
     "krein_signature": _signatures,
     "find_crossings": lambda h: _paths(h, _scan),
     "crossing_form": lambda h: _paths(h, _end_forms),
+    "wide_orbit": lambda h: str(maslov_index(orbit_path(h, None, (-0.5, 1.5)),
+                                             vertical_lagrangian(len(h) // 2))),
 }
 #: routes not run on an ensemble
-SKIPPED = {"fast": {"find_crossings", "crossing_form"}}
+SKIPPED = {"fast": {"find_crossings", "crossing_form", "wide_orbit"}}
 
 
 def record(name, h):
