@@ -1,7 +1,8 @@
 """Property checks behind the acceptance suite.
 
-Each check draws a deterministic ensemble, exercises one contract of
-the library, and reports a one-line verdict.  A sampler discards a draw
+Each check draws a fixed ensemble (its seeds, draw count and guards are
+written in it, and only ``tol`` is a parameter), exercises one contract
+of the library, and reports a one-line verdict.  A sampler discards a draw
 that fails a numerical genericity guard (near-singular blocks,
 borderline signatures, speeds near a multiple of pi), and the discarded
 draws are counted.  The shared guards have one home each: ``_stable``
@@ -127,12 +128,13 @@ def _pm(rng) -> float:
     return 1.0 if rng.uniform() < 0.5 else -1.0
 
 
-def _safe_speed(rng, lo=0.35, hi=5.9, clearance=0.25, avoid=()):
-    """Angular speed bounded away from multiples of pi and from the
-    magnitudes in ``avoid`` (keeps crossings regular and separated)."""
+def _safe_speed(rng, avoid):
+    """Angular speed of modulus in [0.35, 9], more than 0.25 from every
+    multiple of pi and 0.15 from the magnitudes in ``avoid`` (keeps
+    crossings regular and separated)."""
     for _ in range(300):
-        a = rng.uniform(lo, hi) * _pm(rng)
-        if abs(a - math.pi * round(a / math.pi)) <= clearance:
+        a = rng.uniform(0.35, 9.0) * _pm(rng)
+        if abs(a - math.pi * round(a / math.pi)) <= 0.25:
             continue
         if any(abs(abs(a) - abs(u)) <= 0.15 for u in avoid):
             continue
@@ -165,7 +167,7 @@ def check_rotation_closed_forms(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult
 
 # -- 2: triple-index axioms ----------------------------------------------------
 
-def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_triple_axioms(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Antisymmetry, cyclicity, symplectic invariance, the cocycle
     identity, and the normalization on the standard plane."""
 
@@ -185,7 +187,7 @@ def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> Che
         taus["inv"] = kashiwara_index(space, *moved, tol)
         return taus
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 12)
     ok = True
     for taus in got:
         t123 = taus[(0, 1, 2)]
@@ -202,12 +204,12 @@ def check_triple_axioms(samples: int = 12, tol: Tolerances = DEFAULT_TOL) -> Che
     ok = bool(ok and norm_ok)
     return CheckResult("triple-index axioms", ok,
                        "%d triples (n in 1..3), %d resampled, normalization +1"
-                       % (samples, rejected))
+                       % (len(got), rejected))
 
 
 # -- 3: transversal closed form -------------------------------------------------
 
-def check_transversal_triple(samples: int = 20, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_transversal_triple(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """tau(horizontal, graph A, vertical) equals sign A for symmetric
     invertible A."""
 
@@ -221,18 +223,18 @@ def check_transversal_triple(samples: int = 20, tol: Tolerances = DEFAULT_TOL) -
             return None
         return a
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 20)
     ok = True
     for a in got:
         space, hor, gr, ver = transversal_triple(a, tol)
         ok &= kashiwara_index(space, hor, gr, ver, tol) == kashiwara_transversal(a, tol)
     return CheckResult("transversal triple closed form", bool(ok),
-                       "%d matrices (n in 1..3), %d resampled" % (samples, rejected))
+                       "%d matrices (n in 1..3), %d resampled" % (len(got), rejected))
 
 
 # -- 4: symmetry of the correction matrix ---------------------------------------
 
-def check_correction_symmetry(samples: int = 50, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_correction_symmetry(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """The raw correction matrix of psi(1) is symmetric to 1e-8
     whenever the B block is well invertible."""
 
@@ -245,16 +247,16 @@ def check_correction_symmetry(samples: int = 50, tol: Tolerances = DEFAULT_TOL) 
         x = _correction_formula(*split_blocks(psi1))
         return float(np.linalg.norm(x - x.T))
 
-    defects, rejected = _collect(sampler, samples)
+    defects, rejected = _collect(sampler, 50)
     worst = max(defects)
     return CheckResult("correction matrix symmetry", worst < 1e-8,
                        "%d systems, max defect %.2e, %d resampled"
-                       % (samples, worst, rejected))
+                       % (len(defects), worst, rejected))
 
 
 # -- 5: reduction equality -------------------------------------------------------
 
-def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_reduction_equality(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """The triple index is unchanged by reduction, both for the
     system triple (diagonal, L0 x L0, graph) and for engineered triples
     sharing a random isotropic subspace."""
@@ -287,20 +289,20 @@ def check_reduction_equality(samples: int = 18, tol: Tolerances = DEFAULT_TOL) -
         via_reduction = kashiwara_reduced(ambient, k_frame, *lifted, tol)
         return (direct.signature, on_quotient.signature, via_reduction)
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 18)
     ok = all(a == b == c for a, b, c in got)
     return CheckResult("reduction equality", bool(ok),
                        "%d triples (systems and engineered lifts), %d resampled"
-                       % (samples, rejected))
+                       % (len(got), rejected))
 
 
 # -- 6: block-matrix signature identity ------------------------------------------
 
-def check_reduced_form_signature(samples: int = 30, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_reduced_form_signature(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """sign [[0,-I,X],[-I,0,I],[X,I,0]] equals sign X, including
     singular X."""
     ok = True
-    for i in range(samples):
+    for i in range(30):
         n = 1 + i % 4
         rng = np.random.default_rng(12000 + i)
         q = orthonormal_columns(rng.standard_normal((n, n)), tol)
@@ -315,13 +317,12 @@ def check_reduced_form_signature(samples: int = 30, tol: Tolerances = DEFAULT_TO
         sy = sym_signature(y, tol).signature
         ok &= sx == want == sy
     return CheckResult("reduced form signature identity", bool(ok),
-                       "%d matrices (n in 1..4) including singular ones" % samples)
+                       "30 matrices (n in 1..4) including singular ones")
 
 
 # -- 7: path independence of the quadruple index ----------------------------------
 
-def check_quadruple_path_independence(quadruples: int = 20, *,
-                                      tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_quadruple_path_independence(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """The difference of path indices against two references depends
     only on the endpoints, across five non-homotopic paths, and equals
     the triple-index prediction."""
@@ -345,11 +346,11 @@ def check_quadruple_path_independence(quadruples: int = 20, *,
                          - maslov_index(path, l0, tol=tol))
         return predicted, diffs
 
-    got, rejected = _collect(sampler, quadruples)
+    got, rejected = _collect(sampler, 20)
     ok = all(all(d == pred for d in diffs) for pred, diffs in got)
     return CheckResult("quadruple index path independence", bool(ok),
                        "%d quadruples x 5 paths (n in 1..2), %d resampled"
-                       % (quadruples, rejected))
+                       % (len(got), rejected))
 
 
 # -- 8: calibration ---------------------------------------------------------------
@@ -365,7 +366,7 @@ def check_calibration(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
 
 # -- 9: the index formula ----------------------------------------------------------
 
-def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_main_identity(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Direct orbit scan equals graph scan plus the correction term on
     random semisimple transversal systems, with the triple-index routes
     agreeing as well."""
@@ -383,11 +384,11 @@ def check_main_identity(samples: int = 50, *, tol: Tolerances = DEFAULT_TOL) -> 
             return None
         return validate(system, sigma=sigma, tol=tol)
 
-    reports, rejected = _collect(sampler, samples)
+    reports, rejected = _collect(sampler, 50)
     ok = all(r.agree for r in reports)
     return CheckResult("orbit index = graph index + correction", bool(ok),
                        "%d systems (n in 1..4), %d resampled, sigma=%+d"
-                       % (samples, rejected, sigma))
+                       % (len(reports), rejected, sigma))
 
 
 # -- 10: loops ----------------------------------------------------------------------
@@ -411,8 +412,7 @@ def check_loop_identity(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
 
 # -- 11: spectral identities ----------------------------------------------------------
 
-def check_spectral_identities(samples: int = 30, *,
-                              tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_spectral_identities(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """For plane-aligned block systems the orbit scan matches the sum of
     the orbit closed form over the drawn speeds, and the graph scan the
     spectral route."""
@@ -423,7 +423,7 @@ def check_spectral_identities(samples: int = 30, *,
         kinds, speeds = [], []
         for _ in range(n):
             if rng.uniform() < 0.7:
-                a = _safe_speed(rng, hi=9.0, avoid=speeds)
+                a = _safe_speed(rng, speeds)
                 if a is None:
                     return None
                 speeds.append(a)
@@ -436,16 +436,16 @@ def check_spectral_identities(samples: int = 30, *,
                 conley_zehnder(h, tol=tol),
                 spectral_conley_zehnder(h, tol))
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 30)
     ok = all(a == b and c == d for a, b, c, d in got)
     return CheckResult("spectral index identities", bool(ok),
                        "%d block systems (n in 1..4), %d resampled"
-                       % (samples, rejected))
+                       % (len(got), rejected))
 
 
 # -- 12: vanishing off the unit circle -------------------------------------------------
 
-def check_zero_property(samples: int = 16, *, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_zero_property(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Generators with no purely imaginary spectrum have graph index
     zero (and orbit index zero in block form)."""
 
@@ -468,15 +468,15 @@ def check_zero_property(samples: int = 16, *, tol: Tolerances = DEFAULT_TOL) -> 
         spectral_zero = spectral_conley_zehnder(h, tol) == ZERO
         return bool(orbit_zero and graph_zero and spectral_zero)
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 16)
     return CheckResult("zero property off the unit circle", all(got),
                        "%d hyperbolic/loxodromic generators, %d resampled"
-                       % (samples, rejected))
+                       % (len(got), rejected))
 
 
 # -- 13: Krein pairing -----------------------------------------------------------------
 
-def check_krein_pairing(samples: int = 50, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def check_krein_pairing(*, tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Krein inertias at conjugate eigenvalues are swapped, dimensions
     add up, and the sign convention matches the rotation oracle."""
 
@@ -496,7 +496,7 @@ def check_krein_pairing(samples: int = 50, tol: Tolerances = DEFAULT_TOL) -> Che
         ok &= sum(b.dim for b in classify_normal_form(h, tol)) == 2 * n
         return bool(ok)
 
-    got, rejected = _collect(sampler, samples)
+    got, rejected = _collect(sampler, 50)
 
     plus = plane_block_generator([("elliptic", 2.0)])
     anchor = (krein_signature(plus, 2.0, tol).pair == (1, 0)
@@ -507,7 +507,7 @@ def check_krein_pairing(samples: int = 50, tol: Tolerances = DEFAULT_TOL) -> Che
 
     return CheckResult("Krein signature pairing", bool(all(got) and anchor),
                        "%d elliptic systems (n in 1..4), %d resampled, "
-                       "rotation anchors fixed" % (samples, rejected))
+                       "rotation anchors fixed" % (len(got), rejected))
 
 
 def run_property_suite(*, tol: Tolerances = DEFAULT_TOL):

@@ -240,9 +240,12 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     h as a float64 matrix, its size, ``space`` and ``tol``, so the routes
     of one generator check and diagonalize it once while it stays kept
     (``make_system`` builds it, so a route on the system it returns
-    finds it kept).  Three is just enough for h and the records of the
-    two calibration probes, so the first ``validate(make_system(h))`` of
-    a process with the calibrated sign still finds h's record kept.
+    finds it kept).  A ``space`` whose form is the standard form entry
+    for entry is keyed as the standard space, so h has one record
+    however that space was built.  Three is just enough for h and the
+    records of the two calibration probes, so the first
+    ``validate(make_system(h))`` of a process with the calibrated sign
+    still finds h's record kept.
     ``tol`` and the matrix are checked before the key is formed, so
     their typed errors come first; a miss runs the rest of the check on
     the float64 copy of the key, so h is converted once.  A generator
@@ -251,6 +254,9 @@ def _flow_record(h, space: Optional[SymplecticSpace], tol: Tolerances) -> _FlowR
     does not reach it."""
     tol = as_tolerances(tol)
     h = as_even_square(h, "generator")
+    if space is not None and np.array_equal(space.form,
+                                            SymplecticSpace.standard(h.shape[0] // 2).form):
+        space = None
     return _record_of(h.tobytes(), h.shape[0], space, tol)
 
 
@@ -448,17 +454,20 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     (I - P) h Q = Omega Q A, an orthonormal frame Q turns arg det Z at
     tr A = tr(Q^T S Q) for S = sym(-Omega h), at most the bound B of
     ``_FlowRecord``.  Its frames are ``record.stack(ts)`` times the frame
-    of ``start``.  From the default start the record is the one of h,
-    and its frame function is ``certified`` where that record has
-    ``factors``; an explicit ``start`` keys the record by its space, which
-    has none, so its scans take every check.  The flow routes scan the
-    orbit of the vertical of a certified record without a path
+    of ``start``.  A start of the standard form (the default, or any
+    ``start`` whose space has that form entry for entry) reads the one
+    record of h, and the path's frame function is ``certified`` where
+    that record has ``factors`` and the start's frame is the vertical's
+    bit for bit; every other start keeps every check.  The flow routes
+    scan the orbit of the vertical of a certified record without a path
     (``_flow_scans``)."""
     record = _flow_record(h, None if start is None else start.space, tol)
     h, flow = record.h, record.stack
     d = h.shape[0]
-    start = vertical_lagrangian(d // 2, tol) if start is None else start
+    vertical = vertical_lagrangian(d // 2, tol)
+    start = vertical if start is None else start
     f0 = start.frame
+    certified = record.factors is not None and np.array_equal(f0, vertical.frame)
 
     def frs(ts):
         return flow(ts) @ f0
@@ -466,8 +475,8 @@ def orbit_path(h, start: Optional[LagrangianFrame] = None,
     def dfrs(ts):
         return h @ flow(ts) @ f0
 
-    return LagrangianPath(start.space, _Stacked(frs, d, record.factors is not None),
-                          _Stacked(dfrs, d), interval, record.bound)
+    return LagrangianPath(start.space, _Stacked(frs, d, certified), _Stacked(dfrs, d),
+                          interval, record.bound)
 
 
 def graph_path(h, interval=(0.0, 1.0), tol: Tolerances = DEFAULT_TOL) -> LagrangianPath:

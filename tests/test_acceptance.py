@@ -6,9 +6,11 @@ Run directly (``python3 tests/test_acceptance.py``) to get the thirteen
 pass/fail lines on stdout; under pytest each criterion is one test.
 """
 
+import inspect
 import sys
 
 from symindex import checks
+from symindex.numerics import DEFAULT_TOL
 
 
 def _report(result):
@@ -68,6 +70,18 @@ def test_criterion_12_zero_property_off_unit_circle():
 
 def test_criterion_13_krein_signature_pairing():
     _report(checks.check_krein_pairing())
+
+
+def test_the_gate_has_one_size():
+    """Each of the 13 checks and the suite take one parameter, a
+    keyword-only ``tol`` defaulting to ``DEFAULT_TOL``: no caller can
+    shrink an ensemble or move its range."""
+    gate = [fn for name, fn in vars(checks).items() if name.startswith("check_")]
+    assert len(gate) == 13
+    for fn in gate + [checks.run_property_suite]:
+        assert [(p.name, p.kind, p.default)
+                for p in inspect.signature(fn).parameters.values()] == [
+            ("tol", inspect.Parameter.KEYWORD_ONLY, DEFAULT_TOL)], fn.__name__
 
 
 if __name__ == "__main__":

@@ -1044,11 +1044,36 @@ def test_certified_generic_scans_skip_the_checks_and_keep_their_answers(g, monke
         calls.clear()
 
 
+@pytest.mark.parametrize("g", ["n=1", "n=4", "n=16"])
+def test_an_explicit_vertical_start_reads_the_one_certified_record(g, monkeypatch):
+    """An orbit from an explicit vertical start, ``vertical_lagrangian(n)``
+    or the same frame in a standard space built anew, builds no second
+    flow record, calls neither ``_volumes`` nor ``_check_flat``, and
+    answers bit for bit as ``orbit_path(h)``.  A start of the standard
+    form with another frame reads the same record uncertified."""
+    h = COST_GENERATORS[g]
+    n = len(h) // 2
+    vertical = vertical_lagrangian(n)
+    anew = symplectic.lagrangian_frame(SymplecticSpace(symplectic.standard_J(n)),
+                                       np.eye(2 * n)[:, n:])
+    horizontal = symplectic.horizontal_lagrangian(n)
+    want = _scan_answers(orbit_path(h), vertical)
+    misses = maslov._record_of.cache_info().misses
+    calls = _spied_checks(monkeypatch)
+    for start in (vertical, anew):
+        path = orbit_path(h, start)
+        assert path.frame_fn.certified
+        assert _scan_answers(path, vertical) == want
+    assert not calls
+    assert not orbit_path(h, horizontal).frame_fn.certified
+    assert maslov._record_of.cache_info().misses == misses
+
+
 def test_uncertified_batches_still_take_the_volumes(monkeypatch):
     """``_volumes`` runs on every batch of times not all in [0, 1] of a
     certified path on interval (-0.5, 1.5), and on no other of its
     batches (here the form at 1/2), and on every batch of an
-    orbit from an explicit start, of the flow paths of the ``expm`` and
+    orbit from the horizontal, of the flow paths of the ``expm`` and
     growth generators of the cost table, and of a geodesic."""
     batches = []
     frames, volumes = maslov._frames, maslov._volumes
@@ -1074,7 +1099,7 @@ def test_uncertified_batches_still_take_the_volumes(monkeypatch):
     assert [took for _, took in batches] == [not inside for inside in windowed]
     assert any(windowed) and not all(windowed)
     batches.clear()
-    paths = [(orbit_path(h, vertical_lagrangian(4)), vertical_lagrangian(4)),
+    paths = [(orbit_path(h, symplectic.horizontal_lagrangian(4)), vertical_lagrangian(4)),
              (maslov.unitary_geodesic(symplectic.horizontal_lagrangian(2),
                                       symplectic.random_lagrangian(2, 3), 2),
               symplectic.horizontal_lagrangian(2))]
@@ -1186,12 +1211,12 @@ def test_checks_evaluate_time_one_map_once_per_draw(monkeypatch, check, per_syst
     monkeypatch.setattr(HamiltonianSystem, "psi", counting_psi)
     monkeypatch.setattr(maslov._FlowRecord, "stack", counting_stack)
     monkeypatch.setattr(maslov, "_record_of", counting_record)
-    assert check(samples=6).passed
+    assert check().passed
     evaluations = psi_calls + stacks
     assert evaluations and max(evaluations.values()) <= per_system
     if check is checks.check_main_identity:
         assert not psi_calls
-        assert len(misses) >= 6 and set(misses.values()) == {1}
+        assert len(misses) >= 50 and set(misses.values()) == {1}
 
 
 def test_routes_without_grid_reject_an_old_grid_argument():

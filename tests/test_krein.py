@@ -730,6 +730,22 @@ def test_normal_form_constructor_refusals(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("spectrum,error,message", [
+    ([KreinEigenvalue(0j, 1, None)], UnclassifiableSpectrum, "odd multiplicity at zero"),
+    ([KreinEigenvalue(2j, 1, Inertia(0, 0, 1)), KreinEigenvalue(-2j, 1, Inertia(0, 0, 1))],
+     NotSemisimple, "degenerate Krein form at i*2"),
+    ([KreinEigenvalue(1 + 0j, 1, None)], UnclassifiableSpectrum, "unpaired real eigenvalue"),
+    ([KreinEigenvalue(1 + 1j, 1, None), KreinEigenvalue(1 - 1j, 1, None)],
+     UnclassifiableSpectrum, "incomplete loxodromic quadruple"),
+], ids=["odd-zero", "degenerate-krein", "unpaired-real", "incomplete-quadruple"])
+def test_normal_form_refuses_a_crafted_spectrum(spectrum, error, message):
+    """The four refusals of ``_normal_form`` on a semisimple pass with
+    the cluster gap 1e-6, each on the smallest spectrum that reaches it."""
+    with pytest.raises(error) as raised:
+        _normal_form(spectrum, True, 1e-6)
+    assert str(raised.value) == message
+
+
 def test_normal_form_matrix_builds_zero_and_loxodromic_blocks():
     blocks = [NormalFormBlock("zero", (), 2), NormalFormBlock("loxodromic", (0.5, 1.5))]
     h = normal_form_matrix(blocks)
@@ -824,10 +840,10 @@ def test_krein_pairing_check_takes_one_eig_per_sampled_generator(monkeypatch):
     """``check_krein_pairing`` reads the spectrum, the signature queries
     and the normal form of each sampled generator from one flow record:
     one eig per generator (and one per anchor generator), no eigvals."""
-    check_krein_pairing(samples=8)  # builds the cached standard spaces
+    check_krein_pairing()  # builds the cached standard spaces
     calls = _count_decompositions(monkeypatch)
-    assert check_krein_pairing(samples=8).passed
-    assert calls["eig"] == 8 + 2 and "eigvals" not in calls
+    assert check_krein_pairing().passed
+    assert calls["eig"] == 50 + 2 and "eigvals" not in calls
 
 
 def test_is_semisimple_reads_the_record_pass_of_a_hamiltonian_generator(monkeypatch):

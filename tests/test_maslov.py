@@ -386,6 +386,24 @@ def test_quadratic_tangency_adds_nothing():
     assert scan.index == ZERO and scan.crossings == ()
 
 
+@pytest.mark.parametrize("route", [
+    lambda path, ref: crossing_form(path, ref, 0.0),
+    find_crossings,
+], ids=["crossing_form", "find_crossings"])
+def test_a_derivative_of_the_wrong_shape_is_refused(route):
+    """[t; 1] crosses the vertical at t = 0; a ``dframe_fn`` that returns
+    a 3 x 1 array there raises DimensionMismatch in the crossing form."""
+    path = path_from_frames(SymplecticSpace.standard(1), lambda t: np.array([[t], [1.0]]),
+                            (-0.5, 0.5), lambda t: np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"^derivative has shape \(3, 1\)$"):
+        route(path, vertical_lagrangian(1))
+
+
+def test_an_orbit_start_of_another_size_than_the_generator_is_refused():
+    with pytest.raises(DimensionMismatch, match="^generator does not match the space$"):
+        orbit_path(random_hamiltonian(2, 1000, "semisimple-elliptic"), vertical_lagrangian(1))
+
+
 def test_cubic_crossing_has_an_index_but_no_regular_form():
     """The phase passes 0 with zero speed: the phase route gives -1, and
     find_crossings rejects the zero form at the located crossing."""
@@ -1481,9 +1499,11 @@ def test_a_raising_generator_is_not_kept_and_keeps_the_kept_record():
 
 
 def test_another_tol_or_space_builds_its_own_record():
-    """Each call differs from the one before in one part of the key."""
+    """Each call differs from the one before in one part of the key; a
+    space of the standard form, shared or built anew, is keyed as the
+    standard space."""
     h = 3.0 * standard_J(1)
-    space = SymplecticSpace.standard(1)
+    space = SymplecticSpace(2.0 * standard_J(1))
     record = maslov._flow_record(h, None, DEFAULT_TOL)
     spaced = maslov._flow_record(h, space, DEFAULT_TOL)
     loose = maslov._flow_record(h, space, Tolerances(eps_sym=1e-5))
@@ -1491,6 +1511,8 @@ def test_another_tol_or_space_builds_its_own_record():
     info = maslov._record_of.cache_info()
     assert (info.misses, info.hits) == (3, 0)
     np.testing.assert_array_equal(spaced.h, record.h)
+    for standard in (SymplecticSpace.standard(1), SymplecticSpace(standard_J(1))):
+        assert maslov._flow_record(h, standard, DEFAULT_TOL) is record
 
 
 def test_a_flow_record_refuses_writes():

@@ -11,7 +11,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROUTES = {"maslov_index_symplectic", "conley_zehnder", "validate", "triple_routes_from",
           "krein_spectrum", "spectral_conley_zehnder", "is_semisimple", "krein_signature",
-          "find_crossings", "crossing_form", "wide_orbit"}
+          "find_crossings", "crossing_form", "wide_orbit", "explicit_orbit"}
 
 
 def test_parity_sweep_records_every_route_of_its_first_inputs():
@@ -38,6 +38,7 @@ def test_parity_sweep_records_every_route_of_its_first_inputs():
             rec["validate"]["correction"])
         assert rec["spectral_conley_zehnder"] == rec["conley_zehnder"]
         assert isinstance(rec["wide_orbit"], str)  # an index, not a typed error
+        assert rec["explicit_orbit"] == rec["maslov_index_symplectic"]
         assert sum(entry[2] for entry in rec["krein_spectrum"]) == 2 * n
         scans = rec["find_crossings"]
         assert (scans["orbit"]["index"], scans["graph"]["index"]) == (
@@ -79,8 +80,8 @@ def test_parity_sweep_queries_the_krein_signature_of_a_slow_rotation():
 def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     """The last ``fast`` input, 1e17 J_1, needs more cells than either
     scan may take, and its speed is too large for the closed form; the
-    sweep runs no ``find_crossings``, ``crossing_form`` or wide orbit on
-    it."""
+    sweep runs no ``find_crossings``, ``crossing_form``, wide orbit or
+    explicit orbit on it."""
     sweep = _load_sweep()
     name, h = [(name, h) for name, h in sweep.ensemble() if name.startswith("fast ")][-1]
     rec = sweep.record(name, h)
@@ -88,7 +89,8 @@ def test_parity_sweep_records_the_refusals_of_the_fastest_rotation():
     for route in ("maslov_index_symplectic", "conley_zehnder"):
         assert rec[route]["error"] == "GridTooCoarse"
     assert rec["spectral_conley_zehnder"]["error"] == "InputError"
-    assert set(rec) == ROUTES - {"find_crossings", "crossing_form", "wide_orbit"} | {"input"}
+    assert set(rec) == ROUTES - {"find_crossings", "crossing_form", "wide_orbit",
+                                 "explicit_orbit"} | {"input"}
 
 
 def test_parity_sweep_lists_the_crossings_of_paths_that_end_near_the_reference():

@@ -16,12 +16,13 @@ and (time, dim, inertia pair, ``at_endpoint``) of every crossing, and
 ``crossing_form`` of the same two paths at both interval ends, each
 with the column count of V and the inertia pair of gamma, and
 ``maslov_index`` of the orbit path on (-0.5, 1.5) against the vertical,
-whose samples outside [0, 1] no certificate covers), the answer or the
-class and message of the typed error (for ``triple_routes_from``,
-TransversalityViolated where the upper-right block of psi(1) is
-singular).  ``find_crossings``, ``crossing_form`` and the wide orbit
-are not run on the ``fast`` ensemble, whose first speed needs about
-3.6e5 cells in a scan.  Floats
+whose samples outside [0, 1] no certificate covers, and of the orbit
+path from the explicit start ``vertical_lagrangian(n)`` against the
+vertical), the answer or the class and message of the typed error (for
+``triple_routes_from``, TransversalityViolated where the upper-right
+block of psi(1) is singular).  ``find_crossings``, ``crossing_form``
+and the wide and explicit orbits are not run on the ``fast`` ensemble,
+whose first speed needs about 3.6e5 cells in a scan.  Floats
 are written as ``float.hex``, so two trees agree on a line only when
 they agree bit for bit.  Run the same script against the ``src`` of two
 trees and diff the outputs to see every answer a change moved.
@@ -212,6 +213,12 @@ def _end_forms(path, ref):
             for v, gamma in (crossing_form(path, ref, t) for t in path.interval)]
 
 
+def _explicit_orbit(h):
+    """``maslov_index`` of the orbit from an explicit vertical start."""
+    vertical = vertical_lagrangian(len(h) // 2)
+    return str(maslov_index(orbit_path(h, vertical), vertical))
+
+
 ROUTES = {
     "maslov_index_symplectic": lambda h: str(maslov_index_symplectic(h)),
     "conley_zehnder": lambda h: str(conley_zehnder(h)),
@@ -225,9 +232,10 @@ ROUTES = {
     "crossing_form": lambda h: _paths(h, _end_forms),
     "wide_orbit": lambda h: str(maslov_index(orbit_path(h, None, (-0.5, 1.5)),
                                              vertical_lagrangian(len(h) // 2))),
+    "explicit_orbit": _explicit_orbit,
 }
 #: routes not run on an ensemble
-SKIPPED = {"fast": {"find_crossings", "crossing_form", "wide_orbit"}}
+SKIPPED = {"fast": {"find_crossings", "crossing_form", "wide_orbit", "explicit_orbit"}}
 
 
 def record(name, h):
